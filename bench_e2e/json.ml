@@ -1,0 +1,147 @@
+(* Minimal JSON: enough to print results and to read BENCHMARK.json and
+   result files back.  No external dependency is available for this. *)
+
+type t = Null | Bool of bool | Num of float | Str of string | Arr of t list | Obj of (string * t) list
+
+exception Parse_error of string
+
+(* Full precision: the result line carries every digit measured. *)
+let num_to_string f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if Float.is_finite f then Printf.sprintf "%.17g" f
+  else "null"
+
+let escape s =
+  let b = Buffer.create (String.length s + 2) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let rec to_string = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Num f -> num_to_string f
+  | Str s -> "\"" ^ escape s ^ "\""
+  | Arr l -> "[" ^ String.concat ", " (List.map to_string l) ^ "]"
+  | Obj kv ->
+    "{"
+    ^ String.concat ", " (List.map (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ to_string v) kv)
+    ^ "}"
+
+let of_string s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let peek () = if !pos < n then s.[!pos] else '\000' in
+  let rec skip_ws () =
+    match peek () with
+    | ' ' | '\t' | '\n' | '\r' ->
+      incr pos;
+      skip_ws ()
+    | _ -> ()
+  in
+  let expect c = if peek () = c then incr pos else fail (Printf.sprintf "expected %C" c) in
+  let literal word v =
+    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word then begin
+      pos := !pos + String.length word;
+      v
+    end
+    else fail "bad literal"
+  in
+  let string_lit () =
+    expect '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string";
+      let c = s.[!pos] in
+      incr pos;
+      match c with
+      | '"' -> Buffer.contents b
+      | '\\' ->
+        if !pos >= n then fail "bad escape";
+        let e = s.[!pos] in
+        incr pos;
+        (match e with
+        | 'n' -> Buffer.add_char b '\n'
+        | 't' -> Buffer.add_char b '\t'
+        | 'r' -> Buffer.add_char b '\r'
+        | 'b' -> Buffer.add_char b '\b'
+        | 'f' -> Buffer.add_char b '\012'
+        | 'u' ->
+          if !pos + 4 > n then fail "bad \\u escape";
+          let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+          pos := !pos + 4;
+          Buffer.add_utf_8_uchar b (Uchar.of_int code)
+        | c -> Buffer.add_char b c);
+        go ()
+      | c ->
+        Buffer.add_char b c;
+        go ()
+    in
+    go ()
+  in
+  let rec value () =
+    skip_ws ();
+    match peek () with
+    | '{' ->
+      incr pos;
+      skip_ws ();
+      if peek () = '}' then (incr pos; Obj [])
+      else
+        let rec members acc =
+          skip_ws ();
+          let k = string_lit () in
+          skip_ws ();
+          expect ':';
+          let v = value () in
+          skip_ws ();
+          match peek () with
+          | ',' -> incr pos; members ((k, v) :: acc)
+          | '}' -> incr pos; Obj (List.rev ((k, v) :: acc))
+          | _ -> fail "expected , or }"
+        in
+        members []
+    | '[' ->
+      incr pos;
+      skip_ws ();
+      if peek () = ']' then (incr pos; Arr [])
+      else
+        let rec elems acc =
+          let v = value () in
+          skip_ws ();
+          match peek () with
+          | ',' -> incr pos; elems (v :: acc)
+          | ']' -> incr pos; Arr (List.rev (v :: acc))
+          | _ -> fail "expected , or ]"
+        in
+        elems []
+    | '"' -> Str (string_lit ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ ->
+      let start = !pos in
+      while !pos < n && String.contains "+-0123456789.eE" s.[!pos] do incr pos done;
+      (match float_of_string_opt (String.sub s start (!pos - start)) with
+      | Some f when !pos > start -> Num f
+      | _ -> fail "bad value")
+  in
+  let v = value () in
+  skip_ws ();
+  if !pos <> n then fail "trailing data";
+  v
+
+let member k = function Obj kv -> List.assoc_opt k kv | _ -> None
+
+let member_exn k j =
+  match member k j with Some v -> v | None -> raise (Parse_error ("missing key " ^ k))
+
+let to_list = function Arr l -> l | _ -> raise (Parse_error "expected array")
+let to_str = function Str s -> s | _ -> raise (Parse_error "expected string")
+let to_num = function Num f -> f | _ -> raise (Parse_error "expected number")
