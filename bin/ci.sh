@@ -1,9 +1,10 @@
 #!/bin/sh
-# Repository CI gate: full build + the tier-1 test suite + a chaos smoke.
+# Repository CI gate: full build, the tier-1 test suite, determinism
+# checks and CLI smokes.
 #
-# The torture smoke runs the first 25 seeds of the pinned corpus (the
-# same block test_chaos.exe pins); widen with e.g. CHAOS_SEEDS=200 to
-# match the nightly sweep.
+# `dune runtest` already plays the pinned torture and scheduler chaos
+# corpora (the first 25 seeds of each); widen both with e.g.
+# CHAOS_SEEDS=200 to match the nightly sweep.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -13,34 +14,50 @@ dune build @check
 echo "== dune runtest =="
 dune runtest
 
-echo "== trace determinism: fixed scenario, two runs, byte-identical =="
-dune exec bin/dmtcp_sim.exe -- trace --check-determinism
+mkdir -p _artifacts
 
-echo "== incremental determinism: delta-chain scenario (forked + incremental), two runs =="
-# Same scenario with the incremental/forked fast path on: three
-# checkpoints chain two deltas onto a full image before the kill, so
-# the restart resolves a depth-2 chain -- and must still be
-# byte-identical across runs.
-dune exec bin/dmtcp_sim.exe -- trace --incremental --check-determinism
-
-echo "== lazy-restart determinism: demand-paged restore scenario, two runs =="
-# Lazy restore moves modeled time only (residency never changes page
-# contents), so a restart that resumes after the hot set and drains
-# cold pages through the prefetcher must trace byte-identical too.
-dune exec bin/dmtcp_sim.exe -- trace --lazy --check-determinism
-
-echo "== plugin determinism: every heuristic plugin on, two runs =="
-# The plugin/<name>/<site> spans join the trace stream; dispatch order
-# is registration order, so the traced cycle must stay byte-identical
-# across runs with every built-in heuristic enabled.
-dune exec bin/dmtcp_sim.exe -- trace --plugins --check-determinism
+echo "== determinism: each command runs twice, outputs byte-identical =="
+# - trace: the fixed checkpoint/restart scenario, plain, on the
+#   incremental/forked fast path (the restart resolves a depth-2 delta
+#   chain), with demand-paged lazy restore, and with every heuristic
+#   plugin on (their spans join the trace); each also self-checks two
+#   in-process runs.
+# - sched run / demo1k: the canned three-job and 1000-job
+#   preempt/fail/drain scenarios, each judged against its no-fault
+#   reference and printing a trace digest or summary.
+# - mpi run proxy: the stencil checkpoint/restart cycle on the proxy
+#   backend (result, rank-image shape, trace digest).
+# - torture --replay 5: one pinned chaos seed through the CLI.
+while read -r cmd; do
+  out=_artifacts/$(echo "$cmd" | tr ' -' '__')
+  echo "-- $cmd"
+  dune exec bin/dmtcp_sim.exe -- $cmd < /dev/null > "${out}_1.txt"
+  dune exec bin/dmtcp_sim.exe -- $cmd < /dev/null > "${out}_2.txt"
+  if ! diff -u "${out}_1.txt" "${out}_2.txt"; then
+    echo "FAIL: '$cmd' is non-deterministic across two runs." >&2
+    exit 1
+  fi
+  cat "${out}_1.txt"
+done <<EOF
+trace --check-determinism
+trace --incremental --check-determinism
+trace --lazy --check-determinism
+trace --plugins --check-determinism
+sched run
+sched demo1k
+mpi run proxy
+torture --replay 5
+EOF
+# the point of the rank/proxy split: rank images carry no live socket
+# state and nothing drained
+grep -q "0 established socket spec(s), 0 drained byte(s)" _artifacts/mpi_run_proxy_1.txt \
+  || { echo "FAIL: proxy-backend rank images carry socket state." >&2; exit 1; }
 
 echo "== plugin smoke: registry listing + heuristic verdict diff =="
 # Each heuristic scenario must change its verdict when its plugin is
 # enabled: blacklisted DNS degrades instead of staying live, the /proc
 # fd reads the restarted pid instead of a stale one, the NSCD app
 # detects the zeroed segment instead of trusting resurrected cache.
-mkdir -p _artifacts
 dune exec bin/dmtcp_sim.exe -- plugins ls
 dune exec bin/dmtcp_sim.exe -- plugins run > _artifacts/plugins_on.txt
 dune exec bin/dmtcp_sim.exe -- plugins run --off > _artifacts/plugins_off.txt
@@ -64,7 +81,6 @@ echo "== bench smoke (quick scale, micro layer) =="
 # checks that the deterministic ratio records still match the committed
 # baseline -- timings are machine-dependent and excluded from the
 # comparison.
-mkdir -p _artifacts
 BENCH_SCALE=quick BENCH_SECTIONS=micro BENCH_ASSERT=1 \
   BENCH_JSON=_artifacts/bench_micro.json dune exec bench/main.exe > /dev/null
 grep '"kind": "ratio"' _artifacts/bench_micro.json > _artifacts/bench_ratios.json
@@ -75,51 +91,5 @@ if ! diff -u BENCH_micro.json _artifacts/bench_ratios.json; then
   exit 1
 fi
 echo "bench ratios match committed BENCH_micro.json"
-
-echo "== sched smoke: canned preempt/fail/drain scenario, deterministic trace digest =="
-# The canned three-job scenario exercises one preemption, one node loss
-# and one drain, and must (a) finish every job bit-identical to its
-# no-fault reference and (b) produce a byte-identical trace across two
-# invocations.
-dune exec bin/dmtcp_sim.exe -- sched run > _artifacts/sched_run_1.txt
-dune exec bin/dmtcp_sim.exe -- sched run > _artifacts/sched_run_2.txt
-if ! diff -u _artifacts/sched_run_1.txt _artifacts/sched_run_2.txt; then
-  echo "FAIL: sched scenario is non-deterministic across two runs." >&2
-  exit 1
-fi
-cat _artifacts/sched_run_1.txt
-
-echo "== sched scale smoke: 1000-job demo under chaos, deterministic =="
-# 1000 single-node jobs through preemption + node loss + drain on the
-# per-job op queues: every job must finish bit-identical to the
-# no-fault reference, at least 8 ops must overlap in flight, and two
-# invocations must print byte-identical summaries.
-dune exec bin/dmtcp_sim.exe -- sched demo1k > _artifacts/sched_demo1k_1.txt
-dune exec bin/dmtcp_sim.exe -- sched demo1k > _artifacts/sched_demo1k_2.txt
-if ! diff -u _artifacts/sched_demo1k_1.txt _artifacts/sched_demo1k_2.txt; then
-  echo "FAIL: 1000-job demo is non-deterministic across two runs." >&2
-  exit 1
-fi
-cat _artifacts/sched_demo1k_1.txt
-
-echo "== mpi proxy smoke: stencil ckpt/restart cycle on the proxy backend, deterministic =="
-# The rank/proxy split: checkpoint the stencil mid-run on the proxy
-# backend, kill, restart from the images and run out.  Two invocations
-# must print byte-identical result/image-shape/trace-digest lines, and
-# the rank images must carry no live socket state and nothing drained —
-# that is the point of the split.
-dune exec bin/dmtcp_sim.exe -- mpi run proxy > _artifacts/mpi_proxy_1.txt
-dune exec bin/dmtcp_sim.exe -- mpi run proxy > _artifacts/mpi_proxy_2.txt
-if ! diff -u _artifacts/mpi_proxy_1.txt _artifacts/mpi_proxy_2.txt; then
-  echo "FAIL: proxy-backend mpi cycle is non-deterministic across two runs." >&2
-  exit 1
-fi
-cat _artifacts/mpi_proxy_1.txt
-grep -q "0 established socket spec(s), 0 drained byte(s)" _artifacts/mpi_proxy_1.txt \
-  || { echo "FAIL: proxy-backend rank images carry socket state." >&2; exit 1; }
-
-echo "== chaos smoke: 25-seed torture + 25-seed scheduler corpus =="
-dune exec bin/dmtcp_sim.exe -- torture --seeds "${CHAOS_SEEDS:-25}"
-dune exec bin/dmtcp_sim.exe -- sched chaos
 
 echo "CI OK"

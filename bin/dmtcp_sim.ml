@@ -159,18 +159,28 @@ let torture seeds base bug replay keep =
    checkpoint/restart protocol scenario, then the batch scheduler's
    preempt/fail/drain demo — so every category, "sched" included, has
    real events behind it.  The metrics snapshot is taken after both. *)
-let trace_scenario incremental lazy_restore plugins =
-  let events, _ = Harness.Trace_scenario.run ~incremental ~lazy_restore ~plugins () in
+let trace_scenario options =
+  let events, _ = Harness.Trace_scenario.run options in
   let c = Trace.collector () in
   ignore
     (Trace.with_sink (Trace.collector_sink c) (fun () -> Chaos.Sched_demo.run ~faults:true ()));
   (events @ Trace.events c, Trace.Metrics.snapshot_text ())
 
-let trace_run format node pid cat stage metrics check incremental lazy_restore plugins =
+let trace_run format node pid cat stage metrics check incremental lazy_restart plugins =
+  let options =
+    {
+      Dmtcp.Options.default with
+      Dmtcp.Options.incremental;
+      forked = incremental;
+      lazy_restart;
+      plugins =
+        (if plugins then Dmtcp.Plugins.all_names else Dmtcp.Options.default.Dmtcp.Options.plugins);
+    }
+  in
   if check then begin
     (* run the fixed scenario twice; the renderings must be byte-identical *)
-    let e1, m1 = trace_scenario incremental lazy_restore plugins in
-    let e2, m2 = trace_scenario incremental lazy_restore plugins in
+    let e1, m1 = trace_scenario options in
+    let e2, m2 = trace_scenario options in
     let j1 = Trace.jsonl e1 and j2 = Trace.jsonl e2 in
     if j1 = j2 && m1 = m2 then begin
       Printf.printf "deterministic: %d events, %d JSONL bytes, metrics snapshots equal\n"
@@ -185,7 +195,7 @@ let trace_run format node pid cat stage metrics check incremental lazy_restore p
     end
   end
   else begin
-    let events, msnap = trace_scenario incremental lazy_restore plugins in
+    let events, msnap = trace_scenario options in
     let filter = { Trace.f_node = node; f_pid = pid; f_cat = cat; f_prefix = stage } in
     let events = List.filter (Trace.matches filter) events in
     (match format with
@@ -413,10 +423,8 @@ let plugins_run action off =
     (* one verdict line per heuristic; ci.sh diffs --off against the
        default to prove each plugin changes the observable outcome *)
     List.iter
-      (fun name ->
-        let v = Chaos.Plugin_fault.run_heuristic ~name ~plugins_on:(not off) in
-        Printf.printf "%-10s %s\n" name v)
-      Chaos.Plugin_fault.heuristic_names
+      (fun (name, v) -> Printf.printf "%-10s %s\n" name v)
+      (Chaos.Fixture.heuristic_verdicts ~plugins_on:(not off))
   | other ->
     Printf.eprintf "unknown action %S (expected ls or run)\n" other;
     exit 2
@@ -443,40 +451,32 @@ let mpi_run transport =
   Proxy.Accounting.reset ~base_port;
   let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options () in
   let col = Trace.collector () in
-  let sink = Trace.collector_sink col in
-  Trace.attach sink;
-  Common.start_workload env
-    {
-      Common.w_name = "stencil";
-      w_kind = kind;
-      w_prog = Apps.Stencil.stencil_prog;
-      w_nprocs = 8;
-      w_rpn = 2;
-      w_extra;
-      w_warmup = 0.05;
-    };
-  Common.run_for env 0.1;
-  Dmtcp.Api.checkpoint_now env.Common.rt;
-  let image_bytes = fst (Dmtcp.Api.last_checkpoint_bytes env.Common.rt) in
-  let script = Dmtcp.Api.restart_script env.Common.rt in
-  let estab, drained = Chaos.Proxy_fault.image_stats env script in
-  Dmtcp.Api.kill_computation env.Common.rt;
-  Dmtcp.Api.restart env.Common.rt script;
-  Dmtcp.Api.await_restart env.Common.rt;
   let out_path = Printf.sprintf "/result/stencil-%d" base_port in
-  let result () =
-    match
-      Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel env.Common.cl 0)) out_path
-    with
-    | Some f -> Some (Simos.Vfs.read_all f)
-    | None -> None
+  let image_bytes, estab, drained =
+    Trace.with_sink (Trace.collector_sink col) (fun () ->
+        Common.start_workload env
+          {
+            Common.w_name = "stencil";
+            w_kind = kind;
+            w_prog = Apps.Stencil.stencil_prog;
+            w_nprocs = 8;
+            w_rpn = 2;
+            w_extra;
+            w_warmup = 0.05;
+          };
+        Common.run_for env 0.1;
+        Dmtcp.Api.checkpoint_now env.Common.rt;
+        let image_bytes = fst (Dmtcp.Api.last_checkpoint_bytes env.Common.rt) in
+        let script = Dmtcp.Api.restart_script env.Common.rt in
+        let estab, drained = Chaos.Proxy_fault.image_stats env script in
+        Dmtcp.Api.kill_computation env.Common.rt;
+        Dmtcp.Api.restart env.Common.rt script;
+        Dmtcp.Api.await_restart env.Common.rt;
+        Common.run_until ~every:0.05 env ~timeout:120. (fun () ->
+            Common.read_file env ~node:0 out_path <> None);
+        (image_bytes, estab, drained))
   in
-  let deadline = Simos.Cluster.now env.Common.cl +. 120. in
-  while result () = None && Simos.Cluster.now env.Common.cl < deadline do
-    Common.run_for env 0.05
-  done;
-  Trace.detach sink;
-  let out = result () in
+  let out = Common.read_file env ~node:0 out_path in
   Common.teardown env;
   match out with
   | None ->
@@ -490,34 +490,34 @@ let mpi_run transport =
     Printf.printf "trace digest: %08lx (%d events)\n" (Util.Crc32.digest jsonl)
       (List.length (Trace.events col))
 
-let contains_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let mpi_chaos scenario =
-  let names =
-    match scenario with
-    | "all" -> Chaos.Proxy_fault.scenario_names
-    | name when List.mem name Chaos.Proxy_fault.scenario_names -> [ name ]
-    | other ->
-      Printf.eprintf "unknown scenario %S (expected all%s)\n" other
-        (String.concat ""
-           (List.map (fun n -> ", " ^ n) Chaos.Proxy_fault.scenario_names));
-      exit 2
-  in
-  let verdicts = List.map (fun name -> Chaos.Proxy_fault.run_scenario ~name) names in
-  List.iter print_endline verdicts;
-  let clean = List.for_all (fun v -> contains_sub v "bit-identical") verdicts in
-  exit (if clean then 0 else 1)
-
 let mpi_dispatch action arg =
   match action with
   | "run" -> mpi_run (Option.value arg ~default:"proxy")
-  | "chaos" -> mpi_chaos (Option.value arg ~default:"all")
   | other ->
-    Printf.eprintf "unknown mpi action %S (expected run or chaos)\n" other;
+    Printf.eprintf "unknown mpi action %S (expected run)\n" other;
     exit 2
+
+(* The fault-scenario table: one verdict line per checkpoint → fault →
+   restart cycle, judged against its expected or no-fault result. *)
+let chaos scenario =
+  let rows =
+    match scenario with
+    | "all" -> Chaos.Fixture.scenarios
+    | name when List.mem_assoc name Chaos.Fixture.scenarios ->
+      [ (name, List.assoc name Chaos.Fixture.scenarios) ]
+    | other ->
+      Printf.eprintf "unknown scenario %S (expected all%s)\n" other
+        (String.concat "" (List.map (fun (n, _) -> ", " ^ n) Chaos.Fixture.scenarios));
+      exit 2
+  in
+  let verdicts = List.map (fun (name, run) -> (name, run ())) rows in
+  List.iter
+    (function
+      | name, [] -> Printf.printf "%s: bit-identical\n" name
+      | name, vs ->
+        Printf.printf "%s: %d violations: %s\n" name (List.length vs) (String.concat "; " vs))
+    verdicts;
+  exit (if List.for_all (fun (_, vs) -> vs = []) verdicts then 0 else 1)
 
 let () =
   let doc = "Reproduce the DMTCP paper's evaluation on a simulated cluster" in
@@ -627,23 +627,32 @@ let () =
          Arg.(
            required
            & pos 0 (some string) None
-           & info [] ~docv:"ACTION" ~doc:"One of run or chaos.")
+           & info [] ~docv:"ACTION" ~doc:"Only run.")
        in
        let arg_arg =
          Arg.(
            value
            & pos 1 (some string) None
-           & info [] ~docv:"ARG"
-               ~doc:"For run: the transport (direct or proxy; default proxy).  For chaos: the \
-                     scenario (mid-allreduce, mid-halo or all; default all).")
+           & info [] ~docv:"ARG" ~doc:"The transport (direct or proxy; default proxy).")
        in
        Cmd.v
          (Cmd.info "mpi"
             ~doc:"MPI-via-proxies subsystem: 'run' plays a checkpoint/kill/restart cycle of the \
                   Jacobi stencil on the chosen transport and prints the result, rank-image \
-                  shape and trace digest; 'chaos' plays the kill-mid-collective scenarios and \
-                  prints one verdict line each")
+                  shape and trace digest")
          Term.(const mpi_dispatch $ action_arg $ arg_arg));
+      (let scenario_arg =
+         Arg.(
+           value & pos 0 string "all"
+           & info [] ~docv:"NAME" ~doc:"One scenario of the table, or all (the default).")
+       in
+       Cmd.v
+         (Cmd.info "chaos"
+            ~doc:"Fault scenarios: store replica loss, delta-chain and lazy-restore faults, \
+                  heuristic plugins killed between hook stages, and node crashes \
+                  mid-collective; prints one verdict line per scenario ('NAME: bit-identical' \
+                  when every check holds)")
+         Term.(const chaos $ scenario_arg));
       (let format_arg =
          Arg.(
            value & opt string "text"

@@ -42,10 +42,7 @@ let outputs_ready env outputs =
       | None -> false)
     outputs
 
-let read_output env (node, path) =
-  match Simos.Vfs.lookup (node_vfs env node) path with
-  | Some f -> Some (Simos.Vfs.read_all f)
-  | None -> None
+let read_output env (node, path) = Common.read_file env ~node path
 
 let snapshot_outputs env outputs = List.map (fun o -> (o, read_output env o)) outputs
 
@@ -73,13 +70,8 @@ let launch_all env sc =
    deadline violation. *)
 let wait_settled env sc =
   let want = expected_procs sc in
-  let deadline = Simos.Cluster.now env.Common.cl +. 2.0 in
-  while
-    List.length (Dmtcp.Runtime.hijacked_processes env.Common.rt) < want
-    && Simos.Cluster.now env.Common.cl < deadline
-  do
-    Common.run_for env 0.05
-  done
+  Common.run_until ~every:0.05 env ~timeout:2.0 (fun () ->
+      List.length (Dmtcp.Runtime.hijacked_processes env.Common.rt) >= want)
 
 let abbrev = function
   | None -> "<missing>"
@@ -92,13 +84,8 @@ let abbrev = function
 let reference_outputs sc =
   let env = Common.setup ~nodes:sc.Scenario.sc_nodes ~cores_per_node:2 () in
   launch_all env sc;
-  let deadline = Simos.Cluster.now env.Common.cl +. sc.Scenario.sc_deadline in
-  while
-    (not (outputs_ready env sc.Scenario.sc_outputs))
-    && Simos.Cluster.now env.Common.cl < deadline
-  do
-    Common.run_for env 0.1
-  done;
+  Common.run_until env ~timeout:sc.Scenario.sc_deadline (fun () ->
+      outputs_ready env sc.Scenario.sc_outputs);
   let ok = outputs_ready env sc.Scenario.sc_outputs in
   let contents = List.map (fun o -> read_output env o) sc.Scenario.sc_outputs in
   Common.teardown env;
@@ -257,13 +244,12 @@ let faulted_run sc reference =
       handles = [];
     }
   in
-  Dmtcp.Faults.on_stage := make_observer st env;
   (* keep the tail of protocol events per node so a failure report can
      show where each node was in the checkpoint/restart conversation *)
   let ring = Trace.ring ~per_node:10 ~cat:"dmtcp" () in
-  let ring_sink = Trace.ring_sink ring in
-  Trace.attach ring_sink;
   let violations =
+    Fixture.with_observer (make_observer st env) @@ fun () ->
+    Trace.with_sink (Trace.ring_sink ring) @@ fun () ->
     try
       launch_all env sc;
       wait_settled env sc;
@@ -342,8 +328,6 @@ let faulted_run sc reference =
     | Failure msg -> sprintf "engine failure: %s" msg :: st.violations
   in
   List.iter Sim.Engine.cancel st.handles;
-  Trace.detach ring_sink;
-  Dmtcp.Faults.on_stage := Dmtcp.Faults.default_observer;
   (try Common.teardown env with _ -> ());
   let span_tail =
     if violations = [] then []

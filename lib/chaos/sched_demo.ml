@@ -17,160 +17,54 @@
 
 module Common = Harness.Common
 
-let sprintf = Printf.sprintf
-
-type result = {
-  d_env : Common.env;
-  d_sched : Sched.Scheduler.t;
-  d_unfinished : int;
-  d_outputs : (int * (string * string) list) list;  (* job id -> verdicts *)
-}
+type result = { d_env : Common.env; d_sched : Sched.Scheduler.t; d_unfinished : int }
 
 let nodes = 8
 let fail_at = 5.0
 let drain_at = 8.0
 
-let options () =
-  {
-    Dmtcp.Options.default with
-    Dmtcp.Options.store = true;
-    store_replicas = 2;
-    keep_generations = 2;
-  }
-
-let counter_spec ~name ~nodes ~priority ~target =
-  let out i = sprintf "/data/%s_%d" name i in
-  {
-    Sched.Job.sp_name = name;
-    sp_nodes = nodes;
-    sp_priority = priority;
-    sp_est_runtime = float_of_int target *. 1e-3;
-    sp_procs = nodes;
-    sp_launch =
-      (fun a ->
-        List.init nodes (fun i ->
-            (a.(i), "p:counter", [ string_of_int target; out i ])));
-    sp_outputs = (fun a -> List.init nodes (fun i -> (a.(i), out i)));
-  }
-
-let stream_spec ~name ~priority ~count ~port =
-  let out = sprintf "/data/%s" name in
-  {
-    Sched.Job.sp_name = name;
-    sp_nodes = 2;
-    sp_priority = priority;
-    sp_est_runtime = float_of_int count *. 2e-4;
-    sp_procs = 2;
-    sp_launch =
-      (fun a ->
-        [
-          (a.(0), "p:stream-server", [ string_of_int port; string_of_int count; out ]);
-          (a.(1), "p:stream-client", [ string_of_int a.(0); string_of_int port; string_of_int count ]);
-        ]);
-    sp_outputs = (fun a -> [ (a.(0), out) ]);
-  }
-
-(* the first job currently holding nodes, preferring Running ones *)
+(* a node of the first Running job, else of the first job holding nodes *)
 let victim_node sched =
-  let jobs = Sched.Scheduler.jobs sched in
-  let pick phase_ok =
-    List.find_opt
-      (fun (j : Sched.Job.t) -> phase_ok j.Sched.Job.phase && j.Sched.Job.alloc <> None)
-      jobs
-  in
-  match pick (fun p -> p = Sched.Job.Running) with
-  | Some j -> (
-    match j.Sched.Job.alloc with
-    | Some a -> Some a.(Array.length a - 1)
-    | None -> None)
-  | None -> (
-    match pick Sched.Job.occupies_nodes with
-    | Some j -> (
-      match j.Sched.Job.alloc with
-      | Some a -> Some a.(Array.length a - 1)
-      | None -> None)
-    | None -> None)
+  match Fixture.last_node sched (( = ) Sched.Job.Running) with
+  | Some node -> Some node
+  | None -> Fixture.last_node sched Sched.Job.occupies_nodes
 
 let run ?(faults = true) ?(ckpt_interval = 1.0) () =
   Progs.ensure_registered ();
-  let env = Common.setup ~nodes ~cores_per_node:2 ~options:(options ()) () in
+  let env = Common.setup ~nodes ~cores_per_node:2 ~options:Fixture.store_options () in
   let sched = Sched.Scheduler.create ~ckpt_interval env.Common.cl env.Common.rt in
   let eng = Simos.Cluster.engine env.Common.cl in
   ignore
-    (Sched.Scheduler.submit sched (stream_spec ~name:"stream" ~priority:1 ~count:20000 ~port:6200));
+    (Sched.Scheduler.submit sched
+       (Fixture.stream_spec ~name:"stream" ~priority:1 ~count:20000 ~port:6200));
   ignore
-    (Sched.Scheduler.submit sched (counter_spec ~name:"long" ~nodes:2 ~priority:1 ~target:8000));
+    (Sched.Scheduler.submit sched
+       (Fixture.counter_spec ~name:"long" ~nodes:2 ~priority:1 ~target:8000));
   ignore
     (Sim.Engine.schedule_at eng ~time:2.0 (fun () ->
          ignore
            (Sched.Scheduler.submit sched
-              (counter_spec ~name:"big" ~nodes:6 ~priority:5 ~target:2000))));
+              (Fixture.counter_spec ~name:"big" ~nodes:6 ~priority:5 ~target:2000))));
   if faults then begin
-    ignore
-      (Sim.Engine.schedule_at eng ~time:fail_at (fun () ->
-           match victim_node sched with
-           | Some node -> Sched.Scheduler.fail_node sched node
-           | None -> ()));
-    ignore
-      (Sim.Engine.schedule_at eng ~time:drain_at (fun () ->
-           match victim_node sched with
-           | Some node -> Sched.Scheduler.drain sched node
-           | None -> ()))
+    let victim () = victim_node sched in
+    Fixture.at_node env ~time:fail_at (Sched.Scheduler.fail_node sched) victim;
+    Fixture.at_node env ~time:drain_at (Sched.Scheduler.drain sched) victim
   end;
   let unfinished = Sched.Scheduler.run ~until:120. sched in
-  let outputs =
-    List.map
-      (fun (j : Sched.Job.t) -> (j.Sched.Job.id, j.Sched.Job.outputs))
-      (Sched.Scheduler.jobs sched)
-  in
-  { d_env = env; d_sched = sched; d_unfinished = unfinished; d_outputs = outputs }
+  { d_env = env; d_sched = sched; d_unfinished = unfinished }
 
 (* Violations of the faulted run, judged against the no-fault reference. *)
-let check ~reference faulted =
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := !violations @ [ m ]) fmt in
-  if reference.d_unfinished > 0 then
-    fail "reference run left %d job(s) unfinished" reference.d_unfinished;
-  if faulted.d_unfinished > 0 then
-    fail "faulted run left %d job(s) unfinished" faulted.d_unfinished;
-  List.iter
-    (fun (j : Sched.Job.t) ->
-      match j.Sched.Job.phase with
-      | Sched.Job.Done -> ()
-      | p -> fail "job %d (%s) ended %s" j.Sched.Job.id j.Sched.Job.spec.Sched.Job.sp_name
-               (Sched.Job.phase_name p))
-    (Sched.Scheduler.jobs faulted.d_sched);
-  List.iter (fun v -> fail "sched invariant: %s" v) (Sched.Scheduler.violations faulted.d_sched);
-  List.iter
-    (fun (id, outs) ->
-      match List.assoc_opt id faulted.d_outputs with
-      | None -> fail "job %d missing from faulted run" id
-      | Some outs' ->
-        if outs <> outs' then
-          fail "job %d output diverged from no-fault reference (%s vs %s)" id
-            (String.concat ";" (List.map (fun (p, v) -> p ^ "=" ^ v) outs))
-            (String.concat ";" (List.map (fun (p, v) -> p ^ "=" ^ v) outs')))
-    reference.d_outputs;
-  (* the three policies must all actually have fired *)
-  if Sched.Scheduler.preemptions faulted.d_sched < 1 then
-    fail "no preemption happened (big job did not displace anyone)";
-  if Sched.Scheduler.node_failures faulted.d_sched < 1 then
-    fail "node failure was never injected";
-  if Sched.Scheduler.drains faulted.d_sched < 1 then fail "drain was never injected";
-  if Sched.Scheduler.restarts faulted.d_sched < 1 then
-    fail "no job ever restarted from a checkpoint image";
-  !violations
-  @ Invariant.store_replication faulted.d_env.Common.rt
-  @ Invariant.quiescent faulted.d_env
+let check ~reference f =
+  Fixture.sched_reference
+    ~reference:(reference.d_sched, reference.d_unfinished)
+    (f.d_env, f.d_sched, f.d_unfinished)
+  @ Fixture.policies_fired f.d_sched
 
 let summary (r : result) =
   let s = r.d_sched in
   Sched.Scheduler.status_lines s
   @ [
-      sprintf "preemptions %d  node-failures %d  drains %d  restarts %d  relaunches %d"
-        (Sched.Scheduler.preemptions s) (Sched.Scheduler.node_failures s)
-        (Sched.Scheduler.drains s) (Sched.Scheduler.restarts s)
-        (Sched.Scheduler.relaunches s);
-      sprintf "makespan %.2fs  lost-work %.2fs" (Sched.Scheduler.makespan s)
+      Fixture.sched_counts s;
+      Printf.sprintf "makespan %.2fs  lost-work %.2fs" (Sched.Scheduler.makespan s)
         (Sched.Scheduler.total_lost_work s);
     ]

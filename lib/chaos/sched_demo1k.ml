@@ -27,12 +27,7 @@ module Common = Harness.Common
 
 let sprintf = Printf.sprintf
 
-type result = {
-  k_env : Common.env;
-  k_sched : Sched.Scheduler.t;
-  k_unfinished : int;
-  k_outputs : (int * (string * string) list) list;  (* job id -> verdicts *)
-}
+type result = { k_env : Common.env; k_sched : Sched.Scheduler.t; k_unfinished : int }
 
 let default_jobs = 1000
 let default_nodes = 64
@@ -40,44 +35,10 @@ let preempt_at = 2.0
 let fail_at = 4.0
 let drain_at = 6.0
 
-let options () =
-  {
-    Dmtcp.Options.default with
-    Dmtcp.Options.store = true;
-    store_replicas = 2;
-    keep_generations = 2;
-  }
-
-let counter_spec ~name ~nodes ~priority ~target =
-  let out i = sprintf "/data/%s_%d" name i in
-  {
-    Sched.Job.sp_name = name;
-    sp_nodes = nodes;
-    sp_priority = priority;
-    sp_est_runtime = float_of_int target *. 1e-3;
-    sp_procs = nodes;
-    sp_launch =
-      (fun a ->
-        List.init nodes (fun i ->
-            (a.(i), "p:counter", [ string_of_int target; out i ])));
-    sp_outputs = (fun a -> List.init nodes (fun i -> (a.(i), out i)));
-  }
-
-(* a node currently hosting a Running job (first by job id, last slot) *)
-let victim_node sched =
-  let running =
-    List.find_opt
-      (fun (j : Sched.Job.t) -> j.Sched.Job.phase = Sched.Job.Running && j.Sched.Job.alloc <> None)
-      (Sched.Scheduler.jobs sched)
-  in
-  match running with
-  | Some { Sched.Job.alloc = Some a; _ } -> Some a.(Array.length a - 1)
-  | _ -> None
-
 let run ?(jobs = default_jobs) ?(nodes = default_nodes) ?(faults = true) ?(max_inflight = 0)
     ?(ckpt_interval = 0.25) () =
   Progs.ensure_registered ();
-  let env = Common.setup ~nodes ~cores_per_node:2 ~options:(options ()) () in
+  let env = Common.setup ~nodes ~cores_per_node:2 ~options:Fixture.store_options () in
   let sched =
     Sched.Scheduler.create ~ckpt_interval ~max_inflight env.Common.cl env.Common.rt
   in
@@ -88,7 +49,7 @@ let run ?(jobs = default_jobs) ?(nodes = default_nodes) ?(faults = true) ?(max_i
     let target = 600 + (10 * (i mod 37)) in
     ignore
       (Sched.Scheduler.submit sched
-         (counter_spec ~name:(sprintf "j%04d" i) ~nodes:1 ~priority:1 ~target))
+         (Fixture.counter_spec ~name:(sprintf "j%04d" i) ~nodes:1 ~priority:1 ~target))
   done;
   (* the preemptor batch is part of the workload, so it runs in the
      no-fault reference too; each wants a quarter of the cluster, far
@@ -100,63 +61,24 @@ let run ?(jobs = default_jobs) ?(nodes = default_nodes) ?(faults = true) ?(max_i
          for i = 0 to 3 do
            ignore
              (Sched.Scheduler.submit sched
-                (counter_spec ~name:(sprintf "pre%d" i) ~nodes:pre_nodes ~priority:5 ~target:800))
+                (Fixture.counter_spec ~name:(sprintf "pre%d" i) ~nodes:pre_nodes ~priority:5
+                   ~target:800))
          done));
   if faults then begin
-    ignore
-      (Sim.Engine.schedule_at eng ~time:fail_at (fun () ->
-           match victim_node sched with
-           | Some node -> Sched.Scheduler.fail_node sched node
-           | None -> ()));
-    ignore
-      (Sim.Engine.schedule_at eng ~time:drain_at (fun () ->
-           match victim_node sched with
-           | Some node -> Sched.Scheduler.drain sched node
-           | None -> ()))
+    (* a node of the first Running job (by job id) *)
+    let victim () = Fixture.last_node sched (( = ) Sched.Job.Running) in
+    Fixture.at_node env ~time:fail_at (Sched.Scheduler.fail_node sched) victim;
+    Fixture.at_node env ~time:drain_at (Sched.Scheduler.drain sched) victim
   end;
   let unfinished = Sched.Scheduler.run ~until:3600. sched in
-  let outputs =
-    List.map
-      (fun (j : Sched.Job.t) -> (j.Sched.Job.id, j.Sched.Job.outputs))
-      (Sched.Scheduler.jobs sched)
-  in
-  { k_env = env; k_sched = sched; k_unfinished = unfinished; k_outputs = outputs }
+  { k_env = env; k_sched = sched; k_unfinished = unfinished }
 
 (* Violations of the faulted run, judged against the no-fault reference. *)
-let check ~reference faulted =
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := !violations @ [ m ]) fmt in
-  if reference.k_unfinished > 0 then
-    fail "reference run left %d job(s) unfinished" reference.k_unfinished;
-  if faulted.k_unfinished > 0 then
-    fail "faulted run left %d job(s) unfinished" faulted.k_unfinished;
-  List.iter
-    (fun (j : Sched.Job.t) ->
-      match j.Sched.Job.phase with
-      | Sched.Job.Done -> ()
-      | p -> fail "job %d (%s) ended %s" j.Sched.Job.id j.Sched.Job.spec.Sched.Job.sp_name
-               (Sched.Job.phase_name p))
-    (Sched.Scheduler.jobs faulted.k_sched);
-  List.iter (fun v -> fail "sched invariant: %s" v) (Sched.Scheduler.violations faulted.k_sched);
-  List.iter
-    (fun (id, outs) ->
-      match List.assoc_opt id faulted.k_outputs with
-      | None -> fail "job %d missing from faulted run" id
-      | Some outs' ->
-        if outs <> outs' then
-          fail "job %d output diverged from no-fault reference" id)
-    reference.k_outputs;
-  (* the three policies must all actually have fired *)
-  if Sched.Scheduler.preemptions faulted.k_sched < 1 then
-    fail "no preemption happened (the prio-5 batch displaced nobody)";
-  if Sched.Scheduler.node_failures faulted.k_sched < 1 then
-    fail "node failure was never injected";
-  if Sched.Scheduler.drains faulted.k_sched < 1 then fail "drain was never injected";
-  if Sched.Scheduler.restarts faulted.k_sched < 1 then
-    fail "no job ever restarted from a checkpoint image";
-  !violations
-  @ Invariant.store_replication faulted.k_env.Common.rt
-  @ Invariant.quiescent faulted.k_env
+let check ~reference f =
+  Fixture.sched_reference
+    ~reference:(reference.k_sched, reference.k_unfinished)
+    (f.k_env, f.k_sched, f.k_unfinished)
+  @ Fixture.policies_fired f.k_sched
 
 let summary (r : result) =
   let s = r.k_sched in
@@ -173,10 +95,7 @@ let summary (r : result) =
     sprintf "jobs %d  done %d  failed %d  unfinished %d"
       (List.length (Sched.Scheduler.jobs s))
       done_ failed r.k_unfinished;
-    sprintf "preemptions %d  node-failures %d  drains %d  restarts %d  relaunches %d"
-      (Sched.Scheduler.preemptions s) (Sched.Scheduler.node_failures s)
-      (Sched.Scheduler.drains s) (Sched.Scheduler.restarts s)
-      (Sched.Scheduler.relaunches s);
+    Fixture.sched_counts s;
     sprintf "makespan %.2fs  lost-work %.2fs  peak-ops-inflight %d"
       (Sched.Scheduler.makespan s) (Sched.Scheduler.total_lost_work s)
       (Sched.Scheduler.peak_ops_inflight s);

@@ -78,22 +78,10 @@ let describe p =
 
 let spec_of ~idx (kind, size, priority, _submit) =
   let name = sprintf "j%d" idx in
-  let out = sprintf "/chaos/sched_%d" idx in
   match kind with
-  | Counter ->
-    {
-      Sched.Job.sp_name = name;
-      sp_nodes = 2;
-      sp_priority = priority;
-      sp_est_runtime = float_of_int size *. 1e-3;
-      sp_procs = 2;
-      sp_launch =
-        (fun a ->
-          List.init 2 (fun i ->
-              (a.(i), "p:counter", [ string_of_int size; sprintf "%s_%d" out i ])));
-      sp_outputs = (fun a -> List.init 2 (fun i -> (a.(i), sprintf "%s_%d" out i)));
-    }
+  | Counter -> Fixture.counter_spec ~name ~nodes:2 ~priority ~target:size
   | Memhog ->
+    let out = sprintf "/chaos/sched_%d" idx in
     {
       Sched.Job.sp_name = name;
       sp_nodes = 1;
@@ -104,37 +92,12 @@ let spec_of ~idx (kind, size, priority, _submit) =
         (fun a -> [ (a.(0), "p:memhog", [ "4"; string_of_int size; out ]) ]);
       sp_outputs = (fun a -> [ (a.(0), out) ]);
     }
-  | Stream ->
-    let port = 6300 + (10 * idx) in
-    {
-      Sched.Job.sp_name = name;
-      sp_nodes = 2;
-      sp_priority = priority;
-      sp_est_runtime = float_of_int size *. 2e-4;
-      sp_procs = 2;
-      sp_launch =
-        (fun a ->
-          [
-            (a.(0), "p:stream-server", [ string_of_int port; string_of_int size; out ]);
-            ( a.(1),
-              "p:stream-client",
-              [ string_of_int a.(0); string_of_int port; string_of_int size ] );
-          ]);
-      sp_outputs = (fun a -> [ (a.(0), out) ]);
-    }
-
-let options () =
-  {
-    Dmtcp.Options.default with
-    Dmtcp.Options.store = true;
-    store_replicas = 2;
-    keep_generations = 2;
-  }
+  | Stream -> Fixture.stream_spec ~name ~priority ~count:size ~port:(6300 + (10 * idx))
 
 (* Play the plan; [faults] selects whether the fail/drain events fire. *)
 let play ~faults p =
   Progs.ensure_registered ();
-  let env = Common.setup ~nodes ~cores_per_node:2 ~options:(options ()) () in
+  let env = Common.setup ~nodes ~cores_per_node:2 ~options:Fixture.store_options () in
   let sched =
     Sched.Scheduler.create ~ckpt_interval:p.p_ckpt_interval env.Common.cl env.Common.rt
   in
@@ -149,20 +112,13 @@ let play ~faults p =
                ignore (Sched.Scheduler.submit sched spec))))
     p.p_jobs;
   if faults then begin
-    (match p.p_fail with
-    | Some (t, node) ->
-      ignore
-        (Sim.Engine.schedule_at eng ~time:t (fun () ->
-             if Simos.Cluster.node_up env.Common.cl node then
-               Sched.Scheduler.fail_node sched node))
-    | None -> ());
-    match p.p_drain with
-    | Some (t, node) ->
-      ignore
-        (Sim.Engine.schedule_at eng ~time:t (fun () ->
-             if Simos.Cluster.node_up env.Common.cl node then
-               Sched.Scheduler.drain sched node))
-    | None -> ()
+    (* the plan names the node; it is skipped if already down *)
+    let inject act (time, node) =
+      Fixture.at_node env ~time act (fun () ->
+          if Simos.Cluster.node_up env.Common.cl node then Some node else None)
+    in
+    Option.iter (inject (Sched.Scheduler.fail_node sched)) p.p_fail;
+    Option.iter (inject (Sched.Scheduler.drain sched)) p.p_drain
   end;
   let unfinished = Sched.Scheduler.run ~until:240. sched in
   (env, sched, unfinished)
@@ -173,45 +129,13 @@ let pass r = r.r_violations = []
 
 let run ~seed () =
   let p = sample ~seed in
-  let violations = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> violations := !violations @ [ m ]) fmt in
-  let ref_env, ref_sched, ref_unfinished = play ~faults:false p in
-  ignore ref_env;
-  if ref_unfinished > 0 then
-    fail "reference (no-fault) run left %d job(s) unfinished" ref_unfinished;
-  let reference =
-    List.map
-      (fun (j : Sched.Job.t) -> (j.Sched.Job.id, j.Sched.Job.outputs))
-      (Sched.Scheduler.jobs ref_sched)
-  in
-  let env, sched, unfinished = play ~faults:true p in
-  if unfinished > 0 then begin
-    fail "faulted run left %d job(s) unfinished" unfinished;
-    List.iter (fun l -> fail "  %s" l) (Sched.Scheduler.status_lines sched)
-  end;
-  List.iter
-    (fun (j : Sched.Job.t) ->
-      match j.Sched.Job.phase with
-      | Sched.Job.Done -> ()
-      | p -> fail "job %d ended %s" j.Sched.Job.id (Sched.Job.phase_name p))
-    (Sched.Scheduler.jobs sched);
-  List.iter (fun v -> fail "sched invariant: %s" v) (Sched.Scheduler.violations sched);
-  List.iter
-    (fun (j : Sched.Job.t) ->
-      match List.assoc_opt j.Sched.Job.id reference with
-      | Some outs when outs = j.Sched.Job.outputs -> ()
-      | Some outs ->
-        fail "job %d verdict diverged under faults: reference %s, got %s" j.Sched.Job.id
-          (String.concat ";" (List.map (fun (p, v) -> p ^ "=" ^ v) outs))
-          (String.concat ";" (List.map (fun (p, v) -> p ^ "=" ^ v) j.Sched.Job.outputs))
-      | None -> fail "job %d absent from reference run" j.Sched.Job.id)
-    (Sched.Scheduler.jobs sched);
-  let viol =
-    !violations
-    @ Invariant.store_replication env.Common.rt
-    @ Invariant.quiescent env
-  in
-  { r_seed = seed; r_violations = viol; r_plan = p }
+  let _, ref_sched, ref_unfinished = play ~faults:false p in
+  {
+    r_seed = seed;
+    r_violations =
+      Fixture.sched_reference ~reference:(ref_sched, ref_unfinished) (play ~faults:true p);
+    r_plan = p;
+  }
 
 (* [run_seeds ~base ~count] plays a block of seeds; returns failures. *)
 let run_seeds ?(log = fun (_ : string) -> ()) ~base ~count () =

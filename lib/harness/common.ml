@@ -21,6 +21,19 @@ let setup ?(nodes = 32) ?(cores_per_node = 4) ?storage ?options () =
 let run_for env seconds =
   Sim.Engine.run ~until:(Simos.Cluster.now env.cl +. seconds) (Simos.Cluster.engine env.cl)
 
+(* Run in [every]-second slices until [pred] holds or [timeout] virtual
+   seconds have passed, whichever comes first. *)
+let run_until ?(every = 0.1) env ~timeout pred =
+  let deadline = Simos.Cluster.now env.cl +. timeout in
+  while (not (pred ())) && Simos.Cluster.now env.cl < deadline do
+    run_for env every
+  done
+
+(* The contents of [path] on [node], if the file exists. *)
+let read_file env ~node path =
+  Option.map Simos.Vfs.read_all
+    (Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel env.cl node)) path)
+
 let nodes_used w = (w.w_nprocs + w.w_rpn - 1) / w.w_rpn
 
 let expected_processes w =
@@ -92,19 +105,10 @@ let start_workload env w =
            @ w.w_extra)));
   (* wait for the whole process set to register *)
   let want = expected_processes w in
-  let deadline = Simos.Cluster.now env.cl +. 60. in
-  let rec wait () =
-    let have = List.length (Dmtcp.Runtime.hijacked_processes env.rt) in
-    if have >= want then ()
-    else if Simos.Cluster.now env.cl > deadline then
-      failwith
-        (Printf.sprintf "workload %s: only %d of %d processes appeared" w.w_name have want)
-    else begin
-      run_for env 0.25;
-      wait ()
-    end
-  in
-  wait ();
+  let have () = List.length (Dmtcp.Runtime.hijacked_processes env.rt) in
+  run_until ~every:0.25 env ~timeout:60. (fun () -> have () >= want);
+  if have () < want then
+    failwith (Printf.sprintf "workload %s: only %d of %d processes appeared" w.w_name (have ()) want);
   run_for env w.w_warmup
 
 type ckpt_measure = {

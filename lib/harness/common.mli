@@ -68,5 +68,13 @@ val teardown : env -> unit
 (** Simulated-seconds helper. *)
 val run_for : env -> float -> unit
 
+(** [run_until ?every env ~timeout pred] runs in [every]-second slices
+    (default 0.1) until [pred ()] holds or [timeout] simulated seconds
+    have passed. *)
+val run_until : ?every:float -> env -> timeout:float -> (unit -> bool) -> unit
+
+(** The contents of [path] in [node]'s file system, if it exists. *)
+val read_file : env -> node:int -> string -> string option
+
 (** Render a measurement row: name, ckpt s, restart s, sizes MB. *)
 val row : string -> ckpt_measure -> string list

@@ -263,12 +263,10 @@ let drain_ablation ?(pairs_list = [ 1; 4; 8 ]) () =
       let drained =
         List.fold_left
           (fun acc (node, path) ->
-            match
-              Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel env.Common.cl node)) path
-            with
+            match Common.read_file env ~node path with
             | None -> acc
-            | Some f ->
-              let img = Dmtcp.Ckpt_image.decode (Simos.Vfs.read_all f) in
+            | Some bytes ->
+              let img = Dmtcp.Ckpt_image.decode bytes in
               List.fold_left
                 (fun acc (_, _, i) ->
                   match i with

@@ -14,29 +14,15 @@ let workload =
     w_warmup = 0.5;
   }
 
-let run ?(incremental = false) ?(lazy_restore = false) ?(plugins = false) () =
+let run (options : Dmtcp.Options.t) =
   Trace.Metrics.reset ();
   let coll = Trace.collector () in
   Trace.with_sink (Trace.collector_sink coll) (fun () ->
-      let options =
-        if incremental || lazy_restore || plugins then
-          Some
-            {
-              Dmtcp.Options.default with
-              Dmtcp.Options.incremental;
-              forked = incremental;
-              lazy_restart = lazy_restore;
-              plugins =
-                (if plugins then Dmtcp.Plugins.all_names
-                 else Dmtcp.Options.default.Dmtcp.Options.plugins);
-            }
-        else None
-      in
-      let env = Common.setup ~nodes:4 ?options () in
+      let env = Common.setup ~nodes:4 ~options () in
       Common.start_workload env workload;
       Common.run_for env 0.3;
       Dmtcp.Api.checkpoint_now env.Common.rt;
-      if incremental then begin
+      if options.Dmtcp.Options.incremental then begin
         (* chain two deltas onto the full base, so the traced restart
            resolves a depth-2 chain *)
         Common.run_for env 0.2;

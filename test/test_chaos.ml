@@ -136,50 +136,55 @@ let check_bug_caught ~name flag =
         in
         Alcotest.(check bool) (name ^ ": reproducer replays") false (Chaos.Runner.pass r))
 
-(* store-specific scenarios: replica loss between checkpoint and
-   restart (kept out of [Scenario.sample] so the pinned corpus's RNG
-   draw order is untouched) *)
-let check_store_fault name run =
-  match run () with
-  | [] -> ()
-  | violations -> Alcotest.failf "%s: %s" name (String.concat "; " violations)
+(* ------------------------------------------------------------------ *)
+(* The fault-scenario table (the two proxy rows run in test_proxy) *)
 
-let test_store_replica_loss () =
-  check_store_fault "replica loss" Chaos.Store_fault.replica_loss
+let titles =
+  [
+    ("replica-loss", ("store-fault", "restart from surviving replica"));
+    ("total-loss", ("store-fault", "total replica loss fails cleanly"));
+    ("deep-chain", ("delta-fault", "depth-3 chain restart is bit-identical"));
+    ("forked-crash", ("delta-fault", "node crash mid-forked checkpoint"));
+    ("base-loss", ("delta-fault", "delta base replica loss fails cleanly"));
+    ("lazy-kill", ("restore-fault", "node crash mid-lazy-restore"));
+    ("stripe-drop", ("restore-fault", "replica drop mid-striped-fetch"));
+    ("blacklist", ("plugin-fault", "blacklisted port skipped, dead socket back"));
+    ("proc-repoint", ("plugin-fault", "/proc fd re-pointed at restarted pid"));
+    ("shm-zero", ("plugin-fault", "external shm zeroed in image only"));
+  ]
 
-let test_store_total_loss () =
-  check_store_fault "total loss" Chaos.Store_fault.total_loss
+let scenario_cases =
+  List.filter_map
+    (fun (name, run) ->
+      Option.map
+        (fun (group, title) ->
+          ( group,
+            Alcotest.test_case title `Quick (fun () ->
+                Alcotest.(check (list string)) (name ^ " violations") [] (run ())) ))
+        (List.assoc_opt name titles))
+    Chaos.Fixture.scenarios
 
-(* delta-chain scenarios: faults aimed at the incremental/forked fast
-   path (same convention — outside [Scenario.sample]) *)
-let test_delta_deep_chain () =
-  check_store_fault "deep chain" Chaos.Delta_fault.deep_chain
+let group name =
+  (name, List.filter_map (fun (g, c) -> if g = name then Some c else None) scenario_cases)
 
-let test_delta_forked_crash () =
-  check_store_fault "forked crash" Chaos.Delta_fault.forked_crash
-
-let test_delta_base_loss () =
-  check_store_fault "base loss" Chaos.Delta_fault.base_loss
-
-(* restart fast-path scenarios: faults aimed at lazy restore and the
-   striped replica fetch (same convention — outside [Scenario.sample]) *)
-let test_restore_lazy_kill () =
-  check_store_fault "lazy kill" Chaos.Restore_fault.lazy_kill
-
-let test_restore_stripe_drop () =
-  check_store_fault "stripe drop" Chaos.Restore_fault.stripe_drop
-
-(* heuristic-plugin scenarios: the paper's open-world heuristics as
-   plugins, each through a checkpoint with a kill landing between its
-   hook stages (same convention — outside [Scenario.sample]) *)
-let test_plugin_blacklist () =
-  check_store_fault "blacklist skip" Chaos.Plugin_fault.blacklist_skip
-
-let test_plugin_proc_repoint () =
-  check_store_fault "proc repoint" Chaos.Plugin_fault.proc_repoint
-
-let test_plugin_shm_zero () =
-  check_store_fault "shm zero" Chaos.Plugin_fault.shm_zero
+(* a fault that raises must leave neither its stage kill nor the
+   cycle's trace collector installed for the next scenario *)
+let test_raising_fault_leaks_nothing () =
+  let raising =
+    {
+      (Chaos.Fixture.hog "/data/leak") with
+      Chaos.Fixture.fault =
+        (fun env ->
+          Chaos.Fixture.with_stage_kill env Dmtcp.Faults.Drain (fun _ -> failwith "fault raised"));
+    }
+  in
+  Alcotest.check_raises "the fault's exception propagates" (Failure "fault raised") (fun () ->
+      ignore (Chaos.Fixture.run raising));
+  Alcotest.(check bool) "stage observer back at its default" true
+    (!Dmtcp.Faults.on_stage == Dmtcp.Faults.default_observer);
+  Alcotest.(check bool) "trace collector detached" false (Trace.on ());
+  Alcotest.(check (list string)) "next table scenario passes" []
+    ((List.assoc "replica-loss" Chaos.Fixture.scenarios) ())
 
 let test_catches_skip_drain () =
   check_bug_caught ~name:"skip-drain" Dmtcp.Faults.bug_skip_drain
@@ -218,30 +223,13 @@ let () =
           Alcotest.test_case "catches skip-drain" `Quick test_catches_skip_drain;
           Alcotest.test_case "catches drop-refill" `Quick test_catches_drop_refill;
         ] );
-      ( "store-fault",
+      group "store-fault";
+      group "delta-fault";
+      group "restore-fault";
+      group "plugin-fault";
+      ( "fixture",
         [
-          Alcotest.test_case "restart from surviving replica" `Quick test_store_replica_loss;
-          Alcotest.test_case "total replica loss fails cleanly" `Quick test_store_total_loss;
-        ] );
-      ( "delta-fault",
-        [
-          Alcotest.test_case "depth-3 chain restart is bit-identical" `Quick
-            test_delta_deep_chain;
-          Alcotest.test_case "node crash mid-forked checkpoint" `Quick test_delta_forked_crash;
-          Alcotest.test_case "delta base replica loss fails cleanly" `Quick
-            test_delta_base_loss;
-        ] );
-      ( "restore-fault",
-        [
-          Alcotest.test_case "node crash mid-lazy-restore" `Quick test_restore_lazy_kill;
-          Alcotest.test_case "replica drop mid-striped-fetch" `Quick test_restore_stripe_drop;
-        ] );
-      ( "plugin-fault",
-        [
-          Alcotest.test_case "blacklisted port skipped, dead socket back" `Quick
-            test_plugin_blacklist;
-          Alcotest.test_case "/proc fd re-pointed at restarted pid" `Quick
-            test_plugin_proc_repoint;
-          Alcotest.test_case "external shm zeroed in image only" `Quick test_plugin_shm_zero;
+          Alcotest.test_case "raising fault leaks nothing" `Quick
+            test_raising_fault_leaks_nothing;
         ] );
     ]

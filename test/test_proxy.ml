@@ -96,18 +96,6 @@ let test_transport_of_string () =
 (* ------------------------------------------------------------------ *)
 (* end-to-end cycles *)
 
-let output env ~node path =
-  match
-    Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel env.Common.cl node)) path
-  with
-  | Some f -> Some (Simos.Vfs.read_all f)
-  | None -> None
-
-let run_until env ~deadline pred =
-  while (not (pred ())) && Simos.Cluster.now env.Common.cl < deadline do
-    Common.run_for env 0.05
-  done
-
 let proxy_options =
   { Dmtcp.Options.default with Dmtcp.Options.plugins = [ "ext-sock"; "mpi-proxy" ] }
 
@@ -122,7 +110,7 @@ let workload ~kind ~prog ~nprocs ~rpn ~extra =
     w_warmup = 0.05;
   }
 
-let result path env = output env ~node:0 path
+let result path env = Common.read_file env ~node:0 path
 
 (* run a workload to completion with no checkpoint; the reference
    bytes *)
@@ -131,8 +119,7 @@ let plain_run ~kind ~prog ~short ~nprocs ~rpn ~extra =
   let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options:proxy_options () in
   Common.start_workload env (workload ~kind ~prog ~nprocs ~rpn ~extra);
   let path = Printf.sprintf "/result/%s-%d" short base_port in
-  run_until env ~deadline:(Simos.Cluster.now env.Common.cl +. 120.) (fun () ->
-      result path env <> None);
+  Common.run_until ~every:0.05 env ~timeout:120. (fun () -> result path env <> None);
   let out = result path env in
   Common.teardown env;
   out
@@ -150,8 +137,7 @@ let cycle_run ~kind ~prog ~short ~nprocs ~rpn ~extra ~at =
   Dmtcp.Api.restart env.Common.rt script;
   Dmtcp.Api.await_restart env.Common.rt;
   let path = Printf.sprintf "/result/%s-%d" short base_port in
-  run_until env ~deadline:(Simos.Cluster.now env.Common.cl +. 120.) (fun () ->
-      result path env <> None);
+  Common.run_until ~every:0.05 env ~timeout:120. (fun () -> result path env <> None);
   let out = result path env in
   let images = Chaos.Proxy_fault.image_stats env script in
   Common.teardown env;
@@ -284,15 +270,12 @@ let conservation_prop =
 (* ------------------------------------------------------------------ *)
 (* chaos: node crash mid-collective, bit-identical verdict *)
 
-let test_chaos_mid_allreduce () =
-  check
-    Alcotest.(list string)
-    "kill-mid-allreduce scenario clean" [] (Chaos.Proxy_fault.kill_mid_allreduce ())
-
-let test_chaos_mid_halo () =
-  check
-    Alcotest.(list string)
-    "kill-mid-halo scenario clean" [] (Chaos.Proxy_fault.kill_mid_halo ())
+let chaos_case title name =
+  Alcotest.test_case title `Slow (fun () ->
+      check
+        Alcotest.(list string)
+        (name ^ " scenario clean") []
+        ((List.assoc name Chaos.Fixture.scenarios) ()))
 
 (* ------------------------------------------------------------------ *)
 
@@ -328,7 +311,7 @@ let () =
       ("conservation", [ conservation_prop ]);
       ( "chaos",
         [
-          Alcotest.test_case "node crash mid-allreduce" `Slow test_chaos_mid_allreduce;
-          Alcotest.test_case "node crash mid-halo-exchange" `Slow test_chaos_mid_halo;
+          chaos_case "node crash mid-allreduce" "mid-allreduce";
+          chaos_case "node crash mid-halo-exchange" "mid-halo";
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Tests for the checkpoint-driven batch scheduler: pure policy
    decisions, the canned three-job preempt/fail/drain scenario judged
    against its no-fault reference, end-to-end determinism, and a seeded
-   chaos corpus (SCHED_SEEDS scales the seed count). *)
+   chaos corpus (CHAOS_SEEDS scales the seed count, as for test_chaos). *)
 
 let check = Alcotest.check
 
@@ -241,19 +241,7 @@ let prop_opq_serialized_baseline =
    interval checkpoint is still in flight must reuse that round, not
    issue a second checkpoint (the double-checkpoint bug) *)
 
-let counter_spec ~name ~nodes ~priority ~target =
-  let out i = Printf.sprintf "/data/%s_%d" name i in
-  {
-    Sched.Job.sp_name = name;
-    sp_nodes = nodes;
-    sp_priority = priority;
-    sp_est_runtime = float_of_int target *. 1e-3;
-    sp_procs = nodes;
-    sp_launch =
-      (fun a ->
-        List.init nodes (fun i -> (a.(i), "p:counter", [ string_of_int target; out i ])));
-    sp_outputs = (fun a -> List.init nodes (fun i -> (a.(i), out i)));
-  }
+let counter_spec = Chaos.Fixture.counter_spec
 
 let test_preempt_coalesces_with_inflight_ckpt () =
   Chaos.Progs.ensure_registered ();
@@ -337,7 +325,9 @@ let test_demo_deterministic () =
   let b = Chaos.Sched_demo.run ~faults:true () in
   check
     (Alcotest.list (Alcotest.pair Alcotest.int (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))))
-    "verdicts identical across runs" a.Chaos.Sched_demo.d_outputs b.Chaos.Sched_demo.d_outputs;
+    "verdicts identical across runs"
+    (Chaos.Fixture.job_outputs a.Chaos.Sched_demo.d_sched)
+    (Chaos.Fixture.job_outputs b.Chaos.Sched_demo.d_sched);
   check (Alcotest.float 0.) "makespan identical"
     (Sched.Scheduler.makespan a.Chaos.Sched_demo.d_sched)
     (Sched.Scheduler.makespan b.Chaos.Sched_demo.d_sched);
@@ -365,7 +355,7 @@ let test_demo1k_smoke () =
 (* seeded chaos corpus *)
 
 let corpus_count () =
-  match Sys.getenv_opt "SCHED_SEEDS" with
+  match Sys.getenv_opt "CHAOS_SEEDS" with
   | Some s -> (try max 1 (int_of_string s) with Failure _ -> 25)
   | None -> 25
 
