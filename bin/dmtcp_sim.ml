@@ -274,7 +274,7 @@ let store_run action =
         Printf.printf "%-28s %-8s %3d %8d %8d %6d %5d %-9s %s\n" m.Store.m_name m.Store.m_lineage
           m.Store.m_generation m.Store.m_real_len m.Store.m_sim_bytes
           (List.length m.Store.m_blocks)
-          (Store.chain_depth store ~name:m.Store.m_name)
+          (Dmtcp.Image_chain.catalog_depth store ~name:m.Store.m_name)
           kind m.Store.m_program)
       (Store.manifests store)
   | "stat" ->

@@ -147,6 +147,19 @@ let with_stage_kill env stage f =
       end)
     (fun () -> f fired)
 
+(* the delta-chain depth of each image the restart ran from *)
+let chain_depths o =
+  let rt = o.env.Common.rt in
+  List.concat_map
+    (fun (_, paths) ->
+      List.filter_map
+        (fun path ->
+          Option.map
+            (fun (img, _) -> Dmtcp.Image_chain.(depth (peek_chain rt path img)))
+            (Dmtcp.Image_chain.peek rt path))
+        paths)
+    o.script.Dmtcp.Restart_script.entries
+
 (* ------------------------------------------------------------------ *)
 (* Judges *)
 
@@ -250,11 +263,17 @@ let deep_chain () =
   in
   let delta = chain true "/data/df_delta" in
   let full = chain false "/data/df_full" in
-  unless
-    (List.exists
-       (fun (_, paths) -> List.exists (fun p -> Filename.check_suffix p ".d3.dmtcp") paths)
-       delta.script.Dmtcp.Restart_script.entries)
-    "incremental run did not leave a depth-3 chain (no .d3 image in the script)"
+  let depths o = String.concat "," (List.map string_of_int (chain_depths o)) in
+  let replays o =
+    List.length (List.filter (fun (e : Trace.event) -> e.Trace.name = "rst/delta-resolve") o.events)
+  in
+  unless (depths delta = "3")
+    (sprintf "incremental run restarted from chain depths [%s], not one depth-3 chain"
+       (depths delta))
+  @ unless (replays delta = 3)
+      (sprintf "the depth-3 restart replayed %d deltas, not 3" (replays delta))
+  @ unless (depths full = "0")
+      (sprintf "full-image run restarted from chain depths [%s]" (depths full))
   @ expect ~what:"delta-chain restart" (Exactly (hog_result 3000)) delta
   @ expect ~what:"full-image restart" (Exactly (hog_result 3000)) full
 

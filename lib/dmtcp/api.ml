@@ -143,66 +143,46 @@ let kill_nodes rt ~nodes =
    replicated store there is nothing to copy: restart resolves the image
    through the catalog and pulls a replica itself. *)
 let ensure_image_on rt ~host path =
-  let cl = Runtime.cluster rt in
   let target_vfs = Simos.Kernel.vfs (Runtime.kernel_of rt ~node:host) in
-  if Runtime.store rt = None && not (Simos.Vfs.exists target_vfs path) then begin
-    let found = ref None in
-    for node = 0 to Simos.Cluster.nodes cl - 1 do
-      if !found = None then
-        match Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path with
-        | Some f -> found := Some f
-        | None -> ()
-    done;
-    match !found with
+  if Runtime.store rt = None && not (Simos.Vfs.exists target_vfs path) then
+    match Image_chain.find_file (Runtime.cluster rt) path with
     | Some src ->
       let dst = Simos.Vfs.open_or_create target_vfs path in
       Simos.Vfs.truncate dst;
       Simos.Vfs.append dst (Simos.Vfs.read_all src);
       Simos.Vfs.set_sim_size dst (Simos.Vfs.sim_size src)
     | None -> ()
-  end
 
 (* Can every image of [script] still be produced somewhere — as a file on
    some node, or from the store with all blocks on surviving replicas?
    A delta image is only available when its whole base chain is too.
    Chaos recovery uses this to decide between restart and relaunch. *)
 let script_images_available rt (script : Restart_script.t) =
-  let cl = Runtime.cluster rt in
-  let file_on_some_node path =
-    let found = ref None in
-    for node = 0 to Simos.Cluster.nodes cl - 1 do
-      if !found = None then
-        match Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path with
-        | Some f -> found := Some f
-        | None -> ()
-    done;
-    !found
-  in
-  let rec available ~depth path =
-    depth <= 64
-    &&
-    let name = Filename.basename path in
-    let base_available = function
-      | None -> true
-      | Some base -> available ~depth:(depth + 1) (Filename.concat (Filename.dirname path) base)
-    in
-    match file_on_some_node path with
+  (* an image's base link, [None] when the image cannot be produced: a
+     file is decoded, a catalogued image answers from its manifest *)
+  let base_of_image path =
+    match Image_chain.find_file (Runtime.cluster rt) path with
     | Some f -> (
       match Ckpt_image.decode (Simos.Vfs.read_all f) with
-      | img -> base_available img.Ckpt_image.delta_base
-      | exception Ckpt_image.Corrupt_image _ -> false)
+      | img -> Some img.Ckpt_image.delta_base
+      | exception Ckpt_image.Corrupt_image _ -> None)
     | None -> (
+      let name = Filename.basename path in
       match Runtime.store rt with
-      | None -> false
-      | Some store -> (
-        Store.contains store ~name
-        &&
-        match Store.find store ~name with
-        | Some m -> base_available m.Store.m_base
-        | None -> false))
+      | Some store when Store.contains store ~name ->
+        Option.map (fun (m : Store.manifest) -> m.Store.m_base) (Store.find store ~name)
+      | _ -> None)
+  in
+  let available path =
+    match base_of_image path with
+    | None -> false
+    | Some first -> (
+      let load base = base_of_image (Filename.concat (Filename.dirname path) base) in
+      let chain = Image_chain.walk ~base_of:Fun.id ~load first in
+      chain.Image_chain.missing = None && not chain.Image_chain.cut)
   in
   List.for_all
-    (fun (_, images) -> List.for_all (fun path -> available ~depth:0 path) images)
+    (fun (_, images) -> List.for_all available images)
     script.Restart_script.entries
 
 let restart rt (script : Restart_script.t) =

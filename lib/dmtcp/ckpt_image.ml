@@ -291,4 +291,13 @@ let delta_mtcp t ~base =
   | Compress.Container.Bad_container msg -> raise (Corrupt_image ("mtcp delta: " ^ msg))
   | Util.Codec.Reader.Corrupt msg -> raise (Corrupt_image ("mtcp delta: " ^ msg))
 
+let socket_stats t =
+  List.fold_left
+    (fun (estab, drained) (_, _, info) ->
+      match info with
+      | FSock { state = S_established; drained = d; _ } -> (estab + 1, drained + String.length d)
+      | FSock { drained = d; _ } -> (estab, drained + String.length d)
+      | FFile _ | FPty _ -> (estab, drained))
+    (0, 0) t.fds
+
 let sim_file_size t = t.sizes.Mtcp.Image.compressed

@@ -25,27 +25,16 @@ let m_compactions = Trace.Metrics.counter "store.compactions"
 let candidates store ~depth =
   List.filter
     (fun (m : Store.manifest) ->
-      m.Store.m_base <> None && Store.chain_depth store ~name:m.Store.m_name > depth)
+      m.Store.m_base <> None && Image_chain.catalog_depth store ~name:m.Store.m_name > depth)
     (Store.manifests store)
 
-exception Unresolvable of string
-
-(* The restart chain walk, against the store catalog only (no storage
-   time booked: the compactor reads through [peek]; its cost model is
-   the consolidated write, which dominates). *)
-let resolve_mtcp store (img : Ckpt_image.t) =
-  let rec go depth (img : Ckpt_image.t) =
-    if depth > 64 then raise (Unresolvable "chain too deep");
-    match img.Ckpt_image.delta_base with
-    | None -> Ckpt_image.mtcp img
-    | Some base -> (
-      match Store.peek store ~name:base with
-      | None -> raise (Unresolvable base)
-      | Some bytes ->
-        let bimg = Ckpt_image.decode bytes in
-        Ckpt_image.delta_mtcp img ~base:(go (depth + 1) bimg))
-  in
-  go 0 img
+(* Chain bases come from the store catalog only, with no storage time
+   booked: the compactor reads through [peek], and its cost model is the
+   consolidated write, which dominates. *)
+let load store name =
+  Option.map
+    (fun bytes -> (Ckpt_image.decode bytes, Image_chain.Store))
+    (Store.peek store ~name)
 
 (* Squash one manifest into a consolidated full image at the same
    catalog name.  Returns the booked write delay, or [None] when the
@@ -58,7 +47,8 @@ let compact_one store ~node (m : Store.manifest) =
   | Some bytes -> (
     match
       let img = Ckpt_image.decode bytes in
-      let mtcp = resolve_mtcp store img in
+      let chain = Image_chain.images ~load:(load store) img in
+      let mtcp = Image_chain.mtcp ~name:m.Store.m_name img chain in
       let full =
         {
           img with

@@ -11,12 +11,6 @@
 (** Manifests whose delta chain is deeper than [depth], newest first. *)
 val candidates : Store.t -> depth:int -> Store.manifest list
 
-(** Resolve a delta to its full MTCP image through the store catalog
-    (no storage time booked).  Raises [Unresolvable] on a broken chain. *)
-exception Unresolvable of string
-
-val resolve_mtcp : Store.t -> Ckpt_image.t -> Mtcp.Image.t
-
 (** [compact_one store ~node m] squashes [m] into a full image written
     from [node] (must be alive), returning the booked write delay.
     [None] when the chain cannot be resolved — every error path leaves

@@ -50,7 +50,7 @@ let page_census space =
     (Mem.Address_space.regions space);
   (!zero, !mat, Hashtbl.fold (fun c n acc -> (c, n) :: acc) by_class [] |> List.sort compare)
 
-let describe ?lookup (img : Ckpt_image.t) =
+let describe ~chain (img : Ckpt_image.t) =
   let buf = Buffer.create 1024 in
   bf buf "=== checkpoint image: %s ===\n" (Ckpt_image.filename img);
   bf buf "program: %s   upid: %s   vpid: %d%s\n" img.Ckpt_image.program
@@ -64,20 +64,12 @@ let describe ?lookup (img : Ckpt_image.t) =
     (Util.Units.pp_mb sizes.Mtcp.Image.uncompressed)
     (Util.Units.pp_mb sizes.Mtcp.Image.zero_bytes)
     (Compress.Algo.name img.Ckpt_image.algo);
-  (match img.Ckpt_image.delta_base with
-  | Some base ->
-    (* chain depth = hops to the nearest full image, resolved through
-       [lookup]; a broken chain reports how far it got *)
-    let rec depth n (i : Ckpt_image.t) =
-      match i.Ckpt_image.delta_base with
-      | None -> n
-      | Some b -> (
-        match Option.join (Option.map (fun find -> find b) lookup) with
-        | Some bimg when n < 64 -> depth (n + 1) bimg
-        | _ -> n + 1)
-    in
-    bf buf "incremental delta against: %s (chain depth %d)\n" base (depth 0 img)
-  | None -> ());
+  (* chain depth = hops to the nearest full image; a broken chain
+     reports how far it got *)
+  Option.iter
+    (fun base ->
+      bf buf "incremental delta against: %s (chain depth %d)\n" base (Image_chain.depth chain))
+    img.Ckpt_image.delta_base;
   bf buf "file descriptors (%d):\n" (List.length img.Ckpt_image.fds);
   List.iter (describe_fd buf) img.Ckpt_image.fds;
   List.iter
@@ -88,21 +80,10 @@ let describe ?lookup (img : Ckpt_image.t) =
         (String.length p.Ckpt_image.drained_to_slave)
         (String.length p.Ckpt_image.drained_to_master))
     img.Ckpt_image.ptys;
-  (* a delta image's body only decodes against its base chain; peek
-     through [lookup] when the caller can supply bases by name *)
   let mtcp =
-    let rec resolve (i : Ckpt_image.t) =
-      match i.Ckpt_image.delta_base with
-      | None -> Ckpt_image.mtcp i
-      | Some base -> (
-        match lookup with
-        | None -> raise Not_found
-        | Some find -> (
-          match find base with
-          | None -> raise Not_found
-          | Some b -> Ckpt_image.delta_mtcp i ~base:(resolve b)))
-    in
-    match resolve img with m -> Some m | exception Not_found -> None
+    match chain.Image_chain.missing with
+    | Some _ -> None
+    | None -> Some (Image_chain.mtcp ~name:(Ckpt_image.filename img) img chain)
   in
   match mtcp with
   | None ->
@@ -150,38 +131,16 @@ let describe_checkpoint rt (script : Restart_script.t) =
   bf buf "checkpoint set: %d host(s), coordinator on node %d\n"
     (List.length script.Restart_script.entries)
     script.Restart_script.coord_host;
-  (* image bytes by path: any node's flat file, then the block store
-     (no storage time booked — inspection only) *)
-  let load path =
-    let cl = Runtime.cluster rt in
-    let found = ref None in
-    for node = 0 to Simos.Cluster.nodes cl - 1 do
-      if !found = None then
-        match Simos.Vfs.lookup (Simos.Kernel.vfs (Runtime.kernel_of rt ~node)) path with
-        | Some f -> found := Some (Simos.Vfs.read_all f)
-        | None -> ()
-    done;
-    match !found with
-    | Some _ as r -> r
-    | None ->
-      Option.join
-        (Option.map (fun s -> Store.peek s ~name:(Filename.basename path)) (Runtime.store rt))
-  in
+  (* images by path: any node's flat file, then the block store (no
+     storage time booked — inspection only) *)
   List.iter
     (fun (host, images) ->
       List.iter
         (fun path ->
-          (* delta bases live next to the image under their own names *)
-          let lookup name =
-            match load (Filename.concat (Filename.dirname path) name) with
-            | Some bytes -> (
-              match Ckpt_image.decode bytes with
-              | img -> Some img
-              | exception Ckpt_image.Corrupt_image _ -> None)
-            | None -> None
-          in
-          match load path with
-          | Some bytes -> Buffer.add_string buf (describe ~lookup (Ckpt_image.decode bytes))
+          match Image_chain.read rt path with
+          | Some (bytes, _) ->
+            let img = Ckpt_image.decode bytes in
+            Buffer.add_string buf (describe ~chain:(Image_chain.peek_chain rt path img) img)
           | None -> bf buf "(missing image %s on node %d)\n" path host)
         images)
     script.Restart_script.entries;
@@ -203,7 +162,7 @@ let describe_checkpoint rt (script : Restart_script.t) =
         (fun (lineage, (m : Store.manifest)) ->
           bf buf "  %s: newest %s gen %d, chain depth %d%s\n" lineage m.Store.m_name
             m.Store.m_generation
-            (Store.chain_depth store ~name:m.Store.m_name)
+            (Image_chain.catalog_depth store ~name:m.Store.m_name)
             (if m.Store.m_compacted then " (compacted)" else ""))
         lineages
     end);

@@ -10,10 +10,10 @@
     their wait conditions, and the signal table.
 
     An incremental delta image's body only decodes against its base
-    chain; [lookup] supplies base images by catalog name so the
-    description can peek through the delta.  Without it (or when a base
-    is gone) the thread/memory sections are replaced by a note. *)
-val describe : ?lookup:(string -> Ckpt_image.t option) -> Ckpt_image.t -> string
+    chain; [chain] supplies the loaded bases so the description can peek
+    through the delta.  When a base is gone the thread/memory sections
+    are replaced by a note. *)
+val describe : chain:Image_chain.link Image_chain.chain -> Ckpt_image.t -> string
 
 (** Describe a whole checkpoint (a restart script's worth of images),
     reading image files from the cluster's filesystems and falling back

@@ -654,59 +654,46 @@ module P = struct
           if !corrupt = None then corrupt := Some path;
           None
       in
+      (* A store fetch books its replica read time; concurrent pulls
+         overlap, so the slowest one is charged. *)
+      let fetched name (bytes, delay) =
+        st.store_read_delay <- Float.max st.store_read_delay delay;
+        trace_rst ctx "store-fetch" [ ("name", name); ("delay", Printf.sprintf "%.6f" delay) ];
+        bytes
+      in
       (* Delta-base lookup: the local file, a file on any other node
          (migration copies the named image, not its whole chain), then
          the store catalog.  Read costs are booked as bytes arrive. *)
-      let load_base path =
-        match Simos.Vfs.lookup (Simos.Kernel.vfs k) path with
-        | Some f -> Some (Simos.Vfs.read_all f, "file")
-        | None -> (
-          let cl = Runtime.cluster run in
-          let found = ref None in
-          for node = 0 to Simos.Cluster.nodes cl - 1 do
-            if !found = None then
-              match Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path with
-              | Some f -> found := Some (Simos.Vfs.read_all f, "remote-file")
-              | None -> ()
-          done;
-          match !found with
-          | Some _ as r -> r
-          | None -> (
-            match Runtime.store run with
-            | None -> None
-            | Some store -> (
-              let name = Filename.basename path in
-              match Store.fetch store ~node:ctx.node_id ~name with
-              | Some (bytes, delay) ->
-                st.store_read_delay <- Float.max st.store_read_delay delay;
-                trace_rst ctx "store-fetch"
-                  [ ("name", name); ("delay", Printf.sprintf "%.6f" delay) ];
-                Some (bytes, "store")
-              | None -> None
-              | exception Store.Missing_blocks _ -> None)))
+      let load_base dir base =
+        let from_store store name =
+          match Store.fetch store ~node:ctx.node_id ~name with
+          | Some got -> Some (fetched name got)
+          | None -> None
+          | exception Store.Missing_blocks _ -> None
+        in
+        match Image_chain.read ~prefer:ctx.node_id ~from_store run (Filename.concat dir base) with
+        | None -> None
+        | Some (bytes, source) ->
+          let base_img = Ckpt_image.decode bytes in
+          if source <> Image_chain.Store then
+            st.local_read_bytes <-
+              st.local_read_bytes + base_img.Ckpt_image.sizes.Mtcp.Image.compressed;
+          st.chain_bases <- base_img :: st.chain_bases;
+          Some (base_img, source)
       in
-      let exception Chain_missing of string in
       (* Reconstruct a delta image's full mtcp body by walking the
          [delta_base] links back to a full image and replaying each
-         delta on the way up. *)
-      let rec resolve_mtcp ~depth path (img : Ckpt_image.t) =
-        match img.Ckpt_image.delta_base with
-        | None -> Ckpt_image.mtcp img
-        | Some base ->
-          if depth > 64 then raise (Ckpt_image.Corrupt_image "delta chain too deep");
-          let base_path = Filename.concat (Filename.dirname path) base in
-          (match load_base base_path with
-          | None -> raise (Chain_missing base)
-          | Some (bytes, source) ->
-            let base_img = Ckpt_image.decode bytes in
-            if source <> "store" then
-              st.local_read_bytes <-
-                st.local_read_bytes + base_img.Ckpt_image.sizes.Mtcp.Image.compressed;
-            st.chain_bases <- base_img :: st.chain_bases;
-            let base_mtcp = resolve_mtcp ~depth:(depth + 1) base_path base_img in
-            trace_rst ctx "delta-resolve"
-              [ ("image", Filename.basename path); ("base", base); ("source", source) ];
-            Ckpt_image.delta_mtcp img ~base:base_mtcp)
+         delta on the way up; [Error base] names a base that is gone. *)
+      let resolve_mtcp path img =
+        let chain = Image_chain.images img ~load:(load_base (Filename.dirname path)) in
+        match chain.Image_chain.missing with
+        | Some base -> Error base
+        | None ->
+          Ok
+            (Image_chain.mtcp img chain ~name:(Filename.basename path)
+               ~on_delta:(fun ~image (base, (_, source)) ->
+                 trace_rst ctx "delta-resolve"
+                   [ ("image", image); ("base", base); ("source", Image_chain.source_name source) ]))
       in
       (* The lineage encoded in an image filename
          (ckpt_<prog>_<hostid>-<pid>-g<gen>[.d<k>].dmtcp) — needed when
@@ -744,10 +731,10 @@ module P = struct
                 match Ckpt_image.decode bytes with
                 | exception Ckpt_image.Corrupt_image _ -> try_candidates rest
                 | cimg -> (
-                  match resolve_mtcp ~depth:0 cpath cimg with
-                  | exception Chain_missing _ -> try_candidates rest
+                  match resolve_mtcp cpath cimg with
+                  | Error _ -> try_candidates rest
                   | exception Ckpt_image.Corrupt_image _ -> try_candidates rest
-                  | mtcp ->
+                  | Ok mtcp ->
                     ctx.log
                       (Printf.sprintf "image %s unresolvable: falling back to %s (generation %d)"
                          failed m.Store.m_name m.Store.m_generation);
@@ -769,14 +756,14 @@ module P = struct
         match img.Ckpt_image.delta_base with
         | None -> Some (img, None)
         | Some _ -> (
-          match resolve_mtcp ~depth:0 path img with
-          | mtcp -> Some (img, Some mtcp)
+          match resolve_mtcp path img with
+          | Ok mtcp -> Some (img, Some mtcp)
           | exception Ckpt_image.Corrupt_image msg ->
             ctx.log (Printf.sprintf "corrupt checkpoint image %s (delta chain): %s" path msg);
             trace_rst ctx "corrupt-image" [ ("path", path); ("error", msg) ];
             if !corrupt = None then corrupt := Some path;
             None
-          | exception Chain_missing base -> (
+          | Error base -> (
             match fallback ~lineage:(Upid.lineage img.Ckpt_image.upid) path with
             | Some pair -> Some pair
             | None ->
@@ -818,13 +805,8 @@ module P = struct
                 | Some store -> (
                   let name = Filename.basename path in
                   match Store.fetch store ~node:ctx.node_id ~name with
-                  | Some (bytes, delay) -> (
-                    (* replica reads already booked on their source targets;
-                       concurrent pulls overlap, so charge the slowest *)
-                    st.store_read_delay <- Float.max st.store_read_delay delay;
-                    trace_rst ctx "store-fetch"
-                      [ ("name", name); ("delay", Printf.sprintf "%.6f" delay) ];
-                    match decode_image ~source:"store" path bytes with
+                  | Some got -> (
+                    match decode_image ~source:"store" path (fetched name got) with
                     | Some img -> resolve path img
                     | None -> None)
                   | None ->

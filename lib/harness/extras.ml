@@ -265,14 +265,7 @@ let drain_ablation ?(pairs_list = [ 1; 4; 8 ]) () =
           (fun acc (node, path) ->
             match Common.read_file env ~node path with
             | None -> acc
-            | Some bytes ->
-              let img = Dmtcp.Ckpt_image.decode bytes in
-              List.fold_left
-                (fun acc (_, _, i) ->
-                  match i with
-                  | Dmtcp.Ckpt_image.FSock { drained; _ } -> acc + String.length drained
-                  | _ -> acc)
-                acc img.Dmtcp.Ckpt_image.fds)
+            | Some bytes -> acc + snd Dmtcp.Ckpt_image.(socket_stats (decode bytes)))
           0 info.Dmtcp.Runtime.images
       in
       Common.teardown env;

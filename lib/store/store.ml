@@ -289,19 +289,6 @@ let missing_of t m =
 let contains t ~name =
   match find t ~name with None -> false | Some m -> missing_of t m = []
 
-(* Delta-chain depth of an image: 0 for a full image, 1 + base's depth
-   for a delta.  Broken chains count the links that resolve. *)
-let chain_depth t ~name =
-  let rec go name seen acc =
-    match find t ~name with
-    | None -> acc
-    | Some m -> (
-      match m.m_base with
-      | Some b when not (List.mem b seen) -> go b (b :: seen) (acc + 1)
-      | _ -> acc)
-  in
-  go name [ name ] 0
-
 (* Reassemble without booking any storage time: inspection/debugging. *)
 let peek t ~name =
   match find t ~name with

@@ -125,10 +125,6 @@ val contains : t -> name:string -> bool
 (** Reassemble without booking storage time — inspection only. *)
 val peek : t -> name:string -> string option
 
-(** Delta-chain depth of a catalogued image: 0 for a full image, 1 plus
-    the base's depth for a delta (unresolvable links stop the count). *)
-val chain_depth : t -> name:string -> int
-
 (** [pin t ~lineage ~generation] protects every manifest of [lineage] at
     [generation] or newer from GC (both {!gc_lineage} retention and an
     operator {!gc}).  A scheduler holding a preempted job's checkpoint as

@@ -18,15 +18,14 @@ let file_content cl node path =
   | None -> None
 
 (* search every node for the file (restarted processes may move) *)
-let file_anywhere cl path =
-  let rec go node =
-    if node >= Simos.Cluster.nodes cl then None
-    else
-      match file_content cl node path with
-      | Some c -> Some c
-      | None -> go (node + 1)
-  in
-  go 0
+let file_anywhere cl path = Option.map Simos.Vfs.read_all (Dmtcp.Image_chain.find_file cl path)
+
+(* the image a checkpoint wrote on [node]: a missing file fails the
+   test, a damaged one raises [Corrupt_image] *)
+let image_on cl node path =
+  match file_content cl node path with
+  | None -> Alcotest.failf "missing image %s on node %d" path node
+  | Some bytes -> Dmtcp.Ckpt_image.decode bytes
 
 let run_for cl seconds = Sim.Engine.run ~until:(Simos.Cluster.now cl +. seconds) (Simos.Cluster.engine cl)
 
@@ -103,16 +102,7 @@ let test_drain_captures_buffered_data () =
   let drained_total =
     List.fold_left
       (fun acc (node, path) ->
-        match Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path with
-        | None -> acc
-        | Some f ->
-          let img = Dmtcp.Ckpt_image.decode (Simos.Vfs.read_all f) in
-          List.fold_left
-            (fun acc (_, _, info) ->
-              match info with
-              | Dmtcp.Ckpt_image.FSock { drained; _ } -> acc + String.length drained
-              | _ -> acc)
-            acc img.Dmtcp.Ckpt_image.fds)
+        acc + snd (Dmtcp.Ckpt_image.socket_stats (image_on cl node path)))
       0 info.Dmtcp.Runtime.images
   in
   Alcotest.(check bool) "some bytes were drained into the image" true (drained_total > 0);
@@ -150,6 +140,33 @@ let test_restart_migrated_to_other_host () =
   Simos.Cluster.run cl;
   check (Alcotest.option Alcotest.string) "finished on the new host" (Some "done:3000")
     (file_content cl 3 "/tmp/mig-count")
+
+let test_restart_migrated_delta_chain () =
+  (* migration copies only the named image: the restart on the new host
+     reads the delta's base from the old host's filesystem *)
+  let options = { Dmtcp.Options.default with Dmtcp.Options.incremental = true } in
+  let cl, rt = make ~options () in
+  let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "3000"; "/tmp/mig-delta" ] in
+  run_for cl 0.5;
+  Dmtcp.Api.checkpoint_now rt;
+  run_for cl 0.2;
+  Dmtcp.Api.checkpoint_now rt;
+  let script = Dmtcp.Restart_script.remap (Dmtcp.Api.restart_script rt) (fun _ -> 3) in
+  Dmtcp.Api.kill_computation rt;
+  let col = Trace.collector () in
+  Trace.with_sink (Trace.collector_sink col) (fun () ->
+      Dmtcp.Api.restart rt script;
+      Dmtcp.Api.await_restart rt);
+  let sources =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.Trace.name = "rst/delta-resolve" then List.assoc_opt "source" e.Trace.args else None)
+      (Trace.events col)
+  in
+  Alcotest.(check (list string)) "base read from the old host" [ "remote-file" ] sources;
+  Simos.Cluster.run cl;
+  check (Alcotest.option Alcotest.string) "finished on the new host" (Some "done:3000")
+    (file_content cl 3 "/tmp/mig-delta")
 
 let test_restart_distributed_stream () =
   (* both ends of a live TCP connection are checkpointed, killed, and
@@ -366,6 +383,7 @@ let base_suites =
           Alcotest.test_case "distributed stream" `Quick test_restart_distributed_stream;
           Alcotest.test_case "stream migrated together" `Quick test_restart_stream_migrated_together;
           Alcotest.test_case "second generation" `Quick test_second_checkpoint_after_restart;
+          Alcotest.test_case "migrated delta chain" `Quick test_restart_migrated_delta_chain;
         ] );
       ( "features",
         [
@@ -422,13 +440,10 @@ let test_image_files_cleanly_decodable () =
   check Alcotest.int "two images (parent+child)" 2 (List.length info.Dmtcp.Runtime.images);
   List.iter
     (fun (node, path) ->
-      match Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path with
-      | None -> Alcotest.failf "missing image %s" path
-      | Some f ->
-        let img = Dmtcp.Ckpt_image.decode (Simos.Vfs.read_all f) in
-        let mtcp = Dmtcp.Ckpt_image.mtcp img in
-        Alcotest.(check bool) "has threads" true (List.length mtcp.Mtcp.Image.threads >= 1);
-        Alcotest.(check bool) "vpid assigned" true (img.Dmtcp.Ckpt_image.vpid > 0))
+      let img = image_on cl node path in
+      let mtcp = Dmtcp.Ckpt_image.mtcp img in
+      Alcotest.(check bool) "has threads" true (List.length mtcp.Mtcp.Image.threads >= 1);
+      Alcotest.(check bool) "vpid assigned" true (img.Dmtcp.Ckpt_image.vpid > 0))
     info.Dmtcp.Runtime.images
 
 let test_dmtcpaware_hooks_fire () =
@@ -649,39 +664,63 @@ let test_restart_with_corrupt_image_fails_cleanly () =
     (List.length (Dmtcp.Runtime.hijacked_processes rt));
   Alcotest.(check bool) "counter did not finish" true (file_content cl 1 "/tmp/cr" = None)
 
+(* a flat-file delta whose base file is deleted: the availability check
+   and the chain walk both see the gap, and the restart aborts cleanly
+   (exit 73) instead of restoring half a chain *)
+let test_delta_base_lost () =
+  let options = { Dmtcp.Options.default with Dmtcp.Options.incremental = true } in
+  let cl, rt = make ~options () in
+  let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "3000"; "/tmp/dbl" ] in
+  run_for cl 0.3;
+  Dmtcp.Api.checkpoint_now rt;
+  run_for cl 0.2;
+  Dmtcp.Api.checkpoint_now rt;
+  let script = Dmtcp.Api.restart_script rt in
+  Dmtcp.Api.kill_computation rt;
+  let node, path = List.hd (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images in
+  let img = image_on cl node path in
+  let base = Option.get img.Dmtcp.Ckpt_image.delta_base in
+  let chain () = Dmtcp.Image_chain.peek_chain rt path img in
+  check Alcotest.int "one delta on a full base" 1 (Dmtcp.Image_chain.depth (chain ()));
+  Alcotest.(check bool) "available with its base" true (Dmtcp.Api.script_images_available rt script);
+  ignore
+    (Simos.Vfs.unlink (Simos.Kernel.vfs (Simos.Cluster.kernel cl node))
+       (Filename.concat (Filename.dirname path) base));
+  check (Alcotest.option Alcotest.string) "walk names the lost base" (Some base)
+    (chain ()).Dmtcp.Image_chain.missing;
+  Alcotest.(check bool) "unavailable without its base" false
+    (Dmtcp.Api.script_images_available rt script);
+  let col = Trace.collector () in
+  Trace.with_sink (Trace.collector_sink col) (fun () ->
+      Dmtcp.Api.restart rt script;
+      run_for cl 2.0);
+  let exits =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.Trace.name = "proc/exit" then List.assoc_opt "code" e.Trace.args else None)
+      (Trace.events col)
+  in
+  Alcotest.(check bool) "restarter exited 73" true (List.mem "73" exits);
+  check Alcotest.int "nothing restored from a broken chain" 0
+    (List.length (Dmtcp.Runtime.hijacked_processes rt));
+  Alcotest.(check bool) "counter did not finish" true (file_content cl 1 "/tmp/dbl" = None)
+
 let test_listener_backlog_captured_and_restored () =
   (* the image must carry the server's real listen backlog (p:stream-server
      listens with backlog 4), not a hard-coded default; and the restored
      listener must expose the same value — proven by re-checkpointing the
      restarted process and reading the second image *)
   let backlog_in_image cl rt =
-    let node, path =
-      List.find
-        (fun (node, path) ->
-          match Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path with
-          | Some f ->
-            let img = Dmtcp.Ckpt_image.decode (Simos.Vfs.read_all f) in
-            List.exists
-              (fun (_, _, i) ->
-                match i with
-                | Dmtcp.Ckpt_image.FSock { state = Dmtcp.Ckpt_image.S_listening _; _ } -> true
-                | _ -> false)
-              img.Dmtcp.Ckpt_image.fds
-          | None -> false)
-        (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images
-    in
-    let img =
-      Dmtcp.Ckpt_image.decode
-        (Simos.Vfs.read_all
-           (Option.get (Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path)))
-    in
-    List.filter_map
-      (fun (_, _, i) ->
-        match i with
-        | Dmtcp.Ckpt_image.FSock { state = Dmtcp.Ckpt_image.S_listening { backlog; _ }; _ } ->
-          Some backlog
-        | _ -> None)
-      img.Dmtcp.Ckpt_image.fds
+    List.concat_map
+      (fun (node, path) ->
+        List.filter_map
+          (fun (_, _, i) ->
+            match i with
+            | Dmtcp.Ckpt_image.FSock { state = Dmtcp.Ckpt_image.S_listening { backlog; _ }; _ } ->
+              Some backlog
+            | _ -> None)
+          (image_on cl node path).Dmtcp.Ckpt_image.fds)
+      (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images
     |> List.hd
   in
   let cl, rt = make () in
@@ -734,6 +773,7 @@ let failure_suites =
         Alcotest.test_case "port taken on restart host" `Quick test_listener_port_taken_on_restart_host;
         Alcotest.test_case "kill mid-checkpoint" `Quick test_kill_mid_checkpoint_recovers;
         Alcotest.test_case "corrupt image rejected" `Quick test_corrupt_image_decode_rejected;
+        Alcotest.test_case "delta base lost" `Quick test_delta_base_lost;
         Alcotest.test_case "corrupt image fails restart cleanly" `Quick
           test_restart_with_corrupt_image_fails_cleanly;
         Alcotest.test_case "listen backlog captured/restored" `Quick
@@ -893,6 +933,31 @@ let test_launcher_unknown_program_fails () =
   in
   check Alcotest.int "launcher exited" 0 (List.length launchers)
 
+(* the delta-chain walk over a synthetic link table: depth to the full
+   image, a dangling base named, a cycle and an over-long chain cut *)
+let test_image_chain_walk () =
+  let walk table first =
+    Dmtcp.Image_chain.walk ~base_of:Fun.id ~load:(fun name -> List.assoc_opt name table) first
+  in
+  let chain = walk [ ("d2", Some "d1"); ("d1", Some "full"); ("full", None) ] (Some "d2") in
+  Alcotest.(check (list string)) "bases nearest first" [ "d2"; "d1"; "full" ]
+    (List.map fst chain.Dmtcp.Image_chain.links);
+  check Alcotest.int "depth to the full image" 3 (Dmtcp.Image_chain.depth chain);
+  check Alcotest.int "a full image has depth 0" 0 (Dmtcp.Image_chain.depth (walk [] None));
+  let broken = walk [ ("d1", Some "gone") ] (Some "d1") in
+  check (Alcotest.option Alcotest.string) "dangling base named" (Some "gone")
+    broken.Dmtcp.Image_chain.missing;
+  check Alcotest.int "dangling link counted" 2 (Dmtcp.Image_chain.depth broken);
+  let cycle = walk [ ("a", Some "b"); ("b", Some "a") ] (Some "a") in
+  Alcotest.(check (list string)) "cycle stops at the repeated base" [ "a"; "b" ]
+    (List.map fst cycle.Dmtcp.Image_chain.links);
+  Alcotest.(check bool) "cycle is cut" true cycle.Dmtcp.Image_chain.cut;
+  let long = List.init 100 (fun i -> (string_of_int i, Some (string_of_int (i + 1)))) in
+  let bounded = walk long (Some "0") in
+  check Alcotest.int "default limit of 64 bases" 64 (Dmtcp.Image_chain.depth bounded);
+  Alcotest.(check bool) "over-long chain is cut" true bounded.Dmtcp.Image_chain.cut;
+  Alcotest.(check bool) "a complete chain is not cut" false chain.Dmtcp.Image_chain.cut
+
 let test_inspect_describe () =
   let cl, rt = make () in
   let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:pipeline" ~argv:[ "20000"; "/tmp/insp" ] in
@@ -919,6 +984,7 @@ let unit_suites =
         Alcotest.test_case "protocol parsing" `Quick test_proto_parse;
         Alcotest.test_case "launcher exec failure" `Quick test_launcher_unknown_program_fails;
         Alcotest.test_case "inspect describes images" `Quick test_inspect_describe;
+        Alcotest.test_case "image chain walk" `Quick test_image_chain_walk;
       ] );
   ]
 

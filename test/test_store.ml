@@ -372,10 +372,31 @@ let test_chain_depth () =
   ignore (put ~name:"base" store [ "aaa" ]);
   ignore (put ~base:"base" ~name:"d1" store [ "bbb" ]);
   ignore (put ~base:"d1" ~name:"d2" store [ "ccc" ]);
-  check Alcotest.int "full image depth 0" 0 (Store.chain_depth store ~name:"base");
-  check Alcotest.int "first delta depth 1" 1 (Store.chain_depth store ~name:"d1");
-  check Alcotest.int "second delta depth 2" 2 (Store.chain_depth store ~name:"d2");
-  check Alcotest.int "unknown name depth 0" 0 (Store.chain_depth store ~name:"nope")
+  let depth name = Dmtcp.Image_chain.catalog_depth store ~name in
+  check Alcotest.int "full image depth 0" 0 (depth "base");
+  check Alcotest.int "first delta depth 1" 1 (depth "d1");
+  check Alcotest.int "second delta depth 2" 2 (depth "d2");
+  check Alcotest.int "unknown name depth 0" 0 (depth "nope")
+
+(* catalog depth has no limit and stops on a cycle; the compactor lists
+   such chains without raising and leaves what it cannot resolve alone *)
+let test_deep_and_cyclic_chains () =
+  let _, store = mk () in
+  ignore (put ~name:"l0" store [ "base" ]);
+  for i = 1 to 70 do
+    ignore (put ~base:(Printf.sprintf "l%d" (i - 1)) ~name:(Printf.sprintf "l%d" i) store [ "d" ])
+  done;
+  ignore (put ~base:"cb" ~name:"ca" store [ "a" ]);
+  ignore (put ~base:"ca" ~name:"cb" store [ "b" ]);
+  let depth name = Dmtcp.Image_chain.catalog_depth store ~name in
+  check Alcotest.int "70-link chain reports its real depth" 70 (depth "l70");
+  check Alcotest.int "cycle stops at the repeated name" 2 (depth "ca");
+  let names = List.map (fun (m : Store.manifest) -> m.Store.m_name) in
+  let deep = names (Dmtcp.Compactor.candidates store ~depth:64) in
+  Alcotest.(check bool) "chains past 64 links are candidates" true
+    (List.mem "l70" deep && List.mem "l65" deep && not (List.mem "l64" deep));
+  Alcotest.(check (list string)) "nothing here resolves, so nothing is compacted" []
+    (Dmtcp.Compactor.run ~max:100 store ~node:0 ~depth:1)
 
 let test_striped_fetch_speedup () =
   (* eight equal blocks, read back from the writer's node: with two
@@ -523,13 +544,21 @@ let test_e2e_compaction_pinned_restart () =
   let name =
     Filename.basename (snd (List.hd (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images))
   in
-  check Alcotest.int "three incremental checkpoints chained" 3 (Store.chain_depth store ~name);
+  let catalog_depth () = Dmtcp.Image_chain.catalog_depth store ~name in
+  (* the image-level walk restart and inspect use agrees with the catalog *)
+  let image_depth () =
+    let img, _ = Option.get (Dmtcp.Image_chain.peek rt name) in
+    Dmtcp.Image_chain.depth (Dmtcp.Image_chain.peek_chain rt name img)
+  in
+  check Alcotest.int "three incremental checkpoints chained" 3 (catalog_depth ());
+  check Alcotest.int "image walk agrees with the catalog" 3 (image_depth ());
   let m = Option.get (Store.find store ~name) in
   Store.pin store ~lineage:m.Store.m_lineage ~generation:m.Store.m_generation;
   let compacted = Dmtcp.Compactor.run ~max:10 store ~node:0 ~depth:1 in
   Alcotest.(check bool) "compactor squashed the over-deep chains" true
     (List.mem name compacted);
-  check Alcotest.int "newest image now a full frame" 0 (Store.chain_depth store ~name);
+  check Alcotest.int "newest image now a full frame" 0 (catalog_depth ());
+  check Alcotest.int "image walk ends at the consolidated image" 0 (image_depth ());
   let m' = Option.get (Store.find store ~name) in
   Alcotest.(check bool) "manifest marked compacted" true m'.Store.m_compacted;
   Alcotest.(check bool) "consolidated image is self-contained" true
@@ -579,6 +608,7 @@ let () =
       ( "fast-path",
         [
           Alcotest.test_case "chain depth" `Quick test_chain_depth;
+          Alcotest.test_case "deep and cyclic chains" `Quick test_deep_and_cyclic_chains;
           Alcotest.test_case "striped fetch speedup" `Quick test_striped_fetch_speedup;
         ] );
       ( "chunking",
