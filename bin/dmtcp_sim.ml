@@ -183,8 +183,11 @@ let trace_run format node pid cat stage metrics check incremental lazy_restart p
     let e2, m2 = trace_scenario options in
     let j1 = Trace.jsonl e1 and j2 = Trace.jsonl e2 in
     if j1 = j2 && m1 = m2 then begin
-      Printf.printf "deterministic: %d events, %d JSONL bytes, metrics snapshots equal\n"
-        (List.length e1) (String.length j1);
+      (* the digests let runs on different commits be compared *)
+      Printf.printf "deterministic: %d events, %d JSONL bytes, metrics snapshots equal; md5 jsonl %s metrics %s\n"
+        (List.length e1) (String.length j1)
+        (Digest.to_hex (Digest.string j1))
+        (Digest.to_hex (Digest.string m1));
       exit 0
     end
     else begin

@@ -122,7 +122,7 @@ let sample_fault rng ~ckpts =
   | 0 | 1 | 2 | 3 ->
     (* kills target a checkpoint in flight: arm just before a sampled
        checkpoint request so the stage is actually reached *)
-    let stage = Util.Rng.choose rng (Array.of_list (Dmtcp.Faults.all_stages ~nbarriers:Dmtcp.Runtime.nbarriers)) in
+    let stage = Util.Rng.choose rng (Array.of_list Dmtcp.Faults.all_stages) in
     let victim = Util.Rng.int rng 8 in
     let ck = Util.Rng.choose rng (Array.of_list ckpts) in
     { ev_at = Float.max 0.01 (ck -. 0.01); ev_fault = Kill_at_stage { victim; stage } }

@@ -14,6 +14,9 @@ type entry = {
 
 type t = (int, entry) Hashtbl.t
 
+let entry ~conn_id ~role ~kind ~desc_id =
+  { conn_id; role; kind; desc_id; drained = ""; eof = false; saved_owner = 0 }
+
 let create () = Hashtbl.create 8
 let add t ~fd entry = Hashtbl.replace t fd entry
 let find t ~fd = Hashtbl.find_opt t fd

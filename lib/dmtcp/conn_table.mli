@@ -28,6 +28,9 @@ type entry = {
 
 type t
 
+(** A fresh entry: nothing drained, no EOF, no saved owner. *)
+val entry : conn_id:Conn_id.t -> role:role -> kind:sock_kind -> desc_id:int -> entry
+
 val create : unit -> t
 
 (** Keyed by fd. One desc may appear under several fds (dup). *)

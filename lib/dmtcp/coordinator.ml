@@ -45,8 +45,8 @@ module P = struct
       phase = `Boot;
       listen_fd = -1;
       clients = [];
-      counts = Array.make (Runtime.nbarriers + 1) 0;
-      released = Array.make (Runtime.nbarriers + 1) false;
+      counts = Array.make (Faults.nbarriers + 1) 0;
+      released = Array.make (Faults.nbarriers + 1) false;
       expected = 0;
       in_ckpt = false;
       next_interval = infinity;
@@ -105,21 +105,14 @@ module P = struct
   let try_release_barriers (ctx : Simos.Program.ctx) st =
     let continue = ref st.in_ckpt in
     let k = ref 1 in
-    while !continue && !k <= Runtime.nbarriers do
+    while !continue && !k <= Faults.nbarriers do
       let b = !k in
       if st.released.(b) then incr k
       else if st.counts.(b) >= st.expected then begin
         let rt = Runtime.active () in
         (* Table 1: stage durations are the times between the global
            barriers, measured here at the coordinator. *)
-        let stage_name =
-          match b with
-          | 1 -> "ckpt/suspend"
-          | 2 -> "ckpt/elect"
-          | 3 -> "ckpt/drain"
-          | 4 -> "ckpt/write"
-          | _ -> "ckpt/refill"
-        in
+        let stage_name = "ckpt/" ^ Faults.stage_name (Faults.closed_by b) in
         Runtime.record_stage rt stage_name (ctx.now () -. st.last_barrier_time);
         st.last_barrier_time <- ctx.now ();
         trace_coord ctx "coord/barrier-release"
@@ -127,7 +120,7 @@ module P = struct
         broadcast ctx st (Proto.release b);
         st.released.(b) <- true;
         st.work <- st.work + st.expected;
-        if b = Runtime.nbarriers then begin
+        if b = Faults.nbarriers then begin
           st.in_ckpt <- false;
           trace_coord ctx "coord/ckpt-end" [];
           Plugin.dispatch ~node:ctx.node_id ~pid:ctx.pid ~now:(ctx.now ())
@@ -190,7 +183,7 @@ module P = struct
           start_checkpoint ctx st
         | Proto.Cmd_status -> send_line ctx client.c_fd (Proto.status_reply (List.length (managers st)))
         | Proto.Cmd_quit -> raise Exit
-        | Proto.Barrier k when k >= 1 && k <= Runtime.nbarriers ->
+        | Proto.Barrier k when k >= 1 && k <= Faults.nbarriers ->
           (* batched: only count the arrival here; the release scan runs
              once per wakeup (flush_barriers), not once per message *)
           st.counts.(k) <- st.counts.(k) + 1;

@@ -27,11 +27,23 @@ let stage_name = function
   | Resume -> "resume"
   | Barrier k -> Printf.sprintf "barrier%d" k
 
+(* The checkpoint protocol, written once: the stages in order, with
+   coordinator barrier k between stage k and stage k+1. *)
+let stages = [ Suspend; Elect; Drain; Write; Refill; Resume ]
+let nbarriers = List.length stages - 1
+let closed_by k = List.nth stages (k - 1)
+
+let next stage =
+  let rec barrier_after k = function
+    | s :: _ when s = stage -> if k <= nbarriers then Some (Barrier k) else None
+    | _ :: rest -> barrier_after (k + 1) rest
+    | [] -> None
+  in
+  match stage with Barrier k -> List.nth_opt stages k | _ -> barrier_after 1 stages
+
 (* Every kill point a victim can die at: the protocol stages plus each
    coordinator barrier. *)
-let all_stages ~nbarriers =
-  [ Suspend; Elect; Drain; Write; Refill; Resume ]
-  @ List.init nbarriers (fun i -> Barrier (i + 1))
+let all_stages = stages @ List.init nbarriers (fun i -> Barrier (i + 1))
 
 let default_observer ~node:_ ~pid:_ (_ : stage) = ()
 let on_stage : (node:int -> pid:int -> stage -> unit) ref = ref default_observer

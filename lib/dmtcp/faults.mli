@@ -19,8 +19,28 @@ type stage =
 
 val stage_name : stage -> string
 
+(** {2 The protocol order}
+
+    The one definition of the checkpoint order: the manager's stage
+    sequence, the coordinator's barriers and the chaos kill points all
+    derive from it. *)
+
+(** The stages in protocol order (no barriers). *)
+val stages : stage list
+
+(** Coordinator barriers: barrier [k] separates stage [k] of {!stages}
+    from stage [k+1]. *)
+val nbarriers : int
+
+(** The stage barrier [k] closes (its [ckpt/<stage>] span). *)
+val closed_by : int -> stage
+
+(** What follows [s]: the barrier after a stage, the stage a barrier
+    releases into; [None] after the last stage. *)
+val next : stage -> stage option
+
 (** The protocol stages plus barriers [1..nbarriers]: every kill point. *)
-val all_stages : nbarriers:int -> stage list
+val all_stages : stage list
 
 (** The no-op observer installed by default (and by {!reset}). *)
 val default_observer : node:int -> pid:int -> stage -> unit

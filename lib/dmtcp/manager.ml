@@ -12,26 +12,13 @@ type phase =
   | P_boot
   | P_connecting of int  (* connect retries left *)
   | P_idle
-  | P_critical_wait
-  | P_send_barrier of int * phase  (* notify arrival, then await release *)
-  | P_barrier of int * phase       (* awaiting RELEASE k, then continue *)
-  | P_elect
-  | P_drain
-  | P_write
-  | P_write_disk of { path : string; bytes : string; sim : int }
-  | P_write_file of { path : string; bytes : string; sim : int }
-  | P_write_store of {
-      path : string;
-      bytes : string;
-      sim : int;
-      upid : Upid.t;
-      program : string;
-      base : string option;
-    }
-  | P_store_commit of { lineage : string }
-  | P_refill
-  | P_refill_done
-  | P_resume
+  | P_stage of Faults.stage  (* enter the stage, then run it *)
+  | P_barrier of int  (* awaiting RELEASE k *)
+  | P_drain  (* stage 4: awaiting the peers' flush tokens *)
+  | P_write_durable of (unit -> float * (unit -> unit))
+      (* image compressed: book its durable write, block until it lands *)
+  | P_finish of Faults.stage * (unit -> unit)
+      (* the stage's last delay has passed: commit, then exit the stage *)
 
 type state = {
   mutable coord_fd : int;
@@ -39,6 +26,7 @@ type state = {
   mutable phase : phase;
   mutable drains : drain_item list;
   mutable coord_eof : bool;  (* coordinator hung up on us *)
+  mutable opts : Options.t;  (* parsed from the environment once, at boot *)
 }
 
 module P = struct
@@ -47,7 +35,16 @@ module P = struct
   let name = name
   let encode _ _ = failwith "dmtcp:mgr is not checkpointable (recreated at restart)"
   let decode _ = failwith "dmtcp:mgr is not checkpointable (recreated at restart)"
-  let init ~argv:_ = { coord_fd = -1; buf = ""; phase = P_boot; drains = []; coord_eof = false }
+
+  let init ~argv:_ =
+    {
+      coord_fd = -1;
+      buf = "";
+      phase = P_boot;
+      drains = [];
+      coord_eof = false;
+      opts = Options.default;
+    }
 
   (* -------------------------------------------------------------- *)
   (* helpers *)
@@ -70,6 +67,23 @@ module P = struct
 
   let stage_hook ctx phase stg =
     hook ctx (Events.site_stage phase stg) (Events.Stage { stage = stg })
+
+  (* Stage entry, in one place: the fault hook, the mgr/<stage> instant
+     and the pre- plugin hook. *)
+  let enter_stage (ctx : Simos.Program.ctx) stage =
+    Faults.notify ~node:ctx.node_id ~pid:ctx.pid stage;
+    (match stage with
+    | Faults.Barrier k -> trace_phase ctx "barrier" [ ("k", string_of_int k) ]
+    | _ -> trace_phase ctx (Faults.stage_name stage) []);
+    stage_hook ctx `Pre stage
+
+  (* Stage exit, in one place: the post- plugin hook, then what the
+     protocol order puts next — the barrier after a stage, the stage a
+     barrier releases into, idle after the last stage. *)
+  let exit_stage ctx st stage =
+    stage_hook ctx `Post stage;
+    st.phase <- (match Faults.next stage with Some next -> P_stage next | None -> P_idle);
+    st
 
   let my_kernel (ctx : Simos.Program.ctx) = Runtime.kernel_of (rt ()) ~node:ctx.node_id
 
@@ -105,11 +119,18 @@ module P = struct
 
   let send_coord (ctx : Simos.Program.ctx) st line = ignore (ctx.write_fd st.coord_fd line)
 
-  (* transition: after the current outcome completes, announce arrival at
-     barrier [k] and wait for its release before entering [next] *)
-  let to_barrier st k next =
-    st.phase <- P_send_barrier (k, next);
-    st
+  let coord_addr st =
+    Simnet.Addr.Inet { host = st.opts.Options.coord_host; port = st.opts.Options.coord_port }
+
+  (* A stage may have to wait before it starts: suspend while the
+     application holds a dmtcpaware critical section; write while the
+     previous forked child's image is still in flight (at most one
+     outstanding child, so a delta's base is durable before anything
+     references it). *)
+  let stage_ready ctx = function
+    | Faults.Suspend -> (my_pstate ctx).Runtime.critical = 0
+    | Faults.Write -> not (my_pstate ctx).Runtime.forked_pending
+    | _ -> true
 
   (* Established sockets with a connection-table entry whose leader we
      are.  Peers under checkpoint control drain with the flush-token
@@ -139,10 +160,10 @@ module P = struct
   (* -------------------------------------------------------------- *)
   (* checkpoint image construction *)
 
-  let build_image (ctx : Simos.Program.ctx) =
+  let build_image (ctx : Simos.Program.ctx) st =
     let proc = my_proc ctx in
     let ps = my_pstate ctx in
-    let opts = Options.of_getenv ctx.getenv in
+    let opts = st.opts in
     let mtcp_image = Mtcp.Image.capture proc in
     (* image-write hook: runs on the captured snapshot before sizing and
        encoding, so whatever plugins mutate is exactly what lands on
@@ -307,47 +328,54 @@ module P = struct
     end;
     (image, fname)
 
-  (* run-to-run variation of compression and I/O (the paper's error
-     bars): +/- a few percent, deterministic in the simulation seed *)
-  let jitter (ctx : Simos.Program.ctx) dt =
-    Float.max (0.75 *. dt) (dt *. (1.0 +. (0.05 *. Util.Rng.gaussian ctx.rng ~mean:0. ~stddev:1.)))
-
-  let write_image_file (ctx : Simos.Program.ctx) path bytes sim_size =
-    let k = my_kernel ctx in
-    let f = Simos.Vfs.open_or_create (Simos.Kernel.vfs k) path in
-    Simos.Vfs.truncate f;
-    Simos.Vfs.append f bytes;
-    Simos.Vfs.set_sim_size f sim_size
-
-  (* Store write path: chunk at DMZ2 frame boundaries, dedup against
-     every prior generation, replicate new blocks; the returned delay is
-     the write quorum's completion (no flat file, no sync — replication
-     is the durability mechanism). *)
-  let store_put store ~node ~path ~bytes ~upid ~program ~sim ~base =
-    Store.put store ?base ~node ~lineage:(Upid.lineage upid) ~generation:upid.Upid.generation
-      ~name:(Filename.basename path) ~program ~sim_bytes:sim ~chunks:(Ckpt_image.chunk bytes)
-
-  (* After a checkpoint write lands: age out generations beyond the
-     retention window — catalog manifests under the store, flat
-     image/conninfo files either way. *)
-  let finish_write lineage =
-    (match Runtime.store (rt ()) with
-    | Some store -> ignore (Store.gc_lineage store ~lineage)
-    | None -> ());
-    Runtime.prune_images (rt ()) ~lineage
+  (* The one durable write: books the image's write now and returns the
+     delay until it is durable and the commit to run when it lands.  A
+     store put (chunked at DMZ2 frame boundaries, deduped, replicated) is
+     durable at its write quorum — replication is the durability, so no
+     flat file and no sync.  A flat file is durable once the target write
+     and, inline, DMTCP_SYNC's sync complete.  Inline checkpoints jitter
+     the write's delay; a forked child's write takes it as booked.  The
+     commit ages out generations beyond retention: catalog manifests
+     under the store, flat image and conninfo files either way. *)
+  let durable_write (ctx : Simos.Program.ctx) st ~inline ~path ~bytes (image : Ckpt_image.t) =
+    let settle dt = if inline then Mtcp.Cost.jitter ctx.rng dt else dt in
+    let sim = image.Ckpt_image.sizes.Mtcp.Image.compressed in
+    let upid = image.Ckpt_image.upid in
+    let lineage = Upid.lineage upid in
+    let prune () = Runtime.prune_images (rt ()) ~lineage in
+    match Runtime.store (rt ()) with
+    | Some store ->
+      let delay =
+        Store.put store ?base:image.Ckpt_image.delta_base ~node:ctx.node_id ~lineage
+          ~generation:upid.Upid.generation ~name:(Filename.basename path)
+          ~program:image.Ckpt_image.program ~sim_bytes:sim ~chunks:(Ckpt_image.chunk bytes)
+      in
+      ( settle delay,
+        fun () ->
+          ignore (Store.gc_lineage store ~lineage);
+          prune () )
+    | None ->
+      let storage = Simos.Kernel.storage (my_kernel ctx) in
+      let delay = settle (Storage.Target.write storage ~bytes:sim) in
+      let sync = if inline && st.opts.Options.sync_after then Storage.Target.sync storage else 0. in
+      ( delay +. sync,
+        fun () ->
+          let f = Simos.Vfs.open_or_create (Simos.Kernel.vfs (my_kernel ctx)) path in
+          Simos.Vfs.truncate f;
+          Simos.Vfs.append f bytes;
+          Simos.Vfs.set_sim_size f sim;
+          prune () )
 
   (* -------------------------------------------------------------- *)
-  (* the state machine *)
+  (* the state machine: the stages in Faults' protocol order, each
+     entered and exited through enter_stage / exit_stage *)
 
   let rec step (ctx : Simos.Program.ctx) st =
     match st.phase with
-    | P_boot ->
+    | P_boot -> (
       st.coord_fd <- ctx.socket ();
-      let opts = Options.of_getenv ctx.getenv in
-      (match
-         ctx.connect st.coord_fd
-           (Simnet.Addr.Inet { host = opts.Options.coord_host; port = opts.Options.coord_port })
-       with
+      st.opts <- Options.of_getenv ctx.getenv;
+      match ctx.connect st.coord_fd (coord_addr st) with
       | Ok () ->
         st.phase <- P_connecting 100;
         Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. 1e-3))
@@ -365,10 +393,7 @@ module P = struct
         (* coordinator not up yet: retry *)
         ctx.close_fd st.coord_fd;
         st.coord_fd <- ctx.socket ();
-        let opts = Options.of_getenv ctx.getenv in
-        ignore
-          (ctx.connect st.coord_fd
-             (Simnet.Addr.Inet { host = opts.Options.coord_host; port = opts.Options.coord_port }));
+        ignore (ctx.connect st.coord_fd (coord_addr st));
         st.phase <- P_connecting (retries - 1);
         Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. 10e-3))
       | _ -> Simos.Program.Exit 1)
@@ -376,7 +401,7 @@ module P = struct
       let lines = pump_coord ctx st in
       let ckpt_requested = List.exists (fun l -> Proto.parse l = Proto.Do_checkpoint) lines in
       if ckpt_requested then begin
-        st.phase <- P_critical_wait;
+        st.phase <- P_stage (List.hd Faults.stages);
         Simos.Program.Continue st
       end
       else if st.coord_eof then
@@ -391,40 +416,15 @@ module P = struct
         | Some Simnet.Fabric.Established ->
           Simos.Program.Block (st, Simos.Program.Readable st.coord_fd)
         | _ -> Simos.Program.Exit 0)
-    | P_critical_wait ->
-      let ps = my_pstate ctx in
-      if ps.Runtime.critical > 0 then
-        (* dmtcpaware: the application asked to delay checkpoints *)
-        Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. 1e-3))
-      else begin
-        (* stage 2: suspend user threads *)
-        Faults.notify ~node:ctx.node_id ~pid:ctx.pid Faults.Suspend;
-        trace_phase ctx "suspend" [];
-        stage_hook ctx `Pre Faults.Suspend;
-        let proc = my_proc ctx in
-        (match proc.Simos.Kernel.cmdline with
-        | prog :: _ -> Dmtcpaware.run_pre_ckpt ~prog
-        | [] -> ());
-        Simos.Kernel.suspend_user_threads (my_kernel ctx) proc;
-        stage_hook ctx `Post Faults.Suspend;
-        let nthreads = List.length proc.Simos.Kernel.threads in
-        Simos.Program.Compute (to_barrier st 1 P_elect, Mtcp.Cost.suspend_seconds ~nthreads)
-      end
-    | P_send_barrier (k, next) ->
-      Faults.notify ~node:ctx.node_id ~pid:ctx.pid (Faults.Barrier k);
-      trace_phase ctx "barrier" [ ("k", string_of_int k) ];
-      stage_hook ctx `Pre (Faults.Barrier k);
-      send_coord ctx st (Proto.barrier k);
-      st.phase <- P_barrier (k, next);
-      Simos.Program.Continue st
-    | P_barrier (k, next) -> (
+    | P_stage stage when not (stage_ready ctx stage) ->
+      Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. 1e-3))
+    | P_stage stage ->
+      enter_stage ctx stage;
+      run_stage ctx st stage
+    | P_barrier k -> (
       let lines = pump_coord ctx st in
-      let released = List.exists (fun l -> Proto.parse l = Proto.Release k) lines in
-      if released then begin
-        stage_hook ctx `Post (Faults.Barrier k);
-        st.phase <- next;
-        Simos.Program.Continue st
-      end
+      if List.exists (fun l -> Proto.parse l = Proto.Release k) lines then
+        Simos.Program.Continue (exit_stage ctx st (Faults.Barrier k))
       else if st.coord_eof then
         (* coordinator died mid-checkpoint: the barrier will never be
            released; fail stop with user threads still suspended *)
@@ -434,13 +434,36 @@ module P = struct
         | Some Simnet.Fabric.Established ->
           Simos.Program.Block (st, Simos.Program.Readable st.coord_fd)
         | _ -> Simos.Program.Exit 0)
-    | P_elect ->
+    | P_drain -> drain_work ctx st
+    | P_write_durable write ->
+      let delay, commit = write () in
+      st.phase <- P_finish (Faults.Write, commit);
+      Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. delay))
+    | P_finish (stage, commit) ->
+      commit ();
+      Simos.Program.Continue (exit_stage ctx st stage)
+
+  (* One stage's work, right after its entry.  It ends in exit_stage,
+     at once or after the stage's last delay (P_finish). *)
+  and run_stage (ctx : Simos.Program.ctx) st = function
+    | Faults.Suspend ->
+      (* stage 2: suspend user threads *)
+      let proc = my_proc ctx in
+      (match proc.Simos.Kernel.cmdline with
+      | prog :: _ -> Dmtcpaware.run_pre_ckpt ~prog
+      | [] -> ());
+      Simos.Kernel.suspend_user_threads (my_kernel ctx) proc;
+      let st = exit_stage ctx st Faults.Suspend in
+      let nthreads = List.length proc.Simos.Kernel.threads in
+      Simos.Program.Compute (st, Mtcp.Cost.suspend_seconds ~nthreads)
+    | Faults.Barrier k ->
+      send_coord ctx st (Proto.barrier k);
+      st.phase <- P_barrier k;
+      Simos.Program.Continue st
+    | Faults.Elect ->
       (* stage 3: elect shared-FD leaders by misusing F_SETOWN — every
          process sharing the description sets the owner; the last one
          wins *)
-      Faults.notify ~node:ctx.node_id ~pid:ctx.pid Faults.Elect;
-      trace_phase ctx "elect" [];
-      stage_hook ctx `Pre Faults.Elect;
       let ps = my_pstate ctx in
       let entries = Conn_table.entries ps.Runtime.conns in
       List.iter
@@ -448,201 +471,46 @@ module P = struct
           entry.Conn_table.saved_owner <- ctx.get_fd_owner fd;
           ctx.set_fd_owner fd ctx.pid)
         entries;
-      stage_hook ctx `Post Faults.Elect;
-      Simos.Program.Compute
-        (to_barrier st 2 P_drain, Mtcp.Cost.elect_seconds ~nfds:(List.length entries))
-    | P_drain ->
-      if st.drains = [] then begin
-        Faults.notify ~node:ctx.node_id ~pid:ctx.pid Faults.Drain;
-        trace_phase ctx "drain" [];
-        stage_hook ctx `Pre Faults.Drain;
-        if !Faults.bug_skip_drain then begin
-          (* injected bug: skip stage 4 — no flush tokens, nothing
-             stashed; whatever the kernel buffers held is left out of
-             the image and still sitting in the buffers at write time *)
-          drain_finished ctx st;
-          Simos.Program.Continue (to_barrier st 3 P_write)
-        end
-        else begin
-        (* first entry into the drain stage: pick the sockets we lead.
-           The drain-select hook lets plugins exclude connections whose
-           peer is outside checkpoint control (blacklisted service
-           ports): a skipped connection sends no flush token and stashes
-           nothing. *)
-        let leaders =
+      let st = exit_stage ctx st Faults.Elect in
+      Simos.Program.Compute (st, Mtcp.Cost.elect_seconds ~nfds:(List.length entries))
+    | Faults.Drain ->
+      (* stage 4: pick the sockets we lead.  The drain-select hook lets
+         plugins exclude connections whose peer is outside checkpoint
+         control (blacklisted service ports): a skipped connection sends
+         no flush token and stashes nothing.  The injected skip-drain bug
+         picks none, leaving whatever the kernel buffers held out of the
+         image and still in the buffers at write time. *)
+      let leaders =
+        if !Faults.bug_skip_drain then []
+        else
           leader_fds ctx
           |> List.filter (fun (fd, entry, _) ->
                  match desc_socket ctx fd with
                  | Some sock ->
-                   let payload =
-                     Events.Drain_select { fd; entry; sock; skip = false }
-                   in
+                   let payload = Events.Drain_select { fd; entry; sock; skip = false } in
                    hook ctx Events.site_drain_select payload;
                    (match payload with
                    | Events.Drain_select p -> not p.skip
                    | _ -> true)
                  | None -> true)
-        in
-        if leaders = [] then begin
-          drain_finished ctx st;
-          Simos.Program.Continue (to_barrier st 3 P_write)
-        end
-        else begin
-          st.drains <-
-            List.map
-              (fun (fd, entry, mode) ->
-                {
-                  d_fd = fd;
-                  d_entry = entry;
-                  d_stash = "";
-                  (* no flush token for an orphan: nobody will read it *)
-                  d_token_sent = (match mode with `Orphan -> token_len | `Peer -> 0);
-                  d_done = false;
-                })
-              leaders;
-          drain_work ctx st
-        end
-        end
-      end
-      else drain_work ctx st
-    | P_write when (my_pstate ctx).Runtime.forked_pending ->
-      (* at most one outstanding forked child: the previous background
-         write must land before this checkpoint captures (a delta's base
-         must be durable before anything references it) *)
-      Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. 1e-3))
-    | P_write -> (
-      (* stage 5: write the checkpoint image *)
-      Faults.notify ~node:ctx.node_id ~pid:ctx.pid Faults.Write;
-      trace_phase ctx "write" [];
-      stage_hook ctx `Pre Faults.Write;
-      let opts = Options.of_getenv ctx.getenv in
-      let image, fname = build_image ctx in
-      let bytes = Ckpt_image.encode image in
-      let sizes = image.Ckpt_image.sizes in
-      let path = Printf.sprintf "%s/%s" opts.Options.ckpt_dir fname in
-      let compress_cost =
-        jitter ctx
-          (Compress.Model.compress_seconds ~algo:opts.Options.algo
-             ~bytes:sizes.Mtcp.Image.uncompressed ~zero_bytes:sizes.Mtcp.Image.zero_bytes)
       in
-      Runtime.record_image ~port:opts.Options.coord_port (rt ()) ~node:ctx.node_id ~path
-        ~upid:image.Ckpt_image.upid ~sizes;
-      (match image.Ckpt_image.delta_base with
-      | Some base ->
-        (* delta checkpoint: a stage span for the breakdown tables plus
-           frame/byte counters so traces show what the fast path shipped *)
-        Runtime.record_stage (rt ()) "ckpt/delta" compress_cost;
-        let frames =
-          match Compress.Container.frame_bounds image.Ckpt_image.mtcp_blob with
-          | Some bounds -> List.length bounds
-          | None -> 1
-        in
-        if Trace.on () then begin
-          Trace.instant ~node:ctx.node_id ~pid:ctx.pid ~cat:"dmtcp" ~name:"ckpt/delta-base"
-            ~args:[ ("base", base) ] ~time:(ctx.now ()) ();
-          Trace.counter ~node:ctx.node_id ~pid:ctx.pid ~cat:"dmtcp" ~name:"ckpt/delta-frames"
-            ~time:(ctx.now ())
-            (float_of_int frames);
-          Trace.counter ~node:ctx.node_id ~pid:ctx.pid ~cat:"dmtcp" ~name:"ckpt/delta-bytes"
-            ~time:(ctx.now ())
-            (float_of_int (String.length bytes))
-        end;
-        Trace.Metrics.incr (Trace.Metrics.counter "dmtcp.delta_ckpts");
-        Trace.Metrics.add
-          (Trace.Metrics.counter "dmtcp.delta_bytes")
-          (float_of_int (String.length bytes))
-      | None -> ());
-      if opts.Options.forked then begin
-        (* forked checkpointing: snapshot copy-on-write; compression and
-           writing happen in the "child" while the parent resumes after
-           only the fork cost (paper §5.3) *)
-        let pages =
-          Mem.Address_space.total_bytes (my_proc ctx).Simos.Kernel.space / Mem.Page.size
-        in
-        let k = my_kernel ctx in
-        let storage = Simos.Kernel.storage k in
-        let eng = Simos.Kernel.engine k in
-        let upid = image.Ckpt_image.upid in
-        let program = image.Ckpt_image.program in
-        let base = image.Ckpt_image.delta_base in
-        let lineage = Upid.lineage upid in
-        let ps = my_pstate ctx in
-        ps.Runtime.forked_pending <- true;
-        let landed () =
-          ps.Runtime.forked_pending <- false;
-          finish_write lineage
-        in
-        ignore
-          (Sim.Engine.schedule eng ~delay:compress_cost (fun () ->
-               match Runtime.store (rt ()) with
-               | Some store ->
-                 let delay =
-                   store_put store ~node:ctx.node_id ~path ~bytes ~upid ~program
-                     ~sim:sizes.Mtcp.Image.compressed ~base
-                 in
-                 ignore (Sim.Engine.schedule eng ~delay (fun () -> landed ()))
-               | None ->
-                 let write_delay = Storage.Target.write storage ~bytes:sizes.Mtcp.Image.compressed in
-                 ignore
-                   (Sim.Engine.schedule eng ~delay:write_delay (fun () ->
-                        write_image_file ctx path bytes sizes.Mtcp.Image.compressed;
-                        landed ()))));
-        (* forked mode: the parent's write stage ends at the snapshot;
-           the image lands from the background child *)
-        stage_hook ctx `Post Faults.Write;
-        Simos.Program.Compute (to_barrier st 4 P_refill, Mtcp.Cost.snapshot_seconds ~pages)
-      end
-      else begin
-        (match Runtime.store (rt ()) with
-        | Some _ ->
-          st.phase <-
-            P_write_store
-              {
-                path;
-                bytes;
-                sim = sizes.Mtcp.Image.compressed;
-                upid = image.Ckpt_image.upid;
-                program = image.Ckpt_image.program;
-                base = image.Ckpt_image.delta_base;
-              }
-        | None -> st.phase <- P_write_disk { path; bytes; sim = sizes.Mtcp.Image.compressed });
-        Simos.Program.Compute (st, compress_cost)
-      end)
-    | P_write_disk { path; bytes; sim } ->
-      let opts = Options.of_getenv ctx.getenv in
-      let storage = Simos.Kernel.storage (my_kernel ctx) in
-      let write_delay = jitter ctx (Storage.Target.write storage ~bytes:sim) in
-      let sync_delay = if opts.Options.sync_after then Storage.Target.sync storage else 0. in
-      st.phase <- P_write_file { path; bytes; sim };
-      Simos.Program.Block
-        (st, Simos.Program.Sleep_until (ctx.now () +. write_delay +. sync_delay))
-    | P_write_file { path; bytes; sim } ->
-      write_image_file ctx path bytes sim;
-      finish_write (Upid.lineage (my_pstate ctx).Runtime.upid);
-      stage_hook ctx `Post Faults.Write;
-      Simos.Program.Continue (to_barrier st 4 P_refill)
-    | P_write_store { path; bytes; sim; upid; program; base } -> (
-      match Runtime.store (rt ()) with
-      | None ->
-        (* store torn down mid-protocol: fall back to the flat file *)
-        st.phase <- P_write_disk { path; bytes; sim };
-        Simos.Program.Continue st
-      | Some store ->
-        let delay =
-          jitter ctx (store_put store ~node:ctx.node_id ~path ~bytes ~upid ~program ~sim ~base)
-        in
-        st.phase <- P_store_commit { lineage = Upid.lineage upid };
-        Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. delay)))
-    | P_store_commit { lineage } ->
-      finish_write lineage;
-      stage_hook ctx `Post Faults.Write;
-      Simos.Program.Continue (to_barrier st 4 P_refill)
-    | P_refill ->
+      st.drains <-
+        List.map
+          (fun (fd, entry, mode) ->
+            {
+              d_fd = fd;
+              d_entry = entry;
+              d_stash = "";
+              (* no flush token for an orphan: nobody will read it *)
+              d_token_sent = (match mode with `Orphan -> token_len | `Peer -> 0);
+              d_done = false;
+            })
+          leaders;
+      drain_work ctx st
+    | Faults.Write -> write_stage ctx st
+    | Faults.Refill ->
       (* stage 6: re-inject drained socket data and pty buffers, restore
          the original F_SETOWN owners *)
-      Faults.notify ~node:ctx.node_id ~pid:ctx.pid Faults.Refill;
-      trace_phase ctx "refill" [];
-      stage_hook ctx `Pre Faults.Refill;
       let ps = my_pstate ctx in
       List.iter
         (fun d ->
@@ -664,17 +532,11 @@ module P = struct
               | _ -> ())
             proc.Simos.Kernel.fdtable)
         ps.Runtime.pty_drains;
-      st.phase <- P_refill_done;
+      st.phase <- P_finish (Faults.Refill, ignore);
       (* retransmission cost of sending drained data back (about one RTT) *)
       Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. 3e-4))
-    | P_refill_done ->
-      stage_hook ctx `Post Faults.Refill;
-      Simos.Program.Continue (to_barrier st 5 P_resume)
-    | P_resume ->
+    | Faults.Resume ->
       (* stage 7: resume user threads and return to normal execution *)
-      Faults.notify ~node:ctx.node_id ~pid:ctx.pid Faults.Resume;
-      trace_phase ctx "resume" [];
-      stage_hook ctx `Pre Faults.Resume;
       let ps = my_pstate ctx in
       Hashtbl.reset ps.Runtime.pty_drains;
       st.drains <- [];
@@ -683,9 +545,73 @@ module P = struct
       (match proc.Simos.Kernel.cmdline with
       | prog :: _ -> Dmtcpaware.run_post_ckpt ~prog
       | [] -> ());
-      stage_hook ctx `Post Faults.Resume;
-      st.phase <- P_idle;
-      Simos.Program.Continue st
+      Simos.Program.Continue (exit_stage ctx st Faults.Resume)
+
+  (* stage 5: write the checkpoint image.  Inline, the manager pays the
+     compression, then blocks until the durable write lands.  Forked
+     (paper §5.3), it pays only the copy-on-write snapshot: a background
+     "child" compresses and writes while the computation resumes, and
+     the image lands later. *)
+  and write_stage (ctx : Simos.Program.ctx) st =
+    let opts = st.opts in
+    let image, fname = build_image ctx st in
+    let bytes = Ckpt_image.encode image in
+    let sizes = image.Ckpt_image.sizes in
+    let path = Printf.sprintf "%s/%s" opts.Options.ckpt_dir fname in
+    let compress_cost =
+      Mtcp.Cost.jitter ctx.rng
+        (Compress.Model.compress_seconds ~algo:opts.Options.algo
+           ~bytes:sizes.Mtcp.Image.uncompressed ~zero_bytes:sizes.Mtcp.Image.zero_bytes)
+    in
+    Runtime.record_image ~port:opts.Options.coord_port (rt ()) ~node:ctx.node_id ~path
+      ~upid:image.Ckpt_image.upid ~sizes;
+    (match image.Ckpt_image.delta_base with
+    | Some base ->
+      (* delta checkpoint: a stage span for the breakdown tables plus
+         frame/byte counters so traces show what the fast path shipped *)
+      Runtime.record_stage (rt ()) "ckpt/delta" compress_cost;
+      let frames =
+        match Compress.Container.frame_bounds image.Ckpt_image.mtcp_blob with
+        | Some bounds -> List.length bounds
+        | None -> 1
+      in
+      if Trace.on () then begin
+        Trace.instant ~node:ctx.node_id ~pid:ctx.pid ~cat:"dmtcp" ~name:"ckpt/delta-base"
+          ~args:[ ("base", base) ] ~time:(ctx.now ()) ();
+        Trace.counter ~node:ctx.node_id ~pid:ctx.pid ~cat:"dmtcp" ~name:"ckpt/delta-frames"
+          ~time:(ctx.now ())
+          (float_of_int frames);
+        Trace.counter ~node:ctx.node_id ~pid:ctx.pid ~cat:"dmtcp" ~name:"ckpt/delta-bytes"
+          ~time:(ctx.now ())
+          (float_of_int (String.length bytes))
+      end;
+      Trace.Metrics.incr (Trace.Metrics.counter "dmtcp.delta_ckpts");
+      Trace.Metrics.add
+        (Trace.Metrics.counter "dmtcp.delta_bytes")
+        (float_of_int (String.length bytes))
+    | None -> ());
+    let write ~inline () = durable_write ctx st ~inline ~path ~bytes image in
+    if opts.Options.forked then begin
+      let pages =
+        Mem.Address_space.total_bytes (my_proc ctx).Simos.Kernel.space / Mem.Page.size
+      in
+      let eng = Simos.Kernel.engine (my_kernel ctx) in
+      let ps = my_pstate ctx in
+      ps.Runtime.forked_pending <- true;
+      ignore
+        (Sim.Engine.schedule eng ~delay:compress_cost (fun () ->
+             let delay, commit = write ~inline:false () in
+             ignore
+               (Sim.Engine.schedule eng ~delay (fun () ->
+                    commit ();
+                    ps.Runtime.forked_pending <- false))));
+      let st = exit_stage ctx st Faults.Write in
+      Simos.Program.Compute (st, Mtcp.Cost.snapshot_seconds ~pages)
+    end
+    else begin
+      st.phase <- P_write_durable (write ~inline:true);
+      Simos.Program.Compute (st, compress_cost)
+    end
 
   (* stage 4 inner loop: push flush tokens out, then receive until each
      socket's stash ends with the peer's token *)
@@ -725,10 +651,11 @@ module P = struct
       st.drains;
     if List.for_all (fun d -> d.d_done) st.drains then begin
       drain_finished ctx st;
-      Simos.Program.Continue (to_barrier st 3 P_write)
+      Simos.Program.Continue (exit_stage ctx st Faults.Drain)
     end
     else begin
       let pending = List.filter (fun d -> not d.d_done) st.drains in
+      st.phase <- P_drain;
       Simos.Program.Block (st, Simos.Program.Readable_any (List.map (fun d -> d.d_fd) pending))
     end
 
@@ -770,8 +697,7 @@ module P = struct
           | None -> ())
         | _ -> ())
       (Conn_table.entries ps.Runtime.conns);
-    Runtime.write_conn_table (Runtime.active ()) (my_kernel ctx) proc;
-    stage_hook ctx `Post Faults.Drain
+    Runtime.write_conn_table (Runtime.active ()) (my_kernel ctx) proc
 
   let step ctx st =
     try step ctx st

@@ -15,7 +15,6 @@ type t = {
       (* incremental mode: max delta-chain depth before the next
          checkpoint is written full again; 0 = always full images *)
   lazy_restart : bool;
-  restart_parallel : int;  (* decompress parallelism cap; 0 = all cores *)
   compact_depth : int;
       (* background compaction: squash delta chains deeper than this
          into consolidated full images; 0 = compactor off *)
@@ -56,7 +55,6 @@ let default =
     keep_generations = 2;
     delta_chain = 8;
     lazy_restart = false;
-    restart_parallel = 0;
     compact_depth = 0;
     plugins = [ "ext-sock" ];
     blacklist_ports = [ 53; 389; 636 ];
@@ -115,7 +113,10 @@ let to_env t =
     ("DMTCP_KEEP_GENERATIONS", string_of_int t.keep_generations);
     ("DMTCP_DELTA_CHAIN", string_of_int t.delta_chain);
     ("DMTCP_LAZY_RESTART", if t.lazy_restart then "1" else "0");
-    ("DMTCP_RESTART_PARALLEL", string_of_int t.restart_parallel);
+    (* retired knob, read by nobody: checkpoint images capture the
+       process environment, so dropping the entry would change every
+       image's bytes *)
+    ("DMTCP_RESTART_PARALLEL", "0");
     ("DMTCP_COMPACT_DEPTH", string_of_int t.compact_depth);
     ("DMTCP_PLUGINS", plugins_to_string t.plugins);
     ( "DMTCP_PLUGIN_BLACKLIST_PORTS",
@@ -143,7 +144,6 @@ let of_env env =
   let keep_generations = get_int "DMTCP_KEEP_GENERATIONS" default.keep_generations in
   let delta_chain = get_int "DMTCP_DELTA_CHAIN" default.delta_chain in
   let lazy_restart = get "DMTCP_LAZY_RESTART" "0" = "1" in
-  let restart_parallel = get_int "DMTCP_RESTART_PARALLEL" default.restart_parallel in
   let compact_depth = get_int "DMTCP_COMPACT_DEPTH" default.compact_depth in
   let plugins =
     match List.assoc_opt "DMTCP_PLUGINS" env with
@@ -172,7 +172,6 @@ let of_env env =
     keep_generations;
     delta_chain;
     lazy_restart;
-    restart_parallel;
     compact_depth;
     plugins;
     blacklist_ports;
@@ -180,17 +179,7 @@ let of_env env =
     mpi_proxy_prefix;
   }
 
+(* look up every key [to_env] writes: no hand-kept list for a new key to
+   go missing from *)
 let of_getenv getenv =
-  let env =
-    List.filter_map
-      (fun k -> Option.map (fun v -> (k, v)) (getenv k))
-      [
-        hijack_key; "DMTCP_COORD_HOST"; "DMTCP_COORD_PORT"; "DMTCP_CHECKPOINT_DIR"; "DMTCP_GZIP";
-        "DMTCP_FORKED"; "DMTCP_INCREMENTAL"; "DMTCP_INTERVAL"; "DMTCP_SYNC"; "DMTCP_STORE";
-        "DMTCP_STORE_REPLICAS"; "DMTCP_STORE_QUORUM"; "DMTCP_KEEP_GENERATIONS";
-        "DMTCP_DELTA_CHAIN"; "DMTCP_LAZY_RESTART"; "DMTCP_RESTART_PARALLEL";
-        "DMTCP_COMPACT_DEPTH"; "DMTCP_PLUGINS"; "DMTCP_PLUGIN_BLACKLIST_PORTS";
-        "DMTCP_PLUGIN_EXT_SHM_PREFIX"; "DMTCP_PLUGIN_MPI_PROXY_PREFIX";
-      ]
-  in
-  of_env env
+  of_env (List.filter_map (fun (k, _) -> Option.map (fun v -> (k, v)) (getenv k)) (to_env default))

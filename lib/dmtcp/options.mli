@@ -32,9 +32,6 @@ type t = {
           before resuming threads; cold pages fault in on first touch
           and a background prefetcher drains the remainder, so restart
           blackout is O(hot set) instead of O(image) *)
-  restart_parallel : int;
-      (** cap on restart's decompress parallelism
-          ([DMTCP_RESTART_PARALLEL]); [0] uses all of the node's cores *)
   compact_depth : int;
       (** background delta-chain compaction ([DMTCP_COMPACT_DEPTH]):
           chains deeper than this are squashed into consolidated full
@@ -75,7 +72,7 @@ val to_env : t -> (string * string) list
 val of_env : (string * string) list -> t
 
 (** Build from a [getenv]-style lookup (a program's view of its own
-    environment). *)
+    environment), reading every key {!to_env} writes. *)
 val of_getenv : (string -> string option) -> t
 
 (** Environment marker that makes {!Simos.Kernel} treat a process as

@@ -24,9 +24,35 @@ let cfg = ref Options.default
 let configure opts = cfg := opts
 
 let dead_socket kernel =
-  let fab = Simos.Kernel.fabric kernel in
-  let s = Simnet.Fabric.socket fab ~host:(Simos.Kernel.node_id kernel) in
-  s
+  Simnet.Fabric.socket (Simos.Kernel.fabric kernel) ~host:(Simos.Kernel.node_id kernel)
+
+(* Connections [outside] picks out have a peer beyond checkpoint
+   control: they are never drained, and the image demotes them from
+   established to S_other with nothing drained and [eof = true].
+   Restart then recreates each as a fresh dead socket carrying an
+   injected EOF and skips peer discovery for it, so a reader blocked on
+   the old connection wakes with EOF and reconnects instead of hanging
+   on a socket that will never become readable. *)
+let dead_socket_hooks outside =
+  [
+    ( Events.site_drain_select,
+      fun payload ->
+        match payload with
+        | Events.Drain_select p when outside p.sock -> p.skip <- true
+        | _ -> () );
+    ( Events.site_fd_capture,
+      fun payload ->
+        match payload with
+        | Events.Fd_capture p -> (
+          match (p.desc.Simos.Fdesc.kind, p.info) with
+          | ( Simos.Fdesc.Sock s,
+              Some (Ckpt_image.FSock ({ state = Ckpt_image.S_established; _ } as fs)) )
+            when outside s ->
+            p.info <-
+              Some (Ckpt_image.FSock { fs with state = Ckpt_image.S_other; drained = ""; eof = true })
+          | _ -> ())
+        | _ -> () );
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* ext-sock: unresolved connections get a fresh dead socket so reads
@@ -68,42 +94,7 @@ let blacklist_ports =
   {
     Plugin.p_name = "blacklist-ports";
     p_doc = "skip draining service ports (DNS/LDAP); dead sockets on restart";
-    p_hooks =
-      [
-        ( Events.site_drain_select,
-          fun payload ->
-            match payload with
-            | Events.Drain_select p when blacklisted p.sock -> p.skip <- true
-            | _ -> () );
-        ( Events.site_fd_capture,
-          fun payload ->
-            match payload with
-            | Events.Fd_capture p -> (
-              (* demote the established connection to S_other in the
-                 image: restart recreates it as a fresh dead socket and
-                 skips peer discovery for it entirely.  [eof = true] so
-                 the recreated socket carries an injected EOF — a reader
-                 blocked on the old connection wakes with EOF and the
-                 resolver library reconnects, instead of hanging on a
-                 socket that will never become readable *)
-              match (p.desc.Simos.Fdesc.kind, p.info) with
-              | ( Simos.Fdesc.Sock s,
-                  Some
-                    (Ckpt_image.FSock
-                      ({ state = Ckpt_image.S_established; _ } as fs)) )
-                when blacklisted s ->
-                p.info <-
-                  Some
-                    (Ckpt_image.FSock
-                       {
-                         fs with
-                         state = Ckpt_image.S_other;
-                         drained = "";
-                         eof = true;
-                       })
-              | _ -> () )
-            | _ -> () );
-      ];
+    p_hooks = dead_socket_hooks blacklisted;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -211,52 +202,23 @@ let mpi_proxy =
     Plugin.p_name = "mpi-proxy";
     p_doc = "rank/proxy split: skip proxy sockets, relaunch proxies on restart";
     p_hooks =
-      [
-        ( Events.site_drain_select,
-          fun payload ->
-            match payload with
-            | Events.Drain_select p when proxy_socket p.sock -> p.skip <- true
-            | _ -> () );
-        ( Events.site_fd_capture,
-          fun payload ->
-            match payload with
-            | Events.Fd_capture p -> (
-              (* same demotion as blacklist-ports: restart recreates the
-                 connection as a fresh dead socket with an injected EOF,
-                 waking a rank blocked on the proxy so it reconnects *)
-              match (p.desc.Simos.Fdesc.kind, p.info) with
-              | ( Simos.Fdesc.Sock s,
-                  Some
-                    (Ckpt_image.FSock
-                      ({ state = Ckpt_image.S_established; _ } as fs)) )
-                when proxy_socket s ->
-                p.info <-
-                  Some
-                    (Ckpt_image.FSock
-                       {
-                         fs with
-                         state = Ckpt_image.S_other;
-                         drained = "";
-                         eof = true;
-                       })
-              | _ -> () )
-            | _ -> () );
-        ( Events.site_restart_rearrange,
-          fun payload ->
-            match payload with
-            | Events.Restart_rearrange p -> (
-              match List.assoc_opt "MPI_PROXY" p.proc.Simos.Kernel.env with
-              | Some marker -> (
-                match String.split_on_char ':' marker with
-                | [ bp; rpn ] -> (
-                  match (int_of_string_opt bp, int_of_string_opt rpn) with
-                  | Some base_port, Some rpn ->
-                    Proxy.Daemon.ensure p.kernel ~base_port ~rpn
+      dead_socket_hooks proxy_socket
+      @ [
+          ( Events.site_restart_rearrange,
+            fun payload ->
+              match payload with
+              | Events.Restart_rearrange p -> (
+                match List.assoc_opt "MPI_PROXY" p.proc.Simos.Kernel.env with
+                | Some marker -> (
+                  match String.split_on_char ':' marker with
+                  | [ bp; rpn ] -> (
+                    match (int_of_string_opt bp, int_of_string_opt rpn) with
+                    | Some base_port, Some rpn -> Proxy.Daemon.ensure p.kernel ~base_port ~rpn
+                    | _ -> ())
                   | _ -> ())
-                | _ -> ())
-              | None -> ())
-            | _ -> () );
-      ];
+                | None -> ())
+              | _ -> () );
+        ];
   }
 
 (* ------------------------------------------------------------------ *)

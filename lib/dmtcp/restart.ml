@@ -58,6 +58,7 @@ type state = {
   mutable lazy_page_cost : float;
       (* lazy restore: modeled seconds to fault in one absent page;
          0. = eager restore (no pager, no prefetcher) *)
+  mutable opts : Options.t;  (* parsed from the environment once, at boot *)
 }
 
 module P = struct
@@ -83,6 +84,7 @@ module P = struct
       local_read_bytes = 0;
       store_read_delay = 0.;
       lazy_page_cost = 0.;
+      opts = Options.default;
     }
 
   let rt () = Runtime.active ()
@@ -91,8 +93,7 @@ module P = struct
   (* The restart wave's coordinator domain: every per-wave record (op
      info, refill barrier, shm registry, discovery keys) is scoped to
      this port so concurrent waves of different jobs never interfere. *)
-  let my_port (ctx : Simos.Program.ctx) = (Options.of_getenv ctx.getenv).Options.coord_port
-
+  let my_port st = st.opts.Options.coord_port
 
   let stage (ctx : Simos.Program.ctx) st label =
     Runtime.record_stage (rt ()) label (ctx.now () -. st.phase_t0);
@@ -250,7 +251,7 @@ module P = struct
   let start_socket_restore (ctx : Simos.Program.ctx) st =
     (* namespace discovery keys by coordinator port: each job's restart
        wave advertises and looks up only within its own domain *)
-    st.specs <- build_conn_specs ~prefix:(Printf.sprintf "%d/" (my_port ctx)) st;
+    st.specs <- build_conn_specs ~prefix:(Printf.sprintf "%d/" (my_port st)) st;
     (* a drained-to-EOF connection has no peer to rediscover: offer it
        to the restart-discovery hook now instead of waiting out the
        discovery deadline (the ext-sock plugin answers with a dead
@@ -357,7 +358,7 @@ module P = struct
   let materialize (ctx : Simos.Program.ctx) st =
     let k = my_kernel ctx in
     let run = rt () in
-    let port = my_port ctx in
+    let port = my_port st in
     Runtime.shm_reset ~port run;
     st.restored <-
       List.map
@@ -438,15 +439,7 @@ module P = struct
                 match desc with
                 | Some desc ->
                   Conn_table.add ps.Runtime.conns ~fd
-                    {
-                      Conn_table.conn_id;
-                      role;
-                      kind;
-                      desc_id = desc.Simos.Fdesc.desc_id;
-                      drained = "";
-                      eof = false;
-                      saved_owner = 0;
-                    };
+                    (Conn_table.entry ~conn_id ~role ~kind ~desc_id:desc.Simos.Fdesc.desc_id);
                   (match desc.Simos.Fdesc.kind with
                   | Simos.Fdesc.Sock s ->
                     Runtime.register_sock_owner run ~sock_id:(Simnet.Fabric.id s)
@@ -499,23 +492,15 @@ module P = struct
        the store were already booked on their replicas' targets at fetch
        time; their (overlapped) read time is [store_read_delay]. *)
     let read_total =
-      ref
-        ((if st.local_read_bytes > 0 then
-            Storage.Target.read storage ~bytes:st.local_read_bytes
-          else 0.)
-        +. st.store_read_delay)
+      (if st.local_read_bytes > 0 then Storage.Target.read storage ~bytes:st.local_read_bytes
+       else 0.)
+      +. st.store_read_delay
     in
-    (* decompress parallelism: the node's cores, optionally capped by
-       DMTCP_RESTART_PARALLEL (0 = no cap) *)
-    let cap =
-      let p = (Options.of_getenv ctx.getenv).Options.restart_parallel in
-      if p > 0 then min p cores else cores
-    in
-    let parallel = float_of_int (max 1 (min cap (List.length st.images))) in
+    (* decompress parallelism: one image per core *)
+    let parallel = float_of_int (max 1 (min cores (List.length st.images))) in
     Trace.Metrics.set m_parallel parallel;
-    let dt = !read_total +. (!decompress_total /. parallel) in
     (* run-to-run I/O variation, as for checkpoint writes *)
-    Float.max (0.75 *. dt) (dt *. (1.0 +. (0.05 *. Util.Rng.gaussian ctx.rng ~mean:0. ~stddev:1.)))
+    Mtcp.Cost.jitter ctx.rng (read_total +. (!decompress_total /. parallel))
 
   (* Demand-paged lazy restore (option [lazy_restart]).  Only the hot
      set — text, stacks and shared segments, the pages a thread needs to
@@ -631,213 +616,180 @@ module P = struct
         | [] -> ())
       st.restored;
     if st.lazy_page_cost > 0. then start_prefetcher ctx st;
-    Runtime.note_restart_end ~port:(my_port ctx) (rt ())
+    Runtime.note_restart_end ~port:(my_port st) (rt ())
+
+  (* ---------------------------------------------------------------- *)
+  (* boot: load the images named on the command line *)
+
+  (* The one image loader — argv images, delta bases and fallback
+     candidates alike.  It reads through Image_chain's lookup order from
+     this node; a store pull books its replica read (concurrent pulls
+     overlap, so the slowest one is charged) and a file read counts
+     toward this host's disk booking.  [Error] says why there is no
+     image: [`Lost blocks] (never catalogued, with the image's own name
+     as [blocks], or blocks lost on every replica) or
+     [`Corrupt (source, msg)]. *)
+  let load_image (ctx : Simos.Program.ctx) st path =
+    let fetch store name =
+      Store.fetch store ~node:ctx.node_id ~name
+      |> Option.map (fun (bytes, delay) ->
+             st.store_read_delay <- Float.max st.store_read_delay delay;
+             trace_rst ctx "store-fetch" [ ("name", name); ("delay", Printf.sprintf "%.6f" delay) ];
+             bytes)
+    in
+    match Image_chain.read ~prefer:ctx.node_id ~from_store:fetch (rt ()) path with
+    | exception Store.Missing_blocks blocks -> Error (`Lost blocks)
+    | None -> Error (`Lost [ Filename.basename path ])
+    | Some (bytes, source) -> (
+      match Ckpt_image.decode bytes with
+      | exception Ckpt_image.Corrupt_image msg ->
+        Error (`Corrupt (Image_chain.source_name source, msg))
+      | img ->
+        if source <> Image_chain.Store then
+          st.local_read_bytes <- st.local_read_bytes + img.Ckpt_image.sizes.Mtcp.Image.compressed;
+        Ok (img, source))
+
+  (* Reconstruct a delta image's full mtcp body by walking the
+     [delta_base] links back to a full image and replaying each delta on
+     the way up; [Error base] names a base that is gone.  A damaged base
+     or delta raises [Ckpt_image.Corrupt_image]. *)
+  let resolve_mtcp (ctx : Simos.Program.ctx) st path img =
+    let load base =
+      match load_image ctx st (Filename.concat (Filename.dirname path) base) with
+      | Ok ((base_img, _) as link) ->
+        st.chain_bases <- base_img :: st.chain_bases;
+        Some link
+      | Error (`Lost _) -> None
+      | Error (`Corrupt (_, msg)) -> raise (Ckpt_image.Corrupt_image msg)
+    in
+    let chain = Image_chain.images img ~load in
+    match chain.Image_chain.missing with
+    | Some base -> Error base
+    | None ->
+      Ok
+        (Image_chain.mtcp img chain ~name:(Filename.basename path)
+           ~on_delta:(fun ~image (base, (_, source)) ->
+             trace_rst ctx "delta-resolve"
+               [ ("image", image); ("base", base); ("source", Image_chain.source_name source) ]))
+
+  (* The lineage encoded in an image filename
+     (ckpt_<prog>_<hostid>-<pid>-g<gen>[.d<k>].dmtcp) — needed when the
+     image itself is gone and there is no decoded upid to ask. *)
+  let lineage_of_name name =
+    match String.rindex_opt name '_' with
+    | None -> None
+    | Some i -> (
+      let upid_part = String.sub name (i + 1) (String.length name - i - 1) in
+      match String.split_on_char '-' upid_part with
+      | hostid :: pid :: _ -> Some (hostid ^ "-" ^ pid)
+      | _ -> None)
+
+  (* An image that cannot be produced — its delta base is gone
+     everywhere, or the image itself never landed (a node killed
+     mid-forked-checkpoint dies with the background write still in
+     flight): fall back to the newest catalogued generation of the same
+     lineage that still resolves, so the failure degrades to an older
+     checkpoint instead of losing the computation. *)
+  let fallback (ctx : Simos.Program.ctx) st ~lineage path =
+    match Runtime.store (rt ()) with
+    | None -> None
+    | Some store ->
+      let failed = Filename.basename path in
+      Store.manifests store
+      |> List.filter (fun (m : Store.manifest) ->
+             m.Store.m_lineage = lineage && m.Store.m_name <> failed)
+      |> List.find_map (fun (m : Store.manifest) ->
+             let cpath = Filename.concat (Filename.dirname path) m.Store.m_name in
+             match load_image ctx st cpath with
+             | Error _ -> None
+             | Ok (cimg, _) -> (
+               match resolve_mtcp ctx st cpath cimg with
+               | Error _ -> None
+               | exception Ckpt_image.Corrupt_image _ -> None
+               | Ok mtcp ->
+                 ctx.log
+                   (Printf.sprintf "image %s unresolvable: falling back to %s (generation %d)"
+                      failed m.Store.m_name m.Store.m_generation);
+                 trace_rst ctx "delta-fallback"
+                   [
+                     ("failed", failed);
+                     ("image", m.Store.m_name);
+                     ("generation", string_of_int m.Store.m_generation);
+                   ];
+                 Some (cimg, Some mtcp)))
+
+  (* One argv image, restored as far as it goes: [Ok (Some image)] with
+     its chain-resolved body, [Ok None] when flat mode has no copy of it
+     (the restart restores what it can), or [Error] — a corrupt image,
+     reported here, or an image lost beyond fallback with the blocks that
+     are gone. *)
+  let restore_image (ctx : Simos.Program.ctx) st path =
+    let lost ~lineage blocks =
+      match Option.bind lineage (fun lineage -> fallback ctx st ~lineage path) with
+      | Some image -> Ok (Some image)
+      | None -> Error (`Missing blocks)
+    in
+    let restored =
+      match load_image ctx st path with
+      | Error (`Corrupt c) -> Error (`Corrupt c)
+      | Error (`Lost _) when Runtime.store (rt ()) = None -> Ok None
+      | Error (`Lost blocks) -> lost ~lineage:(lineage_of_name (Filename.basename path)) blocks
+      | Ok (img, _) when img.Ckpt_image.delta_base = None -> Ok (Some (img, None))
+      | Ok (img, _) -> (
+        match resolve_mtcp ctx st path img with
+        | Ok mtcp -> Ok (Some (img, Some mtcp))
+        | Error base -> lost ~lineage:(Some (Upid.lineage img.Ckpt_image.upid)) [ base ]
+        | exception Ckpt_image.Corrupt_image msg -> Error (`Corrupt ("delta chain", msg)))
+    in
+    (match restored with
+    | Error (`Corrupt (source, msg)) ->
+      (* a damaged image must not yield a half-restored computation:
+         report it, and the whole restart fails *)
+      ctx.log (Printf.sprintf "corrupt checkpoint image %s (%s): %s" path source msg);
+      trace_rst ctx "corrupt-image" [ ("path", path); ("source", source); ("error", msg) ]
+    | _ -> ());
+    restored
+
+  (* Restore every argv image.  A corrupt image fails the whole restart
+     (exit 72); an image lost beyond fallback fails it cleanly, naming
+     the lost blocks (exit 73); with nothing to restore, exit 1. *)
+  let boot (ctx : Simos.Program.ctx) st =
+    st.phase_t0 <- ctx.now ();
+    st.opts <- Options.of_getenv ctx.getenv;
+    let paths = match ctx.argv with _ :: paths -> paths | [] -> [] in
+    let outcomes = List.map (fun path -> (path, restore_image ctx st path)) paths in
+    st.images <- List.filter_map (function _, Ok image -> image | _, Error _ -> None) outcomes;
+    let missing =
+      List.filter_map
+        (function path, Error (`Missing blocks) -> Some (path, blocks) | _ -> None)
+        outcomes
+    in
+    if List.exists (function _, Error (`Corrupt _) -> true | _ -> false) outcomes then
+      Simos.Program.Exit 72
+    else if missing <> [] then begin
+      (* every replica of at least one block is gone: fail the restart
+         cleanly and name the unrecoverable blocks *)
+      List.iter
+        (fun (path, blocks) ->
+          ctx.log
+            (Printf.sprintf "unrecoverable image %s: store blocks lost on all replicas: %s" path
+               (String.concat ", " blocks));
+          trace_rst ctx "missing-blocks" [ ("path", path); ("blocks", String.concat "," blocks) ])
+        missing;
+      Simos.Program.Exit 73
+    end
+    else if st.images = [] then Simos.Program.Exit 1
+    else begin
+      trace_rst ctx "boot" [ ("images", string_of_int (List.length st.images)) ];
+      st.phase <- R_files;
+      Simos.Program.Continue st
+    end
 
   (* ---------------------------------------------------------------- *)
 
   let step (ctx : Simos.Program.ctx) st =
     match st.phase with
-    | R_boot -> (
-      st.phase_t0 <- ctx.now ();
-      let k = my_kernel ctx in
-      let run = rt () in
-      let corrupt = ref None in
-      let missing = ref [] in
-      let decode_image ~source path bytes =
-        match Ckpt_image.decode bytes with
-        | img -> Some img
-        | exception Ckpt_image.Corrupt_image msg ->
-          (* a damaged image must not yield a half-restored
-             computation: report it and fail the whole restart *)
-          ctx.log (Printf.sprintf "corrupt checkpoint image %s (%s): %s" path source msg);
-          trace_rst ctx "corrupt-image" [ ("path", path); ("source", source); ("error", msg) ];
-          if !corrupt = None then corrupt := Some path;
-          None
-      in
-      (* A store fetch books its replica read time; concurrent pulls
-         overlap, so the slowest one is charged. *)
-      let fetched name (bytes, delay) =
-        st.store_read_delay <- Float.max st.store_read_delay delay;
-        trace_rst ctx "store-fetch" [ ("name", name); ("delay", Printf.sprintf "%.6f" delay) ];
-        bytes
-      in
-      (* Delta-base lookup: the local file, a file on any other node
-         (migration copies the named image, not its whole chain), then
-         the store catalog.  Read costs are booked as bytes arrive. *)
-      let load_base dir base =
-        let from_store store name =
-          match Store.fetch store ~node:ctx.node_id ~name with
-          | Some got -> Some (fetched name got)
-          | None -> None
-          | exception Store.Missing_blocks _ -> None
-        in
-        match Image_chain.read ~prefer:ctx.node_id ~from_store run (Filename.concat dir base) with
-        | None -> None
-        | Some (bytes, source) ->
-          let base_img = Ckpt_image.decode bytes in
-          if source <> Image_chain.Store then
-            st.local_read_bytes <-
-              st.local_read_bytes + base_img.Ckpt_image.sizes.Mtcp.Image.compressed;
-          st.chain_bases <- base_img :: st.chain_bases;
-          Some (base_img, source)
-      in
-      (* Reconstruct a delta image's full mtcp body by walking the
-         [delta_base] links back to a full image and replaying each
-         delta on the way up; [Error base] names a base that is gone. *)
-      let resolve_mtcp path img =
-        let chain = Image_chain.images img ~load:(load_base (Filename.dirname path)) in
-        match chain.Image_chain.missing with
-        | Some base -> Error base
-        | None ->
-          Ok
-            (Image_chain.mtcp img chain ~name:(Filename.basename path)
-               ~on_delta:(fun ~image (base, (_, source)) ->
-                 trace_rst ctx "delta-resolve"
-                   [ ("image", image); ("base", base); ("source", Image_chain.source_name source) ]))
-      in
-      (* The lineage encoded in an image filename
-         (ckpt_<prog>_<hostid>-<pid>-g<gen>[.d<k>].dmtcp) — needed when
-         the image itself is gone and there is no decoded upid to ask. *)
-      let lineage_of_name name =
-        match String.rindex_opt name '_' with
-        | None -> None
-        | Some i -> (
-          let upid_part = String.sub name (i + 1) (String.length name - i - 1) in
-          match String.split_on_char '-' upid_part with
-          | hostid :: pid :: _ -> Some (hostid ^ "-" ^ pid)
-          | _ -> None)
-      in
-      (* An image that cannot be produced — its delta base is gone
-         everywhere, or the image itself never landed (a node killed
-         mid-forked-checkpoint dies with the background write still in
-         flight): fall back to the newest catalogued generation of the
-         same lineage that still resolves, so the failure degrades to
-         an older checkpoint instead of losing the computation. *)
-      let fallback ~lineage path =
-        match Runtime.store run with
-        | None -> None
-        | Some store ->
-          let failed = Filename.basename path in
-          let dir = Filename.dirname path in
-          let rec try_candidates = function
-            | [] -> None
-            | (m : Store.manifest) :: rest -> (
-              match Store.fetch store ~node:ctx.node_id ~name:m.Store.m_name with
-              | None -> try_candidates rest
-              | exception Store.Missing_blocks _ -> try_candidates rest
-              | Some (bytes, delay) -> (
-                st.store_read_delay <- Float.max st.store_read_delay delay;
-                let cpath = Filename.concat dir m.Store.m_name in
-                match Ckpt_image.decode bytes with
-                | exception Ckpt_image.Corrupt_image _ -> try_candidates rest
-                | cimg -> (
-                  match resolve_mtcp cpath cimg with
-                  | Error _ -> try_candidates rest
-                  | exception Ckpt_image.Corrupt_image _ -> try_candidates rest
-                  | Ok mtcp ->
-                    ctx.log
-                      (Printf.sprintf "image %s unresolvable: falling back to %s (generation %d)"
-                         failed m.Store.m_name m.Store.m_generation);
-                    trace_rst ctx "delta-fallback"
-                      [
-                        ("failed", failed);
-                        ("image", m.Store.m_name);
-                        ("generation", string_of_int m.Store.m_generation);
-                      ];
-                    Some (cimg, Some mtcp))))
-          in
-          try_candidates
-            (List.filter
-               (fun (m : Store.manifest) ->
-                 m.Store.m_lineage = lineage && m.Store.m_name <> failed)
-               (Store.manifests store))
-      in
-      let resolve path (img : Ckpt_image.t) =
-        match img.Ckpt_image.delta_base with
-        | None -> Some (img, None)
-        | Some _ -> (
-          match resolve_mtcp path img with
-          | Ok mtcp -> Some (img, Some mtcp)
-          | exception Ckpt_image.Corrupt_image msg ->
-            ctx.log (Printf.sprintf "corrupt checkpoint image %s (delta chain): %s" path msg);
-            trace_rst ctx "corrupt-image" [ ("path", path); ("error", msg) ];
-            if !corrupt = None then corrupt := Some path;
-            None
-          | Error base -> (
-            match fallback ~lineage:(Upid.lineage img.Ckpt_image.upid) path with
-            | Some pair -> Some pair
-            | None ->
-              missing := (path, [ base ]) :: !missing;
-              None))
-      in
-      (* Top-level image unproducible from the store: try the fallback
-         before declaring the blocks unrecoverable. *)
-      let fallback_top path ~blocks =
-        let attempt =
-          match lineage_of_name (Filename.basename path) with
-          | Some lineage -> fallback ~lineage path
-          | None -> None
-        in
-        match attempt with
-        | Some pair -> Some pair
-        | None ->
-          missing := (path, blocks) :: !missing;
-          None
-      in
-      (match ctx.argv with
-      | _ :: paths ->
-        st.images <-
-          List.filter_map
-            (fun path ->
-              match Simos.Vfs.lookup (Simos.Kernel.vfs k) path with
-              | Some f -> (
-                match decode_image ~source:"file" path (Simos.Vfs.read_all f) with
-                | Some img ->
-                  st.local_read_bytes <-
-                    st.local_read_bytes + img.Ckpt_image.sizes.Mtcp.Image.compressed;
-                  resolve path img
-                | None -> None)
-              | None -> (
-                (* no local file: resolve through the store catalog and pull
-                   a surviving replica (the restart-from-replica path) *)
-                match Runtime.store run with
-                | None -> None
-                | Some store -> (
-                  let name = Filename.basename path in
-                  match Store.fetch store ~node:ctx.node_id ~name with
-                  | Some got -> (
-                    match decode_image ~source:"store" path (fetched name got) with
-                    | Some img -> resolve path img
-                    | None -> None)
-                  | None ->
-                    (* recorded in the restart script but never catalogued:
-                       the write was lost in flight (killed mid-forked
-                       checkpoint) — degrade to an older checkpoint *)
-                    fallback_top path ~blocks:[ name ]
-                  | exception Store.Missing_blocks blocks -> fallback_top path ~blocks)))
-            paths
-      | [] -> ());
-      match (!corrupt, List.rev !missing) with
-      | Some _, _ -> Simos.Program.Exit 72
-      | None, (_ :: _ as missing) ->
-        (* every replica of at least one block is gone: fail the restart
-           cleanly and name the unrecoverable blocks *)
-        List.iter
-          (fun (path, blocks) ->
-            ctx.log
-              (Printf.sprintf "unrecoverable image %s: store blocks lost on all replicas: %s"
-                 path (String.concat ", " blocks));
-            trace_rst ctx "missing-blocks"
-              [ ("path", path); ("blocks", String.concat "," blocks) ])
-          missing;
-        Simos.Program.Exit 73
-      | None, [] ->
-        if st.images = [] then Simos.Program.Exit 1
-        else begin
-          trace_rst ctx "boot" [ ("images", string_of_int (List.length st.images)) ];
-          st.phase <- R_files;
-          Simos.Program.Continue st
-        end)
+    | R_boot -> boot ctx st
     | R_files ->
       trace_rst ctx "files" [];
       restore_files_and_ptys ctx st;
@@ -898,7 +850,7 @@ module P = struct
     | R_mem ->
       let delay = memory_restore_delay ctx st in
       let delay =
-        if (Options.of_getenv ctx.getenv).Options.lazy_restart then
+        if st.opts.Options.lazy_restart then
           lazy_restore_setup ctx st ~dt:delay
         else delay
       in
@@ -908,12 +860,12 @@ module P = struct
       stage ctx st "restart/mem";
       trace_rst ctx "refill" [];
       refill ctx st;
-      Runtime.arrive_refill_barrier ~port:(my_port ctx) (rt ());
+      Runtime.arrive_refill_barrier ~port:(my_port st) (rt ());
       st.phase <- R_refill_barrier;
       (* drained data re-traverses the network once *)
       Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. 3e-4))
     | R_refill_barrier ->
-      if Runtime.refill_barrier_passed ~port:(my_port ctx) (rt ()) then begin
+      if Runtime.refill_barrier_passed ~port:(my_port st) (rt ()) then begin
         st.phase <- R_resume;
         Simos.Program.Continue st
       end

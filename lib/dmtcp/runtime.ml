@@ -70,8 +70,6 @@ type t = {
   pinned : (string, int) Hashtbl.t;  (* lineage -> generation retention must keep *)
 }
 
-let nbarriers = 5
-
 let active_rt : t option ref = ref None
 
 (* alias for Dmtcpaware, which must not fail when no runtime exists *)
@@ -382,7 +380,11 @@ let sock_of_desc (desc : Simos.Fdesc.t) =
   | Simos.Fdesc.Sock s -> Some s
   | _ -> None
 
-let on_socket t k (proc : Simos.Kernel.process) ~fd (desc : Simos.Fdesc.t) =
+(* Socket and accept wrappers: a connection-table entry for the new
+   socket, Connector until connected — the connect wrapper has nothing to
+   record.  An accepted socket is the Acceptor and adopts the connector's
+   globally unique ID (paper §4.4 step 2). *)
+let on_socket t ~role k (proc : Simos.Kernel.process) ~fd (desc : Simos.Fdesc.t) =
   match sock_of_desc desc with
   | None -> ()
   | Some s ->
@@ -391,54 +393,15 @@ let on_socket t k (proc : Simos.Kernel.process) ~fd (desc : Simos.Fdesc.t) =
     with_pstate t ~node ~pid (fun ps ->
         let kind = if Simnet.Fabric.is_unix s then Conn_table.Unixsock else Conn_table.Tcp in
         let entry =
-          {
-            Conn_table.conn_id = fresh_conn_id t ~node ~pid ps;
-            role = Conn_table.Connector;
-            kind;
-            desc_id = desc.Simos.Fdesc.desc_id;
-            drained = "";
-            eof = false;
-            saved_owner = 0;
-          }
+          Conn_table.entry ~conn_id:(fresh_conn_id t ~node ~pid ps) ~role ~kind
+            ~desc_id:desc.Simos.Fdesc.desc_id
         in
+        (if role = Conn_table.Acceptor then
+           match peer_entry t s with
+           | Some (_, peer) -> entry.Conn_table.conn_id <- peer.Conn_table.conn_id
+           | None -> ());
         Conn_table.add ps.conns ~fd entry;
         register_sock_owner t ~sock_id:(Simnet.Fabric.id s) ~node ~pid ~fd)
-
-let on_connect t k (proc : Simos.Kernel.process) ~fd (desc : Simos.Fdesc.t) =
-  ignore k;
-  ignore fd;
-  ignore t;
-  ignore proc;
-  ignore desc
-(* role already defaults to Connector; the acceptor adopts our conn id in
-   its accept wrapper *)
-
-let on_accept t k (proc : Simos.Kernel.process) ~fd (desc : Simos.Fdesc.t) =
-  match sock_of_desc desc with
-  | None -> ()
-  | Some s ->
-    let node = Simos.Kernel.node_id k in
-    let pid = proc.Simos.Kernel.pid in
-    with_pstate t ~node ~pid (fun ps ->
-        let kind = if Simnet.Fabric.is_unix s then Conn_table.Unixsock else Conn_table.Tcp in
-        let entry =
-          {
-            Conn_table.conn_id = fresh_conn_id t ~node ~pid ps;
-            role = Conn_table.Acceptor;
-            kind;
-            desc_id = desc.Simos.Fdesc.desc_id;
-            drained = "";
-            eof = false;
-            saved_owner = 0;
-          }
-        in
-        register_sock_owner t ~sock_id:(Simnet.Fabric.id s) ~node ~pid ~fd;
-        (* the connect/accept wrappers transfer the connector's globally
-           unique ID to the acceptor (paper §4.4 step 2) *)
-        (match peer_entry t s with
-        | Some (_, peer) -> entry.Conn_table.conn_id <- peer.Conn_table.conn_id
-        | None -> ());
-        Conn_table.add ps.conns ~fd entry)
 
 let promote_pipe t k (proc : Simos.Kernel.process) =
   let node = Simos.Kernel.node_id k in
@@ -454,19 +417,11 @@ let promote_pipe t k (proc : Simos.Kernel.process) =
     let rfd = Simos.Kernel.alloc_fd k proc desc_a in
     let wfd = Simos.Kernel.alloc_fd k proc desc_b in
     let conn_id = fresh_conn_id t ~node ~pid ps in
-    let entry role desc_id =
-      {
-        Conn_table.conn_id;
-        role;
-        kind = Conn_table.Pair;
-        desc_id;
-        drained = "";
-        eof = false;
-        saved_owner = 0;
-      }
+    let entry role (desc : Simos.Fdesc.t) =
+      Conn_table.entry ~conn_id ~role ~kind:Conn_table.Pair ~desc_id:desc.Simos.Fdesc.desc_id
     in
-    Conn_table.add ps.conns ~fd:rfd (entry Conn_table.Pair_a desc_a.Simos.Fdesc.desc_id);
-    Conn_table.add ps.conns ~fd:wfd (entry Conn_table.Pair_b desc_b.Simos.Fdesc.desc_id);
+    Conn_table.add ps.conns ~fd:rfd (entry Conn_table.Pair_a desc_a);
+    Conn_table.add ps.conns ~fd:wfd (entry Conn_table.Pair_b desc_b);
     register_sock_owner t ~sock_id:(Simnet.Fabric.id a) ~node ~pid ~fd:rfd;
     register_sock_owner t ~sock_id:(Simnet.Fabric.id b) ~node ~pid ~fd:wfd;
     Some (rfd, wfd)
@@ -538,13 +493,11 @@ let on_close t k (proc : Simos.Kernel.process) ~fd (desc : Simos.Fdesc.t) =
 
 let make_hooks t : Simos.Kernel.hooks =
   {
-    Simos.Kernel.on_spawn = (fun k proc -> on_spawn t k proc);
+    Simos.Kernel.default_hooks with
+    on_spawn = (fun k proc -> on_spawn t k proc);
     on_fork = (fun k ~parent ~child -> on_fork t k ~parent ~child);
-    on_exec = (fun _ _ ~prog ~argv -> (prog, argv));
-    on_ssh = (fun _ _ ~host:_ ~prog ~argv -> (prog, argv));
-    on_socket = (fun k proc ~fd desc -> on_socket t k proc ~fd desc);
-    on_connect = (fun k proc ~fd desc -> on_connect t k proc ~fd desc);
-    on_accept = (fun k proc ~fd desc -> on_accept t k proc ~fd desc);
+    on_socket = on_socket t ~role:Conn_table.Connector;
+    on_accept = on_socket t ~role:Conn_table.Acceptor;
     on_pipe = (fun k proc -> promote_pipe t k proc);
     on_close = (fun k proc ~fd desc -> on_close t k proc ~fd desc);
     on_exit = (fun k proc -> on_exit t k proc);

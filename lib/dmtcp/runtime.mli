@@ -169,10 +169,6 @@ val pinned_lineages : t -> (string * int) list
     [options.store] enabled it at install time. *)
 val store : t -> Store.t option
 
-(** Number of barriers in the checkpoint protocol (paper: six global
-    barriers; the release of the last one resumes user threads). *)
-val nbarriers : int
-
 (** {2 Restart support} *)
 
 val generation : t -> int

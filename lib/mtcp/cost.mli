@@ -18,3 +18,8 @@ val elect_seconds : nfds:int -> float
 
 (** Reopening regular files and recreating ptys at restart (Table 1b). *)
 val reopen_seconds : nfds:int -> float
+
+(** [jitter rng dt]: run-to-run variation of a compression or I/O time
+    (the paper's error bars), a few percent either way and never below
+    3/4 of [dt]; one Gaussian draw from [rng]. *)
+val jitter : Util.Rng.t -> float -> float

@@ -876,7 +876,6 @@ let test_options_env_roundtrip () =
       keep_generations = 4;
       delta_chain = 5;
       lazy_restart = true;
-      restart_parallel = 3;
       compact_depth = 6;
       plugins = [ "ext-sock"; "blacklist-ports" ];
       blacklist_ports = [ 53; 631 ];
@@ -884,8 +883,10 @@ let test_options_env_roundtrip () =
       mpi_proxy_prefix = "/run/mpiproxy";
     }
   in
-  let opts' = Dmtcp.Options.of_env (Dmtcp.Options.to_env opts) in
-  Alcotest.(check bool) "options survive the environment" true (opts = opts')
+  let env = Dmtcp.Options.to_env opts in
+  Alcotest.(check bool) "options survive the environment" true (opts = Dmtcp.Options.of_env env);
+  Alcotest.(check bool) "every key reaches a program's getenv view" true
+    (opts = Dmtcp.Options.of_getenv (fun k -> List.assoc_opt k env))
 
 let test_upid_conn_id_codecs () =
   let upid = Dmtcp.Upid.make ~hostid:3 ~pid:204 ~generation:2 in
@@ -994,5 +995,138 @@ let property_suites =
     ("properties", [ prop_stream_integrity_under_checkpoint ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* protocol: where each stage site fires, and every write path restarts *)
+
+(* A plugin on every pre-/post- stage site, barriers included.  No
+   built-in plugin hooks these sites, so nothing else shows where
+   post-write or post-refill fire. *)
+let stage_recorder =
+  {
+    Plugin.p_name = "stage-rec";
+    p_doc = "records every stage site";
+    p_hooks =
+      List.concat_map
+        (fun s ->
+          [ (Dmtcp.Events.site_stage `Pre s, ignore); (Dmtcp.Events.site_stage `Post s, ignore) ])
+        Dmtcp.Faults.all_stages;
+  }
+
+(* The stage sites one checkpoint of a stream pair (server on node 1,
+   client on node 2) fires, in order: the recorder's plugin spans and
+   the Faults notifications (traced as fault/<stage> instants), as
+   "<mode> <site> n<node> p<pid> <simulated time>". *)
+let stage_sites ~forked =
+  Plugin.register stage_recorder;
+  let options = { Dmtcp.Options.default with Dmtcp.Options.forked; plugins = [ "stage-rec" ] } in
+  let cl, rt = make ~options () in
+  let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:stream-server" ~argv:[ "6000"; "4000"; "/tmp/sg" ] in
+  run_for cl 0.3;
+  let _ = Dmtcp.Api.launch rt ~node:2 ~prog:"p:stream-client" ~argv:[ "1"; "6000"; "4000" ] in
+  run_for cl 0.2;
+  let col = Trace.collector () in
+  Dmtcp.Faults.on_stage :=
+    (fun ~node ~pid stage ->
+      Trace.instant ~node ~pid ~cat:"test"
+        ~name:("fault/" ^ Dmtcp.Faults.stage_name stage)
+        ~time:(Simos.Cluster.now cl) ());
+  Fun.protect
+    ~finally:(fun () -> Dmtcp.Faults.on_stage := Dmtcp.Faults.default_observer)
+    (fun () -> Trace.with_sink (Trace.collector_sink col) (fun () -> Dmtcp.Api.checkpoint_now rt));
+  let mode = if forked then "forked" else "inline" in
+  List.filter_map
+    (fun (e : Trace.event) ->
+      let site =
+        match String.split_on_char '/' e.Trace.name with
+        | [ "plugin"; "stage-rec"; site ] -> Some site
+        | [ "fault"; stage ] -> Some ("fault:" ^ stage)
+        | _ -> None
+      in
+      Option.map
+        (fun site -> Printf.sprintf "%s %s n%d p%d %.9f" mode site e.Trace.node e.Trace.pid e.Trace.time)
+        site)
+    (Trace.events col)
+
+let read_lines path =
+  let ic = open_in path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  String.split_on_char '\n' text |> List.filter (fun l -> l <> "")
+
+(* One inline and one forked checkpoint fire every stage site at the
+   processes and simulated times in stage_golden.txt. *)
+let test_stage_golden () =
+  let got = stage_sites ~forked:false @ stage_sites ~forked:true in
+  Alcotest.(check (list string)) "stage sites" (read_lines "stage_golden.txt") got
+
+(* The stream pair's result: checkpointed, killed and restarted under
+   [options] when given, else run through untouched. *)
+let stream_result ?options () =
+  let cl, rt = make ?options () in
+  let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:stream-server" ~argv:[ "6000"; "4000"; "/tmp/wp" ] in
+  run_for cl 0.3;
+  let _ = Dmtcp.Api.launch rt ~node:2 ~prog:"p:stream-client" ~argv:[ "1"; "6000"; "4000" ] in
+  run_for cl 0.2;
+  (match options with
+  | None -> ()
+  | Some (options : Dmtcp.Options.t) ->
+    Dmtcp.Api.checkpoint_now rt;
+    (* a forked image lands in the background: let it land first *)
+    while
+      List.exists (fun (_, _, ps) -> ps.Dmtcp.Runtime.forked_pending) (Dmtcp.Runtime.hijacked_processes rt)
+    do
+      run_for cl 0.01
+    done;
+    let info = Dmtcp.Runtime.ckpt_info rt in
+    let files = List.map (fun (node, path) -> file_content cl node path) info.Dmtcp.Runtime.images in
+    let mode =
+      Printf.sprintf "%s %s"
+        (if options.Dmtcp.Options.forked then "forked" else "inline")
+        (if options.Dmtcp.Options.store then "store" else "flat")
+    in
+    if options.Dmtcp.Options.store then
+      Alcotest.(check bool) (mode ^ ": no flat image file") true (List.for_all Option.is_none files)
+    else begin
+      let sizes =
+        List.map
+          (fun (node, path) ->
+            match Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path with
+            | Some f -> Simos.Vfs.sim_size f
+            | None -> Alcotest.failf "%s: image %s missing on node %d" mode path node)
+          info.Dmtcp.Runtime.images
+      in
+      check Alcotest.int (mode ^ ": image files of the recorded size")
+        info.Dmtcp.Runtime.total_compressed (List.fold_left ( + ) 0 sizes)
+    end;
+    let script = Dmtcp.Api.restart_script rt in
+    Dmtcp.Api.kill_computation rt;
+    Dmtcp.Api.restart rt script;
+    Dmtcp.Api.await_restart rt);
+  Simos.Cluster.run cl;
+  file_content cl 1 "/tmp/wp"
+
+(* Inline and forked, flat files and the store: each write path's
+   checkpoint restarts to the uncheckpointed run's result. *)
+let test_write_path_matrix () =
+  let reference = stream_result () in
+  check (Alcotest.option Alcotest.string) "uncheckpointed result" (Some "OK 4000") reference;
+  List.iter
+    (fun (forked, store) ->
+      let options = { Dmtcp.Options.default with Dmtcp.Options.forked; store } in
+      check (Alcotest.option Alcotest.string)
+        (Printf.sprintf "forked=%b store=%b restarts to the same result" forked store)
+        reference (stream_result ~options ()))
+    [ (false, false); (false, true); (true, false); (true, true) ]
+
+let protocol_suites =
+  [
+    ( "protocol",
+      [
+        Alcotest.test_case "stage golden" `Quick test_stage_golden;
+        Alcotest.test_case "write-path matrix" `Quick test_write_path_matrix;
+      ] );
+  ]
+
 let () =
-  Alcotest.run "dmtcp" (base_suites @ extra_suites @ failure_suites @ unit_suites @ property_suites)
+  Alcotest.run "dmtcp"
+    (base_suites @ extra_suites @ failure_suites @ unit_suites @ property_suites @ protocol_suites)
