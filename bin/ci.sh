@@ -15,6 +15,7 @@ echo "== dune runtest =="
 dune runtest
 
 mkdir -p _artifacts
+rm -f _artifacts/*_1.txt _artifacts/*_2.txt
 
 echo "== determinism: each command runs twice, outputs byte-identical =="
 # - trace: the fixed checkpoint/restart scenario, plain, on the
@@ -25,9 +26,15 @@ echo "== determinism: each command runs twice, outputs byte-identical =="
 # - sched run / demo1k: the canned three-job and 1000-job
 #   preempt/fail/drain scenarios, each judged against its no-fault
 #   reference and printing a trace digest or summary.
-# - mpi run proxy: the stencil checkpoint/restart cycle on the proxy
-#   backend (result, rank-image shape, trace digest).
+# - mpi run proxy / direct: the stencil checkpoint/restart cycle on the
+#   proxy and the direct socket-mesh backends (result, rank-image shape,
+#   trace digest).
+# - chaos all: one verdict line per fault-fixture scenario.
+# - inspect / store ls: a checkpoint image dumped as text, and the
+#   catalog of the canned two-generation store scenario.
 # - torture --replay 5: one pinned chaos seed through the CLI.
+# The loop ends with one MD5 per command, so two CI logs show at a
+# glance which outputs a change moved.
 while read -r cmd; do
   out=_artifacts/$(echo "$cmd" | tr ' -' '__')
   echo "-- $cmd"
@@ -46,8 +53,13 @@ trace --plugins --check-determinism
 sched run
 sched demo1k
 mpi run proxy
+mpi run direct
+chaos all
+inspect
+store ls
 torture --replay 5
 EOF
+md5sum _artifacts/*_1.txt
 # the point of the rank/proxy split: rank images carry no live socket
 # state and nothing drained
 grep -q "0 established socket spec(s), 0 drained byte(s)" _artifacts/mpi_run_proxy_1.txt \

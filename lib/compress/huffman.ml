@@ -26,9 +26,14 @@ type decoder = {
 
 let long_code = -1
 
+type tree = Leaf of int | Node of tree * tree
+
 (* Build Huffman code lengths with a simple heap; if the tree exceeds
    [max_bits], damp the frequencies and retry (standard trick; converges
-   because all-equal frequencies give a balanced tree). *)
+   because all-equal frequencies give a balanced tree).  Frequencies are
+   symbol counts, far below 2^53, so their float priorities order exactly
+   as the ints do; equal ones pop in insertion order, which fixes the
+   tree's shape. *)
 let lengths_of_freqs freqs =
   let n = Array.length freqs in
   let lengths = Array.make n 0 in
@@ -42,22 +47,24 @@ let lengths_of_freqs freqs =
   end
   else begin
     let rec attempt freqs =
-      (* node = (freq, depth-estimate, children) encoded via arrays *)
-      let heap = Heap_nodes.create () in
-      Array.iteri (fun i f -> if f > 0 then Heap_nodes.push heap f (Heap_nodes.Leaf i)) freqs;
-      while Heap_nodes.size heap > 1 do
-        let f1, n1 = Heap_nodes.pop heap in
-        let f2, n2 = Heap_nodes.pop heap in
-        Heap_nodes.push heap (f1 + f2) (Heap_nodes.Node (n1, n2))
+      let heap = Util.Heap.create ~dummy:(Leaf 0) () in
+      let pop () = Option.get (Util.Heap.pop heap) in
+      Array.iteri
+        (fun i f -> if f > 0 then Util.Heap.push heap ~priority:(float_of_int f) (Leaf i))
+        freqs;
+      while Util.Heap.length heap > 1 do
+        let f1, n1 = pop () in
+        let f2, n2 = pop () in
+        Util.Heap.push heap ~priority:(f1 +. f2) (Node (n1, n2))
       done;
-      let _, root = Heap_nodes.pop heap in
+      let _, root = pop () in
       Array.fill lengths 0 n 0;
       let too_deep = ref false in
       let rec assign depth = function
-        | Heap_nodes.Leaf i ->
+        | Leaf i ->
           lengths.(i) <- max depth 1;
           if depth > max_bits then too_deep := true
-        | Heap_nodes.Node (a, b) ->
+        | Node (a, b) ->
           assign (depth + 1) a;
           assign (depth + 1) b
       in

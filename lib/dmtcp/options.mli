@@ -33,10 +33,11 @@ type t = {
           and a background prefetcher drains the remainder, so restart
           blackout is O(hot set) instead of O(image) *)
   compact_depth : int;
-      (** background delta-chain compaction ([DMTCP_COMPACT_DEPTH]):
-          chains deeper than this are squashed into consolidated full
-          images at the same catalog name, bounding restart chain depth
-          independently of [delta_chain]; [0] disables the compactor *)
+      (** background delta-chain compaction ([DMTCP_COMPACT_DEPTH]),
+          run by the scheduler's tick: chains deeper than this are
+          squashed into consolidated full images at the same catalog
+          name, bounding restart chain depth independently of
+          [delta_chain]; [0] disables the compactor *)
   plugins : string list;
       (** enabled plugin set ([DMTCP_PLUGINS], comma-separated plugin
           names; ["none"] or empty disables all plugins).  Cached once

@@ -78,8 +78,7 @@ let sync_text r =
 
 type forked_result = { plain_s : float; forked_s : float }
 
-let desktop_ckpt ~forked ~mb =
-  ignore mb;
+let desktop_ckpt ~forked =
   let options = { Dmtcp.Options.default with Dmtcp.Options.forked } in
   let env = Common.setup ~nodes:1 ~options () in
   let w =
@@ -99,8 +98,8 @@ let desktop_ckpt ~forked ~mb =
   Common.teardown env;
   t
 
-let forked_ablation ?(mb = 64) () =
-  { plain_s = desktop_ckpt ~forked:false ~mb; forked_s = desktop_ckpt ~forked:true ~mb }
+let forked_ablation () =
+  { plain_s = desktop_ckpt ~forked:false; forked_s = desktop_ckpt ~forked:true }
 
 let forked_text r =
   Printf.sprintf
@@ -156,8 +155,7 @@ let incremental_text r =
 
 type algo_point = { algo : Compress.Algo.t; seconds : float; size_mb : float }
 
-let algo_ablation ?(mb = 64) () =
-  ignore mb;
+let algo_ablation () =
   List.map
     (fun algo ->
       let options = { Dmtcp.Options.default with Dmtcp.Options.algo } in

@@ -19,7 +19,7 @@ val sync_text : sync_result -> string
     (user-visible pause). *)
 type forked_result = { plain_s : float; forked_s : float }
 
-val forked_ablation : ?mb:int -> unit -> forked_result
+val forked_ablation : unit -> forked_result
 val forked_text : forked_result -> string
 
 (** Ablation: incremental checkpointing — consecutive checkpoint times
@@ -35,7 +35,7 @@ val incremental_text : incremental_result -> string
     image — time vs size. *)
 type algo_point = { algo : Compress.Algo.t; seconds : float; size_mb : float }
 
-val algo_ablation : ?mb:int -> unit -> algo_point list
+val algo_ablation : unit -> algo_point list
 val algo_text : algo_point list -> string
 
 (** Ablation: is the centralized coordinator a bottleneck? Barrier-bound

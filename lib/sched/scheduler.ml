@@ -11,6 +11,9 @@
    a drain of the same job — serialize in deterministic FIFO order. *)
 
 let tick_period = 0.05
+let op_timeout = 60.  (* bounds one checkpoint/stop/restart operation *)
+let max_recoveries = 10  (* restarts + relaunches per job *)
+let start_grace = 15.  (* a launch must show its full process set by then *)
 
 type stop_reason = Preempt of int (* preemptor job id *) | Drain of int (* node *)
 
@@ -39,10 +42,6 @@ type t = {
   rt : Dmtcp.Runtime.t;
   base_port : int;
   ckpt_interval : float option;
-  op_timeout : float;
-  max_recoveries : int;
-  start_grace : float;
-  compact_depth : int;  (* squash delta chains deeper than this; 0 = off *)
   mutable jobs : Job.t list;  (* ascending id *)
   by_id : (int, Job.t) Hashtbl.t;
   mutable next_id : int;
@@ -306,7 +305,7 @@ let requeue t (j : Job.t) =
   account_lost_work t j;
   kill_job_procs t j;
   release_nodes t j;
-  if recoveries j >= t.max_recoveries then fail_job t j "too many recoveries"
+  if recoveries j >= max_recoveries then fail_job t j "too many recoveries"
   else set_phase t j Job.Requeued
 
 (* ------------------------------------------------------------------ *)
@@ -463,7 +462,7 @@ let finish_stop t (j : Job.t) reason since =
 
 let advance_entry t (e : op Opq.entry) =
   let since = e.Opq.e_since in
-  let timeout = Deadline.op_timed_out ~now:(now t) ~since ~timeout:t.op_timeout in
+  let timeout = Deadline.op_timed_out ~now:(now t) ~since ~timeout:op_timeout in
   let finish () = Opq.remove t.ops e in
   match e.Opq.e_op with
   | Op_ckpt j ->
@@ -625,7 +624,7 @@ let scan_jobs t =
             arm_timer t j
           end
           else if
-            Deadline.op_timed_out ~now:(now t) ~since:j.Job.phase_since ~timeout:t.start_grace
+            Deadline.op_timed_out ~now:(now t) ~since:j.Job.phase_since ~timeout:start_grace
           then requeue t j
         | Job.Running ->
           if procs_on t j = 0 then
@@ -659,9 +658,11 @@ let lineage_busy t lineage =
     t.jobs
 
 (* At most one compaction per tick: background work must trickle, not
-   monopolize disk bandwidth that restarts are waiting on. *)
+   monopolize disk bandwidth that restarts are waiting on.  The runtime's
+   DMTCP_COMPACT_DEPTH sets the threshold; 0 turns compaction off. *)
 let maybe_compact t =
-  if t.compact_depth > 0 then
+  let depth = (Dmtcp.Runtime.options t.rt).Dmtcp.Options.compact_depth in
+  if depth > 0 then
     match Dmtcp.Runtime.store t.rt with
     | None -> ()
     | Some store -> (
@@ -671,7 +672,7 @@ let maybe_compact t =
         match
           List.find_opt
             (fun (m : Store.manifest) -> not (lineage_busy t m.Store.m_lineage))
-            (Dmtcp.Compactor.candidates store ~depth:t.compact_depth)
+            (Dmtcp.Compactor.candidates store ~depth)
         with
         | None -> ()
         | Some m -> (
@@ -712,17 +713,12 @@ let ensure_ticking t =
 (* ------------------------------------------------------------------ *)
 (* Public API *)
 
-let create ?(base_port = 7800) ?ckpt_interval ?(op_timeout = 60.) ?(max_recoveries = 10)
-    ?(start_grace = 15.) ?(max_inflight = 0) ?(compact_depth = 0) cl rt =
+let create ?(base_port = 7800) ?ckpt_interval ?(max_inflight = 0) cl rt =
   {
     cl;
     rt;
     base_port;
     ckpt_interval;
-    op_timeout;
-    max_recoveries;
-    start_grace;
-    compact_depth;
     jobs = [];
     by_id = Hashtbl.create 64;
     next_id = 0;

@@ -32,28 +32,22 @@
 
 type t
 
-(** [create cl rt ()] — [ckpt_interval] arms a periodic checkpoint per
+(** [create cl rt] — [ckpt_interval] arms a periodic checkpoint per
     running job (default none); [base_port] is the first per-job
     coordinator port (job [i] listens on [base_port + i], default 7800);
-    [op_timeout] bounds one checkpoint/restart operation (default 60
-    virtual s); [max_recoveries] bounds restarts+relaunches per job
-    (default 10); [start_grace] bounds how long a launch may take to
-    produce its full process set (default 15 virtual s); [max_inflight]
-    caps concurrently in-flight ops (0 = unbounded, the default; 1
-    reproduces the old fully-serialized queue, which is the bench
-    baseline); [compact_depth] enables background delta-chain
-    compaction when the runtime has a store — each tick squashes at
-    most one chain deeper than the threshold into a consolidated full
-    image, skipping lineages touched by in-flight operations (default 0
-    = off). *)
+    [max_inflight] caps concurrently in-flight ops (0 = unbounded, the
+    default; 1 reproduces the old fully-serialized queue, which is the
+    bench baseline).  One operation may take 60 virtual s, a job may be
+    restarted or relaunched 10 times, and a launch has 15 virtual s to
+    produce its full process set.  When the runtime has a store and its
+    options set [compact_depth] ([DMTCP_COMPACT_DEPTH]) above 0, each
+    tick squashes at most one delta chain deeper than that into a
+    consolidated full image, skipping lineages touched by in-flight
+    operations. *)
 val create :
   ?base_port:int ->
   ?ckpt_interval:float ->
-  ?op_timeout:float ->
-  ?max_recoveries:int ->
-  ?start_grace:float ->
   ?max_inflight:int ->
-  ?compact_depth:int ->
   Simos.Cluster.t ->
   Dmtcp.Runtime.t ->
   t
@@ -97,8 +91,8 @@ val drains : t -> int
 val restarts : t -> int
 val relaunches : t -> int
 
-(** Delta chains squashed by the background compactor (see
-    [?compact_depth]; one squash at most per scheduler tick, skipping
+(** Delta chains squashed by the background compactor (see {!create};
+    one squash at most per scheduler tick, skipping
     lineages with in-flight operations). *)
 val compactions : t -> int
 

@@ -6,24 +6,15 @@ type handle = event
 let m_dispatches = Trace.Metrics.counter "sim.dispatches"
 let m_scheduled = Trace.Metrics.counter "sim.scheduled"
 
-type t = {
-  mutable clock : float;
-  queue : event Wheel.t;
-  rng : Util.Rng.t;
-  mutable live : int;
-}
+type t = { mutable clock : float; queue : event Util.Heap.t }
 
-let create ?(seed = 0x5EEDL) () =
-  { clock = 0.; queue = Wheel.create (); rng = Util.Rng.create seed; live = 0 }
-
+let create () = { clock = 0.; queue = Util.Heap.create ~dummy:{ cancelled = true; fn = ignore } () }
 let now t = t.clock
-let rng t = t.rng
 
 let schedule_at t ~time fn =
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
   let ev = { cancelled = false; fn } in
-  Wheel.push t.queue ~time ev;
-  t.live <- t.live + 1;
+  Util.Heap.push t.queue ~priority:time ev;
   Trace.Metrics.incr m_scheduled;
   ev
 
@@ -33,29 +24,21 @@ let schedule t ~delay fn =
 
 let cancel (ev : handle) = ev.cancelled <- true
 
-let pending t =
-  (* [live] over-counts cancelled-but-unpopped events; recompute lazily is
-     unnecessary for its uses (emptiness checks in tests). *)
-  t.live
-
 let rec step t =
-  match Wheel.pop t.queue with
+  match Util.Heap.pop t.queue with
   | None -> false
+  | Some (_, ev) when ev.cancelled -> step t
   | Some (time, ev) ->
-    t.live <- t.live - 1;
-    if ev.cancelled then step t
-    else begin
-      t.clock <- time;
-      Trace.Metrics.incr m_dispatches;
-      ev.fn ();
-      true
-    end
+    t.clock <- time;
+    Trace.Metrics.incr m_dispatches;
+    ev.fn ();
+    true
 
 let run ?until ?(max_events = 50_000_000) t =
   let count = ref 0 in
   let continue = ref true in
   while !continue do
-    match Wheel.peek t.queue with
+    match Util.Heap.peek t.queue with
     | None -> continue := false
     | Some (time, ev) -> (
       match until with
@@ -63,8 +46,7 @@ let run ?until ?(max_events = 50_000_000) t =
         t.clock <- max t.clock limit;
         continue := false
       | _ ->
-        ignore (Wheel.pop t.queue);
-        t.live <- t.live - 1;
+        ignore (Util.Heap.pop t.queue);
         if not ev.cancelled then begin
           t.clock <- time;
           Trace.Metrics.incr m_dispatches;
@@ -74,7 +56,7 @@ let run ?until ?(max_events = 50_000_000) t =
         end)
   done;
   match until with
-  | Some limit when t.clock < limit && Wheel.is_empty t.queue -> t.clock <- limit
+  | Some limit when t.clock < limit && Util.Heap.is_empty t.queue -> t.clock <- limit
   | _ -> ()
 
 let advance t ~delay = run ~until:(t.clock +. delay) t

@@ -5,21 +5,19 @@
     write completion, DMTCP barrier releases — runs as events on one
     engine, so a whole multi-node run is a single deterministic sequence.
 
-    Events scheduled for the same instant fire in scheduling order. *)
+    Events wait in one {!Util.Heap} keyed by time; events scheduled for the
+    same instant fire in scheduling order. *)
 
 type t
 
 (** Cancellation handle for a scheduled event. *)
 type handle
 
-(** [create ~seed ()] makes an engine whose clock starts at [0.]. *)
-val create : ?seed:int64 -> unit -> t
+(** [create ()] makes an engine whose clock starts at [0.]. *)
+val create : unit -> t
 
 (** Current virtual time in seconds. *)
 val now : t -> float
-
-(** The engine's root RNG (subsystems should {!Util.Rng.split} it). *)
-val rng : t -> Util.Rng.t
 
 (** [schedule t ~delay f] runs [f] at [now t +. delay].
     Raises [Invalid_argument] on negative delay. *)
@@ -31,9 +29,6 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
 (** Cancel a pending event; cancelling a fired or cancelled event is a
     no-op. *)
 val cancel : handle -> unit
-
-(** Number of pending (uncancelled) events. *)
-val pending : t -> int
 
 (** Run one event; [false] if the queue was empty. *)
 val step : t -> bool

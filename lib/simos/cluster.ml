@@ -19,7 +19,7 @@ let create ?(seed = 0xC1A5_7E2L) ?latency ?bandwidth ?(cores_per_node = 4)
   Fdesc.reset ();
   Pipe.reset ();
   Pty.reset ();
-  let eng = Sim.Engine.create ~seed () in
+  let eng = Sim.Engine.create () in
   let fab = Simnet.Fabric.create eng ?latency ?bandwidth ~nhosts:nodes () in
   let disc = Simnet.Discovery.create () in
   let targets =

@@ -4,9 +4,12 @@ type 'a t = {
   mutable data : 'a entry array;
   mutable size : int;
   mutable next_seq : int;
+  hole : 'a entry;  (* fills every cell not holding a live entry *)
 }
 
-let create () = { data = [||]; size = 0; next_seq = 0 }
+let create ~dummy () =
+  { data = [||]; size = 0; next_seq = 0; hole = { priority = 0.; seq = 0; value = dummy } }
+
 let length t = t.size
 let is_empty t = t.size = 0
 
@@ -40,8 +43,7 @@ let push t ~priority value =
   let entry = { priority; seq = t.next_seq; value } in
   t.next_seq <- t.next_seq + 1;
   if t.size = Array.length t.data then begin
-    let cap = max 16 (2 * t.size) in
-    let data = Array.make cap entry in
+    let data = Array.make (max 16 (2 * t.size)) t.hole in
     Array.blit t.data 0 data 0 t.size;
     t.data <- data
   end;
@@ -56,9 +58,8 @@ let pop t =
   else begin
     let top = t.data.(0) in
     t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
+    t.data.(0) <- t.data.(t.size);
+    t.data.(t.size) <- t.hole;
+    if t.size > 0 then sift_down t 0;
     Some (top.priority, top.value)
   end

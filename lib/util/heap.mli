@@ -1,12 +1,15 @@
 (** Binary min-heap keyed by [(priority, sequence)].
 
     Two entries with equal priority pop in insertion order, which makes the
-    event engine deterministic: simultaneous events fire in the order they
-    were scheduled. *)
+    event engine deterministic (simultaneous events fire in the order they
+    were scheduled) and fixes the shape of every Huffman tree.
+
+    A cell the heap does not use holds the [dummy] given to {!create},
+    never a popped value, so popping releases the value to the GC. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : dummy:'a -> unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 

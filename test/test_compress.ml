@@ -90,6 +90,24 @@ let test_huffman_no_symbols_rejected () =
   Alcotest.check_raises "empty alphabet" (Invalid_argument "Huffman.lengths_of_freqs: no symbols")
     (fun () -> ignore (Compress.Huffman.lengths_of_freqs [| 0; 0 |]))
 
+(* Equal frequencies pop in insertion order, so the code lengths (and the
+   Deflate bytes built from them) are pinned exactly, not just
+   round-trippable.  Both tables change if ties pop last-in-first-out. *)
+let test_huffman_tie_order () =
+  let lens = Alcotest.(array int) in
+  Alcotest.check lens "19 equal frequencies: every merge a tie"
+    [| 5; 5; 5; 5; 5; 5; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4 |]
+    (Compress.Huffman.lengths_of_freqs (Array.make 19 7));
+  (* Fibonacci weights build a 19-deep chain, past max_bits, so the
+     damp-and-retry path runs; the leaf/node ties decide the shape *)
+  let fib = Array.make 20 1 in
+  for i = 2 to 19 do
+    fib.(i) <- fib.(i - 1) + fib.(i - 2)
+  done;
+  Alcotest.check lens "Fibonacci frequencies, damped"
+    [| 10; 10; 10; 10; 9; 9; 8; 8; 7; 7; 6; 6; 5; 5; 4; 4; 3; 3; 2; 2 |]
+    (Compress.Huffman.lengths_of_freqs fib)
+
 let prop_huffman_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:200 ~name:"huffman round-trips arbitrary symbol lists"
@@ -495,6 +513,7 @@ let () =
           Alcotest.test_case "skewed" `Quick test_huffman_skewed;
           Alcotest.test_case "frequency/length order" `Quick test_huffman_optimality_order;
           Alcotest.test_case "empty alphabet rejected" `Quick test_huffman_no_symbols_rejected;
+          Alcotest.test_case "tie order pins code lengths" `Quick test_huffman_tie_order;
           prop_huffman_roundtrip;
         ] );
       ( "lz77",

@@ -298,6 +298,40 @@ let test_preempt_coalesces_with_inflight_ckpt () =
     (Sched.Scheduler.restarts sched)
 
 (* ------------------------------------------------------------------ *)
+(* background compaction: DMTCP_COMPACT_DEPTH turns the scheduler's
+   compactor on; squashing delta chains must change neither the job's
+   output nor the store's health.  A drain midway makes the job restart
+   on the other node from a chain the compactor has rewritten. *)
+
+let run_store_job ~compact_depth =
+  Chaos.Progs.ensure_registered ();
+  let options =
+    { Dmtcp.Options.default with Dmtcp.Options.store = true; incremental = true; compact_depth }
+  in
+  let env = Harness.Common.setup ~nodes:2 ~cores_per_node:2 ~options () in
+  let cl = env.Harness.Common.cl in
+  let sched = Sched.Scheduler.create ~ckpt_interval:0.5 cl env.Harness.Common.rt in
+  ignore
+    (Sched.Scheduler.submit sched (counter_spec ~name:"long" ~nodes:1 ~priority:1 ~target:5000));
+  ignore
+    (Sim.Engine.schedule (Simos.Cluster.engine cl) ~delay:3.0 (fun () ->
+         Sched.Scheduler.drain sched 0));
+  check Alcotest.int "job finished" 0 (Sched.Scheduler.run ~until:600. sched);
+  check Alcotest.int "restarted once, after the drain" 1 (Sched.Scheduler.restarts sched);
+  (sched, Option.get (Dmtcp.Runtime.store env.Harness.Common.rt))
+
+let test_compaction_from_options () =
+  let plain, _ = run_store_job ~compact_depth:0 in
+  let compacted, store = run_store_job ~compact_depth:1 in
+  check Alcotest.int "compaction off at depth 0" 0 (Sched.Scheduler.compactions plain);
+  Alcotest.(check bool) "compactor ran at depth 1" true (Sched.Scheduler.compactions compacted > 0);
+  check
+    Alcotest.(list (pair int (list (pair string string))))
+    "same output as with compaction off" (Chaos.Fixture.job_outputs plain)
+    (Chaos.Fixture.job_outputs compacted);
+  check Alcotest.(list string) "store verifies clean" [] (Store.verify store)
+
+(* ------------------------------------------------------------------ *)
 (* the canned scenario: all three policies, judged against a no-fault
    reference run *)
 
@@ -391,6 +425,11 @@ let () =
           prop_opq_serialized_baseline;
           Alcotest.test_case "preempt coalesces with in-flight checkpoint" `Quick
             test_preempt_coalesces_with_inflight_ckpt;
+        ] );
+      ( "store",
+        [
+          Alcotest.test_case "DMTCP_COMPACT_DEPTH drives the compactor" `Quick
+            test_compaction_from_options;
         ] );
       ( "demo",
         [

@@ -183,130 +183,6 @@ let prop_interleaved_cancels =
             order: one equality asserts set, multiplicity AND ordering *)
          got = List.sort compare survivors))
 
-(* Heap property test: popping returns priorities in nondecreasing order. *)
-let prop_heap_sorted =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"heap pops sorted"
-       QCheck.(list (float_bound_exclusive 1000.))
-       (fun priorities ->
-         let h = Sim.Heap.create () in
-         List.iteri (fun i p -> Sim.Heap.push h ~priority:p i) priorities;
-         let rec drain acc =
-           match Sim.Heap.pop h with
-           | None -> List.rev acc
-           | Some (p, _) -> drain (p :: acc)
-         in
-         let popped = drain [] in
-         popped = List.sort compare priorities))
-
-let prop_heap_fifo_ties =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:100 ~name:"heap preserves FIFO among ties"
-       QCheck.(int_bound 50)
-       (fun n ->
-         let h = Sim.Heap.create () in
-         for i = 0 to n do
-           Sim.Heap.push h ~priority:1.0 i
-         done;
-         let rec drain acc =
-           match Sim.Heap.pop h with
-           | None -> List.rev acc
-           | Some (_, v) -> drain (v :: acc)
-         in
-         drain [] = List.init (n + 1) Fun.id))
-
-(* Wheel-vs-heap equivalence: the timer wheel is a drop-in ordering
-   replacement for the heap in the engine, so for the same pushes both
-   must pop the identical (time, value) sequence — including FIFO among
-   ties and entries beyond the wheel's ~10 s horizon (the overflow far
-   heap and its migration onto the wheel). *)
-let prop_wheel_matches_heap =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"wheel pops exactly like the heap"
-       (* quantized to 10 ms so ties are common; up to 30 s so a third of
-          the entries start life in the overflow heap *)
-       QCheck.(list (int_bound 3000))
-       (fun ticks ->
-         let times = List.map (fun k -> float_of_int k *. 0.01) ticks in
-         let h = Sim.Heap.create () in
-         let w = Sim.Wheel.create () in
-         List.iteri
-           (fun i t ->
-             Sim.Heap.push h ~priority:t i;
-             Sim.Wheel.push w ~time:t i)
-           times;
-         let rec drain pop acc =
-           match pop () with None -> List.rev acc | Some tv -> drain pop (tv :: acc)
-         in
-         drain (fun () -> Sim.Heap.pop h) [] = drain (fun () -> Sim.Wheel.pop w) []))
-
-let test_wheel_interleaved_with_heap () =
-  (* pop part-way, then keep pushing at or after the cursor (the wheel's
-     contract): the two structures must stay in lock-step *)
-  let h = Sim.Heap.create () in
-  let w = Sim.Wheel.create () in
-  let push t v =
-    Sim.Heap.push h ~priority:t v;
-    Sim.Wheel.push w ~time:t v
-  in
-  let pop_both tag =
-    let a = Sim.Heap.pop h and b = Sim.Wheel.pop w in
-    check
-      Alcotest.(option (pair (float 1e-12) int))
-      tag a b;
-    a
-  in
-  List.iter (fun (t, v) -> push t v) [ (0.2, 0); (0.1, 1); (15.0, 2); (0.1, 3); (25.0, 4) ];
-  ignore (pop_both "first tie, FIFO");
-  ignore (pop_both "second tie");
-  (* cursor now at 0.1: new pushes land ahead of it, some past the
-     horizon relative to the cursor *)
-  List.iter (fun (t, v) -> push t v) [ (0.3, 5); (15.0, 6); (40.0, 7) ];
-  let rec drain n = if n > 0 then begin ignore (pop_both "drain"); drain (n - 1) end in
-  drain 6;
-  check Alcotest.(option (pair (float 1e-12) int)) "both empty" None (pop_both "empty")
-
-let wheel_entry = Alcotest.(option (pair (float 1e-12) int))
-
-let test_wheel_horizon_migration () =
-  (* the exact horizon boundary: an entry at bucket [cur + nslots] is
-     the FIRST one outside the wheel, so it must start life in the
-     overflow heap — and once the cursor advances it migrates onto slot
-     [nslots mod nslots = 0], i.e. slot 0 of the next rotation.  Ties
-     that straddle the migration (one entry migrated from overflow, one
-     pushed straight onto the wheel) must still pop in push order. *)
-  let w = Sim.Wheel.create ~width:1.0 ~nslots:4 () in
-  Sim.Wheel.push w ~time:4.0 100;  (* bucket 4 = cur(0) + nslots: overflow *)
-  Sim.Wheel.push w ~time:3.9 101;  (* bucket 3: last slot inside the horizon *)
-  Sim.Wheel.push w ~time:0.5 102;
-  check wheel_entry "peek sees past the overflow entry" (Some (0.5, 102)) (Sim.Wheel.peek w);
-  check wheel_entry "in-wheel minimum first" (Some (0.5, 102)) (Sim.Wheel.pop w);
-  (* cursor still at bucket 0, so an equal-time push also overflows *)
-  Sim.Wheel.push w ~time:4.0 103;
-  check wheel_entry "last in-horizon slot" (Some (3.9, 101)) (Sim.Wheel.pop w);
-  (* cursor now at bucket 3: bucket 4 is inside [3, 7), so this push
-     lands directly on slot 0 of the next rotation, where the two
-     overflow entries are about to migrate *)
-  Sim.Wheel.push w ~time:4.0 104;
-  check wheel_entry "migrated entry keeps FIFO rank" (Some (4.0, 100)) (Sim.Wheel.pop w);
-  check wheel_entry "second overflow tie" (Some (4.0, 103)) (Sim.Wheel.pop w);
-  check wheel_entry "direct push pops last" (Some (4.0, 104)) (Sim.Wheel.pop w);
-  check wheel_entry "drained" None (Sim.Wheel.pop w)
-
-let test_wheel_overflow_cursor_jump () =
-  (* only overflow entries remain: pop must jump the cursor straight to
-     their bucket (several rotations out), migrate them, and still serve
-     equal-time entries FIFO alongside a post-jump push *)
-  let w = Sim.Wheel.create ~width:1.0 ~nslots:4 () in
-  Sim.Wheel.push w ~time:8.0 1;  (* bucket 8: two full rotations out *)
-  Sim.Wheel.push w ~time:8.0 2;
-  check wheel_entry "peek with an empty wheel reads overflow" (Some (8.0, 1)) (Sim.Wheel.peek w);
-  check wheel_entry "cursor jumps to the overflow bucket" (Some (8.0, 1)) (Sim.Wheel.pop w);
-  Sim.Wheel.push w ~time:8.0 3;  (* now in-horizon: same bucket, same slot *)
-  check wheel_entry "migrated tie first" (Some (8.0, 2)) (Sim.Wheel.pop w);
-  check wheel_entry "post-jump push last" (Some (8.0, 3)) (Sim.Wheel.pop w);
-  check wheel_entry "drained" None (Sim.Wheel.pop w)
-
 let () =
   Alcotest.run "sim"
     [
@@ -327,14 +203,5 @@ let () =
           Alcotest.test_case "cancel from handler" `Quick test_cancel_from_handler;
           Alcotest.test_case "double cancel interleaved" `Quick test_double_cancel_interleaved;
           prop_interleaved_cancels;
-        ] );
-      ("heap", [ prop_heap_sorted; prop_heap_fifo_ties ]);
-      ( "wheel",
-        [
-          prop_wheel_matches_heap;
-          Alcotest.test_case "interleaved pop/push matches heap" `Quick
-            test_wheel_interleaved_with_heap;
-          Alcotest.test_case "horizon-boundary migration" `Quick test_wheel_horizon_migration;
-          Alcotest.test_case "overflow-only cursor jump" `Quick test_wheel_overflow_cursor_jump;
         ] );
     ]

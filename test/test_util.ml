@@ -1,5 +1,6 @@
 (* Tests for the util library: RNG determinism, codec round-trips, CRC-32
-   known-answer values, statistics, table rendering. *)
+   known-answer values, heap order and release, statistics, table
+   rendering. *)
 
 open Util
 
@@ -210,6 +211,56 @@ let test_bar_chart_nonempty () =
     String.split_on_char '\n' s |> List.iter (fun l -> if String.length l >= 4 && String.sub l 0 4 = "app2" then re_found := true);
     !re_found)
 
+(* ------------------------------------------------------------------ *)
+(* Heap *)
+
+let drain_heap h =
+  let rec go acc = match Heap.pop h with None -> List.rev acc | Some pv -> go (pv :: acc) in
+  go []
+
+let prop_heap_sorted =
+  qtest ~count:300 "heap pops sorted" QCheck.(list (float_bound_exclusive 1000.)) (fun priorities ->
+      let h = Heap.create ~dummy:0 () in
+      List.iteri (fun i p -> Heap.push h ~priority:p i) priorities;
+      List.map fst (drain_heap h) = List.sort compare priorities)
+
+let prop_heap_fifo_ties =
+  qtest ~count:100 "heap preserves FIFO among ties" QCheck.(int_bound 50) (fun n ->
+      let h = Heap.create ~dummy:0 () in
+      for i = 0 to n do
+        Heap.push h ~priority:1.0 i
+      done;
+      List.map snd (drain_heap h) = List.init (n + 1) Fun.id)
+
+(* A popped value must not stay reachable through the heap's array: the
+   spare cells growth allocates and the cell each pop vacates hold the
+   dummy.  The first check fails if growth fills with the first entry,
+   the last if pop leaves a stale copy of the entry it moved to the root. *)
+let test_heap_releases_popped () =
+  let h = Heap.create ~dummy:(ref (-1)) () in
+  let values = Weak.create 3 in
+  let[@inline never] push_three () =
+    List.iteri
+      (fun i p ->
+        let v = ref i in
+        Weak.set values i (Some v);
+        Heap.push h ~priority:p v)
+      [ 1.0; 2.0; 3.0 ]
+  in
+  let[@inline never] pop_one () = ignore (Heap.pop h) in
+  push_three ();
+  pop_one ();
+  pop_one ();
+  Gc.full_major ();
+  check Alcotest.bool "first popped value collected" false (Weak.check values 0);
+  check Alcotest.bool "second popped value collected" false (Weak.check values 1);
+  check Alcotest.(option int) "third still queued" (Some 2)
+    (Option.map (fun (_, v) -> !v) (Heap.peek h));
+  pop_one ();
+  Gc.full_major ();
+  check Alcotest.bool "last popped value collected" false (Weak.check values 2);
+  check Alcotest.int "heap empty" 0 (Heap.length h)
+
 let test_units () =
   check Alcotest.string "bytes" "512 B" (Units.pp_bytes 512);
   check Alcotest.string "mb" "225.0 MB" (Units.pp_mb (225 * Units.mb));
@@ -248,6 +299,12 @@ let () =
         [
           Alcotest.test_case "known answers" `Quick test_crc32_known_answers;
           Alcotest.test_case "incremental" `Quick test_crc32_incremental;
+        ] );
+      ( "heap",
+        [
+          prop_heap_sorted;
+          prop_heap_fifo_ties;
+          Alcotest.test_case "popped values are released" `Quick test_heap_releases_popped;
         ] );
       ( "stats",
         [
