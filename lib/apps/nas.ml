@@ -372,7 +372,7 @@ module Is = struct
         K_compute ({ k with phase = 3; received = !received; got_from = !got }, 1e-5)
       else K_wait { k with received = !received; got_from = !got }
     | 3 ->
-      Array.sort compare k.received;
+      Array.stable_sort Float.compare k.received;
       (* verify: locally sorted (by construction) and inside my range *)
       let lo = float_of_int (rank * k.key_range / size) in
       let hi = float_of_int ((rank + 1) * k.key_range / size) in

@@ -78,8 +78,7 @@ let read t ~addr ~len =
     let page_idx = off / Page.size in
     let page_off = off mod Page.size in
     let chunk = min (len - !copied) (Page.size - page_off) in
-    let page = Page.materialize r.pages.(page_idx) in
-    Bytes.blit page page_off out !copied chunk;
+    Bytes.blit_string (Page.materialize r.pages.(page_idx)) page_off out !copied chunk;
     copied := !copied + chunk
   done;
   Bytes.unsafe_to_string out
@@ -96,9 +95,9 @@ let write t ~addr s =
       let page_off = off mod Page.size in
       let chunk = min (len - !copied) (Page.size - page_off) in
       (* copy-on-write: never mutate existing page bytes in place *)
-      let fresh = Bytes.copy (Page.materialize r.pages.(page_idx)) in
+      let fresh = Bytes.of_string (Page.materialize r.pages.(page_idx)) in
       Bytes.blit_string s !copied fresh page_off chunk;
-      Region.set_page r page_idx (Page.Materialized fresh);
+      Region.set_page r page_idx (Page.of_string (Bytes.unsafe_to_string fresh));
       copied := !copied + chunk
     done
   end

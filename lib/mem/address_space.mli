@@ -46,8 +46,9 @@ val find_region : t -> addr:int -> Region.t option
     region. Raises [Invalid_argument] otherwise. *)
 val read : t -> addr:int -> len:int -> string
 
-(** [write t ~addr s] stores [s]; affected pages are materialized
-    copy-on-write, so forked snapshots are unaffected. *)
+(** [write t ~addr s] stores [s]; each affected page is replaced by a
+    fresh, unsized [Materialized] page (copy-on-write), so forked
+    snapshots and the old pages' size memos are unaffected. *)
 val write : t -> addr:int -> string -> unit
 
 (** Fork semantics: private regions are cloned copy-on-write; shared

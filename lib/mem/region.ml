@@ -129,4 +129,4 @@ let decode r =
 let equal a b =
   a.id = b.id && a.start_addr = b.start_addr && a.kind = b.kind && a.perms = b.perms
   && npages a = npages b
-  && Array.for_all2 (fun pa pb -> pa = pb) a.pages b.pages
+  && Array.for_all2 Page.equal a.pages b.pages

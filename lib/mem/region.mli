@@ -93,6 +93,6 @@ val encode_kind : Util.Codec.Writer.t -> kind -> unit
 
 val decode_kind : Util.Codec.Reader.t -> kind
 
-(** Structural equality of metadata and page contents (synthetic pages
-    compare by descriptor). *)
+(** Structural equality of metadata and page contents by {!Page.equal}
+    (synthetic pages compare by descriptor; size memos are ignored). *)
 val equal : t -> t -> bool

@@ -47,36 +47,36 @@ type sizes = { uncompressed : int; compressed : int; zero_bytes : int }
 let metadata_bytes t =
   4096 + (1024 * List.length t.threads)
 
-let sizes algo t =
+(* Charge every page that [charged region] selects (by index and value)
+   at its raw and compressed size, plus [per_page] bitmap bytes for every
+   page of the image. *)
+let price algo t ~per_page ~charged =
   let uncompressed = ref (metadata_bytes t) in
   let compressed = ref (metadata_bytes t / 4) in
   let zero = ref 0 in
   List.iter
     (fun (r : Mem.Region.t) ->
-      Array.iter
-        (fun page ->
-          uncompressed := !uncompressed + Mem.Page.size;
-          if Mem.Page.is_zero page then zero := !zero + Mem.Page.size;
-          compressed :=
-            !compressed
-            +
-            match page with
-            | Mem.Page.Zero -> ( match algo with Compress.Algo.Null -> Mem.Page.size | _ -> 8)
-            | Mem.Page.Materialized _ -> Mem.Page.compressed_size algo page
-            | Mem.Page.Synthetic { cls; _ } ->
-              int_of_float (ceil (float_of_int Mem.Page.size *. Mem.Entropy.ratio algo cls)))
+      let charged = charged r in
+      Array.iteri
+        (fun idx page ->
+          compressed := !compressed + per_page;
+          if charged idx page then begin
+            uncompressed := !uncompressed + Mem.Page.size;
+            if Mem.Page.is_zero page then zero := !zero + Mem.Page.size;
+            compressed := !compressed + Mem.Page.compressed_size algo page
+          end)
         r.Mem.Region.pages)
     (Mem.Address_space.regions t.space);
   { uncompressed = !uncompressed; compressed = !compressed; zero_bytes = !zero }
 
+let sizes algo t = price algo t ~per_page:0 ~charged:(fun _ _ _ -> true)
+
 (* pages charged to an incremental image: those differing from the
-   previous snapshot (physical equality is the fast path: unchanged slots
-   alias the same immutable content) *)
+   previous snapshot (unchanged slots alias the same immutable page, which
+   {!Mem.Page.equal} checks first) *)
 let page_changed prev_pages idx page =
   match prev_pages with
-  | Some pages when idx < Array.length pages ->
-    let old = pages.(idx) in
-    not (old == page || old = page)
+  | Some pages when idx < Array.length pages -> not (Mem.Page.equal pages.(idx) page)
   | _ -> true
 
 let delta_sizes algo ~prev t =
@@ -89,32 +89,9 @@ let delta_sizes algo ~prev t =
         []
         (Mem.Address_space.regions prev_space)
     in
-    let uncompressed = ref (metadata_bytes t) in
-    let compressed = ref (metadata_bytes t / 4) in
-    let zero = ref 0 in
-    List.iter
-      (fun (r : Mem.Region.t) ->
-        let prev_pages = List.assoc_opt r.Mem.Region.id prev_regions in
-        Array.iteri
-          (fun idx page ->
-            (* one bit per page for the dirty bitmap *)
-            compressed := !compressed + 1;
-            if page_changed prev_pages idx page then begin
-              uncompressed := !uncompressed + Mem.Page.size;
-              if Mem.Page.is_zero page then zero := !zero + Mem.Page.size;
-              compressed :=
-                !compressed
-                +
-                match page with
-                | Mem.Page.Zero -> (
-                  match algo with Compress.Algo.Null -> Mem.Page.size | _ -> 8)
-                | Mem.Page.Materialized _ -> Mem.Page.compressed_size algo page
-                | Mem.Page.Synthetic { cls; _ } ->
-                  int_of_float (ceil (float_of_int Mem.Page.size *. Mem.Entropy.ratio algo cls))
-            end)
-          r.Mem.Region.pages)
-      (Mem.Address_space.regions t.space);
-    { uncompressed = !uncompressed; compressed = !compressed; zero_bytes = !zero }
+    (* one bit per page for the dirty bitmap *)
+    price algo t ~per_page:1 ~charged:(fun r ->
+        page_changed (List.assoc_opt r.Mem.Region.id prev_regions))
 
 let encode_sigaction w = function
   | Simos.Kernel.Sig_default -> Util.Codec.Writer.u8 w 0
@@ -241,13 +218,6 @@ let encode_delta_body t =
   Util.Codec.Writer.contents w
 
 let encode_delta ~algo t = Compress.Container.pack ~algo (encode_delta_body t)
-
-let is_delta s =
-  match Compress.Container.unpack s with
-  | body ->
-    String.length body >= String.length delta_magic
-    && String.sub body 0 (String.length delta_magic) = delta_magic
-  | exception _ -> false
 
 let apply_delta ~base s =
   let body = Compress.Container.unpack s in

@@ -40,14 +40,17 @@ type sizes = {
   zero_bytes : int;     (** untouched pages (compress ~for free) *)
 }
 
+(** Real pages are priced by {!Mem.Page.compressed_size}, so a page value
+    already sized by an earlier image (an unchanged page of the same
+    process) is not compressed again. *)
 val sizes : Compress.Algo.t -> t -> sizes
 
 (** [delta_sizes algo ~prev t] — size accounting for an *incremental*
     checkpoint: only pages that changed since the [prev] snapshot are
     charged (plus a small per-page bitmap).  Page contents are immutable
-    values, so "changed" is physical-or-structural inequality of the page
-    slot.  With [prev = None] this equals {!sizes}.  Incremental
-    checkpointing is this repository's implementation of the
+    values, so "changed" is {!Mem.Page.equal} inequality of the page slot
+    (physical equality first).  With [prev = None] this equals {!sizes}.
+    Incremental checkpointing is this repository's implementation of the
     compressed-differences line of work the paper cites ([2], [25]). *)
 val delta_sizes : Compress.Algo.t -> prev:Mem.Address_space.t option -> t -> sizes
 
@@ -89,10 +92,6 @@ val encode_delta : algo:Compress.Algo.t -> t -> string
     equal to the original capture, so [encode ~algo (apply_delta ~base s)]
     is byte-identical to encoding the original full image. *)
 val apply_delta : base:t -> string -> t
-
-(** [true] iff [s] unpacks to a delta-image body (its container is intact
-    and the body leads with the delta magic). *)
-val is_delta : string -> bool
 
 (** [restore_threads kernel proc image] re-creates the image's user
     threads inside [proc] (an empty shell from

@@ -32,11 +32,10 @@ module Digest = struct
      the algebra. *)
   let fnv1a64 s =
     let h = ref 0xcbf29ce484222325L in
-    String.iter
-      (fun c ->
-        h := Int64.logxor !h (Int64.of_int (Char.code c));
-        h := Int64.mul !h 0x100000001b3L)
-      s;
+    for i = 0 to String.length s - 1 do
+      let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+      h := Int64.mul (Int64.logxor !h c) 0x100000001b3L
+    done;
     !h
 
   let of_chunk c =

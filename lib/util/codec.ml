@@ -64,8 +64,6 @@ module Writer = struct
     uvarint t (String.length s);
     raw t s
 
-  let bytes t b = string t (Bytes.unsafe_to_string b)
-
   let option enc t = function
     | None -> bool t false
     | Some v ->
@@ -160,8 +158,6 @@ module Reader = struct
   let string t =
     let n = uvarint t in
     raw t n
-
-  let bytes t = Bytes.unsafe_of_string (string t)
 
   let option dec t = if bool t then Some (dec t) else None
 

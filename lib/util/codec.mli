@@ -32,9 +32,6 @@ module Writer : sig
   (** Length-prefixed string. *)
   val string : t -> string -> unit
 
-  (** Length-prefixed bytes. *)
-  val bytes : t -> bytes -> unit
-
   (** Raw bytes, no length prefix. *)
   val raw : t -> string -> unit
 
@@ -66,7 +63,6 @@ module Reader : sig
   val f64 : t -> float
   val bool : t -> bool
   val string : t -> string
-  val bytes : t -> bytes
 
   (** [raw t n] reads exactly [n] bytes. *)
   val raw : t -> int -> string

@@ -1,4 +1,5 @@
-(** CRC-32 (IEEE 802.3 polynomial, as used by gzip). *)
+(** CRC-32 (IEEE 802.3 polynomial, as used by gzip), computed by
+    slicing-by-8: eight table lookups per eight input bytes. *)
 
 type t = int32
 
@@ -6,7 +7,8 @@ type t = int32
 val init : t
 
 (** [update acc s pos len] folds [len] bytes of [s] starting at [pos] into
-    the accumulator. *)
+    the accumulator.  Raises [Invalid_argument] unless [pos] and [len]
+    name a valid range of [s]. *)
 val update : t -> string -> int -> int -> t
 
 (** Finalize an accumulator into the standard CRC value. *)

@@ -47,30 +47,96 @@ let test_entropy_codec () =
 
 let test_page_materialize_deterministic () =
   let p = Mem.Page.Synthetic { seed = 99L; cls = Mem.Entropy.Numeric } in
-  check Alcotest.bytes "same bytes twice" (Mem.Page.materialize p) (Mem.Page.materialize p)
+  check Alcotest.string "same bytes twice" (Mem.Page.materialize p) (Mem.Page.materialize p)
 
 let test_page_zero () =
   let b = Mem.Page.materialize Mem.Page.Zero in
-  check Alcotest.int "page size" Mem.Page.size (Bytes.length b);
-  Alcotest.(check bool) "all zero" true (Bytes.for_all (fun c -> c = '\000') b)
+  check Alcotest.int "page size" Mem.Page.size (String.length b);
+  Alcotest.(check bool) "all zero" true (String.for_all (fun c -> c = '\000') b)
 
 let test_page_codec_roundtrip () =
   let pages =
     [
       Mem.Page.Zero;
-      Mem.Page.Materialized (Mem.Entropy.generate Mem.Entropy.Text ~seed:1L ~len:Mem.Page.size);
+      Mem.Page.of_string
+        (Bytes.to_string (Mem.Entropy.generate Mem.Entropy.Text ~seed:1L ~len:Mem.Page.size));
       Mem.Page.Synthetic { seed = 123L; cls = Mem.Entropy.Code };
     ]
   in
   List.iter
     (fun p ->
       let p' = Util.Codec.roundtrip Mem.Page.encode Mem.Page.decode p in
-      Alcotest.(check bool) "page round-trip" true (p = p'))
+      Alcotest.(check bool) "page round-trip" true (Mem.Page.equal p p'))
     pages
 
 let test_page_compressed_size_zero_small () =
   let sz = Mem.Page.compressed_size Compress.Algo.Deflate Mem.Page.Zero in
   Alcotest.(check bool) "zero page compresses to ~nothing" true (sz < 64)
+
+let deflated_len data = String.length (Compress.Deflate.compress data)
+
+let sized_as algo = function
+  | Mem.Page.Materialized { sized = Some (a, _); _ } -> a = algo
+  | Mem.Page.Materialized { sized = None; _ } | Mem.Page.Zero | Mem.Page.Synthetic _ -> false
+
+(* the size memo never changes a size: the first and every later call
+   equal a fresh compression of the page's bytes, and a second scheme is
+   priced afresh rather than read from the first scheme's memo *)
+let prop_page_size_memo =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:20 ~name:"memoized size equals fresh Deflate"
+       QCheck.(pair (int_bound 10_000) (int_bound (List.length Mem.Entropy.all - 1)))
+       (fun (seed, cls) ->
+         let cls = List.nth Mem.Entropy.all cls in
+         let seed = Int64.of_int seed in
+         let data = Bytes.to_string (Mem.Entropy.generate cls ~seed ~len:Mem.Page.size) in
+         let p = Mem.Page.of_string data in
+         let want = deflated_len data in
+         let unsized = not (sized_as Compress.Algo.Deflate p) in
+         let first = Mem.Page.compressed_size Compress.Algo.Deflate p in
+         let memoized = sized_as Compress.Algo.Deflate p in
+         let again = Mem.Page.compressed_size Compress.Algo.Deflate p in
+         let rle = Mem.Page.compressed_size Compress.Algo.Rle p in
+         unsized && memoized && first = want && again = want
+         && rle = String.length (Compress.Rle.compress data)
+         && Mem.Page.compressed_size Compress.Algo.Deflate p = want))
+
+(* a write installs a fresh, unsized page: the old page's memo cannot
+   leak onto the new bytes *)
+let test_page_memo_not_stale_after_write () =
+  let sp = Mem.Address_space.create () in
+  let base = Bytes.to_string (Mem.Entropy.generate Mem.Entropy.Text ~seed:5L ~len:Mem.Page.size) in
+  let heap =
+    Mem.Address_space.map sp ~kind:Mem.Region.Heap ~perms:Mem.Region.rw ~bytes:Mem.Page.size
+      ~content:(fun _ -> Mem.Page.of_string base)
+      ()
+  in
+  let old = heap.Mem.Region.pages.(0) in
+  check Alcotest.int "old page sized" (deflated_len base)
+    (Mem.Page.compressed_size Compress.Algo.Deflate old);
+  Mem.Address_space.write sp ~addr:(heap.Mem.Region.start_addr + 100) (String.make 16 '\xff');
+  let fresh = heap.Mem.Region.pages.(0) in
+  Alcotest.(check bool) "write installs an unsized page" false
+    (sized_as Compress.Algo.Deflate fresh);
+  let bytes = Mem.Page.materialize fresh in
+  Alcotest.(check bool) "new bytes differ" false (String.equal base bytes);
+  check Alcotest.int "new page priced from its own bytes" (deflated_len bytes)
+    (Mem.Page.compressed_size Compress.Algo.Deflate fresh);
+  check Alcotest.int "old page keeps its memo" (deflated_len base)
+    (Mem.Page.compressed_size Compress.Algo.Deflate old)
+
+let test_page_equal_ignores_memo () =
+  let data = Bytes.to_string (Mem.Entropy.generate Mem.Entropy.Code ~seed:9L ~len:Mem.Page.size) in
+  let sized = Mem.Page.of_string data and unsized = Mem.Page.of_string data in
+  ignore (Mem.Page.compressed_size Compress.Algo.Deflate sized);
+  Alcotest.(check bool) "only one is sized" true
+    (sized_as Compress.Algo.Deflate sized && not (sized_as Compress.Algo.Deflate unsized));
+  Alcotest.(check bool) "sized equals unsized" true (Mem.Page.equal sized unsized);
+  Alcotest.(check bool) "unsized equals sized" true (Mem.Page.equal unsized sized);
+  Alcotest.(check bool) "different bytes differ" false
+    (Mem.Page.equal sized (Mem.Page.of_string (String.make Mem.Page.size 'x')));
+  Alcotest.(check bool) "zero page is not a page of zero bytes" false
+    (Mem.Page.equal Mem.Page.Zero (Mem.Page.of_string (String.make Mem.Page.size '\000')))
 
 (* ------------------------------------------------------------------ *)
 (* Address space *)
@@ -315,6 +381,10 @@ let () =
           Alcotest.test_case "zero page" `Quick test_page_zero;
           Alcotest.test_case "codec round-trip" `Quick test_page_codec_roundtrip;
           Alcotest.test_case "zero compressed size" `Quick test_page_compressed_size_zero_small;
+          prop_page_size_memo;
+          Alcotest.test_case "memo not stale after write" `Quick
+            test_page_memo_not_stale_after_write;
+          Alcotest.test_case "equal ignores memo" `Quick test_page_equal_ignores_memo;
         ] );
       ( "address-space",
         [

@@ -51,6 +51,48 @@ let test_sizes_accounting () =
   check Alcotest.int "zero accounting consistent" gz.Mtcp.Image.zero_bytes
     null.Mtcp.Image.zero_bytes
 
+(* real pages of a space and whether each carries a Deflate size memo *)
+let real_pages (img : Mtcp.Image.t) =
+  List.concat_map
+    (fun (r : Mem.Region.t) ->
+      Array.to_list r.Mem.Region.pages
+      |> List.filter_map (function
+           | Mem.Page.Materialized { sized; _ } ->
+             Some (match sized with Some (Compress.Algo.Deflate, _) -> true | _ -> false)
+           | Mem.Page.Zero | Mem.Page.Synthetic _ -> None))
+    (Mem.Address_space.regions img.Mtcp.Image.space)
+
+(* the memo lives on the page value a snapshot shares with the live space,
+   so a second capture with no writes in between is priced from memos *)
+let test_sizes_memo_shared_across_captures () =
+  let _, k, proc = make_proc ~mb:2 () in
+  let sp = proc.Simos.Kernel.space in
+  let heap = List.hd (Mem.Address_space.regions sp) in
+  for p = 1 to 4 do
+    Mem.Address_space.write sp
+      ~addr:(heap.Mem.Region.start_addr + (p * Mem.Page.size))
+      (Printf.sprintf "page %d of real bytes" p)
+  done;
+  Simos.Kernel.suspend_user_threads k proc;
+  let img1 = Mtcp.Image.capture proc in
+  check Alcotest.int "real pages" 5 (List.length (real_pages img1));
+  Alcotest.(check bool) "unsized before sizing" true (List.for_all not (real_pages img1));
+  let s1 = Mtcp.Image.sizes Compress.Algo.Deflate img1 in
+  let img2 = Mtcp.Image.capture proc in
+  Alcotest.(check bool) "second capture finds every real page sized" true
+    (List.for_all Fun.id (real_pages img2));
+  let s2 = Mtcp.Image.sizes Compress.Algo.Deflate img2 in
+  check Alcotest.int "same compressed size" s1.Mtcp.Image.compressed s2.Mtcp.Image.compressed
+
+let test_sizes_keep_round_trip_equal () =
+  let _, k, proc = make_proc () in
+  Simos.Kernel.suspend_user_threads k proc;
+  let img = Mtcp.Image.capture proc in
+  ignore (Mtcp.Image.sizes Compress.Algo.Deflate img);
+  let img' = Mtcp.Image.decode (Mtcp.Image.encode ~algo:Compress.Algo.Deflate img) in
+  Alcotest.(check bool) "decoded pages start unsized" true (List.for_all not (real_pages img'));
+  Alcotest.(check bool) "sized image equals its unsized round trip" true (Mtcp.Image.equal img img')
+
 let test_snapshot_isolation () =
   (* the captured image must not change while the process keeps running *)
   let cl, k, proc = make_proc () in
@@ -217,6 +259,10 @@ let () =
           Alcotest.test_case "capture round-trip" `Quick test_capture_roundtrip;
           Alcotest.test_case "all algorithms" `Quick test_capture_all_algos;
           Alcotest.test_case "size accounting" `Quick test_sizes_accounting;
+          Alcotest.test_case "size memo shared across captures" `Quick
+            test_sizes_memo_shared_across_captures;
+          Alcotest.test_case "sizing keeps round trip equal" `Quick
+            test_sizes_keep_round_trip_equal;
           Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;
           Alcotest.test_case "restore completes" `Quick test_restore_threads_completes;
           Alcotest.test_case "blocked wait preserved" `Quick test_blocked_wait_preserved;

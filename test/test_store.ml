@@ -120,6 +120,13 @@ let with_crc_trailer s =
   Bytes.set_int32_le b 0 (Util.Crc32.digest s);
   s ^ Bytes.to_string b
 
+let test_digest_fnv1a_vectors () =
+  List.iter
+    (fun (s, want) ->
+      check Alcotest.int64 (Printf.sprintf "FNV-1a-64 %S" s) want
+        (Store.Digest.of_chunk s).Store.Digest.fnv)
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ]
+
 let test_digest_survives_crc_residue () =
   let p1 = with_crc_trailer "process one metadata" in
   let p2 = with_crc_trailer "process two metadata" in
@@ -586,6 +593,7 @@ let () =
           Alcotest.test_case "re-put replaces" `Quick test_reput_replaces_manifest;
           Alcotest.test_case "quorum delay ordering" `Quick test_quorum_delay_ordering;
           Alcotest.test_case "replication counts" `Quick test_replication_counts;
+          Alcotest.test_case "FNV-1a-64 vectors" `Quick test_digest_fnv1a_vectors;
           Alcotest.test_case "CRC-residue chunks stay distinct" `Quick
             test_digest_survives_crc_residue;
         ] );

@@ -168,6 +168,39 @@ let test_crc32_incremental () =
   let acc = Crc32.update acc s 10 (String.length s - 10) in
   check Alcotest.int32 "incremental equals one-shot" one_shot (Crc32.finish acc)
 
+let test_crc32_range_checked () =
+  let rejects name pos len =
+    match Crc32.update Crc32.init "abcdefgh" pos len with
+    | _ -> Alcotest.failf "%s: range %d+%d of an 8-byte string accepted" name pos len
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "past the end" 4 5;
+  rejects "start past the end" 9 0;
+  rejects "negative start" (-1) 2;
+  rejects "negative length" 2 (-1);
+  check Alcotest.int32 "empty range at the end" Crc32.init (Crc32.update Crc32.init "abcdefgh" 8 0)
+
+(* the textbook bit-at-a-time CRC-32, independent of the table code *)
+let crc32_bitwise s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let prop_crc32_matches_bitwise =
+  qtest ~count:500 "split update equals bitwise reference"
+    QCheck.(pair (string_of_size (Gen.int_bound 300)) (int_bound 300))
+    (fun (s, cut) ->
+      let cut = cut mod (String.length s + 1) in
+      let acc = Crc32.update Crc32.init s 0 cut in
+      let acc = Crc32.update acc s cut (String.length s - cut) in
+      Int32.equal (Crc32.finish acc) (crc32_bitwise s))
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -299,6 +332,8 @@ let () =
         [
           Alcotest.test_case "known answers" `Quick test_crc32_known_answers;
           Alcotest.test_case "incremental" `Quick test_crc32_incremental;
+          Alcotest.test_case "range checked" `Quick test_crc32_range_checked;
+          prop_crc32_matches_bitwise;
         ] );
       ( "heap",
         [
