@@ -190,19 +190,28 @@ let run_micro () =
    of the encoder, not of the machine or the run, so CI can regenerate
    them and diff against the committed BENCH_micro.json baseline.  The
    wall-clock timings above are machine-dependent and are excluded from
-   that comparison. *)
+   that comparison.
+
+   Each record is (name, unit, in, out): the unit is what both values
+   count, bytes or simulated milliseconds (or, once, operations). *)
+
+let ms s = int_of_float (Float.round (s *. 1000.))
+let bytes name a b = (name, "bytes", a, b)
+let millis name a b = (name, "ms", ms a, ms b)
 
 let ratio_records () =
   let rand64k = String.sub random_1mb 0 65536 in
   let zeros = String.make 1_000_000 '\000' in
   let pack algo s = String.length (Compress.Container.pack ~algo s) in
   [
-    ("deflate-raw-text-1MB", String.length text_1mb, String.length (Compress.Deflate.compress text_1mb));
-    ("deflate-raw-random-64KB", 65536, String.length (Compress.Deflate.compress rand64k));
-    ("container-deflate-text-1MB", String.length text_1mb, pack Compress.Algo.Deflate text_1mb);
-    ("container-deflate-random-64KB", 65536, pack Compress.Algo.Deflate rand64k);
-    ("container-rle-zeros-1MB", 1_000_000, pack Compress.Algo.Rle zeros);
-    ("container-null-random-64KB", 65536, pack Compress.Algo.Null rand64k);
+    bytes "deflate-raw-text-1MB" (String.length text_1mb)
+      (String.length (Compress.Deflate.compress text_1mb));
+    bytes "deflate-raw-random-64KB" 65536 (String.length (Compress.Deflate.compress rand64k));
+    bytes "container-deflate-text-1MB" (String.length text_1mb)
+      (pack Compress.Algo.Deflate text_1mb);
+    bytes "container-deflate-random-64KB" 65536 (pack Compress.Algo.Deflate rand64k);
+    bytes "container-rle-zeros-1MB" 1_000_000 (pack Compress.Algo.Rle zeros);
+    bytes "container-null-random-64KB" 65536 (pack Compress.Algo.Null rand64k);
   ]
 
 (* Store dedup shape: two generations of a frame-chunked checkpoint
@@ -253,8 +262,8 @@ let store_records () =
   ignore (put_gen 1);
   let s1 = Store.stats store in
   [
-    ("store.gen0-full-write", full, s0.Store.bytes_written);
-    ("store.gen1-dedup-dirty-1of16", full, s1.Store.bytes_written - s0.Store.bytes_written);
+    bytes "store.gen0-full-write" full s0.Store.bytes_written;
+    bytes "store.gen1-dedup-dirty-1of16" full (s1.Store.bytes_written - s0.Store.bytes_written);
   ]
 
 (* Incremental-checkpoint shape: a 64-page image with one 256 KiB window
@@ -297,10 +306,9 @@ let delta_records () =
   done;
   let delta = Mtcp.Image.encode_delta ~algo img in
   let fk = Harness.Extras.forked_ablation () in
-  let ms s = int_of_float (Float.round (s *. 1000.)) in
   [
-    ("ckpt.delta-bytes-dirty-1of16", String.length full, String.length delta);
-    ("ckpt.forked-vs-inline-blackout", ms fk.Harness.Extras.plain_s, ms fk.Harness.Extras.forked_s);
+    bytes "ckpt.delta-bytes-dirty-1of16" (String.length full) (String.length delta);
+    millis "ckpt.forked-vs-inline-blackout" fk.Harness.Extras.plain_s fk.Harness.Extras.forked_s;
   ]
 
 (* Scheduler shape: the canned three-job preempt/fail/drain scenario is
@@ -311,13 +319,12 @@ let delta_records () =
 let sched_records () =
   let reference = Chaos.Sched_demo.run ~faults:false () in
   let faulted = Chaos.Sched_demo.run ~faults:true () in
-  let ms s = int_of_float (Float.round (s *. 1000.)) in
   let mk_ref = Sched.Scheduler.makespan reference.Chaos.Sched_demo.d_sched in
   let mk_f = Sched.Scheduler.makespan faulted.Chaos.Sched_demo.d_sched in
   let lost = Sched.Scheduler.total_lost_work faulted.Chaos.Sched_demo.d_sched in
   [
-    ("sched.makespan-faulted-vs-nofault", ms mk_ref, ms mk_f);
-    ("sched.lost-work-vs-makespan", ms mk_f, ms lost);
+    millis "sched.makespan-faulted-vs-nofault" mk_ref mk_f;
+    millis "sched.lost-work-vs-makespan" mk_f lost;
   ]
 
 (* Scale shape: the 1000-small-job scenario run twice on the same
@@ -330,14 +337,13 @@ let sched_records () =
 let sched1k_records () =
   let concurrent = Chaos.Sched_demo1k.run ~faults:false () in
   let serialized = Chaos.Sched_demo1k.run ~faults:false ~max_inflight:1 () in
-  let ms s = int_of_float (Float.round (s *. 1000.)) in
   let peak = Sched.Scheduler.peak_ops_inflight concurrent.Chaos.Sched_demo1k.k_sched in
   let mk_c = Sched.Scheduler.makespan concurrent.Chaos.Sched_demo1k.k_sched in
   let mk_s = Sched.Scheduler.makespan serialized.Chaos.Sched_demo1k.k_sched in
   [
     (* ratio 8/peak <= 1 iff at least eight ops ran concurrently *)
-    ("sched.ops-inflight", peak, 8);
-    ("sched.makespan-1000job", ms mk_s, ms mk_c);
+    ("sched.ops-inflight", "ops", peak, 8);
+    millis "sched.makespan-1000job" mk_s mk_c;
   ]
 
 (* Restart fast-path shape: both records are virtual-time deterministic
@@ -411,14 +417,13 @@ let striped_fetch_delay ~replicas =
   | None -> failwith "bench: striped image vanished from the store"
 
 let restore_records () =
-  let ms s = int_of_float (Float.round (s *. 1000.)) in
   let eager = restart_blackout ~lazy_restart:false () in
   let lzy = restart_blackout ~lazy_restart:true () in
   let single = striped_fetch_delay ~replicas:1 in
   let striped = striped_fetch_delay ~replicas:2 in
   [
-    ("rst.lazy-vs-eager-blackout", ms eager, ms lzy);
-    ("store.striped-fetch-speedup", ms single, ms striped);
+    millis "rst.lazy-vs-eager-blackout" eager lzy;
+    millis "store.striped-fetch-speedup" single striped;
   ]
 
 (* Plugin hook overhead: the same 1-of-16-dirty cycle with every
@@ -445,10 +450,9 @@ let plugin_cycle ~plugins () =
   ckpt +. rst
 
 let plugin_records () =
-  let ms s = int_of_float (Float.round (s *. 1000.)) in
   let off = plugin_cycle ~plugins:[] () in
   let all = plugin_cycle ~plugins:Dmtcp.Plugins.all_names () in
-  [ ("plugin.hook-overhead", ms off, ms all) ]
+  [ millis "plugin.hook-overhead" off all ]
 
 (* The rank/proxy split's image-shape payoff, as committed records: the
    same bsp collective workload checkpointed mid-straggle on both
@@ -505,8 +509,8 @@ let mpi_records () =
   let d_img, d_drained = mpi_cycle ~kind:Harness.Common.Direct ~extra:("direct" :: bsp) () in
   let p_img, p_drained = mpi_cycle ~kind:Harness.Common.Proxy ~extra:bsp () in
   [
-    ("mpi.proxy-vs-direct-drain-bytes", d_drained, p_drained);
-    ("mpi.proxy-ckpt-image-bytes", d_img, p_img);
+    bytes "mpi.proxy-vs-direct-drain-bytes" d_drained p_drained;
+    bytes "mpi.proxy-ckpt-image-bytes" d_img p_img;
   ]
 
 (* BENCH_RESTORE_SWEEP=1: print the eager/lazy blackout sweep over
@@ -514,7 +518,6 @@ let mpi_records () =
    (the tables in EXPERIMENTS.md). Virtual-time deterministic, but kept
    out of the baseline records: it exists to be re-run by hand. *)
 let restore_sweep () =
-  let ms s = int_of_float (Float.round (s *. 1000.)) in
   hr "Restart fast-path sweep (modeled ms, deterministic)";
   Printf.printf "%10s %8s %12s %11s %8s\n" "pages" "MiB" "eager (ms)" "lazy (ms)" "ratio";
   List.iter
@@ -533,11 +536,11 @@ let restore_sweep () =
   flush stdout
 
 let print_ratios ratios =
-  hr "Compression shape (deterministic: sizes depend only on the encoder)";
+  hr "Deterministic records (modeled bytes and simulated ms: no host timing)";
   List.iter
-    (fun (name, bytes_in, bytes_out) ->
-      Printf.printf "%-42s %10d -> %9d bytes  (ratio %.6f)\n" name bytes_in bytes_out
-        (float_of_int bytes_out /. float_of_int bytes_in))
+    (fun (name, unit, v_in, v_out) ->
+      Printf.printf "%-42s %10d -> %9d %-5s  (ratio %.6f)\n" name v_in v_out unit
+        (float_of_int v_out /. float_of_int v_in))
     ratios;
   flush stdout
 
@@ -549,11 +552,11 @@ let emit_json path timings ratios =
   output_string oc "[\n";
   let lines =
     List.map
-      (fun (name, bytes_in, bytes_out) ->
+      (fun (name, unit, v_in, v_out) ->
         Printf.sprintf
-          {|{"kind": "ratio", "name": "%s", "bytes_in": %d, "bytes_out": %d, "ratio": %.6f}|}
-          name bytes_in bytes_out
-          (float_of_int bytes_out /. float_of_int bytes_in))
+          {|{"kind": "ratio", "name": "%s", "unit": "%s", "bytes_in": %d, "bytes_out": %d, "ratio": %.6f}|}
+          name unit v_in v_out
+          (float_of_int v_out /. float_of_int v_in))
       ratios
     @ List.map
         (fun (name, ns) ->
@@ -570,8 +573,8 @@ let emit_json path timings ratios =
    by more than 1% (the container's stored-block fallback bounds it). *)
 let assert_invariants ratios =
   let ratio name =
-    let _, bytes_in, bytes_out = List.find (fun (n, _, _) -> n = name) ratios in
-    float_of_int bytes_out /. float_of_int bytes_in
+    let _, _, v_in, v_out = List.find (fun (n, _, _, _) -> n = name) ratios in
+    float_of_int v_out /. float_of_int v_in
   in
   let failed = ref false in
   let check name what limit =

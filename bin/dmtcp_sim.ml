@@ -404,15 +404,19 @@ let plugins_run action off =
   Dmtcp.Plugins.ensure_registered ();
   match action with
   | "ls" ->
-    (* enablement as the environment would configure it (DMTCP_PLUGINS;
-       default: ext-sock only, matching the pre-plugin behavior) *)
-    (let opts =
-       try Dmtcp.Options.of_getenv Sys.getenv_opt
-       with Invalid_argument msg ->
-         Printf.eprintf "%s\n" msg;
-         exit 2
+    (* enablement as the host shell's DMTCP_PLUGINS would configure an
+       install (default: ext-sock only, matching the pre-plugin
+       behavior) *)
+    (let plugins =
+       match Sys.getenv_opt "DMTCP_PLUGINS" with
+       | None -> Dmtcp.Options.default.Dmtcp.Options.plugins
+       | Some s -> (
+         try Dmtcp.Options.parse_plugins s
+         with Invalid_argument msg ->
+           Printf.eprintf "%s\n" msg;
+           exit 2)
      in
-     Plugin.set_enabled opts.Dmtcp.Options.plugins);
+     Plugin.set_enabled plugins);
     Printf.printf "%-16s %-3s %5s  %s\n" "NAME" "ON" "HOOKS" "SITES";
     List.iter
       (fun (p : Plugin.t) ->

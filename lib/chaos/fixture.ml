@@ -155,7 +155,7 @@ let chain_depths o =
       List.filter_map
         (fun path ->
           Option.map
-            (fun (img, _) -> Dmtcp.Image_chain.(depth (peek_chain rt path img)))
+            (fun (img, _) -> Util.Chain.depth (Dmtcp.Image_chain.peek_chain rt path img))
             (Dmtcp.Image_chain.peek rt path))
         paths)
     o.script.Dmtcp.Restart_script.entries

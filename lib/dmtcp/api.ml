@@ -179,7 +179,7 @@ let script_images_available rt (script : Restart_script.t) =
     | Some first -> (
       let load base = base_of_image (Filename.concat (Filename.dirname path) base) in
       let chain = Image_chain.walk ~base_of:Fun.id ~load first in
-      chain.Image_chain.missing = None && not chain.Image_chain.cut)
+      chain.Util.Chain.missing = None && not chain.Util.Chain.cut)
   in
   List.for_all
     (fun (_, images) -> List.for_all available images)

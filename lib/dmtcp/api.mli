@@ -29,7 +29,10 @@ val install : Simos.Cluster.t -> ?options:Options.t -> unit -> Runtime.t
     [?options] overrides the runtime-wide options in the spawned process's
     environment — several independent computations (each with its own
     coordinator host/port) can then share one cluster, which is how the
-    batch scheduler attaches a DMTCP domain per job. *)
+    batch scheduler attaches a DMTCP domain per job.  Only the settings
+    {!Options.to_env} writes travel; the per-cluster ones ([store],
+    [store_replicas], [keep_generations], [compact_depth], [plugins])
+    are the runtime's and are ignored here. *)
 val launch :
   ?options:Options.t ->
   Runtime.t ->

@@ -1,9 +1,9 @@
 (* Background delta-chain compaction.
 
-   Incremental checkpointing bounds chain depth at *write* time through
-   DMTCP_DELTA_CHAIN, but preempted or idle lineages can still sit
-   behind long chains: every restart replays the whole chain and the GC
-   keep-set must close over it.  The compactor squashes a deep chain
+   Incremental checkpointing bounds chain depth at *write* time (the
+   manager's delta_chain constant), but preempted or idle lineages can
+   still sit behind long chains: every restart replays the whole chain
+   and the GC keep-set must close over it.  The compactor squashes a deep chain
    from the store side: it resolves the delta to its full MTCP image
    (the same chain walk restart performs), re-encodes it as a
    self-contained full image, and re-puts it at the SAME catalog name —

@@ -3,8 +3,8 @@
     Squashes over-deep delta chains in the checkpoint store into
     consolidated full images, re-put at the SAME catalog name — restart
     scripts, child deltas and pins keep resolving, now at chain depth 0.
-    Bounds restart chain depth independently of [DMTCP_DELTA_CHAIN] and
-    shrinks the GC keep-set closure.  Driven off the scheduler tick
+    Bounds restart chain depth independently of the manager's
+    write-time bound of 8 links and shrinks the GC keep-set closure.  Driven off the scheduler tick
     (conflict-checked against in-flight checkpoint/restart operations
     there); safe to call directly for tests and tools. *)
 

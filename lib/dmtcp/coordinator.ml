@@ -203,7 +203,7 @@ module P = struct
   let step (ctx : Simos.Program.ctx) st =
     match st.phase with
     | `Boot ->
-      st.opts <- Options.of_getenv ctx.getenv;
+      st.opts <- Options.of_getenv ~base:(Runtime.options (Runtime.active ())) ctx.getenv;
       let port =
         match ctx.argv with
         | [ _; p ] -> ( try int_of_string p with _ -> Options.default.Options.coord_port)

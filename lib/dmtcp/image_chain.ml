@@ -45,23 +45,8 @@ let peek ?prefer rt path =
     | img -> Some (img, source)
     | exception Ckpt_image.Corrupt_image _ -> None)
 
-let max_depth = 64
-
-type 'a chain = { links : (string * 'a) list; missing : string option; cut : bool }
-
-let walk ?(limit = max_depth) ~base_of ~load first =
-  let rec go acc = function
-    | None -> { links = List.rev acc; missing = None; cut = false }
-    | Some name when List.length acc >= limit || List.mem_assoc name acc ->
-      { links = List.rev acc; missing = None; cut = true }
-    | Some name -> (
-      match load name with
-      | None -> { links = List.rev acc; missing = Some name; cut = false }
-      | Some x -> go ((name, x) :: acc) (base_of x))
-  in
-  go [] first
-
-let depth c = List.length c.links + if c.missing = None then 0 else 1
+(* the one bound on how many bases an image may resolve through *)
+let walk ~base_of ~load first = Util.Chain.walk ~limit:64 ~base_of ~load first
 
 let images ~load (img : Ckpt_image.t) =
   walk
@@ -75,8 +60,8 @@ let catalog_depth store ~name =
   match Store.find store ~name with
   | None -> 0
   | Some m ->
-    depth
-      (walk ~limit:max_int
+    Util.Chain.depth
+      (Util.Chain.walk
          ~base_of:(fun (m : Store.manifest) -> m.Store.m_base)
          ~load:(fun name -> Store.find store ~name)
          m.Store.m_base)
@@ -84,8 +69,8 @@ let catalog_depth store ~name =
 (* Decode the bottom (full) image, then apply each delta on the way back
    up: the recursion returns deepest first. *)
 let mtcp ?(on_delta = fun ~image:_ _ -> ()) ~name img chain =
-  if chain.missing <> None then raise (Ckpt_image.Corrupt_image "delta chain broken");
-  if chain.cut then raise (Ckpt_image.Corrupt_image "delta chain too deep");
+  if chain.Util.Chain.missing <> None then raise (Ckpt_image.Corrupt_image "delta chain broken");
+  if chain.Util.Chain.cut then raise (Ckpt_image.Corrupt_image "delta chain too deep");
   let rec replay name (img : Ckpt_image.t) = function
     | [] -> Ckpt_image.mtcp img
     | ((base, (base_img, _)) as link) :: deeper ->
@@ -93,4 +78,4 @@ let mtcp ?(on_delta = fun ~image:_ _ -> ()) ~name img chain =
       on_delta ~image:name link;
       Ckpt_image.delta_mtcp img ~base:base_mtcp
   in
-  replay name img chain.links
+  replay name img chain.Util.Chain.links

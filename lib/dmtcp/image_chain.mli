@@ -35,32 +35,23 @@ type link = Ckpt_image.t * source
 (** {!read} and decode, for inspection: missing or damaged is [None]. *)
 val peek : ?prefer:int -> Runtime.t -> string -> link option
 
-(** The bases below an image by name, nearest first, down to the nearest
-    full image.  [missing] is the first base that did not load; [cut] is
-    set when the walk stopped at a base already in the chain (a cycle) or
-    at its depth limit. *)
-type 'a chain = { links : (string * 'a) list; missing : string option; cut : bool }
-
-(** [walk ~base_of ~load first] follows links from [first], the top
-    image's base ([None] for a full image): [load] fetches a base by
-    name, [base_of] reads the next name from it.  At most [limit] bases
-    are loaded (default 64). *)
+(** [walk ~base_of ~load first] is {!Util.Chain.walk} from [first], the
+    top image's base ([None] for a full image), bounded at 64 bases: the
+    one limit on how deep a delta chain restart resolves.  Its
+    {!Util.Chain.depth} counts links to the nearest full image. *)
 val walk :
-  ?limit:int -> base_of:('a -> string option) -> load:(string -> 'a option) -> string option -> 'a chain
-
-(** Links to the nearest full image, a missing base counting as one. *)
-val depth : 'a chain -> int
+  base_of:('a -> string option) -> load:(string -> 'a option) -> string option -> 'a Util.Chain.t
 
 (** The chain below [img], its bases loaded with [load]. *)
-val images : load:(string -> link option) -> Ckpt_image.t -> link chain
+val images : load:(string -> link option) -> Ckpt_image.t -> link Util.Chain.t
 
 (** {!images} for the image found at [path], each base {!peek}ed next to
     it. *)
-val peek_chain : Runtime.t -> string -> Ckpt_image.t -> link chain
+val peek_chain : Runtime.t -> string -> Ckpt_image.t -> link Util.Chain.t
 
-(** {!depth} from the store catalog alone, following manifests' [m_base]
-    without reading any image and without a depth limit: 0 for a full or
-    unknown image; a cycle stops at the first repeated name. *)
+(** Chain depth from the store catalog alone, following manifests'
+    [m_base] without reading any image and without a depth limit: 0 for
+    a full or unknown image; a cycle stops at the first repeated name. *)
 val catalog_depth : Store.t -> name:string -> int
 
 (** [mtcp ~name img chain] decodes the nearest full image of [chain] and
@@ -73,5 +64,5 @@ val mtcp :
   ?on_delta:(image:string -> string * link -> unit) ->
   name:string ->
   Ckpt_image.t ->
-  link chain ->
+  link Util.Chain.t ->
   Mtcp.Image.t

@@ -68,7 +68,7 @@ let describe ~chain (img : Ckpt_image.t) =
      reports how far it got *)
   Option.iter
     (fun base ->
-      bf buf "incremental delta against: %s (chain depth %d)\n" base (Image_chain.depth chain))
+      bf buf "incremental delta against: %s (chain depth %d)\n" base (Util.Chain.depth chain))
     img.Ckpt_image.delta_base;
   bf buf "file descriptors (%d):\n" (List.length img.Ckpt_image.fds);
   List.iter (describe_fd buf) img.Ckpt_image.fds;
@@ -81,7 +81,7 @@ let describe ~chain (img : Ckpt_image.t) =
         (String.length p.Ckpt_image.drained_to_master))
     img.Ckpt_image.ptys;
   let mtcp =
-    match chain.Image_chain.missing with
+    match chain.Util.Chain.missing with
     | Some _ -> None
     | None -> Some (Image_chain.mtcp ~name:(Ckpt_image.filename img) img chain)
   in

@@ -13,7 +13,7 @@
     chain; [chain] supplies the loaded bases so the description can peek
     through the delta.  When a base is gone the thread/memory sections
     are replaced by a note. *)
-val describe : chain:Image_chain.link Image_chain.chain -> Ckpt_image.t -> string
+val describe : chain:Image_chain.link Util.Chain.t -> Ckpt_image.t -> string
 
 (** Describe a whole checkpoint (a restart script's worth of images),
     reading image files from the cluster's filesystems and falling back

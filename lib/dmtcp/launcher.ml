@@ -1,6 +1,14 @@
 let checkpoint_name = "dmtcp:checkpoint"
 let command_name = "dmtcp:command"
 
+let options (ctx : Simos.Program.ctx) =
+  Options.of_getenv ~base:(Runtime.options (Runtime.active ())) ctx.getenv
+
+(* the coordinator this process's environment names *)
+let coordinator_addr ctx =
+  let opts = options ctx in
+  Simnet.Addr.Inet { host = opts.Options.coord_host; port = opts.Options.coord_port }
+
 (* ------------------------------------------------------------------ *)
 (* dmtcp_checkpoint *)
 
@@ -15,10 +23,6 @@ module Checkpoint = struct
   let encode _ _ = failwith "dmtcp:checkpoint is not checkpointable"
   let decode _ = failwith "dmtcp:checkpoint is not checkpointable"
   let init ~argv:_ = L_boot
-
-  let coordinator_addr (ctx : Simos.Program.ctx) =
-    let opts = Options.of_getenv ctx.getenv in
-    Simnet.Addr.Inet { host = opts.Options.coord_host; port = opts.Options.coord_port }
 
   let probe (ctx : Simos.Program.ctx) =
     let fd = ctx.socket () in
@@ -45,9 +49,8 @@ module Checkpoint = struct
         (* The first dmtcp_checkpoint spawns the coordinator (paper §3).
            Races between concurrent launchers are benign: losers exit on
            EADDRINUSE. *)
-        let opts = Options.of_getenv ctx.getenv in
         if not spawned then
-          ignore (ctx.ssh ~host:opts.Options.coord_host ~prog:Coordinator.name ~argv:[]);
+          ignore (ctx.ssh ~host:(options ctx).Options.coord_host ~prog:Coordinator.name ~argv:[]);
         Simos.Program.Block
           ( L_probe { fd = probe ctx; spawned = true; retries = retries - 1 },
             Simos.Program.Sleep_until (ctx.now () +. 5e-3) )
@@ -94,11 +97,8 @@ module Command = struct
   let step (ctx : Simos.Program.ctx) st =
     match st with
     | C_boot ->
-      let opts = Options.of_getenv ctx.getenv in
       let fd = ctx.socket () in
-      ignore
-        (ctx.connect fd
-           (Simnet.Addr.Inet { host = opts.Options.coord_host; port = opts.Options.coord_port }));
+      ignore (ctx.connect fd (coordinator_addr ctx));
       Simos.Program.Block (C_connecting fd, Simos.Program.Sleep_until (ctx.now () +. 1e-3))
     | C_connecting fd -> (
       match ctx.sock_state fd with

@@ -160,6 +160,11 @@ module P = struct
   (* -------------------------------------------------------------- *)
   (* checkpoint image construction *)
 
+  (* incremental mode: the deepest delta chain before the next
+     checkpoint is written as a full image again, bounding restart's
+     chain-resolution work *)
+  let delta_chain = 8
+
   let build_image (ctx : Simos.Program.ctx) st =
     let proc = my_proc ctx in
     let ps = my_pstate ctx in
@@ -175,7 +180,7 @@ module P = struct
     let delta_base =
       if opts.Options.incremental then
         match ps.Runtime.delta_prev with
-        | Some (base, depth) when depth < opts.Options.delta_chain -> Some base
+        | Some (base, depth) when depth < delta_chain -> Some base
         | _ -> None
       else None
     in
@@ -374,7 +379,7 @@ module P = struct
     match st.phase with
     | P_boot -> (
       st.coord_fd <- ctx.socket ();
-      st.opts <- Options.of_getenv ctx.getenv;
+      st.opts <- Options.of_getenv ~base:(Runtime.options (rt ())) ctx.getenv;
       match ctx.connect st.coord_fd (coord_addr st) with
       | Ok () ->
         st.phase <- P_connecting 100;

@@ -1,5 +1,11 @@
-(** DMTCP configuration, carried in process environments the way the real
-    package uses [DMTCP_*] environment variables. *)
+(** DMTCP configuration.
+
+    The settings a checkpointed process reads from its own environment
+    travel in [DMTCP_*] variables, as in the real package; checkpoint
+    images capture that environment.  The per-cluster settings (store,
+    retention, compaction, plugins) are read from the options the
+    runtime was installed with ({!Runtime.options}) and never enter a
+    process environment. *)
 
 type t = {
   coord_host : int;            (** node running the coordinator *)
@@ -8,83 +14,57 @@ type t = {
   algo : Compress.Algo.t;      (** [Deflate] = gzip enabled (the default) *)
   forked : bool;               (** forked checkpointing *)
   incremental : bool;
-      (** write only pages dirtied since the previous checkpoint *)
+      (** write only pages dirtied since the previous checkpoint; delta
+          chains reset to a full image after 8 links *)
   interval : float option;     (** automatic checkpoint interval, seconds *)
   sync_after : bool;           (** issue sync(2) after writing images *)
-  store : bool;
-      (** write checkpoints to the replicated content-addressed store
-          instead of flat per-node files *)
-  store_replicas : int;        (** copies of each new block, distinct nodes *)
-  store_quorum : int;
-      (** replicas a write waits for; [0] = majority of [store_replicas] *)
-  keep_generations : int;
-      (** checkpoint generations retained per process lineage, by the
-          store GC and by the legacy flat-file reaper alike; [0] keeps
-          everything forever *)
-  delta_chain : int;
-      (** incremental mode: maximum delta-chain depth before the next
-          checkpoint is written as a full image again (bounds restart's
-          chain-resolution work); [0] disables deltas — incremental
-          size accounting with full image payloads *)
   lazy_restart : bool;
-      (** demand-paged lazy restore ([DMTCP_LAZY_RESTART]): restart
-          restores only the hot set (stacks, text, shared segments)
-          before resuming threads; cold pages fault in on first touch
-          and a background prefetcher drains the remainder, so restart
-          blackout is O(hot set) instead of O(image) *)
+      (** demand-paged lazy restore: restart restores only the hot set
+          (stacks, text, shared segments) before resuming threads; cold
+          pages fault in on first touch and a background prefetcher
+          drains the remainder, so restart blackout is O(hot set)
+          instead of O(image) *)
+  store : bool;
+      (** per cluster: write checkpoints to the replicated
+          content-addressed store instead of flat per-node files; the
+          store waits for a majority of [store_replicas] *)
+  store_replicas : int;        (** per cluster: copies of each new block, distinct nodes *)
+  keep_generations : int;
+      (** per cluster: checkpoint generations retained per process
+          lineage, by the store GC and by the legacy flat-file reaper
+          alike; [0] keeps everything forever *)
   compact_depth : int;
-      (** background delta-chain compaction ([DMTCP_COMPACT_DEPTH]),
-          run by the scheduler's tick: chains deeper than this are
-          squashed into consolidated full images at the same catalog
-          name, bounding restart chain depth independently of
-          [delta_chain]; [0] disables the compactor *)
+      (** per cluster: background delta-chain compaction, run by the
+          scheduler's tick: chains deeper than this are squashed into
+          consolidated full images at the same catalog name; [0]
+          disables the compactor *)
   plugins : string list;
-      (** enabled plugin set ([DMTCP_PLUGINS], comma-separated plugin
-          names; ["none"] or empty disables all plugins).  Cached once
-          per runtime install, like coordinator options are cached at
-          coordinator boot.  Parsed strictly: a malformed name raises
-          [Invalid_argument] rather than silently dropping the plugin. *)
-  blacklist_ports : int list;
-      (** blacklist-ports plugin knob ([DMTCP_PLUGIN_BLACKLIST_PORTS]):
-          service ports (DNS 53, LDAP 389/636 by default) whose
-          connections are skipped at drain and recreated as dead
-          sockets on restart.  Bad ports raise [Invalid_argument]. *)
-  ext_shm_prefix : string;
-      (** ext-shm plugin knob ([DMTCP_PLUGIN_EXT_SHM_PREFIX]): shared
-          mappings backed by paths under this prefix belong to an
-          external service (NSCD-style) and are zeroed in the written
-          image *)
-  mpi_proxy_prefix : string;
-      (** mpi-proxy plugin knob ([DMTCP_PLUGIN_MPI_PROXY_PREFIX]): unix
-          sockets whose path starts with this prefix connect a rank to
-          its node's MPI proxy daemon ({!Proxy.Daemon}).  The plugin
-          skips them at drain, captures them as immediately-dead
-          sockets, and at restart relaunches the node's proxy (from the
-          rank's [MPI_PROXY] environment marker) before the rank
-          resumes and reconnects. *)
+      (** per cluster: the enabled plugin set, applied once at install;
+          an unknown name raises [Invalid_argument] there *)
 }
 
 val default : t
 
-(** Render as [DMTCP_*] environment entries. *)
+(** The settings a process reads from its own environment, as
+    [DMTCP_*] entries: coordinator host and port, checkpoint directory,
+    compression, forked, incremental, interval, sync and lazy restart. *)
 val to_env : t -> (string * string) list
 
-(** Parse from a process environment (missing keys = defaults). *)
-val of_env : (string * string) list -> t
+(** Parse the entries {!to_env} writes; every other field, and every
+    missing key, takes [base]'s value. *)
+val of_env : base:t -> (string * string) list -> t
 
-(** Build from a [getenv]-style lookup (a program's view of its own
-    environment), reading every key {!to_env} writes. *)
-val of_getenv : (string -> string option) -> t
+(** {!of_env} over a [getenv]-style lookup (a program's view of its own
+    environment); programs pass {!Runtime.options} as [base], so their
+    record agrees with the runtime on the per-cluster fields. *)
+val of_getenv : base:t -> (string -> string option) -> t
 
 (** Environment marker that makes {!Simos.Kernel} treat a process as
     hijacked ([LD_PRELOAD=dmtcphijack.so] in the real system). *)
 val hijack_key : string
 
-(** Strict [DMTCP_PLUGINS] parser: comma-separated plugin names, [""]
-    or ["none"] for the empty set.  Raises [Invalid_argument] on a
-    malformed name (anything outside [a-z0-9-]). *)
+(** Strict [DMTCP_PLUGINS] parser for a host shell's setting:
+    comma-separated plugin names, [""] or ["none"] for the empty set.
+    Raises [Invalid_argument] on a malformed name (anything outside
+    [a-z0-9-]). *)
 val parse_plugins : string -> string list
-
-(** Strict [DMTCP_PLUGIN_BLACKLIST_PORTS] parser: comma-separated
-    ports; raises [Invalid_argument] on a non-port token. *)
-val parse_ports : string -> int list

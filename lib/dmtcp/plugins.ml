@@ -18,11 +18,6 @@
 
    Registration order here is the dispatch order everywhere. *)
 
-(* Per-plugin knobs, cached once per runtime install from the same
-   Options record the coordinator caches at boot. *)
-let cfg = ref Options.default
-let configure opts = cfg := opts
-
 let dead_socket kernel =
   Simnet.Fabric.socket (Simos.Kernel.fabric kernel) ~host:(Simos.Kernel.node_id kernel)
 
@@ -80,12 +75,15 @@ let ext_sock =
 (* ------------------------------------------------------------------ *)
 (* blacklist-ports *)
 
+(* the service ports real DMTCP blacklists: DNS, LDAP and LDAPS *)
+let service_ports = [ 53; 389; 636 ]
+
 (* a connection is blacklisted if *either* endpoint sits on a listed
    port: the client names the service port as its peer, the accepted
    server socket as its local address *)
 let blacklisted s =
   let listed = function
-    | Some (Simnet.Addr.Inet { port; _ }) -> List.mem port !cfg.Options.blacklist_ports
+    | Some (Simnet.Addr.Inet { port; _ }) -> List.mem port service_ports
     | _ -> false
   in
   listed (Simnet.Fabric.peer_addr s) || listed (Simnet.Fabric.local_addr s)
@@ -152,6 +150,9 @@ let proc_fd =
    zeroing must substitute a fresh page array into the snapshot — never
    write through the alias into the running service's memory. *)
 
+(* where NSCD keeps the cache databases it shares with clients *)
+let external_shm_prefix = "/var/db/nscd"
+
 let ext_shm =
   {
     Plugin.p_name = "ext-shm";
@@ -167,8 +168,7 @@ let ext_shm =
                 (fun (r : Mem.Region.t) ->
                   match r.Mem.Region.kind with
                   | Mem.Region.Mmap_shared { backing_path }
-                    when String.starts_with ~prefix:!cfg.Options.ext_shm_prefix
-                           backing_path ->
+                    when String.starts_with ~prefix:external_shm_prefix backing_path ->
                     Mem.Address_space.substitute_pages space
                       ~region_id:r.Mem.Region.id
                       (Array.make (Mem.Region.npages r) Mem.Page.Zero)
@@ -181,7 +181,7 @@ let ext_shm =
 (* ------------------------------------------------------------------ *)
 (* mpi-proxy: the checkpoint side of the rank/proxy split.  A rank's
    only transport fd is its unix connection to the node's proxy daemon
-   (path under [mpi_proxy_prefix]); the daemon is un-hijacked, so the
+   (path under [Proxy.Wire.path_prefix]); the daemon is un-hijacked, so the
    connection must not be drained (the peer would never cooperate) and
    cannot be restored as live.  Instead it is captured as an
    immediately-dead socket — the rank's protocol treats EOF as "proxy
@@ -192,7 +192,7 @@ let ext_shm =
 let proxy_socket s =
   let under = function
     | Some (Simnet.Addr.Unix { path; _ }) ->
-      String.starts_with ~prefix:!cfg.Options.mpi_proxy_prefix path
+      String.starts_with ~prefix:Proxy.Wire.path_prefix path
     | _ -> false
   in
   under (Simnet.Fabric.peer_addr s) || under (Simnet.Fabric.local_addr s)

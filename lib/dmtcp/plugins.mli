@@ -2,11 +2,6 @@
     on the {!Plugin} event API (see DESIGN.md §8 for the hook catalog
     and the heuristics table). *)
 
-(** Cache the per-plugin knobs (blacklisted ports, external-shm prefix)
-    from an options record — called once per runtime install, mirroring
-    how the coordinator caches its options at boot. *)
-val configure : Options.t -> unit
-
 (** Register the built-ins ([ext-sock], [blacklist-ports], [proc-fd],
     [ext-shm], [mpi-proxy]) in their fixed dispatch order.
     Idempotent. *)

@@ -663,7 +663,7 @@ module P = struct
       | Error (`Corrupt (_, msg)) -> raise (Ckpt_image.Corrupt_image msg)
     in
     let chain = Image_chain.images img ~load in
-    match chain.Image_chain.missing with
+    match chain.Util.Chain.missing with
     | Some base -> Error base
     | None ->
       Ok
@@ -755,7 +755,7 @@ module P = struct
      the lost blocks (exit 73); with nothing to restore, exit 1. *)
   let boot (ctx : Simos.Program.ctx) st =
     st.phase_t0 <- ctx.now ();
-    st.opts <- Options.of_getenv ctx.getenv;
+    st.opts <- Options.of_getenv ~base:(Runtime.options (rt ())) ctx.getenv;
     let paths = match ctx.argv with _ :: paths -> paths | [] -> [] in
     let outcomes = List.map (fun path -> (path, restore_image ctx st path)) paths in
     st.images <- List.filter_map (function _, Ok image -> image | _, Error _ -> None) outcomes;

@@ -508,8 +508,6 @@ let install cl ?(options = Options.default) () =
     if options.Options.store then
       Some
         (Store.create ~replicas:options.Options.store_replicas
-           ?quorum:
-             (if options.Options.store_quorum > 0 then Some options.Options.store_quorum else None)
            ~keep:options.Options.keep_generations ~engine:(Simos.Cluster.engine cl)
            ~targets:(Array.init (Simos.Cluster.nodes cl) (Simos.Cluster.target cl))
            ())
@@ -532,12 +530,10 @@ let install cl ?(options = Options.default) () =
     }
   in
   Simos.Cluster.set_hooks cl (make_hooks t);
-  (* plugin subsystem: register the built-ins, cache the per-plugin
-     knobs and apply the enabled set — once per install, the same way
-     the coordinator caches its options at boot.  Unknown names in
-     DMTCP_PLUGINS raise here, before any computation starts. *)
+  (* plugin subsystem: register the built-ins and apply the enabled
+     set, once per install.  Unknown plugin names raise here, before
+     any computation starts. *)
   Plugins.ensure_registered ();
-  Plugins.configure options;
   Plugin.set_enabled options.Options.plugins;
   Plugin.reset_counts ();
   active_rt := Some t;

@@ -10,7 +10,7 @@
     manager/restart core.
 
     Determinism contract: plugins run in registration order (a fixed
-    program-text order, independent of [DMTCP_PLUGINS] env ordering),
+    program-text order, independent of the order of the enabled set),
     handlers execute in zero simulated time, and every handler run
     emits a [plugin/<name>/<site>] trace span, so two runs of the same
     scenario produce byte-identical traces. *)
@@ -20,7 +20,7 @@
 type payload = ..
 
 type t = {
-  p_name : string;  (** unique name, the [DMTCP_PLUGINS] token *)
+  p_name : string;  (** unique name, as the enabled set lists it *)
   p_doc : string;   (** one-line description for [plugins ls] *)
   p_hooks : (string * (payload -> unit)) list;
       (** (site, handler) pairs; a plugin may hook several sites *)

@@ -659,7 +659,8 @@ let lineage_busy t lineage =
 
 (* At most one compaction per tick: background work must trickle, not
    monopolize disk bandwidth that restarts are waiting on.  The runtime's
-   DMTCP_COMPACT_DEPTH sets the threshold; 0 turns compaction off. *)
+   [compact_depth] install option sets the threshold; 0 turns compaction
+   off. *)
 let maybe_compact t =
   let depth = (Dmtcp.Runtime.options t.rt).Dmtcp.Options.compact_depth in
   if depth > 0 then

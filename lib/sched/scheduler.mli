@@ -40,7 +40,7 @@ type t
     bench baseline).  One operation may take 60 virtual s, a job may be
     restarted or relaunched 10 times, and a launch has 15 virtual s to
     produce its full process set.  When the runtime has a store and its
-    options set [compact_depth] ([DMTCP_COMPACT_DEPTH]) above 0, each
+    install options set [compact_depth] above 0, each
     tick squashes at most one delta chain deeper than that into a
     consolidated full image, skipping lineages touched by in-flight
     operations. *)

@@ -56,7 +56,6 @@ and hooks = {
   on_exec : t -> process -> prog:string -> argv:string list -> string * string list;
   on_ssh : t -> process -> host:int -> prog:string -> argv:string list -> string * string list;
   on_socket : t -> process -> fd:int -> Fdesc.t -> unit;
-  on_connect : t -> process -> fd:int -> Fdesc.t -> unit;
   on_accept : t -> process -> fd:int -> Fdesc.t -> unit;
   on_pipe : t -> process -> (int * int) option;
   on_close : t -> process -> fd:int -> Fdesc.t -> unit;
@@ -70,7 +69,6 @@ let default_hooks =
     on_exec = (fun _ _ ~prog ~argv -> (prog, argv));
     on_ssh = (fun _ _ ~host:_ ~prog ~argv -> (prog, argv));
     on_socket = (fun _ _ ~fd:_ _ -> ());
-    on_connect = (fun _ _ ~fd:_ _ -> ());
     on_accept = (fun _ _ ~fd:_ _ -> ());
     on_pipe = (fun _ _ -> None);
     on_close = (fun _ _ ~fd:_ _ -> ());
@@ -227,6 +225,40 @@ let take_fault_debt proc =
   proc.fault_debt <- 0.;
   d
 
+let fresh_pid t =
+  let pid = t.next_pid in
+  t.next_pid <- pid + 1;
+  pid
+
+(* The one process constructor: a process with no threads yet,
+   registered on the node with its procfs entry.  Spawn and restart
+   start from empty tables; fork passes the parent's. *)
+let new_process t ~pid ~ppid ~env ~hijacked ~cmdline ?(fdtable = Hashtbl.create 8) ?(next_fd = 3)
+    ?(space = Mem.Address_space.create ()) ?(sigtable = Hashtbl.create 4) ?pager () =
+  let proc =
+    {
+      pid;
+      ppid;
+      pnode = t.knode_id;
+      threads = [];
+      fdtable;
+      next_fd;
+      space;
+      env;
+      pstate = Running;
+      hijacked;
+      next_tid = 1;
+      cmdline;
+      sigtable;
+      pending_signals = [];
+      pager;
+      fault_debt = 0.;
+    }
+  in
+  Hashtbl.replace t.procs pid proc;
+  write_proc_status t ~pid;
+  proc
+
 let rec schedule_step t th ~delay =
   if not th.step_pending then begin
     th.step_pending <- true;
@@ -322,7 +354,6 @@ and make_ctx t th : Program.ctx =
     rng = t.krng;
     node_id = t.knode_id;
     pid = proc.pid;
-    tid = th.tid;
     ppid = (fun () -> proc.ppid);
     argv = proc.cmdline;
     getenv = (fun k -> List.assoc_opt k proc.env);
@@ -339,7 +370,6 @@ and make_ctx t th : Program.ctx =
         | None ->
           if create then Ok (install (Fdesc.make (Fdesc.File { file = Vfs.open_or_create t.kvfs path; offset = 0 })))
           else Error Errno.ENOENT);
-    unlink = (fun path -> Vfs.unlink t.kvfs path);
     file_exists = (fun path -> Vfs.exists t.kvfs path);
     read_fd =
       (fun fd ~max ->
@@ -399,15 +429,6 @@ and make_ctx t th : Program.ctx =
         | Error _ -> ());
         res);
     close_fd = (fun fd -> remove_fd t proc ~fd);
-    dup =
-      (fun fd ->
-        check_fd_res fd (fun d ->
-            Fdesc.incr_ref d;
-            (match d.Fdesc.kind with
-            | Fdesc.Pipe_r p -> Pipe.add_reader p
-            | Fdesc.Pipe_w p -> Pipe.add_writer p
-            | _ -> ());
-            Ok (install d)));
     dup2 =
       (fun ~src ~dst ->
         check_fd_res src (fun d ->
@@ -418,18 +439,12 @@ and make_ctx t th : Program.ctx =
                 decr_desc old
               end
               | None -> ());
-              Fdesc.incr_ref d;
-              (match d.Fdesc.kind with
-              | Fdesc.Pipe_r p -> Pipe.add_reader p
-              | Fdesc.Pipe_w p -> Pipe.add_writer p
-              | _ -> ());
+              incr_desc d;
               Hashtbl.replace proc.fdtable dst d;
               proc.next_fd <- max proc.next_fd (dst + 1)
             end;
             Ok ()));
     fds = (fun () -> Hashtbl.fold (fun fd _ acc -> fd :: acc) proc.fdtable [] |> List.sort compare);
-    fd_readable = (fun fd -> match fd_desc proc fd with Some d -> Fdesc.readable d | None -> false);
-    fd_writable = (fun fd -> match fd_desc proc fd with Some d -> Fdesc.writable d | None -> false);
     set_fd_owner =
       (fun fd owner -> match fd_desc proc fd with Some d -> d.Fdesc.owner <- owner | None -> ());
     get_fd_owner = (fun fd -> match fd_desc proc fd with Some d -> d.Fdesc.owner | None -> 0);
@@ -454,14 +469,6 @@ and make_ctx t th : Program.ctx =
         (m, s));
     socket = (fun () -> new_socket false);
     socket_unix = (fun () -> new_socket true);
-    socketpair =
-      (fun () ->
-        let a, b = Simnet.Fabric.socketpair t.fab ~host:t.knode_id in
-        bind_wake_sock a;
-        bind_wake_sock b;
-        let fa = install (Fdesc.make (Fdesc.Sock a)) in
-        let fb = install (Fdesc.make (Fdesc.Sock b)) in
-        (fa, fb));
     bind =
       (fun fd ~port ->
         check_fd_res fd (fun d ->
@@ -511,9 +518,7 @@ and make_ctx t th : Program.ctx =
             match d.Fdesc.kind with
             | Fdesc.Sock s -> (
               match Simnet.Fabric.connect s addr with
-              | Ok () ->
-                if wrapped then t.khooks.on_connect t proc ~fd d;
-                Ok ()
+              | Ok () -> Ok ()
               | Error _ -> Error Errno.EINVAL)
             | _ -> Error Errno.EINVAL));
     sock_state = (fun fd -> with_sock fd Simnet.Fabric.state);
@@ -537,19 +542,6 @@ and make_ctx t th : Program.ctx =
           | `Default -> Sig_default
           | `Ignore -> Sig_ignore
           | `Handler name -> Sig_handler name));
-    sigaction_get =
-      (fun signal ->
-        match get_sigaction proc signal with
-        | Sig_default -> `Default
-        | Sig_ignore -> `Ignore
-        | Sig_handler name -> `Handler name);
-    send_signal =
-      (fun ~pid ~signal ->
-        match Hashtbl.find_opt t.procs pid with
-        | Some target when target.pstate = Running ->
-          deliver_signal t target ~signal;
-          Ok ()
-        | Some _ | None -> Error Errno.ESRCH);
     take_signal =
       (fun () ->
         match proc.pending_signals with
@@ -581,18 +573,6 @@ and make_ctx t th : Program.ctx =
           Hashtbl.remove t.procs p.pid;
           `Child (p.pid, code)
         | None -> if !has_child then `None else `No_children);
-    kill =
-      (fun ~pid ->
-        match Hashtbl.find_opt t.procs pid with
-        | Some p when p.pstate = Running ->
-          do_exit_process t p 143;
-          Ok ()
-        | Some _ | None -> Error Errno.ESRCH);
-    process_alive =
-      (fun ~pid ->
-        match Hashtbl.find_opt t.procs pid with
-        | Some p -> p.pstate = Running
-        | None -> false);
     ssh =
       (fun ~host ~prog ~argv ->
         if host < 0 || host >= Array.length t.peers then Error Errno.EINVAL
@@ -610,6 +590,16 @@ and make_ctx t th : Program.ctx =
 
 (* ------------------------------------------------------------------ *)
 (* fd helpers *)
+
+(* an fd-table slot takes ([incr_desc]) or drops ([decr_desc]) a
+   reference to a description; pipe ends also count their readers and
+   writers, so EOF and EPIPE follow the last close *)
+and incr_desc desc =
+  Fdesc.incr_ref desc;
+  match desc.Fdesc.kind with
+  | Fdesc.Pipe_r p -> Pipe.add_reader p
+  | Fdesc.Pipe_w p -> Pipe.add_writer p
+  | _ -> ()
 
 and decr_desc desc =
   (match desc.Fdesc.kind with
@@ -669,30 +659,8 @@ and kill_thread th =
 
 and spawn_internal t ~prog ~argv ~env ~ppid ~hijacked =
   let inst = Program.instantiate ~name:prog ~argv in
-  let pid = t.next_pid in
-  t.next_pid <- pid + 1;
-  let proc =
-    {
-      pid;
-      ppid;
-      pnode = t.knode_id;
-      threads = [];
-      fdtable = Hashtbl.create 8;
-      next_fd = 3;
-      space = Mem.Address_space.create ();
-      env;
-      pstate = Running;
-      hijacked;
-      next_tid = 1;
-      cmdline = prog :: argv;
-      sigtable = Hashtbl.create 4;
-      pending_signals = [];
-      pager = None;
-      fault_debt = 0.;
-    }
-  in
-  Hashtbl.replace t.procs pid proc;
-  write_proc_status t ~pid;
+  let pid = fresh_pid t in
+  let proc = new_process t ~pid ~ppid ~env ~hijacked ~cmdline:(prog :: argv) () in
   Trace.Metrics.incr m_spawns;
   trace_proc t ~pid "proc/spawn" [ ("prog", prog) ];
   let th = add_thread_internal t proc ~inst ~manager:false ~blocked:None in
@@ -729,39 +697,15 @@ and add_thread_internal t proc ~inst ~manager ~blocked =
   th
 
 and do_fork t parent child_inst =
-  let pid = t.next_pid in
-  t.next_pid <- pid + 1;
+  let pid = fresh_pid t in
   let child =
-    {
-      pid;
-      ppid = parent.pid;
-      pnode = t.knode_id;
-      threads = [];
-      fdtable = Hashtbl.copy parent.fdtable;
-      next_fd = parent.next_fd;
-      space = Mem.Address_space.fork parent.space;
-      env = parent.env;
-      pstate = Running;
-      hijacked = parent.hijacked;
-      next_tid = 1;
-      cmdline = parent.cmdline;
-      sigtable = Hashtbl.copy parent.sigtable;
-      pending_signals = [];
-      pager = parent.pager;
-      fault_debt = 0.;
-    }
+    new_process t ~pid ~ppid:parent.pid ~env:parent.env ~hijacked:parent.hijacked
+      ~cmdline:parent.cmdline ~fdtable:(Hashtbl.copy parent.fdtable) ~next_fd:parent.next_fd
+      ~space:(Mem.Address_space.fork parent.space) ~sigtable:(Hashtbl.copy parent.sigtable)
+      ?pager:parent.pager ()
   in
-  (* shared open file descriptions: bump refcounts *)
-  Hashtbl.iter
-    (fun _ desc ->
-      Fdesc.incr_ref desc;
-      match desc.Fdesc.kind with
-      | Fdesc.Pipe_r p -> Pipe.add_reader p
-      | Fdesc.Pipe_w p -> Pipe.add_writer p
-      | _ -> ())
-    child.fdtable;
-  Hashtbl.replace t.procs pid child;
-  write_proc_status t ~pid;
+  (* shared open file descriptions *)
+  Hashtbl.iter (fun _ desc -> incr_desc desc) child.fdtable;
   Trace.Metrics.incr m_forks;
   trace_proc t ~pid:parent.pid "proc/fork" [ ("child", string_of_int pid) ];
   ignore (add_thread_internal t child ~inst:child_inst ~manager:false ~blocked:None);
@@ -832,8 +776,7 @@ let refork t ~child =
   in
   List.iter kill_thread child.threads;
   Hashtbl.remove t.procs child.pid;
-  let pid = t.next_pid in
-  t.next_pid <- pid + 1;
+  let pid = fresh_pid t in
   (* move semantics: the new process takes over the child's fd table and
      address space, so no refcount adjustment is needed *)
   let proc = { child with pid; threads = []; next_tid = 1 } in
@@ -846,34 +789,7 @@ let spawn t ~prog ~argv ?(env = []) ?(ppid = 0) ?(hijacked = false) () =
   spawn_internal t ~prog ~argv ~env ~ppid ~hijacked
 
 let create_raw_process t ~pid ~ppid ~env ~hijacked =
-  let proc =
-    {
-      pid;
-      ppid;
-      pnode = t.knode_id;
-      threads = [];
-      fdtable = Hashtbl.create 8;
-      next_fd = 3;
-      space = Mem.Address_space.create ();
-      env;
-      pstate = Running;
-      hijacked;
-      next_tid = 1;
-      cmdline = [];
-      sigtable = Hashtbl.create 4;
-      pending_signals = [];
-      pager = None;
-      fault_debt = 0.;
-    }
-  in
-  Hashtbl.replace t.procs pid proc;
-  write_proc_status t ~pid;
-  proc
-
-let fresh_pid t =
-  let pid = t.next_pid in
-  t.next_pid <- pid + 1;
-  pid
+  new_process t ~pid ~ppid ~env ~hijacked ~cmdline:[] ()
 
 let add_thread t proc ~inst ?(manager = false) ?blocked () =
   add_thread_internal t proc ~inst ~manager ~blocked

@@ -5,8 +5,8 @@
     analogue of [LD_PRELOAD] symbol interposition: hooks fire only for
     processes launched with [~hijacked:true] (i.e. under
     [dmtcp_checkpoint]) and let the DMTCP layer wrap fork, exec, ssh,
-    socket creation, connect, accept and pipe — the same libc calls the
-    paper lists in §4.2. *)
+    socket creation, accept and pipe — libc calls the paper lists in
+    §4.2. *)
 
 (** Disposition of a signal for a process — saved and restored by the
     checkpointer (the paper lists signal handlers among the artifacts
@@ -65,7 +65,6 @@ type hooks = {
   on_exec : t -> process -> prog:string -> argv:string list -> string * string list;
   on_ssh : t -> process -> host:int -> prog:string -> argv:string list -> string * string list;
   on_socket : t -> process -> fd:int -> Fdesc.t -> unit;
-  on_connect : t -> process -> fd:int -> Fdesc.t -> unit;
   on_accept : t -> process -> fd:int -> Fdesc.t -> unit;
   on_pipe : t -> process -> (int * int) option;
   on_close : t -> process -> fd:int -> Fdesc.t -> unit;

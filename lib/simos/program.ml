@@ -19,30 +19,24 @@ type ctx = {
   rng : Util.Rng.t;
   node_id : int;
   pid : int;
-  tid : int;
   ppid : unit -> int;
   argv : string list;
   getenv : string -> string option;
   setenv : string -> string -> unit;
   log : string -> unit;
   open_file : ?create:bool -> string -> (int, Errno.t) result;
-  unlink : string -> (unit, Errno.t) result;
   file_exists : string -> bool;
   read_fd : int -> max:int -> [ `Data of string | `Eof | `Would_block | `Err of Errno.t ];
   write_fd : int -> string -> (int, Errno.t) result;
   close_fd : int -> unit;
-  dup : int -> (int, Errno.t) result;
   dup2 : src:int -> dst:int -> (unit, Errno.t) result;
   fds : unit -> int list;
-  fd_readable : int -> bool;
-  fd_writable : int -> bool;
   set_fd_owner : int -> int -> unit;
   get_fd_owner : int -> int;
   pipe : unit -> int * int;
   open_pty : unit -> int * int;
   socket : unit -> int;
   socket_unix : unit -> int;
-  socketpair : unit -> int * int;
   bind : int -> port:int -> (int, Errno.t) result;
   bind_unix : int -> path:string -> (unit, Errno.t) result;
   listen : int -> backlog:int -> (unit, Errno.t) result;
@@ -56,12 +50,8 @@ type ctx = {
   mem_read : addr:int -> len:int -> string;
   spawn_thread : prog:string -> argv:string list -> int;
   sigaction_set : int -> [ `Default | `Ignore | `Handler of string ] -> unit;
-  sigaction_get : int -> [ `Default | `Ignore | `Handler of string ];
-  send_signal : pid:int -> signal:int -> (unit, Errno.t) result;
   take_signal : unit -> int option;
   wait_child : unit -> [ `Child of int * int | `None | `No_children ];
-  kill : pid:int -> (unit, Errno.t) result;
-  process_alive : pid:int -> bool;
   ssh : host:int -> prog:string -> argv:string list -> (int, Errno.t) result;
 }
 

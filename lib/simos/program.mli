@@ -46,7 +46,6 @@ type ctx = {
   rng : Util.Rng.t;
   node_id : int;
   pid : int;
-  tid : int;
   ppid : unit -> int;
   argv : string list;
   getenv : string -> string option;
@@ -54,17 +53,13 @@ type ctx = {
   log : string -> unit;
   (* --- files --- *)
   open_file : ?create:bool -> string -> (int, Errno.t) result;
-  unlink : string -> (unit, Errno.t) result;
   file_exists : string -> bool;
   (* --- generic fd operations --- *)
   read_fd : int -> max:int -> [ `Data of string | `Eof | `Would_block | `Err of Errno.t ];
   write_fd : int -> string -> (int, Errno.t) result;
   close_fd : int -> unit;
-  dup : int -> (int, Errno.t) result;
   dup2 : src:int -> dst:int -> (unit, Errno.t) result;
   fds : unit -> int list;
-  fd_readable : int -> bool;
-  fd_writable : int -> bool;
   set_fd_owner : int -> int -> unit;  (** fcntl F_SETOWN *)
   get_fd_owner : int -> int;          (** fcntl F_GETOWN *)
   (* --- pipes and ptys --- *)
@@ -73,7 +68,6 @@ type ctx = {
   (* --- sockets --- *)
   socket : unit -> int;
   socket_unix : unit -> int;
-  socketpair : unit -> int * int;
   bind : int -> port:int -> (int, Errno.t) result;
   bind_unix : int -> path:string -> (unit, Errno.t) result;
   listen : int -> backlog:int -> (unit, Errno.t) result;
@@ -92,13 +86,9 @@ type ctx = {
           the named program; returns its tid *)
   sigaction_set : int -> [ `Default | `Ignore | `Handler of string ] -> unit;
       (** install a disposition for a signal number *)
-  sigaction_get : int -> [ `Default | `Ignore | `Handler of string ];
-  send_signal : pid:int -> signal:int -> (unit, Errno.t) result;
   take_signal : unit -> int option;
       (** consume the oldest pending handled signal, if any *)
   wait_child : unit -> [ `Child of int * int | `None | `No_children ];
-  kill : pid:int -> (unit, Errno.t) result;  (** SIGTERM-style: target exits *)
-  process_alive : pid:int -> bool;
   ssh : host:int -> prog:string -> argv:string list -> (int, Errno.t) result;
       (** remote spawn; returns the remote pid. Subject to exec-wrapper
           rewriting when the caller is hijacked. *)

@@ -334,7 +334,11 @@ let fetch t ~node ~name =
             (List.hd b.b_replicas) (List.tl b.b_replicas)
         in
         if src <> node then incr remote;
-        let delay = Storage.Target.read t.targets.(src) ~bytes:(scaled scale b.b_sim_len) in
+        (* this image's share of its modeled bytes: [b_sim_len] was
+           scaled by whichever image first wrote the block *)
+        let delay =
+          Storage.Target.read t.targets.(src) ~bytes:(scaled scale (String.length b.b_bytes))
+        in
         Hashtbl.replace completion src delay)
       m.m_blocks;
     let delay = Hashtbl.fold (fun _ d acc -> Float.max d acc) completion 0. in
@@ -385,23 +389,24 @@ let gc_lineage ?keep t ~lineage =
       (* The keep-set is every manifest inside the retention window or
          under a pin, closed under delta-base references: a kept delta
          keeps the whole chain it resolves through, even when a base
-         sits in a generation older than the cut. *)
+         sits in a generation older than the cut.  The walk stops at a
+         base missing from the lineage and at a cycle. *)
       let by_name = Hashtbl.create 16 in
       List.iter
         (fun m -> if not (Hashtbl.mem by_name m.m_name) then Hashtbl.add by_name m.m_name m)
         mine;
       let keep_names = Hashtbl.create 16 in
-      let rec keep_chain m =
-        if not (Hashtbl.mem keep_names m.m_name) then begin
-          Hashtbl.add keep_names m.m_name ();
-          match m.m_base with
-          | Some b -> (
-            match Hashtbl.find_opt by_name b with Some bm -> keep_chain bm | None -> ())
-          | None -> ()
-        end
-      in
       List.iter
-        (fun m -> if m.m_generation >= oldest_kept || pin_protects t m then keep_chain m)
+        (fun m ->
+          if m.m_generation >= oldest_kept || pin_protects t m then begin
+            let chain =
+              Util.Chain.walk ~base_of:(fun b -> b.m_base) ~load:(Hashtbl.find_opt by_name)
+                m.m_base
+            in
+            List.iter
+              (fun name -> Hashtbl.replace keep_names name ())
+              (m.m_name :: List.map fst chain.Util.Chain.links)
+          end)
         mine;
       let doomed = List.filter (fun m -> not (Hashtbl.mem keep_names m.m_name)) mine in
       if doomed = [] then { gc_manifests = 0; gc_blocks = 0; gc_bytes = 0 }

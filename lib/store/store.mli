@@ -113,8 +113,10 @@ val put :
     least-loaded replica target (the reader's own disk wins ties), so
     an N-replica image streams from all N targets in parallel while
     per-target queuing stays honest through each target's serialization
-    cursor.  Returns the bytes and the read delay, [None] when the name
-    is not in the catalog.  Raises {!Missing_blocks} when referenced
+    cursor.  The reads add up to the image's [m_sim_bytes], as a
+    flat-file restart of the same image books; striping only changes
+    which targets serve them.  Returns the bytes and the read delay,
+    [None] when the name is not in the catalog.  Raises {!Missing_blocks} when referenced
     blocks have no surviving replica. *)
 val fetch : t -> node:int -> name:string -> (string * float) option
 

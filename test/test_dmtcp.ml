@@ -681,13 +681,13 @@ let test_delta_base_lost () =
   let img = image_on cl node path in
   let base = Option.get img.Dmtcp.Ckpt_image.delta_base in
   let chain () = Dmtcp.Image_chain.peek_chain rt path img in
-  check Alcotest.int "one delta on a full base" 1 (Dmtcp.Image_chain.depth (chain ()));
+  check Alcotest.int "one delta on a full base" 1 (Util.Chain.depth (chain ()));
   Alcotest.(check bool) "available with its base" true (Dmtcp.Api.script_images_available rt script);
   ignore
     (Simos.Vfs.unlink (Simos.Kernel.vfs (Simos.Cluster.kernel cl node))
        (Filename.concat (Filename.dirname path) base));
   check (Alcotest.option Alcotest.string) "walk names the lost base" (Some base)
-    (chain ()).Dmtcp.Image_chain.missing;
+    (chain ()).Util.Chain.missing;
   Alcotest.(check bool) "unavailable without its base" false
     (Dmtcp.Api.script_images_available rt script);
   let col = Trace.collector () in
@@ -859,34 +859,102 @@ let test_signals_survive_restart () =
     (file_anywhere cl "/tmp/sigr")
 
 (* small-unit coverage of the DMTCP metadata types *)
+
+(* every setting a process reads from its own environment, each away
+   from its default *)
+let env_options =
+  {
+    Dmtcp.Options.default with
+    Dmtcp.Options.coord_host = 7;
+    coord_port = 1234;
+    ckpt_dir = "/images";
+    algo = Compress.Algo.Rle;
+    forked = true;
+    incremental = true;
+    interval = Some 2.5;
+    sync_after = true;
+    lazy_restart = true;
+  }
+
+let env_keys =
+  [
+    "DMTCP_COORD_HOST";
+    "DMTCP_COORD_PORT";
+    "DMTCP_CHECKPOINT_DIR";
+    "DMTCP_GZIP";
+    "DMTCP_FORKED";
+    "DMTCP_INCREMENTAL";
+    "DMTCP_INTERVAL";
+    "DMTCP_SYNC";
+    "DMTCP_LAZY_RESTART";
+  ]
+
 let test_options_env_roundtrip () =
-  let opts =
+  let env = Dmtcp.Options.to_env env_options in
+  check Alcotest.(list string) "the nine keys, in order" env_keys (List.map fst env);
+  Alcotest.(check bool) "options survive the environment" true
+    (env_options = Dmtcp.Options.of_env ~base:Dmtcp.Options.default env);
+  Alcotest.(check bool) "every key reaches a program's getenv view" true
+    (env_options
+    = Dmtcp.Options.of_getenv ~base:Dmtcp.Options.default (fun k -> List.assoc_opt k env));
+  (* the per-cluster settings never travel: they come from the base *)
+  let cluster =
     {
-      Dmtcp.Options.coord_host = 7;
-      coord_port = 1234;
-      ckpt_dir = "/images";
-      algo = Compress.Algo.Rle;
-      forked = true;
-      incremental = true;
-      interval = Some 2.5;
-      sync_after = true;
-      store = true;
+      Dmtcp.Options.default with
+      Dmtcp.Options.store = true;
       store_replicas = 3;
-      store_quorum = 2;
       keep_generations = 4;
-      delta_chain = 5;
-      lazy_restart = true;
       compact_depth = 6;
       plugins = [ "ext-sock"; "blacklist-ports" ];
-      blacklist_ports = [ 53; 631 ];
-      ext_shm_prefix = "/var/db/nscd";
-      mpi_proxy_prefix = "/run/mpiproxy";
     }
   in
-  let env = Dmtcp.Options.to_env opts in
-  Alcotest.(check bool) "options survive the environment" true (opts = Dmtcp.Options.of_env env);
-  Alcotest.(check bool) "every key reaches a program's getenv view" true
-    (opts = Dmtcp.Options.of_getenv (fun k -> List.assoc_opt k env))
+  Alcotest.(check bool) "per-cluster settings come from the base" true
+    ({
+       env_options with
+       Dmtcp.Options.store = true;
+       store_replicas = 3;
+       keep_generations = 4;
+       compact_depth = 6;
+       plugins = [ "ext-sock"; "blacklist-ports" ];
+     }
+    = Dmtcp.Options.of_env ~base:cluster env)
+
+(* no key is written that no process reads *)
+let test_every_env_key_read () =
+  List.iter
+    (fun (key, value) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s=%s changes what of_env returns" key value)
+        false
+        (Dmtcp.Options.of_env ~base:Dmtcp.Options.default [ (key, value) ]
+        = Dmtcp.Options.default))
+    (Dmtcp.Options.to_env env_options)
+
+(* store, retention and plugin settings stay out of the processes (and
+   so out of every image): a hijacked process carries the nine keys and
+   the hijack marker, nothing else *)
+let test_hijacked_env_keys () =
+  let options =
+    {
+      Dmtcp.Options.default with
+      Dmtcp.Options.store = true;
+      keep_generations = 5;
+      plugins = Dmtcp.Plugins.all_names;
+    }
+  in
+  let cl, rt = make ~options () in
+  let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "5000"; "/tmp/never" ] in
+  run_for cl 1.0;
+  match Dmtcp.Runtime.hijacked_processes rt with
+  | [ (node, pid, _) ] -> (
+    match Dmtcp.Runtime.proc_of rt ~node ~pid with
+    | Some proc ->
+      check Alcotest.(list string) "DMTCP_* keys in the process environment"
+        (List.sort compare (Dmtcp.Options.hijack_key :: env_keys))
+        (List.filter (String.starts_with ~prefix:"DMTCP_") (List.map fst proc.Simos.Kernel.env)
+        |> List.sort compare)
+    | None -> Alcotest.fail "hijacked process not found")
+  | procs -> Alcotest.failf "expected one hijacked process, got %d" (List.length procs)
 
 let test_upid_conn_id_codecs () =
   let upid = Dmtcp.Upid.make ~hostid:3 ~pid:204 ~generation:2 in
@@ -942,22 +1010,22 @@ let test_image_chain_walk () =
   in
   let chain = walk [ ("d2", Some "d1"); ("d1", Some "full"); ("full", None) ] (Some "d2") in
   Alcotest.(check (list string)) "bases nearest first" [ "d2"; "d1"; "full" ]
-    (List.map fst chain.Dmtcp.Image_chain.links);
-  check Alcotest.int "depth to the full image" 3 (Dmtcp.Image_chain.depth chain);
-  check Alcotest.int "a full image has depth 0" 0 (Dmtcp.Image_chain.depth (walk [] None));
+    (List.map fst chain.Util.Chain.links);
+  check Alcotest.int "depth to the full image" 3 (Util.Chain.depth chain);
+  check Alcotest.int "a full image has depth 0" 0 (Util.Chain.depth (walk [] None));
   let broken = walk [ ("d1", Some "gone") ] (Some "d1") in
   check (Alcotest.option Alcotest.string) "dangling base named" (Some "gone")
-    broken.Dmtcp.Image_chain.missing;
-  check Alcotest.int "dangling link counted" 2 (Dmtcp.Image_chain.depth broken);
+    broken.Util.Chain.missing;
+  check Alcotest.int "dangling link counted" 2 (Util.Chain.depth broken);
   let cycle = walk [ ("a", Some "b"); ("b", Some "a") ] (Some "a") in
   Alcotest.(check (list string)) "cycle stops at the repeated base" [ "a"; "b" ]
-    (List.map fst cycle.Dmtcp.Image_chain.links);
-  Alcotest.(check bool) "cycle is cut" true cycle.Dmtcp.Image_chain.cut;
+    (List.map fst cycle.Util.Chain.links);
+  Alcotest.(check bool) "cycle is cut" true cycle.Util.Chain.cut;
   let long = List.init 100 (fun i -> (string_of_int i, Some (string_of_int (i + 1)))) in
   let bounded = walk long (Some "0") in
-  check Alcotest.int "default limit of 64 bases" 64 (Dmtcp.Image_chain.depth bounded);
-  Alcotest.(check bool) "over-long chain is cut" true bounded.Dmtcp.Image_chain.cut;
-  Alcotest.(check bool) "a complete chain is not cut" false chain.Dmtcp.Image_chain.cut
+  check Alcotest.int "default limit of 64 bases" 64 (Util.Chain.depth bounded);
+  Alcotest.(check bool) "over-long chain is cut" true bounded.Util.Chain.cut;
+  Alcotest.(check bool) "a complete chain is not cut" false chain.Util.Chain.cut
 
 let test_inspect_describe () =
   let cl, rt = make () in
@@ -981,6 +1049,8 @@ let unit_suites =
     ( "metadata",
       [
         Alcotest.test_case "options env round-trip" `Quick test_options_env_roundtrip;
+        Alcotest.test_case "every env key has a reader" `Quick test_every_env_key_read;
+        Alcotest.test_case "hijacked env carries nine keys" `Quick test_hijacked_env_keys;
         Alcotest.test_case "upid/conn-id codecs" `Quick test_upid_conn_id_codecs;
         Alcotest.test_case "protocol parsing" `Quick test_proto_parse;
         Alcotest.test_case "launcher exec failure" `Quick test_launcher_unknown_program_fails;

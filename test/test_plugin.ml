@@ -85,28 +85,21 @@ let test_parse_plugins () =
   check Alcotest.bool "malformed name rejected" true
     (raises_invalid (fun () -> Dmtcp.Options.parse_plugins "ext-sock,Bad Name!"))
 
-let test_parse_ports () =
-  check Alcotest.(list int) "csv" [ 53; 389; 636 ] (Dmtcp.Options.parse_ports "53,389,636");
-  check Alcotest.bool "non-numeric rejected" true
-    (raises_invalid (fun () -> Dmtcp.Options.parse_ports "53,dns"));
-  check Alcotest.bool "out-of-range rejected" true
-    (raises_invalid (fun () -> Dmtcp.Options.parse_ports "70000"))
-
+(* processes no longer parse DMTCP_PLUGINS or the plugin knobs: the
+   plugin set is an install option, and a malformed one raises at
+   install, before any computation starts *)
 let test_of_getenv_bad_value_raises () =
   let env pairs k = List.assoc_opt k pairs in
-  check Alcotest.bool "bad DMTCP_PLUGINS raises" true
+  let base = Dmtcp.Options.default in
+  check Alcotest.bool "plugin keys in a process environment are not read" true
+    (Dmtcp.Options.of_getenv ~base
+       (env [ ("DMTCP_PLUGINS", "ext sock"); ("DMTCP_PLUGIN_BLACKLIST_PORTS", "53,ldap") ])
+    = base);
+  check Alcotest.bool "unknown plugin in install options raises" true
     (raises_invalid (fun () ->
-         Dmtcp.Options.of_getenv (env [ ("DMTCP_PLUGINS", "ext sock") ])));
-  check Alcotest.bool "bad DMTCP_PLUGIN_BLACKLIST_PORTS raises" true
-    (raises_invalid (fun () ->
-         Dmtcp.Options.of_getenv (env [ ("DMTCP_PLUGIN_BLACKLIST_PORTS", "53,ldap") ])));
-  let opts =
-    Dmtcp.Options.of_getenv
-      (env [ ("DMTCP_PLUGINS", "ext-sock,ext-shm"); ("DMTCP_PLUGIN_BLACKLIST_PORTS", "631") ])
-  in
-  check Alcotest.(list string) "good values parsed" [ "ext-sock"; "ext-shm" ]
-    opts.Dmtcp.Options.plugins;
-  check Alcotest.(list int) "good ports parsed" [ 631 ] opts.Dmtcp.Options.blacklist_ports
+         Dmtcp.Api.install (Simos.Cluster.create ~nodes:1 ())
+           ~options:{ base with Dmtcp.Options.plugins = [ "ext sock" ] }
+           ()))
 
 (* ------------------------------------------------------------------ *)
 (* vfs path rewrite *)
@@ -276,7 +269,6 @@ let () =
       ( "options",
         [
           Alcotest.test_case "parse_plugins" `Quick test_parse_plugins;
-          Alcotest.test_case "parse_ports" `Quick test_parse_ports;
           Alcotest.test_case "bad env values raise" `Quick test_of_getenv_bad_value_raises;
         ] );
       ( "vfs-rewrite",

@@ -298,7 +298,7 @@ let test_preempt_coalesces_with_inflight_ckpt () =
     (Sched.Scheduler.restarts sched)
 
 (* ------------------------------------------------------------------ *)
-(* background compaction: DMTCP_COMPACT_DEPTH turns the scheduler's
+(* background compaction: the compact_depth option turns the scheduler's
    compactor on; squashing delta chains must change neither the job's
    output nor the store's health.  A drain midway makes the job restart
    on the other node from a chain the compactor has rewritten. *)

@@ -42,6 +42,29 @@ let test_fetch_unknown_is_none () =
   Alcotest.(check bool) "unknown name" true (Store.fetch store ~node:0 ~name:"nope" = None);
   Alcotest.(check bool) "not contained" false (Store.contains store ~name:"nope")
 
+(* Blocks carry modeled bytes already scaled at put, so a fetch must
+   book the image's modeled size once, not scale it a second time: an
+   image whose modeled size is 4x its real length reads like one
+   [Storage.Target.read] of that modeled size on an idle disk. *)
+let test_fetch_books_modeled_bytes () =
+  let eng, store = mk ~replicas:1 () in
+  let chunks =
+    List.init 4 (fun i -> String.make (1000 + (250 * i)) (Char.chr (Char.code 'k' + i)))
+  in
+  let real = List.fold_left (fun a c -> a + String.length c) 0 chunks in
+  ignore (put ~sim_bytes:(4 * real) store chunks);
+  (* drain the put's write bookings so the fetch meets an idle disk *)
+  Sim.Engine.run ~until:10.0 eng;
+  let fetched =
+    match Store.fetch store ~node:0 ~name:"img-g0" with
+    | Some (_, delay) -> delay
+    | None -> Alcotest.fail "catalogued image not fetchable"
+  in
+  let reference = Storage.Target.read (Storage.Target.local_disk eng ()) ~bytes:(4 * real) in
+  Alcotest.(check (float 1e-12))
+    (Printf.sprintf "fetch %.6f s = one read of the modeled size %.6f s" fetched reference)
+    reference fetched
+
 let test_dedup_across_generations () =
   let _, store = mk () in
   let a = String.make 500 'a' and b = String.make 600 'b' in
@@ -207,6 +230,20 @@ let test_gc_keeps_retained_delta_chain () =
   Alcotest.(check bool) "retained delta's base survives keep=1" true
     (Store.contains store ~name:"img-g0");
   check Alcotest.(list Alcotest.string) "healthy" [] (Store.verify store)
+
+(* a cyclic catalog (two deltas naming each other) must not hang the
+   keep-set walk: GC terminates, keeps the retained delta and the base it
+   names, and collects the rest *)
+let test_gc_cyclic_chain () =
+  let _, store = mk ~keep:1 () in
+  ignore (put ~generation:0 ~name:"old" store [ String.make 300 'o' ]);
+  ignore (put ~base:"cb" ~generation:1 ~name:"ca" store [ "a" ]);
+  ignore (put ~base:"ca" ~generation:2 ~name:"cb" store [ "b" ]);
+  let r = Store.gc_lineage ~keep:1 store ~lineage:"1-100" in
+  check Alcotest.int "only the manifest outside the cycle is collected" 1 r.Store.gc_manifests;
+  Alcotest.(check bool) "retained member kept" true (Store.contains store ~name:"cb");
+  Alcotest.(check bool) "the base it names kept" true (Store.contains store ~name:"ca");
+  Alcotest.(check bool) "older full image collected" false (Store.contains store ~name:"old")
 
 let test_verify_flags_dangling_base () =
   let _, store = mk () in
@@ -555,7 +592,7 @@ let test_e2e_compaction_pinned_restart () =
   (* the image-level walk restart and inspect use agrees with the catalog *)
   let image_depth () =
     let img, _ = Option.get (Dmtcp.Image_chain.peek rt name) in
-    Dmtcp.Image_chain.depth (Dmtcp.Image_chain.peek_chain rt name img)
+    Util.Chain.depth (Dmtcp.Image_chain.peek_chain rt name img)
   in
   check Alcotest.int "three incremental checkpoints chained" 3 (catalog_depth ());
   check Alcotest.int "image walk agrees with the catalog" 3 (image_depth ());
@@ -596,6 +633,7 @@ let () =
           Alcotest.test_case "FNV-1a-64 vectors" `Quick test_digest_fnv1a_vectors;
           Alcotest.test_case "CRC-residue chunks stay distinct" `Quick
             test_digest_survives_crc_residue;
+          Alcotest.test_case "fetch books the modeled size" `Quick test_fetch_books_modeled_bytes;
         ] );
       ( "gc",
         [
@@ -607,6 +645,7 @@ let () =
           Alcotest.test_case "verify flags dangling base" `Quick test_verify_flags_dangling_base;
           Alcotest.test_case "pin protects requeued job's checkpoint" `Quick
             test_pin_protects_generation;
+          Alcotest.test_case "cyclic chain terminates" `Quick test_gc_cyclic_chain;
         ] );
       ( "replica-loss",
         [
