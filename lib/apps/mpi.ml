@@ -348,6 +348,11 @@ let pprogress (ctx : Simos.Program.ctx) t p =
          let again = ref true in
          while !again do
            match Proxy.Wire.pop p.pin with
+           | exception Util.Codec.Reader.Corrupt _ ->
+             (* a garbled proxy stream: drop the link as on a hangup and
+                reconnect next round; the resend protocol recovers *)
+             pdrop ctx p;
+             again := false
            | None -> again := false
            | Some (f, rest) ->
              p.pin <- rest;

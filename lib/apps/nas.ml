@@ -1,14 +1,6 @@
 module W = Util.Codec.Writer
 module R = Util.Codec.Reader
 
-let encode_floats w a =
-  W.uvarint w (Array.length a);
-  Array.iter (W.f64 w) a
-
-let decode_floats r =
-  let n = R.uvarint r in
-  Array.init n (fun _ -> R.f64 r)
-
 (* simulated CPU seconds per floating-point operation *)
 let flop_cost = 2e-9
 
@@ -305,8 +297,8 @@ module Is = struct
     W.uvarint w k.rounds;
     W.uvarint w k.round;
     W.uvarint w k.phase;
-    encode_floats w k.keys;
-    encode_floats w k.received;
+    W.array W.f64 w k.keys;
+    W.array W.f64 w k.received;
     W.uvarint w k.got_from;
     W.bool w k.ok;
     W.option Mpi.Coll.encode w k.coll
@@ -317,8 +309,8 @@ module Is = struct
     let rounds = R.uvarint r in
     let round = R.uvarint r in
     let phase = R.uvarint r in
-    let keys = decode_floats r in
-    let received = decode_floats r in
+    let keys = R.array R.f64 r in
+    let received = R.array R.f64 r in
     let got_from = R.uvarint r in
     let ok = R.bool r in
     let coll = R.option Mpi.Coll.decode r in
@@ -328,14 +320,10 @@ module Is = struct
 
   let pack_keys keys =
     let w = W.create ~capacity:(Array.length keys * 3) () in
-    W.uvarint w (Array.length keys);
-    Array.iter (fun v -> W.uvarint w (int_of_float v)) keys;
+    W.array (fun w v -> W.uvarint w (int_of_float v)) w keys;
     W.contents w
 
-  let unpack_keys payload =
-    let r = R.of_string payload in
-    let n = R.uvarint r in
-    Array.init n (fun _ -> float_of_int (R.uvarint r))
+  let unpack_keys payload = R.array (fun r -> float_of_int (R.uvarint r)) (R.of_string payload)
 
   let kstep ctx comm k =
     let size = Mpi.size comm and rank = Mpi.rank comm in
@@ -479,10 +467,10 @@ module Cg = struct
     W.uvarint w k.repeats;
     W.uvarint w k.iter;
     W.uvarint w k.phase;
-    encode_floats w k.x;
-    encode_floats w k.rvec;
-    encode_floats w k.p;
-    encode_floats w k.ap;
+    W.array W.f64 w k.x;
+    W.array W.f64 w k.rvec;
+    W.array W.f64 w k.p;
+    W.array W.f64 w k.ap;
     W.f64 w k.rr_old;
     W.f64 w k.halo_lo;
     W.f64 w k.halo_hi;
@@ -496,10 +484,10 @@ module Cg = struct
     let repeats = R.uvarint r in
     let iter = R.uvarint r in
     let phase = R.uvarint r in
-    let x = decode_floats r in
-    let rvec = decode_floats r in
-    let p = decode_floats r in
-    let ap = decode_floats r in
+    let x = R.array R.f64 r in
+    let rvec = R.array R.f64 r in
+    let p = R.array R.f64 r in
+    let ap = R.array R.f64 r in
     let rr_old = R.f64 r in
     let halo_lo = R.f64 r in
     let halo_hi = R.f64 r in
@@ -708,14 +696,14 @@ module Mg = struct
     W.uvarint w k.cycle;
     W.uvarint w k.smooth_left;
     W.uvarint w k.phase;
-    encode_floats w k.u;
-    encode_floats w k.f;
+    W.array W.f64 w k.u;
+    W.array W.f64 w k.f;
     W.f64 w k.halo_lo;
     W.f64 w k.halo_hi;
     W.bool w k.got_lo;
     W.bool w k.got_hi;
     W.f64 w k.r0;
-    encode_floats w k.coarse;
+    W.array W.f64 w k.coarse;
     W.uvarint w k.coarse_got;
     W.option Mpi.Coll.encode w k.coll
 
@@ -725,14 +713,14 @@ module Mg = struct
     let cycle = R.uvarint r in
     let smooth_left = R.uvarint r in
     let phase = R.uvarint r in
-    let u = decode_floats r in
-    let f = decode_floats r in
+    let u = R.array R.f64 r in
+    let f = R.array R.f64 r in
     let halo_lo = R.f64 r in
     let halo_hi = R.f64 r in
     let got_lo = R.bool r in
     let got_hi = R.bool r in
     let r0 = R.f64 r in
-    let coarse = decode_floats r in
+    let coarse = R.array R.f64 r in
     let coarse_got = R.uvarint r in
     let coll = R.option Mpi.Coll.decode r in
     {
@@ -939,8 +927,8 @@ module Lu = struct
     W.uvarint w k.iters;
     W.uvarint w k.iter;
     W.uvarint w k.phase;
-    encode_floats w k.u;
-    encode_floats w k.f;
+    W.array W.f64 w k.u;
+    W.array W.f64 w k.f;
     W.f64 w k.halo_lo;
     W.f64 w k.halo_hi;
     W.f64 w k.r0;
@@ -951,8 +939,8 @@ module Lu = struct
     let iters = R.uvarint r in
     let iter = R.uvarint r in
     let phase = R.uvarint r in
-    let u = decode_floats r in
-    let f = decode_floats r in
+    let u = R.array R.f64 r in
+    let f = R.array R.f64 r in
     let halo_lo = R.f64 r in
     let halo_hi = R.f64 r in
     let r0 = R.f64 r in
@@ -1106,8 +1094,8 @@ module Adi (S : LINE_SOLVER) = struct
     W.uvarint w k.iters;
     W.uvarint w k.iter;
     W.uvarint w k.phase;
-    encode_floats w k.u;
-    encode_floats w k.f;
+    W.array W.f64 w k.u;
+    W.array W.f64 w k.f;
     W.f64 w k.halo_lo;
     W.f64 w k.halo_hi;
     W.bool w k.got_lo;
@@ -1120,8 +1108,8 @@ module Adi (S : LINE_SOLVER) = struct
     let iters = R.uvarint r in
     let iter = R.uvarint r in
     let phase = R.uvarint r in
-    let u = decode_floats r in
-    let f = decode_floats r in
+    let u = R.array R.f64 r in
+    let f = R.array R.f64 r in
     let halo_lo = R.f64 r in
     let halo_hi = R.f64 r in
     let got_lo = R.bool r in

@@ -205,8 +205,7 @@ module Jacobi = struct
     W.uvarint w k.steps;
     W.f64 w k.think;
     W.uvarint w k.step_no;
-    W.uvarint w (Array.length k.u);
-    Array.iter (W.f64 w) k.u;
+    W.array W.f64 w k.u;
     W.uvarint w k.phase;
     W.bool w k.got_left;
     W.bool w k.got_right;
@@ -218,8 +217,7 @@ module Jacobi = struct
     let steps = R.uvarint r in
     let think = R.f64 r in
     let step_no = R.uvarint r in
-    let n = R.uvarint r in
-    let u = Array.init n (fun _ -> R.f64 r) in
+    let u = R.array R.f64 r in
     let phase = R.uvarint r in
     let got_left = R.bool r in
     let got_right = R.bool r in

@@ -178,8 +178,9 @@ let expect ~what want o =
    and no output appears. *)
 let clean_abort o =
   let codes = exit_codes o in
-  unless (List.mem "73" codes)
-    (sprintf "restarter did not exit 73 (saw exits: %s)" (String.concat "," codes))
+  let lost = string_of_int Dmtcp.Exit_code.blocks_lost in
+  unless (List.mem lost codes)
+    (sprintf "restarter did not exit %s (saw exits: %s)" lost (String.concat "," codes))
   @ (match args o "rst/missing-blocks" with
     | None -> [ "no missing-blocks report from the restarter" ]
     | Some a ->
@@ -188,7 +189,7 @@ let clean_abort o =
         "missing-blocks report does not name the lost blocks")
   @ unless
       (Dmtcp.Runtime.hijacked_processes o.env.Common.rt = [])
-      "processes half-restored after a failed (exit 73) restart"
+      (sprintf "processes half-restored after a failed (exit %s) restart" lost)
   @ unless (o.output = None) "output produced despite unrecoverable images"
 
 (* ------------------------------------------------------------------ *)

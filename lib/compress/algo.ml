@@ -19,12 +19,6 @@ let compress t s =
   | Rle -> Rle.compress s
   | Deflate -> Deflate.compress s
 
-let decompress t s =
-  match t with
-  | Null -> s
-  | Rle -> Rle.decompress s
-  | Deflate -> Deflate.decompress s
-
 let to_tag = function
   | Null -> 0
   | Rle -> 1
@@ -37,4 +31,4 @@ let decode r =
   | 0 -> Null
   | 1 -> Rle
   | 2 -> Deflate
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad compression tag %d" n))
+  | n -> Util.Codec.Reader.corrupt "bad compression tag %d" n

@@ -17,7 +17,5 @@ val of_name : string -> t option
     format with CRC). *)
 val compress : t -> string -> string
 
-val decompress : t -> string -> string
-
 val encode : Util.Codec.Writer.t -> t -> unit
 val decode : Util.Codec.Reader.t -> t

@@ -61,8 +61,6 @@ end
 module Reader = struct
   type t = { src : string; mutable pos : int; mutable acc : int; mutable nbits : int }
 
-  exception Truncated
-
   let of_string src = { src; pos = 0; acc = 0; nbits = 0 }
 
   external unsafe_get64_ne : string -> int -> int64 = "%caml_string_get64u"
@@ -96,6 +94,8 @@ module Reader = struct
         done
     end
 
+  let truncated () = Util.Codec.Reader.corrupt "truncated bitstream"
+
   (* Look at the next [count] bits without consuming them; bits past the
      end of the input read as zero (the writer pads the final byte with
      zeros, so a table lookup keyed on a peek stays in range). *)
@@ -106,7 +106,7 @@ module Reader = struct
   let consume t count =
     if t.nbits < count then begin
       refill t;
-      if t.nbits < count then raise Truncated
+      if t.nbits < count then truncated ()
     end;
     t.acc <- t.acc lsr count;
     t.nbits <- t.nbits - count
@@ -114,7 +114,7 @@ module Reader = struct
   let get t count =
     if count < 0 || count > 24 then invalid_arg "Bitio.Reader.get: count out of range";
     refill t;
-    if t.nbits < count then raise Truncated;
+    if t.nbits < count then truncated ();
     let v = t.acc land ((1 lsl count) - 1) in
     t.acc <- t.acc lsr count;
     t.nbits <- t.nbits - count;

@@ -20,12 +20,10 @@ end
 module Reader : sig
   type t
 
-  exception Truncated
-
   val of_string : string -> t
 
   (** [get t count] reads [count] bits (LSB-first, 0 <= count <= 24).
-      Raises {!Truncated} past end of input. *)
+      Raises {!Util.Codec.Reader.Corrupt} past end of input. *)
   val get : t -> int -> int
 
   (** [peek t count] returns the next [count] bits (count <= 24) without
@@ -34,7 +32,7 @@ module Reader : sig
   val peek : t -> int -> int
 
   (** [consume t count] discards [count] previously peeked bits. Raises
-      {!Truncated} if fewer than [count] bits remain. *)
+      {!Util.Codec.Reader.Corrupt} if fewer than [count] bits remain. *)
   val consume : t -> int -> unit
 
   (** Read a single bit. *)

@@ -1,6 +1,5 @@
-exception Bad_container of string
+module R = Util.Codec.Reader
 
-let magic_v1 = "DMZ1"
 let magic = "DMZ2"
 let default_block_size = 256 * 1024
 
@@ -15,7 +14,7 @@ let max_block_size = 1 lsl 26
 let max_expansion_per_byte = Deflate.max_expansion_per_byte
 
 let plausible_len ~payload_bytes orig_len =
-  orig_len <= (payload_bytes * max_expansion_per_byte) + 64
+  orig_len >= 0 && orig_len <= (payload_bytes * max_expansion_per_byte) + 64
 
 (* ------------------------------------------------------------------ *)
 (* compression metrics: cheap unconditional accumulators surfaced by
@@ -77,16 +76,6 @@ let encode_block ~algo block =
   | _ -> Trace.Metrics.incr m_blocks_deflate);
   (!best_tag, !best)
 
-let decode_block ~tag ~expect_len payload =
-  let original =
-    if tag = enc_stored then payload
-    else if tag = enc_rle then Rle.decompress payload
-    else if tag = enc_deflate then Deflate.decompress payload
-    else raise (Bad_container (Printf.sprintf "bad block encoding tag %d" tag))
-  in
-  if String.length original <> expect_len then raise (Bad_container "block length mismatch");
-  original
-
 (* ------------------------------------------------------------------ *)
 (* DMZ2: block-based container.
 
@@ -121,88 +110,50 @@ let pack ?(block_size = default_block_size) ~algo s =
   note_pack algo ~bytes_in:n ~bytes_out:(String.length packed);
   packed
 
-(* ------------------------------------------------------------------ *)
-(* DMZ1: the legacy whole-image format — one compressed body, one CRC.
-   Kept encodable for the golden-image test and decodable so images
-   written before the block pipeline still restore. *)
-
-let pack_v1 ~algo s =
-  let body = Algo.compress algo s in
-  let w = Util.Codec.Writer.create ~capacity:(String.length body + 32) () in
-  Util.Codec.Writer.raw w magic_v1;
-  Algo.encode w algo;
-  Util.Codec.Writer.uvarint w (String.length s);
-  Util.Codec.Writer.i64 w (Int64.of_int32 (Util.Crc32.digest s));
-  Util.Codec.Writer.string w body;
-  Util.Codec.Writer.contents w
-
 let read_header s =
-  let r = Util.Codec.Reader.of_string s in
-  let m = try Util.Codec.Reader.raw r 4 with Util.Codec.Reader.Corrupt _ -> "" in
-  if m <> magic && m <> magic_v1 then raise (Bad_container "bad magic");
+  let r = R.of_string s in
+  if R.raw r (String.length magic) <> magic then R.corrupt "bad magic";
   let algo = Algo.decode r in
-  (r, m, algo)
+  (r, algo)
 
-let algo_of s =
-  try
-    let _, _, algo = read_header s in
-    algo
-  with Util.Codec.Reader.Corrupt msg -> raise (Bad_container ("corrupt frame: " ^ msg))
+let algo_of s = snd (read_header s)
 
-let unpack_v1 r ~payload_bytes algo =
-  let orig_len = Util.Codec.Reader.uvarint r in
-  if not (plausible_len ~payload_bytes orig_len) then
-    raise (Bad_container "implausible declared length");
-  let crc = Util.Codec.Reader.i64 r in
-  let body = Util.Codec.Reader.string r in
-  Util.Codec.Reader.expect_end r;
-  let original =
-    try Algo.decompress algo body with
-    | Invalid_argument m -> raise (Bad_container ("corrupt body: " ^ m))
-    | Bitio.Reader.Truncated -> raise (Bad_container "corrupt body: truncated bitstream")
-  in
-  if String.length original <> orig_len then raise (Bad_container "length mismatch");
-  if Int64.of_int32 (Util.Crc32.digest original) <> crc then raise (Bad_container "CRC mismatch");
-  original
-
-let unpack_v2 r ~payload_bytes =
-  let block_size = Util.Codec.Reader.uvarint r in
-  if block_size <= 0 || block_size > max_block_size then
-    raise (Bad_container "implausible block size");
-  let orig_len = Util.Codec.Reader.uvarint r in
-  if not (plausible_len ~payload_bytes orig_len) then
-    raise (Bad_container "implausible declared length");
-  let nblocks = Util.Codec.Reader.uvarint r in
+let unpack s =
+  let r, _ = read_header s in
+  let payload_bytes = String.length s in
+  let block_size = R.uvarint r in
+  if block_size <= 0 || block_size > max_block_size then R.corrupt "implausible block size";
+  let orig_len = R.uvarint r in
+  if not (plausible_len ~payload_bytes orig_len) then R.corrupt "implausible declared length";
+  let nblocks = R.uvarint r in
   if nblocks <> (orig_len + block_size - 1) / block_size then
-    raise (Bad_container "block count disagrees with declared length");
+    R.corrupt "block count disagrees with declared length";
   let out = Bytes.create orig_len in
   for b = 0 to nblocks - 1 do
     let off = b * block_size in
     let expect_len = min block_size (orig_len - off) in
-    let fail msg = raise (Bad_container (Printf.sprintf "block %d/%d: %s" b nblocks msg)) in
-    let tag = Util.Codec.Reader.u8 r in
-    let blen = Util.Codec.Reader.uvarint r in
+    let fail msg = R.corrupt "block %d/%d: %s" b nblocks msg in
+    let tag = R.u8 r in
+    let blen = R.uvarint r in
     if blen <> expect_len then fail "bad block length";
-    let crc = Util.Codec.Reader.u32 r in
-    let payload = Util.Codec.Reader.string r in
+    let crc = R.u32 r in
+    let payload = R.string r in
+    (* the decoders raise [R.Corrupt] themselves; this arm only prefixes
+       the damaged block's index *)
     let block =
-      try decode_block ~tag ~expect_len payload with
-      | Bad_container msg -> fail msg
-      | Invalid_argument msg -> fail ("corrupt body: " ^ msg)
-      | Bitio.Reader.Truncated -> fail "corrupt body: truncated bitstream"
+      try
+        if tag = enc_stored then payload
+        else if tag = enc_rle then Rle.decompress payload
+        else if tag = enc_deflate then Deflate.decompress payload
+        else R.corrupt "bad block encoding tag %d" tag
+      with R.Corrupt msg -> fail msg
     in
+    if String.length block <> expect_len then fail "block length mismatch";
     if Int32.to_int (Util.Crc32.digest block) land 0xffffffff <> crc then fail "CRC mismatch";
     Bytes.blit_string block 0 out off expect_len
   done;
-  Util.Codec.Reader.expect_end r;
+  R.expect_end r;
   Bytes.unsafe_to_string out
-
-let unpack s =
-  try
-    let r, m, algo = read_header s in
-    let payload_bytes = String.length s in
-    if m = magic then unpack_v2 r ~payload_bytes else unpack_v1 r ~payload_bytes algo
-  with Util.Codec.Reader.Corrupt msg -> raise (Bad_container ("corrupt frame: " ^ msg))
 
 (* ------------------------------------------------------------------ *)
 (* Frame boundaries, for content-addressed chunking.
@@ -214,39 +165,33 @@ let unpack s =
    page dirtied in one input block re-encodes exactly one frame. *)
 
 let frame_bounds s =
-  let module R = Util.Codec.Reader in
-  let total = String.length s in
-  if total < 4 || String.sub s 0 4 <> magic then None
-  else
-    try
-      let r = R.of_string s in
-      let pos () = total - R.remaining r in
-      ignore (R.raw r 4);
-      let _algo = Algo.decode r in
-      let block_size = R.uvarint r in
-      let orig_len = R.uvarint r in
-      let nblocks = R.uvarint r in
-      if
-        block_size <= 0 || block_size > max_block_size
-        || nblocks <> (orig_len + block_size - 1) / block_size
-      then None
-      else begin
-        let bounds = ref [] in
-        let start = ref 0 in
-        let cut () =
-          let p = pos () in
-          bounds := (!start, p - !start) :: !bounds;
-          start := p
-        in
-        cut ();
-        for _ = 1 to nblocks do
-          let (_ : int) = R.u8 r in
-          let (_ : int) = R.uvarint r in
-          let (_ : int) = R.u32 r in
-          let (_ : string) = R.string r in
-          cut ()
-        done;
-        R.expect_end r;
-        Some (List.rev !bounds)
-      end
-    with R.Corrupt _ | Bad_container _ -> None
+  try
+    let r, _ = read_header s in
+    let pos () = String.length s - R.remaining r in
+    let block_size = R.uvarint r in
+    let orig_len = R.uvarint r in
+    let nblocks = R.uvarint r in
+    if
+      block_size <= 0 || block_size > max_block_size
+      || nblocks <> (orig_len + block_size - 1) / block_size
+    then None
+    else begin
+      let bounds = ref [] in
+      let start = ref 0 in
+      let cut () =
+        let p = pos () in
+        bounds := (!start, p - !start) :: !bounds;
+        start := p
+      in
+      cut ();
+      for _ = 1 to nblocks do
+        let (_ : int) = R.u8 r in
+        let (_ : int) = R.uvarint r in
+        let (_ : int) = R.u32 r in
+        let (_ : string) = R.string r in
+        cut ()
+      done;
+      R.expect_end r;
+      Some (List.rev !bounds)
+    end
+  with R.Corrupt _ -> None

@@ -7,12 +7,7 @@
     {!Algo.t} allows.  The stored fallback bounds expansion on
     incompressible data to the per-block framing overhead, a per-block
     CRC-32 names the damaged block on corruption, and block independence
-    is what a streaming or parallel encoder needs.
-
-    The legacy whole-image format ("DMZ1") is still decoded, so checkpoint
-    images written before the block pipeline restore unchanged. *)
-
-exception Bad_container of string
+    is what a streaming or parallel encoder needs. *)
 
 (** Block size used by {!pack} when none is given: 256 KiB. *)
 val default_block_size : int
@@ -22,18 +17,14 @@ val default_block_size : int
     default is {!default_block_size}. *)
 val pack : ?block_size:int -> algo:Algo.t -> string -> string
 
-(** [pack_v1 ~algo s] writes the legacy DMZ1 frame (single compressed
-    body, whole-image CRC).  Kept for format-compatibility tests. *)
-val pack_v1 : algo:Algo.t -> string -> string
-
-(** [unpack s] decompresses and verifies lengths and CRCs (both DMZ2 and
-    legacy DMZ1 frames).  Raises {!Bad_container} on any mismatch; for
-    DMZ2 frames the message names the damaged block index.  Corrupt or
-    implausible header fields are rejected before any allocation sized
-    from them. *)
+(** [unpack s] decompresses and verifies lengths and CRCs.  Raises
+    {!Util.Codec.Reader.Corrupt} on any damage; a block's length, tag or
+    CRC mismatch names the damaged block index.  Corrupt or implausible
+    header fields are rejected before any allocation sized from them. *)
 val unpack : string -> string
 
-(** Scheme recorded in a frame, without unpacking the body. *)
+(** Scheme recorded in a frame, without unpacking the body.  Raises
+    {!Util.Codec.Reader.Corrupt} on a bad magic or tag. *)
 val algo_of : string -> Algo.t
 
 (** [frame_bounds s] returns the DMZ2 frame boundaries of [s]: the
@@ -42,6 +33,5 @@ val algo_of : string -> Algo.t
     cover fixed windows of the input, so a localized change to the
     uncompressed data re-encodes exactly one frame — the dedup unit of
     the content-addressed checkpoint store.  [None] if [s] is not a
-    well-formed DMZ2 container (legacy DMZ1 frames and raw strings
-    dedup as a single unit). *)
+    well-formed DMZ2 container (raw strings dedup as a single unit). *)
 val frame_bounds : string -> (int * int) list option

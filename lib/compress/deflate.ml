@@ -150,16 +150,18 @@ let compress s =
 let max_expansion_per_byte = 4 * 258
 
 let plausible_len ~payload_bytes orig_len =
-  orig_len <= (payload_bytes * max_expansion_per_byte) + 8
+  orig_len >= 0 && orig_len <= (payload_bytes * max_expansion_per_byte) + 8
+
+let corrupt = Util.Codec.Reader.corrupt
 
 let decompress packed =
   let r = Util.Codec.Reader.of_string packed in
   let orig_len = Util.Codec.Reader.uvarint r in
   if not (plausible_len ~payload_bytes:(String.length packed) orig_len) then
-    invalid_arg "Deflate.decompress: implausible declared length";
+    corrupt "Deflate.decompress: implausible declared length";
   let get_lens () =
     let n = Util.Codec.Reader.uvarint r in
-    if n > 4096 then invalid_arg "Deflate.decompress: implausible code-length count";
+    if n < 0 || n > 4096 then corrupt "Deflate.decompress: implausible code-length count";
     let lens = Array.make n 0 in
     let i = ref 0 in
     while !i < n do
@@ -189,26 +191,26 @@ let decompress packed =
   while not !finished do
     let sym = Huffman.decode lit_dec br in
     if sym < 256 then begin
-      if !pos >= orig_len then invalid_arg "Deflate.decompress: length mismatch";
+      if !pos >= orig_len then corrupt "Deflate.decompress: length mismatch";
       Bytes.unsafe_set out !pos (Char.unsafe_chr sym);
       incr pos
     end
     else if sym = eob then finished := true
     else begin
       let ls = sym - 257 in
-      if ls < 0 || ls >= Array.length length_base then invalid_arg "Deflate.decompress: bad length symbol";
+      if ls < 0 || ls >= Array.length length_base then corrupt "Deflate.decompress: bad length symbol";
       let len = length_base.(ls) + Bitio.Reader.get br length_extra.(ls) in
       let de =
         match dist_dec with
         | Some d -> d
-        | None -> invalid_arg "Deflate.decompress: match without distance table"
+        | None -> corrupt "Deflate.decompress: match without distance table"
       in
       let ds = Huffman.decode de br in
-      if ds >= Array.length dist_base then invalid_arg "Deflate.decompress: bad distance symbol";
+      if ds >= Array.length dist_base then corrupt "Deflate.decompress: bad distance symbol";
       let dist = dist_base.(ds) + Bitio.Reader.get br dist_extra.(ds) in
       let start = !pos - dist in
-      if start < 0 then invalid_arg "Deflate.decompress: distance before start";
-      if !pos + len > orig_len then invalid_arg "Deflate.decompress: length mismatch";
+      if start < 0 then corrupt "Deflate.decompress: distance before start";
+      if !pos + len > orig_len then corrupt "Deflate.decompress: length mismatch";
       if dist >= len then begin
         Bytes.blit out start out !pos len;
         pos := !pos + len
@@ -225,5 +227,5 @@ let decompress packed =
       end
     end
   done;
-  if !pos <> orig_len then invalid_arg "Deflate.decompress: length mismatch";
+  if !pos <> orig_len then corrupt "Deflate.decompress: length mismatch";
   Bytes.unsafe_to_string out

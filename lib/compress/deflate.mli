@@ -16,6 +16,6 @@ val max_expansion_per_byte : int
 (** [compress s] returns the compressed representation. *)
 val compress : string -> string
 
-(** [decompress s] inverts {!compress}. Raises [Invalid_argument] or
+(** [decompress s] inverts {!compress}. Raises
     {!Util.Codec.Reader.Corrupt} on malformed input. *)
 val decompress : string -> string

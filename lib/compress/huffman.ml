@@ -120,7 +120,7 @@ let validate_prefix_code count =
   for l = 1 to max_bits do
     sum := !sum +. (float_of_int count.(l) /. float_of_int (1 lsl l))
   done;
-  if !sum > 1.0 +. 1e-9 then invalid_arg "Huffman: over-subscribed code lengths"
+  if !sum > 1.0 +. 1e-9 then Util.Codec.Reader.corrupt "Huffman: over-subscribed code lengths"
 
 let decoder_of_lengths lens =
   let codes, count = canonical_codes lens in
@@ -182,7 +182,7 @@ let decode_slow dec r =
   while !result < 0 do
     code := (!code lsl 1) lor Bitio.Reader.bit r;
     incr len;
-    if !len > max_bits then invalid_arg "Huffman.decode: bad stream";
+    if !len > max_bits then Util.Codec.Reader.corrupt "Huffman.decode: bad stream";
     let l = !len in
     if dec.count.(l) > 0 && !code - dec.first_code.(l) < dec.count.(l) && !code >= dec.first_code.(l)
     then result := dec.sorted.(dec.first_index.(l) + (!code - dec.first_code.(l)))
@@ -195,7 +195,7 @@ let decode dec r =
     Bitio.Reader.consume r (e land 0xf);
     e lsr 4
   end
-  else if e = 0 then invalid_arg "Huffman.decode: bad stream"
+  else if e = 0 then Util.Codec.Reader.corrupt "Huffman.decode: bad stream"
   else decode_slow dec r
 
 let length enc sym = enc.lens.(sym)

@@ -17,8 +17,9 @@ val lengths_of_freqs : int array -> int array
 (** Build an encoder from code lengths. *)
 val encoder_of_lengths : int array -> encoder
 
-(** Build a decoder from the same lengths. Raises [Invalid_argument] if the
-    lengths do not describe a prefix code. *)
+(** Build a decoder from the same lengths. Raises
+    {!Util.Codec.Reader.Corrupt} if the lengths do not describe a prefix
+    code. *)
 val decoder_of_lengths : int array -> decoder
 
 (** [encode enc w sym] appends [sym]'s code. Raises if [sym] is unused. *)
@@ -30,7 +31,8 @@ val encode : encoder -> Bitio.Writer.t -> int -> unit
     mutate them. *)
 val tables : encoder -> int array * int array
 
-(** [decode dec r] reads one symbol. *)
+(** [decode dec r] reads one symbol; a bit pattern no code covers is
+    {!Util.Codec.Reader.Corrupt}. *)
 val decode : decoder -> Bitio.Reader.t -> int
 
 (** Bit length assigned to a symbol (0 if unused); used for size

@@ -43,13 +43,13 @@ let decompress s =
     incr i;
     if c < 128 then begin
       let count = c + 1 in
-      if !i + count > n then invalid_arg "Rle.decompress: truncated literals";
+      if !i + count > n then Util.Codec.Reader.corrupt "Rle.decompress: truncated literals";
       Buffer.add_substring buf s !i count;
       i := !i + count
     end
-    else if c = 128 then invalid_arg "Rle.decompress: reserved control byte"
+    else if c = 128 then Util.Codec.Reader.corrupt "Rle.decompress: reserved control byte"
     else begin
-      if !i >= n then invalid_arg "Rle.decompress: truncated run";
+      if !i >= n then Util.Codec.Reader.corrupt "Rle.decompress: truncated run";
       let count = 257 - c in
       Buffer.add_string buf (String.make count s.[!i]);
       incr i

@@ -2,4 +2,6 @@
     in ablations against {!Deflate}. *)
 
 val compress : string -> string
+
+(** Inverse of {!compress}; malformed input is {!Util.Codec.Reader.Corrupt}. *)
 val decompress : string -> string

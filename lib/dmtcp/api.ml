@@ -165,7 +165,7 @@ let script_images_available rt (script : Restart_script.t) =
     | Some f -> (
       match Ckpt_image.decode (Simos.Vfs.read_all f) with
       | img -> Some img.Ckpt_image.delta_base
-      | exception Ckpt_image.Corrupt_image _ -> None)
+      | exception Util.Codec.Reader.Corrupt _ -> None)
     | None -> (
       let name = Filename.basename path in
       match Runtime.store rt with

@@ -66,7 +66,7 @@ let decode_sock_state r =
     let backlog = R.uvarint r in
     S_listening { port; unix_path; backlog }
   | 2 -> S_other
-  | n -> raise (R.Corrupt (Printf.sprintf "bad sock state %d" n))
+  | n -> R.corrupt "bad sock state %d" n
 
 let role_tag = function
   | Conn_table.Connector -> 0
@@ -79,7 +79,7 @@ let role_of_tag = function
   | 1 -> Conn_table.Acceptor
   | 2 -> Conn_table.Pair_a
   | 3 -> Conn_table.Pair_b
-  | n -> raise (R.Corrupt (Printf.sprintf "bad role %d" n))
+  | n -> R.corrupt "bad role %d" n
 
 let kind_tag = function Conn_table.Tcp -> 0 | Conn_table.Unixsock -> 1 | Conn_table.Pair -> 2
 
@@ -87,7 +87,7 @@ let kind_of_tag = function
   | 0 -> Conn_table.Tcp
   | 1 -> Conn_table.Unixsock
   | 2 -> Conn_table.Pair
-  | n -> raise (R.Corrupt (Printf.sprintf "bad kind %d" n))
+  | n -> R.corrupt "bad kind %d" n
 
 let encode_fd_info w = function
   | FFile { path; offset } ->
@@ -125,7 +125,7 @@ let decode_fd_info r =
     let master = R.bool r in
     let pty_key = R.uvarint r in
     FPty { master; pty_key }
-  | n -> raise (R.Corrupt (Printf.sprintf "bad fd info %d" n))
+  | n -> R.corrupt "bad fd info %d" n
 
 let encode_pty w p =
   W.uvarint w p.pty_key;
@@ -150,13 +150,13 @@ let decode_pty r =
 
 let magic = "DMTCP_CKPT_V2"
 
-exception Corrupt_image of string
+exception Corrupt_image = R.Corrupt
 
 (* V2 layout: magic, then two length-prefixed sections (metadata, mtcp
    blob), each followed by a CRC-32 trailer over the section bytes.  A
    truncated or bit-flipped image fails the CRC (or the bounds checks of
-   the codec) and surfaces as [Corrupt_image] rather than garbage
-   decode results at restart. *)
+   the codec) and surfaces as [R.Corrupt] rather than garbage decode
+   results at restart. *)
 
 let crc_of s = Int32.to_int (Util.Crc32.digest s) land 0xffffffff
 
@@ -167,8 +167,7 @@ let write_section w payload =
 let read_section r what =
   let payload = R.string r in
   let crc = R.u32 r in
-  if crc <> crc_of payload then
-    raise (Corrupt_image (Printf.sprintf "%s section CRC mismatch" what));
+  if crc <> crc_of payload then R.corrupt "%s section CRC mismatch" what;
   payload
 
 let encode t =
@@ -199,7 +198,7 @@ let decode s =
   try
     let r = R.of_string s in
     let m = R.raw r (String.length magic) in
-    if m <> magic then raise (Corrupt_image "bad DMTCP image magic");
+    if m <> magic then R.corrupt "bad DMTCP image magic";
     let meta = read_section r "metadata" in
     let mtcp_blob = read_section r "mtcp" in
     R.expect_end r;
@@ -237,9 +236,10 @@ let decode s =
       mtcp_blob;
     }
   with
-  | Corrupt_image _ as e -> raise e
-  | R.Corrupt msg -> raise (Corrupt_image msg)
-  | Invalid_argument msg | Failure msg -> raise (Corrupt_image msg)
+  (* the safety net at the image boundary: every decoder below reports
+     damage as [R.Corrupt] itself, so this arm only catches a decoder
+     bug *)
+  | Invalid_argument msg | Failure msg -> R.corrupt "%s" msg
 
 (* Chunk an encoded image at its DMZ2 frame boundaries for the
    content-addressed store: [magic + metadata section + blob length
@@ -276,20 +276,8 @@ let chunk bytes =
     end
   with R.Corrupt _ -> whole
 
-(* The mtcp blob is itself a compressed container; bit-flips inside it
-   surface as [Bad_container] (with the damaged block's index for DMZ2
-   frames) — convert so restart's corrupt-image path handles both. *)
-let mtcp t =
-  try Mtcp.Image.decode t.mtcp_blob with
-  | Compress.Container.Bad_container msg -> raise (Corrupt_image ("mtcp body: " ^ msg))
-  | Util.Codec.Reader.Corrupt msg -> raise (Corrupt_image ("mtcp body: " ^ msg))
-
-(* Resolve a delta image against its (already reconstructed) base MTCP
-   image; same damage conversion as [mtcp]. *)
-let delta_mtcp t ~base =
-  try Mtcp.Image.apply_delta ~base t.mtcp_blob with
-  | Compress.Container.Bad_container msg -> raise (Corrupt_image ("mtcp delta: " ^ msg))
-  | Util.Codec.Reader.Corrupt msg -> raise (Corrupt_image ("mtcp delta: " ^ msg))
+let mtcp t = Mtcp.Image.decode t.mtcp_blob
+let delta_mtcp t ~base = Mtcp.Image.apply_delta ~base t.mtcp_blob
 
 let socket_stats t =
   List.fold_left

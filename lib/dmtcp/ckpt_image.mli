@@ -57,24 +57,28 @@ type t = {
     name so a delta's base is never overwritten in place. *)
 val filename : ?seq:int -> t -> string
 
-(** A truncated or bit-flipped image: decoding failed the per-section
-    CRC-32 trailer or the codec's bounds checks. *)
+(** An alias of {!Util.Codec.Reader.Corrupt}, the one exception every
+    image decoder raises on damage, kept under its old name for callers
+    outside the library. *)
 exception Corrupt_image of string
 
 (** Image bytes: magic, then metadata and MTCP-blob sections, each
     length-prefixed and followed by a CRC-32 trailer. *)
 val encode : t -> string
 
-(** Raises {!Corrupt_image} on damage. *)
+(** Raises {!Util.Codec.Reader.Corrupt} on damage.  A stray
+    [Invalid_argument] or [Failure] from a decoder is converted to it
+    too: the one safety net at the image boundary. *)
 val decode : string -> t
 
 (** Decode the wrapped MTCP image (memory + threads).  Only valid when
-    [delta_base = None]; a delta blob fails with {!Corrupt_image}. *)
+    [delta_base = None]; a delta blob fails with
+    {!Util.Codec.Reader.Corrupt}, as does any damage. *)
 val mtcp : t -> Mtcp.Image.t
 
 (** [delta_mtcp t ~base] reconstructs a delta image's full MTCP image
-    from the resolved base.  Raises {!Corrupt_image} on damage or a
-    dangling base reference. *)
+    from the resolved base.  Raises {!Util.Codec.Reader.Corrupt} on
+    damage or a dangling base reference. *)
 val delta_mtcp : t -> base:Mtcp.Image.t -> Mtcp.Image.t
 
 (** Split encoded image bytes at the mtcp blob's DMZ2 frame boundaries

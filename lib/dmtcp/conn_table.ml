@@ -47,7 +47,7 @@ let role_of_tag = function
   | 1 -> Acceptor
   | 2 -> Pair_a
   | 3 -> Pair_b
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad role %d" n))
+  | n -> Util.Codec.Reader.corrupt "bad role %d" n
 
 let kind_tag = function Tcp -> 0 | Unixsock -> 1 | Pair -> 2
 
@@ -55,7 +55,7 @@ let kind_of_tag = function
   | 0 -> Tcp
   | 1 -> Unixsock
   | 2 -> Pair
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad sock kind %d" n))
+  | n -> Util.Codec.Reader.corrupt "bad sock kind %d" n
 
 let encode_entry w e =
   Conn_id.encode w e.conn_id;

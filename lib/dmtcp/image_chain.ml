@@ -43,7 +43,7 @@ let peek ?prefer rt path =
   | Some (bytes, source) -> (
     match Ckpt_image.decode bytes with
     | img -> Some (img, source)
-    | exception Ckpt_image.Corrupt_image _ -> None)
+    | exception Util.Codec.Reader.Corrupt _ -> None)
 
 (* the one bound on how many bases an image may resolve through *)
 let walk ~base_of ~load first = Util.Chain.walk ~limit:64 ~base_of ~load first
@@ -69,8 +69,8 @@ let catalog_depth store ~name =
 (* Decode the bottom (full) image, then apply each delta on the way back
    up: the recursion returns deepest first. *)
 let mtcp ?(on_delta = fun ~image:_ _ -> ()) ~name img chain =
-  if chain.Util.Chain.missing <> None then raise (Ckpt_image.Corrupt_image "delta chain broken");
-  if chain.Util.Chain.cut then raise (Ckpt_image.Corrupt_image "delta chain too deep");
+  if chain.Util.Chain.missing <> None then Util.Codec.Reader.corrupt "delta chain broken";
+  if chain.Util.Chain.cut then Util.Codec.Reader.corrupt "delta chain too deep";
   let rec replay name (img : Ckpt_image.t) = function
     | [] -> Ckpt_image.mtcp img
     | ((base, (base_img, _)) as link) :: deeper ->

@@ -57,7 +57,7 @@ val catalog_depth : Store.t -> name:string -> int
 (** [mtcp ~name img chain] decodes the nearest full image of [chain] and
     replays every delta back up to [img] (named [name]); [on_delta ~image
     base] runs, deepest first, just before delta [image] is applied onto
-    its [base].  Raises [Ckpt_image.Corrupt_image] on damage and on an
+    its [base].  Raises [Util.Codec.Reader.Corrupt] on damage and on an
     incomplete chain: callers that recover from a lost base test
     [missing] first. *)
 val mtcp :

@@ -433,7 +433,7 @@ module P = struct
       else if st.coord_eof then
         (* coordinator died mid-checkpoint: the barrier will never be
            released; fail stop with user threads still suspended *)
-        Simos.Program.Exit 70
+        Simos.Program.Exit Exit_code.manager_failed
       else
         match ctx.sock_state st.coord_fd with
         | Some Simnet.Fabric.Established ->
@@ -708,7 +708,7 @@ module P = struct
     try step ctx st
     with e ->
       ctx.log (Printf.sprintf "dmtcp:mgr crashed: %s" (Printexc.to_string e));
-      Simos.Program.Exit 70
+      Simos.Program.Exit Exit_code.manager_failed
 end
 
 let program = (module P : Simos.Program.S)

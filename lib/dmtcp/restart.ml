@@ -642,7 +642,7 @@ module P = struct
     | None -> Error (`Lost [ Filename.basename path ])
     | Some (bytes, source) -> (
       match Ckpt_image.decode bytes with
-      | exception Ckpt_image.Corrupt_image msg ->
+      | exception Util.Codec.Reader.Corrupt msg ->
         Error (`Corrupt (Image_chain.source_name source, msg))
       | img ->
         if source <> Image_chain.Store then
@@ -652,7 +652,7 @@ module P = struct
   (* Reconstruct a delta image's full mtcp body by walking the
      [delta_base] links back to a full image and replaying each delta on
      the way up; [Error base] names a base that is gone.  A damaged base
-     or delta raises [Ckpt_image.Corrupt_image]. *)
+     or delta raises [Util.Codec.Reader.Corrupt]. *)
   let resolve_mtcp (ctx : Simos.Program.ctx) st path img =
     let load base =
       match load_image ctx st (Filename.concat (Filename.dirname path) base) with
@@ -660,7 +660,7 @@ module P = struct
         st.chain_bases <- base_img :: st.chain_bases;
         Some link
       | Error (`Lost _) -> None
-      | Error (`Corrupt (_, msg)) -> raise (Ckpt_image.Corrupt_image msg)
+      | Error (`Corrupt (_, msg)) -> raise (Util.Codec.Reader.Corrupt msg)
     in
     let chain = Image_chain.images img ~load in
     match chain.Util.Chain.missing with
@@ -705,7 +705,7 @@ module P = struct
              | Ok (cimg, _) -> (
                match resolve_mtcp ctx st cpath cimg with
                | Error _ -> None
-               | exception Ckpt_image.Corrupt_image _ -> None
+               | exception Util.Codec.Reader.Corrupt _ -> None
                | Ok mtcp ->
                  ctx.log
                    (Printf.sprintf "image %s unresolvable: falling back to %s (generation %d)"
@@ -739,7 +739,7 @@ module P = struct
         match resolve_mtcp ctx st path img with
         | Ok mtcp -> Ok (Some (img, Some mtcp))
         | Error base -> lost ~lineage:(Some (Upid.lineage img.Ckpt_image.upid)) [ base ]
-        | exception Ckpt_image.Corrupt_image msg -> Error (`Corrupt ("delta chain", msg)))
+        | exception Util.Codec.Reader.Corrupt msg -> Error (`Corrupt ("delta chain", msg)))
     in
     (match restored with
     | Error (`Corrupt (source, msg)) ->
@@ -765,7 +765,7 @@ module P = struct
         outcomes
     in
     if List.exists (function _, Error (`Corrupt _) -> true | _ -> false) outcomes then
-      Simos.Program.Exit 72
+      Simos.Program.Exit Exit_code.corrupt_image
     else if missing <> [] then begin
       (* every replica of at least one block is gone: fail the restart
          cleanly and name the unrecoverable blocks *)
@@ -776,9 +776,9 @@ module P = struct
                (String.concat ", " blocks));
           trace_rst ctx "missing-blocks" [ ("path", path); ("blocks", String.concat "," blocks) ])
         missing;
-      Simos.Program.Exit 73
+      Simos.Program.Exit Exit_code.blocks_lost
     end
-    else if st.images = [] then Simos.Program.Exit 1
+    else if st.images = [] then Simos.Program.Exit Exit_code.no_images
     else begin
       trace_rst ctx "boot" [ ("images", string_of_int (List.length st.images)) ];
       st.phase <- R_files;
@@ -843,10 +843,10 @@ module P = struct
       | () ->
         st.phase <- R_mem;
         Simos.Program.Continue st
-      | exception Ckpt_image.Corrupt_image msg ->
+      | exception Util.Codec.Reader.Corrupt msg ->
         ctx.log (Printf.sprintf "corrupt checkpoint image at materialize: %s" msg);
         trace_rst ctx "corrupt-image" [ ("error", msg) ];
-        Simos.Program.Exit 72)
+        Simos.Program.Exit Exit_code.corrupt_image)
     | R_mem ->
       let delay = memory_restore_delay ctx st in
       let delay =
@@ -880,7 +880,7 @@ module P = struct
     try step ctx st
     with e ->
       ctx.log (Printf.sprintf "dmtcp:restart crashed: %s" (Printexc.to_string e));
-      Simos.Program.Exit 71
+      Simos.Program.Exit Exit_code.restarter_crashed
 end
 
 let program = (module P : Simos.Program.S)

@@ -111,4 +111,4 @@ let decode r =
   | 2 -> Code
   | 3 -> Numeric
   | 4 -> Random
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad entropy tag %d" n))
+  | n -> Util.Codec.Reader.corrupt "bad entropy tag %d" n

@@ -60,11 +60,10 @@ let decode r =
   | 1 ->
     let data = Util.Codec.Reader.string r in
     if String.length data <> size then
-      raise
-        (Util.Codec.Reader.Corrupt (Printf.sprintf "page payload of %d bytes" (String.length data)));
+      Util.Codec.Reader.corrupt "page payload of %d bytes" (String.length data);
     of_string data
   | 2 ->
     let seed = Util.Codec.Reader.i64 r in
     let cls = Entropy.decode r in
     Synthetic { seed; cls }
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad page tag %d" n))
+  | n -> Util.Codec.Reader.corrupt "bad page tag %d" n

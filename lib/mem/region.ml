@@ -97,7 +97,7 @@ let decode_kind r =
   | 5 ->
     let backing_path = Util.Codec.Reader.string r in
     Mmap_shared { backing_path }
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad region kind %d" n))
+  | n -> Util.Codec.Reader.corrupt "bad region kind %d" n
 
 let encode w t =
   Util.Codec.Writer.uvarint w t.id;

@@ -93,65 +93,63 @@ let delta_sizes algo ~prev t =
     price algo t ~per_page:1 ~charged:(fun r ->
         page_changed (List.assoc_opt r.Mem.Region.id prev_regions))
 
+module W = Util.Codec.Writer
+module R = Util.Codec.Reader
+
 let encode_sigaction w = function
-  | Simos.Kernel.Sig_default -> Util.Codec.Writer.u8 w 0
-  | Simos.Kernel.Sig_ignore -> Util.Codec.Writer.u8 w 1
+  | Simos.Kernel.Sig_default -> W.u8 w 0
+  | Simos.Kernel.Sig_ignore -> W.u8 w 1
   | Simos.Kernel.Sig_handler name ->
-    Util.Codec.Writer.u8 w 2;
-    Util.Codec.Writer.string w name
+    W.u8 w 2;
+    W.string w name
 
 let decode_sigaction r =
-  match Util.Codec.Reader.u8 r with
+  match R.u8 r with
   | 0 -> Simos.Kernel.Sig_default
   | 1 -> Simos.Kernel.Sig_ignore
-  | 2 -> Simos.Kernel.Sig_handler (Util.Codec.Reader.string r)
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad sigaction %d" n))
+  | 2 -> Simos.Kernel.Sig_handler (R.string r)
+  | n -> R.corrupt "bad sigaction %d" n
 
-let encode_body t =
-  let w = Util.Codec.Writer.create ~capacity:4096 () in
-  Util.Codec.Writer.list Util.Codec.Writer.string w t.cmdline;
-  Util.Codec.Writer.list
-    (Util.Codec.Writer.pair Util.Codec.Writer.string Util.Codec.Writer.string)
-    w t.env;
-  Util.Codec.Writer.list
+(* Full and delta bodies share every section but the address space:
+   [prefix], cmdline, env and threads, then the space through
+   [encode_space], then the signal table and pending signals. *)
+let encode_sections ~prefix encode_space t =
+  let w = W.create ~capacity:4096 () in
+  W.raw w prefix;
+  W.list W.string w t.cmdline;
+  W.list (W.pair W.string W.string) w t.env;
+  W.list
     (fun w ti ->
       Simos.Program.encode_instance w ti.ti_inst;
-      Util.Codec.Writer.option Simos.Program.encode_wait w ti.ti_wait)
+      W.option Simos.Program.encode_wait w ti.ti_wait)
     w t.threads;
-  Mem.Address_space.encode w t.space;
-  Util.Codec.Writer.list (Util.Codec.Writer.pair Util.Codec.Writer.uvarint encode_sigaction) w
-    t.sigtable;
-  Util.Codec.Writer.list Util.Codec.Writer.uvarint w t.pending_signals;
-  Util.Codec.Writer.contents w
+  encode_space w t.space;
+  W.list (W.pair W.uvarint encode_sigaction) w t.sigtable;
+  W.list W.uvarint w t.pending_signals;
+  W.contents w
 
-let decode_body s =
-  let r = Util.Codec.Reader.of_string s in
-  let cmdline = Util.Codec.Reader.list Util.Codec.Reader.string r in
-  let env =
-    Util.Codec.Reader.list
-      (Util.Codec.Reader.pair Util.Codec.Reader.string Util.Codec.Reader.string)
-      r
-  in
+let decode_sections decode_space r =
+  let cmdline = R.list R.string r in
+  let env = R.list (R.pair R.string R.string) r in
   let threads =
-    Util.Codec.Reader.list
+    R.list
       (fun r ->
         let ti_inst = Simos.Program.decode_instance r in
-        let ti_wait = Util.Codec.Reader.option Simos.Program.decode_wait r in
+        let ti_wait = R.option Simos.Program.decode_wait r in
         { ti_inst; ti_wait })
       r
   in
-  let space = Mem.Address_space.decode r in
-  let sigtable =
-    Util.Codec.Reader.list
-      (Util.Codec.Reader.pair Util.Codec.Reader.uvarint decode_sigaction)
-      r
-  in
-  let pending_signals = Util.Codec.Reader.list Util.Codec.Reader.uvarint r in
-  Util.Codec.Reader.expect_end r;
+  let space = decode_space r in
+  let sigtable = R.list (R.pair R.uvarint decode_sigaction) r in
+  let pending_signals = R.list R.uvarint r in
+  R.expect_end r;
   { cmdline; env; threads; space; sigtable; pending_signals }
 
-let encode ~algo t = Compress.Container.pack ~algo (encode_body t)
-let decode s = decode_body (Compress.Container.unpack s)
+let encode ~algo t =
+  Compress.Container.pack ~algo (encode_sections ~prefix:"" Mem.Address_space.encode t)
+
+let decode s =
+  decode_sections Mem.Address_space.decode (R.of_string (Compress.Container.unpack s))
 
 (* ---------------- incremental delta images ---------------- *)
 
@@ -173,90 +171,55 @@ let delta_pages t =
     0
     (Mem.Address_space.regions t.space)
 
-(* A delta body mirrors [encode_body] except for the address space: the
-   skeleton (allocation cursor plus each region's identity and shape) is
-   stored in full, and each page is either inline (tag 1, dirty since the
-   base snapshot) or a reference to the base image's page at the same
-   region id and index (tag 0).  Regions created after the base snapshot
-   are born all-dirty, so tag 0 never points outside the base. *)
-let encode_delta_body t =
-  let w = Util.Codec.Writer.create ~capacity:4096 () in
-  Util.Codec.Writer.raw w delta_magic;
-  Util.Codec.Writer.list Util.Codec.Writer.string w t.cmdline;
-  Util.Codec.Writer.list
-    (Util.Codec.Writer.pair Util.Codec.Writer.string Util.Codec.Writer.string)
-    w t.env;
-  Util.Codec.Writer.list
-    (fun w ti ->
-      Simos.Program.encode_instance w ti.ti_inst;
-      Util.Codec.Writer.option Simos.Program.encode_wait w ti.ti_wait)
-    w t.threads;
-  Util.Codec.Writer.uvarint w (Mem.Address_space.next_addr t.space);
-  Util.Codec.Writer.uvarint w (Mem.Address_space.next_region_id t.space);
-  Util.Codec.Writer.list
+(* A delta body differs from a full one only in its magic prefix and
+   its address space: the skeleton (allocation cursor plus each
+   region's identity and shape) is stored in full, and each page is
+   either inline (tag 1, dirty since the base snapshot) or a reference
+   to the base image's page at the same region id and index (tag 0).
+   Regions created after the base snapshot are born all-dirty, so tag 0
+   never points outside the base. *)
+let encode_delta_space w space =
+  W.uvarint w (Mem.Address_space.next_addr space);
+  W.uvarint w (Mem.Address_space.next_region_id space);
+  W.list
     (fun w (r : Mem.Region.t) ->
-      Util.Codec.Writer.uvarint w r.Mem.Region.id;
-      Util.Codec.Writer.uvarint w r.Mem.Region.start_addr;
+      W.uvarint w r.Mem.Region.id;
+      W.uvarint w r.Mem.Region.start_addr;
       Mem.Region.encode_kind w r.Mem.Region.kind;
-      Util.Codec.Writer.bool w r.Mem.Region.perms.Mem.Region.read;
-      Util.Codec.Writer.bool w r.Mem.Region.perms.Mem.Region.write;
-      Util.Codec.Writer.bool w r.Mem.Region.perms.Mem.Region.exec;
-      Util.Codec.Writer.uvarint w (Mem.Region.npages r);
+      W.bool w r.Mem.Region.perms.Mem.Region.read;
+      W.bool w r.Mem.Region.perms.Mem.Region.write;
+      W.bool w r.Mem.Region.perms.Mem.Region.exec;
+      W.uvarint w (Mem.Region.npages r);
       Array.iteri
         (fun idx page ->
           if page_inline r idx then begin
-            Util.Codec.Writer.u8 w 1;
+            W.u8 w 1;
             Mem.Page.encode w page
           end
-          else Util.Codec.Writer.u8 w 0)
+          else W.u8 w 0)
         r.Mem.Region.pages)
     w
-    (Mem.Address_space.regions t.space);
-  Util.Codec.Writer.list (Util.Codec.Writer.pair Util.Codec.Writer.uvarint encode_sigaction) w
-    t.sigtable;
-  Util.Codec.Writer.list Util.Codec.Writer.uvarint w t.pending_signals;
-  Util.Codec.Writer.contents w
+    (Mem.Address_space.regions space)
 
-let encode_delta ~algo t = Compress.Container.pack ~algo (encode_delta_body t)
-
-let apply_delta ~base s =
-  let body = Compress.Container.unpack s in
-  let r = Util.Codec.Reader.of_string body in
-  let magic = Util.Codec.Reader.raw r (String.length delta_magic) in
-  if magic <> delta_magic then
-    raise (Util.Codec.Reader.Corrupt "not an MTCPD1 delta image");
+let decode_delta_space ~base r =
   let base_regions =
     List.fold_left
       (fun acc (br : Mem.Region.t) -> (br.Mem.Region.id, br) :: acc)
       []
       (Mem.Address_space.regions base.space)
   in
-  let cmdline = Util.Codec.Reader.list Util.Codec.Reader.string r in
-  let env =
-    Util.Codec.Reader.list
-      (Util.Codec.Reader.pair Util.Codec.Reader.string Util.Codec.Reader.string)
-      r
-  in
-  let threads =
-    Util.Codec.Reader.list
-      (fun r ->
-        let ti_inst = Simos.Program.decode_instance r in
-        let ti_wait = Util.Codec.Reader.option Simos.Program.decode_wait r in
-        { ti_inst; ti_wait })
-      r
-  in
-  let next_addr = Util.Codec.Reader.uvarint r in
-  let next_region_id = Util.Codec.Reader.uvarint r in
+  let next_addr = R.uvarint r in
+  let next_region_id = R.uvarint r in
   let regions =
-    Util.Codec.Reader.list
+    R.list
       (fun r ->
-        let id = Util.Codec.Reader.uvarint r in
-        let start_addr = Util.Codec.Reader.uvarint r in
+        let id = R.uvarint r in
+        let start_addr = R.uvarint r in
         let kind = Mem.Region.decode_kind r in
-        let read = Util.Codec.Reader.bool r in
-        let write = Util.Codec.Reader.bool r in
-        let exec = Util.Codec.Reader.bool r in
-        let npages = Util.Codec.Reader.uvarint r in
+        let read = R.bool r in
+        let write = R.bool r in
+        let exec = R.bool r in
+        let npages = R.count r in
         let base_pages =
           match List.assoc_opt id base_regions with
           | Some br -> br.Mem.Region.pages
@@ -264,16 +227,12 @@ let apply_delta ~base s =
         in
         let pages =
           Array.init npages (fun idx ->
-              match Util.Codec.Reader.u8 r with
+              match R.u8 r with
               | 1 -> Mem.Page.decode r
               | 0 ->
                 if idx < Array.length base_pages then base_pages.(idx)
-                else
-                  raise
-                    (Util.Codec.Reader.Corrupt
-                       (Printf.sprintf "delta references missing base page %d/%d" id idx))
-              | n ->
-                raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad delta page tag %d" n)))
+                else R.corrupt "delta references missing base page %d/%d" id idx
+              | n -> R.corrupt "bad delta page tag %d" n)
         in
         {
           Mem.Region.id;
@@ -286,21 +245,16 @@ let apply_delta ~base s =
         })
       r
   in
-  let sigtable =
-    Util.Codec.Reader.list
-      (Util.Codec.Reader.pair Util.Codec.Reader.uvarint decode_sigaction)
-      r
-  in
-  let pending_signals = Util.Codec.Reader.list Util.Codec.Reader.uvarint r in
-  Util.Codec.Reader.expect_end r;
-  {
-    cmdline;
-    env;
-    threads;
-    space = Mem.Address_space.of_regions ~next_addr ~next_region_id regions;
-    sigtable;
-    pending_signals;
-  }
+  Mem.Address_space.of_regions ~next_addr ~next_region_id regions
+
+let encode_delta ~algo t =
+  Compress.Container.pack ~algo (encode_sections ~prefix:delta_magic encode_delta_space t)
+
+let apply_delta ~base s =
+  let r = R.of_string (Compress.Container.unpack s) in
+  if R.raw r (String.length delta_magic) <> delta_magic then
+    R.corrupt "not an MTCPD1 delta image";
+  decode_sections (decode_delta_space ~base) r
 
 let restore_threads kernel (proc : Simos.Kernel.process) t =
   proc.Simos.Kernel.space <- t.space;

@@ -57,9 +57,8 @@ val delta_sizes : Compress.Algo.t -> prev:Mem.Address_space.t option -> t -> siz
 (** Encode to real bytes (framed, CRC-protected). *)
 val encode : algo:Compress.Algo.t -> t -> string
 
-(** Decode; raises {!Compress.Container.Bad_container} or
-    [Util.Codec.Reader.Corrupt] on damage, [Not_found] if a program is
-    missing from the registry. *)
+(** Decode; raises {!Util.Codec.Reader.Corrupt} on any damage,
+    including a program name missing from the registry. *)
 val decode : string -> t
 
 (** {2 Incremental delta images}
@@ -86,9 +85,8 @@ val encode_delta : algo:Compress.Algo.t -> t -> string
 
 (** [apply_delta ~base s] reconstructs the full image: referenced pages
     are taken from [base] (the image whose checkpoint cleared the dirty
-    bits [s] was encoded under).  Raises [Util.Codec.Reader.Corrupt] on a
-    non-delta payload or a dangling base reference, and the usual
-    container exceptions on damage.  The reconstruction is structurally
+    bits [s] was encoded under).  Raises {!Util.Codec.Reader.Corrupt} on
+    a non-delta payload, a dangling base reference or any other damage.  The reconstruction is structurally
     equal to the original capture, so [encode ~algo (apply_delta ~base s)]
     is byte-identical to encoding the original full image. *)
 val apply_delta : base:t -> string -> t

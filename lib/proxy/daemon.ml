@@ -99,6 +99,11 @@ module P = struct
     let again = ref true in
     while !again do
       match Wire.pop conn.inb with
+      | exception Util.Codec.Reader.Corrupt _ ->
+        (* garbage on this connection: close it as on a hangup; the
+           other connections keep routing *)
+        conn.dead <- true;
+        again := false
       | None -> again := false
       | Some (f, rest) ->
         conn.inb <- rest;

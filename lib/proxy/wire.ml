@@ -57,9 +57,10 @@ let pop buf =
   if String.length buf < 4 then None
   else begin
     let len = Int32.to_int (String.get_int32_le buf 0) in
+    if len < 0 then R.corrupt "Proxy.Wire: negative frame length %d" len;
     if String.length buf < 4 + len then None
     else begin
-      let r = R.of_string (String.sub buf 4 len) in
+      let r = R.of_string ~pos:4 ~len buf in
       let f =
         match R.u8 r with
         | 0 ->
@@ -94,8 +95,9 @@ let pop buf =
           let epoch = R.uvarint r in
           let seq = R.uvarint r in
           Ack_ind { src; epoch; seq }
-        | t -> failwith (Printf.sprintf "Proxy.Wire: unknown frame type %d" t)
+        | t -> R.corrupt "Proxy.Wire: unknown frame type %d" t
       in
+      R.expect_end r;
       Some (f, String.sub buf (4 + len) (String.length buf - 4 - len))
     end
   end

@@ -51,7 +51,10 @@ type frame =
 (** Length-prefixed encoding ready to write to a socket. *)
 val to_bytes : frame -> string
 
-(** Pop one complete frame off the head of a stream buffer. *)
+(** Pop one complete frame off the head of a stream buffer: [None]
+    until the whole frame has arrived.  A malformed frame (negative
+    length, unknown type, bad body) raises {!Util.Codec.Reader.Corrupt};
+    the reader drops the connection, as on a hangup. *)
 val pop : string -> (frame * string) option
 
 (** Payload bytes a frame carries (0 for control frames). *)

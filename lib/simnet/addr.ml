@@ -32,4 +32,4 @@ let decode r =
     let host = Util.Codec.Reader.uvarint r in
     let path = Util.Codec.Reader.string r in
     Unix { host; path }
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad addr tag %d" n))
+  | n -> Util.Codec.Reader.corrupt "bad addr tag %d" n

@@ -125,7 +125,7 @@ let decode_instance r =
   let name = Util.Codec.Reader.string r in
   let body = Util.Codec.Reader.string r in
   match Hashtbl.find_opt registry name with
-  | None -> raise Not_found
+  | None -> Util.Codec.Reader.corrupt "unknown program %S" name
   | Some (module P) ->
     let br = Util.Codec.Reader.of_string body in
     let st = P.decode br in
@@ -155,4 +155,4 @@ let decode_wait r =
   | 3 -> Child
   | 4 -> Stopped
   | 5 -> Readable_any (Util.Codec.Reader.list Util.Codec.Reader.uvarint r)
-  | n -> raise (Util.Codec.Reader.Corrupt (Printf.sprintf "bad wait tag %d" n))
+  | n -> Util.Codec.Reader.corrupt "bad wait tag %d" n

@@ -142,7 +142,8 @@ val instantiate : name:string -> argv:string list -> instance
 (** Serialize an instance as (name, state blob). *)
 val encode_instance : Util.Codec.Writer.t -> instance -> unit
 
-(** Rebuild from the registry. Raises [Not_found] for unknown names. *)
+(** Rebuild from the registry.  Raises {!Util.Codec.Reader.Corrupt} for
+    an unknown program name, as for any other damage. *)
 val decode_instance : Util.Codec.Reader.t -> instance
 
 val encode_wait : Util.Codec.Writer.t -> wait -> unit

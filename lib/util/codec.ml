@@ -104,7 +104,9 @@ module Reader = struct
 
   let remaining t = t.limit - t.pos
 
-  let need t n = if remaining t < n then corrupt "truncated input (need %d bytes, have %d)" n (remaining t)
+  let need t n =
+    if n < 0 then corrupt "negative length %d" n;
+    if remaining t < n then corrupt "truncated input (need %d bytes, have %d)" n (remaining t)
 
   let u8 t =
     need t 1;
@@ -159,14 +161,22 @@ module Reader = struct
     let n = uvarint t in
     raw t n
 
+  (* Every element costs at least one byte, so a count above the bytes
+     left is damage, and rejecting it here keeps a flipped varint from
+     sizing an allocation. *)
+  let count t =
+    let n = uvarint t in
+    if n < 0 || n > remaining t then corrupt "count %d exceeds the %d bytes left" n (remaining t);
+    n
+
   let option dec t = if bool t then Some (dec t) else None
 
   let list dec t =
-    let n = uvarint t in
+    let n = count t in
     List.init n (fun _ -> dec t)
 
   let array dec t =
-    let n = uvarint t in
+    let n = count t in
     Array.init n (fun _ -> dec t)
 
   let pair dec_a dec_b t =

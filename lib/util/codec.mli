@@ -46,8 +46,13 @@ end
 module Reader : sig
   type t
 
-  (** Raised on malformed input (truncation, bad tag, trailing junk). *)
+  (** Raised on malformed input (truncation, bad tag, out-of-range
+      count, trailing junk).  Every decoder of image, store or wire
+      bytes reports damage with this exception and no other. *)
   exception Corrupt of string
+
+  (** [corrupt fmt ...] raises {!Corrupt} with the formatted message. *)
+  val corrupt : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
   val of_string : ?pos:int -> ?len:int -> string -> t
 
@@ -64,8 +69,13 @@ module Reader : sig
   val bool : t -> bool
   val string : t -> string
 
-  (** [raw t n] reads exactly [n] bytes. *)
+  (** [raw t n] reads exactly [n] bytes; a negative [n] is {!Corrupt}. *)
   val raw : t -> int -> string
+
+  (** A uvarint element count in [0 .. remaining t], else {!Corrupt}.
+      Sound for any encoding whose elements take at least one byte each;
+      {!list} and {!array} read their count through it. *)
+  val count : t -> int
 
   val option : (t -> 'a) -> t -> 'a option
   val list : (t -> 'a) -> t -> 'a list

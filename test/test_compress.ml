@@ -29,7 +29,7 @@ let test_bitio_roundtrip () =
 
 let test_bitio_truncated () =
   let r = Compress.Bitio.Reader.of_string "" in
-  Alcotest.check_raises "truncated" Compress.Bitio.Reader.Truncated (fun () ->
+  Alcotest.check_raises "truncated" (Util.Codec.Reader.Corrupt "truncated bitstream") (fun () ->
       ignore (Compress.Bitio.Reader.get r 1))
 
 let test_bitio_bit_length () =
@@ -256,14 +256,14 @@ let test_container_detects_corruption () =
     (try
        ignore (Compress.Container.unpack corrupted);
        false
-     with Compress.Container.Bad_container _ -> true)
+     with Util.Codec.Reader.Corrupt _ -> true)
 
 let test_container_bad_magic () =
   Alcotest.(check bool) "bad magic rejected" true
     (try
        ignore (Compress.Container.unpack "not a container at all");
        false
-     with Compress.Container.Bad_container _ -> true)
+     with Util.Codec.Reader.Corrupt _ -> true)
 
 (* Block-boundary sizes with a small test block size: off-by-one bugs in
    block splitting/reassembly live exactly at 0, 1, b-1, b, b+1 and a
@@ -328,7 +328,7 @@ let test_container_reports_block_index () =
     try
       ignore (Compress.Container.unpack (flip pos));
       None
-    with Compress.Container.Bad_container msg -> (
+    with Util.Codec.Reader.Corrupt msg -> (
       try Scanf.sscanf msg "block %d/%d" (fun b _ -> Some b) with Scanf.Scan_failure _ | End_of_file -> None)
   in
   (* a flip near the end lands in a late block; near the start of the
@@ -359,48 +359,18 @@ let prop_container_flip_detected =
             exactly *)
          match Compress.Container.unpack (Bytes.to_string b) with
          | s -> s = text_sample
-         | exception Compress.Container.Bad_container _ -> true))
-
-(* legacy DMZ1 images (whole-body compression, single CRC) must keep
-   decoding: both a fresh pack_v1 and a byte-for-byte golden image *)
-let test_container_v1_roundtrip () =
-  List.iter
-    (fun algo ->
-      let packed = Compress.Container.pack_v1 ~algo text_sample in
-      check Alcotest.string
-        ("v1 " ^ Compress.Algo.name algo)
-        text_sample (Compress.Container.unpack packed);
-      Alcotest.(check bool) "v1 algo recorded" true (Compress.Container.algo_of packed = algo))
-    Compress.Algo.all
-
-let golden_v1_hex =
-  String.concat ""
-    [
-      "444d5a31021cf063f582ffffffffb2011c9e02000000000000000000000000000000000300000000";
-      "00050000000000000000000000000000000000000000000000000040404555455045350505040000";
-      "00000000000000000000000000000000000000000000000000000000000000000000000000000000";
-      "00000000000000000000000000000000000000000000000000000004000000000000000000000000";
-      "00001e0000000000000000000000000000000fba4cf7a3df84874c6be0e918fc2159";
-    ]
-let golden_v1_plain = "checkpoint image, old format"
-
-let of_hex h =
-  String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
-
-let test_container_v1_golden () =
-  check Alcotest.string "golden DMZ1 image decodes" golden_v1_plain
-    (Compress.Container.unpack (of_hex golden_v1_hex))
+         | exception Util.Codec.Reader.Corrupt _ -> true))
 
 (* ------------------------------------------------------------------ *)
 (* corrupt-header hardening: implausible declared lengths must be
    rejected before any allocation is sized from them *)
 
-let expect_bad_container name f =
+let expect_corrupt name f =
   Alcotest.(check bool) name true
     (try
        ignore (f ());
        false
-     with Compress.Container.Bad_container _ -> true)
+     with Util.Codec.Reader.Corrupt _ -> true)
 
 let test_container_huge_orig_len_rejected () =
   let w = Util.Codec.Writer.create () in
@@ -409,7 +379,7 @@ let test_container_huge_orig_len_rejected () =
   Util.Codec.Writer.uvarint w 262144 (* block size *);
   Util.Codec.Writer.uvarint w (1 lsl 40) (* ~1 TB declared length *);
   Util.Codec.Writer.uvarint w 1;
-  expect_bad_container "huge v2 orig_len rejected" (fun () ->
+  expect_corrupt "huge v2 orig_len rejected" (fun () ->
       Compress.Container.unpack (Util.Codec.Writer.contents w))
 
 let test_container_huge_block_size_rejected () =
@@ -419,17 +389,7 @@ let test_container_huge_block_size_rejected () =
   Util.Codec.Writer.uvarint w (1 lsl 40);
   Util.Codec.Writer.uvarint w 100;
   Util.Codec.Writer.uvarint w 1;
-  expect_bad_container "huge v2 block size rejected" (fun () ->
-      Compress.Container.unpack (Util.Codec.Writer.contents w))
-
-let test_container_v1_huge_orig_len_rejected () =
-  let w = Util.Codec.Writer.create () in
-  Util.Codec.Writer.raw w "DMZ1";
-  Util.Codec.Writer.u8 w 2;
-  Util.Codec.Writer.uvarint w (1 lsl 40);
-  Util.Codec.Writer.i64 w 0L;
-  Util.Codec.Writer.string w "tiny";
-  expect_bad_container "huge v1 orig_len rejected" (fun () ->
+  expect_corrupt "huge v2 block size rejected" (fun () ->
       Compress.Container.unpack (Util.Codec.Writer.contents w))
 
 let test_deflate_huge_orig_len_rejected () =
@@ -438,15 +398,12 @@ let test_deflate_huge_orig_len_rejected () =
   Util.Codec.Writer.uvarint w 0;
   Util.Codec.Writer.uvarint w 0;
   Util.Codec.Writer.string w "";
-  Alcotest.(check bool) "huge deflate orig_len rejected" true
-    (try
-       ignore (Compress.Deflate.decompress (Util.Codec.Writer.contents w));
-       false
-     with Invalid_argument _ -> true)
+  expect_corrupt "huge deflate orig_len rejected" (fun () ->
+      Compress.Deflate.decompress (Util.Codec.Writer.contents w))
 
 let prop_container_header_fuzz =
   (* random mutations of the first 16 header bytes never crash, never
-     demand absurd allocations: every outcome is Bad_container or a
+     demand absurd allocations: every outcome is Corrupt or a
      successful decode *)
   let packed = Compress.Container.pack ~block_size:512 ~algo:Compress.Algo.Deflate text_sample in
   QCheck_alcotest.to_alcotest
@@ -458,7 +415,27 @@ let prop_container_header_fuzz =
          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor delta));
          match Compress.Container.unpack (Bytes.to_string b) with
          | _ -> true
-         | exception Compress.Container.Bad_container _ -> true))
+         | exception Util.Codec.Reader.Corrupt _ -> true))
+
+(* seeded decoder fuzz: a byte replaced, or a -1 varint written over or
+   inserted into the first bytes, decodes or raises Corrupt, and nothing
+   else *)
+let fuzz_seed = 21
+
+let fuzz_container =
+  Decode_fuzz.property ~name:"fuzz: raw container" ~seed:fuzz_seed
+    (lazy (Compress.Container.pack ~block_size:512 ~algo:Compress.Algo.Deflate text_sample))
+    Compress.Container.unpack
+
+let fuzz_deflate =
+  Decode_fuzz.property ~name:"fuzz: raw deflate" ~seed:fuzz_seed
+    (lazy (Compress.Deflate.compress text_sample))
+    Compress.Deflate.decompress
+
+let fuzz_rle =
+  Decode_fuzz.property ~name:"fuzz: raw rle" ~seed:fuzz_seed
+    (lazy (Compress.Rle.compress (text_sample ^ zero_sample 600)))
+    Compress.Rle.decompress
 
 (* ------------------------------------------------------------------ *)
 (* compression metrics surfaced through the trace registry *)
@@ -556,8 +533,6 @@ let () =
           Alcotest.test_case "block boundaries" `Quick test_container_block_boundaries;
           Alcotest.test_case "stored fallback bounds expansion" `Quick test_container_stored_fallback;
           Alcotest.test_case "corruption names block index" `Quick test_container_reports_block_index;
-          Alcotest.test_case "v1 round-trip" `Quick test_container_v1_roundtrip;
-          Alcotest.test_case "v1 golden image" `Quick test_container_v1_golden;
           prop_container_roundtrip;
           prop_container_flip_detected;
         ] );
@@ -565,9 +540,11 @@ let () =
         [
           Alcotest.test_case "huge v2 orig_len" `Quick test_container_huge_orig_len_rejected;
           Alcotest.test_case "huge v2 block size" `Quick test_container_huge_block_size_rejected;
-          Alcotest.test_case "huge v1 orig_len" `Quick test_container_v1_huge_orig_len_rejected;
           Alcotest.test_case "huge deflate orig_len" `Quick test_deflate_huge_orig_len_rejected;
           prop_container_header_fuzz;
+          fuzz_container;
+          fuzz_deflate;
+          fuzz_rle;
         ] );
       ( "metrics",
         [ Alcotest.test_case "pack feeds the trace registry" `Quick test_container_metrics ] );

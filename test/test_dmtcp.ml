@@ -21,13 +21,30 @@ let file_content cl node path =
 let file_anywhere cl path = Option.map Simos.Vfs.read_all (Dmtcp.Image_chain.find_file cl path)
 
 (* the image a checkpoint wrote on [node]: a missing file fails the
-   test, a damaged one raises [Corrupt_image] *)
+   test, a damaged one raises [Util.Codec.Reader.Corrupt] *)
 let image_on cl node path =
   match file_content cl node path with
   | None -> Alcotest.failf "missing image %s on node %d" path node
   | Some bytes -> Dmtcp.Ckpt_image.decode bytes
 
 let run_for cl seconds = Sim.Engine.run ~until:(Simos.Cluster.now cl +. seconds) (Simos.Cluster.engine cl)
+
+(* overwrite [path] on [node] with [bytes] *)
+let replace_file cl node path bytes =
+  let vfs = Simos.Kernel.vfs (Simos.Cluster.kernel cl node) in
+  ignore (Simos.Vfs.unlink vfs path);
+  Simos.Vfs.append (Simos.Vfs.open_or_create vfs path) bytes
+
+(* restart [script], run 2 s, and return the exit codes the trace saw *)
+let restart_exits cl rt script =
+  let col = Trace.collector () in
+  Trace.with_sink (Trace.collector_sink col) (fun () ->
+      Dmtcp.Api.restart rt script;
+      run_for cl 2.0);
+  List.filter_map
+    (fun (e : Trace.event) ->
+      if e.Trace.name = "proc/exit" then List.assoc_opt "code" e.Trace.args else None)
+    (Trace.events col)
 
 (* ------------------------------------------------------------------ *)
 
@@ -606,7 +623,7 @@ let test_kill_mid_checkpoint_recovers () =
 
 let test_corrupt_image_decode_rejected () =
   (* a bit flip or truncation anywhere in the image must surface as
-     [Corrupt_image], never as a garbage decode *)
+     [Util.Codec.Reader.Corrupt], never as a garbage decode *)
   let cl, rt = make () in
   let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "3000"; "/tmp/ci" ] in
   run_for cl 0.5;
@@ -626,7 +643,7 @@ let test_corrupt_image_decode_rejected () =
   let rejects what s =
     match Dmtcp.Ckpt_image.decode s with
     | _ -> Alcotest.failf "%s accepted" what
-    | exception Dmtcp.Ckpt_image.Corrupt_image _ -> ()
+    | exception Util.Codec.Reader.Corrupt _ -> ()
   in
   rejects "flip in magic" (corrupt_at 0);
   rejects "flip in metadata" (corrupt_at 20);
@@ -645,16 +662,12 @@ let test_restart_with_corrupt_image_fails_cleanly () =
   let script = Dmtcp.Api.restart_script rt in
   Dmtcp.Api.kill_computation rt;
   let node, path = List.hd (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images in
-  let vfs = Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path in
-  (match vfs with
-  | Some f ->
-    let bytes = Bytes.of_string (Simos.Vfs.read_all f) in
+  (match file_content cl node path with
+  | Some s ->
+    let bytes = Bytes.of_string s in
     let mid = Bytes.length bytes / 2 in
     Bytes.set bytes mid (Char.chr (Char.code (Bytes.get bytes mid) lxor 0x01));
-    ignore (Simos.Vfs.unlink (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path);
-    Simos.Vfs.append
-      (Simos.Vfs.open_or_create (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path)
-      (Bytes.to_string bytes)
+    replace_file cl node path (Bytes.to_string bytes)
   | None -> Alcotest.fail "image missing");
   Dmtcp.Api.restart rt script;
   (* the restarter aborts with an error exit — await_restart would never
@@ -663,6 +676,51 @@ let test_restart_with_corrupt_image_fails_cleanly () =
   check Alcotest.int "nothing restored from the corrupt image" 0
     (List.length (Dmtcp.Runtime.hijacked_processes rt));
   Alcotest.(check bool) "counter did not finish" true (file_content cl 1 "/tmp/cr" = None)
+
+let body (img : Dmtcp.Ckpt_image.t) = Compress.Container.unpack img.Dmtcp.Ckpt_image.mtcp_blob
+
+(* [img] around another MTCP body, re-sealed: packed again, so every
+   CRC holds and only the decoders can see damage in it *)
+let resealed (img : Dmtcp.Ckpt_image.t) body =
+  { img with Dmtcp.Ckpt_image.mtcp_blob = Compress.Container.pack ~algo:Compress.Algo.Null body }
+
+(* a re-sealed damaged image still ends the restart with exit 72, never
+   with the restarter's crash exit 71 *)
+let restart_resealed mutate () =
+  let cl, rt = make () in
+  let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "3000"; "/tmp/rs" ] in
+  run_for cl 0.5;
+  Dmtcp.Api.checkpoint_now rt;
+  let script = Dmtcp.Api.restart_script rt in
+  Dmtcp.Api.kill_computation rt;
+  let node, path = List.hd (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images in
+  let img = image_on cl node path in
+  let damaged = mutate (body img) in
+  Alcotest.(check bool) "the mutation changed the body" true (damaged <> body img);
+  replace_file cl node path (Dmtcp.Ckpt_image.encode (resealed img damaged));
+  let exits = restart_exits cl rt script in
+  let exited code = List.mem (string_of_int code) exits in
+  Alcotest.(check bool) "restarter exited 72" true (exited Dmtcp.Exit_code.corrupt_image);
+  Alcotest.(check bool) "restarter did not crash" false (exited Dmtcp.Exit_code.restarter_crashed);
+  check Alcotest.int "nothing restored" 0 (List.length (Dmtcp.Runtime.hijacked_processes rt));
+  Alcotest.(check bool) "counter did not finish" true (file_content cl 1 "/tmp/rs" = None)
+
+(* every "p:counter" in the body, the thread's program name among them,
+   becomes the unregistered "p:cOunter" *)
+let rename_program body =
+  let from = "p:counter" and into = "p:cOunter" in
+  let n = String.length from in
+  let b = Bytes.of_string body in
+  for i = 0 to String.length body - n do
+    if String.sub body i n = from then Bytes.blit_string into 0 b i n
+  done;
+  Bytes.to_string b
+
+(* a full body opens with the cmdline: its count (byte 0), then the
+   first string's one-byte length, replaced here by a varint of -1 *)
+let negative_cmdline_length body =
+  Alcotest.(check bool) "one-byte first length" true (Char.code body.[1] < 0x80);
+  String.sub body 0 1 ^ Decode_fuzz.minus_one ^ String.sub body 2 (String.length body - 2)
 
 (* a flat-file delta whose base file is deleted: the availability check
    and the chain walk both see the gap, and the restart aborts cleanly
@@ -690,17 +748,9 @@ let test_delta_base_lost () =
     (chain ()).Util.Chain.missing;
   Alcotest.(check bool) "unavailable without its base" false
     (Dmtcp.Api.script_images_available rt script);
-  let col = Trace.collector () in
-  Trace.with_sink (Trace.collector_sink col) (fun () ->
-      Dmtcp.Api.restart rt script;
-      run_for cl 2.0);
-  let exits =
-    List.filter_map
-      (fun (e : Trace.event) ->
-        if e.Trace.name = "proc/exit" then List.assoc_opt "code" e.Trace.args else None)
-      (Trace.events col)
-  in
-  Alcotest.(check bool) "restarter exited 73" true (List.mem "73" exits);
+  let exits = restart_exits cl rt script in
+  Alcotest.(check bool) "restarter exited 73" true
+    (List.mem (string_of_int Dmtcp.Exit_code.blocks_lost) exits);
   check Alcotest.int "nothing restored from a broken chain" 0
     (List.length (Dmtcp.Runtime.hijacked_processes rt));
   Alcotest.(check bool) "counter did not finish" true (file_content cl 1 "/tmp/dbl" = None)
@@ -764,6 +814,97 @@ let test_reconnect_timeout_exact_deadline () =
       (Float.abs (d -. 5.0) < 1e-6)
   | None -> Alcotest.fail "restart/reconnect not recorded"
 
+(* ------------------------------------------------------------------ *)
+(* seeded decoder fuzz over re-sealed images: every mutation decodes or
+   raises Corrupt, and nothing else *)
+
+let fuzz_seed = 21
+
+(* one process checkpointed twice with incremental images: a full
+   image and a delta on it *)
+let checkpoint_twice ~prog ~argv =
+  let options = { Dmtcp.Options.default with Dmtcp.Options.incremental = true } in
+  let cl, rt = make ~options () in
+  let _ = Dmtcp.Api.launch rt ~node:1 ~prog ~argv in
+  let image () =
+    Dmtcp.Api.checkpoint_now rt;
+    let node, path = List.hd (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images in
+    image_on cl node path
+  in
+  run_for cl 0.3;
+  let full = image () in
+  run_for cl 0.2;
+  let delta = image () in
+  assert (delta.Dmtcp.Ckpt_image.delta_base <> None);
+  (full, delta)
+
+(* p:counter's body holds every section but memory; p:memhog's (1 MB)
+   is mostly region and page records *)
+let counter_images = lazy (checkpoint_twice ~prog:"p:counter" ~argv:[ "3000"; "/tmp/fz" ])
+let memhog_image = lazy (fst (checkpoint_twice ~prog:"p:memhog" ~argv:[ "1"; "100000"; "/tmp/fh" ]))
+
+let fuzz_mtcp_body =
+  Decode_fuzz.property ~name:"fuzz: re-sealed MTCP body" ~seed:fuzz_seed
+    (lazy (body (fst (Lazy.force counter_images))))
+    (fun b -> Dmtcp.Ckpt_image.mtcp (resealed (fst (Lazy.force counter_images)) b))
+
+let fuzz_memory_body =
+  Decode_fuzz.property ~name:"fuzz: re-sealed MTCP body with memory" ~seed:fuzz_seed
+    (lazy (body (Lazy.force memhog_image)))
+    (fun b -> Dmtcp.Ckpt_image.mtcp (resealed (Lazy.force memhog_image) b))
+
+let fuzz_delta_body =
+  let base = lazy (Dmtcp.Ckpt_image.mtcp (fst (Lazy.force counter_images))) in
+  Decode_fuzz.property ~name:"fuzz: re-sealed MTCPD1 body" ~seed:fuzz_seed
+    (lazy (body (snd (Lazy.force counter_images))))
+    (fun b ->
+      Dmtcp.Ckpt_image.delta_mtcp (resealed (snd (Lazy.force counter_images)) b) ~base:(Lazy.force base))
+
+(* the image's sections: (magic, metadata, mtcp blob) *)
+let sections bytes =
+  let r = Util.Codec.Reader.of_string bytes in
+  let magic = Util.Codec.Reader.raw r (String.length "DMTCP_CKPT_V2") in
+  let meta = Util.Codec.Reader.string r in
+  let (_ : int) = Util.Codec.Reader.u32 r in
+  let blob = Util.Codec.Reader.string r in
+  (magic, meta, blob)
+
+(* the same layout around a mutated metadata section, every CRC
+   recomputed *)
+let seal (magic, meta, blob) =
+  let w = Util.Codec.Writer.create () in
+  let section s =
+    Util.Codec.Writer.string w s;
+    Util.Codec.Writer.u32 w (Int32.to_int (Util.Crc32.digest s) land 0xffffffff)
+  in
+  Util.Codec.Writer.raw w magic;
+  section meta;
+  section blob;
+  Util.Codec.Writer.contents w
+
+let fuzz_metadata =
+  let parts = lazy (sections (Dmtcp.Ckpt_image.encode (fst (Lazy.force counter_images)))) in
+  Decode_fuzz.property ~name:"fuzz: re-sealed image metadata" ~seed:fuzz_seed
+    (lazy (let _, meta, _ = Lazy.force parts in meta))
+    (fun meta ->
+      let magic, _, blob = Lazy.force parts in
+      Dmtcp.Ckpt_image.decode (seal (magic, meta, blob)))
+
+let fuzz_proto =
+  Decode_fuzz.property ~name:"fuzz: coordinator protocol lines" ~seed:fuzz_seed
+    (lazy
+       (String.concat ""
+          [
+            "HELLO 1-2-g0\n";
+            Dmtcp.Proto.barrier 3;
+            Dmtcp.Proto.release 3;
+            Dmtcp.Proto.status_reply 2;
+            Dmtcp.Proto.cmd_checkpoint;
+            Dmtcp.Proto.do_checkpoint;
+            Dmtcp.Proto.cmd_quit;
+          ]))
+    (fun s -> List.map Dmtcp.Proto.parse (fst (Dmtcp.Proto.split_lines s)))
+
 let failure_suites =
   [
     ( "failure-injection",
@@ -776,11 +917,17 @@ let failure_suites =
         Alcotest.test_case "delta base lost" `Quick test_delta_base_lost;
         Alcotest.test_case "corrupt image fails restart cleanly" `Quick
           test_restart_with_corrupt_image_fails_cleanly;
+        Alcotest.test_case "re-sealed unknown program exits 72" `Quick
+          (restart_resealed rename_program);
+        Alcotest.test_case "re-sealed negative length exits 72" `Quick
+          (restart_resealed negative_cmdline_length);
         Alcotest.test_case "listen backlog captured/restored" `Quick
           test_listener_backlog_captured_and_restored;
         Alcotest.test_case "reconnect timeout exact deadline" `Quick
           test_reconnect_timeout_exact_deadline;
       ] );
+    ( "decode-fuzz",
+      [ fuzz_mtcp_body; fuzz_memory_body; fuzz_delta_body; fuzz_metadata; fuzz_proto ] );
   ]
 
 (* property: whatever the stream length and whenever the checkpoint (and

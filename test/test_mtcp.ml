@@ -148,7 +148,7 @@ let test_decode_rejects_corruption () =
        ignore (Mtcp.Image.decode (Bytes.to_string b));
        false
      with
-    | Compress.Container.Bad_container _ | Util.Codec.Reader.Corrupt _ -> true)
+    | Util.Codec.Reader.Corrupt _ -> true)
 
 let test_manager_threads_excluded () =
   (* processes under DMTCP have a manager thread; it must not be captured *)

@@ -43,6 +43,84 @@ let test_wire_partial () =
       (Proxy.Wire.pop (String.sub whole 0 cut) = None)
   done
 
+(* seeded fuzz: a mutated frame stream pops frames, waits for more, or
+   raises Corrupt, and nothing else *)
+let fuzz_wire =
+  Decode_fuzz.property ~name:"fuzz: wire frames" ~seed:21
+    (lazy (String.concat "" (List.map Proxy.Wire.to_bytes frames)))
+    (fun buf ->
+      let rec pop_all buf = match Proxy.Wire.pop buf with Some (_, rest) -> pop_all rest | None -> () in
+      pop_all buf)
+
+(* A raw unix client of the proxy: connects, writes its bytes, then
+   records what it reads and whether the proxy hung up on it. *)
+module Peer = struct
+  type state = Boot of string * string | Connecting of string * int * string | Reading of string * int
+
+  let name = "test:wire-peer"
+  let received : (string, string) Hashtbl.t = Hashtbl.create 8
+  let hung_up : (string, unit) Hashtbl.t = Hashtbl.create 8
+
+  (* never checkpointed *)
+  let encode w _ = Util.Codec.Writer.u8 w 0
+  let decode _ = Boot ("", "")
+  let init ~argv = match argv with [ id; bytes ] -> Boot (id, bytes) | _ -> Boot ("", "")
+
+  let step (ctx : Simos.Program.ctx) = function
+    | Boot (id, bytes) ->
+      let fd = ctx.socket_unix () in
+      ignore (ctx.connect fd (Simnet.Addr.Unix { host = ctx.node_id; path = Proxy.Wire.sock_path ~base_port }));
+      Simos.Program.Continue (Connecting (id, fd, bytes))
+    | Connecting (id, fd, bytes) as st -> (
+      match ctx.sock_state fd with
+      | Some Simnet.Fabric.Established ->
+        ignore (ctx.write_fd fd bytes);
+        Simos.Program.Continue (Reading (id, fd))
+      | _ -> Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. 1e-3)))
+    | Reading (id, fd) as st -> (
+      match ctx.read_fd fd ~max:4096 with
+      | `Data d ->
+        Hashtbl.replace received id (Option.value ~default:"" (Hashtbl.find_opt received id) ^ d);
+        Simos.Program.Continue st
+      | `Would_block -> Simos.Program.Block (st, Simos.Program.Readable fd)
+      | `Eof | `Err _ ->
+        Hashtbl.replace hung_up id ();
+        Simos.Program.Exit 0)
+end
+
+(* garbage on one connection closes that connection only: the proxy
+   keeps routing between the well-behaved ranks *)
+let test_daemon_drops_garbage () =
+  Simos.Program.register (module Peer : Simos.Program.S);
+  Proxy.Daemon.register ();
+  let cl = Simos.Cluster.create ~nodes:1 () in
+  let k = Simos.Cluster.kernel cl 0 in
+  let run () = Sim.Engine.run ~until:(Simos.Cluster.now cl +. 0.2) (Simos.Cluster.engine cl) in
+  Proxy.Daemon.spawn_on cl ~node:0 ~base_port ~rpn:2;
+  run ();
+  let peer id bytes = ignore (Simos.Kernel.spawn k ~prog:Peer.name ~argv:[ id; bytes ] ()) in
+  (* a frame of unknown type 9, and a negative frame length *)
+  peer "bad-type" "\x02\x00\x00\x00\x09\x00";
+  peer "bad-length" "\xff\xff\xff\xff";
+  run ();
+  let hello rank = Proxy.Wire.to_bytes (Proxy.Wire.Hello { rank; size = 2; rpn = 2 }) in
+  peer "rank0" (hello 0);
+  run ();
+  peer "rank1"
+    (hello 1
+    ^ Proxy.Wire.to_bytes
+        (Proxy.Wire.Data { src = 1; dst = 0; epoch = 0; seq = 1; tag = 'x'; payload = "ping" }));
+  run ();
+  let hung id = Hashtbl.mem Peer.hung_up id in
+  Alcotest.(check bool) "unknown frame type: connection closed" true (hung "bad-type");
+  Alcotest.(check bool) "negative length: connection closed" true (hung "bad-length");
+  Alcotest.(check bool) "well-behaved ranks stay connected" false (hung "rank0" || hung "rank1");
+  let rec frames buf = match Proxy.Wire.pop buf with Some (f, rest) -> f :: frames rest | None -> [] in
+  Alcotest.(check bool) "rank 0 received rank 1's payload" true
+    (List.exists
+       (function Proxy.Wire.Deliver { src = 1; payload = "ping"; _ } -> true | _ -> false)
+       (frames (Option.value ~default:"" (Hashtbl.find_opt Peer.received "rank0"))))
+
 (* ------------------------------------------------------------------ *)
 (* neighbour-relation validation (no simulation) *)
 
@@ -286,6 +364,8 @@ let () =
         [
           Alcotest.test_case "frame codec round-trips" `Quick test_wire_roundtrip;
           Alcotest.test_case "partial frames stay buffered" `Quick test_wire_partial;
+          fuzz_wire;
+          Alcotest.test_case "proxy drops a garbage connection" `Quick test_daemon_drops_garbage;
         ] );
       ( "relation",
         [

@@ -118,6 +118,30 @@ let test_codec_uvarint_negative () =
   Alcotest.check_raises "negative uvarint" (Invalid_argument "Codec.Writer.uvarint: negative")
     (fun () -> Codec.Writer.uvarint w (-1))
 
+(* a count or length decoded as negative, or larger than the bytes
+   left, is Corrupt before it sizes anything *)
+let test_codec_bounded_counts () =
+  let minus_one = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f" in
+  check Alcotest.int "the 9-byte varint reads as -1" (-1)
+    (Codec.Reader.uvarint (Codec.Reader.of_string minus_one));
+  let huge =
+    let w = Codec.Writer.create () in
+    Codec.Writer.uvarint w (1 lsl 40);
+    Codec.Writer.contents w
+  in
+  let rejects what prefix dec =
+    match dec (Codec.Reader.of_string (prefix ^ "abc")) with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Codec.Reader.Corrupt _ -> ()
+  in
+  rejects "negative string length" minus_one Codec.Reader.string;
+  rejects "negative list count" minus_one (Codec.Reader.list Codec.Reader.u8);
+  rejects "negative array count" minus_one (Codec.Reader.array Codec.Reader.u8);
+  rejects "huge array count" huge (Codec.Reader.array Codec.Reader.u8);
+  rejects "count past the end" "\x04" Codec.Reader.count;
+  rejects "negative raw length" "" (fun r -> Codec.Reader.raw r (-1));
+  check Alcotest.int "count up to the bytes left" 3 (Codec.Reader.count (Codec.Reader.of_string "\x03abc"))
+
 let test_codec_containers () =
   let enc w (a, bs, c) =
     Codec.Writer.varint w a;
@@ -322,6 +346,7 @@ let () =
           Alcotest.test_case "truncated input" `Quick test_codec_truncated;
           Alcotest.test_case "trailing bytes" `Quick test_codec_trailing;
           Alcotest.test_case "negative uvarint" `Quick test_codec_uvarint_negative;
+          Alcotest.test_case "bounded counts" `Quick test_codec_bounded_counts;
           Alcotest.test_case "containers" `Quick test_codec_containers;
           prop_varint_roundtrip;
           prop_uvarint_roundtrip;
