@@ -33,8 +33,8 @@ echo "== determinism: each command runs twice, outputs byte-identical =="
 # - inspect / store ls: a checkpoint image dumped as text, and the
 #   catalog of the canned two-generation store scenario.
 # - torture --replay 5: one pinned chaos seed through the CLI.
-# The loop ends with one MD5 per command, so two CI logs show at a
-# glance which outputs a change moved.
+# Every output must then match its MD5 in bin/ci_digests.md5, so a
+# change that moves any output byte fails here.
 while read -r cmd; do
   out=_artifacts/$(echo "$cmd" | tr ' -' '__')
   echo "-- $cmd"
@@ -59,7 +59,12 @@ inspect
 store ls
 torture --replay 5
 EOF
-md5sum _artifacts/*_1.txt
+if ! md5sum -c bin/ci_digests.md5; then
+  echo "FAIL: determinism outputs diverged from bin/ci_digests.md5." >&2
+  echo "If the change is intentional, refresh the digests with:" >&2
+  echo "  md5sum _artifacts/*_1.txt > bin/ci_digests.md5" >&2
+  exit 1
+fi
 # the point of the rank/proxy split: rank images carry no live socket
 # state and nothing drained
 grep -q "0 established socket spec(s), 0 drained byte(s)" _artifacts/mpi_run_proxy_1.txt \

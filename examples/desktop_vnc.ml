@@ -14,7 +14,7 @@ let show_session rt label =
       match Dmtcp.Runtime.proc_of rt ~node ~pid with
       | Some p ->
         let fds =
-          Hashtbl.fold
+          Simos.Kernel.Fdtbl.fold
             (fun _ (d : Simos.Fdesc.t) acc -> Simos.Fdesc.kind_name d :: acc)
             p.Simos.Kernel.fdtable []
           |> List.sort_uniq compare |> String.concat ","

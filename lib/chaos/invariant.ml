@@ -117,7 +117,7 @@ let quiescent (env : Harness.Common.env) =
       match p.Simos.Kernel.cmdline with
       | prog :: _ when prog = Dmtcp.Coordinator.name ->
         incr coords;
-        coord_fds := !coord_fds + Hashtbl.length p.Simos.Kernel.fdtable
+        coord_fds := !coord_fds + Simos.Kernel.Fdtbl.length p.Simos.Kernel.fdtable
       | prog :: _ ->
         strangers :=
           sprintf "node %d pid %d (%s)" (Simos.Kernel.node_id k) p.Simos.Kernel.pid prog

@@ -529,7 +529,7 @@ module P = struct
       let proc = my_proc ctx in
       Hashtbl.iter
         (fun pty_key (to_slave, to_master) ->
-          Hashtbl.iter
+          Simos.Kernel.Fdtbl.iter
             (fun _ (desc : Simos.Fdesc.t) ->
               match desc.Simos.Fdesc.kind with
               | Simos.Fdesc.Pty_m p when Simos.Pty.id p = pty_key ->
@@ -680,7 +680,7 @@ module P = struct
     let ps = my_pstate ctx in
     let proc = my_proc ctx in
     (* drain ptys we hold the master side of *)
-    Hashtbl.iter
+    Simos.Kernel.Fdtbl.iter
       (fun _ (desc : Simos.Fdesc.t) ->
         match desc.Simos.Fdesc.kind with
         | Simos.Fdesc.Pty_m p ->

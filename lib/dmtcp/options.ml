@@ -74,27 +74,45 @@ let to_env t =
     ("DMTCP_LAZY_RESTART", flag t.lazy_restart);
   ]
 
+(* Strict: a value [to_env] could not have written raises
+   [Invalid_argument] naming the key and the value, because a process
+   that silently runs with other settings than its launcher chose is an
+   open-world bug of its own. *)
 let of_getenv ~base getenv =
-  let read key parse default = Option.fold ~none:default ~some:parse (getenv key) in
-  let int key default = read key (fun v -> Option.value ~default (int_of_string_opt v)) default in
-  let bool key default = read key (String.equal "1") default in
+  let read key parse default =
+    match getenv key with
+    | None -> default
+    | Some v -> (
+      match parse v with
+      | Some x -> x
+      | None -> invalid_arg (Printf.sprintf "%s: malformed value %S" key v))
+  in
+  let nat ?(max = max_int) key =
+    read key (fun v ->
+        match int_of_string_opt v with Some n when n >= 0 && n <= max -> Some n | _ -> None)
+  in
+  let flag key = read key (function "0" -> Some false | "1" -> Some true | _ -> None) in
   {
     base with
-    coord_host = int "DMTCP_COORD_HOST" base.coord_host;
-    coord_port = int "DMTCP_COORD_PORT" base.coord_port;
-    ckpt_dir = read "DMTCP_CHECKPOINT_DIR" Fun.id base.ckpt_dir;
-    algo =
-      read "DMTCP_GZIP"
-        (fun v -> Option.value ~default:base.algo (Compress.Algo.of_name v))
-        base.algo;
-    forked = bool "DMTCP_FORKED" base.forked;
-    incremental = bool "DMTCP_INCREMENTAL" base.incremental;
+    coord_host = nat "DMTCP_COORD_HOST" base.coord_host;
+    coord_port = nat ~max:65535 "DMTCP_COORD_PORT" base.coord_port;
+    ckpt_dir =
+      read "DMTCP_CHECKPOINT_DIR"
+        (fun v -> if String.starts_with ~prefix:"/" v then Some v else None)
+        base.ckpt_dir;
+    algo = read "DMTCP_GZIP" Compress.Algo.of_name base.algo;
+    forked = flag "DMTCP_FORKED" base.forked;
+    incremental = flag "DMTCP_INCREMENTAL" base.incremental;
     interval =
       read "DMTCP_INTERVAL"
-        (fun v -> match float_of_string v with 0. -> None | i -> Some i)
+        (fun v ->
+          match float_of_string_opt v with
+          | Some 0. -> Some None
+          | Some i when i > 0. && Float.is_finite i -> Some (Some i)
+          | _ -> None)
         base.interval;
-    sync_after = bool "DMTCP_SYNC" base.sync_after;
-    lazy_restart = bool "DMTCP_LAZY_RESTART" base.lazy_restart;
+    sync_after = flag "DMTCP_SYNC" base.sync_after;
+    lazy_restart = flag "DMTCP_LAZY_RESTART" base.lazy_restart;
   }
 
 let of_env ~base env = of_getenv ~base (fun key -> List.assoc_opt key env)

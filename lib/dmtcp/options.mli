@@ -51,7 +51,12 @@ val default : t
 val to_env : t -> (string * string) list
 
 (** Parse the entries {!to_env} writes; every other field, and every
-    missing key, takes [base]'s value. *)
+    missing key, takes [base]'s value.  A value {!to_env} could not have
+    written raises [Invalid_argument] naming the key and the value: a
+    coordinator host or port that is not a non-negative integer (a port
+    above 65535), a checkpoint directory that is not an absolute path,
+    an unknown compression name, a flag other than ["0"] or ["1"], an
+    interval that is not ["0"] or a positive finite number. *)
 val of_env : base:t -> (string * string) list -> t
 
 (** {!of_env} over a [getenv]-style lookup (a program's view of its own

@@ -473,7 +473,7 @@ let on_close t k (proc : Simos.Kernel.process) ~fd (desc : Simos.Fdesc.t) =
                 match proc_of t ~node:n2 ~pid:p2 with
                 | None -> None
                 | Some proc2 ->
-                  Hashtbl.fold
+                  Simos.Kernel.Fdtbl.fold
                     (fun fd2 (desc2 : Simos.Fdesc.t) acc ->
                       match acc with
                       | Some _ -> acc

@@ -30,11 +30,13 @@ type socket = {
   accept_q : socket Queue.t;
   mutable backlog : int;
   mutable wake : unit -> unit;
+  mutable activity : int;           (* [notify] calls so far *)
 }
 
 (* Per-link fault state, installed by the chaos layer.  Links are
-   addressed by unordered host pair; absent entries mean healthy. *)
-and link = { mutable up : bool; mutable lat_factor : float }
+   addressed by unordered host pair.  A link is immutable, so every
+   healthy pair shares [healthy] and a fault replaces the pair's entry. *)
+and link = { up : bool; lat_factor : float }
 
 and t = {
   eng : Sim.Engine.t;
@@ -44,13 +46,15 @@ and t = {
   n : int;
   listeners : (Addr.t, socket) Hashtbl.t;
   bound : (Addr.t, unit) Hashtbl.t;
-  links : (int * int, link) Hashtbl.t;
+  links : link array;  (* [a * n + b] for hosts [a <= b] *)
   mutable drop_prob : float;
   mutable drop_rng : Util.Rng.t option;
   nic_free_at : float array;
   next_port : int array;
   mutable next_id : int;
 }
+
+let healthy = { up = true; lat_factor = 1.0 }
 
 let create eng ?(latency = 100e-6) ?(bandwidth = 117e6) ?(loopback_latency = 10e-6) ~nhosts () =
   {
@@ -61,7 +65,7 @@ let create eng ?(latency = 100e-6) ?(bandwidth = 117e6) ?(loopback_latency = 10e
     n = nhosts;
     listeners = Hashtbl.create 64;
     bound = Hashtbl.create 64;
-    links = Hashtbl.create 8;
+    links = Array.make (nhosts * nhosts) healthy;
     drop_prob = 0.;
     drop_rng = None;
     nic_free_at = Array.make nhosts 0.;
@@ -83,25 +87,26 @@ let nhosts t = t.n
 let partition_retry = 20e-3
 let retransmit_timeout = 0.2
 
-let link_key a b = if a <= b then (a, b) else (b, a)
+let link_index t a b = if a <= b then (a * t.n) + b else (b * t.n) + a
+let link_of t a b = t.links.(link_index t a b)
 
-let link_of t a b =
-  match Hashtbl.find_opt t.links (link_key a b) with
-  | Some l -> l
-  | None ->
-    let l = { up = true; lat_factor = 1.0 } in
-    Hashtbl.replace t.links (link_key a b) l;
-    l
+let update_link t a b f =
+  if a <> b then
+    let i = link_index t a b in
+    t.links.(i) <- f t.links.(i)
 
 let link_up t ~a ~b = a = b || (link_of t a b).up
-let set_link_up t ~a ~b up = if a <> b then (link_of t a b).up <- up
-let set_latency_factor t ~a ~b f = if a <> b then (link_of t a b).lat_factor <- Float.max 1e-9 f
+let set_link_up t ~a ~b up = update_link t a b (fun l -> { l with up })
+
+let set_latency_factor t ~a ~b f =
+  update_link t a b (fun l -> { l with lat_factor = Float.max 1e-9 f })
+
 let set_drop t ~prob rng =
   t.drop_prob <- prob;
   t.drop_rng <- (if prob > 0. then Some rng else None)
 
 let clear_faults t =
-  Hashtbl.reset t.links;
+  Array.fill t.links 0 (Array.length t.links) healthy;
   t.drop_prob <- 0.;
   t.drop_rng <- None
 
@@ -145,6 +150,7 @@ let make_socket fab ~host ~unix =
     accept_q = Queue.create ();
     backlog = 0;
     wake = ignore;
+    activity = 0;
   }
 
 let socket fab ~host = make_socket fab ~host ~unix:false
@@ -160,6 +166,12 @@ let recv_buffered s = Util.Bytequeue.length s.recv_buf
 let send_buffered s = Util.Bytequeue.length s.send_buf
 let in_flight s = s.in_flight
 let on_activity s f = s.wake <- f
+let activity s = s.activity
+
+(* Every wake-up goes through here and is counted in [activity]. *)
+let notify s =
+  s.activity <- s.activity + 1;
+  s.wake ()
 
 let peer_addr s =
   match s.peer with
@@ -204,7 +216,7 @@ let rec maybe_deliver_fin s =
         ignore
           (Sim.Engine.schedule s.fab.eng ~delay (fun () ->
                p.peer_closed <- true;
-               p.wake ()))
+               notify p))
     | _ -> ()
 
 and pump s =
@@ -245,8 +257,8 @@ and pump s =
                    Trace.instant ~node:p.sock_host ~cat:"net" ~name:"seg/deliver"
                      ~args:[ ("src", string_of_int s.sock_host); ("len", string_of_int len) ]
                      ~time:(Sim.Engine.now s.fab.eng) ();
-                 p.wake ();
-                 s.wake ();
+                 notify p;
+                 notify s;
                  pump s;
                  maybe_deliver_fin s))
         end
@@ -326,7 +338,7 @@ let connect s addr =
                  (Sim.Engine.schedule fab.eng ~delay:back (fun () ->
                       s.st <- Closed;
                       s.refused <- true;
-                      s.wake ()))
+                      notify s))
              in
              match Hashtbl.find_opt fab.listeners addr with
              | _ when not (link_up fab ~a:s.sock_host ~b:(Addr.host_of addr)) ->
@@ -343,7 +355,7 @@ let connect s addr =
                server.local <- Some addr;
                server.peer <- Some s;
                Queue.push server listener.accept_q;
-               listener.wake ();
+               notify listener;
                let back = one_way_latency fab ~src:(Addr.host_of addr) ~dst:s.sock_host in
                ignore
                  (Sim.Engine.schedule fab.eng ~delay:back (fun () ->
@@ -356,7 +368,7 @@ let connect s addr =
                           fab.next_port.(s.sock_host) <- p + 1;
                           s.local <- Some (Addr.Inet { host = s.sock_host; port = p })
                         end;
-                        s.wake ();
+                        notify s;
                         pump s;
                         pump server
                       end))));
@@ -413,7 +425,7 @@ let close s =
         | Some client ->
           client.st <- Closed;
           client.refused <- true;
-          client.wake ()
+          notify client
         | None -> ())
       s.accept_q;
     Queue.clear s.accept_q;
@@ -448,7 +460,7 @@ let inject_recv s data =
     Trace.instant ~node:s.sock_host ~cat:"net" ~name:"refill"
       ~args:[ ("bytes", string_of_int (String.length data)) ]
       ~time:(Sim.Engine.now s.fab.eng) ();
-  s.wake ()
+  notify s
 
 let peer_id s = Option.map (fun p -> p.id) s.peer
 
@@ -463,7 +475,7 @@ let inject_eof s =
   if Trace.on () then
     Trace.instant ~node:s.sock_host ~cat:"net" ~name:"eof-inject"
       ~time:(Sim.Engine.now s.fab.eng) ();
-  s.wake ()
+  notify s
 
 let peer_gone s =
   s.peer_closed || (match s.peer with Some p -> p.fin_sent | None -> true)

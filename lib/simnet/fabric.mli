@@ -109,6 +109,10 @@ val in_flight : socket -> int
     later registrations replace earlier ones. *)
 val on_activity : socket -> (unit -> unit) -> unit
 
+(** Wake-ups so far: every call of the {!on_activity} hook is counted,
+    and every change that can make the socket readable makes one. *)
+val activity : socket -> int
+
 (** {2 Checkpoint support}
 
     [inject_recv sock data] places [data] at the tail of [sock]'s receive

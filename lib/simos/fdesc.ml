@@ -55,3 +55,10 @@ let writable t =
   | Pipe_r _ -> false
   | Pipe_w p -> Pipe.writers p > 0 && Pipe.buffered p < Pipe.capacity
   | Pty_m _ | Pty_s _ -> true
+
+let activity t =
+  match t.kind with
+  | File _ -> 0
+  | Sock s -> Simnet.Fabric.activity s
+  | Pipe_r p | Pipe_w p -> Pipe.activity p
+  | Pty_m p | Pty_s p -> Pty.activity p

@@ -43,3 +43,9 @@ val kind_name : t -> string
 val readable : t -> bool
 
 val writable : t -> bool
+
+(** Wake-ups so far on the socket, pipe or pty behind the description
+    (its [activity]); while the count stands still, an unreadable one
+    stays unreadable.  Always [0] for a regular file: another
+    description's append makes it readable without a wake-up. *)
+val activity : t -> int

@@ -1,5 +1,16 @@
 type sigaction = Sig_default | Sig_ignore | Sig_handler of string
 
+(* Keyed by fd, without polymorphic compare.  The hash stays
+   [Hashtbl.hash], so iteration order is the generic table's: exit and
+   [vanish_process] close fds in fold order, and that order is
+   observable. *)
+module Fdtbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type thread_state = Ready | Blocked of Program.wait | Dead
 
 type thread = {
@@ -12,6 +23,11 @@ type thread = {
   mutable generation : int;
   mutable manager : bool;
   mutable wake_handle : Sim.Engine.handle option;
+  mutable wait_descs : Fdesc.t list;
+  mutable wait_sum : int;
+  mutable wait_gen : int;
+  mutable ctx : Program.ctx option;
+  mutable ctx_wrapped : bool;
 }
 
 and pstate = Running | Zombie of int | Reaped
@@ -21,7 +37,8 @@ and process = {
   mutable ppid : int;
   pnode : int;
   mutable threads : thread list;
-  fdtable : (int, Fdesc.t) Hashtbl.t;
+  fdtable : Fdesc.t Fdtbl.t;
+  mutable fd_gen : int;
   mutable next_fd : int;
   mutable space : Mem.Address_space.t;
   mutable env : (string * string) list;
@@ -146,7 +163,17 @@ let load_factor t = Float.max 1.0 (float_of_int (runnable_threads t) /. float_of
 (* ------------------------------------------------------------------ *)
 (* Wait conditions *)
 
-let fd_desc proc fd = Hashtbl.find_opt proc.fdtable fd
+let fd_desc proc fd = Fdtbl.find_opt proc.fdtable fd
+
+(* Every change to an fd table goes through these two and bumps
+   [fd_gen]. *)
+let set_fd proc fd desc =
+  Fdtbl.replace proc.fdtable fd desc;
+  proc.fd_gen <- proc.fd_gen + 1
+
+let unset_fd proc fd =
+  Fdtbl.remove proc.fdtable fd;
+  proc.fd_gen <- proc.fd_gen + 1
 
 let wait_satisfied t proc = function
   | Program.Readable fd -> (
@@ -181,6 +208,46 @@ let wait_satisfied t proc = function
     (not !has_child) || !has_zombie
   | Program.Sleep_until deadline -> Sim.Engine.now t.eng >= deadline
   | Program.Stopped -> false
+
+(* The wait record.  A thread blocked on reading sockets, pipes or ptys
+   remembers the descriptions its fds resolved to, the sum of their
+   [Fdesc.activity] counts and its process's [fd_gen].  While all three
+   stand still its wait cannot have become satisfied: every change that
+   makes such a description readable is a counted wake-up.  A regular
+   file is untracked (another description's append makes it readable
+   unannounced), and so is every other kind of wait; [no_record] marks
+   them. *)
+let no_record = -1
+
+let record_current th =
+  th.wait_gen = th.tproc.fd_gen
+  && List.fold_left (fun n d -> n + Fdesc.activity d) 0 th.wait_descs = th.wait_sum
+
+(* [wait_satisfied], resolving each fd once; an unsatisfied read wait on
+   sockets, pipes and ptys leaves its record on [th]. *)
+let check_wait t th w =
+  let proc = th.tproc in
+  let rec scan descs sum = function
+    | [] ->
+      th.wait_descs <- descs;
+      th.wait_sum <- sum;
+      th.wait_gen <- proc.fd_gen;
+      false
+    | fd :: fds -> (
+      match fd_desc proc fd with
+      | None -> true
+      | Some d when Fdesc.readable d -> true
+      | Some { Fdesc.kind = Fdesc.File _; _ } ->
+        th.wait_gen <- no_record;
+        wait_satisfied t proc (Program.Readable_any fds)
+      | Some d -> scan (d :: descs) (sum + Fdesc.activity d) fds)
+  in
+  match w with
+  | Program.Readable fd -> scan [] 0 [ fd ]
+  | Program.Readable_any fds -> scan [] 0 fds
+  | Program.Writable _ | Program.Child | Program.Sleep_until _ | Program.Stopped ->
+    th.wait_gen <- no_record;
+    wait_satisfied t proc w
 
 let get_sigaction proc signal =
   Option.value ~default:Sig_default (Hashtbl.find_opt proc.sigtable signal)
@@ -233,7 +300,7 @@ let fresh_pid t =
 (* The one process constructor: a process with no threads yet,
    registered on the node with its procfs entry.  Spawn and restart
    start from empty tables; fork passes the parent's. *)
-let new_process t ~pid ~ppid ~env ~hijacked ~cmdline ?(fdtable = Hashtbl.create 8) ?(next_fd = 3)
+let new_process t ~pid ~ppid ~env ~hijacked ~cmdline ?(fdtable = Fdtbl.create 8) ?(next_fd = 3)
     ?(space = Mem.Address_space.create ()) ?(sigtable = Hashtbl.create 4) ?pager () =
   let proc =
     {
@@ -242,6 +309,7 @@ let new_process t ~pid ~ppid ~env ~hijacked ~cmdline ?(fdtable = Hashtbl.create 
       pnode = t.knode_id;
       threads = [];
       fdtable;
+      fd_gen = 0;
       next_fd;
       space;
       env;
@@ -273,14 +341,13 @@ let rec schedule_step t th ~delay =
 
 and run_step t th =
   if th.tstate = Ready && (not th.suspended) && th.tproc.pstate = Running then begin
-    let ctx = make_ctx t th in
-    match Program.step_instance ctx th.inst with
+    match Program.step_instance (ctx_of t th) th.inst with
     | Program.B_continue -> schedule_step t th ~delay:(quantum +. take_fault_debt th.tproc)
     | Program.B_compute dt ->
       schedule_step t th
         ~delay:(Float.max quantum (dt *. load_factor t) +. take_fault_debt th.tproc)
     | Program.B_block w ->
-      if wait_satisfied t th.tproc w then
+      if check_wait t th w then
         schedule_step t th ~delay:(quantum +. take_fault_debt th.tproc)
       else begin
         th.tstate <- Blocked w;
@@ -312,7 +379,23 @@ and run_step t th =
     | Program.B_exit code -> do_exit t th.tproc code
   end
 
-and make_ctx t th : Program.ctx =
+(* One ctx per thread, rebuilt when a value [make_ctx] captured moves:
+   [argv] (exec replaces the command line) or [wrapped] (the spawn
+   hijack and exec flip it). *)
+and ctx_of t th =
+  let proc = th.tproc in
+  (* DMTCP's wrappers interpose on the application, not on the injected
+     library itself: manager threads bypass the hook table. *)
+  let wrapped = proc.hijacked && not th.manager in
+  match th.ctx with
+  | Some ctx when ctx.Program.argv == proc.cmdline && th.ctx_wrapped = wrapped -> ctx
+  | _ ->
+    let ctx = make_ctx t th ~wrapped in
+    th.ctx <- Some ctx;
+    th.ctx_wrapped <- wrapped;
+    ctx
+
+and make_ctx t th ~wrapped : Program.ctx =
   let proc = th.tproc in
   let check_fd fd k =
     match fd_desc proc fd with
@@ -332,15 +415,12 @@ and make_ctx t th : Program.ctx =
   let install desc =
     let fd = proc.next_fd in
     proc.next_fd <- fd + 1;
-    Hashtbl.replace proc.fdtable fd desc;
+    set_fd proc fd desc;
     Trace.Metrics.incr m_fd_opens;
     trace_proc t ~pid:proc.pid "fd/open" [ ("fd", string_of_int fd) ];
     fd
   in
   let bind_wake_sock s = Simnet.Fabric.on_activity s (fun () -> poke_later t) in
-  (* DMTCP's wrappers interpose on the application, not on the injected
-     library itself: manager threads bypass the hook table. *)
-  let wrapped = proc.hijacked && not th.manager in
   let new_socket unix =
     let s = if unix then Simnet.Fabric.socket_unix t.fab ~host:t.knode_id else Simnet.Fabric.socket t.fab ~host:t.knode_id in
     bind_wake_sock s;
@@ -435,16 +515,16 @@ and make_ctx t th : Program.ctx =
             if src <> dst then begin
               (match fd_desc proc dst with
               | Some old -> begin
-                Hashtbl.remove proc.fdtable dst;
+                unset_fd proc dst;
                 decr_desc old
               end
               | None -> ());
               incr_desc d;
-              Hashtbl.replace proc.fdtable dst d;
+              set_fd proc dst d;
               proc.next_fd <- max proc.next_fd (dst + 1)
             end;
             Ok ()));
-    fds = (fun () -> Hashtbl.fold (fun fd _ acc -> fd :: acc) proc.fdtable [] |> List.sort compare);
+    fds = (fun () -> Fdtbl.fold (fun fd _ acc -> fd :: acc) proc.fdtable [] |> List.sort compare);
     set_fd_owner =
       (fun fd owner -> match fd_desc proc fd with Some d -> d.Fdesc.owner <- owner | None -> ());
     get_fd_owner = (fun fd -> match fd_desc proc fd with Some d -> d.Fdesc.owner | None -> 0);
@@ -609,18 +689,18 @@ and decr_desc desc =
   Fdesc.decr_ref desc
 
 and remove_fd t proc ~fd =
-  match Hashtbl.find_opt proc.fdtable fd with
+  match Fdtbl.find_opt proc.fdtable fd with
   | None -> ()
   | Some desc ->
     if proc.hijacked then t.khooks.on_close t proc ~fd desc;
-    Hashtbl.remove proc.fdtable fd;
+    unset_fd proc fd;
     Trace.Metrics.incr m_fd_closes;
     trace_proc t ~pid:proc.pid "fd/close" [ ("fd", string_of_int fd) ];
     decr_desc desc;
     poke_later t
 
 (* ------------------------------------------------------------------ *)
-(* poke: recheck blocked threads *)
+(* poke: recheck blocked threads whose wait record is not current *)
 
 and poke_later t =
   if not t.poke_scheduled then begin
@@ -638,7 +718,7 @@ and poke t =
         List.iter
           (fun th ->
             match th.tstate with
-            | Blocked w when (not th.suspended) && wait_satisfied t proc w ->
+            | Blocked w when (not th.suspended) && (not (record_current th)) && check_wait t th w ->
               th.tstate <- Ready;
               schedule_step t th ~delay:0.
             | _ -> ())
@@ -688,6 +768,11 @@ and add_thread_internal t proc ~inst ~manager ~blocked =
       generation = 0;
       manager;
       wake_handle = None;
+      wait_descs = [];
+      wait_sum = 0;
+      wait_gen = no_record;
+      ctx = None;
+      ctx_wrapped = false;
     }
   in
   proc.threads <- proc.threads @ [ th ];
@@ -700,12 +785,12 @@ and do_fork t parent child_inst =
   let pid = fresh_pid t in
   let child =
     new_process t ~pid ~ppid:parent.pid ~env:parent.env ~hijacked:parent.hijacked
-      ~cmdline:parent.cmdline ~fdtable:(Hashtbl.copy parent.fdtable) ~next_fd:parent.next_fd
+      ~cmdline:parent.cmdline ~fdtable:(Fdtbl.copy parent.fdtable) ~next_fd:parent.next_fd
       ~space:(Mem.Address_space.fork parent.space) ~sigtable:(Hashtbl.copy parent.sigtable)
       ?pager:parent.pager ()
   in
   (* shared open file descriptions *)
-  Hashtbl.iter (fun _ desc -> incr_desc desc) child.fdtable;
+  Fdtbl.iter (fun _ desc -> incr_desc desc) child.fdtable;
   Trace.Metrics.incr m_forks;
   trace_proc t ~pid:parent.pid "proc/fork" [ ("child", string_of_int pid) ];
   ignore (add_thread_internal t child ~inst:child_inst ~manager:false ~blocked:None);
@@ -739,7 +824,7 @@ and do_exit_process t proc code =
     trace_proc t ~pid:proc.pid "proc/exit" [ ("code", string_of_int code) ];
     if proc.hijacked then t.khooks.on_exit t proc;
     List.iter kill_thread proc.threads;
-    let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) proc.fdtable [] in
+    let fds = Fdtbl.fold (fun fd _ acc -> fd :: acc) proc.fdtable [] in
     List.iter (fun fd -> remove_fd t proc ~fd) fds;
     (* reparent children to "no one": they self-reap on exit *)
     Hashtbl.iter (fun _ p -> if p.ppid = proc.pid then p.ppid <- 0) t.procs;
@@ -804,7 +889,7 @@ let kill_process t proc = do_exit_process t proc 137
 
 let vanish_process t proc =
   List.iter kill_thread proc.threads;
-  let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) proc.fdtable [] in
+  let fds = Fdtbl.fold (fun fd _ acc -> fd :: acc) proc.fdtable [] in
   List.iter (fun fd -> remove_fd t proc ~fd) fds;
   proc.pstate <- Reaped;
   Hashtbl.remove t.procs proc.pid
@@ -851,7 +936,7 @@ let proc_maps proc =
 
 let fd_desc proc fd = fd_desc proc fd
 let install_fd t proc ~fd desc =
-  Hashtbl.replace proc.fdtable fd desc;
+  set_fd proc fd desc;
   proc.next_fd <- max proc.next_fd (fd + 1);
   (* (re)bind wake-ups of the underlying object to this kernel *)
   (match desc.Fdesc.kind with
@@ -867,3 +952,16 @@ let alloc_fd t proc desc =
   fd
 
 let remove_fd t proc ~fd = remove_fd t proc ~fd
+
+let skipped_ready t =
+  Hashtbl.fold
+    (fun _ proc n ->
+      if proc.pstate <> Running then n
+      else
+        List.fold_left
+          (fun n th ->
+            match th.tstate with
+            | Blocked w when (not th.suspended) && record_current th && wait_satisfied t proc w -> n + 1
+            | _ -> n)
+          n proc.threads)
+    t.procs 0

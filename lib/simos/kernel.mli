@@ -14,6 +14,10 @@
     handlers are data to the checkpointer, not executed by the kernel. *)
 type sigaction = Sig_default | Sig_ignore | Sig_handler of string
 
+(** Fd tables: keyed by fd number, hashed with [Hashtbl.hash], so a
+    table iterates in the order a generic [Hashtbl] would. *)
+module Fdtbl : Hashtbl.S with type key = int
+
 type thread_state = Ready | Blocked of Program.wait | Dead
 
 type thread = {
@@ -27,6 +31,21 @@ type thread = {
   mutable manager : bool;     (** DMTCP checkpoint-manager thread *)
   mutable wake_handle : Sim.Engine.handle option;
       (** pending sleep wake-up, cancelled when the thread dies *)
+  mutable wait_descs : Fdesc.t list;
+      (** The wait record, kept while the thread is blocked reading
+          sockets, pipes or ptys: the descriptions its fds resolved to, *)
+  mutable wait_sum : int;  (** the sum of their {!Fdesc.activity} counts, *)
+  mutable wait_gen : int;
+      (** and the process's [fd_gen] when the wait was found unsatisfied
+          ([-1]: no record).  A poke skips the thread while all three
+          still match. *)
+  mutable ctx : Program.ctx option;
+      (** the thread's syscall table, built on its first step and rebuilt
+          when the process's [cmdline] or the thread's [ctx_wrapped]
+          value moves *)
+  mutable ctx_wrapped : bool;
+      (** [hijacked && not manager] when [ctx] was built: whether its
+          calls go through the hook table *)
 }
 
 and pstate = Running | Zombie of int | Reaped
@@ -36,7 +55,8 @@ and process = {
   mutable ppid : int;
   pnode : int;
   mutable threads : thread list;
-  fdtable : (int, Fdesc.t) Hashtbl.t;
+  fdtable : Fdesc.t Fdtbl.t;
+  mutable fd_gen : int;  (** bumped by every change to [fdtable] *)
   mutable next_fd : int;
   mutable space : Mem.Address_space.t;
   mutable env : (string * string) list;
@@ -159,9 +179,14 @@ val resume_user_threads : t -> process -> unit
 val wake_thread : t -> thread -> unit
 
 (** Re-evaluate wait conditions for every blocked thread on the node
-    (scheduled internally on every I/O event; exposed for the restart
-    path). *)
+    whose wait record is not current (scheduled internally on every I/O
+    event; exposed for the restart path). *)
 val poke : t -> unit
+
+(** Blocked, unsuspended threads whose wait record is current although
+    their wait is satisfied: threads a poke would wrongly skip.  Always
+    [0]; tests assert it. *)
+val skipped_ready : t -> int
 
 (** Look up an fd's description. *)
 val fd_desc : process -> int -> Fdesc.t option

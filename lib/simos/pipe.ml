@@ -4,6 +4,7 @@ type t = {
   mutable reader_count : int;
   mutable writer_count : int;
   mutable wake : unit -> unit;
+  mutable activity : int;  (* [notify] calls so far *)
 }
 
 let capacity = 65536
@@ -12,19 +13,32 @@ let reset () = next_id := 0
 
 let create () =
   incr next_id;
-  { pipe_id = !next_id; buf = Util.Bytequeue.create (); reader_count = 0; writer_count = 0; wake = ignore }
+  {
+    pipe_id = !next_id;
+    buf = Util.Bytequeue.create ();
+    reader_count = 0;
+    writer_count = 0;
+    wake = ignore;
+    activity = 0;
+  }
 
 let id t = t.pipe_id
+
+(* Every wake-up goes through here and is counted in [activity]. *)
+let notify t =
+  t.activity <- t.activity + 1;
+  t.wake ()
+
 let add_reader t = t.reader_count <- t.reader_count + 1
 let add_writer t = t.writer_count <- t.writer_count + 1
 
 let remove_reader t =
   t.reader_count <- t.reader_count - 1;
-  if t.reader_count = 0 then t.wake ()
+  if t.reader_count = 0 then notify t
 
 let remove_writer t =
   t.writer_count <- t.writer_count - 1;
-  if t.writer_count = 0 then t.wake ()
+  if t.writer_count = 0 then notify t
 
 let readers t = t.reader_count
 let writers t = t.writer_count
@@ -32,7 +46,7 @@ let writers t = t.writer_count
 let read t ~max =
   if not (Util.Bytequeue.is_empty t.buf) then begin
     let d = Util.Bytequeue.pop t.buf max in
-    t.wake ();
+    notify t;
     `Data d
   end
   else if t.writer_count = 0 then `Eof
@@ -45,7 +59,7 @@ let write t data =
     let n = min free (String.length data) in
     if n > 0 then begin
       Util.Bytequeue.push t.buf (String.sub data 0 n);
-      t.wake ()
+      notify t
     end;
     Ok n
   end
@@ -55,6 +69,7 @@ let drain t = Util.Bytequeue.pop_all t.buf
 
 let refill t data =
   Util.Bytequeue.push t.buf data;
-  t.wake ()
+  notify t
 
 let on_activity t f = t.wake <- f
+let activity t = t.activity

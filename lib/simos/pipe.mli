@@ -41,3 +41,7 @@ val drain : t -> string
 val refill : t -> string -> unit
 
 val on_activity : t -> (unit -> unit) -> unit
+
+(** Wake-ups so far: every call of the {!on_activity} hook is counted,
+    and every change that can make the read end readable makes one. *)
+val activity : t -> int

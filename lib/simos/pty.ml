@@ -14,6 +14,7 @@ type t = {
   mutable tio : termios;
   mutable pgrp : int;
   mutable wake : unit -> unit;
+  mutable activity : int;  (* [notify] calls so far *)
 }
 
 let next_id = ref 0
@@ -28,6 +29,7 @@ let create () =
     tio = default_termios ();
     pgrp = 0;
     wake = ignore;
+    activity = 0;
   }
 
 let id t = t.pty_id
@@ -37,12 +39,17 @@ let set_termios t tio = t.tio <- tio
 
 let capacity = 65536
 
+(* Every wake-up goes through here and is counted in [activity]. *)
+let notify t =
+  t.activity <- t.activity + 1;
+  t.wake ()
+
 let write_queue t q data =
   let free = capacity - Util.Bytequeue.length q in
   let n = min free (String.length data) in
   if n > 0 then begin
     Util.Bytequeue.push q (String.sub data 0 n);
-    t.wake ()
+    notify t
   end;
   n
 
@@ -50,7 +57,7 @@ let read_queue t q ~max =
   if Util.Bytequeue.is_empty q then `Would_block
   else begin
     let d = Util.Bytequeue.pop q max in
-    t.wake ();
+    notify t;
     `Data d
   end
 
@@ -66,8 +73,9 @@ let drain t = (Util.Bytequeue.pop_all t.to_slave, Util.Bytequeue.pop_all t.to_ma
 let refill t ~to_slave ~to_master =
   Util.Bytequeue.push t.to_slave to_slave;
   Util.Bytequeue.push t.to_master to_master;
-  t.wake ()
+  notify t
 
 let on_activity t f = t.wake <- f
+let activity t = t.activity
 let owner_pgrp t = t.pgrp
 let set_owner_pgrp t pgrp = t.pgrp <- pgrp

@@ -198,7 +198,7 @@ let test_desktop_app_checkpoint_restart () =
   match Dmtcp.Runtime.proc_of rt ~node ~pid with
   | Some p ->
     let has_pty =
-      Hashtbl.fold
+      Simos.Kernel.Fdtbl.fold
         (fun _ (d : Simos.Fdesc.t) acc ->
           acc || match d.Simos.Fdesc.kind with Simos.Fdesc.Pty_s _ -> true | _ -> false)
         p.Simos.Kernel.fdtable false

@@ -69,7 +69,7 @@ let test_site_counts () =
   Plugin.set_enabled []
 
 (* ------------------------------------------------------------------ *)
-(* option parsing: strict for the plugin knobs *)
+(* option parsing: strict *)
 
 let raises_invalid f =
   try
@@ -87,7 +87,8 @@ let test_parse_plugins () =
 
 (* processes no longer parse DMTCP_PLUGINS or the plugin knobs: the
    plugin set is an install option, and a malformed one raises at
-   install, before any computation starts *)
+   install, before any computation starts; a malformed value of a key a
+   process does read raises *)
 let test_of_getenv_bad_value_raises () =
   let env pairs k = List.assoc_opt k pairs in
   let base = Dmtcp.Options.default in
@@ -99,7 +100,34 @@ let test_of_getenv_bad_value_raises () =
     (raises_invalid (fun () ->
          Dmtcp.Api.install (Simos.Cluster.create ~nodes:1 ())
            ~options:{ base with Dmtcp.Options.plugins = [ "ext sock" ] }
-           ()))
+           ()));
+  (* each of the nine keys: a value [to_env] could not have written
+     raises, naming the key and the value *)
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (key, value) ->
+      check Alcotest.bool
+        (Printf.sprintf "%s=%S raises, naming both" key value)
+        true
+        (try
+           ignore (Dmtcp.Options.of_getenv ~base (env [ (key, value) ]));
+           false
+         with Invalid_argument m -> contains m key && contains m (Printf.sprintf "%S" value)))
+    [
+      ("DMTCP_COORD_HOST", "node3");
+      ("DMTCP_COORD_PORT", "65536");
+      ("DMTCP_CHECKPOINT_DIR", "ckpt");
+      ("DMTCP_GZIP", "zstd");
+      ("DMTCP_FORKED", "yes");
+      ("DMTCP_INCREMENTAL", "true");
+      ("DMTCP_INTERVAL", "soon");
+      ("DMTCP_SYNC", "2");
+      ("DMTCP_LAZY_RESTART", "");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* vfs path rewrite *)

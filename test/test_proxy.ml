@@ -276,6 +276,61 @@ let test_stencil_direct_vs_proxy () =
   Alcotest.(check bool) "direct run completed" true (direct <> None);
   Alcotest.(check bool) "stencil bit-identical across transports" true (direct = proxied)
 
+(* A poke skips a blocked thread while its wait record is current, so a
+   skip must never hide a ready thread.  Step a direct-backend stencil
+   checkpoint -> kill -> restart cycle one event at a time, ask every
+   node after every event, and judge the result against an
+   uninterrupted run. *)
+let test_skip_never_hides_ready () =
+  let extra = "direct" :: stencil_extra in
+  let reference =
+    plain_run ~kind:Common.Direct ~prog:Apps.Stencil.stencil_prog ~short:"stencil" ~nprocs:8 ~rpn:2
+      ~extra
+  in
+  Proxy.Accounting.reset ~base_port;
+  let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options:proxy_options () in
+  let cl = env.Common.cl and rt = env.Common.rt in
+  let port = (Dmtcp.Runtime.options rt).Dmtcp.Options.coord_port in
+  let events = ref 0 in
+  let step_until pred =
+    while not (pred ()) do
+      if not (Sim.Engine.step (Simos.Cluster.engine cl)) then
+        Alcotest.failf "the engine drained after %d events" !events;
+      incr events;
+      for node = 0 to Simos.Cluster.nodes cl - 1 do
+        let skipped = Simos.Kernel.skipped_ready (Simos.Cluster.kernel cl node) in
+        if skipped > 0 then
+          Alcotest.failf "event %d: a poke on node %d would skip %d ready thread(s)" !events node
+            skipped
+      done
+    done
+  in
+  (* launch the ranks as [Common.start_workload] does, but step from
+     the first event *)
+  for rank = 0 to 7 do
+    ignore
+      (Dmtcp.Api.launch rt ~node:(rank / 2) ~prog:Apps.Stencil.stencil_prog
+         ~argv:([ string_of_int rank; "8"; string_of_int base_port; "2"; "0"; "0" ] @ extra))
+  done;
+  step_until (fun () -> List.length (Dmtcp.Runtime.hijacked_processes rt) = 8);
+  let at = Simos.Cluster.now cl +. 0.15 in
+  step_until (fun () -> Simos.Cluster.now cl >= at);
+  Dmtcp.Api.checkpoint rt;
+  step_until (fun () ->
+      match Dmtcp.Runtime.last_completed_ckpt ~port rt with
+      | Some info -> info.Dmtcp.Runtime.started >= at && info.Dmtcp.Runtime.nprocs > 0
+      | None -> false);
+  let script = Dmtcp.Api.restart_script rt in
+  Dmtcp.Api.kill_computation rt;
+  Dmtcp.Api.restart rt script;
+  let path = Printf.sprintf "/result/stencil-%d" base_port in
+  step_until (fun () -> result path env <> None);
+  Common.teardown env;
+  check Alcotest.int "every restart process resumed" (Dmtcp.Runtime.restart_expected ~port rt)
+    (Dmtcp.Runtime.restart_info ~port rt).Dmtcp.Runtime.nprocs;
+  Alcotest.(check bool) "the restarted stencil matches the uninterrupted run" true
+    (result path env = reference)
+
 (* ------------------------------------------------------------------ *)
 (* drain-accounting conservation (QCheck) *)
 
@@ -387,6 +442,11 @@ let () =
         [
           Alcotest.test_case "stencil identical on direct and proxy" `Quick
             test_stencil_direct_vs_proxy;
+        ] );
+      ( "wake-ups",
+        [
+          Alcotest.test_case "a skip never hides a ready thread" `Quick
+            test_skip_never_hides_ready;
         ] );
       ("conservation", [ conservation_prop ]);
       ( "chaos",

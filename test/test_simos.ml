@@ -305,6 +305,131 @@ module Sleeper = struct
     | Done -> Simos.Program.Exit 0
 end
 
+(* Wake-up edges: readiness that changes by other means than a wake-up
+   on a description the blocked thread waits on (a close, a dup2,
+   another description's append, a send buffer that frees before its
+   segment is delivered).  A poke must still re-check these waits. *)
+
+let wake_times : (string, float) Hashtbl.t = Hashtbl.create 8
+
+(* A thread that blocks once, on [Readable fd] (argv [key; "r"; fd]) or
+   [Writable fd] ([key; "w"; fd]), and records when it woke. *)
+module Edge_waiter = struct
+  type state = Start of string * Simos.Program.wait | Woke of string | Done
+
+  let name = "test:edge-waiter"
+
+  (* never checkpointed *)
+  let encode w _ = Util.Codec.Writer.u8 w 0
+  let decode _ = Done
+
+  let init ~argv =
+    match argv with
+    | [ key; "w"; fd ] -> Start (key, Simos.Program.Writable (int_of_string fd))
+    | [ key; _; fd ] -> Start (key, Simos.Program.Readable (int_of_string fd))
+    | _ -> Done
+
+  let step (ctx : Simos.Program.ctx) = function
+    | Start (key, w) -> Simos.Program.Block (Woke key, w)
+    | Woke key ->
+      Hashtbl.replace wake_times key (ctx.now ());
+      Simos.Program.Block (Done, Simos.Program.Stopped)
+    | Done -> Simos.Program.Block (Done, Simos.Program.Stopped)
+end
+
+(* Sets up one scenario (argv [scenario]), spawns the waiter thread,
+   sleeps half a second, then acts. *)
+module Edge_actor = struct
+  type state =
+    | Setup of string
+    | Accept of int * int
+    | Fill of int * int
+    | Act of string * int * int
+    | Idle
+
+  let name = "test:edge-actor"
+  let encode w _ = Util.Codec.Writer.u8 w 0
+  let decode _ = Idle
+  let init ~argv = match argv with [ scenario ] -> Setup scenario | _ -> Idle
+  let edge_file = "/tmp/edge-file"
+
+  let waiter (ctx : Simos.Program.ctx) key mode fd =
+    ignore (ctx.spawn_thread ~prog:"test:edge-waiter" ~argv:[ key; mode; string_of_int fd ])
+
+  let act_later (ctx : Simos.Program.ctx) scenario a b =
+    Simos.Program.Block (Act (scenario, a, b), Simos.Program.Sleep_until (ctx.now () +. 0.5))
+
+  let step (ctx : Simos.Program.ctx) = function
+    | Setup ("eof" as s) ->
+      let r, w = ctx.pipe () in
+      waiter ctx s "r" r;
+      act_later ctx s r w
+    | Setup (("close" | "dup2") as s) ->
+      (* a second read fd keeps the pipe's reader count above zero, so
+         losing [r] wakes nothing *)
+      let r, w = ctx.pipe () in
+      ignore (ctx.dup2 ~src:r ~dst:30);
+      waiter ctx s "r" r;
+      act_later ctx s r w
+    | Setup ("file" as s) ->
+      let fd = Result.get_ok (ctx.open_file edge_file) in
+      waiter ctx s "r" fd;
+      Simos.Program.Block (Idle, Simos.Program.Stopped)
+    | Setup ("append" as s) -> act_later ctx s 0 0
+    | Setup ("writable" as s) ->
+      let r, w = ctx.pipe () in
+      ignore (ctx.write_fd w (String.make Simos.Pipe.capacity 'x'));
+      waiter ctx s "w" w;
+      act_later ctx s r w
+    | Setup "socket" ->
+      let l = ctx.socket () in
+      ignore (ctx.bind l ~port:7100);
+      ignore (ctx.listen l ~backlog:1);
+      let c = ctx.socket () in
+      ignore (ctx.connect c (Simnet.Addr.Inet { host = ctx.node_id; port = 7100 }));
+      Simos.Program.Block (Accept (l, c), Simos.Program.Sleep_until (ctx.now () +. 0.01))
+    | Accept (l, c) ->
+      (* fill the peer's receive buffer *)
+      let a = Option.get (ctx.accept l) in
+      ignore (ctx.write_fd c (String.make Simnet.Fabric.buffer_capacity 'x'));
+      Simos.Program.Block (Fill (a, c), Simos.Program.Sleep_until (ctx.now () +. 0.01))
+    | Fill (a, c) ->
+      (* this write stays in the send buffer: [c] is no longer writable *)
+      ignore (ctx.write_fd c (String.make Simnet.Fabric.buffer_capacity 'x'));
+      waiter ctx "socket" "w" c;
+      act_later ctx "socket" a c
+    | Act ("socket", a, _) ->
+      (* the read lets the sender pump: its send buffer frees now, but
+         the wake-up waits for the segment's delivery; the file write
+         pokes before that *)
+      ignore (ctx.read_fd a ~max:4096);
+      let fd = Result.get_ok (ctx.open_file edge_file) in
+      ignore (ctx.write_fd fd "x");
+      Simos.Program.Block (Idle, Simos.Program.Stopped)
+    | Act ("eof", _, w) ->
+      ctx.close_fd w;
+      Simos.Program.Block (Idle, Simos.Program.Stopped)
+    | Act ("close", r, _) ->
+      ctx.close_fd r;
+      Simos.Program.Block (Idle, Simos.Program.Stopped)
+    | Act ("dup2", r, _) ->
+      (* dup2 a readable pipe over [r].  dup2 itself pokes nobody: the
+         poke comes from the write on the new pipe, and runs after this
+         step *)
+      let r2, w2 = ctx.pipe () in
+      ignore (ctx.write_fd w2 "x");
+      ignore (ctx.dup2 ~src:r2 ~dst:r);
+      Simos.Program.Block (Idle, Simos.Program.Stopped)
+    | Act ("append", _, _) ->
+      let fd = Result.get_ok (ctx.open_file edge_file) in
+      ignore (ctx.write_fd fd "x");
+      Simos.Program.Block (Idle, Simos.Program.Stopped)
+    | Act ("writable", r, _) ->
+      ignore (ctx.read_fd r ~max:4096);
+      Simos.Program.Block (Idle, Simos.Program.Stopped)
+    | Setup _ | Act _ | Idle -> Simos.Program.Block (Idle, Simos.Program.Stopped)
+end
+
 let () =
   List.iter Simos.Program.register
     [
@@ -315,6 +440,8 @@ let () =
       (module Echo_client);
       (module Pipe_self);
       (module Sleeper);
+      (module Edge_waiter);
+      (module Edge_actor);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -329,6 +456,34 @@ let file_content k path =
 
 (* ------------------------------------------------------------------ *)
 (* Tests *)
+
+let edge_wake_time scenarios key =
+  let c = make_cluster ~nodes:1 () in
+  let k = Simos.Cluster.kernel c 0 in
+  Hashtbl.remove wake_times key;
+  List.iter
+    (fun s -> ignore (Simos.Kernel.spawn k ~prog:"test:edge-actor" ~argv:[ s ] ()))
+    scenarios;
+  Simos.Cluster.run c;
+  Option.map (Printf.sprintf "%.9f") (Hashtbl.find_opt wake_times key)
+
+(* simulated wake times, as computed before polls skipped threads with
+   a current wait record *)
+let test_wake_edges () =
+  List.iter
+    (fun (label, scenarios, key, expected) ->
+      check Alcotest.(option string) label (Some expected) (edge_wake_time scenarios key))
+    [
+      ("last writer closes", [ "eof" ], "eof", "0.500000000");
+      ("fd closed by another thread", [ "close" ], "close", "0.500000000");
+      ("fd dup2'd over by another thread", [ "dup2" ], "dup2", "0.500000000");
+      ("regular file appended by another process", [ "file"; "append" ], "file", "0.500000000");
+      ("writable after a full pipe drains", [ "writable" ], "writable", "0.500000000");
+      (* the read frees the send buffer at 0.52; its segment lands
+         10 us later, but the file write's poke comes first *)
+      ("writable after the peer reads, poked before delivery", [ "socket" ], "socket", "0.520000000");
+    ]
+
 
 let test_spawn_runs_to_exit () =
   let c = make_cluster () in
@@ -598,9 +753,15 @@ let test_env_inherited_across_ssh () =
 
 let test_exec_preserves_env_hijack () =
   (* a process that setenvs DMTCP_HIJACK and execs stays hijacked — how
-     dmtcp_checkpoint injects the library across exec *)
+     dmtcp_checkpoint injects the library across exec.  The thread keeps
+     one ctx while nothing it captured moves: after each exec it sees
+     the new argv, and its sockets go through the hook table exactly
+     while the process is hijacked. *)
   let c = make_cluster () in
   let k = Simos.Cluster.kernel c 0 in
+  let hooked = ref [] in
+  Simos.Kernel.set_hooks k
+    { (Simos.Kernel.hooks k) with on_socket = (fun _ _ ~fd _ -> hooked := fd :: !hooked) };
   let module Hijack_exec = struct
     type state = bool  (* execed? *)
 
@@ -612,15 +773,47 @@ let test_exec_preserves_env_hijack () =
     let step (ctx : Simos.Program.ctx) execed =
       if execed then Simos.Program.Exit 0
       else begin
+        ignore (ctx.socket ());
         ctx.setenv "DMTCP_HIJACK" "yes";
-        Simos.Program.Exec { st = true; prog = "test:sleeper"; argv = [ "3.0" ] }
+        Simos.Program.Exec { st = true; prog = "test:argv-socket"; argv = [ "first" ] }
       end
   end in
+  (* every step records its argv and opens a socket; the first image
+     execs the second *)
+  let seen = ref [] in
+  let module Argv_socket = struct
+    type state = unit
+
+    let name = "test:argv-socket"
+    let encode _ () = ()
+    let decode _ = ()
+    let init ~argv:_ = ()
+
+    let step (ctx : Simos.Program.ctx) () =
+      seen := ctx.argv :: !seen;
+      ignore (ctx.socket ());
+      match ctx.argv with
+      | [ _; "first" ] -> Simos.Program.Exec { st = (); prog = name; argv = [ "second" ] }
+      | _ -> Simos.Program.Block ((), Simos.Program.Sleep_until (ctx.now () +. 3.0))
+  end in
   Simos.Program.register (module Hijack_exec);
+  Simos.Program.register (module Argv_socket);
   let p = Simos.Kernel.spawn k ~prog:"test:hijack-exec" ~argv:[] () in
   Sim.Engine.run ~until:1.0 (Simos.Cluster.engine c);
   Alcotest.(check bool) "hijacked after exec" true p.Simos.Kernel.hijacked;
-  check Alcotest.(list string) "image replaced" [ "test:sleeper"; "3.0" ] p.Simos.Kernel.cmdline
+  check Alcotest.(list string) "image replaced" [ "test:argv-socket"; "second" ] p.Simos.Kernel.cmdline;
+  check
+    Alcotest.(list (list string))
+    "each exec'd image sees its own argv"
+    [ [ "test:argv-socket"; "first" ]; [ "test:argv-socket"; "second" ] ]
+    (List.rev !seen);
+  check Alcotest.(list int) "the sockets opened after the first exec are hooked" [ 5; 4 ] !hooked;
+  (* nothing but [hijacked] moves: the next step's socket bypasses the
+     hooks *)
+  p.Simos.Kernel.hijacked <- false;
+  Sim.Engine.run ~until:5.0 (Simos.Cluster.engine c);
+  check Alcotest.int "one more step ran" 3 (List.length !seen);
+  check Alcotest.(list int) "a socket opened after unhijacking is not hooked" [ 5; 4 ] !hooked
 
 let test_signal_dispositions () =
   let c = make_cluster () in
@@ -693,6 +886,7 @@ let () =
           Alcotest.test_case "dispositions" `Quick test_signal_dispositions;
           Alcotest.test_case "inherited by fork" `Quick test_signal_table_inherited_by_fork;
         ] );
+      ("wake-ups", [ Alcotest.test_case "wake times at the edges" `Quick test_wake_edges ]);
       ( "environment",
         [
           Alcotest.test_case "env crosses ssh" `Quick test_env_inherited_across_ssh;
