@@ -28,7 +28,8 @@ echo "== determinism: each command runs twice, outputs byte-identical =="
 #   reference and printing a trace digest or summary.
 # - mpi run proxy / direct: the stencil checkpoint/restart cycle on the
 #   proxy and the direct socket-mesh backends (result, rank-image shape,
-#   trace digest).
+#   trace digest). The stencil runs on Nas.Make, the framework every
+#   rank program shares, so these two lines pin that framework too.
 # - chaos all: one verdict line per fault-fixture scenario.
 # - inspect / store ls: a checkpoint image dumped as text, and the
 #   catalog of the canned two-generation store scenario.

@@ -8,8 +8,6 @@ let transport_of_string = function
   | "proxy" | "proxied" -> Proxied
   | s -> invalid_arg (Printf.sprintf "Mpi.transport_of_string: %S (want direct|proxy)" s)
 
-let transport_name = function Direct -> "direct" | Proxied -> "proxy"
-
 (* ------------------------------------------------------------------ *)
 (* Direct backend: one TCP mesh socket per neighbour pair, exactly the
    original design. *)
@@ -487,14 +485,13 @@ let f64_str v =
 let str_f64 s = Int64.float_of_bits (String.get_int64_le s 0)
 
 module Coll = struct
-  type op = Barrier | Sum of float | Bcast of float option
+  type op = Barrier | Sum of float
 
   let barrier = Barrier
   let allreduce_sum v = Sum v
-  let bcast ~root_value = Bcast root_value
 
   type st = {
-    kind : int;  (* 0 barrier, 1 sum, 2 bcast *)
+    kind : int;  (* 0 barrier, 1 sum *)
     value : float;
     mutable phase : int;  (* 0 not started, 1 gathering/waiting *)
     mutable got : int;
@@ -504,8 +501,6 @@ module Coll = struct
   let start = function
     | Barrier -> { kind = 0; value = 0.; phase = 0; got = 0; pairs = [] }
     | Sum v -> { kind = 1; value = v; phase = 0; got = 0; pairs = [] }
-    | Bcast v ->
-      { kind = 2; value = Option.value ~default:0. v; phase = 0; got = 0; pairs = [] }
 
   (* summed in rank order, not arrival order: the reduction result must
      be bit-identical across timings and transports *)
@@ -541,7 +536,7 @@ module Coll = struct
         | None -> continue := false
       done;
       if st.got >= comm.size then begin
-        let result = if st.kind = 2 then st.value else reduce st.pairs in
+        let result = reduce st.pairs in
         for r = 1 to comm.size - 1 do
           send comm ~dst:r ~tag:'r' (f64_str result)
         done;
@@ -662,6 +657,32 @@ let encode w t =
         w msgs)
     w t.inbox
 
+(* A restored record is outside input: hold it to the shape [create]
+   gives it, or the rank's first step indexes out of bounds. *)
+let check_shape t =
+  let in_range what r =
+    if r < 0 || r >= t.size then R.corrupt "Mpi: %s %d outside 0..%d" what r (t.size - 1)
+  in
+  let per_rank what a =
+    if Array.length a <> t.size then
+      R.corrupt "Mpi: %d %s for %d ranks" (Array.length a) what t.size
+  in
+  in_range "rank" t.rank;
+  List.iter (in_range "neighbour") t.neighbors;
+  per_rank "inboxes" t.inbox;
+  match t.backend with
+  | B_direct d ->
+    per_rank "peer fds" d.peer_fd;
+    per_rank "out buffers" d.out_bufs;
+    per_rank "in buffers" d.in_bufs;
+    List.iter (fun (peer, _) -> in_range "pending-connect peer" peer) d.pending_conn
+  | B_proxied p ->
+    per_rank "send sequences" p.send_seq;
+    per_rank "recv sequences" p.recv_seq;
+    per_rank "resend buffers" p.unacked;
+    per_rank "sent-byte gauges" p.sent_bytes;
+    per_rank "delivered-byte gauges" p.delivered_bytes
+
 let decode r =
   let rank = R.uvarint r in
   let size = R.uvarint r in
@@ -680,4 +701,6 @@ let decode r =
           r)
       r
   in
-  { rank; size; base_port; ranks_per_node; neighbors; backend; inbox }
+  let t = { rank; size; base_port; ranks_per_node; neighbors; backend; inbox } in
+  check_shape t;
+  t

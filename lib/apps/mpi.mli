@@ -23,8 +23,8 @@
     The library lives *inside* application state machines: a {!t} value
     is part of the program state and fully serializable, so a
     checkpoint taken mid-collective restores and completes correctly on
-    either transport.  Collectives (barrier, allreduce, bcast) run over
-    a star rooted at rank 0, so rank 0 neighbours everyone. *)
+    either transport.  The collectives, barrier and allreduce-sum, run
+    over a star rooted at rank 0, so rank 0 neighbours everyone. *)
 
 type t
 
@@ -33,8 +33,6 @@ type transport = Direct | Proxied
 (** ["direct"] or ["proxy"]/["proxied"]; raises [Invalid_argument]
     otherwise. *)
 val transport_of_string : string -> transport
-
-val transport_name : transport -> string
 
 (** [create ~rank ~size ~base_port ~ranks_per_node ~neighbors ()]
     prepares a communicator; drive {!init_step} until [`Ready].
@@ -95,7 +93,8 @@ val wait : Simos.Program.ctx -> t -> Simos.Program.wait
     (direct: output flushed; proxy: nothing buffered or unacknowledged).
     Transport custody is disposable, so a rank must keep driving
     {!progress} until quiesced before it exits — bytes still awaiting
-    acknowledgement would otherwise never be resent. *)
+    acknowledgement would otherwise never be resent.  Every rank
+    program honours this through its exit flush ({!Nas.Make}). *)
 val quiesced : t -> bool
 
 (** 8-byte float payload helpers (halo exchanges etc.). *)
@@ -112,8 +111,6 @@ module Coll : sig
 
   val barrier : op
   val allreduce_sum : float -> op
-  val bcast : root_value:float option -> op
-    (** root passes [Some v], others [None] *)
 
   type st
 
@@ -125,4 +122,8 @@ module Coll : sig
 end
 
 val encode : Util.Codec.Writer.t -> t -> unit
+
+(** Raises {!Util.Codec.Reader.Corrupt} on a record [create] could not
+    have made: the rank, a neighbour or a pending-connect peer outside
+    [0..size-1], or a per-rank array that is not [size] long. *)
 val decode : Util.Codec.Reader.t -> t

@@ -1,16 +1,16 @@
 (** Transport-aware MPI workload family exercising the rank/proxy split.
 
-    Both programs take the standard rank argv
-    ([rank size base_port rpn notify_host notify_port ...]) with the
-    first extra word selecting the {!Mpi.transport} (["direct"] |
-    ["proxy"]; default direct), and write their result to
-    [/result/<short>-<base_port>] with full float precision so a
-    direct run and a proxy run of the same problem can be compared
-    byte-for-byte.
+    Both programs are kernels of {!Nas.Make}: they take the standard
+    rank argv ([rank size base_port rpn notify_host notify_port ...]),
+    an optional leading extra word selects the {!Mpi.transport}
+    (["direct"] | ["proxy"]; without one, direct), and rank 0 writes
+    the result to [/result/<short>-<base_port>] with full float
+    precision so a direct run and a proxy run of the same problem can
+    be compared byte-for-byte.
 
     - ["mpi:stencil"] — iterative 1-D Jacobi solver with deep-halo
       exchange over a ring (extras: cells-per-rank, halo depth,
-      supersteps).  Each superstep: exchange [h] boundary cells, run
+      supersteps, think seconds per superstep).  Each superstep: exchange [h] boundary cells, run
       [h] relaxation sweeps, allreduce the interior sum.
     - ["mpi:bsp"] — bulk-synchronous phase program (extras: phases,
       bytes-per-message, straggle-every, straggle-seconds).  Each

@@ -54,12 +54,12 @@ module K = struct
     end
     else
       match k.coll with
-      | Some coll -> (
-        match Mpi.Coll.step ctx comm coll with
-        | `Done _ ->
-          if k.round + 1 >= k.rounds then Nas.K_done (float_of_int k.round, true)
-          else Nas.K_compute ({ k with coll = None; round = k.round + 1 }, 20e-3)
-        | `Pending -> Nas.K_wait { k with coll = Some coll })
+      | Some coll ->
+        Nas.drive_coll ctx comm coll
+          ~wrap:(fun c -> { k with coll = Some c })
+          ~on_done:(fun _ ->
+            if k.round + 1 >= k.rounds then Nas.K_done (float_of_int k.round, true)
+            else Nas.K_compute ({ k with coll = None; round = k.round + 1 }, 20e-3))
       | None -> Nas.K_compute ({ k with coll = Some (Mpi.Coll.start Mpi.Coll.barrier) }, 1e-4)
 end
 

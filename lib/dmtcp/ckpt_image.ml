@@ -287,5 +287,3 @@ let socket_stats t =
       | FSock { drained = d; _ } -> (estab, drained + String.length d)
       | FFile _ | FPty _ -> (estab, drained))
     (0, 0) t.fds
-
-let sim_file_size t = t.sizes.Mtcp.Image.compressed

@@ -90,7 +90,3 @@ val chunk : string -> string list
 (** (established socket specs, drained socket bytes) over the image's fd
     table: what a restart must reconnect and re-inject. *)
 val socket_stats : t -> int * int
-
-(** Real bytes of the encoded image plus the simulated page payload — the
-    number the paper's figures report as "checkpoint size". *)
-val sim_file_size : t -> int

@@ -286,9 +286,6 @@ let unpin_lineage t ~lineage =
   | Some s -> Store.unpin s ~lineage
   | None -> ()
 
-let pinned_lineages t =
-  Hashtbl.fold (fun l g acc -> (l, g) :: acc) t.pinned [] |> List.sort compare
-
 let generation t = t.gen
 let bump_generation t = t.gen <- t.gen + 1
 let shm_lookup ?port t path = Hashtbl.find_opt t.shm (port_of ?port t, path)

@@ -162,9 +162,6 @@ val pin_lineage : t -> lineage:string -> generation:int -> unit
 
 val unpin_lineage : t -> lineage:string -> unit
 
-(** Current pins as (lineage, generation), sorted. *)
-val pinned_lineages : t -> (string * int) list
-
 (** The replicated content-addressed checkpoint store, when
     [options.store] enabled it at install time. *)
 val store : t -> Store.t option

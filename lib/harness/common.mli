@@ -11,7 +11,7 @@ type runtime_kind =
   | Proxy
       (** rank processes launched directly, plus one un-hijacked
           {!Proxy.Daemon} per node; ["proxy"] is prepended to [w_extra]
-          so transport-aware programs ({!Apps.Stencil}) pick the proxy
+          so the rank program ({!Apps.Nas.Make}) picks the proxy
           backend *)
   | Plain    (** a single non-rank program; [w_extra] is its raw argv *)
 

@@ -93,7 +93,6 @@ let ratio algo cls =
     r
 
 let deflate_ratio cls = ratio Compress.Algo.Deflate cls
-let rle_ratio cls = ratio Compress.Algo.Rle cls
 
 let to_tag = function
   | Zeros -> 0

@@ -26,9 +26,6 @@ val generate : t -> seed:int64 -> len:int -> bytes
     running the real compressor). *)
 val deflate_ratio : t -> float
 
-(** Analogue for {!Compress.Rle}. *)
-val rle_ratio : t -> float
-
 (** Ratio for an arbitrary scheme ([Null] is 1.0). *)
 val ratio : Compress.Algo.t -> t -> float
 

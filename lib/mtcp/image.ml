@@ -165,12 +165,6 @@ let page_inline (r : Mem.Region.t) idx =
   | Mem.Region.Mmap_anon ->
     Mem.Region.is_dirty r idx
 
-let delta_pages t =
-  List.fold_left
-    (fun acc r -> acc + Mem.Address_space.region_dirty_pages r)
-    0
-    (Mem.Address_space.regions t.space)
-
 (* A delta body differs from a full one only in its magic prefix and
    its address space: the skeleton (allocation cursor plus each
    region's identity and shape) is stored in full, and each page is

@@ -72,10 +72,6 @@ val decode : string -> t
     {!Compress.Container.frame_bounds} applies and delta frames dedup in
     the checkpoint store like any other frames. *)
 
-(** Pages {!encode_delta} will carry inline, given the space's current
-    dirty bits (shared mappings always count in full). *)
-val delta_pages : t -> int
-
 (** [encode_delta ~algo t] encodes [t] against the base snapshot implied
     by [t.space]'s dirty bits: pages clean since the last
     {!Mem.Address_space.clear_dirty} are stored as references.  The caller

@@ -1,9 +1,6 @@
 type row = { sent_to : int array; delivered_from : int array; retained_to : int array }
 
-type job = {
-  ranks : (int, row) Hashtbl.t;
-  custody : (int, int) Hashtbl.t;  (* node -> bytes *)
-}
+type job = { ranks : (int, row) Hashtbl.t }
 
 let jobs : (int, job) Hashtbl.t = Hashtbl.create 7
 
@@ -11,7 +8,7 @@ let job base_port =
   match Hashtbl.find_opt jobs base_port with
   | Some j -> j
   | None ->
-    let j = { ranks = Hashtbl.create 17; custody = Hashtbl.create 7 } in
+    let j = { ranks = Hashtbl.create 17 } in
     Hashtbl.replace jobs base_port j;
     j
 
@@ -22,8 +19,6 @@ let set_rank ~base_port ~rank ~sent_to ~delivered_from ~retained_to =
       delivered_from = Array.copy delivered_from;
       retained_to = Array.copy retained_to;
     }
-
-let set_custody ~base_port ~node bytes = Hashtbl.replace (job base_port).custody node bytes
 
 let sum = Array.fold_left ( + ) 0
 
@@ -46,8 +41,5 @@ let pair ~base_port ~src ~dst =
     | None -> 0
   in
   (sent, delivered, retained)
-
-let custody_total ~base_port =
-  Hashtbl.fold (fun _ b acc -> acc + b) (job base_port).custody 0
 
 let reset ~base_port = Hashtbl.remove jobs base_port

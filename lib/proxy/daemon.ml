@@ -167,10 +167,7 @@ module P = struct
     (* reap dead connections; their buffered custody dies with them and
        the ranks' resend protocol recovers it *)
     List.iter (fun c -> if c.dead then ctx.close_fd c.fd) r.conns;
-    r.conns <- List.filter (fun c -> not c.dead) r.conns;
-    Accounting.set_custody ~base_port:r.base_port ~node:ctx.node_id
-      (List.fold_left (fun acc c -> acc + String.length c.inb + String.length c.outb) 0 r.conns
-      + List.fold_left (fun acc (_, b) -> acc + String.length b) 0 r.parked)
+    r.conns <- List.filter (fun c -> not c.dead) r.conns
 
   let step (ctx : Simos.Program.ctx) st =
     match st with

@@ -913,13 +913,6 @@ let resume_user_threads t proc =
       end)
     proc.threads
 
-let wake_thread t th =
-  match th.tstate with
-  | Blocked Program.Stopped ->
-    th.tstate <- Ready;
-    if not th.suspended then schedule_step t th ~delay:0.
-  | _ -> ()
-
 let proc_maps proc =
   let buf = Buffer.create 256 in
   List.iter

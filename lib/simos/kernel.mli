@@ -175,9 +175,6 @@ val suspend_user_threads : t -> process -> unit
 (** Resume them; blocked threads re-evaluate their wait conditions. *)
 val resume_user_threads : t -> process -> unit
 
-(** Wake a specific [Stopped] thread. *)
-val wake_thread : t -> thread -> unit
-
 (** Re-evaluate wait conditions for every blocked thread on the node
     whose wait record is not current (scheduled internally on every I/O
     event; exposed for the restart path). *)

@@ -34,20 +34,6 @@ let pop t n =
 
 let pop_all t = pop t t.len
 
-let peek_all t =
-  let out = Bytes.create t.len in
-  let filled = ref 0 in
-  let first = ref true in
-  Queue.iter
-    (fun chunk ->
-      let off = if !first then t.head_off else 0 in
-      first := false;
-      let avail = String.length chunk - off in
-      Bytes.blit_string chunk off out !filled avail;
-      filled := !filled + avail)
-    t.chunks;
-  Bytes.unsafe_to_string out
-
 let clear t =
   Queue.clear t.chunks;
   t.head_off <- 0;

@@ -17,7 +17,4 @@ val pop : t -> int -> string
 (** Remove and return everything. *)
 val pop_all : t -> string
 
-(** Non-destructive copy of the full contents. *)
-val peek_all : t -> string
-
 val clear : t -> unit

@@ -162,6 +162,30 @@ let test_proxied_codec_roundtrip () =
   check Alcotest.int "unacked bytes preserved" (Apps.Mpi.pending_out comm ~dst:1)
     (Apps.Mpi.pending_out comm' ~dst:1)
 
+(* seeded fuzz: a mutated communicator record (rank 1 of 4, two queued
+   sends) either raises Corrupt or decodes into one every accessor can
+   index *)
+let fuzz_comm ~name transport =
+  Decode_fuzz.property ~name ~seed:21
+    (lazy
+      (let comm =
+         Apps.Mpi.create ~rank:1 ~size:4 ~base_port:6000 ~ranks_per_node:2 ~transport
+           ~neighbors:(ring 4) ()
+       in
+       Apps.Mpi.send comm ~dst:0 ~tag:'D' "to-rank-0";
+       Apps.Mpi.send comm ~dst:2 ~tag:'h' "to-rank-2";
+       let w = Util.Codec.Writer.create () in
+       Apps.Mpi.encode w comm;
+       Util.Codec.Writer.contents w))
+    (fun bytes ->
+      let comm = Apps.Mpi.decode (Util.Codec.Reader.of_string bytes) in
+      for r = 0 to Apps.Mpi.size comm - 1 do
+        ignore (Apps.Mpi.pending_out comm ~dst:r);
+        ignore (Apps.Mpi.recv comm ~src:r ~tag:'D')
+      done;
+      ignore (Apps.Mpi.recv_any comm ~tag:'h');
+      ignore (Apps.Mpi.quiesced comm))
+
 let test_transport_of_string () =
   Alcotest.(check bool) "direct" true (Apps.Mpi.transport_of_string "direct" = Apps.Mpi.Direct);
   Alcotest.(check bool) "proxy" true (Apps.Mpi.transport_of_string "proxy" = Apps.Mpi.Proxied);
@@ -265,16 +289,30 @@ let test_proxy_mid_allreduce_restart () =
 let stencil_extra = [ "96"; "4"; "6"; "0.08" ]
 
 let test_stencil_direct_vs_proxy () =
-  let direct =
-    plain_run ~kind:Common.Direct ~prog:Apps.Stencil.stencil_prog ~short:"stencil" ~nprocs:8
-      ~rpn:2 ~extra:("direct" :: stencil_extra)
+  let run ~kind extra =
+    plain_run ~kind ~prog:Apps.Stencil.stencil_prog ~short:"stencil" ~nprocs:8 ~rpn:2 ~extra
   in
-  let proxied =
-    plain_run ~kind:Common.Proxy ~prog:Apps.Stencil.stencil_prog ~short:"stencil" ~nprocs:8
-      ~rpn:2 ~extra:stencil_extra
-  in
+  let direct = run ~kind:Common.Direct ("direct" :: stencil_extra) in
+  let proxied = run ~kind:Common.Proxy stencil_extra in
   Alcotest.(check bool) "direct run completed" true (direct <> None);
-  Alcotest.(check bool) "stencil bit-identical across transports" true (direct = proxied)
+  Alcotest.(check bool) "stencil bit-identical across transports" true (direct = proxied);
+  Alcotest.(check bool) "no transport word means direct" true
+    (run ~kind:Common.Direct stencil_extra = direct)
+
+(* every rank program takes either transport: NAS kernels, whose extras
+   are numbers, write the same verified bytes over proxies as over the
+   socket mesh *)
+let test_nas_direct_vs_proxy () =
+  List.iter
+    (fun (prog, short, extra) ->
+      let direct = plain_run ~kind:Common.Direct ~prog ~short ~nprocs:8 ~rpn:2 ~extra in
+      let proxied = plain_run ~kind:Common.Proxy ~prog ~short ~nprocs:8 ~rpn:2 ~extra in
+      match direct with
+      | None -> Alcotest.failf "%s: the direct run wrote no result" prog
+      | Some r ->
+        Alcotest.(check bool) (prog ^ " verified (" ^ r ^ ")") true (contains r "VERIFIED");
+        Alcotest.(check (option string)) (prog ^ " identical on both transports") direct proxied)
+    [ ("nas:cg", "cg", [ "400"; "20" ]); ("nas:mg", "mg", [ "400" ]) ]
 
 (* A poke skips a blocked thread while its wait record is current, so a
    skip must never hide a ready thread.  Step a direct-backend stencil
@@ -430,6 +468,8 @@ let () =
           Alcotest.test_case "proxied communicator codec round-trips" `Quick
             test_proxied_codec_roundtrip;
           Alcotest.test_case "transport_of_string" `Quick test_transport_of_string;
+          fuzz_comm ~name:"fuzz: direct comm record" Apps.Mpi.Direct;
+          fuzz_comm ~name:"fuzz: proxied comm record" Apps.Mpi.Proxied;
         ] );
       ( "collective-restart",
         [
@@ -442,6 +482,8 @@ let () =
         [
           Alcotest.test_case "stencil identical on direct and proxy" `Quick
             test_stencil_direct_vs_proxy;
+          Alcotest.test_case "CG and MG identical on direct and proxy" `Quick
+            test_nas_direct_vs_proxy;
         ] );
       ( "wake-ups",
         [
