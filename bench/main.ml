@@ -92,11 +92,39 @@ let text_1mb =
 
 let random_1mb = Bytes.unsafe_to_string (Util.Rng.bytes (Util.Rng.create 42L) 1_000_000)
 
+(* The raw body of a job image like sched-1k's (argv, the DMTCP_*
+   environment, regions of synthetic pages), cut to 400 bytes:
+   Deflate's per-call fixed cost, beside the 1 MB kernel's per-byte
+   cost. *)
+let job_image_400b =
+  let sp = Mem.Address_space.create () in
+  for _ = 1 to 4 do
+    ignore
+      (Mem.Address_space.map sp ~kind:Mem.Region.Heap ~perms:Mem.Region.rw
+         ~bytes:(4 * Mem.Page.size)
+         ~content:(fun i -> Mem.Page.Synthetic { seed = Int64.of_int i; cls = Mem.Entropy.Numeric })
+         ())
+  done;
+  let img =
+    {
+      Mtcp.Image.cmdline = [ "bench:pages"; "0"; "0"; "4"; "1"; "0.001"; "830"; "/data/j0000_0" ];
+      env = Dmtcp.Options.to_env Dmtcp.Options.default;
+      threads = [];
+      space = sp;
+      sigtable = [];
+      pending_signals = [];
+    }
+  in
+  let body = Compress.Container.unpack (Mtcp.Image.encode ~algo:Compress.Algo.Null img) in
+  String.sub body 0 400
+
 let micro_tests =
   let open Bechamel in
   [
     Test.make ~name:"deflate-compress-text-1MB"
       (Staged.stage (fun () -> ignore (Compress.Deflate.compress text_1mb)));
+    Test.make ~name:"deflate-compress-400B"
+      (Staged.stage (fun () -> ignore (Compress.Deflate.compress job_image_400b)));
     Test.make ~name:"deflate-roundtrip-random-64KB"
       (Staged.stage
          (let s = String.sub random_1mb 0 65536 in

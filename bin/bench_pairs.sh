@@ -4,15 +4,16 @@
 #
 #   bin/bench_pairs.sh PARENT_REV N WORKLOAD...
 #
-# Builds PARENT_REV in a temporary git worktree under $TMPDIR (default
-# /tmp) and this checkout's working tree in place.  Then, for each
+# Builds PARENT_REV in a temporary copy under $TMPDIR (default /tmp),
+# unpacked from `git archive`, so the script never writes to .git, and
+# this checkout's working tree in place.  Then, for each
 # workload, runs N pairs of
 #   bench_e2e/main.exe --workload W --seed S --seconds 25 --json FILE
 # one run per side, flipping which side goes first every pair so that
 # drift in host speed falls on both sides alike.  Last it runs
 # `main.exe compare` over all the records; its verdict table is the
 # output, and its exit status (1 if anything regressed) is the
-# script's.  The worktree is removed on exit.
+# script's.  The copy is removed on exit.
 #
 # SEED (default 1) is the seed of every run.  Records and run logs go
 # to OUT (default _artifacts/bench_pairs), named SIDE-WORKLOAD-PAIR.
@@ -31,13 +32,9 @@ mkdir -p "$out"
 out=$(cd "$out" && pwd)
 
 tree=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
-cleanup() {
-  git worktree remove --force "$tree" 2>/dev/null || rm -rf "$tree"
-  git worktree prune
-}
-trap cleanup EXIT
+trap 'rm -rf "$tree"' EXIT
 trap 'exit 130' INT TERM
-git worktree add --detach "$tree" "$parent_rev" > /dev/null
+git archive "$parent_rev" | tar -x -C "$tree"
 
 echo "== build: $parent_rev (parent) and the working tree (change)" >&2
 (cd "$tree" && dune build --display=quiet ./bench_e2e/main.exe)

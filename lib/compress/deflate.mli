@@ -13,7 +13,9 @@
     any allocation is sized from them. *)
 val max_expansion_per_byte : int
 
-(** [compress s] returns the compressed representation. *)
+(** [compress s] returns the compressed representation, which depends
+    on [s] alone.  It tokenizes with {!Lz77.tokenize}, whose tables are
+    per domain. *)
 val compress : string -> string
 
 (** [decompress s] inverts {!compress}. Raises

@@ -26,57 +26,75 @@ type decoder = {
 
 let long_code = -1
 
-type tree = Leaf of int | Node of tree * tree
-
-(* Build Huffman code lengths with a simple heap; if the tree exceeds
-   [max_bits], damp the frequencies and retry (standard trick; converges
-   because all-equal frequencies give a balanced tree).  Frequencies are
-   symbol counts, far below 2^53, so their float priorities order exactly
-   as the ints do; equal ones pop in insertion order, which fixes the
-   tree's shape. *)
+(* Huffman code lengths by the two-queue construction: the leaves wait
+   in one queue sorted by (count, symbol), the internal nodes in another
+   in the order they are made, which never decreases in weight.  Each
+   merge takes the lighter head twice, the leaf on a tie.  A min-heap
+   keyed by (weight, insertion order), fed the leaves in symbol order,
+   pops the same sequence: every leaf was inserted before every node.
+   If the tree exceeds [max_bits], damp the frequencies and retry
+   (standard trick; converges because all-equal frequencies give a
+   balanced tree). *)
 let lengths_of_freqs freqs =
-  let n = Array.length freqs in
-  let lengths = Array.make n 0 in
-  let used = ref 0 in
-  Array.iter (fun f -> if f > 0 then incr used) freqs;
-  if !used = 0 then invalid_arg "Huffman.lengths_of_freqs: no symbols";
-  if !used = 1 then begin
-    (* A single symbol still needs one bit on the wire. *)
-    Array.iteri (fun i f -> if f > 0 then lengths.(i) <- 1) freqs;
-    lengths
-  end
-  else begin
-    let rec attempt freqs =
-      let heap = Util.Heap.create ~dummy:(Leaf 0) () in
-      let pop () = Option.get (Util.Heap.pop heap) in
-      Array.iteri
-        (fun i f -> if f > 0 then Util.Heap.push heap ~priority:(float_of_int f) (Leaf i))
-        freqs;
-      while Util.Heap.length heap > 1 do
-        let f1, n1 = pop () in
-        let f2, n2 = pop () in
-        Util.Heap.push heap ~priority:(f1 +. f2) (Node (n1, n2))
-      done;
-      let _, root = pop () in
-      Array.fill lengths 0 n 0;
-      let too_deep = ref false in
-      let rec assign depth = function
-        | Leaf i ->
-          lengths.(i) <- max depth 1;
-          if depth > max_bits then too_deep := true
-        | Node (a, b) ->
-          assign (depth + 1) a;
-          assign (depth + 1) b
-      in
-      assign 0 root;
-      if !too_deep then begin
-        let damped = Array.map (fun f -> if f > 0 then (f / 2) + 1 else 0) freqs in
-        attempt damped
+  let used = Array.fold_left (fun acc f -> if f > 0 then acc + 1 else acc) 0 freqs in
+  if used = 0 then invalid_arg "Huffman.lengths_of_freqs: no symbols";
+  (* the used symbols in symbol order *)
+  let syms = Array.make used 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun i f ->
+      if f > 0 then begin
+        syms.(!k) <- i;
+        incr k
+      end)
+    freqs;
+  let lengths = Array.make (Array.length freqs) 0 in
+  (* node k < used is the k-th leaf in queue order, node used + m the
+     m-th internal node; [parent] links each node to the later one it
+     merged into *)
+  let nodes = (2 * used) - 1 in
+  let weight = Array.make nodes 0 in
+  let parent = Array.make nodes 0 in
+  let depth = Array.make nodes 0 in
+  let rec attempt freqs =
+    let leaves = Array.copy syms in
+    Array.stable_sort (fun a b -> Int.compare freqs.(a) freqs.(b)) leaves;
+    Array.iteri (fun k sym -> weight.(k) <- freqs.(sym)) leaves;
+    let next_leaf = ref 0 and next_node = ref used in
+    let take made =
+      if !next_leaf < used && (!next_node = made || weight.(!next_leaf) <= weight.(!next_node))
+      then begin
+        incr next_leaf;
+        !next_leaf - 1
+      end
+      else begin
+        incr next_node;
+        !next_node - 1
       end
     in
-    attempt freqs;
-    lengths
-  end
+    for made = used to nodes - 1 do
+      let a = take made in
+      let b = take made in
+      weight.(made) <- weight.(a) + weight.(b);
+      parent.(a) <- made;
+      parent.(b) <- made
+    done;
+    (* the root is the last node (depth 0) and every parent comes after
+       its children, so one backward pass sets every depth *)
+    for k = nodes - 2 downto 0 do
+      depth.(k) <- depth.(parent.(k)) + 1
+    done;
+    let too_deep = ref false in
+    Array.iteri
+      (fun k sym ->
+        (* a lone symbol is the root, and still needs one bit on the wire *)
+        lengths.(sym) <- max depth.(k) 1;
+        if depth.(k) > max_bits then too_deep := true)
+      leaves;
+    if !too_deep then attempt (Array.map (fun f -> if f > 0 then (f / 2) + 1 else 0) freqs)
+  in
+  attempt freqs;
+  lengths
 
 (* Canonical code assignment from lengths (RFC 1951 §3.2.2). *)
 let canonical_codes lens =
@@ -197,5 +215,3 @@ let decode dec r =
   end
   else if e = 0 then Util.Codec.Reader.corrupt "Huffman.decode: bad stream"
   else decode_slow dec r
-
-let length enc sym = enc.lens.(sym)

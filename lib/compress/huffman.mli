@@ -34,7 +34,3 @@ val tables : encoder -> int array * int array
 (** [decode dec r] reads one symbol; a bit pattern no code covers is
     {!Util.Codec.Reader.Corrupt}. *)
 val decode : decoder -> Bitio.Reader.t -> int
-
-(** Bit length assigned to a symbol (0 if unused); used for size
-    accounting. *)
-val length : encoder -> int -> int

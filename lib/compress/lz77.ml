@@ -84,6 +84,22 @@ let rec ml_words s i j limit n8 k =
 
 let match_len s i j limit = ml_words s i j limit (limit - 7) 0
 
+(* Hash-head and chain tables, allocated once per domain and never
+   cleared: a call's cost follows its input, not the window.  [head]
+   holds [position + stamp]; each call takes the current stamp and
+   advances it by [n + window_size + 1], so a value an earlier call
+   stored reads as a negative position (an empty chain), and the first
+   stamp exceeds [window_size] so a fresh table's zeros read so too.
+   [prev] is indexed by [position land (window_size - 1)] and needs no
+   clearing: a slot is written when its position is inserted and read
+   only for positions already on a chain of this call.  One table per
+   domain keeps [tokenize] safe to call from any domain. *)
+type tables = { head : int array; prev : int array; mutable stamp : int }
+
+let tables =
+  Domain.DLS.new_key (fun () ->
+      { head = Array.make hash_size 0; prev = Array.make window_size 0; stamp = window_size + 1 })
+
 let tokenize s =
   let n = String.length s in
   (* flat growable token buffer *)
@@ -98,23 +114,13 @@ let tokenize s =
     Array.unsafe_set !toks !count tok;
     incr count
   in
-  (* hash head/chain tables; [prev] is a power of two >= min n window so
-     positions can be masked, with overwrite detected by monotonicity *)
-  let head = Array.make hash_size (-1) in
-  let prev_size =
-    let target = min (max n 1) window_size in
-    let p = ref 16 in
-    while !p < target do
-      p := !p * 2
-    done;
-    !p
-  in
-  let prev = Array.make prev_size (-1) in
-  let prev_mask = prev_size - 1 in
+  let { head; prev; stamp } as tbl = Domain.DLS.get tables in
+  tbl.stamp <- stamp + n + window_size + 1;
+  let prev_mask = window_size - 1 in
   (* record position [i], whose hash is [h], as the newest chain head *)
   let insert_hashed h i =
-    Array.unsafe_set prev (i land prev_mask) (Array.unsafe_get head h);
-    Array.unsafe_set head h i
+    Array.unsafe_set prev (i land prev_mask) (Array.unsafe_get head h - stamp);
+    Array.unsafe_set head h (i + stamp)
   in
   let insert i =
     if i + min_match <= n then insert_hashed (hash3 s i) i
@@ -141,7 +147,7 @@ let tokenize s =
          [best_len] to beat the best so far, which rejects most
          candidates with a single load *)
       scan_end := String.unsafe_get s (i + !best_len);
-      j := Array.unsafe_get head h;
+      j := Array.unsafe_get head h - stamp;
       chain := budget;
       while !j >= 0 && !chain > 0 && i - !j <= window_size do
         let cand = !j in

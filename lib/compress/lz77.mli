@@ -20,7 +20,11 @@ val tok_char : int -> int
 val tok_dist : int -> int
 val tok_len : int -> int
 
-(** Tokenize the whole input. *)
+(** Tokenize the whole input.  The hash-chain tables are allocated once
+    per domain and reused, never cleared, so a call costs in proportion
+    to its input; the tokens depend on the input alone, not on earlier
+    calls.  Calls on different domains are independent; two systhreads
+    of one domain must not tokenize at the same time. *)
 val tokenize : string -> t
 
 (** Fold over tokens in order. *)

@@ -1,8 +1,8 @@
 (** Binary min-heap keyed by [(priority, sequence)].
 
     Two entries with equal priority pop in insertion order, which makes the
-    event engine deterministic (simultaneous events fire in the order they
-    were scheduled) and fixes the shape of every Huffman tree.
+    event engine deterministic: simultaneous events fire in the order they
+    were scheduled.
 
     A cell the heap does not use holds the [dummy] given to {!create},
     never a popped value, so popping releases the value to the GC. *)

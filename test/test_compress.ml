@@ -108,6 +108,85 @@ let test_huffman_tie_order () =
     [| 10; 10; 10; 10; 9; 9; 8; 8; 7; 7; 6; 6; 5; 5; 4; 4; 3; 3; 2; 2 |]
     (Compress.Huffman.lengths_of_freqs fib)
 
+(* Reference for the two-queue [lengths_of_freqs]: a Huffman tree built
+   on [Util.Heap], leaves pushed in symbol order and ties popped in
+   insertion order, with the same damp-and-retry past [max_bits]. *)
+type tree = Leaf of int | Node of tree * tree
+
+let reference_lengths freqs =
+  let n = Array.length freqs in
+  let lengths = Array.make n 0 in
+  let used = Array.fold_left (fun acc f -> if f > 0 then acc + 1 else acc) 0 freqs in
+  if used = 1 then Array.iteri (fun i f -> if f > 0 then lengths.(i) <- 1) freqs
+  else begin
+    let rec attempt freqs =
+      let heap = Util.Heap.create ~dummy:(Leaf 0) () in
+      let pop () = Option.get (Util.Heap.pop heap) in
+      Array.iteri
+        (fun i f -> if f > 0 then Util.Heap.push heap ~priority:(float_of_int f) (Leaf i))
+        freqs;
+      while Util.Heap.length heap > 1 do
+        let f1, n1 = pop () in
+        let f2, n2 = pop () in
+        Util.Heap.push heap ~priority:(f1 +. f2) (Node (n1, n2))
+      done;
+      let _, root = pop () in
+      Array.fill lengths 0 n 0;
+      let too_deep = ref false in
+      let rec assign depth = function
+        | Leaf i ->
+          lengths.(i) <- max depth 1;
+          if depth > Compress.Huffman.max_bits then too_deep := true
+        | Node (a, b) ->
+          assign (depth + 1) a;
+          assign (depth + 1) b
+      in
+      assign 0 root;
+      if !too_deep then attempt (Array.map (fun f -> if f > 0 then (f / 2) + 1 else 0) freqs)
+    in
+    attempt freqs
+  end;
+  lengths
+
+(* Frequency arrays of 2-286 symbols in three shapes: small counts
+   (0-4, so most merges are ties), counts over six decades, and a
+   shuffled Fibonacci prefix deep enough to force the damping path. *)
+let freqs_gen =
+  let open QCheck.Gen in
+  let shaped n =
+    oneof
+      [
+        array_size (return n) (int_bound 4);
+        array_size (return n)
+          (frequency
+             [ (1, return 0); (4, map (fun e -> 1 + int_of_float (10. ** e)) (float_bound_inclusive 6.)) ]);
+        (fun st ->
+          let k = min n (2 + int_bound 28 st) in
+          let fib = Array.make n 0 in
+          let a = ref 1 and b = ref 1 in
+          for i = 0 to k - 1 do
+            fib.(i) <- !a;
+            let c = !a + !b in
+            a := !b;
+            b := c
+          done;
+          shuffle_a fib st;
+          fib);
+      ]
+  in
+  int_range 2 286 >>= fun n ->
+  map
+    (fun a ->
+      if Array.for_all (fun f -> f = 0) a then a.(0) <- 1;
+      a)
+    (shaped n)
+
+let prop_huffman_matches_heap =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 21 |])
+    (QCheck.Test.make ~count:600 ~name:"two-queue lengths equal the heap's"
+       (QCheck.make ~print:QCheck.Print.(array int) freqs_gen)
+       (fun freqs -> Compress.Huffman.lengths_of_freqs freqs = reference_lengths freqs))
+
 let prop_huffman_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:200 ~name:"huffman round-trips arbitrary symbol lists"
@@ -221,6 +300,65 @@ let test_deflate_adversarial_sizes () =
   List.iter
     (fun (name, s) -> Alcotest.(check bool) name true (deflate_roundtrip s))
     adversarial_samples
+
+(* A 400-byte block shaped like a sched-1k job image, whose container
+   blocks are all 257-512 bytes: program name and argv, the DMTCP_*
+   environment, then region records of small varints and page seeds. *)
+let job_image_sample =
+  let module W = Util.Codec.Writer in
+  let w = W.create () in
+  W.list W.string w
+    [ "bench:pages"; "0"; "0"; "4"; "1"; "0x1.0624dd2f1a9fcp-10"; "830"; "/data/j0000_0" ];
+  W.list (W.pair W.string W.string) w
+    [
+      ("DMTCP_HIJACK", "dmtcphijack.so");
+      ("DMTCP_COORD_HOST", "0");
+      ("DMTCP_COORD_PORT", "7800");
+      ("DMTCP_CHECKPOINT_DIR", "/ckpt");
+      ("DMTCP_GZIP", "deflate");
+      ("DMTCP_FORKED", "1");
+      ("DMTCP_INCREMENTAL", "1");
+      ("DMTCP_INTERVAL", "0");
+      ("DMTCP_SYNC", "0");
+      ("DMTCP_LAZY_RESTART", "0");
+    ];
+  W.string w "bench:pages";
+  let r = ref 0 in
+  while W.length w < 400 do
+    W.uvarint w (0x400000 + (!r * 0x10000));
+    W.u8 w 3;
+    W.uvarint w 4;
+    W.i64 w (Int64.of_int (0x5bd1e995 * (!r + 1)));
+    W.string w "/data/j0000_0";
+    incr r
+  done;
+  String.sub (W.contents w) 0 400
+
+(* The LZ77 tables are reused from call to call, so pin that a call's
+   bytes depend on its input alone: the corpus packed in order matches
+   a digest taken when every call allocated fresh tables, and so do the
+   same calls in reverse order between tiny inputs and in a fresh
+   domain. *)
+let history_corpus =
+  [ text_sample; random_sample 20_000; zero_sample 50_000; job_image_sample ]
+  @ List.map snd adversarial_samples
+
+let test_deflate_history_free () =
+  let pack = List.map Compress.Deflate.compress in
+  let in_order = pack history_corpus in
+  check Alcotest.string "digest of the corpus packed in order" "134b44b2e94051ec8b5056f0539c4175"
+    (Digest.to_hex (Digest.string (String.concat "" in_order)));
+  let tiny = [ ""; "a"; "abcabc"; "\000\000\000\000" ] in
+  let reversed =
+    List.fold_left
+      (fun acc s ->
+        List.iter (fun t -> ignore (Compress.Deflate.compress t)) tiny;
+        Compress.Deflate.compress s :: acc)
+      [] (List.rev history_corpus)
+  in
+  Alcotest.(check (list string)) "reverse order between tiny inputs" in_order reversed;
+  Alcotest.(check (list string)) "in a fresh domain" in_order
+    (Domain.join (Domain.spawn (fun () -> pack history_corpus)))
 
 let prop_deflate_roundtrip =
   QCheck_alcotest.to_alcotest
@@ -491,6 +629,7 @@ let () =
           Alcotest.test_case "frequency/length order" `Quick test_huffman_optimality_order;
           Alcotest.test_case "empty alphabet rejected" `Quick test_huffman_no_symbols_rejected;
           Alcotest.test_case "tie order pins code lengths" `Quick test_huffman_tie_order;
+          prop_huffman_matches_heap;
           prop_huffman_roundtrip;
         ] );
       ( "lz77",
@@ -522,6 +661,7 @@ let () =
           Alcotest.test_case "zeros compress hard" `Quick test_deflate_zeros_tiny;
           Alcotest.test_case "random no blowup" `Quick test_deflate_random_no_blowup;
           Alcotest.test_case "adversarial sizes" `Quick test_deflate_adversarial_sizes;
+          Alcotest.test_case "bytes independent of call history" `Quick test_deflate_history_free;
           prop_deflate_roundtrip;
           prop_deflate_roundtrip_runs;
         ] );
