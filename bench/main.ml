@@ -345,11 +345,12 @@ let delta_records () =
    (values in simulated milliseconds).  The invariants bound what the
    fault path is allowed to cost over the no-fault reference. *)
 let sched_records () =
-  let reference = Chaos.Sched_demo.run ~faults:false () in
-  let faulted = Chaos.Sched_demo.run ~faults:true () in
-  let mk_ref = Sched.Scheduler.makespan reference.Chaos.Sched_demo.d_sched in
-  let mk_f = Sched.Scheduler.makespan faulted.Chaos.Sched_demo.d_sched in
-  let lost = Sched.Scheduler.total_lost_work faulted.Chaos.Sched_demo.d_sched in
+  let open Chaos.Sched_scenario in
+  let reference = play ~faults:false demo in
+  let faulted = play ~faults:true demo in
+  let mk_ref = Sched.Scheduler.makespan reference.sched in
+  let mk_f = Sched.Scheduler.makespan faulted.sched in
+  let lost = Sched.Scheduler.total_lost_work faulted.sched in
   [
     millis "sched.makespan-faulted-vs-nofault" mk_ref mk_f;
     millis "sched.lost-work-vs-makespan" mk_f lost;
@@ -363,11 +364,12 @@ let sched_records () =
    baseline; the in-flight peak must show the queues actually overlap
    work. *)
 let sched1k_records () =
-  let concurrent = Chaos.Sched_demo1k.run ~faults:false () in
-  let serialized = Chaos.Sched_demo1k.run ~faults:false ~max_inflight:1 () in
-  let peak = Sched.Scheduler.peak_ops_inflight concurrent.Chaos.Sched_demo1k.k_sched in
-  let mk_c = Sched.Scheduler.makespan concurrent.Chaos.Sched_demo1k.k_sched in
-  let mk_s = Sched.Scheduler.makespan serialized.Chaos.Sched_demo1k.k_sched in
+  let open Chaos.Sched_scenario in
+  let concurrent = play ~faults:false (demo1k ()) in
+  let serialized = play ~faults:false (demo1k ~max_inflight:1 ()) in
+  let peak = Sched.Scheduler.peak_ops_inflight concurrent.sched in
+  let mk_c = Sched.Scheduler.makespan concurrent.sched in
+  let mk_s = Sched.Scheduler.makespan serialized.sched in
   [
     (* ratio 8/peak <= 1 iff at least eight ops ran concurrently *)
     ("sched.ops-inflight", "ops", peak, 8);
@@ -528,7 +530,7 @@ let mpi_cycle ~kind ~extra () =
           total paths)
       0 script.Dmtcp.Restart_script.entries
   in
-  let _estab, drained = Chaos.Proxy_fault.image_stats env script in
+  let _estab, drained = Harness.Common.socket_stats env script.Dmtcp.Restart_script.entries in
   Harness.Common.teardown env;
   (image_bytes, drained)
 

@@ -71,6 +71,17 @@ fi
 grep -q "0 established socket spec(s), 0 drained byte(s)" _artifacts/mpi_run_proxy_1.txt \
   || { echo "FAIL: proxy-backend rank images carry socket state." >&2; exit 1; }
 
+echo "== torture sweep: 1000 seeds =="
+# The pinned 25-seed corpus of `dune runtest` is too narrow to catch
+# rare interleavings; the whole block of 1000 takes about 12 s.
+if ! dune exec bin/dmtcp_sim.exe -- torture --seeds 1000 < /dev/null > _artifacts/torture_1000.txt \
+  || ! grep -qx "torture: 1000/1000 seeds passed (base 0)" _artifacts/torture_1000.txt; then
+  grep -v ": ok (" _artifacts/torture_1000.txt >&2
+  echo "FAIL: the 1000-seed torture sweep did not pass every seed." >&2
+  exit 1
+fi
+echo "torture: 1000/1000 seeds passed (base 0)"
+
 echo "== plugin smoke: registry listing + heuristic verdict diff =="
 # Each heuristic scenario must change its verdict when its plugin is
 # enabled: blacklisted DNS degrades instead of staying live, the /proc

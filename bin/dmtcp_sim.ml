@@ -163,7 +163,8 @@ let trace_scenario options =
   let events, _ = Harness.Trace_scenario.run options in
   let c = Trace.collector () in
   ignore
-    (Trace.with_sink (Trace.collector_sink c) (fun () -> Chaos.Sched_demo.run ~faults:true ()));
+    (Trace.with_sink (Trace.collector_sink c) (fun () ->
+         Chaos.Sched_scenario.(play ~faults:true demo)));
   (events @ Trace.events c, Trace.Metrics.snapshot_text ())
 
 let trace_run format node pid cat stage metrics check incremental lazy_restart plugins =
@@ -313,85 +314,57 @@ let store_run action =
     Printf.eprintf "unknown store action %S (expected ls, stat, gc or verify)\n" other;
     exit 2
 
-(* Batch scheduler over the canned three-job scenario: a stream pair and
-   a long counter job get preempted by a six-node arrival, a node
-   fail-stops under a running job, and a node is drained — every
-   displacement bottoms out in checkpoint/restart through the store. *)
-let sched_run action no_faults =
+(* print [ok] and exit 0, or print the violations and exit 1 *)
+let verdict ok = function
+  | [] ->
+    print_endline ok;
+    exit 0
+  | violations ->
+    List.iter (Printf.printf "violation: %s\n") violations;
+    exit 1
+
+(* The batch scheduler's canned plans (Chaos.Sched_scenario), each
+   played with its faults and judged against its own no-fault
+   reference: every displacement bottoms out in checkpoint/restart
+   through the store. *)
+let sched_run action =
+  let module S = Chaos.Sched_scenario in
   match action with
   | "run" ->
-    (* collect the run's full trace and print a digest of its JSONL
-       rendering: two invocations must print identical lines, which is
-       what the CI sched smoke diffs *)
+    (* the three-job demo under a trace collector; two invocations must
+       print identical lines, which is what the CI sched smoke diffs *)
     let coll = Trace.collector () in
     let faulted =
-      Trace.with_sink (Trace.collector_sink coll) (fun () ->
-          Chaos.Sched_demo.run ~faults:(not no_faults) ())
+      Trace.with_sink (Trace.collector_sink coll) (fun () -> S.play ~faults:true S.demo)
     in
-    List.iter print_endline (Chaos.Sched_demo.summary faulted);
-    let jsonl = Trace.jsonl (Trace.events coll) in
-    Printf.printf "trace digest: %08lx (%d events, %d sched)\n" (Util.Crc32.digest jsonl)
-      (List.length (Trace.events coll))
-      (List.length
-         (List.filter (fun (e : Trace.event) -> e.Trace.cat = "sched") (Trace.events coll)));
-    if no_faults then exit (if faulted.Chaos.Sched_demo.d_unfinished = 0 then 0 else 1)
-    else begin
-      (* judge the faulted run against its own no-fault reference *)
-      let reference = Chaos.Sched_demo.run ~faults:false () in
-      match Chaos.Sched_demo.check ~reference faulted with
-      | [] ->
-        print_endline "all jobs finished bit-identically to the no-fault reference";
-        exit 0
-      | violations ->
-        List.iter (Printf.printf "violation: %s\n") violations;
-        exit 1
-    end
-  | "status" ->
-    let r = Chaos.Sched_demo.run ~faults:(not no_faults) () in
-    List.iter print_endline (Sched.Scheduler.status_lines r.Chaos.Sched_demo.d_sched);
-    exit (if r.Chaos.Sched_demo.d_unfinished = 0 then 0 else 1)
+    List.iter print_endline (S.summary faulted);
+    let events = Trace.events coll in
+    Printf.printf "trace digest: %08lx (%d events, %d sched)\n"
+      (Util.Crc32.digest (Trace.jsonl events))
+      (List.length events)
+      (List.length (List.filter (fun (e : Trace.event) -> e.Trace.cat = "sched") events));
+    verdict "all jobs finished bit-identically to the no-fault reference"
+      (S.judge S.demo ~reference:(S.play ~faults:false S.demo) faulted)
   | "demo1k" ->
-    (* the 1000-small-job scale scenario: preemption + self-healing +
-       drain, judged bit-identical against its own no-fault reference;
-       the op queues must actually overlap work (peak >= 8) *)
-    let faulted = Chaos.Sched_demo1k.run ~faults:(not no_faults) () in
-    List.iter print_endline (Chaos.Sched_demo1k.summary faulted);
-    if no_faults then exit (if faulted.Chaos.Sched_demo1k.k_unfinished = 0 then 0 else 1)
-    else begin
-      let reference = Chaos.Sched_demo1k.run ~faults:false () in
-      let peak = Sched.Scheduler.peak_ops_inflight faulted.Chaos.Sched_demo1k.k_sched in
-      let violations =
-        Chaos.Sched_demo1k.check ~reference faulted
-        @
-        if peak < 8 then
-          [ Printf.sprintf "only %d op(s) ever ran concurrently (want >= 8)" peak ]
-        else []
-      in
-      match violations with
-      | [] ->
-        print_endline "all 1000 jobs finished bit-identically to the no-fault reference";
-        exit 0
-      | violations ->
-        List.iter (Printf.printf "violation: %s\n") violations;
-        exit 1
-    end
-  | "chaos" ->
-    let failures = Chaos.Sched_fault.run_seeds ~log:print_endline ~base:0 ~count:25 () in
-    if failures = [] then begin
+    let p = S.demo1k () in
+    let faulted = S.play ~faults:true p in
+    List.iter print_endline (S.census faulted);
+    verdict "all 1000 jobs finished bit-identically to the no-fault reference"
+      (S.judge p ~reference:(S.play ~faults:false p) faulted)
+  | "chaos" -> (
+    match S.run_seeds ~log:print_endline ~base:0 ~count:25 () with
+    | [] ->
       print_endline "25/25 scheduler chaos seeds pass";
       exit 0
-    end
-    else begin
+    | failures ->
       List.iter
-        (fun r ->
-          Printf.printf "seed %d FAILED (%s):\n" r.Chaos.Sched_fault.r_seed
-            (Chaos.Sched_fault.describe r.Chaos.Sched_fault.r_plan);
-          List.iter (Printf.printf "  %s\n") r.Chaos.Sched_fault.r_violations)
+        (fun (seed, desc, violations) ->
+          Printf.printf "seed %d FAILED (%s):\n" seed desc;
+          List.iter (Printf.printf "  %s\n") violations)
         failures;
-      exit 1
-    end
+      exit 1)
   | other ->
-    Printf.eprintf "unknown sched action %S (expected run, status, demo1k or chaos)\n" other;
+    Printf.eprintf "unknown sched action %S (expected run, demo1k or chaos)\n" other;
     exit 2
 
 (* ------------------------------------------------------------------ *)
@@ -475,7 +448,7 @@ let mpi_run transport =
         Dmtcp.Api.checkpoint_now env.Common.rt;
         let image_bytes = fst (Dmtcp.Api.last_checkpoint_bytes env.Common.rt) in
         let script = Dmtcp.Api.restart_script env.Common.rt in
-        let estab, drained = Chaos.Proxy_fault.image_stats env script in
+        let estab, drained = Common.socket_stats env script.Dmtcp.Restart_script.entries in
         Dmtcp.Api.kill_computation env.Common.rt;
         Dmtcp.Api.restart env.Common.rt script;
         Dmtcp.Api.await_restart env.Common.rt;
@@ -564,20 +537,14 @@ let () =
          Arg.(
            required
            & pos 0 (some string) None
-           & info [] ~docv:"ACTION" ~doc:"One of run, status or chaos.")
-       in
-       let no_faults_arg =
-         Arg.(
-           value & flag
-           & info [ "no-faults" ]
-               ~doc:"Replay the same submissions without the node failure and the drain.")
+           & info [] ~docv:"ACTION" ~doc:"One of run, demo1k or chaos.")
        in
        Cmd.v
          (Cmd.info "sched"
-            ~doc:"Checkpoint-driven batch scheduler: run the canned three-job \
-                  preempt/fail/drain scenario ('run' verifies it against a no-fault \
-                  reference, 'status' prints the job table, 'chaos' plays 25 random seeds)")
-         Term.(const sched_run $ action_arg $ no_faults_arg));
+            ~doc:"Checkpoint-driven batch scheduler under preemption, node loss and drain, \
+                  judged against a no-fault reference: 'run' plays the three-job demo, \
+                  'demo1k' the 1000-job one, 'chaos' 25 random seeds")
+         Term.(const sched_run $ action_arg));
       (let seeds_arg =
          Arg.(value & opt int 50 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to torture.")
        in

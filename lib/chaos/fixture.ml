@@ -12,8 +12,8 @@
    The scenarios live outside [Scenario.sample], so the pinned torture
    corpus's RNG draw order is untouched, and all of them are
    deterministic.  [scenarios] is the one table that `dmtcp_sim chaos`
-   and the test suites run.  The scheduler demos share this module's
-   job shape, store configuration and reference judge. *)
+   and the test suites run.  The scheduler scenarios
+   ([Sched_scenario]) reuse [store_options] and [unless]. *)
 
 module Common = Harness.Common
 
@@ -565,7 +565,7 @@ let proxy ~prog ~extra ~short ~in_flight =
 
 let proxy_scenario ~what c () =
   let o = run c in
-  let estab, drained = Proxy_fault.image_stats o.env o.script in
+  let estab, drained = Common.socket_stats o.env o.script.Dmtcp.Restart_script.entries in
   o.notes
   @ unless (saw o "plugin/mpi-proxy/fd-capture") (what ^ ": no mpi-proxy span at fd-capture")
   @ unless
@@ -619,105 +619,3 @@ let scenarios =
     ("mid-allreduce", mid_allreduce);
     ("mid-halo", mid_halo);
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler scenarios: one job shape, one store configuration and one
-   no-fault reference judge for [Sched_demo], [Sched_demo1k] and
-   [Sched_fault]; each keeps its own workload and victim rule. *)
-
-let counter_spec ~name ~nodes ~priority ~target =
-  let out i = sprintf "/data/%s_%d" name i in
-  {
-    Sched.Job.sp_name = name;
-    sp_nodes = nodes;
-    sp_priority = priority;
-    sp_est_runtime = float_of_int target *. 1e-3;
-    sp_procs = nodes;
-    sp_launch =
-      (fun a -> List.init nodes (fun i -> (a.(i), "p:counter", [ string_of_int target; out i ])));
-    sp_outputs = (fun a -> List.init nodes (fun i -> (a.(i), out i)));
-  }
-
-(* a server/client TCP pair streaming [count] records *)
-let stream_spec ~name ~priority ~count ~port =
-  let out = sprintf "/data/%s" name in
-  {
-    Sched.Job.sp_name = name;
-    sp_nodes = 2;
-    sp_priority = priority;
-    sp_est_runtime = float_of_int count *. 2e-4;
-    sp_procs = 2;
-    sp_launch =
-      (fun a ->
-        [
-          (a.(0), "p:stream-server", [ string_of_int port; string_of_int count; out ]);
-          (a.(1), "p:stream-client", [ string_of_int a.(0); string_of_int port; string_of_int count ]);
-        ]);
-    sp_outputs = (fun a -> [ (a.(0), out) ]);
-  }
-
-(* at [time], apply [act] to the node [pick] names then, if any *)
-let at_node env ~time act pick =
-  ignore
-    (Sim.Engine.schedule_at (Simos.Cluster.engine env.Common.cl) ~time (fun () ->
-         Option.iter act (pick ())))
-
-(* the last allocated node of the first job whose phase satisfies [ok] *)
-let last_node sched ok =
-  List.find_map
-    (fun (j : Sched.Job.t) ->
-      match j.Sched.Job.alloc with
-      | Some a when ok j.Sched.Job.phase -> Some a.(Array.length a - 1)
-      | _ -> None)
-    (Sched.Scheduler.jobs sched)
-
-let job_outputs sched =
-  List.map
-    (fun (j : Sched.Job.t) -> (j.Sched.Job.id, j.Sched.Job.outputs))
-    (Sched.Scheduler.jobs sched)
-
-(* Violations of a faulted scheduler run, judged against its no-fault
-   reference: every job finished with the reference's exact verdict
-   bytes, the scheduler's invariants held, the store still backs its
-   catalog, and the cluster is quiescent. *)
-let sched_reference ~reference:(ref_sched, ref_unfinished) (env, sched, unfinished) =
-  let pp outs = String.concat ";" (List.map (fun (p, v) -> p ^ "=" ^ v) outs) in
-  let want = job_outputs ref_sched in
-  unless (ref_unfinished = 0) (sprintf "reference run left %d job(s) unfinished" ref_unfinished)
-  @ (if unfinished = 0 then []
-     else
-       sprintf "faulted run left %d job(s) unfinished" unfinished
-       :: List.map (( ^ ) "  ") (Sched.Scheduler.status_lines sched))
-  @ List.concat_map
-      (fun (j : Sched.Job.t) ->
-        match j.Sched.Job.phase with
-        | Sched.Job.Done -> []
-        | p ->
-          [
-            sprintf "job %d (%s) ended %s" j.Sched.Job.id j.Sched.Job.spec.Sched.Job.sp_name
-              (Sched.Job.phase_name p);
-          ])
-      (Sched.Scheduler.jobs sched)
-  @ List.map (sprintf "sched invariant: %s") (Sched.Scheduler.violations sched)
-  @ List.concat_map
-      (fun (id, outs) ->
-        match List.assoc_opt id want with
-        | Some w ->
-          unless (w = outs)
-            (sprintf "job %d output diverged from no-fault reference (%s vs %s)" id (pp w) (pp outs))
-        | None -> [ sprintf "job %d absent from the reference run" id ])
-      (job_outputs sched)
-  @ Invariant.store_replication env.Common.rt
-  @ Invariant.quiescent env
-
-(* the canned demos inject all three policies: each must have fired *)
-let policies_fired sched =
-  unless (Sched.Scheduler.preemptions sched >= 1) "no preemption happened"
-  @ unless (Sched.Scheduler.node_failures sched >= 1) "node failure was never injected"
-  @ unless (Sched.Scheduler.drains sched >= 1) "drain was never injected"
-  @ unless (Sched.Scheduler.restarts sched >= 1) "no job ever restarted from a checkpoint image"
-
-let sched_counts s =
-  sprintf "preemptions %d  node-failures %d  drains %d  restarts %d  relaunches %d"
-    (Sched.Scheduler.preemptions s) (Sched.Scheduler.node_failures s) (Sched.Scheduler.drains s)
-    (Sched.Scheduler.restarts s) (Sched.Scheduler.relaunches s)

@@ -100,6 +100,8 @@ type st = {
   mutable kill_times : float list;  (* when a kill/crash actually fired *)
   mutable recovery : bool;  (* computation damaged; restart at next poll *)
   mutable saved : (Dmtcp.Restart_script.t * ((int * string) * string option) list) option;
+  mutable resumed : ((int * string) * string option) list option;
+      (* outputs at the first resume since the last write stage *)
   mutable last_ckpt_finished : float;
   mutable ckpts : int;
   mutable recoveries : int;
@@ -147,14 +149,21 @@ let apply_fault st env fault =
     Simnet.Fabric.set_drop fab ~prob rng;
     later duration (fun () -> Simnet.Fabric.set_drop fab ~prob:0. rng)
 
-(* The stage observer: runs invariant checks at the write stage and
-   fires armed kills.  The victim is killed via a zero-delay event so
-   the in-progress manager step retires cleanly. *)
-let make_observer st env =
+(* The stage observer: runs invariant checks at the write stage,
+   snapshots the outputs at a round's first resume, and fires armed
+   kills.  The victim is killed via a zero-delay event so the
+   in-progress manager step retires cleanly. *)
+let make_observer st env sc =
   let rt = env.Common.rt in
   fun ~node:_ ~pid:_ stage ->
-    if stage = Dmtcp.Faults.Write then
+    if stage = Dmtcp.Faults.Write then begin
       st.violations <- Invariant.drain_residue rt @ Invariant.conn_tables rt @ st.violations;
+      st.resumed <- None
+    end
+    else if stage = Dmtcp.Faults.Resume && st.resumed = None then
+      (* every user thread is still suspended: the files are exactly
+         what the round's images will be restarted onto *)
+      st.resumed <- Some (snapshot_outputs env sc.Scenario.sc_outputs);
     match st.armed with
     | (victim, astage) :: rest when astage = stage ->
       st.armed <- rest;
@@ -177,7 +186,9 @@ let make_observer st env =
 
 (* A checkpoint round is a usable restart point only if no kill fired
    while it was in flight: a victim dying mid-round can leave the
-   completed round with a partial image set. *)
+   completed round with a partial image set.  Its outputs are those of
+   its first resume: by this poll, a kill just after the round may have
+   let a surviving peer write more. *)
 let capture_ckpt st env sc =
   match Dmtcp.Runtime.last_completed_ckpt env.Common.rt with
   | Some info when info.Dmtcp.Runtime.finished > st.last_ckpt_finished ->
@@ -191,7 +202,12 @@ let capture_ckpt st env sc =
     in
     if not tainted then
       st.saved <-
-        Some (Dmtcp.Api.restart_script env.Common.rt, snapshot_outputs env sc.Scenario.sc_outputs)
+        Some
+          ( Dmtcp.Api.restart_script env.Common.rt,
+            (* [None]: no manager has resumed yet, so nothing has moved *)
+            match st.resumed with
+            | Some snaps -> snaps
+            | None -> snapshot_outputs env sc.Scenario.sc_outputs )
   | _ -> ()
 
 let max_recoveries = 10
@@ -237,6 +253,7 @@ let faulted_run sc reference =
       kill_times = [];
       recovery = false;
       saved = None;
+      resumed = None;
       last_ckpt_finished = 0.;
       ckpts = 0;
       recoveries = 0;
@@ -248,7 +265,7 @@ let faulted_run sc reference =
      show where each node was in the checkpoint/restart conversation *)
   let ring = Trace.ring ~per_node:10 ~cat:"dmtcp" () in
   let violations =
-    Fixture.with_observer (make_observer st env) @@ fun () ->
+    Fixture.with_observer (make_observer st env sc) @@ fun () ->
     Trace.with_sink (Trace.ring_sink ring) @@ fun () ->
     try
       launch_all env sc;

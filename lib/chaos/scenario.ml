@@ -1,11 +1,11 @@
 (* Seeded scenario generation.
 
    One [Util.Rng] seed determines everything about a torture scenario:
-   the workload (which checkpointable programs run where, reusing the
-   harness workload descriptor), the checkpoint request times, and the
-   fault schedule.  Replaying a seed replays the scenario exactly;
-   shrinking filters the fault schedule by index while keeping the same
-   seed, so a minimal reproducer is "seed + kept fault indices". *)
+   the workload (which checkpointable programs run where), the
+   checkpoint request times, and the fault schedule.  Replaying a seed
+   replays the scenario exactly; shrinking filters the fault schedule
+   by index while keeping the same seed, so a minimal reproducer is
+   "seed + kept fault indices". *)
 
 type fault =
   | Kill_at_stage of { victim : int; stage : Dmtcp.Faults.stage }
@@ -22,7 +22,7 @@ type event = { ev_at : float; ev_fault : fault }
 type t = {
   sc_seed : int;
   sc_nodes : int;
-  sc_workload : Harness.Common.workload;
+  sc_name : string;  (* the workload's shape, e.g. "counters-2" *)
   sc_launches : (int * string * string list) list;  (* node, prog, argv *)
   sc_outputs : (int * string) list;  (* node, verdict-file path *)
   sc_ckpts : float list;  (* checkpoint requests, offsets from settle *)
@@ -49,7 +49,7 @@ let fault_to_string = function
 let describe t =
   let b = Buffer.create 256 in
   Buffer.add_string b
-    (Printf.sprintf "seed %d: %s, ckpts at [%s]" t.sc_seed t.sc_workload.Harness.Common.w_name
+    (Printf.sprintf "seed %d: %s, ckpts at [%s]" t.sc_seed t.sc_name
        (String.concat "; " (List.map (Printf.sprintf "%.2f") t.sc_ckpts)));
   if t.sc_events = [] then Buffer.add_string b ", no faults"
   else
@@ -61,17 +61,6 @@ let describe t =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-
-let mk_workload name nprocs =
-  {
-    Harness.Common.w_name = name;
-    w_kind = Harness.Common.Plain;
-    w_prog = "";
-    w_nprocs = nprocs;
-    w_rpn = 1;
-    w_extra = [];
-    w_warmup = 0.;
-  }
 
 let sample_workload rng =
   let port = 6000 + Util.Rng.int rng 100 in
@@ -102,19 +91,17 @@ let sample_workload rng =
   | 0 ->
     let n = 1 + Util.Rng.int rng 3 in
     let picked = List.init n counter in
-    ( mk_workload (Printf.sprintf "counters-%d" n) n,
-      List.map fst picked,
-      List.map snd picked )
+    (Printf.sprintf "counters-%d" n, List.map fst picked, List.map snd picked)
   | 1 ->
     let launches, out = stream 0 in
-    (mk_workload "stream" 2, launches, [ out ])
+    ("stream", launches, [ out ])
   | 2 ->
     let launch, out = pipeline 0 in
-    (mk_workload "pipeline" 2, [ launch ], [ out ])
+    ("pipeline", [ launch ], [ out ])
   | _ ->
     let c_launch, c_out = counter 0 in
     let s_launches, s_out = stream 1 in
-    (mk_workload "mixed" 3, (c_launch :: s_launches), [ c_out; s_out ])
+    ("mixed", c_launch :: s_launches, [ c_out; s_out ])
 
 let sample_fault rng ~ckpts =
   let at = 0.05 +. Util.Rng.float rng 1.2 in
@@ -164,7 +151,7 @@ let sample_fault rng ~ckpts =
 
 let sample ~seed =
   let rng = Util.Rng.create (Int64.add 0x5EED_CAFEL (Int64.of_int seed)) in
-  let workload, launches, outputs = sample_workload rng in
+  let name, launches, outputs = sample_workload rng in
   let nck = 1 + Util.Rng.int rng 2 in
   let t1 = 0.1 +. Util.Rng.float rng 0.6 in
   let ckpts =
@@ -175,7 +162,7 @@ let sample ~seed =
   {
     sc_seed = seed;
     sc_nodes = nodes;
-    sc_workload = workload;
+    sc_name = name;
     sc_launches = launches;
     sc_outputs = outputs;
     sc_ckpts = ckpts;

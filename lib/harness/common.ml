@@ -34,6 +34,19 @@ let read_file env ~node path =
   Option.map Simos.Vfs.read_all
     (Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel env.cl node)) path)
 
+let socket_stats env entries =
+  List.fold_left
+    (fun acc (host, paths) ->
+      List.fold_left
+        (fun (estab, drained) path ->
+          match read_file env ~node:host path with
+          | None -> (estab, drained)
+          | Some bytes ->
+            let e, d = Dmtcp.Ckpt_image.(socket_stats (decode bytes)) in
+            (estab + e, drained + d))
+        acc paths)
+    (0, 0) entries
+
 let nodes_used w = (w.w_nprocs + w.w_rpn - 1) / w.w_rpn
 
 let expected_processes w =

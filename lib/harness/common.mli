@@ -76,5 +76,10 @@ val run_until : ?every:float -> env -> timeout:float -> (unit -> bool) -> unit
 (** The contents of [path] in [node]'s file system, if it exists. *)
 val read_file : env -> node:int -> string -> string option
 
+(** Established socket specs and drained bytes, summed over the
+    checkpoint images at [(host, image paths)] — a restart script's
+    entries; an image absent from its host counts as empty. *)
+val socket_stats : env -> (int * string list) list -> int * int
+
 (** Render a measurement row: name, ckpt s, restart s, sizes MB. *)
 val row : string -> ckpt_measure -> string list

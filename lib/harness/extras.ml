@@ -258,13 +258,9 @@ let drain_ablation ?(pairs_list = [ 1; 4; 8 ]) () =
       in
       (* drained volume from the images *)
       let info = Dmtcp.Runtime.ckpt_info env.Common.rt in
-      let drained =
-        List.fold_left
-          (fun acc (node, path) ->
-            match Common.read_file env ~node path with
-            | None -> acc
-            | Some bytes -> acc + snd Dmtcp.Ckpt_image.(socket_stats (decode bytes)))
-          0 info.Dmtcp.Runtime.images
+      let _, drained =
+        Common.socket_stats env
+          (List.map (fun (node, path) -> (node, [ path ])) info.Dmtcp.Runtime.images)
       in
       Common.teardown env;
       { pairs; drain_s; drained_kb = float_of_int drained /. 1024. })

@@ -98,6 +98,19 @@ let test_run_exercises_recovery () =
   Alcotest.(check bool) "took a checkpoint" true (r.Chaos.Runner.r_ckpts >= 1);
   Alcotest.(check bool) "recovered from a kill" true (r.Chaos.Runner.r_recoveries >= 1)
 
+(* Seeds 483 and 579 kill a stream peer at the resume stage, just after
+   the round completes, and the surviving peer writes its EOF verdict
+   before the runner's next poll.  Recovery must rewind the outputs to
+   the round's first resume, not to that poll, or the restarted server
+   writes over the EOF line. *)
+let test_kill_after_round_rewinds_outputs () =
+  List.iter
+    (fun seed ->
+      let r = Chaos.Runner.run ~seed () in
+      Alcotest.(check (list string)) (Printf.sprintf "seed %d passes" seed) []
+        r.Chaos.Runner.r_violations)
+    [ 483; 579 ]
+
 let test_run_deterministic () =
   let a = Chaos.Runner.run ~seed:11 () in
   let b = Chaos.Runner.run ~seed:11 () in
@@ -214,6 +227,8 @@ let () =
         [
           Alcotest.test_case "recovery canary (seed 5)" `Quick test_run_exercises_recovery;
           Alcotest.test_case "run deterministic (seed 11)" `Quick test_run_deterministic;
+          Alcotest.test_case "kill just after a round (seeds 483, 579)" `Quick
+            test_kill_after_round_rewinds_outputs;
           Alcotest.test_case
             (Printf.sprintf "corpus (%d seeds)" seed_count)
             `Quick test_corpus;

@@ -241,7 +241,7 @@ let cycle_run ~kind ~prog ~short ~nprocs ~rpn ~extra ~at =
   let path = Printf.sprintf "/result/%s-%d" short base_port in
   Common.run_until ~every:0.05 env ~timeout:120. (fun () -> result path env <> None);
   let out = result path env in
-  let images = Chaos.Proxy_fault.image_stats env script in
+  let images = Common.socket_stats env script.Dmtcp.Restart_script.entries in
   Common.teardown env;
   (out, images)
 

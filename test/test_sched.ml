@@ -241,7 +241,7 @@ let prop_opq_serialized_baseline =
    interval checkpoint is still in flight must reuse that round, not
    issue a second checkpoint (the double-checkpoint bug) *)
 
-let counter_spec = Chaos.Fixture.counter_spec
+let counter_spec = Chaos.Sched_scenario.counter_spec
 
 let test_preempt_coalesces_with_inflight_ckpt () =
   Chaos.Progs.ensure_registered ();
@@ -327,63 +327,56 @@ let test_compaction_from_options () =
   Alcotest.(check bool) "compactor ran at depth 1" true (Sched.Scheduler.compactions compacted > 0);
   check
     Alcotest.(list (pair int (list (pair string string))))
-    "same output as with compaction off" (Chaos.Fixture.job_outputs plain)
-    (Chaos.Fixture.job_outputs compacted);
+    "same output as with compaction off" (Chaos.Sched_scenario.job_outputs plain)
+    (Chaos.Sched_scenario.job_outputs compacted);
   check Alcotest.(list string) "store verifies clean" [] (Store.verify store)
 
 (* ------------------------------------------------------------------ *)
 (* the canned scenario: all three policies, judged against a no-fault
    reference run *)
 
-let test_demo_faulted_matches_reference () =
-  let reference = Chaos.Sched_demo.run ~faults:false () in
-  let faulted = Chaos.Sched_demo.run ~faults:true () in
-  (match Chaos.Sched_demo.check ~reference faulted with
+module S = Chaos.Sched_scenario
+
+(* play [plan] without and with its faults; fail on any violation *)
+let judged plan =
+  let reference = S.play ~faults:false plan in
+  let faulted = S.play ~faults:true plan in
+  (match S.judge plan ~reference faulted with
   | [] -> ()
   | violations -> Alcotest.fail (String.concat "; " violations));
+  (reference.S.sched, faulted.S.sched)
+
+let test_demo_faulted_matches_reference () =
+  let rs, fs = judged S.demo in
   (* the reference run still sees the preemption (the big arrival is not
      a fault) but no node failure, no drain *)
-  let rs = reference.Chaos.Sched_demo.d_sched in
   check Alcotest.int "reference preempts too" 1 (Sched.Scheduler.preemptions rs);
   check Alcotest.int "reference has no node failure" 0 (Sched.Scheduler.node_failures rs);
   check Alcotest.int "reference has no drain" 0 (Sched.Scheduler.drains rs);
-  Alcotest.(check bool)
-    "faults cost lost work" true
-    (Sched.Scheduler.total_lost_work faulted.Chaos.Sched_demo.d_sched > 0.);
-  Alcotest.(check bool)
-    "makespan is positive" true
-    (Sched.Scheduler.makespan faulted.Chaos.Sched_demo.d_sched > 0.)
+  Alcotest.(check bool) "faults cost lost work" true (Sched.Scheduler.total_lost_work fs > 0.);
+  Alcotest.(check bool) "makespan is positive" true (Sched.Scheduler.makespan fs > 0.)
 
 let test_demo_deterministic () =
-  let a = Chaos.Sched_demo.run ~faults:true () in
-  let b = Chaos.Sched_demo.run ~faults:true () in
+  let a = (S.play ~faults:true S.demo).S.sched in
+  let b = (S.play ~faults:true S.demo).S.sched in
   check
     (Alcotest.list (Alcotest.pair Alcotest.int (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))))
-    "verdicts identical across runs"
-    (Chaos.Fixture.job_outputs a.Chaos.Sched_demo.d_sched)
-    (Chaos.Fixture.job_outputs b.Chaos.Sched_demo.d_sched);
-  check (Alcotest.float 0.) "makespan identical"
-    (Sched.Scheduler.makespan a.Chaos.Sched_demo.d_sched)
-    (Sched.Scheduler.makespan b.Chaos.Sched_demo.d_sched);
-  check (Alcotest.float 0.) "lost work identical"
-    (Sched.Scheduler.total_lost_work a.Chaos.Sched_demo.d_sched)
-    (Sched.Scheduler.total_lost_work b.Chaos.Sched_demo.d_sched);
-  check Alcotest.int "restart count identical"
-    (Sched.Scheduler.restarts a.Chaos.Sched_demo.d_sched)
-    (Sched.Scheduler.restarts b.Chaos.Sched_demo.d_sched)
+    "verdicts identical across runs" (S.job_outputs a) (S.job_outputs b);
+  check (Alcotest.float 0.) "makespan identical" (Sched.Scheduler.makespan a)
+    (Sched.Scheduler.makespan b);
+  check (Alcotest.float 0.) "lost work identical" (Sched.Scheduler.total_lost_work a)
+    (Sched.Scheduler.total_lost_work b);
+  check Alcotest.int "restart count identical" (Sched.Scheduler.restarts a)
+    (Sched.Scheduler.restarts b)
 
 (* scaled-down slice of the 1000-job demo: same shape (deep queue of
    staggered single-node jobs, prio-5 batch, node loss, drain) on a
    smaller cluster, judged against its no-fault reference *)
 let test_demo1k_smoke () =
-  let reference = Chaos.Sched_demo1k.run ~jobs:150 ~nodes:16 ~faults:false () in
-  let faulted = Chaos.Sched_demo1k.run ~jobs:150 ~nodes:16 ~faults:true () in
-  (match Chaos.Sched_demo1k.check ~reference faulted with
-  | [] -> ()
-  | violations -> Alcotest.fail (String.concat "; " violations));
+  let _, fs = judged (S.demo1k ~jobs:150 ~nodes:16 ()) in
   Alcotest.(check bool)
     "ops overlap in flight (>= 8)" true
-    (Sched.Scheduler.peak_ops_inflight faulted.Chaos.Sched_demo1k.k_sched >= 8)
+    (Sched.Scheduler.peak_ops_inflight fs >= 8)
 
 (* ------------------------------------------------------------------ *)
 (* seeded chaos corpus *)
@@ -395,14 +388,33 @@ let corpus_count () =
 
 let test_chaos_corpus () =
   let count = corpus_count () in
-  let failures = Chaos.Sched_fault.run_seeds ~base:0 ~count () in
-  match failures with
+  match S.run_seeds ~base:0 ~count () with
   | [] -> ()
-  | r :: _ ->
+  | (_, desc, violations) :: _ as failures ->
     Alcotest.fail
-      (Printf.sprintf "%d/%d seed(s) failed; first: %s — %s" (List.length failures) count
-         (Chaos.Sched_fault.describe r.Chaos.Sched_fault.r_plan)
-         (String.concat "; " r.Chaos.Sched_fault.r_violations))
+      (Printf.sprintf "%d/%d seed(s) failed; first: %s — %s" (List.length failures) count desc
+         (String.concat "; " violations))
+
+(* A change in the draw order of [sample] still yields plans that pass,
+   so the corpus alone cannot see it: the first three descriptions are
+   pinned. *)
+let test_sampled_plans_pinned () =
+  List.iter
+    (fun (seed, want) -> check Alcotest.string (Printf.sprintf "seed %d" seed) want (snd (S.sample ~seed)))
+    [
+      ( 0,
+        "seed 0: iv 0.56, job0 counter(3336) prio 1 @1.87, job1 stream(3337) prio 4 @2.81, job2 \
+         memhog(355) prio 2 @1.47, job3 counter(3038) prio 5 @0.61, fail node 7 @2.69, drain node \
+         6 @5.59" );
+      ( 1,
+        "seed 1: iv 0.74, job0 counter(3226) prio 4 @0.21, job1 memhog(463) prio 1 @1.21, job2 \
+         counter(2559) prio 3 @1.77, job3 stream(5313) prio 4 @1.45, job4 counter(3167) prio 3 \
+         @3.00, fail node 7 @1.57, drain node 0 @4.56" );
+      ( 2,
+        "seed 2: iv 0.80, job0 stream(3590) prio 3 @2.62, job1 counter(3403) prio 3 @0.21, job2 \
+         memhog(213) prio 5 @1.47, job3 counter(3392) prio 5 @2.62, job4 stream(5941) prio 5 \
+         @0.72, fail node 7 @4.18, drain node 6 @5.86" );
+    ]
 
 let () =
   Alcotest.run "sched"
@@ -439,5 +451,8 @@ let () =
           Alcotest.test_case "1000-job demo, scaled-down slice" `Slow test_demo1k_smoke;
         ] );
       ( "chaos",
-        [ Alcotest.test_case "seed corpus" `Slow test_chaos_corpus ] );
+        [
+          Alcotest.test_case "seed corpus" `Slow test_chaos_corpus;
+          Alcotest.test_case "sampled plans pinned (seeds 0-2)" `Quick test_sampled_plans_pinned;
+        ] );
     ]

@@ -189,7 +189,8 @@ let test_sched_preemption_cycle_traced () =
   Chaos.Progs.ensure_registered ();
   let c = Trace.collector () in
   ignore
-    (Trace.with_sink (Trace.collector_sink c) (fun () -> Chaos.Sched_demo.run ~faults:true ()));
+    (Trace.with_sink (Trace.collector_sink c) (fun () ->
+         Chaos.Sched_scenario.(play ~faults:true demo)));
   let evs =
     List.filter
       (Trace.matches { Trace.no_filter with Trace.f_cat = Some "sched" })
