@@ -1,6 +1,6 @@
 (* dmtcp_sim: command-line driver that regenerates every table and figure
-   of the paper's evaluation, plus the ablations, on the simulated
-   cluster. *)
+   of the paper's evaluation, plus the ablations and the deterministic
+   ratio records (Ratios), on the simulated cluster. *)
 
 open Cmdliner
 
@@ -416,20 +416,17 @@ let plugins_run action off =
    what the CI proxy smoke diffs across two invocations. *)
 let mpi_run transport =
   let module Common = Harness.Common in
-  let kind, w_extra, options =
+  let kind, w_extra =
     match transport with
-    | "direct" -> (Common.Direct, "direct" :: [ "96"; "4"; "10"; "0.08" ], Dmtcp.Options.default)
-    | "proxy" | "proxied" ->
-      ( Common.Proxy,
-        [ "96"; "4"; "10"; "0.08" ],
-        { Dmtcp.Options.default with Dmtcp.Options.plugins = [ "ext-sock"; "mpi-proxy" ] } )
+    | "direct" -> (Common.Direct, "direct" :: [ "96"; "4"; "10"; "0.08" ])
+    | "proxy" | "proxied" -> (Common.Proxy, [ "96"; "4"; "10"; "0.08" ])
     | other ->
       Printf.eprintf "unknown --transport %S (expected direct or proxy)\n" other;
       exit 2
   in
   let base_port = Common.base_port in
   Proxy.Accounting.reset ~base_port;
-  let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options () in
+  let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options:(Common.options_for kind) () in
   let col = Trace.collector () in
   let out_path = Printf.sprintf "/result/stencil-%d" base_port in
   let image_bytes, estab, drained =
@@ -513,6 +510,12 @@ let () =
       cmd "sync-cost" "Sec 5.2: cost of sync(2) after checkpoint" sync_cost;
       cmd "ablation" "Design-choice ablations (forked, compression, coordinator, drain)" ablations;
       cmd "all" "Run every experiment" all;
+      Cmd.v
+        (Cmd.info "ratios"
+           ~doc:"Deterministic ratio records: each design payoff (compression, dedup, deltas, \
+                 forked checkpoints, lazy restore, op queues, plugin dispatch, the proxy \
+                 split) as modeled in -> out with its bound; exits 1 if a bound fails")
+        Term.(const Ratios.run $ const ());
       Cmd.v (Cmd.info "list-apps" ~doc:"List registered programs and profiles")
         Term.(const list_apps $ const ());
       Cmd.v

@@ -534,9 +534,7 @@ let heuristic_verdicts ~plugins_on =
 let proxy ~prog ~extra ~short ~in_flight =
   let base_port = Common.base_port in
   {
-    (make ~node:0
-       ~options:{ Dmtcp.Options.default with Dmtcp.Options.plugins = [ "ext-sock"; "mpi-proxy" ] }
-       ~settle:0.02 ~timeout:120.
+    (make ~node:0 ~options:(Common.options_for Common.Proxy) ~settle:0.02 ~timeout:120.
        (sprintf "/result/%s-%d" short base_port)
        ~launch:(fun env ->
          Proxy.Accounting.reset ~base_port;

@@ -646,13 +646,24 @@ module Dirty = struct
     | _ -> { phase = 0; pages = 16; dirty = 2; iters = 100; done_ = 0; base = 0; out = "/tmp/dirty" }
 
   (* page-sized, deterministic, non-periodic, and incompressible enough
-     that the checkpoint pipeline cannot shrink it away *)
+     that the checkpoint pipeline cannot shrink it away.  Byte i is
+     (i*131 + (i lsr 8)*17 + (i lsr 16)*211 + k) land 0xff with
+     k = (page*7919 + version*104729) land 0xff, so there are only 256
+     distinct pages: each is built once, on first use ("" = not yet). *)
+  let pages_by_k = Array.make 256 ""
+
   let page_payload ~page ~version =
-    String.init Mem.Page.size (fun i ->
-        let v =
-          (i * 131) + ((i lsr 8) * 17) + ((i lsr 16) * 211) + (page * 7919) + (version * 104729)
-        in
-        Char.chr (v land 0xff))
+    let k = ((page * 7919) + (version * 104729)) land 0xff in
+    let p = pages_by_k.(k) in
+    if p <> "" then p
+    else begin
+      let p =
+        String.init Mem.Page.size (fun i ->
+            Char.chr (((i * 131) + ((i lsr 8) * 17) + ((i lsr 16) * 211) + k) land 0xff))
+      in
+      pages_by_k.(k) <- p;
+      p
+    end
 
   let write_page (ctx : Simos.Program.ctx) st ~page ~version =
     ctx.mem_write ~addr:(st.base + (page * Mem.Page.size)) (page_payload ~page ~version)

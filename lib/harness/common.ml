@@ -34,18 +34,27 @@ let read_file env ~node path =
   Option.map Simos.Vfs.read_all
     (Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel env.cl node)) path)
 
-let socket_stats env entries =
+let options_for = function
+  | Proxy -> { Dmtcp.Options.default with Dmtcp.Options.plugins = [ "ext-sock"; "mpi-proxy" ] }
+  | Mpich2 | Openmpi | Direct | Plain -> Dmtcp.Options.default
+
+(* fold [f] over the bytes of every image at [(host, paths)] that its
+   host still holds *)
+let fold_images env entries init f =
   List.fold_left
     (fun acc (host, paths) ->
       List.fold_left
-        (fun (estab, drained) path ->
-          match read_file env ~node:host path with
-          | None -> (estab, drained)
-          | Some bytes ->
-            let e, d = Dmtcp.Ckpt_image.(socket_stats (decode bytes)) in
-            (estab + e, drained + d))
+        (fun acc path -> Option.fold ~none:acc ~some:(f acc) (read_file env ~node:host path))
         acc paths)
-    (0, 0) entries
+    init entries
+
+let socket_stats env entries =
+  fold_images env entries (0, 0) (fun (estab, drained) bytes ->
+      let e, d = Dmtcp.Ckpt_image.(socket_stats (decode bytes)) in
+      (estab + e, drained + d))
+
+let image_bytes env entries =
+  fold_images env entries 0 (fun total bytes -> total + String.length bytes)
 
 let nodes_used w = (w.w_nprocs + w.w_rpn - 1) / w.w_rpn
 

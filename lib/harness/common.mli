@@ -76,10 +76,19 @@ val run_until : ?every:float -> env -> timeout:float -> (unit -> bool) -> unit
 (** The contents of [path] in [node]'s file system, if it exists. *)
 val read_file : env -> node:int -> string -> string option
 
+(** The DMTCP options a workload of this kind runs under: the
+    mpi-proxy plugin beside ext-sock for [Proxy], the defaults
+    otherwise. *)
+val options_for : runtime_kind -> Dmtcp.Options.t
+
 (** Established socket specs and drained bytes, summed over the
     checkpoint images at [(host, image paths)] — a restart script's
     entries; an image absent from its host counts as empty. *)
 val socket_stats : env -> (int * string list) list -> int * int
+
+(** Encoded bytes of the checkpoint images at [(host, image paths)],
+    summed the same way as {!socket_stats}. *)
+val image_bytes : env -> (int * string list) list -> int
 
 (** Render a measurement row: name, ckpt s, restart s, sizes MB. *)
 val row : string -> ckpt_measure -> string list

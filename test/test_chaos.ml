@@ -205,6 +205,23 @@ let test_catches_skip_drain () =
 let test_catches_drop_refill () =
   check_bug_caught ~name:"drop-refill" Dmtcp.Faults.bug_drop_refill
 
+(* p:dirty's pages come from a 256-entry table; each must equal the
+   per-byte formula, written out here *)
+let prop_dirty_page_payload =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 21 |])
+    (QCheck.Test.make ~count:300 ~name:"dirty page_payload equals the per-byte formula"
+       QCheck.(pair (int_range 0 8191) (int_range 0 20000))
+       (fun (page, version) ->
+         let formula =
+           String.init Mem.Page.size (fun i ->
+               let v =
+                 (i * 131) + ((i lsr 8) * 17) + ((i lsr 16) * 211) + (page * 7919)
+                 + (version * 104729)
+               in
+               Char.chr (v land 0xff))
+         in
+         Chaos.Progs.Dirty.page_payload ~page ~version = formula))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -247,4 +264,5 @@ let () =
           Alcotest.test_case "raising fault leaks nothing" `Quick
             test_raising_fault_leaks_nothing;
         ] );
+      ("progs", [ prop_dirty_page_payload ]);
     ]

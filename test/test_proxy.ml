@@ -198,8 +198,7 @@ let test_transport_of_string () =
 (* ------------------------------------------------------------------ *)
 (* end-to-end cycles *)
 
-let proxy_options =
-  { Dmtcp.Options.default with Dmtcp.Options.plugins = [ "ext-sock"; "mpi-proxy" ] }
+let proxy_options = Common.options_for Common.Proxy
 
 let workload ~kind ~prog ~nprocs ~rpn ~extra =
   {
