@@ -39,6 +39,9 @@ echo "== determinism: each command runs twice, outputs byte-identical =="
 #   bound (compression, dedup, deltas, forked checkpoints, lazy
 #   restore, op queues, plugin dispatch, the proxy split); it exits 1,
 #   failing CI, when a bound fails.
+# - ablation --quick: the forked, incremental, compression-scheme,
+#   coordinator and drain ablations at their quick sizes; it pins the
+#   incremental pricing and the stage spans the last two aggregate.
 # Every output must then match its MD5 in bin/ci_digests.md5, so a
 # change that moves any output byte fails here.
 while read -r cmd; do
@@ -70,6 +73,7 @@ inspect
 store ls
 torture --replay 5
 ratios
+ablation --quick
 EOF
 if ! md5sum -c bin/ci_digests.md5; then
   echo "FAIL: determinism outputs diverged from bin/ci_digests.md5." >&2

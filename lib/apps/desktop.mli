@@ -29,6 +29,5 @@ val figure3 : profile list
 (** §5.1's runCMS: 680 MB, 540 dynamic libraries. *)
 val runcms : profile
 
-val find : string -> profile option
 val register : unit -> unit
 val prog_name : string

@@ -49,7 +49,5 @@ val unique_descs : t -> (int * entry) list
     per-process). *)
 val clone : t -> t
 
-val encode_entry : Util.Codec.Writer.t -> entry -> unit
-val decode_entry : Util.Codec.Reader.t -> entry
 val encode : Util.Codec.Writer.t -> t -> unit
 val decode : Util.Codec.Reader.t -> t

@@ -184,22 +184,13 @@ module P = struct
         | _ -> None
       else None
     in
-    let sizes =
-      if opts.Options.incremental then begin
-        let s =
-          if delta_base = None then Mtcp.Image.sizes opts.Options.algo mtcp_image
-          else Mtcp.Image.delta_sizes opts.Options.algo ~prev:ps.Runtime.prev_space mtcp_image
-        in
-        ps.Runtime.prev_space <- Some mtcp_image.Mtcp.Image.space;
-        s
-      end
-      else Mtcp.Image.sizes opts.Options.algo mtcp_image
-    in
-    let mtcp_blob =
+    let price, encode =
       match delta_base with
-      | Some _ -> Mtcp.Image.encode_delta ~algo:opts.Options.algo mtcp_image
-      | None -> Mtcp.Image.encode ~algo:opts.Options.algo mtcp_image
+      | Some _ -> (Mtcp.Image.delta_sizes, Mtcp.Image.encode_delta)
+      | None -> (Mtcp.Image.sizes, Mtcp.Image.encode)
     in
+    let sizes = price opts.Options.algo mtcp_image in
+    let mtcp_blob = encode ~algo:opts.Options.algo mtcp_image in
     if opts.Options.incremental then
       (* the capture snapshot above kept the pre-clear bits (that is what
          the delta encoder read); from here on the live space accumulates

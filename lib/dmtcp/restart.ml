@@ -425,7 +425,6 @@ module P = struct
               conn_seq = 1000;
               critical = 0;
               pty_drains = Hashtbl.create 4;
-              prev_space = None;
               delta_prev = None;
               ckpt_seq = 0;
               forked_pending = false;

@@ -5,8 +5,6 @@ type pstate = {
   mutable conn_seq : int;
   mutable critical : int;
   pty_drains : (int, string * string) Hashtbl.t;
-  mutable prev_space : Mem.Address_space.t option;
-      (** snapshot at the previous checkpoint (incremental mode) *)
   mutable delta_prev : (string * int) option;
       (** previous checkpoint's image name and chain depth (0 = full):
           the base the next incremental checkpoint deltas against *)
@@ -60,7 +58,6 @@ type t = {
   procs : (int * int, pstate) Hashtbl.t;
   sock_owner : (int, (int * int) * int) Hashtbl.t;
   vpids : (int, int * int) Hashtbl.t;
-  stages : (string, Util.Stats.t) Hashtbl.t;
   domains : (int, domain) Hashtbl.t;  (* coordinator port -> records *)
   mutable gen : int;
   shm : (int * string, Mem.Page.content array) Hashtbl.t;
@@ -116,24 +113,13 @@ let claim_vpid t ~vpid ~node ~pid = Hashtbl.replace t.vpids vpid (node, pid)
 let release_vpid t ~vpid = Hashtbl.remove t.vpids vpid
 let resolve_vpid t vpid = Hashtbl.find_opt t.vpids vpid
 
+(* single emission point for protocol stage spans: Table 1, the
+   ablations and the trace CLI all read these, so they agree by
+   construction *)
 let record_stage t name v =
-  let s =
-    match Hashtbl.find_opt t.stages name with
-    | Some s -> s
-    | None ->
-      let s = Util.Stats.create () in
-      Hashtbl.add t.stages name s;
-      s
-  in
-  Util.Stats.add s v;
-  (* single emission point for protocol stage spans: Table 1 and the trace
-     CLI both read these, so they agree by construction *)
   if Trace.on () then
     let now = Simos.Cluster.now t.cl in
     Trace.span ~cat:"dmtcp" ~name ~time:(now -. v) ~dur:v ()
-
-let stage_stats t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.stages [] |> List.sort compare
-let reset_stage_stats t = Hashtbl.reset t.stages
 
 let fresh_domain () =
   {
@@ -322,7 +308,6 @@ let make_pstate t ~node ~pid =
     conn_seq = 0;
     critical = 0;
     pty_drains = Hashtbl.create 4;
-    prev_space = None;
     delta_prev = None;
     ckpt_seq = 0;
     forked_pending = false;
@@ -517,7 +502,6 @@ let install cl ?(options = Options.default) () =
       procs = Hashtbl.create 64;
       sock_owner = Hashtbl.create 128;
       vpids = Hashtbl.create 64;
-      stages = Hashtbl.create 16;
       domains = Hashtbl.create 8;
       gen = 0;
       shm = Hashtbl.create 8;

@@ -16,9 +16,6 @@ type pstate = {
   mutable conn_seq : int;
   mutable critical : int;  (** dmtcpaware delay-checkpoint depth *)
   pty_drains : (int, string * string) Hashtbl.t;  (** pty key -> drained *)
-  mutable prev_space : Mem.Address_space.t option;
-      (** address-space snapshot at the previous checkpoint, for
-          incremental checkpointing *)
   mutable delta_prev : (string * int) option;
       (** previous checkpoint's image name and chain depth (0 = full):
           the base the next incremental checkpoint deltas against *)
@@ -78,18 +75,18 @@ val register_sock_owner : t -> sock_id:int -> node:int -> pid:int -> fd:int -> u
 
 (** {2 Virtual pids} *)
 
-val vpid_taken : t -> int -> bool
 val claim_vpid : t -> vpid:int -> node:int -> pid:int -> unit
 val release_vpid : t -> vpid:int -> unit
 
 (** Current (node, real pid) for a virtual pid. *)
 val resolve_vpid : t -> int -> (int * int) option
 
-(** {2 Stage statistics and operation records} *)
+(** {2 Stage spans and operation records} *)
 
+(** [record_stage t name d] emits a ["dmtcp"] span [name] of [d] seconds
+    ending now.  It is the one stage clock: readers aggregate the spans
+    with {!Trace.Query.stage_stats} over a collector. *)
 val record_stage : t -> string -> float -> unit
-val stage_stats : t -> (string * Util.Stats.t) list
-val reset_stage_stats : t -> unit
 
 (** Every operation record below is scoped to a coordinator {e domain},
     keyed by coordinator port ([?port]; defaults to the installed

@@ -190,6 +190,12 @@ let algo_text points =
 (* ------------------------------------------------------------------ *)
 (* coordinator bottleneck *)
 
+(* one checkpoint's stage durations, from the "dmtcp" spans it emits *)
+let checkpoint_stages env =
+  let coll = Trace.collector () in
+  Trace.with_sink (Trace.collector_sink coll) (fun () -> Dmtcp.Api.checkpoint_now env.Common.rt);
+  Trace.Query.stage_stats (Trace.events coll)
+
 type coord_point = { nprocs : int; barrier_bound_s : float }
 
 let coordinator_ablation ?(sizes = [ 16; 64; 128 ]) () =
@@ -208,9 +214,7 @@ let coordinator_ablation ?(sizes = [ 16; 64; 128 ]) () =
         }
       in
       Common.start_workload env w;
-      Dmtcp.Runtime.reset_stage_stats env.Common.rt;
-      Dmtcp.Api.checkpoint_now env.Common.rt;
-      let stats = Dmtcp.Runtime.stage_stats env.Common.rt in
+      let stats = checkpoint_stages env in
       let mean key =
         match List.assoc_opt key stats with Some s -> Util.Stats.mean s | None -> 0.
       in
@@ -250,9 +254,7 @@ let drain_ablation ?(pairs_list = [ 1; 4; 8 ]) () =
         }
       in
       Common.start_workload env w;
-      Dmtcp.Runtime.reset_stage_stats env.Common.rt;
-      Dmtcp.Api.checkpoint_now env.Common.rt;
-      let stats = Dmtcp.Runtime.stage_stats env.Common.rt in
+      let stats = checkpoint_stages env in
       let drain_s =
         match List.assoc_opt "ckpt/drain" stats with Some s -> Util.Stats.mean s | None -> 0.
       in

@@ -9,9 +9,9 @@ type result = {
 }
 
 (* Stage durations come from the trace: [Dmtcp.Runtime.record_stage] is
-   the single emission point for both the runtime's stats and the
-   "dmtcp" spans, so querying the trace here yields the same numbers the
-   [dmtcp_sim trace] CLI reports. *)
+   the single emission point for the "dmtcp" spans, so querying the
+   trace here yields the same numbers the [dmtcp_sim trace] CLI
+   reports. *)
 let stage_means events =
   Trace.Query.stage_stats ~cat:"dmtcp" events
   |> List.map (fun (name, s) -> (name, Util.Stats.mean s))
@@ -31,7 +31,6 @@ let with_env ~algo ~forked ~nprocs f =
     }
   in
   Common.start_workload env w;
-  Dmtcp.Runtime.reset_stage_stats env.Common.rt;
   let coll = Trace.collector () in
   let r = Trace.with_sink (Trace.collector_sink coll) (fun () -> f env) in
   Common.teardown env;

@@ -11,16 +11,6 @@ let guard_gap = 16 * Page.size
 
 let create () = { regions = []; next_addr = base_addr; next_region_id = 0 }
 let regions t = t.regions
-let next_addr t = t.next_addr
-let next_region_id t = t.next_region_id
-
-let of_regions ~next_addr ~next_region_id regions =
-  {
-    regions =
-      List.sort (fun (a : Region.t) b -> compare a.start_addr b.start_addr) regions;
-    next_addr;
-    next_region_id;
-  }
 
 let pages_for bytes = max 1 ((bytes + Page.size - 1) / Page.size)
 
@@ -94,10 +84,18 @@ let write t ~addr s =
       let page_idx = off / Page.size in
       let page_off = off mod Page.size in
       let chunk = min (len - !copied) (Page.size - page_off) in
-      (* copy-on-write: never mutate existing page bytes in place *)
-      let fresh = Bytes.of_string (Page.materialize r.pages.(page_idx)) in
-      Bytes.blit_string s !copied fresh page_off chunk;
-      Region.set_page r page_idx (Page.of_string (Bytes.unsafe_to_string fresh));
+      (* copy-on-write: never mutate existing page bytes in place.  A
+         chunk that covers the whole page needs nothing of the old one,
+         and a string that is exactly one page is the page itself *)
+      let data =
+        if chunk = Page.size then if len = Page.size then s else String.sub s !copied chunk
+        else begin
+          let fresh = Bytes.of_string (Page.materialize r.pages.(page_idx)) in
+          Bytes.blit_string s !copied fresh page_off chunk;
+          Bytes.unsafe_to_string fresh
+        end
+      in
+      Region.set_page r page_idx (Page.of_string data);
       copied := !copied + chunk
     done
   end
@@ -120,16 +118,16 @@ let snapshot = fork
 
 let total_bytes t = List.fold_left (fun acc r -> acc + Region.byte_size r) 0 t.regions
 
-(* Shared mappings count as always dirty: another process's view writes
-   through an attached copy of the region record, so this view's bitmap
-   cannot be trusted to have seen every store. *)
-let region_dirty_pages (r : Region.t) =
-  match r.Region.kind with
-  | Region.Mmap_shared _ -> Region.npages r
-  | Region.Text | Region.Data | Region.Heap | Region.Stack | Region.Mmap_anon ->
-    Region.dirty_count r
+let dirty_pages t =
+  List.fold_left
+    (fun acc r ->
+      let n = ref acc in
+      for i = 0 to Region.npages r - 1 do
+        if Region.ships r i then incr n
+      done;
+      !n)
+    0 t.regions
 
-let dirty_pages t = List.fold_left (fun acc r -> acc + region_dirty_pages r) 0 t.regions
 let clear_dirty t = List.iter Region.clear_dirty t.regions
 let total_pages t = List.fold_left (fun acc r -> acc + Region.npages r) 0 t.regions
 let resident_pages t = List.fold_left (fun acc r -> acc + Region.resident_count r) 0 t.regions
@@ -144,15 +142,15 @@ let equal a b =
   List.length a.regions = List.length b.regions
   && List.for_all2 Region.equal a.regions b.regions
 
-let encode w t =
+let encode ?page w t =
   Util.Codec.Writer.uvarint w t.next_addr;
   Util.Codec.Writer.uvarint w t.next_region_id;
-  Util.Codec.Writer.list Region.encode w t.regions
+  Util.Codec.Writer.list (Region.encode ?page) w t.regions
 
-let decode r =
+let decode ?page r =
   let next_addr = Util.Codec.Reader.uvarint r in
   let next_region_id = Util.Codec.Reader.uvarint r in
-  let regions = Util.Codec.Reader.list Region.decode r in
+  let regions = Util.Codec.Reader.list (Region.decode ?page) r in
   { regions; next_addr; next_region_id }
 
 let substitute_pages t ~region_id pages =

@@ -9,16 +9,6 @@ val create : unit -> t
 (** Regions in ascending address order. *)
 val regions : t -> Region.t list
 
-(** Allocation cursor and next region id — serialized by delta images so a
-    reconstructed space is structurally identical to the original. *)
-val next_addr : t -> int
-
-val next_region_id : t -> int
-
-(** Rebuild a space from parts (regions are re-sorted by address).  Used
-    when applying a delta image to its base. *)
-val of_regions : next_addr:int -> next_region_id:int -> Region.t list -> t
-
 (** [map t ~kind ~perms ~bytes content] maps a fresh region of at least
     [bytes] (rounded up to whole pages) at the next free address and
     returns it.  [content] defaults to all-[Zero] pages. *)
@@ -48,7 +38,9 @@ val read : t -> addr:int -> len:int -> string
 
 (** [write t ~addr s] stores [s]; each affected page is replaced by a
     fresh, unsized [Materialized] page (copy-on-write), so forked
-    snapshots and the old pages' size memos are unaffected. *)
+    snapshots and the old pages' size memos are unaffected.  A page the
+    write covers whole is built from [s] alone, and is [s] itself when
+    [s] is exactly one page (strings are immutable). *)
 val write : t -> addr:int -> string -> unit
 
 (** Fork semantics: private regions are cloned copy-on-write; shared
@@ -62,14 +54,10 @@ val snapshot : t -> t
 (** Total mapped bytes. *)
 val total_bytes : t -> int
 
-(** Pages an incremental checkpoint must ship: a private region's dirty
-    count, a shared ([Mmap_shared]) region's full page count (other
-    processes write through their own view of the shared record, so the
-    bitmap is not authoritative there). *)
+(** Pages an incremental checkpoint ships: those {!Region.ships}
+    selects, so every page of a shared mapping and the dirty pages of
+    the rest.  An incremental image charges exactly these pages. *)
 val dirty_pages : t -> int
-
-(** Dirty pages of one region under the same shared-mapping convention. *)
-val region_dirty_pages : Region.t -> int
 
 (** Clear every region's dirty bits — the checkpointer calls this on the
     live space right after {!snapshot}, so the snapshot keeps the
@@ -89,8 +77,14 @@ val resident_pages : t -> int
 (** Structural equality of all regions (order-sensitive). *)
 val equal : t -> t -> bool
 
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t
+(** [encode ?page w t] writes the allocation cursor, the next region id
+    and every region through {!Region.encode} with the same [?page] step;
+    [decode ?page] reads it back through {!Region.decode}.  Full images
+    use the default steps (whole pages); delta images pass their own. *)
+val encode : ?page:(Util.Codec.Writer.t -> Region.t -> int -> unit) -> Util.Codec.Writer.t -> t -> unit
+
+val decode :
+  ?page:(Util.Codec.Reader.t -> region:int -> int -> Page.content) -> Util.Codec.Reader.t -> t
 
 (** [substitute_pages t ~region_id pages] swaps a region's page array for
     [pages] (aliasing, not copying) — used at restart to re-share an

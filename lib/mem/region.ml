@@ -10,7 +10,6 @@ type perms = { read : bool; write : bool; exec : bool }
 
 let rw = { read = true; write = true; exec = false }
 let rx = { read = true; write = false; exec = true }
-let ro = { read = true; write = false; exec = false }
 
 type t = {
   id : int;
@@ -54,10 +53,10 @@ let set_page t i content =
 
 let is_dirty t i = Bytes.unsafe_get t.dirty i <> '\000'
 
-let dirty_count t =
-  let n = ref 0 in
-  Bytes.iter (fun c -> if c <> '\000' then incr n) t.dirty;
-  !n
+let ships t i =
+  match t.kind with
+  | Mmap_shared _ -> true
+  | Text | Data | Heap | Stack | Mmap_anon -> is_dirty t i
 
 let clear_dirty t = Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000'
 let is_resident t i = Bytes.unsafe_get t.resident i <> '\000'
@@ -99,23 +98,31 @@ let decode_kind r =
     Mmap_shared { backing_path }
   | n -> Util.Codec.Reader.corrupt "bad region kind %d" n
 
-let encode w t =
+let encode_page w t i = Page.encode w t.pages.(i)
+
+let encode ?(page = encode_page) w t =
   Util.Codec.Writer.uvarint w t.id;
   Util.Codec.Writer.uvarint w t.start_addr;
   encode_kind w t.kind;
   Util.Codec.Writer.bool w t.perms.read;
   Util.Codec.Writer.bool w t.perms.write;
   Util.Codec.Writer.bool w t.perms.exec;
-  Util.Codec.Writer.array Page.encode w t.pages
+  Util.Codec.Writer.uvarint w (npages t);
+  for i = 0 to npages t - 1 do
+    page w t i
+  done
 
-let decode r =
+let decode_page r ~region:_ _ = Page.decode r
+
+let decode ?(page = decode_page) r =
   let id = Util.Codec.Reader.uvarint r in
   let start_addr = Util.Codec.Reader.uvarint r in
   let kind = decode_kind r in
   let read = Util.Codec.Reader.bool r in
   let write = Util.Codec.Reader.bool r in
   let exec = Util.Codec.Reader.bool r in
-  let pages = Util.Codec.Reader.array Page.decode r in
+  let npages = Util.Codec.Reader.count r in
+  let pages = Array.init npages (page r ~region:id) in
   {
     id;
     start_addr;

@@ -13,7 +13,6 @@ type perms = { read : bool; write : bool; exec : bool }
 
 val rw : perms
 val rx : perms
-val ro : perms
 
 type t = {
   id : int;
@@ -61,8 +60,13 @@ val set_page : t -> int -> Page.content -> unit
     freshly created or decoded regions report every page dirty). *)
 val is_dirty : t -> int -> bool
 
-(** Number of dirty pages. *)
-val dirty_count : t -> int
+(** The one page-shipping rule: page [i] goes into an incremental image
+    (inline in a delta, and charged by its size accounting) when it
+    {!is_dirty}, or always when the region is [Mmap_shared].  Another
+    process writes a shared segment through its own attached view of the
+    region record and may clear the bits this view would read, so a
+    shared region's bitmap cannot be trusted to have seen every store. *)
+val ships : t -> int -> bool
 
 (** Mark every page clean — called by the checkpointer once a snapshot
     of the region has been taken. *)
@@ -84,14 +88,18 @@ val resident_count : t -> int
 
 val kind_name : kind -> string
 
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t
+(** [encode ?page w t] writes the region's identity, shape and page
+    count, then calls [page w t i] for each page index in order.  The
+    default writes page [i] whole; a delta image passes a step that
+    writes a reference for each page that does not ship ({!ships}). *)
+val encode : ?page:(Util.Codec.Writer.t -> t -> int -> unit) -> Util.Codec.Writer.t -> t -> unit
 
-(** The kind codec alone — delta images serialize a region skeleton
-    (identity and shape, no page payloads) and need it separately. *)
-val encode_kind : Util.Codec.Writer.t -> kind -> unit
-
-val decode_kind : Util.Codec.Reader.t -> kind
+(** [decode ?page r] reads what {!encode} wrote: the page count through
+    {!Util.Codec.Reader.count}, then [page r ~region:id i] for [i] in
+    index order, where [id] is the region's id.  The default reads a
+    whole page.  Every page of the result is dirty and resident. *)
+val decode :
+  ?page:(Util.Codec.Reader.t -> region:int -> int -> Page.content) -> Util.Codec.Reader.t -> t
 
 (** Structural equality of metadata and page contents by {!Page.equal}
     (synthetic pages compare by descriptor; size memos are ignored). *)

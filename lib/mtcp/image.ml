@@ -47,20 +47,19 @@ type sizes = { uncompressed : int; compressed : int; zero_bytes : int }
 let metadata_bytes t =
   4096 + (1024 * List.length t.threads)
 
-(* Charge every page that [charged region] selects (by index and value)
-   at its raw and compressed size, plus [per_page] bitmap bytes for every
-   page of the image. *)
+(* Charge every page that [charged region index] selects at its raw and
+   compressed size, plus [per_page] bitmap bytes for every page of the
+   image. *)
 let price algo t ~per_page ~charged =
   let uncompressed = ref (metadata_bytes t) in
   let compressed = ref (metadata_bytes t / 4) in
   let zero = ref 0 in
   List.iter
     (fun (r : Mem.Region.t) ->
-      let charged = charged r in
       Array.iteri
         (fun idx page ->
           compressed := !compressed + per_page;
-          if charged idx page then begin
+          if charged r idx then begin
             uncompressed := !uncompressed + Mem.Page.size;
             if Mem.Page.is_zero page then zero := !zero + Mem.Page.size;
             compressed := !compressed + Mem.Page.compressed_size algo page
@@ -69,29 +68,10 @@ let price algo t ~per_page ~charged =
     (Mem.Address_space.regions t.space);
   { uncompressed = !uncompressed; compressed = !compressed; zero_bytes = !zero }
 
-let sizes algo t = price algo t ~per_page:0 ~charged:(fun _ _ _ -> true)
+let sizes algo t = price algo t ~per_page:0 ~charged:(fun _ _ -> true)
 
-(* pages charged to an incremental image: those differing from the
-   previous snapshot (unchanged slots alias the same immutable page, which
-   {!Mem.Page.equal} checks first) *)
-let page_changed prev_pages idx page =
-  match prev_pages with
-  | Some pages when idx < Array.length pages -> not (Mem.Page.equal pages.(idx) page)
-  | _ -> true
-
-let delta_sizes algo ~prev t =
-  match prev with
-  | None -> sizes algo t
-  | Some prev_space ->
-    let prev_regions =
-      List.fold_left
-        (fun acc (r : Mem.Region.t) -> (r.Mem.Region.id, r.Mem.Region.pages) :: acc)
-        []
-        (Mem.Address_space.regions prev_space)
-    in
-    (* one bit per page for the dirty bitmap *)
-    price algo t ~per_page:1 ~charged:(fun r ->
-        page_changed (List.assoc_opt r.Mem.Region.id prev_regions))
+(* a delta charges what it ships, plus one bitmap byte per page *)
+let delta_sizes algo t = price algo t ~per_page:1 ~charged:Mem.Region.ships
 
 module W = Util.Codec.Writer
 module R = Util.Codec.Reader
@@ -155,94 +135,35 @@ let decode s =
 
 let delta_magic = "MTCPD1"
 
-(* Pages a delta must carry inline: every dirty page, plus every page of
-   a shared mapping (other processes write through their own view of a
-   shared region record, so this view's bitmap is not authoritative). *)
-let page_inline (r : Mem.Region.t) idx =
-  match r.Mem.Region.kind with
-  | Mem.Region.Mmap_shared _ -> true
-  | Mem.Region.Text | Mem.Region.Data | Mem.Region.Heap | Mem.Region.Stack
-  | Mem.Region.Mmap_anon ->
-    Mem.Region.is_dirty r idx
-
 (* A delta body differs from a full one only in its magic prefix and
-   its address space: the skeleton (allocation cursor plus each
-   region's identity and shape) is stored in full, and each page is
-   either inline (tag 1, dirty since the base snapshot) or a reference
-   to the base image's page at the same region id and index (tag 0).
-   Regions created after the base snapshot are born all-dirty, so tag 0
-   never points outside the base. *)
-let encode_delta_space w space =
-  W.uvarint w (Mem.Address_space.next_addr space);
-  W.uvarint w (Mem.Address_space.next_region_id space);
-  W.list
-    (fun w (r : Mem.Region.t) ->
-      W.uvarint w r.Mem.Region.id;
-      W.uvarint w r.Mem.Region.start_addr;
-      Mem.Region.encode_kind w r.Mem.Region.kind;
-      W.bool w r.Mem.Region.perms.Mem.Region.read;
-      W.bool w r.Mem.Region.perms.Mem.Region.write;
-      W.bool w r.Mem.Region.perms.Mem.Region.exec;
-      W.uvarint w (Mem.Region.npages r);
-      Array.iteri
-        (fun idx page ->
-          if page_inline r idx then begin
-            W.u8 w 1;
-            Mem.Page.encode w page
-          end
-          else W.u8 w 0)
-        r.Mem.Region.pages)
-    w
-    (Mem.Address_space.regions space)
+   its page step: a page that ships ({!Mem.Region.ships}) is inline
+   (tag 1), any other is a reference to the base image's page at the
+   same region id and index (tag 0).  Regions created after the base snapshot are born
+   all-dirty, so tag 0 never points outside the base. *)
+let encode_delta_page w (r : Mem.Region.t) idx =
+  if Mem.Region.ships r idx then begin
+    W.u8 w 1;
+    Mem.Page.encode w r.Mem.Region.pages.(idx)
+  end
+  else W.u8 w 0
 
 let decode_delta_space ~base r =
-  let base_regions =
-    List.fold_left
-      (fun acc (br : Mem.Region.t) -> (br.Mem.Region.id, br) :: acc)
-      []
-      (Mem.Address_space.regions base.space)
-  in
-  let next_addr = R.uvarint r in
-  let next_region_id = R.uvarint r in
-  let regions =
-    R.list
-      (fun r ->
-        let id = R.uvarint r in
-        let start_addr = R.uvarint r in
-        let kind = Mem.Region.decode_kind r in
-        let read = R.bool r in
-        let write = R.bool r in
-        let exec = R.bool r in
-        let npages = R.count r in
-        let base_pages =
-          match List.assoc_opt id base_regions with
-          | Some br -> br.Mem.Region.pages
-          | None -> [||]
-        in
-        let pages =
-          Array.init npages (fun idx ->
-              match R.u8 r with
-              | 1 -> Mem.Page.decode r
-              | 0 ->
-                if idx < Array.length base_pages then base_pages.(idx)
-                else R.corrupt "delta references missing base page %d/%d" id idx
-              | n -> R.corrupt "bad delta page tag %d" n)
-        in
-        {
-          Mem.Region.id;
-          start_addr;
-          kind;
-          perms = { Mem.Region.read; write; exec };
-          pages;
-          dirty = Bytes.make npages '\001';
-          resident = Bytes.make npages '\001';
-        })
-      r
-  in
-  Mem.Address_space.of_regions ~next_addr ~next_region_id regions
+  let base_pages = Hashtbl.create 16 in
+  List.iter
+    (fun (br : Mem.Region.t) -> Hashtbl.replace base_pages br.Mem.Region.id br.Mem.Region.pages)
+    (Mem.Address_space.regions base.space);
+  Mem.Address_space.decode r ~page:(fun r ~region idx ->
+      match R.u8 r with
+      | 1 -> Mem.Page.decode r
+      | 0 -> (
+        match Hashtbl.find_opt base_pages region with
+        | Some pages when idx < Array.length pages -> pages.(idx)
+        | _ -> R.corrupt "delta references missing base page %d/%d" region idx)
+      | n -> R.corrupt "bad delta page tag %d" n)
 
 let encode_delta ~algo t =
-  Compress.Container.pack ~algo (encode_sections ~prefix:delta_magic encode_delta_space t)
+  Compress.Container.pack ~algo
+    (encode_sections ~prefix:delta_magic (Mem.Address_space.encode ~page:encode_delta_page) t)
 
 let apply_delta ~base s =
   let r = R.of_string (Compress.Container.unpack s) in

@@ -45,14 +45,14 @@ type sizes = {
     process) is not compressed again. *)
 val sizes : Compress.Algo.t -> t -> sizes
 
-(** [delta_sizes algo ~prev t] — size accounting for an *incremental*
-    checkpoint: only pages that changed since the [prev] snapshot are
-    charged (plus a small per-page bitmap).  Page contents are immutable
-    values, so "changed" is {!Mem.Page.equal} inequality of the page slot
-    (physical equality first).  With [prev = None] this equals {!sizes}.
-    Incremental checkpointing is this repository's implementation of the
-    compressed-differences line of work the paper cites ([2], [25]). *)
-val delta_sizes : Compress.Algo.t -> prev:Mem.Address_space.t option -> t -> sizes
+(** [delta_sizes algo t] — size accounting for an *incremental*
+    checkpoint: it charges exactly the pages {!encode_delta} ships inline,
+    those {!Mem.Region.ships} selects (dirty since the last
+    {!Mem.Address_space.clear_dirty}, or in a shared mapping), plus a
+    one-byte-per-page bitmap.  Incremental checkpointing is this
+    repository's implementation of the compressed-differences line of
+    work the paper cites ([2], [25]). *)
+val delta_sizes : Compress.Algo.t -> t -> sizes
 
 (** Encode to real bytes (framed, CRC-protected). *)
 val encode : algo:Compress.Algo.t -> t -> string
@@ -63,20 +63,20 @@ val decode : string -> t
 
 (** {2 Incremental delta images}
 
-    A delta image re-encodes everything except clean private pages: the
-    address-space skeleton and all small metadata are stored in full, and
-    each page is either inline (dirty since the base snapshot, or part of
-    a shared mapping) or a tagged reference to the base image's page at
-    the same region id and index.  The payload is framed by
+    A delta image re-encodes everything except the pages that do not
+    ship: the address space goes through {!Mem.Address_space.encode} like
+    a full image's, with a page step that writes each page either inline
+    (it ships, {!Mem.Region.ships}) or as a tagged reference to the base
+    image's page at the same region id and index.  The payload is framed by
     {!Compress.Container} exactly like a full image, so
     {!Compress.Container.frame_bounds} applies and delta frames dedup in
     the checkpoint store like any other frames. *)
 
 (** [encode_delta ~algo t] encodes [t] against the base snapshot implied
-    by [t.space]'s dirty bits: pages clean since the last
-    {!Mem.Address_space.clear_dirty} are stored as references.  The caller
-    must pair the result with the identity of the image those bits are
-    relative to — {!apply_delta} needs that exact image. *)
+    by [t.space]'s dirty bits: pages that do not ship
+    ({!Mem.Region.ships}) are stored as references.  The caller must pair
+    the result with the identity of the image those bits are relative
+    to — {!apply_delta} needs that exact image. *)
 val encode_delta : algo:Compress.Algo.t -> t -> string
 
 (** [apply_delta ~base s] reconstructs the full image: referenced pages

@@ -21,7 +21,6 @@ let register p =
   else plugins := !plugins @ [ p ]
 
 let registered () = !plugins
-let find name = List.find_opt (fun p -> p.p_name = name) !plugins
 
 let set_enabled names =
   let known = List.map (fun p -> p.p_name) !plugins in

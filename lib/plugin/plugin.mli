@@ -35,8 +35,6 @@ val register : t -> unit
 (** All registered plugins, in registration order. *)
 val registered : unit -> t list
 
-val find : string -> t option
-
 (** Set the enabled plugin set.  Unknown names raise [Invalid_argument]
     listing the registered names.  Dispatch order remains registration
     order regardless of the order given here. *)

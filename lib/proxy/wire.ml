@@ -102,6 +102,3 @@ let pop buf =
     end
   end
 
-let payload_bytes = function
-  | Data { payload; _ } | Deliver { payload; _ } -> String.length payload
-  | Hello _ | Welcome | Ack _ | Ack_ind _ -> 0

@@ -56,6 +56,3 @@ val to_bytes : frame -> string
     length, unknown type, bad body) raises {!Util.Codec.Reader.Corrupt};
     the reader drops the connection, as on a hangup. *)
 val pop : string -> (frame * string) option
-
-(** Payload bytes a frame carries (0 for control frames). *)
-val payload_bytes : frame -> int

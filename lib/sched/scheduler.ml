@@ -783,11 +783,6 @@ let drain t node =
     ensure_ticking t
   end
 
-let undrain t node =
-  t.draining <- List.filter (fun n -> n <> node) t.draining;
-  trace_i t "sched/undrain" [ ("node", string_of_int node) ];
-  ensure_ticking t
-
 let fail_node t node =
   t.n_node_failures <- t.n_node_failures + 1;
   Trace.Metrics.incr m_node_fail;

@@ -59,9 +59,6 @@ val submit : t -> Job.spec -> Job.t
     elsewhere) and stop placing work on it. *)
 val drain : t -> int -> unit
 
-(** Return a drained (but not failed) node to service. *)
-val undrain : t -> int -> unit
-
 (** Fail-stop node loss: processes die, the node goes down, and its
     store replicas are dropped; jobs touching it self-heal from their
     newest surviving checkpoint. *)

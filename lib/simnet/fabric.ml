@@ -73,7 +73,6 @@ let create eng ?(latency = 100e-6) ?(bandwidth = 117e6) ?(loopback_latency = 10e
     next_id = 0;
   }
 
-let engine t = t.eng
 let nhosts t = t.n
 
 (* ------------------------------------------------------------------ *)

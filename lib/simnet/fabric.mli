@@ -36,7 +36,6 @@ val create :
   unit ->
   t
 
-val engine : t -> Sim.Engine.t
 val nhosts : t -> int
 
 (** Buffer capacity per direction (64 KiB, "tens of kilobytes" §5.4). *)

@@ -11,13 +11,12 @@ type t = {
 
 let create ?(seed = 0xC1A5_7E2L) ?latency ?bandwidth ?(cores_per_node = 4)
     ?(storage = Local_disks) ~nodes () =
-  (* Global id pools restart with the cluster: desc/pipe/pty ids are
+  (* Global id pools restart with the cluster: desc and pty ids are
      only meaningful within one cluster, but they leak into checkpoint
      image encodings, so without a reset a second cluster in the same
      process produces byte-different (if behaviourally identical) images.
      Clusters are used sequentially throughout the repo. *)
   Fdesc.reset ();
-  Pipe.reset ();
   Pty.reset ();
   let eng = Sim.Engine.create () in
   let fab = Simnet.Fabric.create eng ?latency ?bandwidth ~nhosts:nodes () in
@@ -66,10 +65,9 @@ let target t i = t.targets.(i)
 let crash_node t i = List.iter (fun p -> Kernel.kill_process t.kernels.(i) p) (Kernel.processes t.kernels.(i))
 
 (* Administrative node view.  [crash_node] models a reboot (processes die,
-   node returns); [fail_node] additionally marks the node down so
-   schedulers stop placing work there until [set_node_up]. *)
+   node returns); [fail_node] additionally marks the node down for good,
+   so schedulers stop placing work there. *)
 let node_up t i = t.up.(i)
-let set_node_up t i v = t.up.(i) <- v
 
 let up_nodes t =
   Array.to_list (Array.mapi (fun i u -> (i, u)) t.up)

@@ -60,8 +60,6 @@ val crash_node : t -> int -> unit
     {!fail_node} does. *)
 val node_up : t -> int -> bool
 
-val set_node_up : t -> int -> bool -> unit
-
 (** Nodes currently marked up, ascending. *)
 val up_nodes : t -> int list
 

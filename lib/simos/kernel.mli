@@ -198,9 +198,7 @@ val alloc_fd : t -> process -> Fdesc.t -> int
 (** Remove an fd slot, releasing its description reference. *)
 val remove_fd : t -> process -> fd:int -> unit
 
-(** Signal dispositions: unset signals are [Sig_default]. *)
-val get_sigaction : process -> int -> sigaction
-
+(** Set a signal's disposition; unset signals are [Sig_default]. *)
 val set_sigaction : process -> int -> sigaction -> unit
 
 (** [deliver_signal t proc ~signal] applies the disposition: [Sig_default]
@@ -211,7 +209,3 @@ val deliver_signal : t -> process -> signal:int -> unit
 
 (** [/proc/<pid>/maps]-style rendering of the process address space. *)
 val proc_maps : process -> string
-
-(** Number of threads whose state is [Ready] and not suspended, across
-    the node (the scheduler's load estimate). *)
-val runnable_threads : t -> int

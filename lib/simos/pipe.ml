@@ -1,5 +1,4 @@
 type t = {
-  pipe_id : int;
   buf : Util.Bytequeue.t;
   mutable reader_count : int;
   mutable writer_count : int;
@@ -8,21 +7,15 @@ type t = {
 }
 
 let capacity = 65536
-let next_id = ref 0
-let reset () = next_id := 0
 
 let create () =
-  incr next_id;
   {
-    pipe_id = !next_id;
     buf = Util.Bytequeue.create ();
     reader_count = 0;
     writer_count = 0;
     wake = ignore;
     activity = 0;
   }
-
-let id t = t.pipe_id
 
 (* Every wake-up goes through here and is counted in [activity]. *)
 let notify t =
@@ -40,7 +33,6 @@ let remove_writer t =
   t.writer_count <- t.writer_count - 1;
   if t.writer_count = 0 then notify t
 
-let readers t = t.reader_count
 let writers t = t.writer_count
 
 let read t ~max =
@@ -65,11 +57,5 @@ let write t data =
   end
 
 let buffered t = Util.Bytequeue.length t.buf
-let drain t = Util.Bytequeue.pop_all t.buf
-
-let refill t data =
-  Util.Bytequeue.push t.buf data;
-  notify t
-
 let on_activity t f = t.wake <- f
 let activity t = t.activity

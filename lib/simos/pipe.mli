@@ -10,10 +10,6 @@ type t
 
 val capacity : int
 val create : unit -> t
-val id : t -> int
-
-(** Restart the id sequence (see {!Fdesc.reset}). *)
-val reset : unit -> unit
 
 (** Reader/writer reference counts, adjusted by the kernel as fds are
     duplicated and closed. *)
@@ -22,7 +18,6 @@ val add_reader : t -> unit
 val add_writer : t -> unit
 val remove_reader : t -> unit
 val remove_writer : t -> unit
-val readers : t -> int
 val writers : t -> int
 
 val read : t -> max:int -> [ `Data of string | `Eof | `Would_block ]
@@ -32,13 +27,6 @@ val read : t -> max:int -> [ `Data of string | `Eof | `Would_block ]
 val write : t -> string -> (int, Errno.t) result
 
 val buffered : t -> int
-
-(** Drain everything (checkpoint support). *)
-val drain : t -> string
-
-(** Refill previously drained data at the front-equivalent position
-    (buffer is empty at restart, so a plain push restores order). *)
-val refill : t -> string -> unit
 
 val on_activity : t -> (unit -> unit) -> unit
 

@@ -41,8 +41,6 @@ let unlink t path =
   end
   else Error Errno.ENOENT
 
-let paths t = Hashtbl.fold (fun p _ acc -> p :: acc) t.files [] |> List.sort compare
-
 let path_of f = f.path
 let length f = f.len
 

@@ -18,7 +18,6 @@ val open_or_create : t -> string -> file
 val lookup : t -> string -> file option
 val exists : t -> string -> bool
 val unlink : t -> string -> (unit, Errno.t) result
-val paths : t -> string list
 
 (** [with_rewrite t f body] runs [body] with the path-rewrite hook [f]
     installed: every path-taking entry point ({!open_or_create},

@@ -44,7 +44,6 @@ type collector = { mutable rev : event list }
 let collector () = { rev = [] }
 let collector_sink c = { emit = (fun ev -> c.rev <- ev :: c.rev) }
 let events c = List.rev c.rev
-let clear c = c.rev <- []
 
 type ring = {
   r_cap : int;

@@ -81,7 +81,6 @@ type collector
 val collector : unit -> collector
 val collector_sink : collector -> sink
 val events : collector -> event list
-val clear : collector -> unit
 
 (** Bounded per-node tail of recent events, optionally restricted to one
     category — the chaos harness keeps the last N ["dmtcp"] events per node

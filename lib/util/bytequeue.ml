@@ -33,8 +33,3 @@ let pop t n =
   end
 
 let pop_all t = pop t t.len
-
-let clear t =
-  Queue.clear t.chunks;
-  t.head_off <- 0;
-  t.len <- 0

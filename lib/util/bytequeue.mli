@@ -17,4 +17,3 @@ val pop : t -> int -> string
 (** Remove and return everything. *)
 val pop_all : t -> string
 
-val clear : t -> unit

@@ -3,7 +3,6 @@ let mib = 1024 * kib
 let gib = 1024 * mib
 let kb = 1000
 let mb = 1000 * kb
-let gb = 1000 * mb
 
 let pp_bytes n =
   let f = float_of_int n in

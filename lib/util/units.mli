@@ -8,7 +8,6 @@ val gib : int
 val kb : int
 
 val mb : int
-val gb : int
 
 (** [pp_bytes n] formats with a binary suffix, e.g. ["12.4 MiB"]. *)
 val pp_bytes : int -> string

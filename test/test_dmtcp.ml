@@ -35,6 +35,12 @@ let replace_file cl node path bytes =
   ignore (Simos.Vfs.unlink vfs path);
   Simos.Vfs.append (Simos.Vfs.open_or_create vfs path) bytes
 
+(* run [f] and return the stage stats of the "dmtcp" spans it emitted *)
+let stages_of f =
+  let col = Trace.collector () in
+  Trace.with_sink (Trace.collector_sink col) f;
+  Trace.Query.stage_stats (Trace.events col)
+
 (* restart [script], run 2 s, and return the exit codes the trace saw *)
 let restart_exits cl rt script =
   let col = Trace.collector () in
@@ -275,9 +281,8 @@ let test_interval_checkpointing () =
   let options = { Dmtcp.Options.default with Dmtcp.Options.interval = Some 2.0 } in
   let cl, rt = make ~options () in
   let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "1000000"; "/tmp/never" ] in
-  run_for cl 7.0;
+  let stats = stages_of (fun () -> run_for cl 7.0) in
   (* at least two automatic checkpoints should have happened *)
-  let stats = Dmtcp.Runtime.stage_stats rt in
   match List.assoc_opt "ckpt/write" stats with
   | Some s -> Alcotest.(check bool) "several interval checkpoints" true (Util.Stats.count s >= 2)
   | None -> Alcotest.fail "no checkpoints recorded"
@@ -330,8 +335,7 @@ let test_stage_stats_recorded () =
   let cl, rt = make () in
   let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:memhog" ~argv:[ "16"; "100000"; "/tmp/never" ] in
   run_for cl 1.0;
-  Dmtcp.Api.checkpoint_now rt;
-  let stats = Dmtcp.Runtime.stage_stats rt in
+  let stats = stages_of (fun () -> Dmtcp.Api.checkpoint_now rt) in
   List.iter
     (fun stage ->
       match List.assoc_opt stage stats with
@@ -446,6 +450,41 @@ let test_shm_survives_migration () =
   check (Alcotest.option Alcotest.string) "shm works on the new host" (Some "SHM OK 800")
     (file_content cl 2 "/tmp/shm-m")
 
+(* Incremental checkpoints of p:shm: every delta ships each of the two
+   processes' shared page (Mem.Region.ships) and is priced at what it
+   ships, two pages plus two processes' metadata.  A kill and a restart
+   from the depth-2 chain end the ping/pong exactly as a run that is
+   never killed. *)
+let test_shm_incremental_chain () =
+  let options = { Dmtcp.Options.default with Dmtcp.Options.incremental = true } in
+  let run ~kill =
+    let cl, rt = make ~options () in
+    let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:shm" ~argv:[ "600"; "/tmp/shm-i" ] in
+    run_for cl 0.3;
+    for _ = 1 to 3 do
+      Dmtcp.Api.checkpoint_now rt;
+      run_for cl 0.1
+    done;
+    let node, path = List.hd (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images in
+    let img = image_on cl node path in
+    check Alcotest.int "third checkpoint is a depth-2 delta" 2
+      (Util.Chain.depth (Dmtcp.Image_chain.peek_chain rt path img));
+    check Alcotest.int "delta priced at its two shared pages" (10_240 + (2 * Mem.Page.size))
+      (snd (Dmtcp.Api.last_checkpoint_bytes rt));
+    if kill then begin
+      let script = Dmtcp.Api.restart_script rt in
+      Dmtcp.Api.kill_computation rt;
+      Dmtcp.Api.restart rt script;
+      Dmtcp.Api.await_restart rt
+    end;
+    Simos.Cluster.run cl;
+    file_content cl 1 "/tmp/shm-i"
+  in
+  let unfaulted = run ~kill:false in
+  check (Alcotest.option Alcotest.string) "unfaulted run completes" (Some "SHM OK 1200") unfaulted;
+  check (Alcotest.option Alcotest.string) "restart from the chain matches it" unfaulted
+    (run ~kill:true)
+
 let test_image_files_cleanly_decodable () =
   (* the on-disk artifacts are well-formed: every image decodes, the
      connection table file exists, and the image's program names resolve *)
@@ -533,6 +572,7 @@ let extra_suites =
         [
           Alcotest.test_case "checkpoint/restart" `Quick test_shm_checkpoint_restart;
           Alcotest.test_case "migration" `Quick test_shm_survives_migration;
+          Alcotest.test_case "incremental delta chain" `Quick test_shm_incremental_chain;
         ] );
       ( "artifacts",
         [
@@ -801,10 +841,11 @@ let test_reconnect_timeout_exact_deadline () =
   Dmtcp.Api.checkpoint_now rt;
   let script = Dmtcp.Api.restart_script rt in
   Dmtcp.Api.kill_computation rt;
-  Dmtcp.Runtime.reset_stage_stats rt;
-  Dmtcp.Api.restart rt script;
-  Dmtcp.Api.await_restart rt;
-  let stats = Dmtcp.Runtime.stage_stats rt in
+  let stats =
+    stages_of (fun () ->
+        Dmtcp.Api.restart rt script;
+        Dmtcp.Api.await_restart rt)
+  in
   match List.assoc_opt "restart/reconnect" stats with
   | Some s ->
     let d = Util.Stats.mean s in

@@ -170,7 +170,10 @@ let test_manager_threads_excluded () =
 let test_delta_sizes () =
   let cl, k, proc = make_proc ~mb:4 () in
   Simos.Kernel.suspend_user_threads k proc;
-  let img1 = Mtcp.Image.capture proc in
+  ignore (Mtcp.Image.capture proc);
+  (* as the manager does: the live space's dirt is relative to the
+     checkpoint just captured *)
+  Mem.Address_space.clear_dirty proc.Simos.Kernel.space;
   Simos.Kernel.resume_user_threads k proc;
   Sim.Engine.run ~until:(Simos.Cluster.now cl +. 0.1) (Simos.Cluster.engine cl);
   (* dirty exactly one page *)
@@ -179,9 +182,7 @@ let test_delta_sizes () =
   Simos.Kernel.suspend_user_threads k proc;
   let img2 = Mtcp.Image.capture proc in
   let full = Mtcp.Image.sizes Compress.Algo.Deflate img2 in
-  let delta =
-    Mtcp.Image.delta_sizes Compress.Algo.Deflate ~prev:(Some img1.Mtcp.Image.space) img2
-  in
+  let delta = Mtcp.Image.delta_sizes Compress.Algo.Deflate img2 in
   (* memhog's pages are mostly zeros, so compare raw page volumes: the
      full image re-writes ~4 MB, the delta only the dirtied page(s) *)
   Alcotest.(check bool)
@@ -191,10 +192,68 @@ let test_delta_sizes () =
     (delta.Mtcp.Image.uncompressed * 10 < full.Mtcp.Image.uncompressed);
   Alcotest.(check bool) "delta covers the dirtied page" true
     (delta.Mtcp.Image.uncompressed
-    >= Mem.Page.size + (4096 + 1024) (* one page + image metadata *));
-  (* no prev = full *)
-  let same = Mtcp.Image.delta_sizes Compress.Algo.Deflate ~prev:None img2 in
-  check Alcotest.int "no prev equals full" full.Mtcp.Image.compressed same.Mtcp.Image.compressed
+    >= Mem.Page.size + (4096 + 1024) (* one page + image metadata *))
+
+(* The page-shipping rule against the test's own write list: after the
+   checkpoint's clear_dirty, [delta_sizes] charges exactly the heap
+   pages written since, plus every page of the shared mapping, written
+   or not.  Heap pages start materialized with an "a" at offset 0, so a
+   write of "a" there is a rewrite with identical bytes: it ships too. *)
+let prop_delta_sizes_charge_what_ships =
+  let heap_pages = 8 and shared_pages = 3 in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 21 |])
+    (QCheck.Test.make ~count:200 ~name:"delta sizes charge written heap pages and every shared page"
+       QCheck.(
+         list_of_size Gen.(0 -- 12)
+           (quad bool (int_bound 99) bool (int_bound (Mem.Page.size - 8))))
+       (fun writes ->
+         let sp = Mem.Address_space.create () in
+         let heap =
+           Mem.Address_space.map sp ~kind:Mem.Region.Heap ~perms:Mem.Region.rw
+             ~bytes:(heap_pages * Mem.Page.size) ()
+         in
+         let shm =
+           Mem.Address_space.map sp
+             ~kind:(Mem.Region.Mmap_shared { backing_path = "/dev/shm/ships" })
+             ~perms:Mem.Region.rw ~bytes:(shared_pages * Mem.Page.size) ()
+         in
+         for i = 0 to heap_pages - 1 do
+           Mem.Address_space.write sp ~addr:(heap.Mem.Region.start_addr + (i * Mem.Page.size)) "a"
+         done;
+         Mem.Address_space.clear_dirty sp;
+         let written_heap = Hashtbl.create 8 and written_shm = Hashtbl.create 4 in
+         List.iter
+           (fun (shared, page, same, off) ->
+             let r, n, written =
+               if shared then (shm, shared_pages, written_shm) else (heap, heap_pages, written_heap)
+             in
+             let page = page mod n in
+             let off, data = if same then (0, "a") else (off, "xyz") in
+             Mem.Address_space.write sp
+               ~addr:(r.Mem.Region.start_addr + (page * Mem.Page.size) + off)
+               data;
+             Hashtbl.replace written page ())
+           writes;
+         let img =
+           {
+             Mtcp.Image.cmdline = [];
+             env = [];
+             threads = [];
+             space = Mem.Address_space.snapshot sp;
+             sigtable = [];
+             pending_signals = [];
+           }
+         in
+         let algo = Compress.Algo.Rle in
+         let full = Mtcp.Image.sizes algo img in
+         let delta = Mtcp.Image.delta_sizes algo img in
+         let shipped = Hashtbl.length written_heap + shared_pages in
+         let unshipped = heap_pages + shared_pages - shipped in
+         delta.Mtcp.Image.uncompressed
+         = full.Mtcp.Image.uncompressed - (unshipped * Mem.Page.size)
+         (* the shared pages never written are the only zero pages *)
+         && delta.Mtcp.Image.zero_bytes
+            = (shared_pages - Hashtbl.length written_shm) * Mem.Page.size))
 
 (* Delta-reconstruction battery: whatever pages get dirtied, and however
    deep the chain, a delta applied to its base must reconstruct an image
@@ -269,6 +328,7 @@ let () =
           Alcotest.test_case "corruption rejected" `Quick test_decode_rejects_corruption;
           Alcotest.test_case "manager threads excluded" `Quick test_manager_threads_excluded;
           Alcotest.test_case "incremental delta sizes" `Quick test_delta_sizes;
+          prop_delta_sizes_charge_what_ships;
           prop_delta_reconstruction;
         ] );
       ("cost", [ Alcotest.test_case "models monotone" `Quick test_cost_models_monotone ]);

@@ -254,13 +254,12 @@ let external_peer_cycle () =
     |> String.concat ""
   in
   Dmtcp.Api.kill_computation env.Common.rt;
-  Dmtcp.Runtime.reset_stage_stats env.Common.rt;
   let col = Trace.collector () in
   Trace.with_sink (Trace.collector_sink col) (fun () ->
       Dmtcp.Api.restart env.Common.rt script;
       Dmtcp.Api.await_restart env.Common.rt);
   let reconnect_secs =
-    match List.assoc_opt "restart/reconnect" (Dmtcp.Runtime.stage_stats env.Common.rt) with
+    match List.assoc_opt "restart/reconnect" (Trace.Query.stage_stats (Trace.events col)) with
     | Some s -> Util.Stats.mean s
     | None -> Alcotest.fail "restart/reconnect not recorded"
   in
