@@ -42,6 +42,11 @@ echo "== determinism: each command runs twice, outputs byte-identical =="
 # - ablation --quick: the forked, incremental, compression-scheme,
 #   coordinator and drain ablations at their quick sizes; it pins the
 #   incremental pricing and the stage spans the last two aggregate.
+# - plugins ls / run / run --off: the plugin table (hook counts and
+#   sites) and the open-world heuristic verdicts with the heuristic
+#   plugins on and off; the plugin smoke below diffs the two.
+# - store verify: the catalog check over the canned two-generation
+#   store scenario.
 # Every output must then match its MD5 in bin/ci_digests.md5, so a
 # change that moves any output byte fails here.
 while read -r cmd; do
@@ -74,6 +79,10 @@ store ls
 torture --replay 5
 ratios
 ablation --quick
+plugins ls
+plugins run
+plugins run --off
+store verify
 EOF
 if ! md5sum -c bin/ci_digests.md5; then
   echo "FAIL: determinism outputs diverged from bin/ci_digests.md5." >&2
@@ -97,25 +106,25 @@ if ! dune exec bin/dmtcp_sim.exe -- torture --seeds 1000 < /dev/null > _artifact
 fi
 echo "torture: 1000/1000 seeds passed (base 0)"
 
-echo "== plugin smoke: registry listing + heuristic verdict diff =="
+echo "== plugin smoke: heuristic verdict diff =="
 # Each heuristic scenario must change its verdict when its plugin is
 # enabled: blacklisted DNS degrades instead of staying live, the /proc
 # fd reads the restarted pid instead of a stale one, the NSCD app
 # detects the zeroed segment instead of trusting resurrected cache.
-dune exec bin/dmtcp_sim.exe -- plugins ls
-dune exec bin/dmtcp_sim.exe -- plugins run > _artifacts/plugins_on.txt
-dune exec bin/dmtcp_sim.exe -- plugins run --off > _artifacts/plugins_off.txt
-cat _artifacts/plugins_on.txt
-if diff -q _artifacts/plugins_on.txt _artifacts/plugins_off.txt > /dev/null; then
+# Both outputs come from the determinism loop above.
+on=_artifacts/plugins_run_1.txt
+off=_artifacts/plugins_run___off_1.txt
+if diff -q "$on" "$off" > /dev/null; then
   echo "FAIL: heuristic verdicts identical with plugins on and off." >&2
   exit 1
 fi
-grep -q "degraded" _artifacts/plugins_on.txt || { echo "FAIL: blacklist/extshm did not degrade with plugins on." >&2; exit 1; }
-grep -q "PROC OK" _artifacts/plugins_on.txt || { echo "FAIL: proc-fd did not re-point with plugins on." >&2; exit 1; }
-grep -q "dns:1200 live" _artifacts/plugins_off.txt || { echo "FAIL: dns pair did not stay live with plugins off." >&2; exit 1; }
-grep -q "PROC STALE" _artifacts/plugins_off.txt || { echo "FAIL: /proc fd unexpectedly fresh with plugins off." >&2; exit 1; }
-
-echo "== store smoke: catalog verify over the canned two-generation scenario =="
-dune exec bin/dmtcp_sim.exe -- store verify
+grep -q "degraded" "$on" || { echo "FAIL: blacklist/extshm did not degrade with plugins on." >&2; exit 1; }
+grep -q "PROC OK" "$on" || { echo "FAIL: proc-fd did not re-point with plugins on." >&2; exit 1; }
+grep -q "dns:1200 live" "$off" || { echo "FAIL: dns pair did not stay live with plugins off." >&2; exit 1; }
+grep -q "PROC STALE" "$off" || { echo "FAIL: /proc fd unexpectedly fresh with plugins off." >&2; exit 1; }
+# an unregistered name in the host shell's DMTCP_PLUGINS is a usage error
+rc=0
+DMTCP_PLUGINS=no-such dune exec bin/dmtcp_sim.exe -- plugins ls > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "FAIL: an unregistered plugin name exited $rc, not 2." >&2; exit 1; }
 
 echo "CI OK"

@@ -30,7 +30,6 @@ type state = {
       (* parsed from the environment once at boot: the env cannot change
          underneath a running process, and of_getenv on every tick was
          measurable overhead for interval-polling coordinators *)
-  mutable rounds : int;  (* completed-or-started checkpoint rounds *)
 }
 
 module P = struct
@@ -55,7 +54,6 @@ module P = struct
       port = Options.default.Options.coord_port;
       barrier_dirty = false;
       opts = Options.default;
-      rounds = 0;
     }
 
   let send_line (ctx : Simos.Program.ctx) fd line =
@@ -88,10 +86,6 @@ module P = struct
       end
       else begin
         trace_coord ctx "coord/ckpt-start" [ ("participants", string_of_int st.expected) ];
-        st.rounds <- st.rounds + 1;
-        Plugin.dispatch ~node:ctx.node_id ~pid:ctx.pid ~now:(ctx.now ())
-          Events.site_coord_begin
-          (Events.Coord_round { round = st.rounds; procs = st.expected });
         st.work <- st.work + st.expected;
         st.last_barrier_time <- ctx.now ();
         broadcast ctx st Proto.do_checkpoint
@@ -123,9 +117,6 @@ module P = struct
         if b = Faults.nbarriers then begin
           st.in_ckpt <- false;
           trace_coord ctx "coord/ckpt-end" [];
-          Plugin.dispatch ~node:ctx.node_id ~pid:ctx.pid ~now:(ctx.now ())
-            Events.site_coord_end
-            (Events.Coord_round { round = st.rounds; procs = st.expected });
           Runtime.note_ckpt_end ~port:st.port rt;
           continue := false
         end

@@ -59,14 +59,11 @@ module P = struct
       Trace.instant ~node:ctx.Simos.Program.node_id ~pid:ctx.Simos.Program.pid ~cat:"dmtcp"
         ~name:("mgr/" ^ name) ~args ~time:(ctx.now ()) ()
 
-  (* plugin hook dispatch, co-located with the fault/trace
-     instrumentation: same protocol points, typed payloads *)
-  let hook (ctx : Simos.Program.ctx) site payload =
-    Plugin.dispatch ~node:ctx.Simos.Program.node_id ~pid:ctx.Simos.Program.pid
-      ~now:(ctx.now ()) site payload
-
-  let stage_hook ctx phase stg =
-    hook ctx (Events.site_stage phase stg) (Events.Stage { stage = stg })
+  (* plugin dispatch, co-located with the fault/trace instrumentation:
+     [dispatch ctx Plugins.<site> args] runs one site over the enabled
+     plugins at this process's node, pid and time *)
+  let dispatch (ctx : Simos.Program.ctx) (site : _ Plugins.dispatcher) =
+    site (Runtime.plugins (rt ())) ~node:ctx.node_id ~pid:ctx.pid ~now:(ctx.now ())
 
   (* Stage entry, in one place: the fault hook, the mgr/<stage> instant
      and the pre- plugin hook. *)
@@ -75,13 +72,13 @@ module P = struct
     (match stage with
     | Faults.Barrier k -> trace_phase ctx "barrier" [ ("k", string_of_int k) ]
     | _ -> trace_phase ctx (Faults.stage_name stage) []);
-    stage_hook ctx `Pre stage
+    dispatch ctx Plugins.stage `Pre stage
 
   (* Stage exit, in one place: the post- plugin hook, then what the
      protocol order puts next — the barrier after a stage, the stage a
      barrier releases into, idle after the last stage. *)
   let exit_stage ctx st stage =
-    stage_hook ctx `Post stage;
+    dispatch ctx Plugins.stage `Post stage;
     st.phase <- (match Faults.next stage with Some next -> P_stage next | None -> P_idle);
     st
 
@@ -173,7 +170,7 @@ module P = struct
     (* image-write hook: runs on the captured snapshot before sizing and
        encoding, so whatever plugins mutate is exactly what lands on
        disk (ext-shm zeroes external-service shared segments here) *)
-    hook ctx Events.site_image_write (Events.Image_write { image = mtcp_image });
+    dispatch ctx Plugins.image_write mtcp_image;
     (* chain this checkpoint onto the previous image when incremental
        deltas are enabled and the chain is still short enough; a reset
        (None) writes a self-contained full image *)
@@ -275,14 +272,8 @@ module P = struct
                   about to enter the image (blacklist-ports demotes
                   established service connections to S_other) or drop
                   the fd entirely *)
-               let payload =
-                 Events.Fd_capture { fd; desc; entry; info = classify fd desc entry }
-               in
-               hook ctx Events.site_fd_capture payload;
-               let info =
-                 match payload with Events.Fd_capture p -> p.info | _ -> None
-               in
-               Option.map (fun info -> (fd, key, info)) info)
+               dispatch ctx Plugins.fd_capture desc (classify fd desc entry)
+               |> Option.map (fun info -> (fd, key, info)))
     in
     let parent_vpid =
       match Runtime.pstate_of (rt ()) ~node:ctx.node_id ~pid:(ctx.ppid ()) with
@@ -480,14 +471,9 @@ module P = struct
         if !Faults.bug_skip_drain then []
         else
           leader_fds ctx
-          |> List.filter (fun (fd, entry, _) ->
+          |> List.filter (fun (fd, _, _) ->
                  match desc_socket ctx fd with
-                 | Some sock ->
-                   let payload = Events.Drain_select { fd; entry; sock; skip = false } in
-                   hook ctx Events.site_drain_select payload;
-                   (match payload with
-                   | Events.Drain_select p -> not p.skip
-                   | _ -> true)
+                 | Some sock -> not (dispatch ctx Plugins.drain_select sock)
                  | None -> true)
       in
       st.drains <-
@@ -563,15 +549,17 @@ module P = struct
       ~upid:image.Ckpt_image.upid ~sizes;
     (match image.Ckpt_image.delta_base with
     | Some base ->
-      (* delta checkpoint: a stage span for the breakdown tables plus
-         frame/byte counters so traces show what the fast path shipped *)
-      Runtime.record_stage (rt ()) "ckpt/delta" compress_cost;
+      (* delta checkpoint: a span over the compression that starts now,
+         inline or in the forked child, plus frame/byte counters so
+         traces show what the fast path shipped *)
       let frames =
         match Compress.Container.frame_bounds image.Ckpt_image.mtcp_blob with
         | Some bounds -> List.length bounds
         | None -> 1
       in
       if Trace.on () then begin
+        Trace.span ~node:ctx.node_id ~pid:ctx.pid ~cat:"dmtcp" ~name:"ckpt/delta"
+          ~time:(ctx.now ()) ~dur:compress_cost ();
         Trace.instant ~node:ctx.node_id ~pid:ctx.pid ~cat:"dmtcp" ~name:"ckpt/delta-base"
           ~args:[ ("base", base) ] ~time:(ctx.now ()) ();
         Trace.counter ~node:ctx.node_id ~pid:ctx.pid ~cat:"dmtcp" ~name:"ckpt/delta-frames"

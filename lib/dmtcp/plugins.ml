@@ -1,6 +1,6 @@
-(* Built-in plugins: the paper's "open world" heuristics as first-class
-   plugins on the {!Plugin} event API (SNIPPETS.md §2; real DMTCP grew
-   the same heuristics into its plugin event model).
+(* Built-in plugins: the paper's "open world" heuristics as plugins
+   (SNIPPETS.md §2; real DMTCP grew the same heuristics into its plugin
+   event model), and the table and dispatchers they run through.
 
    - [ext-sock]        dead sockets for connections whose peer is gone
                        (migrated from the old inline special case in
@@ -15,8 +15,35 @@
    - [ext-shm]         shared memory backed by an external service's
                        file (NSCD-style) is zeroed in the written image;
                        the app detects the zeroed region and degrades
+   - [mpi-proxy]       the rank/proxy split's checkpoint side
 
-   Registration order here is the dispatch order everywhere. *)
+   The order of [builtins] below is the dispatch order everywhere. *)
+
+type t = {
+  name : string;
+  doc : string;
+  stage : ([ `Pre | `Post ] -> Faults.stage -> unit) option;
+  drain_select : (Simnet.Fabric.socket -> bool) option;
+  fd_capture :
+    (Simos.Fdesc.t -> Ckpt_image.fd_info option -> Ckpt_image.fd_info option) option;
+  image_write : (Mtcp.Image.t -> unit) option;
+  restart_discovery :
+    (Simos.Kernel.t -> eof:bool -> Simos.Fdesc.t option -> Simos.Fdesc.t option) option;
+  restart_rearrange : (Simos.Kernel.t -> Ckpt_image.t -> Simos.Kernel.process -> unit) option;
+}
+
+(* a plugin that hooks nothing: each built-in fills in its sites *)
+let plugin name doc =
+  {
+    name;
+    doc;
+    stage = None;
+    drain_select = None;
+    fd_capture = None;
+    image_write = None;
+    restart_discovery = None;
+    restart_rearrange = None;
+  }
 
 let dead_socket kernel =
   Simnet.Fabric.socket (Simos.Kernel.fabric kernel) ~host:(Simos.Kernel.node_id kernel)
@@ -28,26 +55,20 @@ let dead_socket kernel =
    injected EOF and skips peer discovery for it, so a reader blocked on
    the old connection wakes with EOF and reconnects instead of hanging
    on a socket that will never become readable. *)
-let dead_socket_hooks outside =
-  [
-    ( Events.site_drain_select,
-      fun payload ->
-        match payload with
-        | Events.Drain_select p when outside p.sock -> p.skip <- true
-        | _ -> () );
-    ( Events.site_fd_capture,
-      fun payload ->
-        match payload with
-        | Events.Fd_capture p -> (
-          match (p.desc.Simos.Fdesc.kind, p.info) with
+let dead_sockets outside p =
+  {
+    p with
+    drain_select = Some outside;
+    fd_capture =
+      Some
+        (fun desc info ->
+          match (desc.Simos.Fdesc.kind, info) with
           | ( Simos.Fdesc.Sock s,
               Some (Ckpt_image.FSock ({ state = Ckpt_image.S_established; _ } as fs)) )
             when outside s ->
-            p.info <-
-              Some (Ckpt_image.FSock { fs with state = Ckpt_image.S_other; drained = ""; eof = true })
-          | _ -> ())
-        | _ -> () );
-  ]
+            Some (Ckpt_image.FSock { fs with state = Ckpt_image.S_other; drained = ""; eof = true })
+          | _ -> info);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* ext-sock: unresolved connections get a fresh dead socket so reads
@@ -56,20 +77,17 @@ let dead_socket_hooks outside =
 
 let ext_sock =
   {
-    Plugin.p_name = "ext-sock";
-    p_doc = "dead sockets for connections whose peer was not checkpointed";
-    p_hooks =
-      [
-        ( Events.site_restart_discovery,
-          fun payload ->
-            match payload with
-            | Events.Restart_discovery p when p.desc = None ->
-              let s = dead_socket p.kernel in
-              (* a stream that had already ended keeps its EOF *)
-              if p.eof then Simnet.Fabric.inject_eof s;
-              p.desc <- Some (Simos.Fdesc.make (Simos.Fdesc.Sock s))
-            | _ -> () );
-      ];
+    (plugin "ext-sock" "dead sockets for connections whose peer was not checkpointed") with
+    restart_discovery =
+      Some
+        (fun kernel ~eof desc ->
+          match desc with
+          | Some _ -> desc
+          | None ->
+            let s = dead_socket kernel in
+            (* a stream that had already ended keeps its EOF *)
+            if eof then Simnet.Fabric.inject_eof s;
+            Some (Simos.Fdesc.make (Simos.Fdesc.Sock s)));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -89,11 +107,8 @@ let blacklisted s =
   listed (Simnet.Fabric.peer_addr s) || listed (Simnet.Fabric.local_addr s)
 
 let blacklist_ports =
-  {
-    Plugin.p_name = "blacklist-ports";
-    p_doc = "skip draining service ports (DNS/LDAP); dead sockets on restart";
-    p_hooks = dead_socket_hooks blacklisted;
-  }
+  dead_sockets blacklisted
+    (plugin "blacklist-ports" "skip draining service ports (DNS/LDAP); dead sockets on restart")
 
 (* ------------------------------------------------------------------ *)
 (* proc-fd: /proc/<old pid>/... re-pointed at the restarted pid.  The
@@ -103,45 +118,32 @@ let blacklist_ports =
 
 let proc_fd =
   {
-    Plugin.p_name = "proc-fd";
-    p_doc = "re-point /proc/<pid>/* fds at the restarted pid";
-    p_hooks =
-      [
-        ( Events.site_restart_rearrange,
-          fun payload ->
-            match payload with
-            | Events.Restart_rearrange p ->
-              let old_prefix =
-                Printf.sprintf "/proc/%d/" p.image.Ckpt_image.upid.Upid.pid
-              in
-              let new_prefix =
-                Printf.sprintf "/proc/%d/" p.proc.Simos.Kernel.pid
-              in
-              let vfs = Simos.Kernel.vfs p.kernel in
-              List.iter
-                (fun (fd, _, info) ->
-                  match info with
-                  | Ckpt_image.FFile { path; _ }
-                    when String.starts_with ~prefix:old_prefix path ->
-                    Simos.Vfs.with_rewrite vfs
-                      (fun pth ->
-                        if String.starts_with ~prefix:old_prefix pth then
-                          new_prefix
-                          ^ String.sub pth (String.length old_prefix)
-                              (String.length pth - String.length old_prefix)
-                        else pth)
-                      (fun () ->
-                        let file = Simos.Vfs.open_or_create vfs path in
-                        let desc =
-                          Simos.Fdesc.make (Simos.Fdesc.File { file; offset = 0 })
-                        in
-                        Simos.Kernel.remove_fd p.kernel p.proc ~fd;
-                        Simos.Fdesc.incr_ref desc;
-                        Simos.Kernel.install_fd p.kernel p.proc ~fd desc)
-                  | _ -> ())
-                p.image.Ckpt_image.fds
-            | _ -> () );
-      ];
+    (plugin "proc-fd" "re-point /proc/<pid>/* fds at the restarted pid") with
+    restart_rearrange =
+      Some
+        (fun kernel image proc ->
+          let old_prefix = Printf.sprintf "/proc/%d/" image.Ckpt_image.upid.Upid.pid in
+          let new_prefix = Printf.sprintf "/proc/%d/" proc.Simos.Kernel.pid in
+          let vfs = Simos.Kernel.vfs kernel in
+          List.iter
+            (fun (fd, _, info) ->
+              match info with
+              | Ckpt_image.FFile { path; _ } when String.starts_with ~prefix:old_prefix path ->
+                Simos.Vfs.with_rewrite vfs
+                  (fun pth ->
+                    if String.starts_with ~prefix:old_prefix pth then
+                      new_prefix
+                      ^ String.sub pth (String.length old_prefix)
+                          (String.length pth - String.length old_prefix)
+                    else pth)
+                  (fun () ->
+                    let file = Simos.Vfs.open_or_create vfs path in
+                    let desc = Simos.Fdesc.make (Simos.Fdesc.File { file; offset = 0 }) in
+                    Simos.Kernel.remove_fd kernel proc ~fd;
+                    Simos.Fdesc.incr_ref desc;
+                    Simos.Kernel.install_fd kernel proc ~fd desc)
+              | _ -> ())
+            image.Ckpt_image.fds);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -155,27 +157,20 @@ let external_shm_prefix = "/var/db/nscd"
 
 let ext_shm =
   {
-    Plugin.p_name = "ext-shm";
-    p_doc = "zero external-service shared memory in the image (NSCD-style)";
-    p_hooks =
-      [
-        ( Events.site_image_write,
-          fun payload ->
-            match payload with
-            | Events.Image_write p ->
-              let space = p.image.Mtcp.Image.space in
-              List.iter
-                (fun (r : Mem.Region.t) ->
-                  match r.Mem.Region.kind with
-                  | Mem.Region.Mmap_shared { backing_path }
-                    when String.starts_with ~prefix:external_shm_prefix backing_path ->
-                    Mem.Address_space.substitute_pages space
-                      ~region_id:r.Mem.Region.id
-                      (Array.make (Mem.Region.npages r) Mem.Page.Zero)
-                  | _ -> ())
-                (Mem.Address_space.regions space)
-            | _ -> () );
-      ];
+    (plugin "ext-shm" "zero external-service shared memory in the image (NSCD-style)") with
+    image_write =
+      Some
+        (fun image ->
+          let space = image.Mtcp.Image.space in
+          List.iter
+            (fun (r : Mem.Region.t) ->
+              match r.Mem.Region.kind with
+              | Mem.Region.Mmap_shared { backing_path }
+                when String.starts_with ~prefix:external_shm_prefix backing_path ->
+                Mem.Address_space.substitute_pages space ~region_id:r.Mem.Region.id
+                  (Array.make (Mem.Region.npages r) Mem.Page.Zero)
+              | _ -> ())
+            (Mem.Address_space.regions space));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -199,39 +194,98 @@ let proxy_socket s =
 
 let mpi_proxy =
   {
-    Plugin.p_name = "mpi-proxy";
-    p_doc = "rank/proxy split: skip proxy sockets, relaunch proxies on restart";
-    p_hooks =
-      dead_socket_hooks proxy_socket
-      @ [
-          ( Events.site_restart_rearrange,
-            fun payload ->
-              match payload with
-              | Events.Restart_rearrange p -> (
-                match List.assoc_opt "MPI_PROXY" p.proc.Simos.Kernel.env with
-                | Some marker -> (
-                  match String.split_on_char ':' marker with
-                  | [ bp; rpn ] -> (
-                    match (int_of_string_opt bp, int_of_string_opt rpn) with
-                    | Some base_port, Some rpn -> Proxy.Daemon.ensure p.kernel ~base_port ~rpn
-                    | _ -> ())
-                  | _ -> ())
-                | None -> ())
-              | _ -> () );
-        ];
+    (dead_sockets proxy_socket
+       (plugin "mpi-proxy" "rank/proxy split: skip proxy sockets, relaunch proxies on restart"))
+    with
+    restart_rearrange =
+      Some
+        (fun kernel _ proc ->
+          match List.assoc_opt "MPI_PROXY" proc.Simos.Kernel.env with
+          | Some marker -> (
+            match String.split_on_char ':' marker with
+            | [ bp; rpn ] -> (
+              match (int_of_string_opt bp, int_of_string_opt rpn) with
+              | Some base_port, Some rpn -> Proxy.Daemon.ensure kernel ~base_port ~rpn
+              | _ -> ())
+            | _ -> ())
+          | None -> ());
   }
 
 (* ------------------------------------------------------------------ *)
+(* the table *)
 
-let ensure_registered () =
-  (* fixed program-text order = dispatch order; re-registration is
-     positionally stable, so calling this per install is safe *)
-  Plugin.register ext_sock;
-  Plugin.register blacklist_ports;
-  Plugin.register proc_fd;
-  Plugin.register ext_shm;
-  Plugin.register mpi_proxy
+let builtins = [ ext_sock; blacklist_ports; proc_fd; ext_shm; mpi_proxy ]
+let all_names = List.map (fun p -> p.name) builtins
+let table = ref builtins
+let registered () = !table
 
-(* every built-in on — what the heuristic scenarios and the trace
-   --plugins harness enable *)
-let all_names = [ "ext-sock"; "blacklist-ports"; "proc-fd"; "ext-shm"; "mpi-proxy" ]
+let register p =
+  if List.exists (fun q -> q.name = p.name) !table then
+    table := List.map (fun q -> if q.name = p.name then p else q) !table
+  else table := !table @ [ p ]
+
+let resolve names =
+  List.iter
+    (fun n ->
+      if not (List.exists (fun p -> p.name = n) !table) then
+        invalid_arg
+          (Printf.sprintf "unknown plugin %S (registered: %s)" n
+             (String.concat ", " (List.map (fun p -> p.name) !table))))
+    names;
+  List.filter (fun p -> List.mem p.name names) !table
+
+let sites p =
+  List.filter_map
+    (fun (site, hooked) -> if hooked then Some site else None)
+    [
+      ("stage", Option.is_some p.stage);
+      ("drain-select", Option.is_some p.drain_select);
+      ("fd-capture", Option.is_some p.fd_capture);
+      ("image-write", Option.is_some p.image_write);
+      ("restart-discovery", Option.is_some p.restart_discovery);
+      ("restart-rearrange", Option.is_some p.restart_rearrange);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* dispatch *)
+
+type 'site dispatcher = t list -> node:int -> pid:int -> now:float -> 'site
+
+(* Run [hook]'s handler of each enabled plugin that has one, in table
+   order, threading [init] through [run]; one span after each. *)
+let fold enabled ~node ~pid ~now ~site hook init run =
+  List.fold_left
+    (fun acc p ->
+      match hook p with
+      | None -> acc
+      | Some h ->
+        let acc = run h acc in
+        if Trace.on () then
+          Trace.span ~node ~pid ~cat:"plugin"
+            ~name:(Printf.sprintf "plugin/%s/%s" p.name site)
+            ~time:now ~dur:0. ();
+        acc)
+    init enabled
+
+let stage enabled ~node ~pid ~now phase stg =
+  let site = (match phase with `Pre -> "pre-" | `Post -> "post-") ^ Faults.stage_name stg in
+  fold enabled ~node ~pid ~now ~site (fun p -> p.stage) () (fun h () -> h phase stg)
+
+let drain_select enabled ~node ~pid ~now sock =
+  fold enabled ~node ~pid ~now ~site:"drain-select" (fun p -> p.drain_select) false
+    (fun h skip -> h sock || skip)
+
+let fd_capture enabled ~node ~pid ~now desc info =
+  fold enabled ~node ~pid ~now ~site:"fd-capture" (fun p -> p.fd_capture) info (fun h info ->
+      h desc info)
+
+let image_write enabled ~node ~pid ~now image =
+  fold enabled ~node ~pid ~now ~site:"image-write" (fun p -> p.image_write) () (fun h () -> h image)
+
+let restart_discovery enabled ~node ~pid ~now kernel ~eof =
+  fold enabled ~node ~pid ~now ~site:"restart-discovery" (fun p -> p.restart_discovery) None
+    (fun h desc -> h kernel ~eof desc)
+
+let restart_rearrange enabled ~node ~pid ~now kernel image proc =
+  fold enabled ~node ~pid ~now ~site:"restart-rearrange" (fun p -> p.restart_rearrange) ()
+    (fun h () -> h kernel image proc)

@@ -236,17 +236,10 @@ module P = struct
      the recorded EOF injected).  With no plugin claiming it, the spec
      stays unresolved and the fd is simply absent after restart. *)
   let discover_external (ctx : Simos.Program.ctx) spec =
-    if spec.cs_desc = None then begin
-      let payload =
-        Events.Restart_discovery
-          { kernel = my_kernel ctx; key = spec.cs_key; eof = spec.cs_eof; desc = None }
-      in
-      Plugin.dispatch ~node:ctx.node_id ~pid:ctx.pid ~now:(ctx.now ())
-        Events.site_restart_discovery payload;
-      match payload with
-      | Events.Restart_discovery p -> spec.cs_desc <- p.desc
-      | _ -> ()
-    end
+    if spec.cs_desc = None then
+      spec.cs_desc <-
+        Plugins.restart_discovery (Runtime.plugins (rt ())) ~node:ctx.node_id ~pid:ctx.pid
+          ~now:(ctx.now ()) (my_kernel ctx) ~eof:spec.cs_eof
 
   let start_socket_restore (ctx : Simos.Program.ctx) st =
     (* namespace discovery keys by coordinator port: each job's restart
@@ -454,9 +447,8 @@ module P = struct
              installed but threads still suspended — the point where
              plugins fix up resources whose names broke across the
              restart (proc-fd re-points /proc/<old pid>/* here) *)
-          Plugin.dispatch ~node:ctx.node_id ~pid:ctx.pid ~now:(ctx.now ())
-            Events.site_restart_rearrange
-            (Events.Restart_rearrange { kernel = k; image = img; proc });
+          Plugins.restart_rearrange (Runtime.plugins run) ~node:ctx.node_id ~pid:ctx.pid
+            ~now:(ctx.now ()) k img proc;
           (img, proc))
         st.images;
     (* second pass: parent/child relationships via virtual pids *)

@@ -55,6 +55,7 @@ type domain = {
 type t = {
   cl : Simos.Cluster.t;
   opts : Options.t;
+  plugins : Plugins.t list;  (* [opts.plugins], resolved once at install *)
   procs : (int * int, pstate) Hashtbl.t;
   sock_owner : (int, (int * int) * int) Hashtbl.t;
   vpids : (int, int * int) Hashtbl.t;
@@ -79,6 +80,7 @@ let active () =
 
 let cluster t = t.cl
 let options t = t.opts
+let plugins t = t.plugins
 let kernel_of t ~node = Simos.Cluster.kernel t.cl node
 let proc_of t ~node ~pid = Simos.Kernel.find_process (kernel_of t ~node) ~pid
 let pstate_of t ~node ~pid = Hashtbl.find_opt t.procs (node, pid)
@@ -113,8 +115,9 @@ let claim_vpid t ~vpid ~node ~pid = Hashtbl.replace t.vpids vpid (node, pid)
 let release_vpid t ~vpid = Hashtbl.remove t.vpids vpid
 let resolve_vpid t vpid = Hashtbl.find_opt t.vpids vpid
 
-(* single emission point for protocol stage spans: Table 1, the
-   ablations and the trace CLI all read these, so they agree by
+(* the coordinator's stage spans and restart's phase spans; with the
+   manager's ckpt/delta span, these spans are the only record of stage
+   durations, so Table 1, the ablations and the trace CLI agree by
    construction *)
 let record_stage t name v =
   if Trace.on () then
@@ -486,6 +489,8 @@ let make_hooks t : Simos.Kernel.hooks =
   }
 
 let install cl ?(options = Options.default) () =
+  (* unknown plugin names raise here, before the cluster is hooked *)
+  let plugins = Plugins.resolve options.Options.plugins in
   let store =
     if options.Options.store then
       Some
@@ -499,6 +504,7 @@ let install cl ?(options = Options.default) () =
     {
       cl;
       opts = options;
+      plugins;
       procs = Hashtbl.create 64;
       sock_owner = Hashtbl.create 128;
       vpids = Hashtbl.create 64;
@@ -511,11 +517,5 @@ let install cl ?(options = Options.default) () =
     }
   in
   Simos.Cluster.set_hooks cl (make_hooks t);
-  (* plugin subsystem: register the built-ins and apply the enabled
-     set, once per install.  Unknown plugin names raise here, before
-     any computation starts. *)
-  Plugins.ensure_registered ();
-  Plugin.set_enabled options.Options.plugins;
-  Plugin.reset_counts ();
   active_rt := Some t;
   t

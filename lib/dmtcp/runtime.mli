@@ -56,6 +56,12 @@ val active_rt_for_aware : t option ref
 
 val cluster : t -> Simos.Cluster.t
 val options : t -> Options.t
+
+(** The enabled plugins: [options.plugins] resolved against the
+    {!Plugins} table once, at install, in table order.  An unknown name
+    makes {!install} raise [Invalid_argument]. *)
+val plugins : t -> Plugins.t list
+
 val kernel_of : t -> node:int -> Simos.Kernel.t
 val proc_of : t -> node:int -> pid:int -> Simos.Kernel.process option
 val pstate_of : t -> node:int -> pid:int -> pstate option
@@ -84,8 +90,11 @@ val resolve_vpid : t -> int -> (int * int) option
 (** {2 Stage spans and operation records} *)
 
 (** [record_stage t name d] emits a ["dmtcp"] span [name] of [d] seconds
-    ending now.  It is the one stage clock: readers aggregate the spans
-    with {!Trace.Query.stage_stats} over a collector. *)
+    ending now, with no node or pid: the coordinator's stages and
+    restart's phases.  The manager emits its own [ckpt/delta] span, at
+    its node and pid, over the compression it models.  Nothing else
+    keeps stage durations: readers aggregate these spans with
+    {!Trace.Query.stage_stats} over a collector. *)
 val record_stage : t -> string -> float -> unit
 
 (** Every operation record below is scoped to a coordinator {e domain},

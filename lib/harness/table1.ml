@@ -8,10 +8,10 @@ type result = {
   restart_compressed : stages;
 }
 
-(* Stage durations come from the trace: [Dmtcp.Runtime.record_stage] is
-   the single emission point for the "dmtcp" spans, so querying the
-   trace here yields the same numbers the [dmtcp_sim trace] CLI
-   reports. *)
+(* Stage durations come from the trace: the "dmtcp" spans
+   ([Dmtcp.Runtime.record_stage]'s and the manager's [ckpt/delta]) are
+   their only record, so querying the trace here yields the same
+   numbers the [dmtcp_sim trace] CLI reports. *)
 let stage_means events =
   Trace.Query.stage_stats ~cat:"dmtcp" events
   |> List.map (fun (name, s) -> (name, Util.Stats.mean s))

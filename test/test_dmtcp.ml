@@ -191,6 +191,38 @@ let test_restart_migrated_delta_chain () =
   check (Alcotest.option Alcotest.string) "finished on the new host" (Some "done:3000")
     (file_content cl 3 "/tmp/mig-delta")
 
+(* A ckpt/delta span times the compression it names: it starts when
+   the compression starts, at its process's ckpt/delta-base instant,
+   and carries that process's node and pid; inline and forked alike. *)
+let test_delta_span_times_compression () =
+  List.iter
+    (fun forked ->
+      let options = { Dmtcp.Options.default with Dmtcp.Options.incremental = true; forked } in
+      let cl, rt = make ~options () in
+      let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "3000"; "/tmp/ds1" ] in
+      let _ = Dmtcp.Api.launch rt ~node:2 ~prog:"p:counter" ~argv:[ "3000"; "/tmp/ds2" ] in
+      run_for cl 0.3;
+      let col = Trace.collector () in
+      Trace.with_sink (Trace.collector_sink col) (fun () ->
+          Dmtcp.Api.checkpoint_now rt;
+          run_for cl 0.2;
+          Dmtcp.Api.checkpoint_now rt);
+      let at name =
+        List.filter_map
+          (fun (e : Trace.event) ->
+            if e.Trace.name = name then
+              Some (Printf.sprintf "n%d p%d %.9f" e.Trace.node e.Trace.pid e.Trace.time)
+            else None)
+          (Trace.events col)
+      in
+      let spans = at "ckpt/delta" in
+      Alcotest.(check int) (Printf.sprintf "two delta spans (forked=%b)" forked) 2
+        (List.length spans);
+      Alcotest.(check (list string))
+        (Printf.sprintf "each starts at its delta-base instant (forked=%b)" forked)
+        (at "ckpt/delta-base") spans)
+    [ false; true ]
+
 let test_restart_distributed_stream () =
   (* both ends of a live TCP connection are checkpointed, killed, and
      restarted (still on two different hosts): discovery + reconnect +
@@ -405,6 +437,8 @@ let base_suites =
           Alcotest.test_case "stream migrated together" `Quick test_restart_stream_migrated_together;
           Alcotest.test_case "second generation" `Quick test_second_checkpoint_after_restart;
           Alcotest.test_case "migrated delta chain" `Quick test_restart_migrated_delta_chain;
+          Alcotest.test_case "delta span times compression" `Quick
+            test_delta_span_times_compression;
         ] );
       ( "features",
         [
@@ -1261,13 +1295,14 @@ let property_suites =
    post-write or post-refill fire. *)
 let stage_recorder =
   {
-    Plugin.p_name = "stage-rec";
-    p_doc = "records every stage site";
-    p_hooks =
-      List.concat_map
-        (fun s ->
-          [ (Dmtcp.Events.site_stage `Pre s, ignore); (Dmtcp.Events.site_stage `Post s, ignore) ])
-        Dmtcp.Faults.all_stages;
+    Dmtcp.Plugins.name = "stage-rec";
+    doc = "records every stage site";
+    stage = Some (fun _ _ -> ());
+    drain_select = None;
+    fd_capture = None;
+    image_write = None;
+    restart_discovery = None;
+    restart_rearrange = None;
   }
 
 (* The stage sites one checkpoint of a stream pair (server on node 1,
@@ -1275,7 +1310,7 @@ let stage_recorder =
    the Faults notifications (traced as fault/<stage> instants), as
    "<mode> <site> n<node> p<pid> <simulated time>". *)
 let stage_sites ~forked =
-  Plugin.register stage_recorder;
+  Dmtcp.Plugins.register stage_recorder;
   let options = { Dmtcp.Options.default with Dmtcp.Options.forked; plugins = [ "stage-rec" ] } in
   let cl, rt = make ~options () in
   let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:stream-server" ~argv:[ "6000"; "4000"; "/tmp/sg" ] in

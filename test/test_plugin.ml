@@ -1,81 +1,110 @@
-(* The plugin/event-hook subsystem: registry semantics, option parsing,
-   dispatch-order determinism, the golden hook-span sequence over a full
+(* The plugin table: registry semantics, dispatch order and folds,
+   option parsing, the golden hook-span sequence over a full
    checkpoint/restart cycle, and the ext-sock migration regression. *)
 
 let check = Alcotest.check
 
 (* ------------------------------------------------------------------ *)
-(* registry *)
-
-let test_registry_order () =
-  Dmtcp.Plugins.ensure_registered ();
-  let names () = List.map (fun (p : Plugin.t) -> p.Plugin.p_name) (Plugin.registered ()) in
-  let first = names () in
-  List.iter
-    (fun n -> check Alcotest.bool (n ^ " registered") true (List.mem n first))
-    Dmtcp.Plugins.all_names;
-  (* re-registration is positionally stable: the order cannot depend on
-     how many times ensure_registered ran *)
-  Dmtcp.Plugins.ensure_registered ();
-  Dmtcp.Plugins.ensure_registered ();
-  check Alcotest.(list string) "order stable across re-registration" first (names ())
-
-let test_set_enabled_unknown_raises () =
-  Dmtcp.Plugins.ensure_registered ();
-  check Alcotest.bool "unknown plugin name rejected" true
-    (try
-       Plugin.set_enabled [ "ext-sock"; "no-such-plugin" ];
-       false
-     with Invalid_argument _ -> true);
-  (* a rejected set must not have been half-applied *)
-  Plugin.set_enabled [ "ext-sock" ];
-  check Alcotest.(list string) "enabled set intact" [ "ext-sock" ] (Plugin.enabled_names ())
-
-type Plugin.payload += Test_payload
-
-let test_dispatch_registration_order () =
-  Dmtcp.Plugins.ensure_registered ();
-  let ran = ref [] in
-  let fake name =
-    {
-      Plugin.p_name = name;
-      p_doc = "test plugin";
-      p_hooks = [ ("test-site", fun _ -> ran := name :: !ran) ];
-    }
-  in
-  Plugin.register (fake "zz-test-a");
-  Plugin.register (fake "aa-test-b");
-  (* enablement order is the reverse of registration order: dispatch
-     must follow registration order regardless *)
-  Plugin.set_enabled [ "aa-test-b"; "zz-test-a" ];
-  Plugin.dispatch ~now:0. "test-site" Test_payload;
-  check Alcotest.(list string) "dispatch follows registration order"
-    [ "zz-test-a"; "aa-test-b" ] (List.rev !ran);
-  Plugin.set_enabled []
-
-let test_site_counts () =
-  Dmtcp.Plugins.ensure_registered ();
-  let hits = ref 0 in
-  Plugin.register
-    { Plugin.p_name = "zz-test-c"; p_doc = "t"; p_hooks = [ ("count-site", fun _ -> incr hits) ] };
-  Plugin.set_enabled [ "zz-test-c" ];
-  Plugin.reset_counts ();
-  for _ = 1 to 3 do
-    Plugin.dispatch ~now:0. "count-site" Test_payload
-  done;
-  check Alcotest.(option int) "three dispatches counted" (Some 3)
-    (List.assoc_opt "count-site" (Plugin.site_counts ()));
-  check Alcotest.int "handler ran per dispatch" 3 !hits;
-  Plugin.set_enabled []
-
-(* ------------------------------------------------------------------ *)
-(* option parsing: strict *)
+(* the table *)
 
 let raises_invalid f =
   try
     ignore (f ());
     false
   with Invalid_argument _ -> true
+
+(* a test plugin hooking nothing; each case fills in its sites *)
+let fake name =
+  {
+    Dmtcp.Plugins.name;
+    doc = "test plugin";
+    stage = None;
+    drain_select = None;
+    fd_capture = None;
+    image_write = None;
+    restart_discovery = None;
+    restart_rearrange = None;
+  }
+
+let names = List.map (fun (p : Dmtcp.Plugins.t) -> p.name)
+
+let test_registry_order () =
+  let builtins = [ "ext-sock"; "blacklist-ports"; "proc-fd"; "ext-shm"; "mpi-proxy" ] in
+  check Alcotest.(list string) "the built-ins open the table, in program order" builtins
+    (List.filteri (fun i _ -> i < 5) (names (Dmtcp.Plugins.registered ())));
+  check Alcotest.(list string) "all_names lists them in that order" builtins
+    Dmtcp.Plugins.all_names;
+  Dmtcp.Plugins.register (fake "zz-test-r");
+  Dmtcp.Plugins.register (fake "zz-test-s");
+  let before = names (Dmtcp.Plugins.registered ()) in
+  Dmtcp.Plugins.register { (fake "zz-test-r") with doc = "replaced" };
+  check Alcotest.(list string) "register replaces in place" before
+    (names (Dmtcp.Plugins.registered ()));
+  check Alcotest.string "the replacement is what the table holds" "replaced"
+    (List.find (fun (p : Dmtcp.Plugins.t) -> p.name = "zz-test-r") (Dmtcp.Plugins.registered ()))
+      .doc
+
+let test_unknown_name_raises () =
+  check Alcotest.bool "unknown plugin name rejected" true
+    (raises_invalid (fun () -> Dmtcp.Plugins.resolve [ "ext-sock"; "no-such-plugin" ]));
+  check Alcotest.(list string) "known names resolve" [ "ext-sock" ]
+    (names (Dmtcp.Plugins.resolve [ "ext-sock" ]))
+
+let test_dispatch_table_order () =
+  let ran = ref [] in
+  let recorder name = { (fake name) with stage = Some (fun _ _ -> ran := name :: !ran) } in
+  Dmtcp.Plugins.register (recorder "zz-test-a");
+  Dmtcp.Plugins.register (recorder "aa-test-b");
+  (* the names come in the reverse of table order: dispatch must
+     follow the table regardless *)
+  let enabled = Dmtcp.Plugins.resolve [ "aa-test-b"; "zz-test-a" ] in
+  Dmtcp.Plugins.stage enabled ~node:0 ~pid:1 ~now:0. `Pre Dmtcp.Faults.Suspend;
+  check Alcotest.(list string) "dispatch follows table order" [ "zz-test-a"; "aa-test-b" ]
+    (List.rev !ran)
+
+(* fd-capture folds: each hook receives the classification the one
+   before it returned, and each emits its span after it runs, in table
+   order, at the caller's node, pid and time *)
+let test_fd_capture_fold () =
+  let file = Simos.Vfs.open_or_create (Simos.Vfs.create ()) "/tmp/fold" in
+  let desc = Simos.Fdesc.make (Simos.Fdesc.File { file; offset = 0 }) in
+  let path = function Some (Dmtcp.Ckpt_image.FFile { path; _ }) -> path | _ -> "<other>" in
+  let seen = ref [] in
+  let appender name suffix =
+    {
+      (fake name) with
+      fd_capture =
+        Some
+          (fun _ info ->
+            seen := (name, path info) :: !seen;
+            match info with
+            | Some (Dmtcp.Ckpt_image.FFile f) ->
+              Some (Dmtcp.Ckpt_image.FFile { f with path = f.path ^ suffix })
+            | other -> other);
+    }
+  in
+  Dmtcp.Plugins.register (appender "zz-fold-1" "+1");
+  Dmtcp.Plugins.register (appender "aa-fold-2" "+2");
+  let enabled = Dmtcp.Plugins.resolve [ "aa-fold-2"; "zz-fold-1" ] in
+  let col = Trace.collector () in
+  let out =
+    Trace.with_sink (Trace.collector_sink col) (fun () ->
+        Dmtcp.Plugins.fd_capture enabled ~node:3 ~pid:42 ~now:1.5 desc
+          (Some (Dmtcp.Ckpt_image.FFile { path = "/tmp/fold"; offset = 0 })))
+  in
+  check Alcotest.(list (pair string string)) "the second hook sees the first's rewrite"
+    [ ("zz-fold-1", "/tmp/fold"); ("aa-fold-2", "/tmp/fold+1") ]
+    (List.rev !seen);
+  check Alcotest.string "the fold returns the last rewrite" "/tmp/fold+1+2" (path out);
+  check Alcotest.(list string) "one span per hook, in table order, where the site fired"
+    [ "plugin/zz-fold-1/fd-capture n3 p42 1.5"; "plugin/aa-fold-2/fd-capture n3 p42 1.5" ]
+    (List.map
+       (fun (e : Trace.event) ->
+         Printf.sprintf "%s n%d p%d %g" e.Trace.name e.Trace.node e.Trace.pid e.Trace.time)
+       (Trace.events col))
+
+(* ------------------------------------------------------------------ *)
+(* option parsing: strict *)
 
 let test_parse_plugins () =
   check Alcotest.(list string) "csv" [ "ext-sock"; "proc-fd" ]
@@ -288,10 +317,9 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "registration order stable" `Quick test_registry_order;
-          Alcotest.test_case "unknown name rejected" `Quick test_set_enabled_unknown_raises;
-          Alcotest.test_case "dispatch in registration order" `Quick
-            test_dispatch_registration_order;
-          Alcotest.test_case "site counts" `Quick test_site_counts;
+          Alcotest.test_case "unknown name rejected" `Quick test_unknown_name_raises;
+          Alcotest.test_case "dispatch in registration order" `Quick test_dispatch_table_order;
+          Alcotest.test_case "fd-capture folds in table order" `Quick test_fd_capture_fold;
         ] );
       ( "options",
         [
