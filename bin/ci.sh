@@ -84,6 +84,23 @@ plugins run
 plugins run --off
 store verify
 EOF
+
+echo "== examples: each runs once =="
+# The programs under examples/ print modeled checkpoint and restart
+# times; their outputs are pinned below with the determinism outputs.
+# cluster_to_laptop takes about 20 s, the others under a second.
+for src in examples/*.ml; do
+  ex=$(basename "$src" .ml)
+  out=_artifacts/example_${ex}_1.txt
+  echo "-- examples/$ex"
+  if ! dune exec "examples/$ex.exe" < /dev/null > "$out"; then
+    cat "$out"
+    echo "FAIL: examples/$ex exited non-zero." >&2
+    exit 1
+  fi
+  cat "$out"
+done
+
 if ! md5sum -c bin/ci_digests.md5; then
   echo "FAIL: determinism outputs diverged from bin/ci_digests.md5." >&2
   echo "If the change is intentional, refresh the digests with:" >&2

@@ -106,8 +106,9 @@ module P = struct
         let rt = Runtime.active () in
         (* Table 1: stage durations are the times between the global
            barriers, measured here at the coordinator. *)
-        let stage_name = "ckpt/" ^ Faults.stage_name (Faults.closed_by b) in
-        Runtime.record_stage rt stage_name (ctx.now () -. st.last_barrier_time);
+        let stage_name = Faults.span_name (Faults.closed_by b) in
+        Faults.span ~node:ctx.node_id ~pid:ctx.pid stage_name ~since:st.last_barrier_time
+          ~until:(ctx.now ());
         st.last_barrier_time <- ctx.now ();
         trace_coord ctx "coord/barrier-release"
           [ ("k", string_of_int b); ("stage", stage_name) ];

@@ -528,6 +528,8 @@ module P = struct
       | prog :: _ -> Dmtcpaware.run_post_ckpt ~prog
       | [] -> ());
       Simos.Program.Continue (exit_stage ctx st Faults.Resume)
+    | Faults.(Files | Reconnect | Mem | Restart _) as stage ->
+      invalid_arg ("dmtcp:mgr: not a checkpoint stage: " ^ Faults.stage_name stage)
 
   (* stage 5: write the checkpoint image.  Inline, the manager pays the
      compression, then blocks until the durable write lands.  Forked

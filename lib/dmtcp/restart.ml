@@ -23,16 +23,12 @@ type connecting = {
   mutable co_sent : bool;
 }
 
+(* Where the restarter is in Faults.restart_stages. *)
 type phase =
-  | R_boot
-  | R_files
-  | R_sockets
-  | R_sockets_wait of float  (* deadline for external peers *)
-  | R_fork
-  | R_mem
-  | R_refill
-  | R_refill_barrier
-  | R_resume
+  | Boot
+  | Enter of Faults.stage  (* enter the stage, then run its work *)
+  | Wait of Faults.stage  (* poll the stage's wait *)
+  | Finish of Faults.stage  (* the stage's last delay has passed: exit it *)
 
 type state = {
   mutable phase : phase;
@@ -52,7 +48,7 @@ type state = {
   mutable pending_accepts : pending_accept list;
   mutable connectors : connecting list;
   mutable restored : (Ckpt_image.t * Simos.Kernel.process) list;
-  mutable phase_t0 : float;
+  mutable since : float;  (* the last stage's exit (boot for the first): the span start *)
   mutable local_read_bytes : int;  (* modeled bytes of images read from local files *)
   mutable store_read_delay : float;  (* booked catalog/replica read time (store mode) *)
   mutable lazy_page_cost : float;
@@ -70,7 +66,7 @@ module P = struct
 
   let init ~argv:_ =
     {
-      phase = R_boot;
+      phase = Boot;
       images = [];
       chain_bases = [];
       specs = [];
@@ -80,7 +76,7 @@ module P = struct
       pending_accepts = [];
       connectors = [];
       restored = [];
-      phase_t0 = 0.;
+      since = 0.;
       local_read_bytes = 0;
       store_read_delay = 0.;
       lazy_page_cost = 0.;
@@ -94,10 +90,6 @@ module P = struct
      info, refill barrier, shm registry, discovery keys) is scoped to
      this port so concurrent waves of different jobs never interfere. *)
   let my_port st = st.opts.Options.coord_port
-
-  let stage (ctx : Simos.Program.ctx) st label =
-    Runtime.record_stage (rt ()) label (ctx.now () -. st.phase_t0);
-    st.phase_t0 <- ctx.now ()
 
   let trace_rst (ctx : Simos.Program.ctx) name args =
     if Trace.on () then
@@ -745,7 +737,7 @@ module P = struct
      (exit 72); an image lost beyond fallback fails it cleanly, naming
      the lost blocks (exit 73); with nothing to restore, exit 1. *)
   let boot (ctx : Simos.Program.ctx) st =
-    st.phase_t0 <- ctx.now ();
+    st.since <- ctx.now ();
     st.opts <- Options.of_getenv ~base:(Runtime.options (rt ())) ctx.getenv;
     let paths = match ctx.argv with _ :: paths -> paths | [] -> [] in
     let outcomes = List.map (fun path -> (path, restore_image ctx st path)) paths in
@@ -772,16 +764,52 @@ module P = struct
     else if st.images = [] then Simos.Program.Exit Exit_code.no_images
     else begin
       trace_rst ctx "boot" [ ("images", string_of_int (List.length st.images)) ];
-      st.phase <- R_files;
+      st.phase <- Enter (List.hd Faults.restart_stages);
       Simos.Program.Continue st
     end
 
   (* ---------------------------------------------------------------- *)
+  (* the state machine: the stages in Faults' restart order, each
+     entered and exited through enter_stage / exit_stage *)
 
-  let step (ctx : Simos.Program.ctx) st =
+  (* drained data re-traverses the network once *)
+  let resend = 3e-4
+
+  (* Stage entry: the stage's kill point. *)
+  let enter_stage (ctx : Simos.Program.ctx) = Faults.notify ~node:ctx.node_id ~pid:ctx.pid
+
+  (* Stage exit: the stage's span, from the last stage's exit (boot for
+     the first) to now, then whatever Faults.next names.  Refill's span
+     ends with the re-send; the barrier wait after it gets a span of its
+     own.  Resume, the last stage, ends the restarter instead. *)
+  let exit_stage (ctx : Simos.Program.ctx) st stage =
+    let now = ctx.now () in
+    let span = Faults.span ~node:ctx.node_id ~pid:ctx.pid in
+    let name = Faults.span_name stage in
+    (match stage with
+    | Faults.Restart Faults.Refill ->
+      let resent = st.since +. resend in
+      span name ~since:st.since ~until:resent;
+      span (name ^ "-barrier") ~since:resent ~until:now
+    | _ -> span name ~since:st.since ~until:now);
+    st.since <- now;
+    Option.iter (fun next -> st.phase <- Enter next) (Faults.next stage);
+    st
+
+  let rec step (ctx : Simos.Program.ctx) st =
     match st.phase with
-    | R_boot -> boot ctx st
-    | R_files ->
+    | Boot -> boot ctx st
+    | Enter stage ->
+      enter_stage ctx stage;
+      run_stage ctx st stage
+    | Wait stage -> wait_stage ctx st stage
+    | Finish stage -> step ctx (exit_stage ctx st stage)
+
+  (* One stage's work, right after its entry.  Reconnect and refill are
+     entered in the step their predecessor exits: [st.since] is their
+     entry time too. *)
+  and run_stage (ctx : Simos.Program.ctx) st = function
+    | Faults.Restart Faults.Files as stage ->
       trace_rst ctx "files" [];
       restore_files_and_ptys ctx st;
       let nfds =
@@ -789,15 +817,44 @@ module P = struct
           (fun acc ((img : Ckpt_image.t), _) -> acc + List.length img.Ckpt_image.fds)
           0 st.images
       in
-      st.phase <- R_sockets;
+      st.phase <- Finish stage;
       Simos.Program.Compute (st, Mtcp.Cost.reopen_seconds ~nfds)
-    | R_sockets ->
-      stage ctx st "restart/files";
+    | Faults.Restart Faults.Reconnect as stage ->
       start_socket_restore ctx st;
       trace_rst ctx "sockets" [ ("specs", string_of_int (List.length st.specs)) ];
-      st.phase <- R_sockets_wait (ctx.now () +. 5.0);
+      st.phase <- Wait stage;
       Simos.Program.Continue st
-    | R_sockets_wait deadline ->
+    | Faults.Restart Faults.Mem as stage -> (
+      trace_rst ctx "fork" [ ("procs", string_of_int (List.length st.images)) ];
+      (* decoding the mtcp body happens here, after reconnect: damage that
+         only per-block CRCs catch must still abort the whole restart
+         cleanly rather than yield a half-restored computation *)
+      match materialize ctx st with
+      | () ->
+        st.phase <- Wait stage;
+        Simos.Program.Continue st
+      | exception Util.Codec.Reader.Corrupt msg ->
+        ctx.log (Printf.sprintf "corrupt checkpoint image at materialize: %s" msg);
+        trace_rst ctx "corrupt-image" [ ("error", msg) ];
+        Simos.Program.Exit Exit_code.corrupt_image)
+    | Faults.Restart Faults.Refill as stage ->
+      trace_rst ctx "refill" [];
+      refill ctx st;
+      Runtime.arrive_refill_barrier ~port:(my_port st) (rt ());
+      st.phase <- Wait stage;
+      Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. resend))
+    | Faults.Restart Faults.Resume ->
+      trace_rst ctx "resume" [ ("procs", string_of_int (List.length st.restored)) ];
+      resume ctx st;
+      Simos.Program.Exit 0
+    | stage -> invalid_arg ("dmtcp:restart: not a restart stage: " ^ Faults.stage_name stage)
+
+  (* A stage's wait, after its work: reconnect's discovery of its peers,
+     mem's modeled restore time, refill's barrier. *)
+  and wait_stage (ctx : Simos.Program.ctx) st = function
+    | Faults.Restart Faults.Reconnect as stage ->
+      (* external peers never reconnect: give up on them 5 s after entry *)
+      let deadline = st.since +. 5.0 in
       let all_done = socket_restore_tick ctx st in
       (* [>=], not [>]: a wakeup scheduled exactly at the deadline must
          give up on external peers then, not at some later event *)
@@ -815,9 +872,7 @@ module P = struct
           st.specs;
         trace_rst ctx "sockets-done"
           [ ("external", string_of_int !dead); ("timed_out", string_of_bool (not all_done)) ];
-        stage ctx st "restart/reconnect";
-        st.phase <- R_fork;
-        Simos.Program.Continue st
+        Simos.Program.Continue (exit_stage ctx st stage)
       end
       else
         (* poll the discovery service; also woken by socket activity.
@@ -825,47 +880,20 @@ module P = struct
            exactly on it. *)
         Simos.Program.Block
           (st, Simos.Program.Sleep_until (Float.min (ctx.now () +. 1e-3) deadline))
-    | R_fork -> (
-      trace_rst ctx "fork" [ ("procs", string_of_int (List.length st.images)) ];
-      (* decoding the mtcp body happens here, after reconnect: damage that
-         only per-block CRCs catch must still abort the whole restart
-         cleanly rather than yield a half-restored computation *)
-      match materialize ctx st with
-      | () ->
-        st.phase <- R_mem;
-        Simos.Program.Continue st
-      | exception Util.Codec.Reader.Corrupt msg ->
-        ctx.log (Printf.sprintf "corrupt checkpoint image at materialize: %s" msg);
-        trace_rst ctx "corrupt-image" [ ("error", msg) ];
-        Simos.Program.Exit Exit_code.corrupt_image)
-    | R_mem ->
+    | Faults.Restart Faults.Mem as stage ->
       let delay = memory_restore_delay ctx st in
       let delay =
-        if st.opts.Options.lazy_restart then
-          lazy_restore_setup ctx st ~dt:delay
-        else delay
+        if st.opts.Options.lazy_restart then lazy_restore_setup ctx st ~dt:delay else delay
       in
-      st.phase <- R_refill;
+      st.phase <- Finish stage;
       Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. delay))
-    | R_refill ->
-      stage ctx st "restart/mem";
-      trace_rst ctx "refill" [];
-      refill ctx st;
-      Runtime.arrive_refill_barrier ~port:(my_port st) (rt ());
-      st.phase <- R_refill_barrier;
-      (* drained data re-traverses the network once *)
-      Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. 3e-4))
-    | R_refill_barrier ->
+    | Faults.Restart Faults.Refill as stage ->
       if Runtime.refill_barrier_passed ~port:(my_port st) (rt ()) then begin
-        st.phase <- R_resume;
+        st.phase <- Finish stage;
         Simos.Program.Continue st
       end
       else Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. 1e-3))
-    | R_resume ->
-      stage ctx st "restart/refill";
-      trace_rst ctx "resume" [ ("procs", string_of_int (List.length st.restored)) ];
-      resume ctx st;
-      Simos.Program.Exit 0
+    | stage -> invalid_arg ("dmtcp:restart: no wait in stage " ^ Faults.stage_name stage)
 
   let step ctx st =
     try step ctx st

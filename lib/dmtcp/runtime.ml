@@ -115,15 +115,6 @@ let claim_vpid t ~vpid ~node ~pid = Hashtbl.replace t.vpids vpid (node, pid)
 let release_vpid t ~vpid = Hashtbl.remove t.vpids vpid
 let resolve_vpid t vpid = Hashtbl.find_opt t.vpids vpid
 
-(* the coordinator's stage spans and restart's phase spans; with the
-   manager's ckpt/delta span, these spans are the only record of stage
-   durations, so Table 1, the ablations and the trace CLI agree by
-   construction *)
-let record_stage t name v =
-  if Trace.on () then
-    let now = Simos.Cluster.now t.cl in
-    Trace.span ~cat:"dmtcp" ~name ~time:(now -. v) ~dur:v ()
-
 let fresh_domain () =
   {
     d_ckpt = fresh_op ();

@@ -87,15 +87,11 @@ val release_vpid : t -> vpid:int -> unit
 (** Current (node, real pid) for a virtual pid. *)
 val resolve_vpid : t -> int -> (int * int) option
 
-(** {2 Stage spans and operation records} *)
+(** {2 Operation records}
 
-(** [record_stage t name d] emits a ["dmtcp"] span [name] of [d] seconds
-    ending now, with no node or pid: the coordinator's stages and
-    restart's phases.  The manager emits its own [ckpt/delta] span, at
-    its node and pid, over the compression it models.  Nothing else
-    keeps stage durations: readers aggregate these spans with
-    {!Trace.Query.stage_stats} over a collector. *)
-val record_stage : t -> string -> float -> unit
+    The runtime keeps no stage durations: the process that ran a stage
+    emits its span ({!Faults.span}), and readers aggregate the spans
+    with {!Trace.Query.stage_stats} over a collector. *)
 
 (** Every operation record below is scoped to a coordinator {e domain},
     keyed by coordinator port ([?port]; defaults to the installed

@@ -8,10 +8,12 @@ type result = {
   restart_compressed : stages;
 }
 
-(* Stage durations come from the trace: the "dmtcp" spans
-   ([Dmtcp.Runtime.record_stage]'s and the manager's [ckpt/delta]) are
-   their only record, so querying the trace here yields the same
-   numbers the [dmtcp_sim trace] CLI reports. *)
+(* Stage durations come from the trace: the "dmtcp" spans each process
+   emits for the stages it ran ([Dmtcp.Faults.span]) are their only
+   record, so querying the trace here yields the same numbers the
+   [dmtcp_sim trace] CLI reports.  The restart refill row is the
+   re-injection alone, as the paper's: restart/refill-barrier is not in
+   the table. *)
 let stage_means events =
   Trace.Query.stage_stats ~cat:"dmtcp" events
   |> List.map (fun (name, s) -> (name, Util.Stats.mean s))

@@ -259,6 +259,120 @@ let test_restart_stream_migrated_together () =
   check (Alcotest.option Alcotest.string) "stream intact on one laptop" (Some "OK 3000")
     (file_anywhere cl "/tmp/ms")
 
+(* the stream pair on nodes 1 and 2, checkpointed and killed: the
+   script that restarts it *)
+let checkpointed_stream_pair cl rt ~out =
+  let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:stream-server" ~argv:[ "6000"; "4000"; out ] in
+  run_for cl 0.3;
+  let _ = Dmtcp.Api.launch rt ~node:2 ~prog:"p:stream-client" ~argv:[ "1"; "6000"; "4000" ] in
+  run_for cl 0.2;
+  Dmtcp.Api.checkpoint_now rt;
+  let script = Dmtcp.Api.restart_script rt in
+  Dmtcp.Api.kill_computation rt;
+  script
+
+(* Every restart stage is a kill point: when the first restarter enters
+   it, every node dies, restarters included, and a second restart from
+   the same script still finishes the stream. *)
+let test_kill_at_every_restart_stage () =
+  List.iter
+    (fun stage ->
+      let name = Dmtcp.Faults.stage_name stage in
+      let cl, rt = make () in
+      let script = checkpointed_stream_pair cl rt ~out:"/tmp/rk" in
+      let fired = ref false in
+      Dmtcp.Faults.on_stage :=
+        (fun ~node:_ ~pid:_ s ->
+          if s = stage && not !fired then begin
+            fired := true;
+            ignore
+              (Sim.Engine.schedule (Simos.Cluster.engine cl) ~delay:0. (fun () ->
+                   Dmtcp.Api.kill_nodes rt ~nodes:(List.init (Simos.Cluster.nodes cl) Fun.id)))
+          end);
+      Fun.protect
+        ~finally:(fun () -> Dmtcp.Faults.on_stage := Dmtcp.Faults.default_observer)
+        (fun () ->
+          Dmtcp.Api.restart rt script;
+          run_for cl 1.0);
+      Alcotest.(check bool) (name ^ ": the kill fired") true !fired;
+      Alcotest.(check bool) (name ^ ": the first restart never finished") true
+        ((Dmtcp.Runtime.restart_info rt).Dmtcp.Runtime.nprocs < Dmtcp.Runtime.restart_expected rt);
+      Dmtcp.Api.restart rt script;
+      Dmtcp.Api.await_restart rt;
+      Simos.Cluster.run cl;
+      check (Alcotest.option Alcotest.string) (name ^ ": stream intact after the second restart")
+        (Some "OK 4000") (file_content cl 1 "/tmp/rk"))
+    Dmtcp.Faults.restart_stages
+
+(* Each stage span is emitted by the process that ran it: the
+   checkpoint's ckpt/<stage> spans at the coordinator's node and pid,
+   each restarter's restart/<stage> spans at its own, in restart order,
+   tiling its run from boot to resume. *)
+let test_stage_spans_carry_their_process () =
+  let cl, rt = make () in
+  let col = Trace.collector () in
+  Trace.with_sink (Trace.collector_sink col) (fun () ->
+      let script = checkpointed_stream_pair cl rt ~out:"/tmp/rw" in
+      Dmtcp.Api.restart rt script;
+      Dmtcp.Api.await_restart rt);
+  let events = Trace.events col in
+  let where (e : Trace.event) = (e.Trace.node, e.Trace.pid) in
+  let instants name =
+    List.filter (fun (e : Trace.event) -> e.Trace.kind = Trace.Instant && e.Trace.name = name) events
+  in
+  let spans prefix =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        match e.Trace.kind with
+        | Trace.Span dur when String.starts_with ~prefix e.Trace.name -> Some (e, dur)
+        | _ -> None)
+      events
+  in
+  let coordinator = where (List.hd (instants "coord/ckpt-start")) in
+  let ckpt = spans "ckpt/" in
+  check Alcotest.int "one ckpt span per barrier" Dmtcp.Faults.nbarriers (List.length ckpt);
+  List.iter
+    (fun ((e : Trace.event), _) ->
+      check Alcotest.(pair int int) (e.Trace.name ^ " at the coordinator") coordinator (where e))
+    ckpt;
+  let expected =
+    List.concat_map
+      (fun s ->
+        let name = Dmtcp.Faults.span_name s in
+        match s with
+        | Dmtcp.Faults.Restart Dmtcp.Faults.Refill -> [ name; name ^ "-barrier" ]
+        | Dmtcp.Faults.Restart Dmtcp.Faults.Resume -> []
+        | _ -> [ name ])
+      Dmtcp.Faults.restart_stages
+  in
+  let boots = instants "rst/boot" in
+  check Alcotest.int "two restarters" 2 (List.length boots);
+  let restart_spans = spans "restart/" in
+  check Alcotest.int "every restart span belongs to a restarter"
+    (List.length expected * List.length boots)
+    (List.length restart_spans);
+  List.iter
+    (fun (boot : Trace.event) ->
+      let mine = List.filter (fun (e, _) -> where e = where boot) restart_spans in
+      let label = Printf.sprintf "restarter n%d p%d" boot.Trace.node boot.Trace.pid in
+      check Alcotest.(list string) (label ^ ": spans in restart order") expected
+        (List.map (fun ((e : Trace.event), _) -> e.Trace.name) mine);
+      let resume = List.find (fun e -> where e = where boot) (instants "rst/resume") in
+      let last =
+        List.fold_left
+          (fun t ((e : Trace.event), dur) ->
+            if Float.abs (e.Trace.time -. t) > 1e-9 then
+              Alcotest.failf "%s: %s starts at %.9f, not at %.9f" label e.Trace.name e.Trace.time t;
+            e.Trace.time +. dur)
+          boot.Trace.time mine
+      in
+      if Float.abs (last -. resume.Trace.time) > 1e-9 then
+        Alcotest.failf "%s: spans end at %.9f, resume is at %.9f" label last resume.Trace.time)
+    boots;
+  Simos.Cluster.run cl;
+  check (Alcotest.option Alcotest.string) "stream intact after restart" (Some "OK 4000")
+    (file_content cl 1 "/tmp/rw")
+
 let test_pipe_promotion () =
   (* pipes become socketpairs under DMTCP; a parent/child pipeline
      checkpoints and restarts correctly *)
@@ -439,6 +553,10 @@ let base_suites =
           Alcotest.test_case "migrated delta chain" `Quick test_restart_migrated_delta_chain;
           Alcotest.test_case "delta span times compression" `Quick
             test_delta_span_times_compression;
+          Alcotest.test_case "kill at every restart stage recovers" `Quick
+            test_kill_at_every_restart_stage;
+          Alcotest.test_case "stage spans say who ran them" `Quick
+            test_stage_spans_carry_their_process;
         ] );
       ( "features",
         [
