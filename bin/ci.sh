@@ -9,11 +9,19 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Wall seconds of the four long phases, printed as each ends (`time:`
+# lines).  Not gated; they let one log answer how long tier-1 and this
+# script take.
+now() { date +%s.%N; }
+took() { echo "time: $1 $(awk -v a="$2" -v b="$(now)" 'BEGIN { printf "%.1f", b - a }') s"; }
+
 echo "== dune build @check =="
 dune build @check
 
 echo "== dune runtest =="
+t0=$(now)
 dune runtest
+took "dune runtest" "$t0"
 
 mkdir -p _artifacts
 rm -f _artifacts/*_1.txt _artifacts/*_2.txt
@@ -49,6 +57,7 @@ echo "== determinism: each command runs twice, outputs byte-identical =="
 #   store scenario.
 # Every output must then match its MD5 in bin/ci_digests.md5, so a
 # change that moves any output byte fails here.
+t0=$(now)
 while read -r cmd; do
   out=_artifacts/$(echo "$cmd" | tr ' -' '__')
   echo "-- $cmd"
@@ -84,11 +93,13 @@ plugins run
 plugins run --off
 store verify
 EOF
+took "determinism loop" "$t0"
 
 echo "== examples: each runs once =="
 # The programs under examples/ print modeled checkpoint and restart
 # times; their outputs are pinned below with the determinism outputs.
 # cluster_to_laptop takes about 20 s, the others under a second.
+t0=$(now)
 for src in examples/*.ml; do
   ex=$(basename "$src" .ml)
   out=_artifacts/example_${ex}_1.txt
@@ -100,6 +111,7 @@ for src in examples/*.ml; do
   fi
   cat "$out"
 done
+took "examples" "$t0"
 
 if ! md5sum -c bin/ci_digests.md5; then
   echo "FAIL: determinism outputs diverged from bin/ci_digests.md5." >&2
@@ -114,7 +126,9 @@ grep -q "0 established socket spec(s), 0 drained byte(s)" _artifacts/mpi_run_pro
 
 echo "== torture sweep: 1000 seeds =="
 # The pinned 25-seed corpus of `dune runtest` is too narrow to catch
-# rare interleavings; the whole block of 1000 takes about 12 s.
+# rare interleavings; the whole block of 1000 took 11 to 13 s on a
+# 2-vCPU host (see its `time:` line).
+t0=$(now)
 if ! dune exec bin/dmtcp_sim.exe -- torture --seeds 1000 < /dev/null > _artifacts/torture_1000.txt \
   || ! grep -qx "torture: 1000/1000 seeds passed (base 0)" _artifacts/torture_1000.txt; then
   grep -v ": ok (" _artifacts/torture_1000.txt >&2
@@ -122,6 +136,7 @@ if ! dune exec bin/dmtcp_sim.exe -- torture --seeds 1000 < /dev/null > _artifact
   exit 1
 fi
 echo "torture: 1000/1000 seeds passed (base 0)"
+took "torture sweep" "$t0"
 
 echo "== plugin smoke: heuristic verdict diff =="
 # Each heuristic scenario must change its verdict when its plugin is

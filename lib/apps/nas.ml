@@ -406,6 +406,33 @@ module Is = struct
 
   let unpack_keys payload = R.array (fun r -> float_of_int (R.uvarint r)) (R.of_string payload)
 
+  (* Sort in place, as [Array.stable_sort Float.compare] would.  When
+     every key is an integer in [0, key_range), and so has one bit
+     pattern per value, and their span fits [max_span] counters, count
+     them; keys restored from an image are outside input, so anything
+     else takes the comparison sort. *)
+  let max_span = 1 lsl 16
+
+  let sort_keys k a =
+    let range = float_of_int k.key_range in
+    let countable x = x >= 0. && x < range && Float.is_integer x && not (Float.sign_bit x) in
+    if not (Array.for_all countable a) || Array.length a = 0 then Array.stable_sort Float.compare a
+    else begin
+      let lo = int_of_float (Array.fold_left Float.min Float.infinity a) in
+      let hi = int_of_float (Array.fold_left Float.max Float.neg_infinity a) in
+      if hi - lo >= max_span then Array.stable_sort Float.compare a
+      else begin
+        let counts = Array.make (hi - lo + 1) 0 in
+        Array.iter (fun x -> let i = int_of_float x - lo in counts.(i) <- counts.(i) + 1) a;
+        let j = ref 0 in
+        Array.iteri
+          (fun i n ->
+            Array.fill a !j n (float_of_int (lo + i));
+            j := !j + n)
+          counts
+      end
+    end
+
   let kstep ctx comm k =
     let size = Mpi.size comm and rank = Mpi.rank comm in
     match k.phase with
@@ -415,15 +442,23 @@ module Is = struct
       K_compute ({ k with keys; phase = 1 }, float_of_int k.nkeys *. 10. *. flop_cost)
     | 1 ->
       (* mail each peer its bucket (self keys go straight to received) *)
-      let buckets = Array.make size [] in
-      Array.iter (fun key -> buckets.(owner k size key) <- key :: buckets.(owner k size key)) k.keys;
+      let fill = Array.make size 0 in
+      Array.iter (fun key -> let o = owner k size key in fill.(o) <- fill.(o) + 1) k.keys;
+      let buckets = Array.map (fun n -> Array.make n 0.) fill in
+      (* each bucket lists its keys newest first: the key met first
+         takes the bucket's last cell *)
+      Array.iter
+        (fun key ->
+          let o = owner k size key in
+          fill.(o) <- fill.(o) - 1;
+          buckets.(o).(fill.(o)) <- key)
+        k.keys;
       for dst = 0 to size - 1 do
-        if dst <> rank then
-          Mpi.send comm ~dst ~tag:'D' (pack_keys (Array.of_list buckets.(dst)))
+        if dst <> rank then Mpi.send comm ~dst ~tag:'D' (pack_keys buckets.(dst))
       done;
       Mpi.progress ctx comm;
       K_compute
-        ( { k with phase = 2; received = Array.of_list buckets.(rank); keys = [||] },
+        ( { k with phase = 2; received = buckets.(rank); keys = [||] },
           float_of_int k.nkeys *. 4. *. flop_cost )
     | 2 ->
       (* collect one message from every peer *)
@@ -441,7 +476,7 @@ module Is = struct
         K_compute ({ k with phase = 3; received = !received; got_from = !got }, 1e-5)
       else K_wait { k with received = !received; got_from = !got }
     | 3 ->
-      Array.stable_sort Float.compare k.received;
+      sort_keys k k.received;
       (* verify: locally sorted (by construction) and inside my range *)
       let lo = float_of_int (rank * k.key_range / size) in
       let hi = float_of_int ((rank + 1) * k.key_range / size) in

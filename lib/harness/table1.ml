@@ -38,10 +38,25 @@ let with_env ~algo ~forked ~nprocs f =
   Common.teardown env;
   (r, Trace.events coll)
 
+let forked_pending rt =
+  List.exists
+    (fun (_, _, ps) -> ps.Dmtcp.Runtime.forked_pending)
+    (Dmtcp.Runtime.hijacked_processes rt)
+
+(* With [forked] on, a round starts once the previous round's children
+   have landed their images, or after [forked_landing] simulated
+   seconds: at most one child is in flight, so an earlier start would
+   make the write stage wait for the last child instead of timing the
+   forked pause. *)
+let forked_landing = 60.
+
 let measure_ckpt_stages ~algo ~forked ~reps ~nprocs =
   let (), events =
     with_env ~algo ~forked ~nprocs (fun env ->
         for _ = 1 to reps do
+          if forked then
+            Common.run_until ~every:0.01 env ~timeout:forked_landing (fun () ->
+                not (forked_pending env.Common.rt));
           Simos.Cluster.reset_storage env.Common.cl;
           Common.run_for env 0.3;
           Dmtcp.Api.checkpoint_now env.Common.rt

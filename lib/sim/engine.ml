@@ -6,9 +6,17 @@ type handle = event
 let m_dispatches = Trace.Metrics.counter "sim.dispatches"
 let m_scheduled = Trace.Metrics.counter "sim.scheduled"
 
-type t = { mutable clock : float; queue : event Util.Heap.t }
+(* [next] receives each popped event's time unboxed; the clock keeps a
+   boxed float, so [now] returns it without allocating. *)
+type t = { mutable clock : float; next : float ref; queue : event Util.Heap.t }
 
-let create () = { clock = 0.; queue = Util.Heap.create ~dummy:{ cancelled = true; fn = ignore } () }
+let create () =
+  {
+    clock = 0.;
+    next = ref 0.;
+    queue = Util.Heap.create ~dummy:{ cancelled = true; fn = ignore } ();
+  }
+
 let now t = t.clock
 
 let schedule_at t ~time fn =
@@ -24,36 +32,38 @@ let schedule t ~delay fn =
 
 let cancel (ev : handle) = ev.cancelled <- true
 
+let dispatch t ev =
+  t.clock <- !(t.next);
+  Trace.Metrics.incr m_dispatches;
+  ev.fn ()
+
 let rec step t =
-  match Util.Heap.pop t.queue with
-  | None -> false
-  | Some (_, ev) when ev.cancelled -> step t
-  | Some (time, ev) ->
-    t.clock <- time;
-    Trace.Metrics.incr m_dispatches;
-    ev.fn ();
-    true
+  if Util.Heap.is_empty t.queue then false
+  else
+    let ev = Util.Heap.take_into t.queue t.next in
+    if ev.cancelled then step t
+    else begin
+      dispatch t ev;
+      true
+    end
 
 let run ?until ?(max_events = 50_000_000) t =
   let count = ref 0 in
   let continue = ref true in
   while !continue do
-    match Util.Heap.peek t.queue with
-    | None -> continue := false
-    | Some (time, ev) -> (
+    if Util.Heap.is_empty t.queue then continue := false
+    else
       match until with
-      | Some limit when time > limit ->
+      | Some limit when Util.Heap.top_above t.queue limit ->
         t.clock <- max t.clock limit;
         continue := false
       | _ ->
-        ignore (Util.Heap.pop t.queue);
+        let ev = Util.Heap.take_into t.queue t.next in
         if not ev.cancelled then begin
-          t.clock <- time;
-          Trace.Metrics.incr m_dispatches;
-          ev.fn ();
+          dispatch t ev;
           incr count;
           if !count > max_events then failwith "Engine.run: max_events exceeded (livelock?)"
-        end)
+        end
   done;
   match until with
   | Some limit when t.clock < limit && Util.Heap.is_empty t.queue -> t.clock <- limit

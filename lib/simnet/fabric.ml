@@ -30,7 +30,7 @@ type socket = {
   accept_q : socket Queue.t;
   mutable backlog : int;
   mutable wake : unit -> unit;
-  mutable activity : int;           (* [notify] calls so far *)
+  cells : Sim.Wake.cells;           (* fired by every [notify] *)
 }
 
 (* Per-link fault state, installed by the chaos layer.  Links are
@@ -149,7 +149,7 @@ let make_socket fab ~host ~unix =
     accept_q = Queue.create ();
     backlog = 0;
     wake = ignore;
-    activity = 0;
+    cells = Sim.Wake.cells ();
   }
 
 let socket fab ~host = make_socket fab ~host ~unix:false
@@ -165,11 +165,11 @@ let recv_buffered s = Util.Bytequeue.length s.recv_buf
 let send_buffered s = Util.Bytequeue.length s.send_buf
 let in_flight s = s.in_flight
 let on_activity s f = s.wake <- f
-let activity s = s.activity
+let wake_cells s = s.cells
 
-(* Every wake-up goes through here and is counted in [activity]. *)
+(* Every wake-up goes through here and fires the cells armed on [s]. *)
 let notify s =
-  s.activity <- s.activity + 1;
+  Sim.Wake.fire s.cells;
   s.wake ()
 
 let peer_addr s =

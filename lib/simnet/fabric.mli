@@ -108,9 +108,10 @@ val in_flight : socket -> int
     later registrations replace earlier ones. *)
 val on_activity : socket -> (unit -> unit) -> unit
 
-(** Wake-ups so far: every call of the {!on_activity} hook is counted,
-    and every change that can make the socket readable makes one. *)
-val activity : socket -> int
+(** The wake cells armed on the socket ({!Sim.Wake}).  Every call of
+    the {!on_activity} hook fires them first, and every change that can
+    make the socket readable makes one. *)
+val wake_cells : socket -> Sim.Wake.cells
 
 (** {2 Checkpoint support}
 

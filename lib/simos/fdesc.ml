@@ -56,9 +56,9 @@ let writable t =
   | Pipe_w p -> Pipe.writers p > 0 && Pipe.buffered p < Pipe.capacity
   | Pty_m _ | Pty_s _ -> true
 
-let activity t =
+let wake_cells t =
   match t.kind with
-  | File _ -> 0
-  | Sock s -> Simnet.Fabric.activity s
-  | Pipe_r p | Pipe_w p -> Pipe.activity p
-  | Pty_m p | Pty_s p -> Pty.activity p
+  | File _ -> None
+  | Sock s -> Some (Simnet.Fabric.wake_cells s)
+  | Pipe_r p | Pipe_w p -> Some (Pipe.wake_cells p)
+  | Pty_m p | Pty_s p -> Some (Pty.wake_cells p)

@@ -44,8 +44,9 @@ val readable : t -> bool
 
 val writable : t -> bool
 
-(** Wake-ups so far on the socket, pipe or pty behind the description
-    (its [activity]); while the count stands still, an unreadable one
-    stays unreadable.  Always [0] for a regular file: another
+(** The wake cells of the socket, pipe or pty behind the description
+    (one pipe or pty backs two descriptions, so they share them).  A
+    cell armed there while the description was unreadable stays unfired
+    until it may be readable.  [None] for a regular file: another
     description's append makes it readable without a wake-up. *)
-val activity : t -> int
+val wake_cells : t -> Sim.Wake.cells option

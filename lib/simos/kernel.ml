@@ -1,15 +1,49 @@
 type sigaction = Sig_default | Sig_ignore | Sig_handler of string
 
-(* Keyed by fd, without polymorphic compare.  The hash stays
-   [Hashtbl.hash], so iteration order is the generic table's: exit and
-   [vanish_process] close fds in fold order, and that order is
-   observable. *)
-module Fdtbl = Hashtbl.Make (struct
-  type t = int
+(* Keyed by fd, without polymorphic compare.  Iteration stays the
+   generic [Hashtbl]'s order: exit and [vanish_process] close fds in
+   fold order, and that order is observable.  Lookups read an
+   fd-indexed slot array instead of hashing; [replace], [remove] and
+   [copy] keep it in step.  An fd outside [0, slot_cap) (a corrupt
+   image may name any) is looked up in the hash table, so no fd grows
+   the array past the cap. *)
+module Fdtbl = struct
+  module H = Hashtbl.Make (struct
+    type t = int
 
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
+    let equal = Int.equal
+    let hash = Hashtbl.hash
+  end)
+
+  type 'a t = { h : 'a H.t; mutable slots : 'a option array }
+
+  let slot_cap = 1024
+  let create n = { h = H.create n; slots = [||] }
+  let copy t = { h = H.copy t.h; slots = Array.copy t.slots }
+  let length t = H.length t.h
+  let iter f t = H.iter f t.h
+  let fold f t acc = H.fold f t.h acc
+
+  let in_slots fd = fd >= 0 && fd < slot_cap
+
+  let find_opt t fd =
+    if not (in_slots fd) then H.find_opt t.h fd
+    else if fd < Array.length t.slots then Array.unsafe_get t.slots fd
+    else None
+
+  let replace t fd v =
+    H.replace t.h fd v;
+    if in_slots fd then begin
+      let n = Array.length t.slots in
+      if fd >= n then
+        t.slots <- Array.init (min slot_cap (max 16 (2 * fd))) (fun i -> if i < n then t.slots.(i) else None);
+      t.slots.(fd) <- Some v
+    end
+
+  let remove t fd =
+    H.remove t.h fd;
+    if fd >= 0 && fd < Array.length t.slots then t.slots.(fd) <- None
+end
 
 type thread_state = Ready | Blocked of Program.wait | Dead
 
@@ -23,9 +57,11 @@ type thread = {
   mutable generation : int;
   mutable manager : bool;
   mutable wake_handle : Sim.Engine.handle option;
-  mutable wait_descs : Fdesc.t list;
-  mutable wait_sum : int;
+  mutable wait_key : int list;
   mutable wait_gen : int;
+  mutable wait : Sim.Wake.wait;
+  mutable wait_descs : Fdesc.t array;
+  mutable wait_cells : Sim.Wake.cell array;
   mutable ctx : Program.ctx option;
   mutable ctx_wrapped : bool;
 }
@@ -152,10 +188,12 @@ let quantum = 2e-6
 let runnable_threads t =
   Hashtbl.fold
     (fun _ p acc ->
-      if p.pstate = Running then
-        acc
-        + List.length (List.filter (fun th -> th.tstate = Ready && not th.suspended) p.threads)
-      else acc)
+      match p.pstate with
+      | Running ->
+        List.fold_left
+          (fun n th -> match th.tstate with Ready when not th.suspended -> n + 1 | _ -> n)
+          acc p.threads
+      | Zombie _ | Reaped -> acc)
     t.procs 0
 
 let load_factor t = Float.max 1.0 (float_of_int (runnable_threads t) /. float_of_int t.kcores)
@@ -209,45 +247,93 @@ let wait_satisfied t proc = function
   | Program.Sleep_until deadline -> Sim.Engine.now t.eng >= deadline
   | Program.Stopped -> false
 
-(* The wait record.  A thread blocked on reading sockets, pipes or ptys
-   remembers the descriptions its fds resolved to, the sum of their
-   [Fdesc.activity] counts and its process's [fd_gen].  While all three
-   stand still its wait cannot have become satisfied: every change that
-   makes such a description readable is a counted wake-up.  A regular
-   file is untracked (another description's append makes it readable
-   unannounced), and so is every other kind of wait; [no_record] marks
-   them. *)
+(* The wait record.  A thread blocked reading sockets, pipes or ptys
+   keeps the fd list its last full scan found unsatisfied
+   ([wait_key]), its process's [fd_gen] then, and one wake cell per
+   description the fds resolved to ([wait_descs]), armed on the object
+   behind it under the description's slot ([wait_cells], all of one
+   [wait]).  A description whose cell has not fired is still
+   unreadable: every change that can make it readable fires its
+   object's cells, and every change to the fd table bumps [fd_gen].  So
+   while no cell has fired and [fd_gen] stands still the wait cannot
+   have become satisfied.  A regular file is untracked (another
+   description's append makes it readable unannounced), and so is every
+   other kind of wait; [no_record] marks them. *)
 let no_record = -1
 
-let record_current th =
-  th.wait_gen = th.tproc.fd_gen
-  && List.fold_left (fun n d -> n + Fdesc.activity d) 0 th.wait_descs = th.wait_sum
+let no_wait =
+  let w = Sim.Wake.wait ~size:0 in
+  Sim.Wake.kill w;
+  w
 
-(* [wait_satisfied], resolving each fd once; an unsatisfied read wait on
-   sockets, pipes and ptys leaves its record on [th]. *)
-let check_wait t th w =
+let record_current th = th.wait_gen = th.tproc.fd_gen && Sim.Wake.quiet th.wait
+
+let drop_record th =
+  if th.wait_gen <> no_record then begin
+    Sim.Wake.kill th.wait;
+    th.wait <- no_wait;
+    th.wait_key <- [];
+    th.wait_descs <- [||];
+    th.wait_cells <- [||];
+    th.wait_gen <- no_record
+  end
+
+(* [wait_satisfied] over [fds], resolving each once.  When none is
+   readable and none is a regular file, the scan arms a cell on each
+   description and becomes the record: its key is set only here, once
+   the scan completes. *)
+let scan_wait t th fds =
+  drop_record th;
   let proc = th.tproc in
-  let rec scan descs sum = function
+  let rec scan homes = function
     | [] ->
-      th.wait_descs <- descs;
-      th.wait_sum <- sum;
+      let homes = Array.of_list homes in
+      let w = Sim.Wake.wait ~size:(Array.length homes) in
+      th.wait <- w;
+      th.wait_descs <- Array.map fst homes;
+      th.wait_cells <- Array.mapi (fun slot (_, home) -> Sim.Wake.arm w home ~slot) homes;
+      th.wait_key <- fds;
       th.wait_gen <- proc.fd_gen;
       false
-    | fd :: fds -> (
+    | fd :: rest -> (
       match fd_desc proc fd with
       | None -> true
       | Some d when Fdesc.readable d -> true
-      | Some { Fdesc.kind = Fdesc.File _; _ } ->
-        th.wait_gen <- no_record;
-        wait_satisfied t proc (Program.Readable_any fds)
-      | Some d -> scan (d :: descs) (sum + Fdesc.activity d) fds)
+      | Some d -> (
+        match Fdesc.wake_cells d with
+        | None -> wait_satisfied t proc (Program.Readable_any rest)
+        | Some home -> scan ((d, home) :: homes) rest))
   in
+  scan [] fds
+
+(* A stale record, or one a thread blocking again on the same fds with
+   the same [fd_gen] finds: only the descriptions whose cells fired can
+   have become readable.  If none has, re-arm just those. *)
+let reread th =
+  let w = th.wait in
+  if Sim.Wake.quiet w then false
+  else if Sim.Wake.exists_fired w th.wait_descs Fdesc.readable then true
+  else begin
+    Sim.Wake.rearm w th.wait_cells;
+    false
+  end
+
+let same_key th = function
+  | Program.Readable fd -> ( match th.wait_key with [ k ] -> k = fd | _ -> false)
+  | Program.Readable_any fds -> th.wait_key == fds || List.equal Int.equal th.wait_key fds
+  | Program.Writable _ | Program.Child | Program.Sleep_until _ | Program.Stopped -> false
+
+(* [wait_satisfied], through the record when it still describes [w]. *)
+let check_wait t th w =
   match w with
-  | Program.Readable fd -> scan [] 0 [ fd ]
-  | Program.Readable_any fds -> scan [] 0 fds
+  | (Program.Readable _ | Program.Readable_any _)
+    when th.wait_gen = th.tproc.fd_gen && same_key th w ->
+    reread th
+  | Program.Readable fd -> scan_wait t th [ fd ]
+  | Program.Readable_any fds -> scan_wait t th fds
   | Program.Writable _ | Program.Child | Program.Sleep_until _ | Program.Stopped ->
-    th.wait_gen <- no_record;
-    wait_satisfied t proc w
+    drop_record th;
+    wait_satisfied t th.tproc w
 
 let get_sigaction proc signal =
   Option.value ~default:Sig_default (Hashtbl.find_opt proc.sigtable signal)
@@ -714,20 +800,25 @@ and poke_later t =
 and poke t =
   Hashtbl.iter
     (fun _ proc ->
-      if proc.pstate = Running then
-        List.iter
-          (fun th ->
-            match th.tstate with
-            | Blocked w when (not th.suspended) && (not (record_current th)) && check_wait t th w ->
-              th.tstate <- Ready;
-              schedule_step t th ~delay:0.
-            | _ -> ())
-          proc.threads)
+      match proc.pstate with
+      | Running -> poke_threads t proc.threads
+      | Zombie _ | Reaped -> ())
     t.procs
+
+and poke_threads t = function
+  | [] -> ()
+  | th :: rest ->
+    (match th.tstate with
+    | Blocked w when (not th.suspended) && (not (record_current th)) && check_wait t th w ->
+      th.tstate <- Ready;
+      schedule_step t th ~delay:0.
+    | Ready | Blocked _ | Dead -> ());
+    poke_threads t rest
 
 and kill_thread th =
   th.tstate <- Dead;
   th.generation <- th.generation + 1;
+  drop_record th;
   (match th.wake_handle with
   | Some h ->
     Sim.Engine.cancel h;
@@ -768,9 +859,11 @@ and add_thread_internal t proc ~inst ~manager ~blocked =
       generation = 0;
       manager;
       wake_handle = None;
-      wait_descs = [];
-      wait_sum = 0;
+      wait_key = [];
       wait_gen = no_record;
+      wait = no_wait;
+      wait_descs = [||];
+      wait_cells = [||];
       ctx = None;
       ctx_wrapped = false;
     }

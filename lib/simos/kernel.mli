@@ -14,9 +14,24 @@
     handlers are data to the checkpointer, not executed by the kernel. *)
 type sigaction = Sig_default | Sig_ignore | Sig_handler of string
 
-(** Fd tables: keyed by fd number, hashed with [Hashtbl.hash], so a
-    table iterates in the order a generic [Hashtbl] would. *)
-module Fdtbl : Hashtbl.S with type key = int
+(** Fd tables, keyed by fd number.  A table iterates in a generic
+    [Hashtbl]'s order (exit and {!vanish_process} close fds in it, and
+    it is observable); [find_opt] reads an fd-indexed array instead,
+    and hashes only an fd outside [0, 1024).  Change a process's table
+    through {!install_fd}, {!alloc_fd} and {!remove_fd}, which bump
+    [fd_gen]. *)
+module Fdtbl : sig
+  type 'a t
+
+  val create : int -> 'a t
+  val copy : 'a t -> 'a t
+  val length : 'a t -> int
+  val find_opt : 'a t -> int -> 'a option
+  val replace : 'a t -> int -> 'a -> unit
+  val remove : 'a t -> int -> unit
+  val iter : (int -> 'a -> unit) -> 'a t -> unit
+  val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+end
 
 type thread_state = Ready | Blocked of Program.wait | Dead
 
@@ -31,14 +46,23 @@ type thread = {
   mutable manager : bool;     (** DMTCP checkpoint-manager thread *)
   mutable wake_handle : Sim.Engine.handle option;
       (** pending sleep wake-up, cancelled when the thread dies *)
-  mutable wait_descs : Fdesc.t list;
+  mutable wait_key : int list;
       (** The wait record, kept while the thread is blocked reading
-          sockets, pipes or ptys: the descriptions its fds resolved to, *)
-  mutable wait_sum : int;  (** the sum of their {!Fdesc.activity} counts, *)
+          sockets, pipes or ptys: the fd list of the full scan that
+          found the wait unsatisfied, *)
   mutable wait_gen : int;
-      (** and the process's [fd_gen] when the wait was found unsatisfied
-          ([-1]: no record).  A poke skips the thread while all three
-          still match. *)
+      (** the process's [fd_gen] at that scan ([-1]: no record), *)
+  mutable wait : Sim.Wake.wait;
+  mutable wait_descs : Fdesc.t array;
+  mutable wait_cells : Sim.Wake.cell array;
+      (** and the descriptions the fds resolved to, each with a wake
+          cell of [wait] armed on the socket, pipe or pty behind it
+          under the description's index.  A poke skips the thread
+          while no cell has fired and [fd_gen] is unchanged; otherwise
+          it re-reads only the descriptions whose cells fired, and
+          re-arms them if none is readable.  Blocking again on the same
+          fd list with the same [fd_gen] reuses the record the same
+          way. *)
   mutable ctx : Program.ctx option;
       (** the thread's syscall table, built on its first step and rebuilt
           when the process's [cmdline] or the thread's [ctx_wrapped]

@@ -3,7 +3,7 @@ type t = {
   mutable reader_count : int;
   mutable writer_count : int;
   mutable wake : unit -> unit;
-  mutable activity : int;  (* [notify] calls so far *)
+  cells : Sim.Wake.cells;  (* fired by every [notify] *)
 }
 
 let capacity = 65536
@@ -14,12 +14,12 @@ let create () =
     reader_count = 0;
     writer_count = 0;
     wake = ignore;
-    activity = 0;
+    cells = Sim.Wake.cells ();
   }
 
-(* Every wake-up goes through here and is counted in [activity]. *)
+(* Every wake-up goes through here and fires the cells armed on [t]. *)
 let notify t =
-  t.activity <- t.activity + 1;
+  Sim.Wake.fire t.cells;
   t.wake ()
 
 let add_reader t = t.reader_count <- t.reader_count + 1
@@ -58,4 +58,4 @@ let write t data =
 
 let buffered t = Util.Bytequeue.length t.buf
 let on_activity t f = t.wake <- f
-let activity t = t.activity
+let wake_cells t = t.cells

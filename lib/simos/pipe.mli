@@ -30,6 +30,7 @@ val buffered : t -> int
 
 val on_activity : t -> (unit -> unit) -> unit
 
-(** Wake-ups so far: every call of the {!on_activity} hook is counted,
-    and every change that can make the read end readable makes one. *)
-val activity : t -> int
+(** The wake cells armed on the pipe, shared by both ends: every call
+    of the {!on_activity} hook fires them first, and every change that
+    can make the read end readable makes one. *)
+val wake_cells : t -> Sim.Wake.cells

@@ -14,7 +14,7 @@ type t = {
   mutable tio : termios;
   mutable pgrp : int;
   mutable wake : unit -> unit;
-  mutable activity : int;  (* [notify] calls so far *)
+  cells : Sim.Wake.cells;  (* fired by every [notify] *)
 }
 
 let next_id = ref 0
@@ -29,7 +29,7 @@ let create () =
     tio = default_termios ();
     pgrp = 0;
     wake = ignore;
-    activity = 0;
+    cells = Sim.Wake.cells ();
   }
 
 let id t = t.pty_id
@@ -39,9 +39,9 @@ let set_termios t tio = t.tio <- tio
 
 let capacity = 65536
 
-(* Every wake-up goes through here and is counted in [activity]. *)
+(* Every wake-up goes through here and fires the cells armed on [t]. *)
 let notify t =
-  t.activity <- t.activity + 1;
+  Sim.Wake.fire t.cells;
   t.wake ()
 
 let write_queue t q data =
@@ -76,6 +76,6 @@ let refill t ~to_slave ~to_master =
   notify t
 
 let on_activity t f = t.wake <- f
-let activity t = t.activity
+let wake_cells t = t.cells
 let owner_pgrp t = t.pgrp
 let set_owner_pgrp t pgrp = t.pgrp <- pgrp

@@ -47,9 +47,10 @@ val refill : t -> to_slave:string -> to_master:string -> unit
 
 val on_activity : t -> (unit -> unit) -> unit
 
-(** Wake-ups so far: every call of the {!on_activity} hook is counted,
-    and every change that can make the master or slave side readable makes one. *)
-val activity : t -> int
+(** The wake cells armed on the pty, shared by master and slave: every
+    call of the {!on_activity} hook fires them first, and every change
+    that can make either side readable makes one. *)
+val wake_cells : t -> Sim.Wake.cells
 
 (** Controlling-terminal ownership (foreground process group). *)
 val owner_pgrp : t -> int

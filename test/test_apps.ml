@@ -97,6 +97,36 @@ let test_cg_with_checkpoint () =
 let test_is_with_checkpoint () =
   ckpt_case ~prog:"nas:is" ~short:"is" ~extra:[ "20000"; "200" ] ~warmup:0.5 ()
 
+(* The bytes of IS rank images taken mid-exchange, while 'D' bucket
+   payloads are in flight and half-collected: a bucket lists its keys
+   newest first, and every payload and image byte depends on that
+   order.  CRC-32s of the eight images, in (node, path) order, as
+   written before IS sorted by counting and bucketed into arrays. *)
+let test_is_image_bytes () =
+  let cl, rt = make ~nodes:5 () in
+  launch_ranks rt ~prog:"nas:is" ~nprocs:8 ~rpn:2 ~base_port:5500 ~extra:[ "20000"; "200" ];
+  run_for cl 0.28;
+  Dmtcp.Api.checkpoint_now rt;
+  let crcs =
+    List.sort compare (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images
+    |> List.map (fun (node, path) ->
+           match file_content cl node path with
+           | Some image -> Printf.sprintf "%d %s %08lx" node path (Util.Crc32.digest image)
+           | None -> Printf.sprintf "%d %s missing" node path)
+  in
+  check Alcotest.(list string) "image CRC-32s"
+    [
+      "0 /ckpt/ckpt_nas:is_0-100-g0.dmtcp 54b84b36";
+      "0 /ckpt/ckpt_nas:is_0-101-g0.dmtcp a988e9c0";
+      "1 /ckpt/ckpt_nas:is_1-200-g0.dmtcp 716820b3";
+      "1 /ckpt/ckpt_nas:is_1-201-g0.dmtcp 50589c88";
+      "2 /ckpt/ckpt_nas:is_2-300-g0.dmtcp 0891acf6";
+      "2 /ckpt/ckpt_nas:is_2-301-g0.dmtcp eeba0726";
+      "3 /ckpt/ckpt_nas:is_3-400-g0.dmtcp 4a77c25b";
+      "3 /ckpt/ckpt_nas:is_3-401-g0.dmtcp 4f13e9a6";
+    ]
+    crcs
+
 let test_pargeant4_with_checkpoint () =
   ckpt_case ~prog:"apps:pargeant4" ~short:"pargeant4" ~extra:[ "400"; "50" ] ~warmup:0.5 ()
 
@@ -311,6 +341,7 @@ let () =
         [
           Alcotest.test_case "CG + checkpoint" `Quick test_cg_with_checkpoint;
           Alcotest.test_case "IS + checkpoint" `Quick test_is_with_checkpoint;
+          Alcotest.test_case "IS image bytes mid-exchange" `Quick test_is_image_bytes;
           Alcotest.test_case "ParGeant4 + checkpoint" `Quick test_pargeant4_with_checkpoint;
           Alcotest.test_case "CG + restart" `Quick test_cg_with_restart;
         ] );

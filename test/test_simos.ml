@@ -430,6 +430,131 @@ module Edge_actor = struct
     | Setup _ | Act _ | Idle -> Simos.Program.Block (Idle, Simos.Program.Stopped)
 end
 
+(* Wake cells: a thread blocked on [Readable_any] is woken through the
+   cells its wait armed on each socket, pipe or pty.  [Cell_waiter]
+   (argv [key; "same" | "flip"; send fd; fds...]) blocks on its fds,
+   reversing the list on every other block with "flip", and on each
+   wake logs the time and the positions of the fds that had data, then
+   writes a byte on the send fd (unless [-1]).  [Cell_actor] sets up one
+   scenario and makes the fds readable one at a time. *)
+
+let cell_wakes : (string, string list) Hashtbl.t = Hashtbl.create 8
+
+(* scenario -> (pid, fd) of a listener nothing connects to *)
+let cell_listeners : (string, int * int) Hashtbl.t = Hashtbl.create 4
+
+module Cell_waiter = struct
+  type state = Start of string * bool * int * int list | Woke of string * bool * int * int list * int | Done
+
+  let name = "test:cell-waiter"
+  let encode w _ = Util.Codec.Writer.u8 w 0
+  let decode _ = Done
+
+  let init ~argv =
+    match argv with
+    | key :: mode :: send :: fds ->
+      Start (key, mode = "flip", int_of_string send, List.map int_of_string fds)
+    | _ -> Done
+
+  let wait flip n fds = Simos.Program.Readable_any (if flip && n mod 2 = 1 then List.rev fds else fds)
+
+  let step (ctx : Simos.Program.ctx) = function
+    | Start (key, flip, send, fds) -> Simos.Program.Block (Woke (key, flip, send, fds, 1), wait flip 0 fds)
+    | Woke (key, flip, send, fds, n) ->
+      let had_data =
+        List.mapi (fun i fd -> (i, ctx.read_fd fd ~max:4096)) fds
+        |> List.filter_map (function i, `Data _ -> Some (string_of_int i) | _ -> None)
+      in
+      let line = Printf.sprintf "%.9f %s" (ctx.now ()) (String.concat "," had_data) in
+      Hashtbl.replace cell_wakes key (line :: Option.value ~default:[] (Hashtbl.find_opt cell_wakes key));
+      if send >= 0 then ignore (ctx.write_fd send "x");
+      Simos.Program.Block (Woke (key, flip, send, fds, n + 1), wait flip n fds)
+    | Done -> Simos.Program.Block (Done, Simos.Program.Stopped)
+end
+
+module Cell_actor = struct
+  type state = Setup of string | Act of string * int array * int | Idle
+
+  let name = "test:cell-actor"
+  let encode w _ = Util.Codec.Writer.u8 w 0
+  let decode _ = Idle
+  let init ~argv = match argv with [ scenario ] -> Setup scenario | _ -> Idle
+  let prune_rounds = 10_000
+
+  let waiter (ctx : Simos.Program.ctx) key mode ~send fds =
+    ignore
+      (ctx.spawn_thread ~prog:"test:cell-waiter"
+         ~argv:(key :: mode :: string_of_int send :: List.map string_of_int fds))
+
+  let next (ctx : Simos.Program.ctx) s fds i dt =
+    Simos.Program.Block (Act (s, fds, i), Simos.Program.Sleep_until (ctx.now () +. dt))
+
+  let write (ctx : Simos.Program.ctx) fd data = ignore (ctx.write_fd fd data)
+  let idle = Simos.Program.Block (Idle, Simos.Program.Stopped)
+
+  let listener (ctx : Simos.Program.ctx) port =
+    let l = ctx.socket () in
+    ignore (ctx.bind l ~port);
+    ignore (ctx.listen l ~backlog:1);
+    l
+
+  let step (ctx : Simos.Program.ctx) = function
+    | Setup (("mixed" | "prune") as s) ->
+      let l = listener ctx 7200 in
+      let c = ctx.socket () in
+      ignore (ctx.connect c (Simnet.Addr.Inet { host = ctx.node_id; port = 7200 }));
+      next ctx s [| l; c |] 0 0.01
+    | Act ("mixed", [| l; c |], 0) ->
+      (* the waiter's own writes on [a] land on [c]: each delivery
+         fires [a]'s cells without making [a] readable *)
+      let a = Option.get (ctx.accept l) in
+      let r, w = ctx.pipe () in
+      let m, sl = ctx.open_pty () in
+      waiter ctx "mixed" "same" ~send:a [ a; r; m ];
+      next ctx "mixed" [| c; w; sl |] 1 0.5
+    | Act ("mixed", fds, 1) ->
+      write ctx fds.(1) "p";
+      next ctx "mixed" fds 2 0.5
+    | Act ("mixed", fds, 2) ->
+      write ctx fds.(2) "t";
+      next ctx "mixed" fds 3 0.5
+    | Act ("mixed", fds, 3) ->
+      write ctx fds.(0) "s";
+      idle
+    | Act ("prune", [| l; c |], 0) ->
+      let a = Option.get (ctx.accept l) in
+      let q = listener ctx 7201 in
+      Hashtbl.replace cell_listeners "prune" (ctx.pid, q);
+      waiter ctx "prune" "flip" ~send:(-1) [ q; a ];
+      next ctx "prune" [| c |] 1 0.01
+    | Act ("prune", fds, i) when i <= prune_rounds ->
+      write ctx fds.(0) "b";
+      next ctx "prune" fds (i + 1) 1e-3
+    | Setup (("reuse" | "dup2") as s) ->
+      let r1, w1 = ctx.pipe () in
+      let r2, w2 = ctx.pipe () in
+      waiter ctx s "same" ~send:(-1) [ r1; r2 ];
+      next ctx s [| w1; w2; r2 |] 1 0.5
+    | Act (s, fds, 1) ->
+      write ctx fds.(0) "1";
+      next ctx s fds 2 0.25
+    | Act ("dup2", fds, 2) ->
+      (* a fresh, empty pipe's read end replaces [r2]; the waiter's next
+         wake comes from a write on it *)
+      let r3, w3 = ctx.pipe () in
+      ignore (ctx.dup2 ~src:r3 ~dst:fds.(2));
+      ctx.close_fd r3;
+      next ctx "dup2" [| fds.(0); w3; fds.(2) |] 3 0.25
+    | Act (s, fds, 2) -> next ctx s fds 3 0.25
+    | Act (s, fds, 3) ->
+      write ctx fds.(1) "2";
+      next ctx s fds 4 0.5
+    | Act (_, fds, 4) ->
+      write ctx fds.(0) "3";
+      idle
+    | Setup _ | Act _ | Idle -> idle
+end
+
 let () =
   List.iter Simos.Program.register
     [
@@ -442,6 +567,8 @@ let () =
       (module Sleeper);
       (module Edge_waiter);
       (module Edge_actor);
+      (module Cell_waiter);
+      (module Cell_actor);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -484,6 +611,110 @@ let test_wake_edges () =
       ("writable after the peer reads, poked before delivery", [ "socket" ], "socket", "0.520000000");
     ]
 
+
+(* Run one [Cell_actor] scenario to the end, one event at a time,
+   asserting after every event that no poke skipped a ready thread. *)
+let cell_run scenario =
+  let c = make_cluster ~nodes:1 () in
+  let k = Simos.Cluster.kernel c 0 in
+  Hashtbl.remove cell_wakes scenario;
+  ignore (Simos.Kernel.spawn k ~prog:"test:cell-actor" ~argv:[ scenario ] ());
+  let eng = Simos.Cluster.engine c in
+  let events = ref 0 in
+  while Sim.Engine.step eng do
+    incr events;
+    let skipped = Simos.Kernel.skipped_ready k in
+    if skipped <> 0 then
+      Alcotest.failf "%s: %d ready thread(s) skipped after event %d at %.9f" scenario skipped !events
+        (Sim.Engine.now eng)
+  done;
+  (k, List.rev (Option.value ~default:[] (Hashtbl.find_opt cell_wakes scenario)))
+
+(* wake times and the positions of the fds that had data, as computed
+   before wake cells replaced activity counts *)
+let test_cell_wakes () =
+  List.iter
+    (fun (scenario, expected) ->
+      check Alcotest.(list string) scenario expected (snd (cell_run scenario)))
+    [
+      ("mixed", [ "0.510000000 1"; "1.010000000 2"; "1.510010000 0" ]);
+      ("reuse", [ "0.500000000 0"; "1.000000000 1"; "1.500000000 0" ]);
+      ("dup2", [ "0.500000000 0"; "1.000000000 1"; "1.500000000 0" ]);
+    ]
+
+(* Each block of the "flip" waiter is a full scan that arms a new cell on
+   the listener; the cells of the waits it left are dropped there. *)
+let test_cell_pruning () =
+  let k, wakes = cell_run "prune" in
+  check Alcotest.int "one wake per byte" Cell_actor.prune_rounds (List.length wakes);
+  check Alcotest.(option string) "last wake" (Some "10.019010000 1") (List.nth_opt wakes (Cell_actor.prune_rounds - 1));
+  let pid, fd = Hashtbl.find cell_listeners "prune" in
+  let proc = Option.get (Simos.Kernel.find_process k ~pid) in
+  let cells = Option.get (Simos.Fdesc.wake_cells (Option.get (Simos.Kernel.fd_desc proc fd))) in
+  check Alcotest.bool "at most one armed cell on the listener" true (Sim.Wake.armed cells <= 1)
+
+(* Fd tables against a generic [Hashtbl] fed the same operations: every
+   lookup answers as the hash table does, through the slot array or,
+   outside its range, the hash, and iteration keeps the hash table's
+   order.  A copy is checked again after the original's successor has
+   moved on, so the two must not share slots. *)
+type fd_op = Replace of int * int | Remove of int | Copy
+
+let fd_op_gen =
+  let open QCheck.Gen in
+  let fd = frequency [ (6, int_range 0 40); (2, int_range 1020 1030); (1, int_range (-2) 2000) ] in
+  frequency
+    [
+      (5, map2 (fun fd v -> Replace (fd, v)) fd small_nat);
+      (3, map (fun fd -> Remove fd) fd);
+      (1, return Copy);
+    ]
+
+let print_fd_op = function
+  | Replace (fd, v) -> Printf.sprintf "replace %d %d" fd v
+  | Remove fd -> Printf.sprintf "remove %d" fd
+  | Copy -> "copy"
+
+let fdtbl_agrees ~fds (t, m) =
+  let module F = Simos.Kernel.Fdtbl in
+  let listed iter tbl =
+    let l = ref [] in
+    iter (fun fd v -> l := (fd, v) :: !l) tbl;
+    !l
+  in
+  List.for_all (fun fd -> F.find_opt t fd = Hashtbl.find_opt m fd) fds
+  && F.length t = Hashtbl.length m
+  && F.fold (fun fd v acc -> (fd, v) :: acc) t [] = Hashtbl.fold (fun fd v acc -> (fd, v) :: acc) m []
+  && listed F.iter t = listed Hashtbl.iter m
+
+let prop_fdtbl_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"agrees with a Hashtbl on every lookup and in order"
+       (QCheck.make
+          ~print:(fun ops -> String.concat "; " (List.map print_fd_op ops))
+          QCheck.Gen.(list_size (int_range 0 150) fd_op_gen))
+       (fun ops ->
+         let module F = Simos.Kernel.Fdtbl in
+         let near = List.init 48 (fun i -> i - 2) @ List.init 15 (fun i -> 1018 + i) in
+         let every = List.init 2003 (fun i -> i - 2) in
+         let t = ref (F.create 8) and m = ref (Hashtbl.create 8) and kept = ref [] in
+         List.for_all
+           (fun op ->
+             (match op with
+             | Replace (fd, v) ->
+               F.replace !t fd v;
+               Hashtbl.replace !m fd v
+             | Remove fd ->
+               F.remove !t fd;
+               Hashtbl.remove !m fd
+             | Copy ->
+               kept := (!t, !m) :: !kept;
+               t := F.copy !t;
+               m := Hashtbl.copy !m);
+             let fds = match op with Replace (fd, _) | Remove fd -> fd :: near | Copy -> near in
+             fdtbl_agrees ~fds (!t, !m))
+           ops
+         && List.for_all (fdtbl_agrees ~fds:every) ((!t, !m) :: !kept)))
 
 let test_spawn_runs_to_exit () =
   let c = make_cluster () in
@@ -881,12 +1112,18 @@ let () =
           Alcotest.test_case "drain/refill" `Quick test_pty_drain_refill;
         ] );
       ("procfs", [ Alcotest.test_case "maps" `Quick test_proc_maps ]);
+      ("fd table", [ prop_fdtbl_model ]);
       ( "signals",
         [
           Alcotest.test_case "dispositions" `Quick test_signal_dispositions;
           Alcotest.test_case "inherited by fork" `Quick test_signal_table_inherited_by_fork;
         ] );
-      ("wake-ups", [ Alcotest.test_case "wake times at the edges" `Quick test_wake_edges ]);
+      ( "wake-ups",
+        [
+          Alcotest.test_case "wake times at the edges" `Quick test_wake_edges;
+          Alcotest.test_case "wake cells: mixed objects, reuse, dup2" `Quick test_cell_wakes;
+          Alcotest.test_case "wake cells: dead cells pruned" `Quick test_cell_pruning;
+        ] );
       ( "environment",
         [
           Alcotest.test_case "env crosses ssh" `Quick test_env_inherited_across_ssh;

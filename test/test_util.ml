@@ -289,6 +289,50 @@ let prop_heap_fifo_ties =
       done;
       List.map snd (drain_heap h) = List.init (n + 1) Fun.id)
 
+(* Random interleavings of pushes and pops against a sorted reference.
+   Priorities come from four values, so most entries tie with others;
+   the pushes outnumber the pops, so the heap grows past its first 16
+   cells.  Pops alternate between [pop] and [take_into]. *)
+type heap_op = Push of float | Pop
+
+let prop_heap_model =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 300)
+        (frequency [ (3, map (fun i -> Push (float_of_int i)) (int_range 0 3)); (2, return Pop) ]))
+  in
+  let print = function Push p -> Printf.sprintf "push %g" p | Pop -> "pop" in
+  qtest ~count:300 "heap pops in (priority, insertion) order"
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map print ops)) gen)
+    (fun ops ->
+      let h = Heap.create ~dummy:(-1) () in
+      let reference = ref [] and next = ref 0 and pops = ref 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | Push p ->
+            Heap.push h ~priority:p !next;
+            reference := List.merge compare !reference [ (p, !next) ];
+            incr next;
+            Heap.length h = List.length !reference
+          | Pop -> (
+            incr pops;
+            let got =
+              if !pops mod 2 = 0 then Heap.pop h
+              else if Heap.is_empty h then None
+              else
+                let p = ref nan in
+                let v = Heap.take_into h p in
+                Some (!p, v)
+            in
+            match (!reference, got) with
+            | [], None -> true
+            | expected :: rest, Some entry ->
+              reference := rest;
+              expected = entry
+            | _ -> false))
+        ops)
+
 (* A popped value must not stay reachable through the heap's array: the
    spare cells growth allocates and the cell each pop vacates hold the
    dummy.  The first check fails if growth fills with the first entry,
@@ -364,6 +408,7 @@ let () =
         [
           prop_heap_sorted;
           prop_heap_fifo_ties;
+          prop_heap_model;
           Alcotest.test_case "popped values are released" `Quick test_heap_releases_popped;
         ] );
       ( "stats",
