@@ -19,6 +19,18 @@ type direct = {
   mutable pending_accept : (int * string) list;  (* (fd, partial rank header) *)
   mutable out_bufs : string array;
   mutable in_bufs : string array;
+  mutable watch : watch option;  (* transient: never encoded *)
+}
+
+(* Which neighbours' sockets may have become readable (DESIGN §2.4):
+   one wait with a cell armed on each neighbour's socket, under the
+   neighbour's index in [peers]. *)
+and watch = {
+  wait : Sim.Wake.wait;
+  cells : Sim.Wake.cell array;
+  peers : int array;  (* the neighbours, in order *)
+  due : bool array;  (* by neighbour index: fired since its last visit *)
+  block : Simos.Program.wait;  (* the listen fd, then the neighbours' fds *)
 }
 
 (* Proxy backend: a single unix connection to the node's proxy daemon,
@@ -49,7 +61,7 @@ type t = {
   ranks_per_node : int;
   neighbors : int list;
   backend : backend;
-  mutable inbox : (char * string) list array;  (* FIFO, oldest first *)
+  inbox : (char * string) Queue.t array;  (* per source, oldest first *)
 }
 
 (* rank 0 is everyone's neighbour (collectives are rooted there), so by
@@ -100,6 +112,7 @@ let create ~rank ~size ~base_port ~ranks_per_node ?(transport = Direct) ~neighbo
           pending_accept = [];
           out_bufs = Array.make size "";
           in_bufs = Array.make size "";
+          watch = None;
         }
     | Proxied ->
       B_proxied
@@ -125,7 +138,7 @@ let create ~rank ~size ~base_port ~ranks_per_node ?(transport = Direct) ~neighbo
     ranks_per_node;
     neighbors = normalize ~size ~rank (neighbors rank);
     backend;
-    inbox = Array.make size [];
+    inbox = Array.init size (fun _ -> Queue.create ());
   }
 
 let rank t = t.rank
@@ -141,6 +154,13 @@ let put_u32 n =
   Bytes.unsafe_to_string b
 
 let get_u32 s off = Int32.to_int (String.get_int32_le s off)
+
+(* The length prefix of the frame at [off] in bytes from [peer]: a
+   frame holds at least its tag. *)
+let frame_len ~peer buf off =
+  let n = get_u32 buf off in
+  if n < 1 then R.corrupt "Mpi: frame length %d from rank %d" n peer;
+  n
 
 (* ------------------------------------------------------------------ *)
 (* Direct backend machinery *)
@@ -199,7 +219,10 @@ let direct_init_step (ctx : Simos.Program.ctx) t d =
         | `Data data ->
           let hdr = hdr ^ data in
           if String.length hdr >= 4 then begin
-            d.peer_fd.(get_u32 hdr 0) <- fd;
+            let peer = get_u32 hdr 0 in
+            if peer < 0 || peer >= t.size then
+              R.corrupt "Mpi: rank header %d outside 0..%d" peer (t.size - 1);
+            d.peer_fd.(peer) <- fd;
             None
           end
           else Some (fd, hdr)
@@ -213,43 +236,89 @@ let direct_init_step (ctx : Simos.Program.ctx) t d =
 
 let frame ~tag payload = put_u32 (String.length payload + 1) ^ String.make 1 tag ^ payload
 
+(* Flush, then read and parse, one neighbour.  A flush hands the whole
+   output buffer to one write.  The parser walks the bytes by offset and
+   keeps the unparsed tail. *)
+let visit (ctx : Simos.Program.ctx) t d peer =
+  let fd = d.peer_fd.(peer) in
+  if fd >= 0 then begin
+    let out = d.out_bufs.(peer) in
+    (if out <> "" then
+       match ctx.write_fd fd out with
+       | Ok n -> d.out_bufs.(peer) <- String.sub out n (String.length out - n)
+       | Error _ -> ());
+    let rec drain buf =
+      match ctx.read_fd fd ~max:65536 with
+      | `Data data -> drain (if buf = "" then data else buf ^ data)
+      | `Eof | `Would_block | `Err _ -> buf
+    in
+    let buf = drain d.in_bufs.(peer) in
+    let len = String.length buf in
+    let rec parse off =
+      if len - off < 4 then off
+      else
+        let n = frame_len ~peer buf off in
+        if len - off - 4 < n then off
+        else begin
+          Queue.push (buf.[off + 4], String.sub buf (off + 5) (n - 1)) t.inbox.(peer);
+          parse (off + 4 + n)
+        end
+    in
+    let off = parse 0 in
+    d.in_bufs.(peer) <- (if off = 0 then buf else String.sub buf off (len - off))
+  end
+
+(* Some neighbour's output is not yet flushed. *)
+let rec output_pending d = function
+  | [] -> false
+  | peer :: rest -> d.out_bufs.(peer) <> "" || output_pending d rest
+
+(* Block until the listener or a connected neighbour is readable. *)
+let readable_any t d =
+  let fds =
+    List.filter_map (fun p -> if d.peer_fd.(p) >= 0 then Some d.peer_fd.(p) else None) t.neighbors
+  in
+  Simos.Program.Readable_any (if d.listen_fd >= 0 then d.listen_fd :: fds else fds)
+
+(* A watch over the neighbours' sockets; [None] while some neighbour's
+   fd has no wake cells (an unconnected one is -1). *)
+let watch (ctx : Simos.Program.ctx) t d =
+  let peers = Array.of_list t.neighbors in
+  let homes = Array.map (fun peer -> ctx.wake_cells d.peer_fd.(peer)) peers in
+  if not (Array.for_all Option.is_some homes) then None
+  else begin
+    let wait = Sim.Wake.wait ~size:(Array.length peers) in
+    Some
+      {
+        wait;
+        cells = Array.mapi (fun slot home -> Sim.Wake.arm wait (Option.get home) ~slot) homes;
+        peers;
+        due = Array.make (Array.length peers) false;
+        block = readable_any t d;
+      }
+  end
+
+(* Without a watch, visit every neighbour, then try to build one.  With
+   it, visit only the neighbours whose cell fired or whose output is
+   pending, in neighbour order, after re-arming the fired cells.  A
+   skipped neighbour has nothing to flush, and its read would return
+   [`Would_block], [`Eof] or an error and parse nothing: so every read
+   and write that moves bytes runs as in the full loop. *)
 let direct_progress (ctx : Simos.Program.ctx) t d =
-  List.iter
-    (fun peer ->
-      (* flush pending output *)
-      let buf = d.out_bufs.(peer) in
-      if buf <> "" && d.peer_fd.(peer) >= 0 then begin
-        match ctx.write_fd d.peer_fd.(peer) buf with
-        | Ok n -> d.out_bufs.(peer) <- String.sub buf n (String.length buf - n)
-        | Error _ -> ()
-      end;
-      (* read input *)
-      if d.peer_fd.(peer) >= 0 then begin
-        let continue = ref true in
-        while !continue do
-          match ctx.read_fd d.peer_fd.(peer) ~max:65536 with
-          | `Data data -> d.in_bufs.(peer) <- d.in_bufs.(peer) ^ data
-          | `Eof | `Would_block | `Err _ -> continue := false
-        done;
-        (* parse complete frames *)
-        let buf = ref d.in_bufs.(peer) in
-        let again = ref true in
-        while !again do
-          if String.length !buf >= 4 then begin
-            let len = get_u32 !buf 0 in
-            if String.length !buf >= 4 + len then begin
-              let tag = !buf.[4] in
-              let payload = String.sub !buf 5 (len - 1) in
-              t.inbox.(peer) <- t.inbox.(peer) @ [ (tag, payload) ];
-              buf := String.sub !buf (4 + len) (String.length !buf - 4 - len)
-            end
-            else again := false
-          end
-          else again := false
-        done;
-        d.in_bufs.(peer) <- !buf
-      end)
-    t.neighbors
+  match d.watch with
+  | None ->
+    List.iter (visit ctx t d) t.neighbors;
+    d.watch <- watch ctx t d
+  | Some w ->
+    Sim.Wake.iter_fired w.wait (fun i -> w.due.(i) <- true);
+    Sim.Wake.rearm w.wait w.cells;
+    for i = 0 to Array.length w.peers - 1 do
+      let peer = w.peers.(i) in
+      if w.due.(i) || d.out_bufs.(peer) <> "" then begin
+        w.due.(i) <- false;
+        visit ctx t d peer
+      end
+    done
 
 (* ------------------------------------------------------------------ *)
 (* Proxy backend machinery *)
@@ -306,7 +375,7 @@ let paccept t p ~src ~epoch ~seq ~tag ~payload =
   else if seq = p.recv_seq.(src) + 1 then begin
     p.recv_seq.(src) <- seq;
     p.delivered_bytes.(src) <- p.delivered_bytes.(src) + String.length payload;
-    t.inbox.(src) <- t.inbox.(src) @ [ (tag, payload) ];
+    Queue.push (tag, payload) t.inbox.(src);
     penqueue p (Proxy.Wire.Ack { src = t.rank; dst = src; epoch = p.epoch; seq })
   end
   else if seq <= p.recv_seq.(src) then
@@ -418,14 +487,22 @@ let progress (ctx : Simos.Program.ctx) t =
   | B_proxied p -> pprogress ctx t p
 
 let recv t ~src ~tag =
-  let rec take acc = function
-    | [] -> None
-    | (tg, payload) :: rest when tg = tag ->
-      t.inbox.(src) <- List.rev_append acc rest;
-      Some payload
-    | m :: rest -> take (m :: acc) rest
-  in
-  take [] t.inbox.(src)
+  let q = t.inbox.(src) in
+  match Queue.peek_opt q with
+  | Some (tg, payload) when tg = tag ->
+    ignore (Queue.take q);
+    Some payload
+  | Some _ when Queue.fold (fun found (tg, _) -> found || tg = tag) false q ->
+    (* the oldest match sits behind another tag: rebuild without it *)
+    let taken = ref None and rest = Queue.create () in
+    Queue.iter
+      (fun ((tg, payload) as m) ->
+        if Option.is_none !taken && tg = tag then taken := Some payload else Queue.push m rest)
+      q;
+    Queue.clear q;
+    Queue.transfer rest q;
+    !taken
+  | Some _ | None -> None
 
 let recv_any t ~tag =
   let rec go = function
@@ -444,15 +521,9 @@ let pending_out t ~dst =
 
 let wait (ctx : Simos.Program.ctx) t =
   match t.backend with
-  | B_direct d ->
-    let flushing = List.exists (fun p -> d.out_bufs.(p) <> "") t.neighbors in
-    if flushing then Simos.Program.Sleep_until (ctx.now () +. 1e-3)
-    else begin
-      let fds =
-        List.filter_map (fun p -> if d.peer_fd.(p) >= 0 then Some d.peer_fd.(p) else None) t.neighbors
-      in
-      Simos.Program.Readable_any (if d.listen_fd >= 0 then d.listen_fd :: fds else fds)
-    end
+  | B_direct d -> (
+    if output_pending d t.neighbors then Simos.Program.Sleep_until (ctx.now () +. 1e-3)
+    else match d.watch with Some w -> w.block | None -> readable_any t d)
   | B_proxied p ->
     (* poll while anything is unacknowledged — a pure Readable block
        would never run the retransmit timer if the only copy in flight
@@ -604,7 +675,7 @@ let decode_backend r =
     let pending_accept = R.list (R.pair R.varint R.string) r in
     let out_bufs = R.array R.string r in
     let in_bufs = R.array R.string r in
-    B_direct { listen_fd; peer_fd; pending_conn; pending_accept; out_bufs; in_bufs }
+    B_direct { listen_fd; peer_fd; pending_conn; pending_accept; out_bufs; in_bufs; watch = None }
   | _ ->
     let pfd = R.varint r in
     let ready = R.bool r in
@@ -649,12 +720,13 @@ let encode w t =
   W.list W.uvarint w t.neighbors;
   encode_backend w t.backend;
   W.array
-    (fun w msgs ->
+    (fun w q ->
       W.list
         (fun w (tag, payload) ->
           W.u8 w (Char.code tag);
           W.string w payload)
-        w msgs)
+        w
+        (List.of_seq (Queue.to_seq q)))
     w t.inbox
 
 (* A restored record is outside input: hold it to the shape [create]
@@ -675,7 +747,12 @@ let check_shape t =
     per_rank "peer fds" d.peer_fd;
     per_rank "out buffers" d.out_bufs;
     per_rank "in buffers" d.in_bufs;
-    List.iter (fun (peer, _) -> in_range "pending-connect peer" peer) d.pending_conn
+    List.iter (fun (peer, _) -> in_range "pending-connect peer" peer) d.pending_conn;
+    List.iter
+      (fun (fd, hdr) ->
+        if String.length hdr >= 4 then R.corrupt "Mpi: fd %d holds a whole rank header" fd)
+      d.pending_accept;
+    Array.iteri (fun peer b -> if String.length b >= 4 then ignore (frame_len ~peer b 0)) d.in_bufs
   | B_proxied p ->
     per_rank "send sequences" p.send_seq;
     per_rank "recv sequences" p.recv_seq;
@@ -698,7 +775,8 @@ let decode r =
             let tag = Char.chr (R.u8 r) in
             let payload = R.string r in
             (tag, payload))
-          r)
+          r
+        |> List.to_seq |> Queue.of_seq)
       r
   in
   let t = { rank; size; base_port; ranks_per_node; neighbors; backend; inbox } in

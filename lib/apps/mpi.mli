@@ -62,8 +62,9 @@ val transport : t -> transport
 val host_of_rank : t -> int -> int
 
 (** Progress connection establishment.  Direct: listeners, eager
-    connects and rank handshakes.  Proxy: connect to the node proxy and
-    await [Welcome]. *)
+    connects and rank handshakes; a rank header outside [0..size-1]
+    raises {!Util.Codec.Reader.Corrupt}.  Proxy: connect to the node
+    proxy and await [Welcome]. *)
 val init_step : Simos.Program.ctx -> t -> [ `Ready | `Pending ]
 
 (** Queue a message to [dst] (a neighbour). Never blocks; bytes drain via
@@ -72,7 +73,13 @@ val send : t -> dst:int -> tag:char -> string -> unit
 
 (** Push queued bytes out and parse arrived frames into per-peer inboxes
     (on the proxy path this also runs the ack/resend protocol).
-    Call once per step before receiving. *)
+    Call once per step before receiving.
+
+    Direct: once every neighbour is connected, a call visits only the
+    neighbours whose socket may have become readable since their last
+    visit, or whose output is pending, in neighbour order (DESIGN
+    §2.4).  A frame length below 1 raises
+    {!Util.Codec.Reader.Corrupt}. *)
 val progress : Simos.Program.ctx -> t -> unit
 
 (** Take the oldest message with [tag] from [src], if present. *)
@@ -125,5 +132,7 @@ val encode : Util.Codec.Writer.t -> t -> unit
 
 (** Raises {!Util.Codec.Reader.Corrupt} on a record [create] could not
     have made: the rank, a neighbour or a pending-connect peer outside
-    [0..size-1], or a per-rank array that is not [size] long. *)
+    [0..size-1], a per-rank array that is not [size] long, an
+    in-buffer that opens with a frame length below 1, or a pending rank
+    header of 4 bytes. *)
 val decode : Util.Codec.Reader.t -> t

@@ -42,7 +42,8 @@ type t = {
   rt : Dmtcp.Runtime.t;
   base_port : int;
   ckpt_interval : float option;
-  mutable jobs : Job.t list;  (* ascending id *)
+  mutable jobs : Job.t list;  (* ascending id; read through [jobs] *)
+  mutable fresh : Job.t list;  (* submitted since the last read, newest first *)
   by_id : (int, Job.t) Hashtbl.t;
   mutable next_id : int;
   mutable draining : int list;
@@ -100,7 +101,17 @@ let trace_ops_inflight t =
 (* Views *)
 
 let job t id = Hashtbl.find t.by_id id
-let jobs t = t.jobs
+
+(* Every job, in ascending id order.  [submit] conses onto [fresh] and
+   the next read folds it in, so n submissions in a row cost O(n). *)
+let jobs t =
+  (match t.fresh with
+  | [] -> ()
+  | fresh ->
+    t.jobs <- t.jobs @ List.rev fresh;
+    t.fresh <- []);
+  t.jobs
+
 let alloc_exn (j : Job.t) = match j.Job.alloc with Some a -> a | None -> failwith "job has no allocation"
 
 let busy_count t = Array.fold_left (fun acc o -> if o >= 0 then acc + 1 else acc) 0 t.occ
@@ -260,7 +271,7 @@ let account_lost_work t (j : Job.t) =
   let lost = Float.max 0. (now t -. since) in
   j.Job.lost_work <- j.Job.lost_work +. lost;
   Trace.Metrics.add m_lost_work lost;
-  let total = List.fold_left (fun acc (j : Job.t) -> acc +. j.Job.lost_work) 0. t.jobs in
+  let total = List.fold_left (fun acc (j : Job.t) -> acc +. j.Job.lost_work) 0. (jobs t) in
   trace_counter t "sched/lost-work" total
 
 let finish_job t (j : Job.t) =
@@ -538,7 +549,7 @@ let place_pass t =
         match j.Job.phase with
         | Job.Queued | Job.Requeued -> Some (j.Job.id, j.Job.spec.Job.sp_priority, j.Job.submitted)
         | _ -> None)
-      t.jobs
+      (jobs t)
   in
   if queued <> [] then begin
     let order = Policy.queue_order queued in
@@ -563,7 +574,7 @@ let place_pass t =
                 cd_nodes = Array.length (alloc_exn j2);
               }
           else None)
-        t.jobs
+        (jobs t)
     in
     let stop_scan = ref false in
     List.iter
@@ -630,7 +641,7 @@ let scan_jobs t =
           if procs_on t j = 0 then
             if outputs_ready t j then finish_job t j else requeue t j
         | _ -> ())
-    t.jobs
+    (jobs t)
 
 (* ------------------------------------------------------------------ *)
 (* Background delta-chain compaction *)
@@ -655,7 +666,7 @@ let lineage_busy t lineage =
                Array.exists (fun n -> n = node) a
                && Dmtcp.Upid.lineage ps.Dmtcp.Runtime.upid = lineage)
              procs))
-    t.jobs
+    (jobs t)
 
 (* At most one compaction per tick: background work must trickle, not
    monopolize disk bandwidth that restarts are waiting on.  The runtime's
@@ -688,7 +699,10 @@ let maybe_compact t =
 (* ------------------------------------------------------------------ *)
 (* The tick *)
 
-let all_done t = t.jobs <> [] && List.for_all (fun (j : Job.t) -> Job.finished j.Job.phase) t.jobs
+let all_done t =
+  match jobs t with
+  | [] -> false
+  | js -> List.for_all (fun (j : Job.t) -> Job.finished j.Job.phase) js
 
 let rec tick t =
   refresh_procs t;
@@ -721,6 +735,7 @@ let create ?(base_port = 7800) ?ckpt_interval ?(max_inflight = 0) cl rt =
     base_port;
     ckpt_interval;
     jobs = [];
+    fresh = [];
     by_id = Hashtbl.create 64;
     next_id = 0;
     draining = [];
@@ -743,7 +758,7 @@ let create ?(base_port = 7800) ?ckpt_interval ?(max_inflight = 0) cl rt =
 let submit t spec =
   let j = Job.make ~id:t.next_id ~spec ~now:(now t) in
   t.next_id <- t.next_id + 1;
-  t.jobs <- t.jobs @ [ j ];
+  t.fresh <- j :: t.fresh;
   Hashtbl.replace t.by_id j.Job.id j;
   if t.first_submit < 0. then t.first_submit <- now t;
   trace_i t "sched/submit"
@@ -765,7 +780,7 @@ let jobs_touching t node =
     (fun (j : Job.t) ->
       Job.occupies_nodes j.Job.phase
       && match j.Job.alloc with Some a -> Array.exists (fun n -> n = node) a | None -> false)
-    t.jobs
+    (jobs t)
 
 let drain t node =
   if not (List.mem node t.draining) then begin
@@ -805,7 +820,7 @@ let fail_node t node =
 let run ?(until = 3600.) t =
   ensure_ticking t;
   Sim.Engine.run ~until (Simos.Cluster.engine t.cl);
-  List.length (List.filter (fun (j : Job.t) -> not (Job.finished j.Job.phase)) t.jobs)
+  List.length (List.filter (fun (j : Job.t) -> not (Job.finished j.Job.phase)) (jobs t))
 
 let violations t = t.violations
 let preemptions t = t.n_preemptions
@@ -818,7 +833,7 @@ let peak_ops_inflight t = Opq.peak t.ops
 
 let makespan t =
   let last =
-    List.fold_left (fun acc (j : Job.t) -> Float.max acc j.Job.done_at) (-1.) t.jobs
+    List.fold_left (fun acc (j : Job.t) -> Float.max acc j.Job.done_at) (-1.) (jobs t)
   in
   if last < 0. || t.first_submit < 0. then 0.
   else begin
@@ -828,7 +843,7 @@ let makespan t =
   end
 
 let total_lost_work t =
-  List.fold_left (fun acc (j : Job.t) -> acc +. j.Job.lost_work) 0. t.jobs
+  List.fold_left (fun acc (j : Job.t) -> acc +. j.Job.lost_work) 0. (jobs t)
 
 let status_lines t =
   List.map
@@ -838,4 +853,4 @@ let status_lines t =
         (Job.phase_name j.Job.phase)
         (match j.Job.alloc with Some a -> alloc_string a | None -> "-")
         j.Job.preemptions j.Job.restarts j.Job.relaunches j.Job.lost_work)
-    t.jobs
+    (jobs t)

@@ -20,6 +20,11 @@ let exists_fired w by_slot f =
   let rec go i = i < w.n && (f by_slot.(w.fired.(i)) || go (i + 1)) in
   go 0
 
+let iter_fired w f =
+  for i = 0 to w.n - 1 do
+    f w.fired.(i)
+  done
+
 let rearm w by_slot =
   for i = 0 to w.n - 1 do
     put by_slot.(w.fired.(i))

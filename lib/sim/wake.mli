@@ -30,6 +30,10 @@ val arm : wait -> cells -> slot:int -> cell
     of some fired cell of [w]? *)
 val exists_fired : wait -> 'a array -> ('a -> bool) -> bool
 
+(** [iter_fired w f] calls [f] on the slot of each fired cell of [w],
+    in firing order. *)
+val iter_fired : wait -> (int -> unit) -> unit
+
 (** [rearm w cells] puts each fired cell of [w] ([cells.(slot)]) back on
     its object and empties the fired list. *)
 val rearm : wait -> cell array -> unit

@@ -614,6 +614,7 @@ and make_ctx t th ~wrapped : Program.ctx =
     set_fd_owner =
       (fun fd owner -> match fd_desc proc fd with Some d -> d.Fdesc.owner <- owner | None -> ());
     get_fd_owner = (fun fd -> match fd_desc proc fd with Some d -> d.Fdesc.owner | None -> 0);
+    wake_cells = (fun fd -> Option.bind (fd_desc proc fd) Fdesc.wake_cells);
     pipe =
       (fun () ->
         match (if wrapped then t.khooks.on_pipe t proc else None) with

@@ -33,6 +33,7 @@ type ctx = {
   fds : unit -> int list;
   set_fd_owner : int -> int -> unit;
   get_fd_owner : int -> int;
+  wake_cells : int -> Sim.Wake.cells option;
   pipe : unit -> int * int;
   open_pty : unit -> int * int;
   socket : unit -> int;

@@ -62,6 +62,10 @@ type ctx = {
   fds : unit -> int list;
   set_fd_owner : int -> int -> unit;  (** fcntl F_SETOWN *)
   get_fd_owner : int -> int;          (** fcntl F_GETOWN *)
+  wake_cells : int -> Sim.Wake.cells option;
+      (** the wake cells of the socket, pipe or pty behind the fd
+          ({!Fdesc.wake_cells}); [None] for a regular file or a closed
+          fd *)
   (* --- pipes and ptys --- *)
   pipe : unit -> int * int;           (** (read end, write end) *)
   open_pty : unit -> int * int;       (** (master, slave) *)

@@ -97,23 +97,24 @@ let test_cg_with_checkpoint () =
 let test_is_with_checkpoint () =
   ckpt_case ~prog:"nas:is" ~short:"is" ~extra:[ "20000"; "200" ] ~warmup:0.5 ()
 
+(* CRC-32 of each image of the last checkpoint, in (node, path) order. *)
+let image_crcs cl rt =
+  List.sort compare (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images
+  |> List.map (fun (node, path) ->
+         match file_content cl node path with
+         | Some image -> Printf.sprintf "%d %s %08lx" node path (Util.Crc32.digest image)
+         | None -> Printf.sprintf "%d %s missing" node path)
+
 (* The bytes of IS rank images taken mid-exchange, while 'D' bucket
    payloads are in flight and half-collected: a bucket lists its keys
    newest first, and every payload and image byte depends on that
-   order.  CRC-32s of the eight images, in (node, path) order, as
-   written before IS sorted by counting and bucketed into arrays. *)
+   order.  CRC-32s of the eight images, as written before IS sorted by
+   counting and bucketed into arrays. *)
 let test_is_image_bytes () =
   let cl, rt = make ~nodes:5 () in
   launch_ranks rt ~prog:"nas:is" ~nprocs:8 ~rpn:2 ~base_port:5500 ~extra:[ "20000"; "200" ];
   run_for cl 0.28;
   Dmtcp.Api.checkpoint_now rt;
-  let crcs =
-    List.sort compare (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images
-    |> List.map (fun (node, path) ->
-           match file_content cl node path with
-           | Some image -> Printf.sprintf "%d %s %08lx" node path (Util.Crc32.digest image)
-           | None -> Printf.sprintf "%d %s missing" node path)
-  in
   check Alcotest.(list string) "image CRC-32s"
     [
       "0 /ckpt/ckpt_nas:is_0-100-g0.dmtcp 54b84b36";
@@ -125,7 +126,47 @@ let test_is_image_bytes () =
       "3 /ckpt/ckpt_nas:is_3-400-g0.dmtcp 4a77c25b";
       "3 /ckpt/ckpt_nas:is_3-401-g0.dmtcp 4f13e9a6";
     ]
-    crcs
+    (image_crcs cl rt)
+
+(* The bytes of MG rank images taken mid-cycle on the direct mesh,
+   while a coarse residual ('c') sits in one of rank 0's sockets and a
+   halo value ('h') in one of rank 1's.  When each rank flushes and
+   reads its neighbours sets every later event time, so the images pin
+   that progress moves the bytes it moved when it visited every
+   neighbour on every call, in neighbour order.  CRC-32s of the eight
+   images, as written by that full loop.  The checkpointed run must
+   still end with the unfaulted run's result line. *)
+let test_mg_image_bytes () =
+  let run ~checkpoint_at =
+    let cl, rt = make ~nodes:5 () in
+    launch_ranks rt ~prog:"nas:mg" ~nprocs:8 ~rpn:2 ~base_port:5600 ~extra:[ "100" ];
+    let crcs =
+      match checkpoint_at with
+      | None -> []
+      | Some at ->
+        run_for cl at;
+        Dmtcp.Api.checkpoint_now rt;
+        image_crcs cl rt
+    in
+    run_for cl 400.;
+    (crcs, result cl ~short:"mg" ~base_port:5600)
+  in
+  let crcs, line = run ~checkpoint_at:(Some 0.015) in
+  check Alcotest.(list string) "image CRC-32s"
+    [
+      "0 /ckpt/ckpt_nas:mg_0-100-g0.dmtcp 93fb1d0f";
+      "0 /ckpt/ckpt_nas:mg_0-101-g0.dmtcp cc73b85f";
+      "1 /ckpt/ckpt_nas:mg_1-200-g0.dmtcp e29ec687";
+      "1 /ckpt/ckpt_nas:mg_1-201-g0.dmtcp 37c35746";
+      "2 /ckpt/ckpt_nas:mg_2-300-g0.dmtcp 401724e2";
+      "2 /ckpt/ckpt_nas:mg_2-301-g0.dmtcp d1da6fe6";
+      "3 /ckpt/ckpt_nas:mg_3-400-g0.dmtcp 5f9a237c";
+      "3 /ckpt/ckpt_nas:mg_3-401-g0.dmtcp 73cf9b93";
+    ]
+    crcs;
+  let _, unfaulted = run ~checkpoint_at:None in
+  check Alcotest.(option string) "result line" unfaulted line;
+  Alcotest.(check bool) "MG verified" true (Option.fold ~none:false ~some:(starts_with "MG VERIFIED") line)
 
 let test_pargeant4_with_checkpoint () =
   ckpt_case ~prog:"apps:pargeant4" ~short:"pargeant4" ~extra:[ "400"; "50" ] ~warmup:0.5 ()
@@ -342,6 +383,7 @@ let () =
           Alcotest.test_case "CG + checkpoint" `Quick test_cg_with_checkpoint;
           Alcotest.test_case "IS + checkpoint" `Quick test_is_with_checkpoint;
           Alcotest.test_case "IS image bytes mid-exchange" `Quick test_is_image_bytes;
+          Alcotest.test_case "MG image bytes mid-cycle" `Quick test_mg_image_bytes;
           Alcotest.test_case "ParGeant4 + checkpoint" `Quick test_pargeant4_with_checkpoint;
           Alcotest.test_case "CG + restart" `Quick test_cg_with_restart;
         ] );

@@ -186,6 +186,55 @@ let fuzz_comm ~name transport =
       ignore (Apps.Mpi.recv_any comm ~tag:'h');
       ignore (Apps.Mpi.quiesced comm))
 
+(* A direct record of rank 1 of 2, never connected, written field by
+   field as [Mpi.encode] writes it, with the given pending accepts and
+   in-buffers. *)
+let direct_record ~pending_accept ~in_bufs =
+  let module W = Util.Codec.Writer in
+  let w = W.create () in
+  List.iter (W.uvarint w) [ 1; 2; 6000; 1 ];
+  W.list W.uvarint w [ 0 ];
+  W.u8 w 0;
+  W.varint w (-1);
+  W.array W.varint w [| -1; -1 |];
+  W.list (W.pair W.uvarint W.varint) w [];
+  W.list (W.pair W.varint W.string) w pending_accept;
+  W.array W.string w [| ""; "" |];
+  W.array W.string w in_bufs;
+  W.array (W.list (fun _ () -> ())) w [| []; [] |];
+  W.contents w
+
+(* The direct backend's framing state restores only in a shape its
+   parser accepts: an in-buffer opens with a frame length of at least 1
+   (the tag), and a pending rank header is shorter than 4 bytes. *)
+let test_direct_framing_decode () =
+  let decodes bytes =
+    match Apps.Mpi.decode (Util.Codec.Reader.of_string bytes) with
+    | _ -> true
+    | exception Util.Codec.Reader.Corrupt _ -> false
+  in
+  let fresh =
+    Apps.Mpi.create ~rank:1 ~size:2 ~base_port:6000 ~ranks_per_node:1 ~neighbors:(ring 2) ()
+  in
+  let w = Util.Codec.Writer.create () in
+  Apps.Mpi.encode w fresh;
+  check Alcotest.string "the hand-written record is what encode writes"
+    (Util.Codec.Writer.contents w)
+    (direct_record ~pending_accept:[] ~in_bufs:[| ""; "" |]);
+  let case name expect ~pending_accept ~in_bufs =
+    check Alcotest.bool name expect (decodes (direct_record ~pending_accept ~in_bufs))
+  in
+  case "a partial frame and a partial header decode" true
+    ~pending_accept:[ (5, "\001\000") ]
+    ~in_bufs:[| "\005\000\000\000ab"; "" |];
+  case "frame length 0 is corrupt" false ~pending_accept:[]
+    ~in_bufs:[| "\000\000\000\000"; "" |];
+  case "a negative frame length is corrupt" false ~pending_accept:[]
+    ~in_bufs:[| ""; "\255\255\255\255\001" |];
+  case "a whole pending rank header is corrupt" false
+    ~pending_accept:[ (5, "\000\000\000\000") ]
+    ~in_bufs:[| ""; "" |]
+
 let test_transport_of_string () =
   Alcotest.(check bool) "direct" true (Apps.Mpi.transport_of_string "direct" = Apps.Mpi.Direct);
   Alcotest.(check bool) "proxy" true (Apps.Mpi.transport_of_string "proxy" = Apps.Mpi.Proxied);
@@ -467,6 +516,8 @@ let () =
           Alcotest.test_case "proxied communicator codec round-trips" `Quick
             test_proxied_codec_roundtrip;
           Alcotest.test_case "transport_of_string" `Quick test_transport_of_string;
+          Alcotest.test_case "direct framing state decodes cleanly" `Quick
+            test_direct_framing_decode;
           fuzz_comm ~name:"fuzz: direct comm record" Apps.Mpi.Direct;
           fuzz_comm ~name:"fuzz: proxied comm record" Apps.Mpi.Proxied;
         ] );

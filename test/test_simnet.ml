@@ -274,6 +274,107 @@ let prop_stream_integrity =
          got_cs = Buffer.contents expect_cs && got_sc = Buffer.contents expect_sc))
 
 (* ------------------------------------------------------------------ *)
+(* Wake cells *)
+
+type wake_op =
+  | Send of bool * int  (* [true]: the client side acts *)
+  | Recv of bool * int  (* one read of at most this many bytes *)
+  | Drain of bool  (* read until something other than data *)
+  | Close of bool
+  | Inject of bool * int
+  | Inject_eof of bool
+  | Step of int  (* dispatch up to this many engine events *)
+
+let show_wake_op =
+  let side c = if c then "client" else "server" in
+  function
+  | Send (c, n) -> Printf.sprintf "send %s %d" (side c) n
+  | Recv (c, n) -> Printf.sprintf "recv %s %d" (side c) n
+  | Drain c -> Printf.sprintf "drain %s" (side c)
+  | Close c -> Printf.sprintf "close %s" (side c)
+  | Inject (c, n) -> Printf.sprintf "inject_recv %s %d" (side c) n
+  | Inject_eof c -> Printf.sprintf "inject_eof %s" (side c)
+  | Step k -> Printf.sprintf "step %d" k
+
+let wake_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun c n -> Send (c, n)) bool (1 -- 100_000));
+        (3, map2 (fun c n -> Recv (c, n)) bool (1 -- 70_000));
+        (3, map (fun c -> Drain c) bool);
+        (1, map (fun c -> Close c) bool);
+        (1, map2 (fun c n -> Inject (c, n)) bool (1 -- 2_000));
+        (1, map (fun c -> Inject_eof c) bool);
+        (4, map (fun k -> Step k) (1 -- 20));
+      ])
+
+(* A reader that drained its socket to [`Would_block] arms a wake cell
+   on it, as the MPI direct backend's watch does (DESIGN §2.4).  The
+   property: after any operation or engine event, a socket whose cell
+   is still armed is unreadable, because every change that makes it
+   readable (a delivery, a FIN, [inject_recv], [inject_eof]) fires
+   it. *)
+let prop_armed_cell_means_unreadable =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"an armed wake cell means unreadable"
+       (QCheck.make
+          ~print:(fun ops -> String.concat "; " (List.map show_wake_op ops))
+          QCheck.Gen.(list_size (1 -- 40) wake_op))
+       (fun ops ->
+         let eng, _, c, s, _ = connect_pair () in
+         let reader sock = (sock, Sim.Wake.wait ~size:1, ref [||]) in
+         let rc = reader c and rs = reader s in
+         let pick client = if client then rc else rs in
+         let armed (_, w, cell) = Array.length !cell = 1 && Sim.Wake.quiet w in
+         let arm (sock, w, cell) =
+           if Array.length !cell = 0 then
+             cell := [| Sim.Wake.arm w (Simnet.Fabric.wake_cells sock) ~slot:0 |]
+           else if not (Sim.Wake.quiet w) then Sim.Wake.rearm w !cell
+         in
+         let sound () =
+           List.for_all
+             (fun ((sock, _, _) as r) -> not (armed r && Simnet.Fabric.readable sock))
+             [ rc; rs ]
+         in
+         let rec steps k = k = 0 || not (Sim.Engine.step eng) || (sound () && steps (k - 1)) in
+         let apply = function
+           | Send (client, n) ->
+             let sock, _, _ = pick client in
+             ignore (Simnet.Fabric.send sock (String.make n 'x'))
+           | Recv (client, max) -> (
+             let ((sock, _, _) as r) = pick client in
+             match Simnet.Fabric.recv sock ~max with
+             | `Would_block -> arm r
+             | `Data _ | `Eof | `Error _ -> ())
+           | Drain client ->
+             let ((sock, _, _) as r) = pick client in
+             let rec go () =
+               match Simnet.Fabric.recv sock ~max:65536 with
+               | `Data _ -> go ()
+               | `Would_block -> arm r
+               | `Eof | `Error _ -> ()
+             in
+             go ()
+           | Close client ->
+             let sock, _, _ = pick client in
+             Simnet.Fabric.close sock
+           | Inject (client, n) ->
+             let sock, _, _ = pick client in
+             Simnet.Fabric.inject_recv sock (String.make n 'i')
+           | Inject_eof client ->
+             let sock, _, _ = pick client in
+             Simnet.Fabric.inject_eof sock
+           | Step _ -> ()
+         in
+         List.for_all
+           (fun op ->
+             apply op;
+             sound () && match op with Step k -> steps k | _ -> true)
+           ops
+         && steps 100_000))
+
+(* ------------------------------------------------------------------ *)
 (* Edge cases the chaos harness leans on *)
 
 let test_connect_closed_listener () =
@@ -547,6 +648,7 @@ let () =
           Alcotest.test_case "NIC serializes transfers" `Quick test_nic_serializes_transfers;
           prop_stream_integrity;
         ] );
+      ("wake cells", [ prop_armed_cell_means_unreadable ]);
       ( "edges",
         [
           Alcotest.test_case "connect to closed listener" `Quick test_connect_closed_listener;
