@@ -18,6 +18,25 @@ took() { echo "time: $1 $(awk -v a="$2" -v b="$(now)" 'BEGIN { printf "%.1f", b 
 echo "== dune build @check =="
 dune build @check
 
+echo "== run state: no new process-wide state in lib/ =="
+# A cluster owns its run (DESIGN §2.6): a top-level or module-level
+# `let` in lib/ that binds a ref, a Hashtbl, a Queue, an array or an
+# atomic is state every run in the process would share.  Only eight
+# may: the program and plugin registries, filled before any run; the
+# two injected-bug switches, set before any run; two memos of pure
+# functions; and Trace's sinks and metrics registry.  New run state
+# goes into the cluster's run store (Simos.Local).
+allowed='^lib/(simos/program\.ml:[0-9]+:let registry|dmtcp/plugins\.ml:[0-9]+:let table'
+allowed="$allowed|dmtcp/faults\.ml:[0-9]+:let bug_(skip_drain|drop_refill)|mem/entropy\.ml:[0-9]+:let table"
+allowed="$allowed|chaos/progs\.ml:[0-9]+:  let pages_by_k|trace/trace\.ml:[0-9]+:(let sinks|  let registry)) "
+state=$(grep -rnE "^ {0,2}let [a-z_0-9']+( *:[^=]*)? *= *(ref|Hashtbl\.create|Queue\.create|Array\.make|Atomic\.make)\b" \
+  --include='*.ml' lib | grep -vE ' in$' | grep -vE "$allowed" || true)
+if [ -n "$state" ]; then
+  echo "$state" >&2
+  echo "FAIL: process-wide state outside the eight allowed bindings; put run state in the run store." >&2
+  exit 1
+fi
+
 echo "== dune runtest =="
 t0=$(now)
 dune runtest

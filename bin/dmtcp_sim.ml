@@ -77,7 +77,6 @@ let all reps quick out =
   ablations reps quick out
 
 let list_apps () =
-  Apps.Registry.register_all ();
   print_endline "Registered programs:";
   List.iter (fun name -> Printf.printf "  %s\n" name) (Simos.Program.registered_names ());
   print_endline "\nFigure-3 desktop profiles:";
@@ -90,7 +89,6 @@ let list_apps () =
 
 let demo () =
   (* the README quickstart, as a subcommand *)
-  Apps.Registry.register_all ();
   let cl = Simos.Cluster.create ~nodes:4 () in
   let rt = Dmtcp.Api.install cl () in
   ignore (Dmtcp.Api.launch rt ~node:1 ~prog:"apps:desktop" ~argv:[ "python" ]);
@@ -108,7 +106,6 @@ let demo () =
   Printf.printf "restarted on node 3 in %.3f s\n" (Dmtcp.Api.last_restart_seconds rt)
 
 let torture seeds base bug replay keep =
-  Chaos.Progs.ensure_registered ();
   (match bug with
   | Some "skip-drain" -> Dmtcp.Faults.bug_skip_drain := true
   | Some "drop-refill" -> Dmtcp.Faults.bug_drop_refill := true
@@ -152,7 +149,6 @@ let torture seeds base bug replay keep =
       print_string (Chaos.Torture.report summary);
       if Chaos.Torture.all_pass summary then 0 else 1
   in
-  Dmtcp.Faults.reset ();
   exit code
 
 (* The traced scenario is two canned runs back to back: the fixed
@@ -219,7 +215,6 @@ let inspect () =
      everything a frozen VNC session's images contain.  Incremental mode
      makes the second checkpoint a delta, so the dump also exercises
      peeking through a delta manifest to its base. *)
-  Apps.Registry.register_all ();
   let cl = Simos.Cluster.create ~nodes:2 () in
   let options = { Dmtcp.Options.default with Dmtcp.Options.incremental = true } in
   let rt = Dmtcp.Api.install cl ~options () in
@@ -236,7 +231,6 @@ let inspect () =
    interval re-checkpoint at the second generation, so the catalog holds
    deduplicated generations for ls/stat/gc/verify to act on *)
 let store_scenario () =
-  Chaos.Progs.ensure_registered ();
   let cl = Simos.Cluster.create ~nodes:4 () in
   let options =
     {
@@ -424,7 +418,6 @@ let mpi_run transport =
       exit 2
   in
   let base_port = Common.base_port in
-  Proxy.Accounting.reset ~base_port;
   let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options:(Common.options_for kind) () in
   let col = Trace.collector () in
   let out_path = Printf.sprintf "/result/stencil-%d" base_port in

@@ -232,7 +232,6 @@ let sched1k_records () =
    warm-up.  [out] is the program's result path; it is argv, so it
    enters the image.  Returns the checkpoint and restart blackouts. *)
 let dirty_cycle ~options ~pages ~dirty ~out =
-  Chaos.Progs.ensure_registered ();
   let env = Harness.Common.setup ~nodes:1 ~options () in
   let rt = env.Harness.Common.rt in
   ignore
@@ -303,7 +302,6 @@ let plugin_records () =
    carry no drained bytes and shed the per-neighbour socket specs. *)
 
 let mpi_cycle ~kind ~extra =
-  Proxy.Accounting.reset ~base_port:Harness.Common.base_port;
   let env =
     Harness.Common.setup ~nodes:4 ~cores_per_node:2 ~options:(Harness.Common.options_for kind) ()
   in

@@ -10,7 +10,6 @@
    Run with:  dune exec examples/cluster_to_laptop.exe *)
 
 let () =
-  Apps.Registry.register_all ();
   let cluster = Simos.Cluster.create ~nodes:32 () in
   let rt = Dmtcp.Api.install cluster () in
   let engine = Simos.Cluster.engine cluster in

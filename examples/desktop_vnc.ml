@@ -27,7 +27,6 @@ let show_session rt label =
     (Dmtcp.Runtime.hijacked_processes rt)
 
 let () =
-  Apps.Registry.register_all ();
   let cluster = Simos.Cluster.create ~nodes:3 () in
   let rt = Dmtcp.Api.install cluster () in
   let engine = Simos.Cluster.engine cluster in

@@ -129,7 +129,6 @@ end
 
 let () =
   Simos.Program.register (module Peer);
-  Apps.Registry.register_all ();
   let cluster = Simos.Cluster.create ~nodes:2 () in
   let rt = Dmtcp.Api.install cluster () in
   let engine = Simos.Cluster.engine cluster in

@@ -191,11 +191,6 @@ module App = struct
   [@@warning "-27"]
 end
 
-let registered = ref false
-
-let register () =
-  if not !registered then begin
-    registered := true;
-    Simos.Program.register (module App : Simos.Program.S);
-    Simos.Program.register (module Worker : Simos.Program.S)
-  end
+let () =
+  Simos.Program.register (module App : Simos.Program.S);
+  Simos.Program.register (module Worker : Simos.Program.S)

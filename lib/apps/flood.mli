@@ -5,6 +5,5 @@
 
     Rank program ["apps:flood"]; extra argv: [[read_interval_ms]]. *)
 
-val register : unit -> unit
 
 val prog_name : string

@@ -148,11 +148,6 @@ end
 
 module Demo = Nas.Make (Demo_kernel)
 
-let registered = ref false
-
-let register () =
-  if not !registered then begin
-    registered := true;
-    Simos.Program.register (module Shell : Simos.Program.S);
-    Simos.Program.register (module Demo : Simos.Program.S)
-  end
+let () =
+  Simos.Program.register (module Shell : Simos.Program.S);
+  Simos.Program.register (module Demo : Simos.Program.S)

@@ -10,7 +10,6 @@
     results; verified against a serial evaluation.  Runs as a rank
     program (standard rank argv; extra: [[ntasks]]). *)
 
-val register : unit -> unit
 
 val shell_name : string
 val demo_name : string

@@ -376,16 +376,6 @@ module Mpirun = struct
             Simos.Program.Readable_any (lfd :: List.map fst done_fds) )
 end
 
-let registered = ref false
-
-let register () =
-  if not !registered then begin
-    registered := true;
-    List.iter Simos.Program.register
-      [
-        (module Mpd : Simos.Program.S);
-        (module Mpdboot);
-        (module Orted);
-        (module Mpirun);
-      ]
-  end
+let () =
+  List.iter Simos.Program.register
+    [ (module Mpd : Simos.Program.S); (module Mpdboot); (module Orted); (module Mpirun) ]

@@ -17,7 +17,6 @@
     Programs registered: ["mpi:mpd"], ["mpi:mpdboot"], ["mpi:orted"],
     ["mpi:mpirun"]. *)
 
-val register : unit -> unit
 
 (** Parse the standard rank-argv prefix:
     (rank, size, base_port, ranks_per_node, notify_host, notify_port,

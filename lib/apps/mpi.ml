@@ -50,6 +50,9 @@ type proxied = {
   mutable unacked : (int * char * string) list array;  (* per dst, oldest first *)
   mutable sent_bytes : int array;       (* per dst: payload bytes sent *)
   mutable delivered_bytes : int array;  (* per src: payload bytes accepted *)
+  mutable ledger : Proxy.Accounting.job option;
+      (* transient: this run's gauges of the job, found by the first
+         progress; a rank progresses before it sends *)
 }
 
 type backend = B_direct of direct | B_proxied of proxied
@@ -129,6 +132,7 @@ let create ~rank ~size ~base_port ~ranks_per_node ?(transport = Direct) ~neighbo
           unacked = Array.make size [];
           sent_bytes = Array.make size 0;
           delivered_bytes = Array.make size 0;
+          ledger = None;
         }
   in
   {
@@ -236,9 +240,35 @@ let direct_init_step (ctx : Simos.Program.ctx) t d =
 
 let frame ~tag payload = put_u32 (String.length payload + 1) ^ String.make 1 tag ^ payload
 
+(* Queue the complete frames of [buf] from [off] on; the bytes left
+   unparsed. *)
+let rec parse t ~peer buf off =
+  let len = String.length buf in
+  let n = if len - off < 4 then max_int else frame_len ~peer buf off in
+  if len - off - 4 < n then if off = 0 then buf else String.sub buf off (len - off)
+  else begin
+    Queue.push (buf.[off + 4], String.sub buf (off + 5) (n - 1)) t.inbox.(peer);
+    parse t ~peer buf (off + 4 + n)
+  end
+
+(* [parse] over [tail ^ data], where [tail] holds no complete frame,
+   without joining the two: only the frame that straddles them is
+   copied. *)
+let take t ~peer tail data =
+  if tail = "" then parse t ~peer data 0
+  else
+    let tl = String.length tail and dl = String.length data in
+    let head = if tl >= 4 then tail else tail ^ String.sub data 0 (min dl (4 - tl)) in
+    let cut = if String.length head < 4 then max_int else 4 + frame_len ~peer head 0 - tl in
+    if cut > dl then tail ^ data
+    else begin
+      ignore (parse t ~peer (tail ^ String.sub data 0 cut) 0);
+      parse t ~peer data cut
+    end
+
 (* Flush, then read and parse, one neighbour.  A flush hands the whole
-   output buffer to one write.  The parser walks the bytes by offset and
-   keeps the unparsed tail. *)
+   output buffer to one write; each read is parsed as it arrives, and
+   the unparsed tail stays in [in_bufs]. *)
 let visit (ctx : Simos.Program.ctx) t d peer =
   let fd = d.peer_fd.(peer) in
   if fd >= 0 then begin
@@ -247,25 +277,13 @@ let visit (ctx : Simos.Program.ctx) t d peer =
        match ctx.write_fd fd out with
        | Ok n -> d.out_bufs.(peer) <- String.sub out n (String.length out - n)
        | Error _ -> ());
-    let rec drain buf =
+    let rec drain tail =
       match ctx.read_fd fd ~max:65536 with
-      | `Data data -> drain (if buf = "" then data else buf ^ data)
-      | `Eof | `Would_block | `Err _ -> buf
+      | `Data data -> drain (take t ~peer tail data)
+      | `Eof | `Would_block | `Err _ -> tail
     in
-    let buf = drain d.in_bufs.(peer) in
-    let len = String.length buf in
-    let rec parse off =
-      if len - off < 4 then off
-      else
-        let n = frame_len ~peer buf off in
-        if len - off - 4 < n then off
-        else begin
-          Queue.push (buf.[off + 4], String.sub buf (off + 5) (n - 1)) t.inbox.(peer);
-          parse (off + 4 + n)
-        end
-    in
-    let off = parse 0 in
-    d.in_bufs.(peer) <- (if off = 0 then buf else String.sub buf off (len - off))
+    (* a tail restored from an image may still hold whole frames *)
+    d.in_bufs.(peer) <- drain (parse t ~peer d.in_bufs.(peer) 0)
   end
 
 (* Some neighbour's output is not yet flushed. *)
@@ -333,9 +351,12 @@ let proxy_env_key = "MPI_PROXY"
 let unacked_payload l = List.fold_left (fun acc (_, _, pl) -> acc + String.length pl) 0 l
 
 let mirror_accounting t p =
-  Proxy.Accounting.set_rank ~base_port:t.base_port ~rank:t.rank ~sent_to:p.sent_bytes
-    ~delivered_from:p.delivered_bytes
-    ~retained_to:(Array.map unacked_payload p.unacked)
+  Option.iter
+    (fun job ->
+      Proxy.Accounting.set_rank job ~rank:t.rank ~sent_to:p.sent_bytes
+        ~delivered_from:p.delivered_bytes
+        ~retained_to:(Array.map unacked_payload p.unacked))
+    p.ledger
 
 let penqueue p f = p.pout <- p.pout ^ Proxy.Wire.to_bytes f
 
@@ -387,6 +408,8 @@ let paccept t p ~src ~epoch ~seq ~tag ~payload =
      frames (and this one again) in order *)
 
 let pprogress (ctx : Simos.Program.ctx) t p =
+  if Option.is_none p.ledger then
+    p.ledger <- Some (Proxy.Accounting.job ctx.local ~base_port:t.base_port);
   if p.pfd < 0 then pconnect ctx t p;
   (if p.pfd >= 0 then
      match ctx.sock_state p.pfd with
@@ -710,6 +733,7 @@ let decode_backend r =
         unacked;
         sent_bytes;
         delivered_bytes;
+        ledger = None;
       }
 
 let encode w t =

@@ -89,7 +89,7 @@ module Make (K : KERNEL) : Simos.Program.S = struct
     let _, _, base_port, _, _, _, _ = Launchers.parse_rank_args (List.tl ctx.argv) in
     Printf.sprintf "/result/%s-%d" K.short base_port
 
-  let step (ctx : Simos.Program.ctx) st =
+  let step_rank (ctx : Simos.Program.ctx) st =
     match st with
     | F_boot ->
       let rank, size, base_port, rpn, _, _, extra = Launchers.parse_rank_args (List.tl ctx.argv) in
@@ -140,6 +140,15 @@ module Make (K : KERNEL) : Simos.Program.S = struct
       match Launchers.notify_step ctx n with
       | `Done -> Simos.Program.Exit (if ok then 0 else 1)
       | `Pending -> Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. 1e-3)))
+
+  (* Bytes a peer sent that the framing rejects (a rank header outside
+     the job, a frame length below 1) end this rank only, as a damaged
+     image ends its restarter. *)
+  let step ctx st =
+    try step_rank ctx st
+    with Util.Codec.Reader.Corrupt msg ->
+      ctx.log (Printf.sprintf "%s: %s" K.prog_name msg);
+      Simos.Program.Exit Dmtcp.Exit_code.corrupt_image
 end
 
 let ring_neighbors ~rank ~size =
@@ -1358,20 +1367,15 @@ let catalog =
     (Bt.prog_name, Bt.mem_bytes);
   ]
 
-let registered = ref false
-
-let register () =
-  if not !registered then begin
-    registered := true;
-    List.iter Simos.Program.register
-      [
-        (module P_baseline : Simos.Program.S);
-        (module P_ep);
-        (module P_is);
-        (module P_cg);
-        (module P_mg);
-        (module P_lu);
-        (module P_sp);
-        (module P_bt);
-      ]
-  end
+let () =
+  List.iter Simos.Program.register
+    [
+      (module P_baseline : Simos.Program.S);
+      (module P_ep);
+      (module P_is);
+      (module P_cg);
+      (module P_mg);
+      (module P_lu);
+      (module P_sp);
+      (module P_bt);
+    ]

@@ -24,11 +24,13 @@
     - ["nas:sp"] — ADI-style sweeps with a scalar pentadiagonal solver;
     - ["nas:bt"] — the same with 3x3 block-tridiagonal lines. *)
 
-val register : unit -> unit
 
 (** {2 Kernel framework} — the one rank framework: every MPI rank
     program (these kernels, {!Stencil}, ParGeant4, the iPython demo,
-    the flood and Figure-6 synthetic workloads) is a {!Make}. *)
+    the flood and Figure-6 synthetic workloads) is a {!Make}.  A step
+    that raises {!Util.Codec.Reader.Corrupt} (a peer's rank header or
+    frame length the {!Mpi} framing rejects) ends that rank only, with
+    exit code {!Dmtcp.Exit_code.corrupt_image} (72). *)
 
 (** Simulated CPU seconds per floating-point operation. *)
 val flop_cost : float

@@ -9,7 +9,6 @@
 
     Program ["apps:pargeant4"]; extra rank argv: [[nevents]]. *)
 
-val register : unit -> unit
 
 val prog_name : string
 

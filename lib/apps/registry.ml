@@ -1,10 +1,3 @@
-let register_all () =
-  Launchers.register ();
-  Nas.register ();
-  Stencil.register ();
-  Proxy.Daemon.register ();
-  Pargeant4.register ();
-  Ipython.register ();
-  Synthetic.register ();
-  Desktop.register ();
-  Flood.register ()
+(* Every workload program registers itself when its module initialises,
+   and this library links whole, so there is nothing left to do here. *)
+let register_all () = ()

@@ -303,11 +303,6 @@ end
 module Jacobi_prog = Nas.Make (Jacobi)
 module Bsp_prog = Nas.Make (Bsp)
 
-let registered = ref false
-
-let register () =
-  if not !registered then begin
-    registered := true;
-    Simos.Program.register (module Jacobi_prog : Simos.Program.S);
-    Simos.Program.register (module Bsp_prog : Simos.Program.S)
-  end
+let () =
+  Simos.Program.register (module Jacobi_prog : Simos.Program.S);
+  Simos.Program.register (module Bsp_prog : Simos.Program.S)

@@ -21,6 +21,3 @@
 
 val stencil_prog : string
 val bsp_prog : string
-
-(** Register both programs (idempotent). *)
-val register : unit -> unit

@@ -65,10 +65,4 @@ end
 
 module P = Nas.Make (K)
 
-let registered = ref false
-
-let register () =
-  if not !registered then begin
-    registered := true;
-    Simos.Program.register (module P : Simos.Program.S)
-  end
+let () = Simos.Program.register (module P : Simos.Program.S)

@@ -6,6 +6,5 @@
     land wherever they like.  Rank program ["apps:synthetic"];
     extra argv: [[mb; rounds]]. *)
 
-val register : unit -> unit
 
 val prog_name : string

@@ -71,8 +71,6 @@ let make ?(node = home) ~options ~settle ~timeout ~launch path =
 let launch_on env ~node prog argv = ignore (Dmtcp.Api.launch env.Common.rt ~node ~prog ~argv)
 
 let boot c =
-  Progs.ensure_registered ();
-  Heuristic_progs.ensure_registered ();
   let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options:c.options () in
   c.launch env;
   env
@@ -124,12 +122,6 @@ let store env = Option.get (Dmtcp.Runtime.store env.Common.rt)
 let images_available env =
   Dmtcp.Api.script_images_available env.Common.rt (Dmtcp.Api.restart_script env.Common.rt)
 
-(* Install [observer] as the stage observer while [f] runs; the default
-   comes back on any exit, exceptions included. *)
-let with_observer observer f =
-  Dmtcp.Faults.on_stage := observer;
-  Fun.protect ~finally:(fun () -> Dmtcp.Faults.on_stage := Dmtcp.Faults.default_observer) f
-
 (* While [f fired] runs, kill the whole computation the moment any
    manager reaches [stage] — between that stage's hooks and the next
    stage's.  The kill is scheduled at the current virtual time so the
@@ -137,7 +129,7 @@ let with_observer observer f =
    runner). *)
 let with_stage_kill env stage f =
   let fired = ref false in
-  with_observer
+  Dmtcp.Runtime.with_observer env.Common.rt
     (fun ~node:_ ~pid:_ s ->
       if s = stage && not !fired then begin
         fired := true;
@@ -537,7 +529,6 @@ let proxy ~prog ~extra ~short ~in_flight =
     (make ~node:0 ~options:(Common.options_for Common.Proxy) ~settle:0.02 ~timeout:120.
        (sprintf "/result/%s-%d" short base_port)
        ~launch:(fun env ->
-         Proxy.Accounting.reset ~base_port;
          Common.start_workload env
            {
              Common.w_name = prog;
@@ -554,7 +545,7 @@ let proxy ~prog ~extra ~short ~in_flight =
         (* let traffic move again, sample the ledger, crash node 1 (ranks
            2 and 3 plus its proxy daemon), then kill the rest *)
         Common.run_for env 0.02;
-        let ledger = Proxy.Accounting.totals ~base_port in
+        let ledger = Proxy.Accounting.totals env.Common.cl ~base_port in
         Simos.Cluster.crash_node env.Common.cl 1;
         Common.run_for env 0.1;
         kill env;

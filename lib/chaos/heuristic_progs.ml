@@ -385,16 +385,6 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-let registered = ref false
-
-let ensure_registered () =
-  if not !registered then begin
-    registered := true;
-    List.iter Simos.Program.register
-      [
-        (module Dns_server : Simos.Program.S);
-        (module Dns_client);
-        (module Proc_fd);
-        (module Nscd_app);
-      ]
-  end
+let () =
+  List.iter Simos.Program.register
+    [ (module Dns_server : Simos.Program.S); (module Dns_client); (module Proc_fd); (module Nscd_app) ]

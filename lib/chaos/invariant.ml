@@ -2,8 +2,8 @@
 
    Each checker returns a list of human-readable violations (empty =
    invariant holds).  They are pure observers: they never mutate
-   simulation state, so running them from a [Dmtcp.Faults.on_stage]
-   callback is safe. *)
+   simulation state, so running them from a stage observer
+   ([Dmtcp.Runtime.with_observer]) is safe. *)
 
 let sprintf = Printf.sprintf
 

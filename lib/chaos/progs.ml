@@ -696,21 +696,16 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-let registered = ref false
-
-let ensure_registered () =
-  if not !registered then begin
-    registered := true;
-    List.iter Simos.Program.register
-      [
-        (module Counter : Simos.Program.S);
-        (module Memhog);
-        (module Dirty);
-        (module Stream_server);
-        (module Stream_client);
-        (module Pipeline);
-        (module Aware);
-        (module Shm);
-        (module Sigapp);
-      ]
-  end
+let () =
+  List.iter Simos.Program.register
+    [
+      (module Counter : Simos.Program.S);
+      (module Memhog);
+      (module Dirty);
+      (module Stream_server);
+      (module Stream_client);
+      (module Pipeline);
+      (module Aware);
+      (module Shm);
+      (module Sigapp);
+    ]

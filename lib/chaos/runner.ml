@@ -265,7 +265,7 @@ let faulted_run sc reference =
      show where each node was in the checkpoint/restart conversation *)
   let ring = Trace.ring ~per_node:10 ~cat:"dmtcp" () in
   let violations =
-    Fixture.with_observer (make_observer st env sc) @@ fun () ->
+    Dmtcp.Runtime.with_observer rt (make_observer st env sc) @@ fun () ->
     Trace.with_sink (Trace.ring_sink ring) @@ fun () ->
     try
       launch_all env sc;

@@ -98,7 +98,6 @@ let victim_node env sched = function
 (* Engine ties break by insertion order, so the order of the calls below
    is part of every plan's outcome. *)
 let play ~faults p =
-  Progs.ensure_registered ();
   let env = Common.setup ~nodes:p.nodes ~cores_per_node:2 ~options:Fixture.store_options () in
   let sched =
     Sched.Scheduler.create ~ckpt_interval:p.ckpt_interval ~max_inflight:p.max_inflight

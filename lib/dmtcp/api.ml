@@ -1,18 +1,4 @@
-let registered = ref false
-
-let register_programs () =
-  if not !registered then begin
-    registered := true;
-    Simos.Program.register Coordinator.program;
-    Simos.Program.register Manager.program;
-    Simos.Program.register Launcher.checkpoint_program;
-    Simos.Program.register Launcher.command_program;
-    Simos.Program.register Restart.program
-  end
-
-let install cl ?options () =
-  register_programs ();
-  Runtime.install cl ?options ()
+let install = Runtime.install
 
 (* [?options] lets a caller run several independent DMTCP computations on
    one cluster (the batch scheduler gives every job its own coordinator

@@ -15,11 +15,9 @@
       Simos.Cluster.run cl                       (* computation finishes *)
     ]} *)
 
-(** Register the DMTCP programs (coordinator, manager, launcher, command,
-    restart) in the global program registry. Idempotent. *)
-val register_programs : unit -> unit
-
-(** Install hooks + runtime on a cluster (also registers programs). *)
+(** Install hooks + runtime on a cluster ({!Runtime.install}).  The
+    DMTCP programs (coordinator, manager, launcher, command, restart)
+    need no registering: each registers itself at initialisation. *)
 val install : Simos.Cluster.t -> ?options:Options.t -> unit -> Runtime.t
 
 (** [launch rt ~node ~prog ~argv] spawns

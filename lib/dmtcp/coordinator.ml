@@ -73,7 +73,7 @@ module P = struct
 
   let start_checkpoint (ctx : Simos.Program.ctx) st =
     if not st.in_ckpt then begin
-      let rt = Runtime.active () in
+      let rt = Runtime.of_ctx ctx in
       Runtime.note_ckpt_start ~port:st.port rt;
       st.in_ckpt <- true;
       Array.fill st.counts 0 (Array.length st.counts) 0;
@@ -103,7 +103,7 @@ module P = struct
       let b = !k in
       if st.released.(b) then incr k
       else if st.counts.(b) >= st.expected then begin
-        let rt = Runtime.active () in
+        let rt = Runtime.of_ctx ctx in
         (* Table 1: stage durations are the times between the global
            barriers, measured here at the coordinator. *)
         let stage_name = Faults.span_name (Faults.closed_by b) in
@@ -195,7 +195,7 @@ module P = struct
   let step (ctx : Simos.Program.ctx) st =
     match st.phase with
     | `Boot ->
-      st.opts <- Options.of_getenv ~base:(Runtime.options (Runtime.active ())) ctx.getenv;
+      st.opts <- Options.of_getenv ~base:(Runtime.options (Runtime.of_ctx ctx)) ctx.getenv;
       let port =
         match ctx.argv with
         | [ _; p ] -> ( try int_of_string p with _ -> Options.default.Options.coord_port)
@@ -254,4 +254,4 @@ module P = struct
   let step ctx st = try step ctx st with Exit -> Simos.Program.Exit 0
 end
 
-let program = (module P : Simos.Program.S)
+let () = Simos.Program.register (module P : Simos.Program.S)

@@ -9,9 +9,7 @@
     for simplicity and is not a bottleneck at 32 nodes; the Figure 5
     reproduction confirms the same here.
 
-    Program name: ["dmtcp:coordinator"]; argv: [[port]] (optional). *)
+    Program name: ["dmtcp:coordinator"]; argv: [[port]] (optional).  It
+    registers itself when this module initialises. *)
 
-val program : (module Simos.Program.S)
-
-(** Registered program name. *)
 val name : string

@@ -17,16 +17,21 @@ val allow_checkpoints : Simos.Program.ctx -> unit
     [dmtcp_command --checkpoint] helper process). *)
 val request_checkpoint : Simos.Program.ctx -> unit
 
-(** Status: number of processes currently under the coordinator, if this
-    process is under DMTCP and a status query has completed. *)
-val last_known_status : unit -> int option
+(** Status: number of processes under the coordinator at the last
+    status query of this process's run, if this process is under DMTCP
+    and such a query has completed. *)
+val last_known_status : Simos.Program.ctx -> int option
 
-(** Register hook functions run by this process's manager before a
-    checkpoint and after a checkpoint or restart.  Keyed by program name;
-    survives checkpointing because registration is code, not state. *)
-val set_hooks : prog:string -> ?pre_ckpt:(unit -> unit) -> ?post_ckpt:(unit -> unit) -> unit -> unit
+(** Register hook functions that the managers of [rt]'s run call before
+    a checkpoint and after a checkpoint or restart of a process running
+    [prog].  Keyed by program name; survives checkpointing because
+    registration is code, not state.  The hooks belong to the run:
+    another cluster's runtime has none. *)
+val set_hooks :
+  Runtime.t -> prog:string -> ?pre_ckpt:(unit -> unit) -> ?post_ckpt:(unit -> unit) -> unit -> unit
 
-(** Called by the manager (exposed for it, not for applications). *)
-val run_pre_ckpt : prog:string -> unit
+(** Called by the manager and the restarter (exposed for them, not for
+    applications). *)
+val run_pre_ckpt : Runtime.t -> prog:string -> unit
 
-val run_post_ckpt : prog:string -> unit
+val run_post_ckpt : Runtime.t -> prog:string -> unit

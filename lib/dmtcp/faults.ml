@@ -1,15 +1,6 @@
-(* Both protocols' stage orders and the stage-targeted fault-injection
-   hooks.
-
-   The manager announces entry into each checkpoint stage and arrival at
-   each coordinator barrier through [notify]; the restarter announces
-   entry into each restart stage the same way.  The chaos layer installs
-   an observer to kill victims at exact protocol points or to check
-   stage invariants (e.g. "kernel buffers are empty when the image is
-   written").  Observers must not tear the caller down synchronously —
-   schedule destructive work at the current virtual time instead, so the
-   in-progress step completes and the kernel's generation counters
-   retire it cleanly. *)
+(* Both protocols' stage orders, their spans and the injected protocol
+   bugs.  A run's stage observer, which the manager and the restarter
+   notify at each stage, lives in its runtime ([Runtime.notify]). *)
 
 type stage =
   | Suspend
@@ -75,13 +66,10 @@ let next stage =
    plus each coordinator barrier. *)
 let all_stages = stages @ List.init nbarriers (fun i -> Barrier (i + 1))
 
-let default_observer ~node:_ ~pid:_ (_ : stage) = ()
-let on_stage : (node:int -> pid:int -> stage -> unit) ref = ref default_observer
-let notify ~node ~pid stage = !on_stage ~node ~pid stage
-
 (* Intentionally injected protocol bugs, used to prove the chaos
    harness's invariants catch real regressions.  Never set outside
-   chaos-harness self-tests. *)
+   chaos-harness self-tests, and only before any run: they are
+   process-wide, not run state. *)
 
 (* Skip stage 4 entirely: no flush tokens, no drained stash. *)
 let bug_skip_drain = ref false
@@ -89,8 +77,3 @@ let bug_skip_drain = ref false
 (* Perform the drain but drop the stash at refill instead of
    re-injecting it. *)
 let bug_drop_refill = ref false
-
-let reset () =
-  on_stage := default_observer;
-  bug_skip_drain := false;
-  bug_drop_refill := false

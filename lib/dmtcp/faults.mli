@@ -1,14 +1,10 @@
-(** Both protocols' stage orders, and stage-targeted fault-injection
-    hooks.
+(** Both protocols' stage orders, their spans, and the injected
+    protocol bugs.
 
     The manager reports entry into each of the paper's checkpoint stages
-    (§4.3) and arrival at each coordinator barrier via {!notify}; the
-    restarter reports entry into each restart stage (§4.4) the same way.
-    The chaos layer installs {!on_stage} to kill a victim at an exact
-    protocol point or to assert stage invariants.  Observers must not
-    destroy the notifying process synchronously; schedule destructive
-    work at the current virtual time so the in-progress step retires
-    cleanly. *)
+    (§4.3) and arrival at each coordinator barrier to its run's stage
+    observer ({!Runtime.notify}); the restarter reports entry into each
+    restart stage (§4.4) the same way. *)
 
 type stage =
   | Suspend  (** user threads stopped (stage 2) *)
@@ -71,17 +67,12 @@ val next : stage -> stage option
     points. *)
 val all_stages : stage list
 
-(** The no-op observer installed by default (and by {!reset}). *)
-val default_observer : node:int -> pid:int -> stage -> unit
-
-val on_stage : (node:int -> pid:int -> stage -> unit) ref
-val notify : node:int -> pid:int -> stage -> unit
-
 (** {2 Intentionally injected bugs}
 
     Used by chaos-harness self-tests to demonstrate that the invariant
     checkers catch protocol regressions.  Never set in production
-    paths. *)
+    paths.  They are process-wide: set them before any run
+    ([torture --bug] and two self-tests do). *)
 
 (** Skip the drain stage entirely: no flush tokens exchanged, nothing
     stashed — in-flight socket data is silently left out of the image. *)
@@ -90,6 +81,3 @@ val bug_skip_drain : bool ref
 (** Drain normally but drop the stash at refill time instead of
     re-injecting it into kernel buffers. *)
 val bug_drop_refill : bool ref
-
-(** Restore the default observer and clear all bug flags. *)
-val reset : unit -> unit

@@ -2,7 +2,7 @@ let checkpoint_name = "dmtcp:checkpoint"
 let command_name = "dmtcp:command"
 
 let options (ctx : Simos.Program.ctx) =
-  Options.of_getenv ~base:(Runtime.options (Runtime.active ())) ctx.getenv
+  Options.of_getenv ~base:(Runtime.options (Runtime.of_ctx ctx)) ctx.getenv
 
 (* the coordinator this process's environment names *)
 let coordinator_addr ctx =
@@ -84,9 +84,6 @@ module Command = struct
   let decode _ = failwith "dmtcp:command is not checkpointable"
   let init ~argv:_ = C_boot
 
-  (* stdout of the status command, for tests *)
-  let last_status : int option ref = ref None
-
   let request ctx =
     match (ctx : Simos.Program.ctx).argv with
     | _ :: "--checkpoint" :: _ | _ :: "-c" :: _ -> Some (Proto.cmd_checkpoint, false)
@@ -124,7 +121,7 @@ module Command = struct
         let lines, rest = Proto.split_lines buf in
         match List.find_map (fun l -> match Proto.parse l with Proto.Status_reply n -> Some n | _ -> None) lines with
         | Some n ->
-          last_status := Some n;
+          Runtime.note_status (Runtime.of_ctx ctx) n;
           ctx.close_fd fd;
           Simos.Program.Exit 0
         | None ->
@@ -133,7 +130,6 @@ module Command = struct
       | `Eof | `Err _ -> Simos.Program.Exit 1)
 end
 
-let checkpoint_program = (module Checkpoint : Simos.Program.S)
-let command_program = (module Command : Simos.Program.S)
-
-let last_status = Command.last_status
+let () =
+  Simos.Program.register (module Checkpoint : Simos.Program.S);
+  Simos.Program.register (module Command : Simos.Program.S)

@@ -7,14 +7,10 @@
 
     [dmtcp_command --checkpoint|--status|--quit] — program name
     ["dmtcp:command"] — connects to the coordinator's command socket and
-    sends the request. *)
+    sends the request; the reply to [--status] is kept in the run's
+    runtime ({!Runtime.last_status}).
 
-val checkpoint_program : (module Simos.Program.S)
+    Both programs register themselves when this module initialises. *)
+
 val checkpoint_name : string
-
-val command_program : (module Simos.Program.S)
 val command_name : string
-
-(** Last status-reply received by a [dmtcp_command --status] run (test
-    observability). *)
-val last_status : int option ref

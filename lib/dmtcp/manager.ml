@@ -49,7 +49,7 @@ module P = struct
   (* -------------------------------------------------------------- *)
   (* helpers *)
 
-  let rt () = Runtime.active ()
+  let rt = Runtime.of_ctx
 
   let m_drained = Trace.Metrics.counter "dmtcp.drained_bytes"
 
@@ -63,12 +63,12 @@ module P = struct
      [dispatch ctx Plugins.<site> args] runs one site over the enabled
      plugins at this process's node, pid and time *)
   let dispatch (ctx : Simos.Program.ctx) (site : _ Plugins.dispatcher) =
-    site (Runtime.plugins (rt ())) ~node:ctx.node_id ~pid:ctx.pid ~now:(ctx.now ())
+    site (Runtime.plugins (rt ctx)) ~node:ctx.node_id ~pid:ctx.pid ~now:(ctx.now ())
 
   (* Stage entry, in one place: the fault hook, the mgr/<stage> instant
      and the pre- plugin hook. *)
   let enter_stage (ctx : Simos.Program.ctx) stage =
-    Faults.notify ~node:ctx.node_id ~pid:ctx.pid stage;
+    Runtime.notify (rt ctx) ~node:ctx.node_id ~pid:ctx.pid stage;
     (match stage with
     | Faults.Barrier k -> trace_phase ctx "barrier" [ ("k", string_of_int k) ]
     | _ -> trace_phase ctx (Faults.stage_name stage) []);
@@ -82,15 +82,15 @@ module P = struct
     st.phase <- (match Faults.next stage with Some next -> P_stage next | None -> P_idle);
     st
 
-  let my_kernel (ctx : Simos.Program.ctx) = Runtime.kernel_of (rt ()) ~node:ctx.node_id
+  let my_kernel (ctx : Simos.Program.ctx) = Runtime.kernel_of (rt ctx) ~node:ctx.node_id
 
   let my_proc (ctx : Simos.Program.ctx) =
-    match Runtime.proc_of (rt ()) ~node:ctx.node_id ~pid:ctx.pid with
+    match Runtime.proc_of (rt ctx) ~node:ctx.node_id ~pid:ctx.pid with
     | Some p -> p
     | None -> failwith "dmtcp:mgr: own process not found"
 
   let my_pstate (ctx : Simos.Program.ctx) =
-    match Runtime.pstate_of (rt ()) ~node:ctx.node_id ~pid:ctx.pid with
+    match Runtime.pstate_of (rt ctx) ~node:ctx.node_id ~pid:ctx.pid with
     | Some ps -> ps
     | None -> failwith "dmtcp:mgr: own pstate not found"
 
@@ -143,7 +143,7 @@ module P = struct
            | Some s
              when Simnet.Fabric.state s = Simnet.Fabric.Established
                   && ctx.get_fd_owner fd = ctx.pid ->
-             if Runtime.peer_entry (rt ()) s <> None then Some (fd, entry, `Peer)
+             if Runtime.peer_entry (rt ctx) s <> None then Some (fd, entry, `Peer)
              else if Simnet.Fabric.peer_gone s then Some (fd, entry, `Orphan)
              else None
            | _ -> None)
@@ -276,7 +276,7 @@ module P = struct
                |> Option.map (fun info -> (fd, key, info)))
     in
     let parent_vpid =
-      match Runtime.pstate_of (rt ()) ~node:ctx.node_id ~pid:(ctx.ppid ()) with
+      match Runtime.pstate_of (rt ctx) ~node:ctx.node_id ~pid:(ctx.ppid ()) with
       | Some parent_ps -> parent_ps.Runtime.vpid
       | None -> 0
     in
@@ -329,8 +329,8 @@ module P = struct
     let sim = image.Ckpt_image.sizes.Mtcp.Image.compressed in
     let upid = image.Ckpt_image.upid in
     let lineage = Upid.lineage upid in
-    let prune () = Runtime.prune_images (rt ()) ~lineage in
-    match Runtime.store (rt ()) with
+    let prune () = Runtime.prune_images (rt ctx) ~lineage in
+    match Runtime.store (rt ctx) with
     | Some store ->
       let delay =
         Store.put store ?base:image.Ckpt_image.delta_base ~node:ctx.node_id ~lineage
@@ -361,7 +361,7 @@ module P = struct
     match st.phase with
     | P_boot -> (
       st.coord_fd <- ctx.socket ();
-      st.opts <- Options.of_getenv ~base:(Runtime.options (rt ())) ctx.getenv;
+      st.opts <- Options.of_getenv ~base:(Runtime.options (rt ctx)) ctx.getenv;
       match ctx.connect st.coord_fd (coord_addr st) with
       | Ok () ->
         st.phase <- P_connecting 100;
@@ -437,7 +437,7 @@ module P = struct
       (* stage 2: suspend user threads *)
       let proc = my_proc ctx in
       (match proc.Simos.Kernel.cmdline with
-      | prog :: _ -> Dmtcpaware.run_pre_ckpt ~prog
+      | prog :: _ -> Dmtcpaware.run_pre_ckpt (rt ctx) ~prog
       | [] -> ());
       Simos.Kernel.suspend_user_threads (my_kernel ctx) proc;
       let st = exit_stage ctx st Faults.Suspend in
@@ -525,7 +525,7 @@ module P = struct
       let proc = my_proc ctx in
       Simos.Kernel.resume_user_threads (my_kernel ctx) proc;
       (match proc.Simos.Kernel.cmdline with
-      | prog :: _ -> Dmtcpaware.run_post_ckpt ~prog
+      | prog :: _ -> Dmtcpaware.run_post_ckpt (rt ctx) ~prog
       | [] -> ());
       Simos.Program.Continue (exit_stage ctx st Faults.Resume)
     | Faults.(Files | Reconnect | Mem | Restart _) as stage ->
@@ -547,7 +547,7 @@ module P = struct
         (Compress.Model.compress_seconds ~algo:opts.Options.algo
            ~bytes:sizes.Mtcp.Image.uncompressed ~zero_bytes:sizes.Mtcp.Image.zero_bytes)
     in
-    Runtime.record_image ~port:opts.Options.coord_port (rt ()) ~node:ctx.node_id ~path
+    Runtime.record_image ~port:opts.Options.coord_port (rt ctx) ~node:ctx.node_id ~path
       ~upid:image.Ckpt_image.upid ~sizes;
     (match image.Ckpt_image.delta_base with
     | Some base ->
@@ -678,12 +678,12 @@ module P = struct
       (fun (fd, (entry : Conn_table.entry)) ->
         match desc_socket ctx fd with
         | Some s when entry.Conn_table.role = Conn_table.Acceptor -> (
-          match Runtime.peer_entry (Runtime.active ()) s with
+          match Runtime.peer_entry (rt ctx) s with
           | Some (_, peer) -> entry.Conn_table.conn_id <- peer.Conn_table.conn_id
           | None -> ())
         | _ -> ())
       (Conn_table.entries ps.Runtime.conns);
-    Runtime.write_conn_table (Runtime.active ()) (my_kernel ctx) proc
+    Runtime.write_conn_table (rt ctx) (my_kernel ctx) proc
 
   let step ctx st =
     try step ctx st
@@ -692,4 +692,4 @@ module P = struct
       Simos.Program.Exit Exit_code.manager_failed
 end
 
-let program = (module P : Simos.Program.S)
+let () = Simos.Program.register (module P : Simos.Program.S)

@@ -18,8 +18,7 @@
     Manager threads are themselves excluded from the image and recreated
     at restart, so this program's state needs no serialization.
 
-    Program name: ["dmtcp:mgr"]. *)
-
-val program : (module Simos.Program.S)
+    Program name: ["dmtcp:mgr"], registered when this module
+    initialises. *)
 
 val name : string

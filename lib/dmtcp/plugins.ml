@@ -87,7 +87,7 @@ let ext_sock =
             let s = dead_socket kernel in
             (* a stream that had already ended keeps its EOF *)
             if eof then Simnet.Fabric.inject_eof s;
-            Some (Simos.Fdesc.make (Simos.Fdesc.Sock s)));
+            Some (Simos.Kernel.make_desc kernel (Simos.Fdesc.Sock s)));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -138,7 +138,7 @@ let proc_fd =
                     else pth)
                   (fun () ->
                     let file = Simos.Vfs.open_or_create vfs path in
-                    let desc = Simos.Fdesc.make (Simos.Fdesc.File { file; offset = 0 }) in
+                    let desc = Simos.Kernel.make_desc kernel (Simos.Fdesc.File { file; offset = 0 }) in
                     Simos.Kernel.remove_fd kernel proc ~fd;
                     Simos.Fdesc.incr_ref desc;
                     Simos.Kernel.install_fd kernel proc ~fd desc)

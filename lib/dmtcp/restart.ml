@@ -83,8 +83,8 @@ module P = struct
       opts = Options.default;
     }
 
-  let rt () = Runtime.active ()
-  let my_kernel (ctx : Simos.Program.ctx) = Runtime.kernel_of (rt ()) ~node:ctx.node_id
+  let rt = Runtime.of_ctx
+  let my_kernel (ctx : Simos.Program.ctx) = Runtime.kernel_of (rt ctx) ~node:ctx.node_id
 
   (* The restart wave's coordinator domain: every per-wave record (op
      info, refill barrier, shm registry, discovery keys) is scoped to
@@ -97,7 +97,7 @@ module P = struct
         ~name:("rst/" ^ name) ~args ~time:(ctx.now ()) ()
 
   let fd_sock (ctx : Simos.Program.ctx) fd =
-    match Simos.Kernel.fd_desc (Option.get (Runtime.proc_of (rt ()) ~node:ctx.node_id ~pid:ctx.pid)) fd with
+    match Simos.Kernel.fd_desc (Option.get (Runtime.proc_of (rt ctx) ~node:ctx.node_id ~pid:ctx.pid)) fd with
     | Some ({ Simos.Fdesc.kind = Simos.Fdesc.Sock s; _ } as desc) -> Some (s, desc)
     | _ -> None
 
@@ -112,7 +112,7 @@ module P = struct
         List.iter
           (fun (p : Ckpt_image.pty_record) ->
             if not (Hashtbl.mem st.pty_map p.Ckpt_image.pty_key) then begin
-              let pty = Simos.Pty.create () in
+              let pty = Simos.Kernel.make_pty k in
               Simos.Pty.set_termios pty
                 {
                   Simos.Pty.icanon = p.Ckpt_image.icanon;
@@ -136,11 +136,11 @@ module P = struct
                 let file = Simos.Vfs.open_or_create (Simos.Kernel.vfs k) path in
                 let offset = min offset (Simos.Vfs.length file) in
                 Hashtbl.replace st.desc_map desc_key
-                  (Simos.Fdesc.make (Simos.Fdesc.File { file; offset }))
+                  (Simos.Kernel.make_desc k (Simos.Fdesc.File { file; offset }))
               | Ckpt_image.FPty { master; pty_key } ->
                 let pty = Hashtbl.find st.pty_map pty_key in
                 let kind = if master then Simos.Fdesc.Pty_m pty else Simos.Fdesc.Pty_s pty in
-                Hashtbl.replace st.desc_map desc_key (Simos.Fdesc.make kind)
+                Hashtbl.replace st.desc_map desc_key (Simos.Kernel.make_desc k kind)
               | Ckpt_image.FSock { state = Ckpt_image.S_listening { port; unix_path; backlog }; _ }
                 ->
                 (* listen sockets are rebound directly; if the original
@@ -162,14 +162,14 @@ module P = struct
                     s
                 in
                 ignore (Simnet.Fabric.listen s ~backlog);
-                Hashtbl.replace st.desc_map desc_key (Simos.Fdesc.make (Simos.Fdesc.Sock s))
+                Hashtbl.replace st.desc_map desc_key (Simos.Kernel.make_desc k (Simos.Fdesc.Sock s))
               | Ckpt_image.FSock { state = Ckpt_image.S_other; eof; _ } ->
                 let fab = Simos.Kernel.fabric k in
                 let s = Simnet.Fabric.socket fab ~host:ctx.node_id in
                 (* a recorded EOF survives onto the fresh dead socket so
                    a reader blocked on it wakes instead of hanging *)
                 if eof then Simnet.Fabric.inject_eof s;
-                Hashtbl.replace st.desc_map desc_key (Simos.Fdesc.make (Simos.Fdesc.Sock s))
+                Hashtbl.replace st.desc_map desc_key (Simos.Kernel.make_desc k (Simos.Fdesc.Sock s))
               | Ckpt_image.FSock { state = Ckpt_image.S_established; _ } ->
                 (* handled by the reconnect stage *)
                 ())
@@ -230,7 +230,7 @@ module P = struct
   let discover_external (ctx : Simos.Program.ctx) spec =
     if spec.cs_desc = None then
       spec.cs_desc <-
-        Plugins.restart_discovery (Runtime.plugins (rt ())) ~node:ctx.node_id ~pid:ctx.pid
+        Plugins.restart_discovery (Runtime.plugins (rt ctx)) ~node:ctx.node_id ~pid:ctx.pid
           ~now:(ctx.now ()) (my_kernel ctx) ~eof:spec.cs_eof
 
   let start_socket_restore (ctx : Simos.Program.ctx) st =
@@ -256,7 +256,7 @@ module P = struct
         | Some a -> a
         | None -> failwith "dmtcp:restart: listener has no address"
       in
-      let disc = Simos.Cluster.discovery (Runtime.cluster (rt ())) in
+      let disc = Simos.Cluster.discovery (Runtime.cluster (rt ctx)) in
       List.iter
         (fun spec ->
           if spec.cs_acceptor then begin
@@ -269,7 +269,7 @@ module P = struct
   (* Drive accepts/connects until every spec has a socket or the deadline
      passes (external peers never reconnect). *)
   let socket_restore_tick (ctx : Simos.Program.ctx) st =
-    let disc = Simos.Cluster.discovery (Runtime.cluster (rt ())) in
+    let disc = Simos.Cluster.discovery (Runtime.cluster (rt ctx)) in
     (* accept side *)
     (if st.listen_fd >= 0 then
        let rec accept_all () =
@@ -342,7 +342,7 @@ module P = struct
 
   let materialize (ctx : Simos.Program.ctx) st =
     let k = my_kernel ctx in
-    let run = rt () in
+    let run = rt ctx in
     let port = my_port st in
     Runtime.shm_reset ~port run;
     st.restored <-
@@ -595,11 +595,11 @@ module P = struct
         ignore (Simos.Kernel.add_thread k proc ~inst ~manager:true ());
         Simos.Kernel.resume_user_threads k proc;
         match proc.Simos.Kernel.cmdline with
-        | prog :: _ -> Dmtcpaware.run_post_ckpt ~prog
+        | prog :: _ -> Dmtcpaware.run_post_ckpt (rt ctx) ~prog
         | [] -> ())
       st.restored;
     if st.lazy_page_cost > 0. then start_prefetcher ctx st;
-    Runtime.note_restart_end ~port:(my_port st) (rt ())
+    Runtime.note_restart_end ~port:(my_port st) (rt ctx)
 
   (* ---------------------------------------------------------------- *)
   (* boot: load the images named on the command line *)
@@ -620,7 +620,7 @@ module P = struct
              trace_rst ctx "store-fetch" [ ("name", name); ("delay", Printf.sprintf "%.6f" delay) ];
              bytes)
     in
-    match Image_chain.read ~prefer:ctx.node_id ~from_store:fetch (rt ()) path with
+    match Image_chain.read ~prefer:ctx.node_id ~from_store:fetch (rt ctx) path with
     | exception Store.Missing_blocks blocks -> Error (`Lost blocks)
     | None -> Error (`Lost [ Filename.basename path ])
     | Some (bytes, source) -> (
@@ -674,7 +674,7 @@ module P = struct
      lineage that still resolves, so the failure degrades to an older
      checkpoint instead of losing the computation. *)
   let fallback (ctx : Simos.Program.ctx) st ~lineage path =
-    match Runtime.store (rt ()) with
+    match Runtime.store (rt ctx) with
     | None -> None
     | Some store ->
       let failed = Filename.basename path in
@@ -715,7 +715,7 @@ module P = struct
     let restored =
       match load_image ctx st path with
       | Error (`Corrupt c) -> Error (`Corrupt c)
-      | Error (`Lost _) when Runtime.store (rt ()) = None -> Ok None
+      | Error (`Lost _) when Runtime.store (rt ctx) = None -> Ok None
       | Error (`Lost blocks) -> lost ~lineage:(lineage_of_name (Filename.basename path)) blocks
       | Ok (img, _) when img.Ckpt_image.delta_base = None -> Ok (Some (img, None))
       | Ok (img, _) -> (
@@ -738,7 +738,7 @@ module P = struct
      the lost blocks (exit 73); with nothing to restore, exit 1. *)
   let boot (ctx : Simos.Program.ctx) st =
     st.since <- ctx.now ();
-    st.opts <- Options.of_getenv ~base:(Runtime.options (rt ())) ctx.getenv;
+    st.opts <- Options.of_getenv ~base:(Runtime.options (rt ctx)) ctx.getenv;
     let paths = match ctx.argv with _ :: paths -> paths | [] -> [] in
     let outcomes = List.map (fun path -> (path, restore_image ctx st path)) paths in
     st.images <- List.filter_map (function _, Ok image -> image | _, Error _ -> None) outcomes;
@@ -776,7 +776,7 @@ module P = struct
   let resend = 3e-4
 
   (* Stage entry: the stage's kill point. *)
-  let enter_stage (ctx : Simos.Program.ctx) = Faults.notify ~node:ctx.node_id ~pid:ctx.pid
+  let enter_stage (ctx : Simos.Program.ctx) = Runtime.notify (rt ctx) ~node:ctx.node_id ~pid:ctx.pid
 
   (* Stage exit: the stage's span, from the last stage's exit (boot for
      the first) to now, then whatever Faults.next names.  Refill's span
@@ -840,7 +840,7 @@ module P = struct
     | Faults.Restart Faults.Refill as stage ->
       trace_rst ctx "refill" [];
       refill ctx st;
-      Runtime.arrive_refill_barrier ~port:(my_port st) (rt ());
+      Runtime.arrive_refill_barrier ~port:(my_port st) (rt ctx);
       st.phase <- Wait stage;
       Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. resend))
     | Faults.Restart Faults.Resume ->
@@ -888,7 +888,7 @@ module P = struct
       st.phase <- Finish stage;
       Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. delay))
     | Faults.Restart Faults.Refill as stage ->
-      if Runtime.refill_barrier_passed ~port:(my_port st) (rt ()) then begin
+      if Runtime.refill_barrier_passed ~port:(my_port st) (rt ctx) then begin
         st.phase <- Finish stage;
         Simos.Program.Continue st
       end
@@ -902,4 +902,4 @@ module P = struct
       Simos.Program.Exit Exit_code.restarter_crashed
 end
 
-let program = (module P : Simos.Program.S)
+let () = Simos.Program.register (module P : Simos.Program.S)

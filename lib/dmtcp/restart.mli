@@ -14,8 +14,7 @@
 
     Restored processes keep their *virtual* pids; real pids are fresh,
     which is what makes the fork-wrapper conflict detection (§4.5)
-    necessary and testable. *)
-
-val program : (module Simos.Program.S)
+    necessary and testable.  The program registers itself when this
+    module initialises. *)
 
 val name : string

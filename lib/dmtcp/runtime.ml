@@ -66,17 +66,34 @@ type t = {
   store : Store.t option;
   lineage_images : (string, image_record list) Hashtbl.t;
   pinned : (string, int) Hashtbl.t;  (* lineage -> generation retention must keep *)
+  mutable observer : node:int -> pid:int -> Faults.stage -> unit;
+  mutable last_status : int option;  (* the last dmtcp_command --status reply *)
+  aware_hooks : (string, (unit -> unit) option * (unit -> unit) option) Hashtbl.t;
+      (* program name -> dmtcpaware pre- and post-checkpoint hooks *)
 }
 
-let active_rt : t option ref = ref None
+(* The runtime installed on a cluster lives in its run store, where the
+   DMTCP programs find it through their ctx. *)
+let installed : t option Simos.Local.key = Simos.Local.key (fun () -> None)
 
-(* alias for Dmtcpaware, which must not fail when no runtime exists *)
-let active_rt_for_aware = active_rt
+let find (ctx : Simos.Program.ctx) = Simos.Local.get ctx.local installed
 
-let active () =
-  match !active_rt with
-  | Some rt -> rt
-  | None -> failwith "Dmtcp.Runtime.active: no runtime installed"
+let of_ctx ctx =
+  match find ctx with
+  | Some t -> t
+  | None -> failwith "Dmtcp.Runtime.of_ctx: no runtime installed on this cluster"
+
+let no_observer ~node:_ ~pid:_ (_ : Faults.stage) = ()
+let notify t ~node ~pid stage = t.observer ~node ~pid stage
+
+let with_observer t observer f =
+  let previous = t.observer in
+  t.observer <- observer;
+  Fun.protect ~finally:(fun () -> t.observer <- previous) f
+
+let last_status t = t.last_status
+let note_status t n = t.last_status <- Some n
+let aware_hooks t = t.aware_hooks
 
 let cluster t = t.cl
 let options t = t.opts
@@ -266,7 +283,6 @@ let unpin_lineage t ~lineage =
   | Some s -> Store.unpin s ~lineage
   | None -> ()
 
-let generation t = t.gen
 let bump_generation t = t.gen <- t.gen + 1
 let shm_lookup ?port t path = Hashtbl.find_opt t.shm (port_of ?port t, path)
 let shm_register ?port t path pages = Hashtbl.replace t.shm (port_of ?port t, path) pages
@@ -388,8 +404,8 @@ let promote_pipe t k (proc : Simos.Kernel.process) =
     (* The pipe wrapper promotes pipes into socketpairs (paper §4.5) so
        the drain/refill machinery and cross-host restart apply. *)
     let a, b = Simnet.Fabric.socketpair (Simos.Kernel.fabric k) ~host:node in
-    let desc_a = Simos.Fdesc.make (Simos.Fdesc.Sock a) in
-    let desc_b = Simos.Fdesc.make (Simos.Fdesc.Sock b) in
+    let desc_a = Simos.Kernel.make_desc k (Simos.Fdesc.Sock a) in
+    let desc_b = Simos.Kernel.make_desc k (Simos.Fdesc.Sock b) in
     let rfd = Simos.Kernel.alloc_fd k proc desc_a in
     let wfd = Simos.Kernel.alloc_fd k proc desc_b in
     let conn_id = fresh_conn_id t ~node ~pid ps in
@@ -505,8 +521,11 @@ let install cl ?(options = Options.default) () =
       store;
       lineage_images = Hashtbl.create 16;
       pinned = Hashtbl.create 8;
+      observer = no_observer;
+      last_status = None;
+      aware_hooks = Hashtbl.create 8;
     }
   in
   Simos.Cluster.set_hooks cl (make_hooks t);
-  active_rt := Some t;
+  Simos.Local.set (Simos.Cluster.local cl) installed (Some t);
   t

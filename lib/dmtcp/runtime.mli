@@ -2,10 +2,12 @@
     ([dmtcphijack.so]) keeps per process, plus the wrapper (hook)
     implementations and cluster-wide bookkeeping.
 
-    Installed once per simulated cluster; a process-wide singleton mirrors
-    the fact that the real library lives inside every checkpointed
-    process.  Manager/coordinator/restart programs reach their state
-    through {!active}. *)
+    Installed once per simulated cluster, in its run store
+    ({!Simos.Cluster.local}): the real library lives inside every
+    checkpointed process of one computation, so the manager,
+    coordinator, launcher and restart programs reach their state
+    through their own ctx ({!of_ctx}), never through a process-wide
+    global.  Two clusters in one process have two runtimes. *)
 
 (** Per-process DMTCP state (the real package keeps this in the injected
     library's data segment). *)
@@ -42,17 +44,44 @@ type op_info = {
 type t
 
 (** [install cluster ~options ()] registers the wrapper hooks in every
-    kernel and makes this runtime {!active}.  Use {!Api.install}, which
-    also registers the DMTCP programs in the program registry. *)
+    kernel and stores the runtime in the cluster's run store, replacing
+    any runtime installed there before.  {!Api.install} is the same
+    call. *)
 val install : Simos.Cluster.t -> ?options:Options.t -> unit -> t
 
-(** The runtime of the most recently installed cluster. Raises [Failure]
-    if none. *)
-val active : unit -> t
+(** The runtime installed on the cluster the ctx's process runs on.
+    Raises [Failure] if none. *)
+val of_ctx : Simos.Program.ctx -> t
 
 (** Same, as an option ({!Dmtcpaware} must degrade gracefully outside
     DMTCP). *)
-val active_rt_for_aware : t option ref
+val find : Simos.Program.ctx -> t option
+
+(** {2 Stage observer}
+
+    The manager reports each checkpoint stage and barrier arrival, and
+    the restarter each restart stage, through {!notify}; the chaos layer
+    observes them to kill at exact protocol points or check stage
+    invariants.  An observer schedules destructive work at the current
+    virtual time, so the notifying step retires cleanly. *)
+
+val notify : t -> node:int -> pid:int -> Faults.stage -> unit
+
+(** [with_observer t observer f] runs [f] with [observer] receiving
+    every {!notify}; the previous observer (none at install) comes back
+    on any exit, exceptions included. *)
+val with_observer : t -> (node:int -> pid:int -> Faults.stage -> unit) -> (unit -> 'a) -> 'a
+
+(** {2 Command and dmtcpaware state} *)
+
+(** The process count of the last [dmtcp_command --status] reply. *)
+val last_status : t -> int option
+
+val note_status : t -> int -> unit
+
+(** Program name -> dmtcpaware pre- and post-checkpoint hooks
+    ({!Dmtcpaware.set_hooks}). *)
+val aware_hooks : t -> (string, (unit -> unit) option * (unit -> unit) option) Hashtbl.t
 
 val cluster : t -> Simos.Cluster.t
 val options : t -> Options.t
@@ -82,7 +111,6 @@ val register_sock_owner : t -> sock_id:int -> node:int -> pid:int -> fd:int -> u
 (** {2 Virtual pids} *)
 
 val claim_vpid : t -> vpid:int -> node:int -> pid:int -> unit
-val release_vpid : t -> vpid:int -> unit
 
 (** Current (node, real pid) for a virtual pid. *)
 val resolve_vpid : t -> int -> (int * int) option
@@ -170,7 +198,6 @@ val store : t -> Store.t option
 
 (** {2 Restart support} *)
 
-val generation : t -> int
 val bump_generation : t -> unit
 
 (** Shared-memory segment registry for the current restart wave, scoped
@@ -192,10 +219,6 @@ val enter_critical : t -> node:int -> pid:int -> unit
 val leave_critical : t -> node:int -> pid:int -> unit
 
 (** {2 Manager helpers} *)
-
-(** Create a conn-table entry for a socketpair end (pipe promotion and
-    socketpair wrapper). *)
-val promote_pipe : t -> Simos.Kernel.t -> Simos.Kernel.process -> (int * int) option
 
 (** Write the per-process connection table to disk (drain stage; small
     file next to the images). *)

@@ -13,7 +13,6 @@ type workload = {
 type env = { cl : Simos.Cluster.t; rt : Dmtcp.Runtime.t }
 
 let setup ?(nodes = 32) ?(cores_per_node = 4) ?storage ?options () =
-  Apps.Registry.register_all ();
   let cl = Simos.Cluster.create ?storage ~cores_per_node ~nodes () in
   let rt = Dmtcp.Api.install cl ?options () in
   { cl; rt }

@@ -2,9 +2,11 @@ type row = { sent_to : int array; delivered_from : int array; retained_to : int 
 
 type job = { ranks : (int, row) Hashtbl.t }
 
-let jobs : (int, job) Hashtbl.t = Hashtbl.create 7
+(* base port -> job, per run *)
+let jobs = Simos.Local.key (fun () -> Hashtbl.create 7)
 
-let job base_port =
+let job local ~base_port =
+  let jobs = Simos.Local.get local jobs in
   match Hashtbl.find_opt jobs base_port with
   | Some j -> j
   | None ->
@@ -12,8 +14,8 @@ let job base_port =
     Hashtbl.replace jobs base_port j;
     j
 
-let set_rank ~base_port ~rank ~sent_to ~delivered_from ~retained_to =
-  Hashtbl.replace (job base_port).ranks rank
+let set_rank j ~rank ~sent_to ~delivered_from ~retained_to =
+  Hashtbl.replace j.ranks rank
     {
       sent_to = Array.copy sent_to;
       delivered_from = Array.copy delivered_from;
@@ -22,13 +24,13 @@ let set_rank ~base_port ~rank ~sent_to ~delivered_from ~retained_to =
 
 let sum = Array.fold_left ( + ) 0
 
-let totals ~base_port =
+let totals cl ~base_port =
   Hashtbl.fold
     (fun _ row (s, d, r) -> (s + sum row.sent_to, d + sum row.delivered_from, r + sum row.retained_to))
-    (job base_port).ranks (0, 0, 0)
+    (job (Simos.Cluster.local cl) ~base_port).ranks (0, 0, 0)
 
-let pair ~base_port ~src ~dst =
-  let j = job base_port in
+let pair cl ~base_port ~src ~dst =
+  let j = job (Simos.Cluster.local cl) ~base_port in
   let at a i = if i < Array.length a then a.(i) else 0 in
   let sent, retained =
     match Hashtbl.find_opt j.ranks src with
@@ -41,5 +43,3 @@ let pair ~base_port ~src ~dst =
     | None -> 0
   in
   (sent, delivered, retained)
-
-let reset ~base_port = Hashtbl.remove jobs base_port

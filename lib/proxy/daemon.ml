@@ -200,13 +200,7 @@ module P = struct
   let step ctx st = try step ctx st with Exit -> Simos.Program.Exit 0
 end
 
-let registered = ref false
-
-let register () =
-  if not !registered then begin
-    registered := true;
-    Simos.Program.register (module P : Simos.Program.S)
-  end
+let () = Simos.Program.register (module P : Simos.Program.S)
 
 let running kernel ~base_port =
   List.exists
@@ -217,7 +211,7 @@ let running kernel ~base_port =
     (Simos.Kernel.processes kernel)
 
 let ensure kernel ~base_port ~rpn =
-  if Simos.Program.is_registered prog_name && not (running kernel ~base_port) then
+  if not (running kernel ~base_port) then
     ignore
       (Simos.Kernel.spawn kernel ~prog:prog_name
          ~argv:[ string_of_int base_port; string_of_int rpn ]

@@ -9,16 +9,14 @@
     ({!Wire}) recovers any custody that died with a proxy.
 
     The daemon's program state is deliberately not serializable (it
-    encodes as a reboot marker): there is nothing in it worth saving. *)
+    encodes as a reboot marker): there is nothing in it worth saving.
+
+    The program registers itself when this module initialises. *)
 
 val prog_name : string
 
-(** Register ["mpi:proxy"] in the program registry (idempotent). *)
-val register : unit -> unit
-
 (** Spawn a proxy for job [base_port] on [kernel]'s node unless one is
-    already running there.  The process is plain (not hijacked).
-    No-op when ["mpi:proxy"] is not registered. *)
+    already running there.  The process is plain (not hijacked). *)
 val ensure : Simos.Kernel.t -> base_port:int -> rpn:int -> unit
 
 (** [spawn_on cl ~node ~base_port ~rpn]: {!ensure} on a cluster node. *)

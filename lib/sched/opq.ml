@@ -95,7 +95,8 @@ let abort_inflight t p =
    side effects and returns false to consume it as a no-op (e.g. the
    job's phase no longer wants it). *)
 let admit t ~now ?(coalesce = fun _ -> false) ~start () =
-  let kept = ref [] in  (* reversed ops that stay pending *)
+  (* reversed ops that stay pending *)
+  let kept = ref [] in
   let blocked op =
     (t.max_inflight > 0 && List.length t.inflight >= t.max_inflight)
     || List.exists (fun e -> (not e.e_aborted) && t.conflict op e.e_op) t.inflight

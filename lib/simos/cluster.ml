@@ -7,17 +7,11 @@ type t = {
   kernels : Kernel.t array;
   targets : Storage.Target.t array;
   up : bool array;  (* administrative node view: false after fail_node *)
+  local : Local.t;  (* the run store its kernels and their ctxs share *)
 }
 
 let create ?(seed = 0xC1A5_7E2L) ?latency ?bandwidth ?(cores_per_node = 4)
     ?(storage = Local_disks) ~nodes () =
-  (* Global id pools restart with the cluster: desc and pty ids are
-     only meaningful within one cluster, but they leak into checkpoint
-     image encodings, so without a reset a second cluster in the same
-     process produces byte-different (if behaviourally identical) images.
-     Clusters are used sequentially throughout the repo. *)
-  Fdesc.reset ();
-  Pty.reset ();
   let eng = Sim.Engine.create () in
   let fab = Simnet.Fabric.create eng ?latency ?bandwidth ~nhosts:nodes () in
   let disc = Simnet.Discovery.create () in
@@ -37,19 +31,22 @@ let create ?(seed = 0xC1A5_7E2L) ?latency ?bandwidth ?(cores_per_node = 4)
       let nfs = Storage.Target.nfs eng ~backend:san () in
       Array.init nodes (fun i -> if i < direct_nodes then san else nfs)
   in
+  let local = Local.create () in
+  let ids = Kernel.ids () in
   let kernels =
     Array.init nodes (fun i ->
-        Kernel.create ~node_id:i ~engine:eng ~fabric:fab ~storage:targets.(i)
+        Kernel.create ~node_id:i ~engine:eng ~fabric:fab ~storage:targets.(i) ~local ~ids
           ~cores:cores_per_node
           ~seed:(Int64.add seed (Int64.of_int (31 * (i + 1))))
           ())
   in
   Array.iter (fun k -> Kernel.set_peers k kernels) kernels;
-  { eng; fab; disc; kernels; targets; up = Array.make nodes true }
+  { eng; fab; disc; kernels; targets; up = Array.make nodes true; local }
 
 let engine t = t.eng
 let fabric t = t.fab
 let discovery t = t.disc
+let local t = t.local
 let nodes t = Array.length t.kernels
 let kernel t i = t.kernels.(i)
 let kernels t = t.kernels

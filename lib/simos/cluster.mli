@@ -1,6 +1,11 @@
 (** A whole simulated cluster: one engine, one fabric, one discovery
     service, and a kernel plus storage target per node.
 
+    A cluster owns its run: its run store ({!local}) holds the layers
+    above (the DMTCP runtime, the proxy byte ledger), and its kernels
+    number descriptions and ptys together, so two runs can share a
+    process and none needs a reset.
+
     Mirrors the paper's testbed (§5.2): 32 nodes, 4 cores each, Gigabit
     Ethernet, local disk per node; optionally a SAN reachable directly
     from the first 8 nodes and via NFS from the rest (Figure 5b). *)
@@ -26,6 +31,9 @@ val create :
 val engine : t -> Sim.Engine.t
 val fabric : t -> Simnet.Fabric.t
 val discovery : t -> Simnet.Discovery.t
+
+(** The run store, the [local] of every program ctx on the cluster. *)
+val local : t -> Local.t
 val nodes : t -> int
 val kernel : t -> int -> Kernel.t
 val kernels : t -> Kernel.t array

@@ -8,12 +8,7 @@ type kind =
 
 type t = { desc_id : int; kind : kind; mutable refcount : int; mutable owner : int }
 
-let next_id = ref 0
-let reset () = next_id := 0
-
-let make kind =
-  incr next_id;
-  { desc_id = !next_id; kind; refcount = 1; owner = 0 }
+let make ~id kind = { desc_id = id; kind; refcount = 1; owner = 0 }
 
 let incr_ref t = t.refcount <- t.refcount + 1
 

@@ -21,15 +21,10 @@ type t = {
   mutable owner : int;  (** F_SETOWN value; 0 = unset *)
 }
 
-(** Fresh description with refcount 1 (pipe/pty endpoint counts are
-    adjusted by the caller). *)
-val make : kind -> t
-
-(** Restart the [desc_id] sequence.  Called by [Cluster.create]: ids are
-    only compared within one cluster's lifetime, and resetting keeps the
-    ids — which are encoded into checkpoint images — identical across
-    sequential clusters in one process. *)
-val reset : unit -> unit
+(** Fresh description [id] with refcount 1 (pipe/pty endpoint counts
+    are adjusted by the caller).  Take ids from {!Kernel.make_desc},
+    which numbers a cluster's descriptions. *)
+val make : id:int -> kind -> t
 
 val incr_ref : t -> unit
 

@@ -88,10 +88,19 @@ and process = {
   mutable fault_debt : float;
 }
 
+(* One cluster's description and pty numbering, shared by its kernels
+   as a fabric numbers its sockets: ids start at 1 in each cluster, and
+   they are encoded into checkpoint images. *)
+type ids = { mutable last_desc : int; mutable last_pty : int }
+
+let ids () = { last_desc = 0; last_pty = 0 }
+
 type t = {
   knode_id : int;
   eng : Sim.Engine.t;
   fab : Simnet.Fabric.t;
+  klocal : Local.t;
+  kids : ids;
   kvfs : Vfs.t;
   store : Storage.Target.t;
   kcores : int;
@@ -128,12 +137,14 @@ let default_hooks =
     on_exit = (fun _ _ -> ());
   }
 
-let create ~node_id ~engine ~fabric ~storage ?(cores = 4) ?seed () =
+let create ~node_id ~engine ~fabric ~storage ~local ~ids ?(cores = 4) ?seed () =
   let seed = Option.value seed ~default:(Int64.of_int (0x9E37 + node_id)) in
   {
     knode_id = node_id;
     eng = engine;
     fab = fabric;
+    klocal = local;
+    kids = ids;
     kvfs = Vfs.create ();
     store = storage;
     kcores = cores;
@@ -153,6 +164,14 @@ let engine t = t.eng
 let fabric t = t.fab
 let vfs t = t.kvfs
 
+let make_desc t kind =
+  t.kids.last_desc <- t.kids.last_desc + 1;
+  Fdesc.make ~id:t.kids.last_desc kind
+
+let make_pty t =
+  t.kids.last_pty <- t.kids.last_pty + 1;
+  Pty.create ~id:t.kids.last_pty
+
 (* Every process gets a pid-derived procfs entry, the canonical example
    of a resource whose *name* breaks across restart: a checkpointed fd
    on /proc/<pid>/status names the dead pid until a restart-rearrange
@@ -164,7 +183,6 @@ let write_proc_status t ~pid =
   Vfs.append f (Printf.sprintf "pid:%d\n" pid)
 let storage t = t.store
 let cores t = t.kcores
-let peer t i = t.peers.(i)
 
 (* Lifecycle and fd-op accounting; the instants carry the simulated time
    so a collected trace interleaves exactly with protocol spans. *)
@@ -510,7 +528,7 @@ and make_ctx t th ~wrapped : Program.ctx =
   let new_socket unix =
     let s = if unix then Simnet.Fabric.socket_unix t.fab ~host:t.knode_id else Simnet.Fabric.socket t.fab ~host:t.knode_id in
     bind_wake_sock s;
-    let desc = Fdesc.make (Fdesc.Sock s) in
+    let desc = make_desc t (Fdesc.Sock s) in
     let fd = install desc in
     if wrapped then t.khooks.on_socket t proc ~fd desc;
     fd
@@ -529,12 +547,13 @@ and make_ctx t th ~wrapped : Program.ctx =
     log =
       (fun msg ->
         Logs.debug (fun m -> m "[%.6f n%d p%d t%d] %s" (Sim.Engine.now t.eng) t.knode_id proc.pid th.tid msg));
+    local = t.klocal;
     open_file =
       (fun ?(create = true) path ->
         match Vfs.lookup t.kvfs path with
-        | Some f -> Ok (install (Fdesc.make (Fdesc.File { file = f; offset = 0 })))
+        | Some f -> Ok (install (make_desc t (Fdesc.File { file = f; offset = 0 })))
         | None ->
-          if create then Ok (install (Fdesc.make (Fdesc.File { file = Vfs.open_or_create t.kvfs path; offset = 0 })))
+          if create then Ok (install (make_desc t (Fdesc.File { file = Vfs.open_or_create t.kvfs path; offset = 0 })))
           else Error Errno.ENOENT);
     file_exists = (fun path -> Vfs.exists t.kvfs path);
     read_fd =
@@ -624,15 +643,15 @@ and make_ctx t th ~wrapped : Program.ctx =
           Pipe.on_activity p (fun () -> poke_later t);
           Pipe.add_reader p;
           Pipe.add_writer p;
-          let rfd = install (Fdesc.make (Fdesc.Pipe_r p)) in
-          let wfd = install (Fdesc.make (Fdesc.Pipe_w p)) in
+          let rfd = install (make_desc t (Fdesc.Pipe_r p)) in
+          let wfd = install (make_desc t (Fdesc.Pipe_w p)) in
           (rfd, wfd));
     open_pty =
       (fun () ->
-        let p = Pty.create () in
+        let p = make_pty t in
         Pty.on_activity p (fun () -> poke_later t);
-        let m = install (Fdesc.make (Fdesc.Pty_m p)) in
-        let s = install (Fdesc.make (Fdesc.Pty_s p)) in
+        let m = install (make_desc t (Fdesc.Pty_m p)) in
+        let s = install (make_desc t (Fdesc.Pty_s p)) in
         (m, s));
     socket = (fun () -> new_socket false);
     socket_unix = (fun () -> new_socket true);
@@ -674,7 +693,7 @@ and make_ctx t th ~wrapped : Program.ctx =
           | None -> None
           | Some conn ->
             bind_wake_sock conn;
-            let desc = Fdesc.make (Fdesc.Sock conn) in
+            let desc = make_desc t (Fdesc.Sock conn) in
             let nfd = install desc in
             if wrapped then t.khooks.on_accept t proc ~fd:nfd desc;
             Some nfd)

@@ -119,13 +119,22 @@ type hooks = {
 
 val default_hooks : hooks
 
-(** [create ~node_id ~engine ~fabric ~storage ~cores ()] builds a kernel.
-    Call {!set_peers} before any cross-node operation. *)
+(** Description and pty numbering, shared by one cluster's kernels: ids
+    are unique across the cluster and start at 1 in each. *)
+type ids
+
+val ids : unit -> ids
+
+(** [create ~node_id ~engine ~fabric ~storage ~local ~ids ~cores ()]
+    builds a kernel of the cluster with run store [local] and numbering
+    [ids].  Call {!set_peers} before any cross-node operation. *)
 val create :
   node_id:int ->
   engine:Sim.Engine.t ->
   fabric:Simnet.Fabric.t ->
   storage:Storage.Target.t ->
+  local:Local.t ->
+  ids:ids ->
   ?cores:int ->
   ?seed:int64 ->
   unit ->
@@ -139,9 +148,14 @@ val node_id : t -> int
 val engine : t -> Sim.Engine.t
 val fabric : t -> Simnet.Fabric.t
 val vfs : t -> Vfs.t
+
+(** A fresh description with the cluster's next id. *)
+val make_desc : t -> Fdesc.kind -> Fdesc.t
+
+(** A fresh pty with the cluster's next id. *)
+val make_pty : t -> Pty.t
 val storage : t -> Storage.Target.t
 val cores : t -> int
-val peer : t -> int -> t
 
 (** {2 Processes} *)
 
@@ -198,11 +212,6 @@ val suspend_user_threads : t -> process -> unit
 
 (** Resume them; blocked threads re-evaluate their wait conditions. *)
 val resume_user_threads : t -> process -> unit
-
-(** Re-evaluate wait conditions for every blocked thread on the node
-    whose wait record is not current (scheduled internally on every I/O
-    event; exposed for the restart path). *)
-val poke : t -> unit
 
 (** Blocked, unsuspended threads whose wait record is current although
     their wait is satisfied: threads a poke would wrongly skip.  Always

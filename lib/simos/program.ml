@@ -24,6 +24,7 @@ type ctx = {
   getenv : string -> string option;
   setenv : string -> string -> unit;
   log : string -> unit;
+  local : Local.t;
   open_file : ?create:bool -> string -> (int, Errno.t) result;
   file_exists : string -> bool;
   read_fd : int -> max:int -> [ `Data of string | `Eof | `Would_block | `Err of Errno.t ];
@@ -108,7 +109,6 @@ let register (module P : S) =
     invalid_arg (Printf.sprintf "Program.register: %S already registered" P.name);
   Hashtbl.replace registry P.name (module P : S)
 
-let is_registered name = Hashtbl.mem registry name
 let registered_names () = Hashtbl.fold (fun k _ acc -> k :: acc) registry [] |> List.sort compare
 
 let instantiate ~name ~argv =

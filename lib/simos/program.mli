@@ -8,9 +8,13 @@
     surface as [Block] outcomes with a wait condition; the kernel re-steps
     the thread when the condition is satisfied.
 
-    Programs are looked up by name in a global registry so that restart
-    can reconstruct a thread from the (name, encoded state) pair stored in
-    its checkpoint image. *)
+    Programs are looked up by name in a process-wide registry so that
+    restart can reconstruct a thread from the (name, encoded state) pair
+    stored in its checkpoint image.  The registry is filled before any
+    run: each module that defines a program registers it in its own
+    initialiser, and the libraries that define programs link whole
+    ([-linkall]), so every executable holds all of them before [main]
+    runs. *)
 
 (** What a blocked thread is waiting for.  Serialized into checkpoint
     images (fd numbers are preserved across restart, so conditions remain
@@ -51,6 +55,8 @@ type ctx = {
   getenv : string -> string option;
   setenv : string -> string -> unit;
   log : string -> unit;
+  local : Local.t;
+      (** the run store of this process's cluster ({!Cluster.local}) *)
   (* --- files --- *)
   open_file : ?create:bool -> string -> (int, Errno.t) result;
   file_exists : string -> bool;
@@ -132,11 +138,13 @@ val step_instance : ctx -> instance -> outcome_boxed
 
 (** {2 Registry} *)
 
-(** [register (module P)] makes [P] restorable by name.  Re-registering
-    the same name is an error. *)
+(** [register (module P)] makes [P] restorable by name.  Call it once,
+    from the initialiser of the module that defines [P]
+    ([let () = Simos.Program.register (module P)]).  Re-registering the
+    same name is an error. *)
 val register : (module S) -> unit
 
-val is_registered : string -> bool
+(** Every registered name, sorted. *)
 val registered_names : unit -> string list
 
 (** [instantiate ~name ~argv] creates a fresh instance.

@@ -12,22 +12,16 @@ type t = {
   to_slave : Util.Bytequeue.t;   (* master writes, slave reads *)
   to_master : Util.Bytequeue.t;  (* slave writes, master reads *)
   mutable tio : termios;
-  mutable pgrp : int;
   mutable wake : unit -> unit;
   cells : Sim.Wake.cells;  (* fired by every [notify] *)
 }
 
-let next_id = ref 0
-let reset () = next_id := 0
-
-let create () =
-  incr next_id;
+let create ~id =
   {
-    pty_id = !next_id;
+    pty_id = id;
     to_slave = Util.Bytequeue.create ();
     to_master = Util.Bytequeue.create ();
     tio = default_termios ();
-    pgrp = 0;
     wake = ignore;
     cells = Sim.Wake.cells ();
   }
@@ -77,5 +71,3 @@ let refill t ~to_slave ~to_master =
 
 let on_activity t f = t.wake <- f
 let wake_cells t = t.cells
-let owner_pgrp t = t.pgrp
-let set_owner_pgrp t pgrp = t.pgrp <- pgrp

@@ -16,11 +16,10 @@ type termios = {
 
 val default_termios : unit -> termios
 
-val create : unit -> t
-val id : t -> int
+(** Pty number [id] ({!Kernel.make_pty} numbers a cluster's ptys). *)
+val create : id:int -> t
 
-(** Restart the id sequence (see {!Fdesc.reset}). *)
-val reset : unit -> unit
+val id : t -> int
 
 (** ["/dev/pts/N"]. *)
 val ptsname : t -> string
@@ -51,8 +50,3 @@ val on_activity : t -> (unit -> unit) -> unit
     call of the {!on_activity} hook fires them first, and every change
     that can make either side readable makes one. *)
 val wake_cells : t -> Sim.Wake.cells
-
-(** Controlling-terminal ownership (foreground process group). *)
-val owner_pgrp : t -> int
-
-val set_owner_pgrp : t -> int -> unit

@@ -4,8 +4,6 @@
 
 let check = Alcotest.check
 
-let () = Apps.Registry.register_all ()
-
 let make ?(nodes = 4) ?(options = Dmtcp.Options.default) () =
   let cl = Simos.Cluster.create ~nodes () in
   let rt = Dmtcp.Api.install cl ~options () in

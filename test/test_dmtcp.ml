@@ -5,8 +5,6 @@
 
 let check = Alcotest.check
 
-let () = Chaos.Progs.ensure_registered ()
-
 let make ?(nodes = 4) ?(options = Dmtcp.Options.default) () =
   let cl = Simos.Cluster.create ~nodes () in
   let rt = Dmtcp.Api.install cl ~options () in
@@ -65,13 +63,12 @@ let test_status_command () =
   let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "5000"; "/tmp/never" ] in
   run_for cl 1.0;
   let k0 = Simos.Cluster.kernel cl 0 in
-  Dmtcp.Launcher.last_status := None;
   ignore
     (Simos.Kernel.spawn k0 ~prog:"dmtcp:command" ~argv:[ "--status" ]
        ~env:(Dmtcp.Options.to_env Dmtcp.Options.default) ());
   run_for cl 1.0;
   check (Alcotest.option Alcotest.int) "status reports one manager" (Some 1)
-    !Dmtcp.Launcher.last_status
+    (Dmtcp.Runtime.last_status rt)
 
 let test_checkpoint_completes () =
   let cl, rt = make () in
@@ -281,16 +278,14 @@ let test_kill_at_every_restart_stage () =
       let cl, rt = make () in
       let script = checkpointed_stream_pair cl rt ~out:"/tmp/rk" in
       let fired = ref false in
-      Dmtcp.Faults.on_stage :=
+      Dmtcp.Runtime.with_observer rt
         (fun ~node:_ ~pid:_ s ->
           if s = stage && not !fired then begin
             fired := true;
             ignore
               (Sim.Engine.schedule (Simos.Cluster.engine cl) ~delay:0. (fun () ->
                    Dmtcp.Api.kill_nodes rt ~nodes:(List.init (Simos.Cluster.nodes cl) Fun.id)))
-          end);
-      Fun.protect
-        ~finally:(fun () -> Dmtcp.Faults.on_stage := Dmtcp.Faults.default_observer)
+          end)
         (fun () ->
           Dmtcp.Api.restart rt script;
           run_for cl 1.0);
@@ -527,6 +522,31 @@ let test_second_checkpoint_after_restart () =
   check (Alcotest.option Alcotest.string) "two generations survived" (Some "done:5000")
     (file_content cl 1 "/tmp/gen")
 
+(* A cluster owns its run: two clusters in one process, stepped in
+   turn, each checkpoint exactly as the same run does alone. *)
+let test_two_runs_share_a_process () =
+  let counter_run () =
+    let cl, rt = make ~nodes:3 () in
+    let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "100000"; "/tmp/two" ] in
+    (cl, rt)
+  in
+  let checkpoint_digests (cl, rt) =
+    run_for cl 0.5;
+    Dmtcp.Api.checkpoint_now rt;
+    List.map
+      (fun (node, path) ->
+        match file_content cl node path with
+        | Some bytes -> Digest.to_hex (Digest.string bytes)
+        | None -> Alcotest.failf "missing image %s on node %d" path node)
+      (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images
+  in
+  let alone = checkpoint_digests (counter_run ()) in
+  check Alcotest.int "one image alone" 1 (List.length alone);
+  let first = counter_run () in
+  let second = counter_run () in
+  check Alcotest.(list string) "the first run's images" alone (checkpoint_digests first);
+  check Alcotest.(list string) "the second run's images" alone (checkpoint_digests second)
+
 let base_suites =
     [
       ( "basics",
@@ -537,6 +557,7 @@ let base_suites =
           Alcotest.test_case "transparent to the app" `Quick test_checkpoint_transparent_to_app;
           Alcotest.test_case "stage stats recorded" `Quick test_stage_stats_recorded;
           Alcotest.test_case "restart script text" `Quick test_restart_script_text;
+          Alcotest.test_case "two runs share a process" `Quick test_two_runs_share_a_process;
         ] );
       ( "sockets",
         [
@@ -656,11 +677,11 @@ let test_image_files_cleanly_decodable () =
 
 let test_dmtcpaware_hooks_fire () =
   let pre = ref 0 and post = ref 0 in
-  Dmtcp.Dmtcpaware.set_hooks ~prog:"p:counter"
+  let cl, rt = make () in
+  Dmtcp.Dmtcpaware.set_hooks rt ~prog:"p:counter"
     ~pre_ckpt:(fun () -> incr pre)
     ~post_ckpt:(fun () -> incr post)
     ();
-  let cl, rt = make () in
   let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "100000"; "/tmp/hk" ] in
   run_for cl 0.5;
   Dmtcp.Api.checkpoint_now rt;
@@ -671,8 +692,7 @@ let test_dmtcpaware_hooks_fire () =
   Dmtcp.Api.kill_computation rt;
   Dmtcp.Api.restart rt script;
   Dmtcp.Api.await_restart rt;
-  check Alcotest.int "post-restart hook ran" 2 !post;
-  Dmtcp.Dmtcpaware.set_hooks ~prog:"p:counter" ()
+  check Alcotest.int "post-restart hook ran" 2 !post
 
 let test_restart_script_roundtrip () =
   let script =
@@ -1436,13 +1456,11 @@ let stage_sites ~forked =
   let _ = Dmtcp.Api.launch rt ~node:2 ~prog:"p:stream-client" ~argv:[ "1"; "6000"; "4000" ] in
   run_for cl 0.2;
   let col = Trace.collector () in
-  Dmtcp.Faults.on_stage :=
+  Dmtcp.Runtime.with_observer rt
     (fun ~node ~pid stage ->
       Trace.instant ~node ~pid ~cat:"test"
         ~name:("fault/" ^ Dmtcp.Faults.stage_name stage)
-        ~time:(Simos.Cluster.now cl) ());
-  Fun.protect
-    ~finally:(fun () -> Dmtcp.Faults.on_stage := Dmtcp.Faults.default_observer)
+        ~time:(Simos.Cluster.now cl) ())
     (fun () -> Trace.with_sink (Trace.collector_sink col) (fun () -> Dmtcp.Api.checkpoint_now rt));
   let mode = if forked then "forked" else "inline" in
   List.filter_map

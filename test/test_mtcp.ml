@@ -3,8 +3,6 @@
 
 let check = Alcotest.check
 
-let () = Chaos.Progs.ensure_registered ()
-
 let make_proc ?(mb = 2) () =
   let cl = Simos.Cluster.create ~nodes:1 () in
   let k = Simos.Cluster.kernel cl 0 in

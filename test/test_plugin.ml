@@ -67,7 +67,7 @@ let test_dispatch_table_order () =
    order, at the caller's node, pid and time *)
 let test_fd_capture_fold () =
   let file = Simos.Vfs.open_or_create (Simos.Vfs.create ()) "/tmp/fold" in
-  let desc = Simos.Fdesc.make (Simos.Fdesc.File { file; offset = 0 }) in
+  let desc = Simos.Fdesc.make ~id:1 (Simos.Fdesc.File { file; offset = 0 }) in
   let path = function Some (Dmtcp.Ckpt_image.FFile { path; _ }) -> path | _ -> "<other>" in
   let seen = ref [] in
   let appender name suffix =
@@ -193,7 +193,6 @@ let all_on = { Dmtcp.Options.default with Dmtcp.Options.plugins = Dmtcp.Plugins.
 (* the dns pair (port 53) under every built-in plugin: checkpoint, kill,
    restart, and a slice of the restarted run *)
 let dns_cycle () =
-  Chaos.Heuristic_progs.ensure_registered ();
   let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options:all_on () in
   ignore (Dmtcp.Api.launch env.Common.rt ~node:2 ~prog:"p:dnssrv" ~argv:[ "53" ]);
   Common.run_for env 0.3;
@@ -255,7 +254,6 @@ let test_spans_deterministic () =
    dead socket from the plugin hook — and produce deterministic images *)
 
 let external_peer_cycle () =
-  Chaos.Progs.ensure_registered ();
   let env = Common.setup ~nodes:4 ~cores_per_node:2 () in
   let cl = env.Common.cl in
   (* plain (unhijacked) server: survives kill_computation and is never

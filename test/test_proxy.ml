@@ -92,7 +92,6 @@ end
    keeps routing between the well-behaved ranks *)
 let test_daemon_drops_garbage () =
   Simos.Program.register (module Peer : Simos.Program.S);
-  Proxy.Daemon.register ();
   let cl = Simos.Cluster.create ~nodes:1 () in
   let k = Simos.Cluster.kernel cl 0 in
   let run () = Sim.Engine.run ~until:(Simos.Cluster.now cl +. 0.2) (Simos.Cluster.engine cl) in
@@ -235,6 +234,82 @@ let test_direct_framing_decode () =
     ~pending_accept:[ (5, "\000\000\000\000") ]
     ~in_bufs:[| ""; "" |]
 
+(* A raw TCP client: connects to [port] on node [host], writes its
+   bytes, then holds the connection until the other end closes it. *)
+module Raw_client = struct
+  type state = Boot of int * int * string | Connecting of int * string | Holding of int
+
+  let name = "test:raw-client"
+
+  (* never checkpointed *)
+  let encode w _ = Util.Codec.Writer.u8 w 0
+  let decode _ = Boot (0, 0, "")
+
+  let init ~argv =
+    match argv with
+    | [ host; port; bytes ] -> Boot (int_of_string host, int_of_string port, bytes)
+    | _ -> Boot (0, 0, "")
+
+  let step (ctx : Simos.Program.ctx) = function
+    | Boot (host, port, bytes) ->
+      let fd = ctx.socket () in
+      ignore (ctx.connect fd (Simnet.Addr.Inet { host; port }));
+      Simos.Program.Continue (Connecting (fd, bytes))
+    | Connecting (fd, bytes) as st -> (
+      match ctx.sock_state fd with
+      | Some Simnet.Fabric.Established ->
+        ignore (ctx.write_fd fd bytes);
+        Simos.Program.Continue (Holding fd)
+      | Some Simnet.Fabric.Connecting ->
+        Simos.Program.Block (st, Simos.Program.Sleep_until (ctx.now () +. 1e-3))
+      | _ -> Simos.Program.Exit 1)
+    | Holding fd as st -> (
+      match ctx.read_fd fd ~max:4096 with
+      | `Would_block -> Simos.Program.Block (st, Simos.Program.Readable fd)
+      | `Data _ | `Eof | `Err _ -> Simos.Program.Exit 0)
+end
+
+(* A rank header outside the job, sent to a direct-backend rank during
+   init, ends that rank with exit 72; the simulation runs on, and a
+   process on another node still finishes. *)
+let test_corrupt_rank_header_ends_only_that_rank () =
+  Simos.Program.register (module Raw_client : Simos.Program.S);
+  let cl = Simos.Cluster.create ~nodes:2 () in
+  let k0 = Simos.Cluster.kernel cl 0 and k1 = Simos.Cluster.kernel cl 1 in
+  let col = Trace.collector () in
+  let rank =
+    Trace.with_sink (Trace.collector_sink col) (fun () ->
+        (* rank 1 of a two-rank job listens on base_port + 1 and keeps
+           dialling rank 0, which never starts *)
+        let rank =
+          Simos.Kernel.spawn k0 ~prog:Apps.Stencil.stencil_prog
+            ~argv:[ "1"; "2"; string_of_int base_port; "2"; "0"; "0"; "direct"; "96"; "4"; "6"; "0.08" ]
+            ()
+        in
+        ignore (Simos.Kernel.spawn k1 ~prog:"p:counter" ~argv:[ "200"; "/tmp/alive" ] ());
+        Sim.Engine.run ~until:0.01 (Simos.Cluster.engine cl);
+        let header = Bytes.create 4 in
+        Bytes.set_int32_le header 0 99l;
+        ignore
+          (Simos.Kernel.spawn k1 ~prog:Raw_client.name
+             ~argv:[ "0"; string_of_int (base_port + 1); Bytes.to_string header ]
+             ());
+        Sim.Engine.run (Simos.Cluster.engine cl);
+        rank)
+  in
+  let exit_of pid =
+    List.find_map
+      (fun (e : Trace.event) ->
+        if e.Trace.name = "proc/exit" && e.Trace.node = 0 && e.Trace.pid = pid then
+          List.assoc_opt "code" e.Trace.args
+        else None)
+      (Trace.events col)
+  in
+  check Alcotest.(option string) "the rank exits 72" (Some "72") (exit_of rank.Simos.Kernel.pid);
+  check Alcotest.(option string) "the other node's process finishes" (Some "done:200")
+    (Option.map Simos.Vfs.read_all
+       (Simos.Vfs.lookup (Simos.Kernel.vfs k1) "/tmp/alive"))
+
 let test_transport_of_string () =
   Alcotest.(check bool) "direct" true (Apps.Mpi.transport_of_string "direct" = Apps.Mpi.Direct);
   Alcotest.(check bool) "proxy" true (Apps.Mpi.transport_of_string "proxy" = Apps.Mpi.Proxied);
@@ -265,7 +340,6 @@ let result path env = Common.read_file env ~node:0 path
 (* run a workload to completion with no checkpoint; the reference
    bytes *)
 let plain_run ~kind ~prog ~short ~nprocs ~rpn ~extra =
-  Proxy.Accounting.reset ~base_port;
   let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options:proxy_options () in
   Common.start_workload env (workload ~kind ~prog ~nprocs ~rpn ~extra);
   let path = Printf.sprintf "/result/%s-%d" short base_port in
@@ -277,7 +351,6 @@ let plain_run ~kind ~prog ~short ~nprocs ~rpn ~extra =
 (* same workload, but checkpoint mid-run ([at] seconds after warmup),
    kill everything hijacked, restart from the images, and run out *)
 let cycle_run ~kind ~prog ~short ~nprocs ~rpn ~extra ~at =
-  Proxy.Accounting.reset ~base_port;
   let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options:proxy_options () in
   Common.start_workload env (workload ~kind ~prog ~nprocs ~rpn ~extra);
   Common.run_for env at;
@@ -373,7 +446,6 @@ let test_skip_never_hides_ready () =
     plain_run ~kind:Common.Direct ~prog:Apps.Stencil.stencil_prog ~short:"stencil" ~nprocs:8 ~rpn:2
       ~extra
   in
-  Proxy.Accounting.reset ~base_port;
   let env = Common.setup ~nodes:4 ~cores_per_node:2 ~options:proxy_options () in
   let cl = env.Common.cl and rt = env.Common.rt in
   let port = (Dmtcp.Runtime.options rt).Dmtcp.Options.coord_port in
@@ -431,11 +503,10 @@ let conservation_cycle (size, rpn, bytes, at_ticks) =
      harness (rpn = 0 divides) instead of refuting the property *)
   let size = max 2 size and rpn = max 1 rpn in
   let bytes = max 1 bytes and at_ticks = max 1 at_ticks in
-  Proxy.Accounting.reset ~base_port;
   let env = Common.setup ~nodes:6 ~cores_per_node:2 ~options:proxy_options () in
   let violations = ref [] in
   let sample tag =
-    let s, d, r = Proxy.Accounting.totals ~base_port in
+    let s, d, r = Proxy.Accounting.totals env.Common.cl ~base_port in
     if d > s then violations := Printf.sprintf "%s: delivered %d > sent %d" tag d s :: !violations;
     if s - d > r then
       violations :=
@@ -468,7 +539,7 @@ let conservation_cycle (size, rpn, bytes, at_ticks) =
   (* quiesce: every rank exited; final gauges must balance per pair *)
   for src = 0 to size - 1 do
     for dst = 0 to size - 1 do
-      let s, d, _ = Proxy.Accounting.pair ~base_port ~src ~dst in
+      let s, d, _ = Proxy.Accounting.pair env.Common.cl ~base_port ~src ~dst in
       if s <> d then
         violations :=
           Printf.sprintf "quiesce: pair %d->%d sent %d delivered %d" src dst s d :: !violations
@@ -518,6 +589,8 @@ let () =
           Alcotest.test_case "transport_of_string" `Quick test_transport_of_string;
           Alcotest.test_case "direct framing state decodes cleanly" `Quick
             test_direct_framing_decode;
+          Alcotest.test_case "a corrupt rank header ends only that rank" `Quick
+            test_corrupt_rank_header_ends_only_that_rank;
           fuzz_comm ~name:"fuzz: direct comm record" Apps.Mpi.Direct;
           fuzz_comm ~name:"fuzz: proxied comm record" Apps.Mpi.Proxied;
         ] );

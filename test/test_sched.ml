@@ -244,7 +244,6 @@ let prop_opq_serialized_baseline =
 let counter_spec = Chaos.Sched_scenario.counter_spec
 
 let test_preempt_coalesces_with_inflight_ckpt () =
-  Chaos.Progs.ensure_registered ();
   let options =
     { Dmtcp.Options.default with Dmtcp.Options.store = true; store_replicas = 2 }
   in
@@ -304,7 +303,6 @@ let test_preempt_coalesces_with_inflight_ckpt () =
    on the other node from a chain the compactor has rewritten. *)
 
 let run_store_job ~compact_depth =
-  Chaos.Progs.ensure_registered ();
   let options =
     { Dmtcp.Options.default with Dmtcp.Options.store = true; incremental = true; compact_depth }
   in

@@ -874,7 +874,7 @@ let test_vfs_sparse_write () =
   check Alcotest.string "hole is zeros" (String.make 10 '\000' ^ "x") (Simos.Vfs.read_all f)
 
 let test_pty_roundtrip () =
-  let p = Simos.Pty.create () in
+  let p = Simos.Pty.create ~id:1 in
   ignore (Simos.Pty.master_write p "ls\n");
   (match Simos.Pty.slave_read p ~max:100 with
   | `Data d -> check Alcotest.string "slave sees master input" "ls\n" d
@@ -888,7 +888,7 @@ let test_pty_roundtrip () =
   Alcotest.(check bool) "termios persists" false (Simos.Pty.termios p).Simos.Pty.echo
 
 let test_pty_drain_refill () =
-  let p = Simos.Pty.create () in
+  let p = Simos.Pty.create ~id:1 in
   ignore (Simos.Pty.master_write p "input");
   ignore (Simos.Pty.slave_write p "output");
   let to_slave, to_master = Simos.Pty.drain p in

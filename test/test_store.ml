@@ -469,8 +469,6 @@ let test_striped_fetch_speedup () =
 (* end-to-end through the DMTCP stack *)
 
 let setup_cluster () =
-  Chaos.Progs.ensure_registered ();
-  Apps.Registry.register_all ();
   let cl = Simos.Cluster.create ~nodes:4 () in
   let options =
     {
@@ -561,7 +559,6 @@ let test_e2e_compaction_pinned_restart () =
      jobs), let the compactor squash the chain — the pinned lineage
      must stay restartable through the SAME catalog name and finish
      bit-identical to an unfaulted run *)
-  Chaos.Progs.ensure_registered ();
   let cl = Simos.Cluster.create ~nodes:4 () in
   let options =
     {

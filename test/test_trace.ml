@@ -170,7 +170,6 @@ let test_metrics_registry () =
 (* same chaos seed, two full runs: the protocol trace must be
    byte-identical — this is what makes `torture --replay` trustworthy *)
 let test_chaos_trace_deterministic () =
-  Chaos.Progs.ensure_registered ();
   let capture () =
     let c = Trace.collector () in
     let r = Trace.with_sink (Trace.collector_sink c) (fun () -> Chaos.Runner.run ~seed:5 ()) in
@@ -186,7 +185,6 @@ let test_chaos_trace_deterministic () =
 (* live scheduler events: the canned demo's faulted run emits a complete
    preemption cycle under the "sched" category, in causal order *)
 let test_sched_preemption_cycle_traced () =
-  Chaos.Progs.ensure_registered ();
   let c = Trace.collector () in
   ignore
     (Trace.with_sink (Trace.collector_sink c) (fun () ->
