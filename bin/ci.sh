@@ -72,8 +72,9 @@ echo "== determinism: each command runs twice, outputs byte-identical =="
 # - plugins ls / run / run --off: the plugin table (hook counts and
 #   sites) and the open-world heuristic verdicts with the heuristic
 #   plugins on and off; the plugin smoke below diffs the two.
-# - store verify: the catalog check over the canned two-generation
-#   store scenario.
+# - store verify / stat / gc: the catalog check, the store's counters
+#   and a `gc --keep 1` pass over the canned two-generation store
+#   scenario.
 # Every output must then match its MD5 in bin/ci_digests.md5, so a
 # change that moves any output byte fails here.
 t0=$(now)
@@ -111,6 +112,8 @@ plugins ls
 plugins run
 plugins run --off
 store verify
+store stat
+store gc
 EOF
 took "determinism loop" "$t0"
 

@@ -224,7 +224,7 @@ let inspect () =
   Sim.Engine.run ~until:(Simos.Cluster.now cl +. 1.0) (Simos.Cluster.engine cl);
   Dmtcp.Api.checkpoint_now rt;
   let script = Dmtcp.Api.restart_script rt in
-  print_string (Dmtcp.Inspect.describe_checkpoint rt script)
+  print_string (Harness.Inspect.describe_checkpoint rt script)
 
 (* canned deterministic store scenario: a dirty-page workload
    checkpointed across two generations (restart in between) plus an

@@ -13,5 +13,3 @@
 
 val shell_name : string
 val demo_name : string
-val demo_mem_bytes : int
-val shell_mem_bytes : int

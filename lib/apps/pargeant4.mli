@@ -11,6 +11,3 @@
 
 
 val prog_name : string
-
-(** Per-rank memory footprint (bytes), for the harness. *)
-val mem_bytes : int

@@ -439,12 +439,12 @@ let procfd =
   heuristic ~settle:0.8 "/data/pf_proc" ~launch:(fun env ->
       launch_on env ~node:home "p:procfd" [ string_of_int proc_iters; "/data/pf_proc" ])
 
-let shm_lookups = 2500
+let nscd_lookups = 2500
 
 (* lookups through an NSCD-style shared segment under /var/db/nscd *)
 let nscd =
   heuristic ~settle:0.8 "/data/pf_shm" ~launch:(fun env ->
-      launch_on env ~node:home "p:nscdapp" [ string_of_int shm_lookups; "/data/pf_shm" ])
+      launch_on env ~node:home "p:nscdapp" [ string_of_int nscd_lookups; "/data/pf_shm" ])
 
 (* Plugin on: the connection is skipped at drain, demoted to a dead
    socket at capture, and the kill lands at the drain stage of a second
@@ -492,10 +492,10 @@ let proc_repoint () =
    service).  Plugin off: the cache survives the restart verbatim. *)
 let shm_zero () =
   let on = [ "ext-sock"; "ext-shm" ] in
-  let cached = Exactly (sprintf "nscd:%d cached" shm_lookups) in
+  let cached = Exactly (sprintf "nscd:%d cached" nscd_lookups) in
   let o = run { (nscd on) with fault = kill_in_round Dmtcp.Faults.Refill } in
   o.notes
-  @ expect ~what:"restart with a zeroed segment" (Exactly (sprintf "nscd:%d degraded" shm_lookups))
+  @ expect ~what:"restart with a zeroed segment" (Exactly (sprintf "nscd:%d degraded" nscd_lookups))
       o
   @ unless (saw o "plugin/ext-shm/image-write") "no ext-shm span at image-write"
   @ expect ~what:"live run after an ext-shm checkpoint" cached

@@ -9,12 +9,9 @@
     CRC-32 names the damaged block on corruption, and block independence
     is what a streaming or parallel encoder needs. *)
 
-(** Block size used by {!pack} when none is given: 256 KiB. *)
-val default_block_size : int
-
 (** [pack ~algo s] frames and compresses [s] into a DMZ2 container.
     [block_size] is exposed for tests (block-boundary coverage); the
-    default is {!default_block_size}. *)
+    default is 256 KiB. *)
 val pack : ?block_size:int -> algo:Algo.t -> string -> string
 
 (** [unpack s] decompresses and verifies lengths and CRCs.  Raises

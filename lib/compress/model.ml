@@ -1,7 +1,7 @@
 type rates = {
-  compress_mb_s : float;
+  compress_mb_s : float;  (* per-core throughput on ordinary data *)
   decompress_mb_s : float;
-  zero_speedup : float;
+  zero_speedup : float;  (* multiplier on all-zero pages *)
 }
 
 let rates = function

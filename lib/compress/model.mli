@@ -8,14 +8,6 @@
     restart beats checkpoint, §5.4), and all-zero data compresses an order
     of magnitude faster (the NAS/IS anomaly). *)
 
-type rates = {
-  compress_mb_s : float;      (** per-core throughput on ordinary data *)
-  decompress_mb_s : float;
-  zero_speedup : float;       (** multiplier on all-zero pages *)
-}
-
-val rates : Algo.t -> rates
-
 (** [compress_seconds ~algo ~bytes ~zero_bytes] is the simulated time for
     one core to compress [bytes] of which [zero_bytes] are in all-zero
     pages. *)

@@ -123,22 +123,6 @@ let kill_nodes rt ~nodes =
       end)
     (Simos.Cluster.all_processes cl)
 
-(* Images may live on hosts other than where they will be restored (the
-   script may have been remapped for migration); stand in for scp/shared
-   storage by copying the file bytes across vfs instances.  Under the
-   replicated store there is nothing to copy: restart resolves the image
-   through the catalog and pulls a replica itself. *)
-let ensure_image_on rt ~host path =
-  let target_vfs = Simos.Kernel.vfs (Runtime.kernel_of rt ~node:host) in
-  if Runtime.store rt = None && not (Simos.Vfs.exists target_vfs path) then
-    match Image_chain.find_file (Runtime.cluster rt) path with
-    | Some src ->
-      let dst = Simos.Vfs.open_or_create target_vfs path in
-      Simos.Vfs.truncate dst;
-      Simos.Vfs.append dst (Simos.Vfs.read_all src);
-      Simos.Vfs.set_sim_size dst (Simos.Vfs.sim_size src)
-    | None -> ()
-
 (* Can every image of [script] still be produced somewhere — as a file on
    some node, or from the store with all blocks on surviving replicas?
    A delta image is only available when its whole base chain is too.
@@ -177,7 +161,6 @@ let restart rt (script : Restart_script.t) =
   let port = script.Restart_script.coord_port in
   Runtime.note_restart_start ~port rt;
   Runtime.bump_generation rt;
-  Runtime.shm_reset ~port rt;
   let cl = Runtime.cluster rt in
   (* clear only this domain's stale advertisements: restart waves
      namespace their discovery keys by coordinator port, so another
@@ -201,7 +184,6 @@ let restart rt (script : Restart_script.t) =
   Runtime.set_restart_expected ~port rt (List.length script.Restart_script.entries);
   List.iter
     (fun (host, images) ->
-      List.iter (fun path -> ensure_image_on rt ~host path) images;
       let k = Runtime.kernel_of rt ~node:host in
       ignore (Simos.Kernel.spawn k ~prog:Restart.name ~argv:images ~env ()))
     script.Restart_script.entries

@@ -79,10 +79,14 @@ val kill_nodes : Runtime.t -> nodes:int list -> unit
     replica?  Chaos recovery uses this to decide restart vs relaunch. *)
 val script_images_available : Runtime.t -> Restart_script.t -> bool
 
-(** [restart rt script] bumps the generation, clears the discovery
-    service, copies images to their (possibly remapped) target hosts,
-    starts a fresh coordinator if needed, and spawns one [dmtcp_restart]
-    per host. The caller advances the engine; use {!await_restart}. *)
+(** [restart rt script] bumps the generation, clears the script's
+    domain from the discovery service, starts a fresh coordinator if
+    needed, and spawns one [dmtcp_restart] per (possibly remapped) host.
+    Nothing is copied: each restarter reads its images where they lie,
+    through {!Image_chain.read} (its own node, then any node, then the
+    store), and books a file on another node on its own disk as it
+    would a local one.  The caller advances the engine; use
+    {!await_restart}. *)
 val restart : Runtime.t -> Restart_script.t -> unit
 
 (** Run the engine until every restart process of [?options]'s domain

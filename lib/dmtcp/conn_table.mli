@@ -2,8 +2,10 @@
     §4.4).
 
     Wrappers populate it as sockets are created; the drain stage completes
-    it with the peer handshake and the drained byte stash; it is written
-    into the checkpoint image and drives socket re-creation at restart. *)
+    it with the peer handshake and the drained byte stash.  The image
+    writer copies each socket's entry into the image's fd records
+    ({!Ckpt_image.FSock}), and restart re-creates the sockets from those
+    records; the table itself is never written to disk. *)
 
 type role =
   | Connector
@@ -48,6 +50,3 @@ val unique_descs : t -> (int * entry) list
 (** Copy for a forked child (entries share conn ids but stashes are
     per-process). *)
 val clone : t -> t
-
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t

@@ -3,12 +3,13 @@
     An incremental checkpoint writes a delta image that names its base in
     [Ckpt_image.delta_base]; the base lives next to it under that name,
     as a file on some node or in the store catalog.  Restart, the
-    compactor, {!Inspect} and the restart-or-relaunch availability check
-    all find images and follow these links here, so the lookup order and
-    the depth bound are defined once. *)
+    compactor, [Harness.Inspect] and the restart-or-relaunch
+    availability check all find images and follow these links here, so
+    the lookup order and the depth bound are defined once. *)
 
 (** Where image bytes were found: the preferred node's filesystem,
-    another node's (migration copies only the named image), or the store
+    another node's (a migrated restart reads its images, bases included,
+    where they were written; nothing copies them), or the store
     catalog. *)
 type source = Local_file | Remote_file | Store
 

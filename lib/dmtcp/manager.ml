@@ -323,24 +323,20 @@ module P = struct
      and, inline, DMTCP_SYNC's sync complete.  Inline checkpoints jitter
      the write's delay; a forked child's write takes it as booked.  The
      commit ages out generations beyond retention: catalog manifests
-     under the store, flat image and conninfo files either way. *)
+     under the store, flat image files without it. *)
   let durable_write (ctx : Simos.Program.ctx) st ~inline ~path ~bytes (image : Ckpt_image.t) =
     let settle dt = if inline then Mtcp.Cost.jitter ctx.rng dt else dt in
     let sim = image.Ckpt_image.sizes.Mtcp.Image.compressed in
     let upid = image.Ckpt_image.upid in
-    let lineage = Upid.lineage upid in
-    let prune () = Runtime.prune_images (rt ctx) ~lineage in
     match Runtime.store (rt ctx) with
     | Some store ->
+      let lineage = Upid.lineage upid in
       let delay =
         Store.put store ?base:image.Ckpt_image.delta_base ~node:ctx.node_id ~lineage
           ~generation:upid.Upid.generation ~name:(Filename.basename path)
           ~program:image.Ckpt_image.program ~sim_bytes:sim ~chunks:(Ckpt_image.chunk bytes)
       in
-      ( settle delay,
-        fun () ->
-          ignore (Store.gc_lineage store ~lineage);
-          prune () )
+      (settle delay, fun () -> ignore (Store.gc_lineage store ~lineage))
     | None ->
       let storage = Simos.Kernel.storage (my_kernel ctx) in
       let delay = settle (Storage.Target.write storage ~bytes:sim) in
@@ -351,7 +347,7 @@ module P = struct
           Simos.Vfs.truncate f;
           Simos.Vfs.append f bytes;
           Simos.Vfs.set_sim_size f sim;
-          prune () )
+          Runtime.prune_images (rt ctx) ~node:ctx.node_id ~path ~upid )
 
   (* -------------------------------------------------------------- *)
   (* the state machine: the stages in Faults' protocol order, each
@@ -547,8 +543,7 @@ module P = struct
         (Compress.Model.compress_seconds ~algo:opts.Options.algo
            ~bytes:sizes.Mtcp.Image.uncompressed ~zero_bytes:sizes.Mtcp.Image.zero_bytes)
     in
-    Runtime.record_image ~port:opts.Options.coord_port (rt ctx) ~node:ctx.node_id ~path
-      ~upid:image.Ckpt_image.upid ~sizes;
+    Runtime.record_image ~port:opts.Options.coord_port (rt ctx) ~node:ctx.node_id ~path ~sizes;
     (match image.Ckpt_image.delta_base with
     | Some base ->
       (* delta checkpoint: a span over the compression that starts now,
@@ -645,8 +640,7 @@ module P = struct
       Simos.Program.Block (st, Simos.Program.Readable_any (List.map (fun d -> d.d_fd) pending))
     end
 
-  (* pty draining, peer handshakes, and the connection-table flush at the
-     end of stage 4 *)
+  (* pty draining and peer handshakes at the end of stage 4 *)
   and drain_finished (ctx : Simos.Program.ctx) st =
     let drained_bytes =
       List.fold_left
@@ -682,8 +676,7 @@ module P = struct
           | Some (_, peer) -> entry.Conn_table.conn_id <- peer.Conn_table.conn_id
           | None -> ())
         | _ -> ())
-      (Conn_table.entries ps.Runtime.conns);
-    Runtime.write_conn_table (rt ctx) (my_kernel ctx) proc
+      (Conn_table.entries ps.Runtime.conns)
 
   let step ctx st =
     try step ctx st

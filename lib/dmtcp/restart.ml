@@ -49,7 +49,9 @@ type state = {
   mutable connectors : connecting list;
   mutable restored : (Ckpt_image.t * Simos.Kernel.process) list;
   mutable since : float;  (* the last stage's exit (boot for the first): the span start *)
-  mutable local_read_bytes : int;  (* modeled bytes of images read from local files *)
+  mutable local_read_bytes : int;
+      (* modeled bytes of image files read, on this node or another:
+         booked on this node's disk either way *)
   mutable store_read_delay : float;  (* booked catalog/replica read time (store mode) *)
   mutable lazy_page_cost : float;
       (* lazy restore: modeled seconds to fault in one absent page;
@@ -343,8 +345,10 @@ module P = struct
   let materialize (ctx : Simos.Program.ctx) st =
     let k = my_kernel ctx in
     let run = rt ctx in
-    let port = my_port st in
-    Runtime.shm_reset ~port run;
+    (* mmap-shared segments restored so far: backing path -> pages.
+       Processes restored by this restarter re-share one segment; no
+       segment is shared across hosts. *)
+    let shm = Hashtbl.create 8 in
     st.restored <-
       List.map
         (fun ((img : Ckpt_image.t), resolved) ->
@@ -388,7 +392,7 @@ module P = struct
             (fun (r : Mem.Region.t) ->
               match r.Mem.Region.kind with
               | Mem.Region.Mmap_shared { backing_path } -> (
-                match Runtime.shm_lookup ~port run backing_path with
+                match Hashtbl.find_opt shm backing_path with
                 | Some pages ->
                   Mem.Address_space.substitute_pages proc.Simos.Kernel.space
                     ~region_id:r.Mem.Region.id pages
@@ -397,7 +401,7 @@ module P = struct
                      is missing and the directory is writable *)
                   let file = Simos.Vfs.open_or_create (Simos.Kernel.vfs k) backing_path in
                   ignore file;
-                  Runtime.shm_register ~port run backing_path r.Mem.Region.pages)
+                  Hashtbl.replace shm backing_path r.Mem.Region.pages)
               | _ -> ())
             (Mem.Address_space.regions proc.Simos.Kernel.space);
           (* DMTCP per-process state: virtual pid preserved, generation
@@ -471,9 +475,11 @@ module P = struct
                ~bytes:sizes.Mtcp.Image.uncompressed ~zero_bytes:sizes.Mtcp.Image.zero_bytes)
       (List.map fst st.images @ st.chain_bases);
     (* one booking for this host's whole image set: the restart process
-       reads the local files serially from its disk.  Images pulled from
-       the store were already booked on their replicas' targets at fetch
-       time; their (overlapped) read time is [store_read_delay]. *)
+       reads the image files serially from its disk, a file that lies on
+       another node (a migrated restart) as if it were local.  Images
+       pulled from the store were already booked on their replicas'
+       targets at fetch time; their (overlapped) read time is
+       [store_read_delay]. *)
     let read_total =
       (if st.local_read_bytes > 0 then Storage.Target.read storage ~bytes:st.local_read_bytes
        else 0.)

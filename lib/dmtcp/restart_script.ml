@@ -19,28 +19,6 @@ let to_text t =
   Buffer.add_string buf "wait\n";
   Buffer.contents buf
 
-let encode w t =
-  Util.Codec.Writer.uvarint w t.coord_host;
-  Util.Codec.Writer.uvarint w t.coord_port;
-  Util.Codec.Writer.list
-    (fun w (host, images) ->
-      Util.Codec.Writer.uvarint w host;
-      Util.Codec.Writer.list Util.Codec.Writer.string w images)
-    w t.entries
-
-let decode r =
-  let coord_host = Util.Codec.Reader.uvarint r in
-  let coord_port = Util.Codec.Reader.uvarint r in
-  let entries =
-    Util.Codec.Reader.list
-      (fun r ->
-        let host = Util.Codec.Reader.uvarint r in
-        let images = Util.Codec.Reader.list Util.Codec.Reader.string r in
-        (host, images))
-      r
-  in
-  { coord_host; coord_port; entries }
-
 (* Positional remap: when the original allocation holds the same host in
    several slots, a host-level [remap] collapses those slots — every
    image that was on host h lands wherever f sends h, even when the new

@@ -1,7 +1,8 @@
 (** The generated restart script (paper §3): one [dmtcp_restart] call per
-    node, plus the coordinator address.  Stored both as a structured
-    record (used by the harness and tests) and as shell-script text
-    written next to the images, as the real package does. *)
+    node, plus the coordinator address.  It travels as this record (the
+    harness and tests restart from it) and as shell-script text written
+    next to the images, as the real package does; it has no binary
+    form. *)
 
 type t = {
   coord_host : int;
@@ -11,9 +12,6 @@ type t = {
 
 (** The [dmtcp_restart_script.sh] text. *)
 val to_text : t -> string
-
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t
 
 (** Remap original hosts to new hosts (process migration), e.g. restart a
     whole cluster run on one laptop with [fun _ -> 0]. *)

@@ -28,13 +28,12 @@ type op_info = {
 let fresh_op () =
   { started = 0.; finished = 0.; images = []; total_compressed = 0; total_uncompressed = 0; nprocs = 0 }
 
-(* One written image file per (lineage, generation): what the legacy
+(* One committed flat image file per (lineage, generation): what the
    flat-file reaper unlinks once the generation ages out of retention. *)
 type image_record = {
   ir_generation : int;
   ir_node : int;
   ir_path : string;
-  ir_upid : string;
 }
 
 (* Per-coordinator-domain operation records.  Each job-scoped
@@ -61,10 +60,8 @@ type t = {
   vpids : (int, int * int) Hashtbl.t;
   domains : (int, domain) Hashtbl.t;  (* coordinator port -> records *)
   mutable gen : int;
-  shm : (int * string, Mem.Page.content array) Hashtbl.t;
-      (* (coordinator port, backing path) -> restored pages *)
   store : Store.t option;
-  lineage_images : (string, image_record list) Hashtbl.t;
+  lineage_images : (string, image_record list) Hashtbl.t;  (* flat mode only *)
   pinned : (string, int) Hashtbl.t;  (* lineage -> generation retention must keep *)
   mutable observer : node:int -> pid:int -> Faults.stage -> unit;
   mutable last_status : int option;  (* the last dmtcp_command --status reply *)
@@ -210,40 +207,37 @@ let forget_process t ~node ~pid =
 
 let store t = t.store
 
-let record_image ?port t ~node ~path ~upid ~sizes =
+let record_image ?port t ~node ~path ~sizes =
   let d = dom ?port t in
   d.d_ckpt.images <- (node, path) :: d.d_ckpt.images;
   d.d_ckpt.total_compressed <- d.d_ckpt.total_compressed + sizes.Mtcp.Image.compressed;
   d.d_ckpt.total_uncompressed <- d.d_ckpt.total_uncompressed + sizes.Mtcp.Image.uncompressed;
-  d.d_ckpt.nprocs <- d.d_ckpt.nprocs + 1;
-  (* lifecycle ledger: same-generation interval checkpoints overwrite
-     their file in place, so one record per (lineage, generation) *)
-  let lineage = Upid.lineage upid in
-  let gen = upid.Upid.generation in
-  let existing = Option.value ~default:[] (Hashtbl.find_opt t.lineage_images lineage) in
-  if not (List.exists (fun r -> r.ir_generation = gen && r.ir_path = path && r.ir_node = node) existing)
-  then
-    Hashtbl.replace t.lineage_images lineage
-      ({ ir_generation = gen; ir_node = node; ir_path = path; ir_upid = Upid.to_string upid }
-      :: existing)
+  d.d_ckpt.nprocs <- d.d_ckpt.nprocs + 1
 
-(* Legacy flat-file retention: unlink image and conninfo files of
-   generations older than the newest [keep_generations] of a lineage.
-   Without this, every restart leaves the previous generation's files on
-   its target forever and long interval-checkpointed runs grow target
-   usage without bound.  Under the store, images live in the catalog
-   (its GC applies) but the per-upid conninfo files still age out here. *)
-let prune_images t ~lineage =
+(* Flat-file retention: record the committed image in its lineage's
+   ledger, then unlink the image files of generations older than the
+   newest [keep_generations] of that lineage.  Without this, every
+   restart leaves the previous generation's files on its target forever
+   and long interval-checkpointed runs grow target usage without bound.
+   Under the store nothing calls this: images live in the catalog, and
+   its GC applies. *)
+let prune_images t ~node ~path ~upid =
   let keep = t.opts.Options.keep_generations in
-  if keep > 0 then
-    match Hashtbl.find_opt t.lineage_images lineage with
-    | None -> ()
-    | Some records ->
-      let gens =
-        List.map (fun r -> r.ir_generation) records |> List.sort_uniq compare |> List.rev
-      in
-      (match List.nth_opt gens (keep - 1) with
-      | None -> ()
+  if keep > 0 then begin
+    let lineage = Upid.lineage upid in
+    let gen = upid.Upid.generation in
+    let existing = Option.value ~default:[] (Hashtbl.find_opt t.lineage_images lineage) in
+    (* same-generation interval checkpoints overwrite their file in
+       place, so one record per (lineage, generation) *)
+    let records =
+      if List.exists (fun r -> r.ir_generation = gen && r.ir_path = path && r.ir_node = node) existing
+      then existing
+      else { ir_generation = gen; ir_node = node; ir_path = path } :: existing
+    in
+    let gens = List.map (fun r -> r.ir_generation) records |> List.sort_uniq compare |> List.rev in
+    let doomed, kept =
+      match List.nth_opt gens (keep - 1) with
+      | None -> ([], records)
       | Some oldest_kept ->
         (* a pinned generation (scheduler holds it as a preempted job's
            only restart image) is exempt even when pid reuse has piled a
@@ -253,19 +247,13 @@ let prune_images t ~lineage =
           | Some g -> r.ir_generation >= g
           | None -> false
         in
-        let doomed, kept =
-          List.partition (fun r -> r.ir_generation < oldest_kept && not (protected_ r)) records
-        in
-        List.iter
-          (fun r ->
-            let vfs = Simos.Kernel.vfs (kernel_of t ~node:r.ir_node) in
-            ignore (Simos.Vfs.unlink vfs r.ir_path);
-            let conninfo =
-              Printf.sprintf "%s/conninfo_%s.tbl" t.opts.Options.ckpt_dir r.ir_upid
-            in
-            ignore (Simos.Vfs.unlink vfs conninfo))
-          doomed;
-        if doomed <> [] then Hashtbl.replace t.lineage_images lineage kept)
+        List.partition (fun r -> r.ir_generation < oldest_kept && not (protected_ r)) records
+    in
+    List.iter
+      (fun r -> ignore (Simos.Vfs.unlink (Simos.Kernel.vfs (kernel_of t ~node:r.ir_node)) r.ir_path))
+      doomed;
+    Hashtbl.replace t.lineage_images lineage kept
+  end
 
 (* Retention pins, forwarded to the store when one is installed: the
    scheduler pins a preempted/requeued job's newest checkpoint so neither
@@ -284,12 +272,6 @@ let unpin_lineage t ~lineage =
   | None -> ()
 
 let bump_generation t = t.gen <- t.gen + 1
-let shm_lookup ?port t path = Hashtbl.find_opt t.shm (port_of ?port t, path)
-let shm_register ?port t path pages = Hashtbl.replace t.shm (port_of ?port t, path) pages
-
-let shm_reset ?port t =
-  let p = port_of ?port t in
-  Hashtbl.filter_map_inplace (fun (q, _) v -> if q = p then None else Some v) t.shm
 
 let with_pstate t ~node ~pid f =
   match pstate_of t ~node ~pid with
@@ -427,20 +409,9 @@ let on_exit t k (proc : Simos.Kernel.process) =
     release_vpid t ~vpid:ps.vpid;
     Hashtbl.remove t.procs (node, pid)
 
-let write_conn_table t k (proc : Simos.Kernel.process) =
-  let node = Simos.Kernel.node_id k in
-  let pid = proc.Simos.Kernel.pid in
-  with_pstate t ~node ~pid (fun ps ->
-      let w = Util.Codec.Writer.create () in
-      Conn_table.encode w ps.conns;
-      let path = Printf.sprintf "%s/conninfo_%s.tbl" t.opts.Options.ckpt_dir (Upid.to_string ps.upid) in
-      let f = Simos.Vfs.open_or_create (Simos.Kernel.vfs k) path in
-      Simos.Vfs.truncate f;
-      Simos.Vfs.append f (Util.Codec.Writer.contents w))
-
 (* Close wrapper: an fd-table slot with a connection entry is going
    away, so the entry must not linger (a stale entry is a dangling
-   socket id in the conninfo table).  If the closing fd is the
+   socket id in the connection table).  If the closing fd is the
    registered endpoint owner, hand ownership to another checkpointed
    process still holding the same open-file description (fork shares
    socketpair ends); drop the registration when nobody is left. *)
@@ -517,7 +488,6 @@ let install cl ?(options = Options.default) () =
       vpids = Hashtbl.create 64;
       domains = Hashtbl.create 8;
       gen = 0;
-      shm = Hashtbl.create 8;
       store;
       lineage_images = Hashtbl.create 16;
       pinned = Hashtbl.create 8;

@@ -170,16 +170,17 @@ val refill_barrier_passed : ?port:int -> t -> bool
     (vanished/migrated). *)
 val forget_process : t -> node:int -> pid:int -> unit
 
-(** Record a written image (also feeds the flat-file lifecycle ledger
-    that {!prune_images} reaps). *)
-val record_image :
-  ?port:int -> t -> node:int -> path:string -> upid:Upid.t -> sizes:Mtcp.Image.sizes -> unit
+(** Record a written image in the domain's current round: its image
+    list and byte totals. *)
+val record_image : ?port:int -> t -> node:int -> path:string -> sizes:Mtcp.Image.sizes -> unit
 
-(** Unlink image/conninfo files of [lineage]'s generations older than
-    the newest [keep_generations] (no-op when that option is [0]).
-    Called by the manager once a checkpoint write completes.  Pinned
-    generations ({!pin_lineage}) are exempt. *)
-val prune_images : t -> lineage:string -> unit
+(** Flat-file retention, called by the manager when the flat image of
+    [upid] at [path] on [node] is committed: record it in its lineage's
+    ledger, then unlink the files of that lineage's generations older
+    than the newest [keep_generations] (no-op when that option is [0]).
+    Pinned generations ({!pin_lineage}) are exempt.  Under the store
+    nothing calls it: the store's own GC ages images out. *)
+val prune_images : t -> node:int -> path:string -> upid:Upid.t -> unit
 
 (** [pin_lineage t ~lineage ~generation] protects [lineage]'s images at
     [generation] or newer from {!prune_images} and (when a store is
@@ -200,16 +201,6 @@ val store : t -> Store.t option
 
 val bump_generation : t -> unit
 
-(** Shared-memory segment registry for the current restart wave, scoped
-    per coordinator domain: backing path -> restored page array. *)
-val shm_lookup : ?port:int -> t -> string -> Mem.Page.content array option
-
-val shm_register : ?port:int -> t -> string -> Mem.Page.content array -> unit
-
-(** Drop the domain's segment registrations (other domains' concurrent
-    restart waves are untouched). *)
-val shm_reset : ?port:int -> t -> unit
-
 (** Register a restored process's DMTCP state (restart path). *)
 val register_pstate : t -> node:int -> pid:int -> pstate -> unit
 
@@ -217,9 +208,3 @@ val register_pstate : t -> node:int -> pid:int -> pstate -> unit
 
 val enter_critical : t -> node:int -> pid:int -> unit
 val leave_critical : t -> node:int -> pid:int -> unit
-
-(** {2 Manager helpers} *)
-
-(** Write the per-process connection table to disk (drain stage; small
-    file next to the images). *)
-val write_conn_table : t -> Simos.Kernel.t -> Simos.Kernel.process -> unit

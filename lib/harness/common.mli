@@ -40,10 +40,6 @@ val setup :
     warmup. Raises [Failure] if processes fail to appear. *)
 val start_workload : env -> workload -> unit
 
-(** Expected number of checkpointed processes (ranks + resource
-    managers). *)
-val expected_processes : workload -> int
-
 (** MPI job port every workload launch uses (rank result files land at
     [/result/<short>-<base_port>]). *)
 val base_port : int

@@ -1,3 +1,11 @@
+module Ckpt_image = Dmtcp.Ckpt_image
+module Conn_id = Dmtcp.Conn_id
+module Conn_table = Dmtcp.Conn_table
+module Image_chain = Dmtcp.Image_chain
+module Restart_script = Dmtcp.Restart_script
+module Runtime = Dmtcp.Runtime
+module Upid = Dmtcp.Upid
+
 let bf = Printf.bprintf
 
 let describe_fd buf (fd, desc_key, info) =

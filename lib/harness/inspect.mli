@@ -13,4 +13,4 @@
     their wait conditions, and the signal table.  A delta image's body is
     read through its loaded base chain; when a base is gone the
     thread/memory sections are replaced by a note. *)
-val describe_checkpoint : Runtime.t -> Restart_script.t -> string
+val describe_checkpoint : Dmtcp.Runtime.t -> Dmtcp.Restart_script.t -> string

@@ -32,19 +32,6 @@ let map t ~kind ~perms ~bytes ?(content = fun _ -> Page.Zero) () =
   insert t region;
   region
 
-let attach t region =
-  let npages = Region.npages region in
-  let start_addr = fresh_range t npages in
-  let id = t.next_region_id in
-  t.next_region_id <- id + 1;
-  (* Keep the same page array (aliasing) but give a local address/id. *)
-  let attached = { region with Region.id; start_addr } in
-  insert t attached;
-  attached
-
-let unmap t region =
-  t.regions <- List.filter (fun (r : Region.t) -> r.Region.id <> region.Region.id) t.regions
-
 let find_region t ~addr =
   List.find_opt
     (fun (r : Region.t) -> addr >= r.start_addr && addr < Region.end_addr r)

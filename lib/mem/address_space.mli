@@ -21,15 +21,6 @@ val map :
   unit ->
   Region.t
 
-(** Map a pre-built region object (used to attach shared segments: the
-    region's page array is aliased, not copied).  The region keeps its
-    identity but is re-addressed at the next free address; the re-addressed
-    region is returned. *)
-val attach : t -> Region.t -> Region.t
-
-(** Remove a region. Unknown regions are ignored. *)
-val unmap : t -> Region.t -> unit
-
 val find_region : t -> addr:int -> Region.t option
 
 (** [read t ~addr ~len] returns [len] bytes; the range must lie within one

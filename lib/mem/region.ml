@@ -68,14 +68,6 @@ let resident_count t =
   Bytes.iter (fun c -> if c <> '\000' then incr n) t.resident;
   !n
 
-let kind_name = function
-  | Text -> "text"
-  | Data -> "data"
-  | Heap -> "heap"
-  | Stack -> "stack"
-  | Mmap_anon -> "mmap"
-  | Mmap_shared _ -> "mmap-shared"
-
 let encode_kind w = function
   | Text -> Util.Codec.Writer.u8 w 0
   | Data -> Util.Codec.Writer.u8 w 1

@@ -86,8 +86,6 @@ val mark_all_absent : t -> unit
 (** Number of resident pages. *)
 val resident_count : t -> int
 
-val kind_name : kind -> string
-
 (** [encode ?page w t] writes the region's identity, shape and page
     count, then calls [page w t i] for each page index in order.  The
     default writes page [i] whole; a delta image passes a step that

@@ -13,8 +13,6 @@
 
     The program registers itself when this module initialises. *)
 
-val prog_name : string
-
 (** Spawn a proxy for job [base_port] on [kernel]'s node unless one is
     already running there.  The process is plain (not hijacked). *)
 val ensure : Simos.Kernel.t -> base_port:int -> rpn:int -> unit

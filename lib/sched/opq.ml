@@ -58,7 +58,6 @@ let decr_count t k =
   | Some _ -> Hashtbl.remove t.counts k
   | None -> ()
 
-let pending t = t.pending
 let inflight t = t.inflight
 let inflight_count t = List.length t.inflight
 let peak t = t.peak

@@ -45,7 +45,6 @@ val drop_pending : 'op t -> ('op -> bool) -> unit
     blocking admission and their owner reaps them. *)
 val abort_inflight : 'op t -> ('op -> bool) -> unit
 
-val pending : 'op t -> 'op list
 val inflight : 'op t -> 'op entry list
 val inflight_count : 'op t -> int
 

@@ -70,7 +70,6 @@ val run : ?until:float -> t -> int
 
 val jobs : t -> Job.t list
 val job : t -> int -> Job.t
-val all_done : t -> bool
 
 (** Scheduler-level invariant breaches observed while running (two jobs
     sharing a node slot, placement on a down node).  Empty when healthy. *)

@@ -11,6 +11,3 @@ type t =
 
 val host_of : t -> host
 val to_string : t -> string
-
-val encode : Util.Codec.Writer.t -> t -> unit
-val decode : Util.Codec.Reader.t -> t

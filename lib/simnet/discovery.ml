@@ -1,40 +1,8 @@
-type t = {
-  entries : (string, Addr.t) Hashtbl.t;
-  waiting : (string, (Addr.t -> unit) list) Hashtbl.t;
-}
+type t = (string, Addr.t) Hashtbl.t
 
-let create () = { entries = Hashtbl.create 64; waiting = Hashtbl.create 64 }
-
-let advertise t ~key addr =
-  Hashtbl.replace t.entries key addr;
-  match Hashtbl.find_opt t.waiting key with
-  | None -> ()
-  | Some fs ->
-    Hashtbl.remove t.waiting key;
-    List.iter (fun f -> f addr) (List.rev fs)
-
-let lookup t ~key = Hashtbl.find_opt t.entries key
-
-let subscribe t ~key f =
-  match Hashtbl.find_opt t.entries key with
-  | Some addr -> f addr
-  | None ->
-    let existing = Option.value ~default:[] (Hashtbl.find_opt t.waiting key) in
-    Hashtbl.replace t.waiting key (f :: existing)
-
-let size t = Hashtbl.length t.entries
-
-let clear t =
-  Hashtbl.reset t.entries;
-  Hashtbl.reset t.waiting
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+let create () = Hashtbl.create 64
+let advertise t ~key addr = Hashtbl.replace t key addr
+let lookup t ~key = Hashtbl.find_opt t key
 
 let remove_prefix t ~prefix =
-  Hashtbl.filter_map_inplace
-    (fun key v -> if has_prefix ~prefix key then None else Some v)
-    t.entries;
-  Hashtbl.filter_map_inplace
-    (fun key v -> if has_prefix ~prefix key then None else Some v)
-    t.waiting
+  Hashtbl.filter_map_inplace (fun key v -> if String.starts_with ~prefix key then None else Some v) t

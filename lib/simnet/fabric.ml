@@ -73,8 +73,6 @@ let create eng ?(latency = 100e-6) ?(bandwidth = 117e6) ?(loopback_latency = 10e
     next_id = 0;
   }
 
-let nhosts t = t.n
-
 (* ------------------------------------------------------------------ *)
 (* Fault injection.  Partitioned links hold traffic (senders retry
    until the link heals); latency factors stretch propagation delay;
@@ -156,7 +154,6 @@ let socket fab ~host = make_socket fab ~host ~unix:false
 let socket_unix fab ~host = make_socket fab ~host ~unix:true
 
 let id s = s.id
-let host s = s.sock_host
 let state s = s.st
 let local_addr s = s.local
 let is_unix s = s.unix

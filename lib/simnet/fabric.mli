@@ -36,8 +36,6 @@ val create :
   unit ->
   t
 
-val nhosts : t -> int
-
 (** Buffer capacity per direction (64 KiB, "tens of kilobytes" §5.4). *)
 val buffer_capacity : int
 
@@ -77,7 +75,6 @@ val recv : socket -> max:int -> [ `Data of string | `Eof | `Would_block | `Error
 val close : socket -> unit
 
 val id : socket -> int
-val host : socket -> Addr.host
 val state : socket -> state
 val local_addr : socket -> Addr.t option
 
@@ -143,19 +140,16 @@ val inject_eof : socket -> unit
 (** {2 Fault injection}
 
     Knobs for the chaos layer.  A downed link holds all traffic — senders
-    park and retry every {!partition_retry} seconds until the link heals,
-    and a SYN that would cross the partition is refused.  Latency factors
-    stretch propagation delay on a link; [set_drop] models segment loss as
-    a per-chunk retransmission-timeout penalty drawn from the supplied rng
-    so runs stay deterministic per seed.  Loopback traffic is never
-    faulted.  Always heal partitions (e.g. via [clear_faults]) before
+    park and retry every 20 ms until the link heals, and a SYN that would
+    cross the partition is refused.  Latency factors stretch propagation
+    delay on a link; [set_drop] models segment loss as a per-chunk
+    retransmission-timeout penalty drawn from the supplied rng so runs
+    stay deterministic per seed.  Loopback traffic is never faulted.  Always heal partitions (e.g. via [clear_faults]) before
     draining the engine with no [until] bound: parked senders reschedule
     themselves indefinitely. *)
 
-val partition_retry : float
 val retransmit_timeout : float
 
-val link_up : t -> a:Addr.host -> b:Addr.host -> bool
 val set_link_up : t -> a:Addr.host -> b:Addr.host -> bool -> unit
 val set_latency_factor : t -> a:Addr.host -> b:Addr.host -> float -> unit
 

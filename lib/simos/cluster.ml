@@ -49,7 +49,6 @@ let discovery t = t.disc
 let local t = t.local
 let nodes t = Array.length t.kernels
 let kernel t i = t.kernels.(i)
-let kernels t = t.kernels
 let set_hooks t hooks = Array.iter (fun k -> Kernel.set_hooks k hooks) t.kernels
 let run ?until t = Sim.Engine.run ?until t.eng
 let now t = Sim.Engine.now t.eng

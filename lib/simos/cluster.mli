@@ -36,7 +36,6 @@ val discovery : t -> Simnet.Discovery.t
 val local : t -> Local.t
 val nodes : t -> int
 val kernel : t -> int -> Kernel.t
-val kernels : t -> Kernel.t array
 
 (** Install the same hook table in every kernel. *)
 val set_hooks : t -> Kernel.hooks -> unit

@@ -1026,20 +1026,6 @@ let resume_user_threads t proc =
       end)
     proc.threads
 
-let proc_maps proc =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (r : Mem.Region.t) ->
-      let perms = r.Mem.Region.perms in
-      Buffer.add_string buf
-        (Printf.sprintf "%08x-%08x %c%c%c%c %s\n" r.Mem.Region.start_addr (Mem.Region.end_addr r)
-           (if perms.Mem.Region.read then 'r' else '-')
-           (if perms.Mem.Region.write then 'w' else '-')
-           (if perms.Mem.Region.exec then 'x' else '-')
-           'p' (Mem.Region.kind_name r.Mem.Region.kind)))
-    (Mem.Address_space.regions proc.space);
-  Buffer.contents buf
-
 let fd_desc proc fd = fd_desc proc fd
 let install_fd t proc ~fd desc =
   set_fd proc fd desc;

@@ -240,5 +240,3 @@ val set_sigaction : process -> int -> sigaction -> unit
     queues it on [pending_signals]. *)
 val deliver_signal : t -> process -> signal:int -> unit
 
-(** [/proc/<pid>/maps]-style rendering of the process address space. *)
-val proc_maps : process -> string

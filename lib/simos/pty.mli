@@ -14,8 +14,6 @@ type termios = {
   mutable baud : int;
 }
 
-val default_termios : unit -> termios
-
 (** Pty number [id] ({!Kernel.make_pty} numbers a cluster's ptys). *)
 val create : id:int -> t
 

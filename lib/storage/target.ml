@@ -23,7 +23,6 @@ and t = {
 }
 
 let set_node t node = t.node <- node
-let node t = t.node
 
 let m_write_bytes = Trace.Metrics.counter "storage.write_bytes"
 let m_read_bytes = Trace.Metrics.counter "storage.read_bytes"
@@ -60,7 +59,6 @@ let nfs eng ?(server_rate = 117e6 *. 0.6) ~backend () =
 (* Fault injection: a degraded device multiplies every booked service
    interval; [factor = 1.] restores nominal speed. *)
 let set_slowdown t factor = t.slowdown <- Float.max 1. factor
-let slowdown t = t.slowdown
 
 let describe t =
   match t.kind with

@@ -44,8 +44,6 @@ val describe : t -> string
     ([-1], the default, means shared/global — e.g. the SAN). *)
 val set_node : t -> int -> unit
 
-val node : t -> int
-
 (** [write t ~bytes] books a write and returns the delay (from now) until
     it completes. *)
 val write : t -> bytes:int -> float
@@ -70,5 +68,3 @@ val reset : t -> unit
     service interval is multiplied by [f] (clamped to ≥ 1).  [f = 1.]
     restores nominal speed. *)
 val set_slowdown : t -> float -> unit
-
-val slowdown : t -> float

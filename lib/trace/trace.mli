@@ -33,9 +33,6 @@ type sink = { emit : event -> unit }
     argument construction should guard on this. *)
 val on : unit -> bool
 
-val attach : sink -> unit
-val detach : sink -> unit
-
 (** Attach [sink] for the duration of [f] (detached even on exceptions).
     Sinks nest: all attached sinks receive every event. *)
 val with_sink : sink -> (unit -> 'a) -> 'a
@@ -106,9 +103,6 @@ val no_filter : filter
 val matches : filter -> event -> bool
 
 (* ---------------- rendering (deterministic) ---------------- *)
-
-(** One event as a fixed-width human line (no trailing newline). *)
-val describe : event -> string
 
 (** Compact one-liner for failure tails: ["[12.345678900] p204 ckpt/drain ..."]. *)
 val describe_short : event -> string

@@ -1,12 +1,7 @@
 (** Byte and time quantities with human-readable formatting. *)
 
-val kib : int
-val mib : int
-val gib : int
-
-(** Decimal units, used when matching the paper's "MB/s" device rates. *)
-val kb : int
-
+(** A decimal megabyte, used when matching the paper's "MB/s" device
+    rates. *)
 val mb : int
 
 (** [pp_bytes n] formats with a binary suffix, e.g. ["12.4 MiB"]. *)

@@ -162,8 +162,8 @@ let test_restart_migrated_to_other_host () =
     (file_content cl 3 "/tmp/mig-count")
 
 let test_restart_migrated_delta_chain () =
-  (* migration copies only the named image: the restart on the new host
-     reads the delta's base from the old host's filesystem *)
+  (* migration copies nothing: the restart on the new host reads the
+     delta and its base from the old host's filesystem *)
   let options = { Dmtcp.Options.default with Dmtcp.Options.incremental = true } in
   let cl, rt = make ~options () in
   let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "3000"; "/tmp/mig-delta" ] in
@@ -675,6 +675,41 @@ let test_image_files_cleanly_decodable () =
       Alcotest.(check bool) "vpid assigned" true (img.Dmtcp.Ckpt_image.vpid > 0))
     info.Dmtcp.Runtime.images
 
+(* Flat-mode retention (keep_generations = 2): checkpoints at
+   generations 0, 1 and 2, with a kill and a restart between them.  The
+   third one unlinks generation 0's image from its node and keeps 1 and
+   2; pinning generation 0 keeps it too. *)
+let test_flat_retention () =
+  let options = { Dmtcp.Options.default with Dmtcp.Options.keep_generations = 2 } in
+  let run ~pin =
+    let cl, rt = make ~options () in
+    let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "100000"; "/tmp/keep" ] in
+    run_for cl 0.5;
+    let images =
+      List.map
+        (fun gen ->
+          if gen > 0 then begin
+            let script = Dmtcp.Api.restart_script rt in
+            Dmtcp.Api.kill_computation rt;
+            Dmtcp.Api.restart rt script;
+            Dmtcp.Api.await_restart rt;
+            run_for cl 0.2
+          end;
+          Dmtcp.Api.checkpoint_now rt;
+          let node, path = List.hd (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images in
+          let upid = (image_on cl node path).Dmtcp.Ckpt_image.upid in
+          check Alcotest.int "generation" gen upid.Dmtcp.Upid.generation;
+          if pin && gen = 0 then
+            Dmtcp.Runtime.pin_lineage rt ~lineage:(Dmtcp.Upid.lineage upid) ~generation:0;
+          (node, path))
+        [ 0; 1; 2 ]
+    in
+    List.map (fun (node, path) -> file_content cl node path <> None) images
+  in
+  check Alcotest.(list bool) "generation 0 reaped, 1 and 2 kept" [ false; true; true ]
+    (run ~pin:false);
+  check Alcotest.(list bool) "a pinned generation 0 stays" [ true; true; true ] (run ~pin:true)
+
 let test_dmtcpaware_hooks_fire () =
   let pre = ref 0 and post = ref 0 in
   let cl, rt = make () in
@@ -694,44 +729,92 @@ let test_dmtcpaware_hooks_fire () =
   Dmtcp.Api.await_restart rt;
   check Alcotest.int "post-restart hook ran" 2 !post
 
+(* t:aware-api records what the dmtcpaware calls answer: after 0.5 s it
+   records [is_enabled] and asks for one checkpoint, and 2 s later it
+   records [last_known_status]. *)
+let aware_enabled = ref None
+let aware_status = ref None
+
+module Aware_api = struct
+  type state = int
+
+  let name = "t:aware-api"
+  let encode = Util.Codec.Writer.uvarint
+  let decode = Util.Codec.Reader.uvarint
+  let init ~argv:_ = 0
+
+  let step (ctx : Simos.Program.ctx) phase =
+    let sleep next dt = Simos.Program.Block (next, Simos.Program.Sleep_until (ctx.now () +. dt)) in
+    match phase with
+    | 0 -> sleep 1 0.5
+    | 1 ->
+      aware_enabled := Some (Dmtcp.Dmtcpaware.is_enabled ctx);
+      Dmtcp.Dmtcpaware.request_checkpoint ctx;
+      sleep 2 2.0
+    | _ ->
+      if phase = 2 then aware_status := Some (Dmtcp.Dmtcpaware.last_known_status ctx);
+      sleep 3 100.
+end
+
+let () = Simos.Program.register (module Aware_api : Simos.Program.S)
+
+(* Under DMTCP the program's own request starts and completes a round,
+   and it sees the status reply; spawned outside DMTCP, next to a
+   computation that is under it, it is not enabled, its request starts
+   nothing and it sees no status. *)
+let test_dmtcpaware_api_calls () =
+  let status_query cl =
+    ignore
+      (Simos.Kernel.spawn (Simos.Cluster.kernel cl 0) ~prog:"dmtcp:command" ~argv:[ "--status" ]
+         ~env:(Dmtcp.Options.to_env Dmtcp.Options.default) ())
+  in
+  let answers () = (!aware_enabled, !aware_status) in
+  let answered = Alcotest.(pair (option bool) (option (option int))) in
+  aware_enabled := None;
+  aware_status := None;
+  let cl, rt = make () in
+  let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"t:aware-api" ~argv:[] in
+  check Alcotest.int "no round before the request" 0 (Dmtcp.Runtime.ckpt_rounds rt);
+  run_for cl 1.0;
+  check Alcotest.int "the program's request ran one round" 1 (Dmtcp.Runtime.ckpt_rounds rt);
+  Alcotest.(check bool) "and it completed" true (Dmtcp.Runtime.last_completed_ckpt rt <> None);
+  status_query cl;
+  run_for cl 2.0;
+  check answered "under DMTCP" (Some true, Some (Some 1)) (answers ());
+  aware_enabled := None;
+  aware_status := None;
+  let cl, rt = make () in
+  let _ = Dmtcp.Api.launch rt ~node:2 ~prog:"p:counter" ~argv:[ "100000"; "/tmp/never" ] in
+  run_for cl 0.5;
+  ignore (Simos.Kernel.spawn (Simos.Cluster.kernel cl 1) ~prog:"t:aware-api" ~argv:[] ());
+  run_for cl 1.0;
+  check Alcotest.int "the request starts no round" 0 (Dmtcp.Runtime.ckpt_rounds rt);
+  status_query cl;
+  run_for cl 2.0;
+  check (Alcotest.option Alcotest.int) "the status query answered" (Some 1)
+    (Dmtcp.Runtime.last_status rt);
+  check answered "outside DMTCP" (Some false, Some None) (answers ())
+
 let test_restart_script_roundtrip () =
   let script =
     { Dmtcp.Restart_script.coord_host = 3; coord_port = 7779;
       entries = [ (0, [ "/ckpt/a" ]); (5, [ "/ckpt/b"; "/ckpt/c" ]) ] }
   in
-  let script' =
-    Util.Codec.roundtrip Dmtcp.Restart_script.encode Dmtcp.Restart_script.decode script
-  in
-  Alcotest.(check bool) "script round-trips" true (script = script');
   let merged = Dmtcp.Restart_script.remap script (fun _ -> 1) in
   check Alcotest.int "remap merges hosts" 1 (List.length merged.Dmtcp.Restart_script.entries);
   check Alcotest.int "remap moves coordinator" 1 merged.Dmtcp.Restart_script.coord_host
 
-let test_conn_table_roundtrip () =
+(* two fds on one description dedup to one drain target *)
+let test_conn_table_dup_sharing () =
   let t = Dmtcp.Conn_table.create () in
   let entry fdn role =
-    {
-      Dmtcp.Conn_table.conn_id =
-        Dmtcp.Conn_id.make ~hostid:2 ~pid:77 ~timestamp:1.5 ~seq:fdn;
-      role;
-      kind = Dmtcp.Conn_table.Tcp;
-      desc_id = 1000 + fdn;
-      drained = String.make fdn 'x';
-      saved_owner = fdn;
-      eof = false;
-    }
+    Dmtcp.Conn_table.entry
+      ~conn_id:(Dmtcp.Conn_id.make ~hostid:2 ~pid:77 ~timestamp:1.5 ~seq:fdn)
+      ~role ~kind:Dmtcp.Conn_table.Tcp ~desc_id:(1000 + fdn)
   in
   Dmtcp.Conn_table.add t ~fd:3 (entry 3 Dmtcp.Conn_table.Connector);
   Dmtcp.Conn_table.add t ~fd:4 (entry 4 Dmtcp.Conn_table.Acceptor);
   Dmtcp.Conn_table.add t ~fd:5 (entry 5 Dmtcp.Conn_table.Pair_a);
-  let t' = Util.Codec.roundtrip Dmtcp.Conn_table.encode Dmtcp.Conn_table.decode t in
-  check Alcotest.int "entries preserved" 3 (List.length (Dmtcp.Conn_table.entries t'));
-  (match Dmtcp.Conn_table.find t' ~fd:4 with
-  | Some e ->
-    Alcotest.(check bool) "role preserved" true (e.Dmtcp.Conn_table.role = Dmtcp.Conn_table.Acceptor);
-    check Alcotest.string "drained preserved" "xxxx" e.Dmtcp.Conn_table.drained
-  | None -> Alcotest.fail "fd 4 missing");
-  (* dup sharing: two fds on one description dedup to one drain target *)
   let shared = entry 6 Dmtcp.Conn_table.Connector in
   Dmtcp.Conn_table.add t ~fd:6 shared;
   Dmtcp.Conn_table.add t ~fd:7 { shared with Dmtcp.Conn_table.drained = "" };
@@ -749,11 +832,15 @@ let extra_suites =
       ( "artifacts",
         [
           Alcotest.test_case "images decode" `Quick test_image_files_cleanly_decodable;
+          Alcotest.test_case "flat images age out" `Quick test_flat_retention;
           Alcotest.test_case "restart script codec" `Quick test_restart_script_roundtrip;
-          Alcotest.test_case "conn table codec" `Quick test_conn_table_roundtrip;
+          Alcotest.test_case "conn table dup sharing" `Quick test_conn_table_dup_sharing;
         ] );
       ( "dmtcpaware",
-        [ Alcotest.test_case "hooks fire" `Quick test_dmtcpaware_hooks_fire ] );
+        [
+          Alcotest.test_case "hooks fire" `Quick test_dmtcpaware_hooks_fire;
+          Alcotest.test_case "api calls in and out of DMTCP" `Quick test_dmtcpaware_api_calls;
+        ] );
     ]
 
 
@@ -1393,7 +1480,7 @@ let test_inspect_describe () =
   run_for cl 0.3;
   Dmtcp.Api.checkpoint_now rt;
   let script = Dmtcp.Api.restart_script rt in
-  let report = Dmtcp.Inspect.describe_checkpoint rt script in
+  let report = Harness.Inspect.describe_checkpoint rt script in
   let contains needle =
     let n = String.length needle and h = String.length report in
     let rec go i = i + n <= h && (String.sub report i n = needle || go (i + 1)) in

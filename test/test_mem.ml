@@ -213,19 +213,6 @@ let test_space_shared_mapping_visible () =
   check Alcotest.string "visible through fork" "shared-data"
     (Mem.Address_space.read child ~addr ~len:11)
 
-let test_space_attach_aliases () =
-  let a = Mem.Address_space.create () in
-  let b = Mem.Address_space.create () in
-  let seg =
-    Mem.Address_space.map a
-      ~kind:(Mem.Region.Mmap_shared { backing_path = "/dev/shm/seg1" })
-      ~perms:Mem.Region.rw ~bytes:4096 ()
-  in
-  let seg_b = Mem.Address_space.attach b seg in
-  Mem.Address_space.write a ~addr:seg.Mem.Region.start_addr "ping";
-  check Alcotest.string "attached space sees writes" "ping"
-    (Mem.Address_space.read b ~addr:seg_b.Mem.Region.start_addr ~len:4)
-
 let test_space_zero_accounting () =
   let sp = Mem.Address_space.create () in
   let r = Mem.Address_space.map sp ~kind:Mem.Region.Heap ~perms:Mem.Region.rw ~bytes:(4 * Mem.Page.size) () in
@@ -240,14 +227,6 @@ let test_space_codec_roundtrip () =
   Alcotest.(check bool) "spaces equal" true (Mem.Address_space.equal sp sp');
   check Alcotest.string "data survives" "persisted"
     (Mem.Address_space.read sp' ~addr:heap.Mem.Region.start_addr ~len:9)
-
-let test_space_unmap () =
-  let sp, heap = make_space () in
-  let n = List.length (Mem.Address_space.regions sp) in
-  Mem.Address_space.unmap sp heap;
-  check Alcotest.int "one fewer region" (n - 1) (List.length (Mem.Address_space.regions sp));
-  Alcotest.(check bool) "address no longer mapped" true
-    (Mem.Address_space.find_region sp ~addr:heap.Mem.Region.start_addr = None)
 
 let prop_write_read =
   QCheck_alcotest.to_alcotest
@@ -395,10 +374,8 @@ let () =
           Alcotest.test_case "cross-region access rejected" `Quick test_space_cross_region_access_rejected;
           Alcotest.test_case "fork isolation (COW)" `Quick test_space_fork_isolation;
           Alcotest.test_case "shared mapping visible" `Quick test_space_shared_mapping_visible;
-          Alcotest.test_case "attach aliases" `Quick test_space_attach_aliases;
           Alcotest.test_case "zero accounting" `Quick test_space_zero_accounting;
           Alcotest.test_case "codec round-trip" `Quick test_space_codec_roundtrip;
-          Alcotest.test_case "unmap" `Quick test_space_unmap;
           prop_write_read;
           prop_fork_preserves_equality;
         ] );

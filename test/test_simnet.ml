@@ -532,44 +532,6 @@ let test_discovery_lookup () =
     (Simnet.Discovery.lookup d ~key:"conn-42");
   check (Alcotest.option addr_testable) "missing key" None (Simnet.Discovery.lookup d ~key:"nope")
 
-let test_discovery_subscribe_before () =
-  let d = Simnet.Discovery.create () in
-  let got = ref None in
-  Simnet.Discovery.subscribe d ~key:"k" (fun a -> got := Some a);
-  check (Alcotest.option addr_testable) "not yet" None !got;
-  let addr = Simnet.Addr.Inet { host = 1; port = 2 } in
-  Simnet.Discovery.advertise d ~key:"k" addr;
-  check (Alcotest.option addr_testable) "delivered" (Some addr) !got
-
-let test_discovery_subscribe_after () =
-  let d = Simnet.Discovery.create () in
-  let addr = Simnet.Addr.Inet { host = 1; port = 2 } in
-  Simnet.Discovery.advertise d ~key:"k" addr;
-  let got = ref None in
-  Simnet.Discovery.subscribe d ~key:"k" (fun a -> got := Some a);
-  check (Alcotest.option addr_testable) "immediate" (Some addr) !got
-
-let test_discovery_multiple_subscribers () =
-  let d = Simnet.Discovery.create () in
-  let count = ref 0 in
-  Simnet.Discovery.subscribe d ~key:"k" (fun _ -> incr count);
-  Simnet.Discovery.subscribe d ~key:"k" (fun _ -> incr count);
-  Simnet.Discovery.advertise d ~key:"k" (Simnet.Addr.Inet { host = 0; port = 1 });
-  check Alcotest.int "both notified" 2 !count
-
-let test_discovery_clear () =
-  let d = Simnet.Discovery.create () in
-  Simnet.Discovery.advertise d ~key:"k" (Simnet.Addr.Inet { host = 0; port = 1 });
-  Simnet.Discovery.clear d;
-  check Alcotest.int "empty after clear" 0 (Simnet.Discovery.size d)
-
-let test_addr_codec () =
-  List.iter
-    (fun a ->
-      let a' = Util.Codec.roundtrip Simnet.Addr.encode Simnet.Addr.decode a in
-      Alcotest.(check bool) "addr round-trip" true (a = a'))
-    [ Simnet.Addr.Inet { host = 3; port = 65000 }; Simnet.Addr.Unix { host = 0; path = "/tmp/x" } ]
-
 let test_peer_id () =
   let _, _, c, s, _ = connect_pair () in
   check (Alcotest.option Alcotest.int) "c's peer is s" (Some (Simnet.Fabric.id s))
@@ -670,13 +632,5 @@ let () =
           Alcotest.test_case "socketpair" `Quick test_unix_socketpair;
           Alcotest.test_case "unix listener" `Quick test_unix_listener;
         ] );
-      ( "discovery",
-        [
-          Alcotest.test_case "lookup" `Quick test_discovery_lookup;
-          Alcotest.test_case "subscribe before" `Quick test_discovery_subscribe_before;
-          Alcotest.test_case "subscribe after" `Quick test_discovery_subscribe_after;
-          Alcotest.test_case "multiple subscribers" `Quick test_discovery_multiple_subscribers;
-          Alcotest.test_case "clear" `Quick test_discovery_clear;
-          Alcotest.test_case "addr codec" `Quick test_addr_codec;
-        ] );
+      ("discovery", [ Alcotest.test_case "lookup" `Quick test_discovery_lookup ]);
     ]

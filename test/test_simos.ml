@@ -900,21 +900,6 @@ let test_pty_drain_refill () =
   | `Data d -> check Alcotest.string "refilled" "input" d
   | `Would_block -> Alcotest.fail "no data after refill")
 
-let test_proc_maps () =
-  let c = make_cluster () in
-  let k = Simos.Cluster.kernel c 0 in
-  let p = Simos.Kernel.spawn k ~prog:"test:sleeper" ~argv:[ "10.0" ] () in
-  let _ =
-    Mem.Address_space.map p.Simos.Kernel.space ~kind:Mem.Region.Heap ~perms:Mem.Region.rw
-      ~bytes:8192 ()
-  in
-  let maps = Simos.Kernel.proc_maps p in
-  Alcotest.(check bool) "maps mentions heap" true
-    (String.length maps > 0
-    && List.exists
-         (fun line -> String.length line >= 4 && String.sub line (String.length line - 4) 4 = "heap")
-         (String.split_on_char '\n' maps))
-
 let test_fd_sharing_after_dup () =
   (* dup2 makes two fds share one description, owner included — the basis
      of the F_SETOWN election. *)
@@ -1111,7 +1096,6 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_pty_roundtrip;
           Alcotest.test_case "drain/refill" `Quick test_pty_drain_refill;
         ] );
-      ("procfs", [ Alcotest.test_case "maps" `Quick test_proc_maps ]);
       ("fd table", [ prop_fdtbl_model ]);
       ( "signals",
         [
