@@ -264,11 +264,7 @@ let store_run action =
       "BLOCKS" "DEPTH" "KIND" "PROGRAM";
     List.iter
       (fun (m : Store.manifest) ->
-        let kind =
-          if m.Store.m_compacted then "compacted"
-          else if m.Store.m_base <> None then "delta"
-          else "full"
-        in
+        let kind = if m.Store.m_base <> None then "delta" else "full" in
         Printf.printf "%-28s %-8s %3d %8d %8d %6d %5d %-9s %s\n" m.Store.m_name m.Store.m_lineage
           m.Store.m_generation m.Store.m_real_len m.Store.m_sim_bytes
           (List.length m.Store.m_blocks)

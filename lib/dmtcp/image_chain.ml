@@ -1,7 +1,7 @@
 (* Finding checkpoint images and walking their delta chains: the one
    lookup order (preferred node's file, any node's file, store catalog)
-   and the one depth-bounded walk that restart, the compactor, inspect
-   and the availability check share. *)
+   and the one depth-bounded walk that restart, inspect and the
+   availability check share. *)
 
 type source = Local_file | Remote_file | Store
 

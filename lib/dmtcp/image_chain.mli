@@ -2,10 +2,12 @@
 
     An incremental checkpoint writes a delta image that names its base in
     [Ckpt_image.delta_base]; the base lives next to it under that name,
-    as a file on some node or in the store catalog.  Restart, the
-    compactor, [Harness.Inspect] and the restart-or-relaunch
-    availability check all find images and follow these links here, so
-    the lookup order and the depth bound are defined once. *)
+    as a file on some node or in the store catalog.  Restart,
+    [Harness.Inspect] and the restart-or-relaunch availability check
+    all find images and follow these links here, so the lookup order
+    and the depth bound are defined once.  The manager keeps chains
+    short where it writes them (a full image after 8 links); the
+    64-base bound guards only against damaged or cyclic input. *)
 
 (** Where image bytes were found: the preferred node's filesystem,
     another node's (a migrated restart reads its images, bases included,

@@ -346,7 +346,6 @@ module P = struct
           let f = Simos.Vfs.open_or_create (Simos.Kernel.vfs (my_kernel ctx)) path in
           Simos.Vfs.truncate f;
           Simos.Vfs.append f bytes;
-          Simos.Vfs.set_sim_size f sim;
           Runtime.prune_images (rt ctx) ~node:ctx.node_id ~path ~upid )
 
   (* -------------------------------------------------------------- *)

@@ -12,9 +12,6 @@ type t = {
   store : bool;
   store_replicas : int;
   keep_generations : int;  (* retention for store GC and legacy files; 0 = unbounded *)
-  compact_depth : int;
-      (* background compaction: squash delta chains deeper than this
-         into consolidated full images; 0 = compactor off *)
   plugins : string list;
 }
 
@@ -32,7 +29,6 @@ let default =
     store = false;
     store_replicas = 2;
     keep_generations = 2;
-    compact_depth = 0;
     plugins = [ "ext-sock" ];
   }
 

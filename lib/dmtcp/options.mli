@@ -3,9 +3,9 @@
     The settings a checkpointed process reads from its own environment
     travel in [DMTCP_*] variables, as in the real package; checkpoint
     images capture that environment.  The per-cluster settings (store,
-    retention, compaction, plugins) are read from the options the
-    runtime was installed with ({!Runtime.options}) and never enter a
-    process environment. *)
+    retention, plugins) are read from the options the runtime was
+    installed with ({!Runtime.options}) and never enter a process
+    environment. *)
 
 type t = {
   coord_host : int;            (** node running the coordinator *)
@@ -33,11 +33,6 @@ type t = {
       (** per cluster: checkpoint generations retained per process
           lineage, by the store GC and by the legacy flat-file reaper
           alike; [0] keeps everything forever *)
-  compact_depth : int;
-      (** per cluster: background delta-chain compaction, run by the
-          scheduler's tick: chains deeper than this are squashed into
-          consolidated full images at the same catalog name; [0]
-          disables the compactor *)
   plugins : string list;
       (** per cluster: the enabled plugin set, applied once at install;
           an unknown name raises [Invalid_argument] there *)

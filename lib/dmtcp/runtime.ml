@@ -62,7 +62,7 @@ type t = {
   mutable gen : int;
   store : Store.t option;
   lineage_images : (string, image_record list) Hashtbl.t;  (* flat mode only *)
-  pinned : (string, int) Hashtbl.t;  (* lineage -> generation retention must keep *)
+  pinned : (string, int) Hashtbl.t;  (* flat mode: lineage -> generation the reaper must keep *)
   mutable observer : node:int -> pid:int -> Faults.stage -> unit;
   mutable last_status : int option;  (* the last dmtcp_command --status reply *)
   aware_hooks : (string, (unit -> unit) option * (unit -> unit) option) Hashtbl.t;
@@ -255,21 +255,19 @@ let prune_images t ~node ~path ~upid =
     Hashtbl.replace t.lineage_images lineage kept
   end
 
-(* Retention pins, forwarded to the store when one is installed: the
-   scheduler pins a preempted/requeued job's newest checkpoint so neither
-   the per-checkpoint reaper above nor a store GC can collect the only
-   image the job can restart from. *)
+(* Retention pins: the scheduler pins a preempted/requeued job's newest
+   checkpoint so that whichever retention applies, the flat reaper above
+   or the store GC, cannot collect the only image the job can restart
+   from. *)
 let pin_lineage t ~lineage ~generation =
-  Hashtbl.replace t.pinned lineage generation;
   match t.store with
   | Some s -> Store.pin s ~lineage ~generation
-  | None -> ()
+  | None -> Hashtbl.replace t.pinned lineage generation
 
 let unpin_lineage t ~lineage =
-  Hashtbl.remove t.pinned lineage;
   match t.store with
   | Some s -> Store.unpin s ~lineage
-  | None -> ()
+  | None -> Hashtbl.remove t.pinned lineage
 
 let bump_generation t = t.gen <- t.gen + 1
 

@@ -183,12 +183,12 @@ val record_image : ?port:int -> t -> node:int -> path:string -> sizes:Mtcp.Image
 val prune_images : t -> node:int -> path:string -> upid:Upid.t -> unit
 
 (** [pin_lineage t ~lineage ~generation] protects [lineage]'s images at
-    [generation] or newer from {!prune_images} and (when a store is
-    installed) from store GC.  The scheduler pins the newest checkpoint
-    of every preempted/requeued job: pid reuse can hand the same lineage
-    to a new job whose checkpoints would otherwise age the preempted
-    job's only restart image out of retention.  Re-pinning replaces the
-    previous pin. *)
+    [generation] or newer from the retention in force: the store GC
+    ({!Store.pin}) when a store is installed, else {!prune_images}.  The
+    scheduler pins the newest checkpoint of every preempted/requeued
+    job: pid reuse can hand the same lineage to a new job whose
+    checkpoints would otherwise age the preempted job's only restart
+    image out of retention.  Re-pinning replaces the previous pin. *)
 val pin_lineage : t -> lineage:string -> generation:int -> unit
 
 val unpin_lineage : t -> lineage:string -> unit

@@ -168,10 +168,9 @@ let describe_checkpoint rt (script : Restart_script.t) =
       bf buf "store lineages (%d):\n" (List.length lineages);
       List.iter
         (fun (lineage, (m : Store.manifest)) ->
-          bf buf "  %s: newest %s gen %d, chain depth %d%s\n" lineage m.Store.m_name
+          bf buf "  %s: newest %s gen %d, chain depth %d\n" lineage m.Store.m_name
             m.Store.m_generation
-            (Image_chain.catalog_depth store ~name:m.Store.m_name)
-            (if m.Store.m_compacted then " (compacted)" else ""))
+            (Image_chain.catalog_depth store ~name:m.Store.m_name))
         lineages
     end);
   Buffer.contents buf

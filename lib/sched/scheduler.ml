@@ -18,11 +18,11 @@ let start_grace = 15.  (* a launch must show its full process set by then *)
 type stop_reason = Preempt of int (* preemptor job id *) | Drain of int (* node *)
 
 type op =
-  | Op_ckpt of Job.t  (* periodic checkpoint; the job keeps running *)
-  | Op_stop of Job.t * stop_reason  (* checkpoint, then stop and requeue *)
+  | Op_ckpt of Job.t * stop_reason option
+      (* checkpoint; with a reason, then stop and requeue, else keep running *)
   | Op_restart of Job.t * float  (* restart from saved image; requeued-at time *)
 
-let op_job = function Op_ckpt j | Op_stop (j, _) | Op_restart (j, _) -> j
+let op_job = function Op_ckpt (j, _) | Op_restart (j, _) -> j
 
 let allocs_overlap a1 a2 = Array.exists (fun n -> Array.exists (fun m -> m = n) a2) a1
 
@@ -59,7 +59,6 @@ type t = {
   mutable n_drains : int;
   mutable n_restarts : int;
   mutable n_relaunches : int;
-  mutable n_compactions : int;
   mutable first_submit : float;
 }
 
@@ -204,7 +203,7 @@ let rec arm_timer t (j : Job.t) =
       Sim.Engine.schedule (eng t) ~delay:iv (fun () ->
           Hashtbl.remove t.timers j.Job.id;
           if j.Job.phase = Job.Running && not (Opq.engaged t.ops j.Job.id) then
-            Opq.enqueue t.ops (Op_ckpt j);
+            Opq.enqueue t.ops (Op_ckpt (j, None));
           if not (Job.finished j.Job.phase) then arm_timer t j)
     in
     Hashtbl.replace t.timers j.Job.id h
@@ -409,28 +408,24 @@ let trace_stop t (j : Job.t) = function
    as a no-op (the job's phase no longer wants it). *)
 let start_op t op =
   match op with
-  | Op_ckpt j ->
-    if j.Job.phase = Job.Running then begin
+  | Op_ckpt (j, stop) ->
+    let phase = j.Job.phase in
+    if phase = Job.Running || (stop <> None && phase = Job.Checkpointing) then begin
       Dmtcp.Api.checkpoint ~options:(job_options t j) t.rt;
-      set_phase t j Job.Checkpointing;
-      trace_i t "sched/ckpt-start" [ ("job", string_of_int j.Job.id) ];
+      (match stop with
+      | None ->
+        set_phase t j Job.Checkpointing;
+        trace_i t "sched/ckpt-start" [ ("job", string_of_int j.Job.id) ]
+      | Some reason ->
+        set_phase t j Job.Stopping;
+        trace_stop t j reason);
       true
     end
-    else false
-  | Op_stop (j, reason) ->
-    if j.Job.phase = Job.Running || j.Job.phase = Job.Checkpointing then begin
-      Dmtcp.Api.checkpoint ~options:(job_options t j) t.rt;
-      set_phase t j Job.Stopping;
-      trace_stop t j reason;
-      true
-    end
-    else if j.Job.phase = Job.Starting then begin
-      (* nothing checkpointable yet: stop and relaunch later *)
-      requeue t j;
+    else begin
+      (* a stop with nothing checkpointable yet: stop and relaunch later *)
+      if stop <> None && phase = Job.Starting then requeue t j;
       false
     end
-    else false
-
   | Op_restart (j, _) ->
     if j.Job.phase = Job.Restarting then begin
       exec_restart t j;
@@ -440,24 +435,23 @@ let start_op t op =
 
 (* A stop arriving while the job's interval checkpoint is still in flight
    coalesces with it: the round already running IS the stop's checkpoint,
-   so retarget the in-flight entry instead of issuing a second
-   [Api.checkpoint] (which used to double-checkpoint the victim). *)
+   so the in-flight entry takes the stop's reason instead of a second
+   [Api.checkpoint] being issued (which used to double-checkpoint the
+   victim). *)
 let coalesce_stop t op =
   match op with
-  | Op_stop (j, reason) ->
-    let merged = ref false in
-    List.iter
-      (fun (e : op Opq.entry) ->
-        if (not !merged) && not e.Opq.e_aborted then
-          match e.Opq.e_op with
-          | Op_ckpt j2 when j2.Job.id = j.Job.id ->
-            e.Opq.e_op <- op;  (* keep e_since: the round started then *)
-            set_phase t j Job.Stopping;
-            trace_stop t j reason;
-            merged := true
-          | _ -> ())
-      (Opq.inflight t.ops);
-    !merged
+  | Op_ckpt (j, Some reason) -> (
+    let running_ckpt (e : op Opq.entry) =
+      (not e.Opq.e_aborted)
+      && match e.Opq.e_op with Op_ckpt (j2, None) -> j2.Job.id = j.Job.id | _ -> false
+    in
+    match List.find_opt running_ckpt (Opq.inflight t.ops) with
+    | Some e ->
+      e.Opq.e_op <- op;  (* keep e_since: the round started then *)
+      set_phase t j Job.Stopping;
+      trace_stop t j reason;
+      true
+    | None -> false)
   | _ -> false
 
 let finish_stop t (j : Job.t) reason since =
@@ -476,39 +470,30 @@ let advance_entry t (e : op Opq.entry) =
   let timeout = Deadline.op_timed_out ~now:(now t) ~since ~timeout:op_timeout in
   let finish () = Opq.remove t.ops e in
   match e.Opq.e_op with
-  | Op_ckpt j ->
+  | Op_ckpt (j, stop) ->
+    let busy = if stop = None then Job.Checkpointing else Job.Stopping in
     if e.Opq.e_aborted || Job.finished j.Job.phase then finish ()
-    else if j.Job.phase = Job.Checkpointing && procs_on t j = 0 then begin
+    else if j.Job.phase = busy && procs_on t j = 0 then begin
       (* the job finished (or died) underneath the checkpoint *)
       finish ();
       if outputs_ready t j then finish_job t j else requeue t j
     end
     else if ckpt_completed t j since then begin
       capture_ckpt t j;
-      set_phase t j Job.Running;
-      finish ()
+      finish ();
+      match stop with
+      | None -> set_phase t j Job.Running
+      | Some reason -> finish_stop t j reason since
     end
     else if timeout then begin
-      trace_i t "sched/op-timeout" [ ("op", "ckpt"); ("job", string_of_int j.Job.id) ];
-      if j.Job.phase = Job.Checkpointing then set_phase t j Job.Running;
-      finish ()
-    end
-  | Op_stop (j, reason) ->
-    if e.Opq.e_aborted || Job.finished j.Job.phase then finish ()
-    else if j.Job.phase = Job.Stopping && procs_on t j = 0 then begin
+      trace_i t "sched/op-timeout"
+        [ ("op", if stop = None then "ckpt" else "stop"); ("job", string_of_int j.Job.id) ];
       finish ();
-      if outputs_ready t j then finish_job t j else requeue t j
-    end
-    else if ckpt_completed t j since then begin
-      capture_ckpt t j;
-      finish ();
-      finish_stop t j reason since
-    end
-    else if timeout then begin
-      (* stop anyway: an older image (or a relaunch) has to do *)
-      trace_i t "sched/op-timeout" [ ("op", "stop"); ("job", string_of_int j.Job.id) ];
-      finish ();
-      finish_stop t j reason since
+      match stop with
+      | None -> if j.Job.phase = Job.Checkpointing then set_phase t j Job.Running
+      | Some reason ->
+        (* stop anyway: an older image (or a relaunch) has to do *)
+        finish_stop t j reason since
     end
   | Op_restart (j, requeued_at) ->
     if e.Opq.e_aborted || Job.finished j.Job.phase then finish ()
@@ -540,7 +525,7 @@ let advance_entry t (e : op Opq.entry) =
 (* Placement *)
 
 let stop_requested t (j : Job.t) =
-  Opq.exists t.ops (function Op_stop (j2, _) -> j2.Job.id = j.Job.id | _ -> false)
+  Opq.exists t.ops (function Op_ckpt (j2, Some _) -> j2.Job.id = j.Job.id | _ -> false)
 
 let place_pass t =
   let queued =
@@ -611,7 +596,7 @@ let place_pass t =
             (match Policy.victims ~running:candidates ~need ~priority:j.Job.spec.Job.sp_priority with
             | Some ids when ids <> [] ->
               List.iter
-                (fun vid -> Opq.enqueue t.ops (Op_stop (job t vid, Preempt j.Job.id)))
+                (fun vid -> Opq.enqueue t.ops (Op_ckpt (job t vid, Some (Preempt j.Job.id))))
                 ids;
               (* hold the remaining free nodes for this arrival: do not
                  backfill lower-priority work onto them this pass *)
@@ -644,59 +629,6 @@ let scan_jobs t =
     (jobs t)
 
 (* ------------------------------------------------------------------ *)
-(* Background delta-chain compaction *)
-
-(* A lineage is off-limits while any job with a live checkpoint/stop/
-   restart operation could be reading or rewriting it: compaction must
-   never interleave with an in-flight op on the same images.  A job
-   claims a lineage through its pins (preempted/requeued work) or
-   through a live hijacked process of that lineage on its allocation. *)
-let lineage_busy t lineage =
-  let procs = Dmtcp.Runtime.hijacked_processes t.rt in
-  List.exists
-    (fun (j : Job.t) ->
-      Opq.engaged t.ops j.Job.id
-      && (List.exists (fun (l, _) -> l = lineage) j.Job.pins
-         ||
-         match j.Job.alloc with
-         | None -> false
-         | Some a ->
-           List.exists
-             (fun (node, _, (ps : Dmtcp.Runtime.pstate)) ->
-               Array.exists (fun n -> n = node) a
-               && Dmtcp.Upid.lineage ps.Dmtcp.Runtime.upid = lineage)
-             procs))
-    (jobs t)
-
-(* At most one compaction per tick: background work must trickle, not
-   monopolize disk bandwidth that restarts are waiting on.  The runtime's
-   [compact_depth] install option sets the threshold; 0 turns compaction
-   off. *)
-let maybe_compact t =
-  let depth = (Dmtcp.Runtime.options t.rt).Dmtcp.Options.compact_depth in
-  if depth > 0 then
-    match Dmtcp.Runtime.store t.rt with
-    | None -> ()
-    | Some store -> (
-      match Simos.Cluster.up_nodes t.cl with
-      | [] -> ()
-      | node :: _ -> (
-        match
-          List.find_opt
-            (fun (m : Store.manifest) -> not (lineage_busy t m.Store.m_lineage))
-            (Dmtcp.Compactor.candidates store ~depth)
-        with
-        | None -> ()
-        | Some m -> (
-          match Dmtcp.Compactor.compact_one store ~node m with
-          | None -> ()
-          | Some delay ->
-            ignore (Store.gc_lineage store ~lineage:m.Store.m_lineage);
-            t.n_compactions <- t.n_compactions + 1;
-            trace_span t "sched/compact" ~dur:delay
-              [ ("name", m.Store.m_name); ("lineage", m.Store.m_lineage) ])))
-
-(* ------------------------------------------------------------------ *)
 (* The tick *)
 
 let all_done t =
@@ -715,7 +647,6 @@ let rec tick t =
   trace_ops_inflight t;
   scan_jobs t;
   place_pass t;
-  maybe_compact t;
   if all_done t && Opq.is_idle t.ops then t.ticking <- false
   else ignore (Sim.Engine.schedule (eng t) ~delay:tick_period (fun () -> tick t))
 
@@ -751,7 +682,6 @@ let create ?(base_port = 7800) ?ckpt_interval ?(max_inflight = 0) cl rt =
     n_drains = 0;
     n_restarts = 0;
     n_relaunches = 0;
-    n_compactions = 0;
     first_submit = -1.;
   }
 
@@ -793,7 +723,7 @@ let drain t node =
         if not (stop_requested t j) then
           match j.Job.phase with
           | Job.Starting -> requeue t j
-          | _ -> Opq.enqueue t.ops (Op_stop (j, Drain node)))
+          | _ -> Opq.enqueue t.ops (Op_ckpt (j, Some (Drain node))))
       (jobs_touching t node);
     ensure_ticking t
   end
@@ -828,7 +758,6 @@ let node_failures t = t.n_node_failures
 let drains t = t.n_drains
 let restarts t = t.n_restarts
 let relaunches t = t.n_relaunches
-let compactions t = t.n_compactions
 let peak_ops_inflight t = Opq.peak t.ops
 
 let makespan t =

@@ -39,11 +39,7 @@ type t
     default; 1 reproduces the old fully-serialized queue, which is the
     bench baseline).  One operation may take 60 virtual s, a job may be
     restarted or relaunched 10 times, and a launch has 15 virtual s to
-    produce its full process set.  When the runtime has a store and its
-    install options set [compact_depth] above 0, each
-    tick squashes at most one delta chain deeper than that into a
-    consolidated full image, skipping lineages touched by in-flight
-    operations. *)
+    produce its full process set. *)
 val create :
   ?base_port:int ->
   ?ckpt_interval:float ->
@@ -86,11 +82,6 @@ val node_failures : t -> int
 val drains : t -> int
 val restarts : t -> int
 val relaunches : t -> int
-
-(** Delta chains squashed by the background compactor (see {!create};
-    one squash at most per scheduler tick, skipping
-    lineages with in-flight operations). *)
-val compactions : t -> int
 
 (** High-water mark of concurrently in-flight checkpoint/stop/restart
     operations over the scheduler's lifetime. *)

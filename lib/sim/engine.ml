@@ -47,7 +47,10 @@ let rec step t =
       true
     end
 
-let run ?until ?(max_events = 50_000_000) t =
+(* livelock guard: one [run] dispatching more events than this raises *)
+let max_events = 50_000_000
+
+let run ?until t =
   let count = ref 0 in
   let continue = ref true in
   while !continue do

@@ -35,9 +35,9 @@ val step : t -> bool
 
 (** [run t] processes events until the queue drains, or until the optional
     [until] time (events strictly after it stay queued and the clock
-    advances to [until]).  [max_events] guards against livelock; exceeding
-    it raises [Failure]. *)
-val run : ?until:float -> ?max_events:int -> t -> unit
+    advances to [until]).  More than 50 million events in one call
+    raise [Failure], a guard against livelock. *)
+val run : ?until:float -> t -> unit
 
 (** [advance t ~delay] = run until [now + delay]. *)
 val advance : t -> delay:float -> unit

@@ -42,7 +42,6 @@ and t = {
   eng : Sim.Engine.t;
   latency : float;
   bandwidth : float;
-  loopback_latency : float;
   n : int;
   listeners : (Addr.t, socket) Hashtbl.t;
   bound : (Addr.t, unit) Hashtbl.t;
@@ -56,12 +55,13 @@ and t = {
 
 let healthy = { up = true; lat_factor = 1.0 }
 
-let create eng ?(latency = 100e-6) ?(bandwidth = 117e6) ?(loopback_latency = 10e-6) ~nhosts () =
+let loopback_latency = 10e-6
+
+let create eng ?(latency = 100e-6) ?(bandwidth = 117e6) ~nhosts () =
   {
     eng;
     latency;
     bandwidth;
-    loopback_latency;
     n = nhosts;
     listeners = Hashtbl.create 64;
     bound = Hashtbl.create 64;
@@ -185,7 +185,7 @@ let writable s =
 (* Time for [len] bytes from [src] to [dst], charging the sender NIC. *)
 let transfer_delay fab ~src ~dst len =
   let now = Sim.Engine.now fab.eng in
-  if src = dst then fab.loopback_latency
+  if src = dst then loopback_latency
   else begin
     let depart = Float.max now fab.nic_free_at.(src) in
     let dur = float_of_int len /. fab.bandwidth in
@@ -206,7 +206,7 @@ let rec maybe_deliver_fin s =
           (Sim.Engine.schedule s.fab.eng ~delay:partition_retry (fun () -> maybe_deliver_fin s))
       else
         let delay =
-          if s.sock_host = p.sock_host then s.fab.loopback_latency
+          if s.sock_host = p.sock_host then loopback_latency
           else s.fab.latency *. lat_factor s.fab ~src:s.sock_host ~dst:p.sock_host
         in
         ignore
@@ -315,7 +315,7 @@ let listen s ~backlog =
   | _ -> Error Invalid
 
 let one_way_latency fab ~src ~dst =
-  if src = dst then fab.loopback_latency else fab.latency *. lat_factor fab ~src ~dst
+  if src = dst then loopback_latency else fab.latency *. lat_factor fab ~src ~dst
 
 let connect s addr =
   match s.st with

@@ -25,13 +25,12 @@ type error =
 val pp_error : error -> string
 
 (** [create engine ~nhosts ()] builds a fabric.
-    Defaults: 100 us latency, 117 MB/s NIC bandwidth (GbE), 10 us
-    loopback. *)
+    Defaults: 100 us latency, 117 MB/s NIC bandwidth (GbE).  Loopback
+    always takes 10 us. *)
 val create :
   Sim.Engine.t ->
   ?latency:float ->
   ?bandwidth:float ->
-  ?loopback_latency:float ->
   nhosts:int ->
   unit ->
   t

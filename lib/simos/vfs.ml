@@ -2,7 +2,6 @@ type file = {
   path : string;
   mutable data : Bytes.t;
   mutable len : int;
-  mutable declared_sim_size : int option;
 }
 
 type t = {
@@ -26,7 +25,7 @@ let open_or_create t path =
   match Hashtbl.find_opt t.files path with
   | Some f -> f
   | None ->
-    let f = { path; data = Bytes.create 256; len = 0; declared_sim_size = None } in
+    let f = { path; data = Bytes.create 256; len = 0 } in
     Hashtbl.replace t.files path f;
     f
 
@@ -43,13 +42,6 @@ let unlink t path =
 
 let path_of f = f.path
 let length f = f.len
-
-let sim_size f =
-  match f.declared_sim_size with
-  | Some n -> max n f.len
-  | None -> f.len
-
-let set_sim_size f n = f.declared_sim_size <- Some n
 
 let ensure f n =
   if n > Bytes.length f.data then begin
@@ -80,6 +72,4 @@ let write_at f ~pos data =
 
 let append f data = write_at f ~pos:f.len data
 
-let truncate f =
-  f.len <- 0;
-  f.declared_sim_size <- None
+let truncate f = f.len <- 0

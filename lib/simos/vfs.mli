@@ -33,12 +33,6 @@ val path_of : file -> string
 (** Real content length in bytes. *)
 val length : file -> int
 
-(** Simulated on-disk size (>= declared via {!set_sim_size}, else the real
-    length). *)
-val sim_size : file -> int
-
-val set_sim_size : file -> int -> unit
-
 (** [read_at f ~pos ~len] returns up to [len] bytes from [pos] ([""] at or
     past EOF). *)
 val read_at : file -> pos:int -> len:int -> string

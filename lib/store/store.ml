@@ -64,7 +64,6 @@ type manifest = {
   m_real_len : int;
   m_sim_bytes : int;
   m_base : string option;      (* delta images: name of the base image *)
-  m_compacted : bool;          (* written by the delta-chain compactor *)
 }
 
 type stats = {
@@ -188,7 +187,7 @@ let release_manifest t m =
     };
   (!freed_blocks, !freed_bytes)
 
-let put ?base ?(compacted = false) t ~node ~lineage ~generation ~name ~program ~sim_bytes ~chunks =
+let put ?base t ~node ~lineage ~generation ~name ~program ~sim_bytes ~chunks =
   if not (node_alive t node) then invalid_arg "Store.put: writing node's disk is gone";
   let real_len = List.fold_left (fun acc c -> acc + String.length c) 0 chunks in
   let scale = if real_len = 0 then 0. else float_of_int sim_bytes /. float_of_int real_len in
@@ -242,7 +241,6 @@ let put ?base ?(compacted = false) t ~node ~lineage ~generation ~name ~program ~
       m_real_len = real_len;
       m_sim_bytes = sim_bytes;
       m_base = base;
-      m_compacted = compacted;
     }
     :: t.manifests;
   Trace.Metrics.add m_blocks_written (float_of_int !new_blocks);

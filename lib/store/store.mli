@@ -41,9 +41,6 @@ type manifest = {
       (** delta images: catalog name of the base image this manifest's
           payload resolves against.  {!gc_lineage} keeps base chains of
           retained (or pinned) manifests alive transitively. *)
-  m_compacted : bool;
-      (** written by the background delta-chain compactor: a consolidated
-          full image that replaced a delta at the same catalog name *)
 }
 
 type stats = {
@@ -92,12 +89,9 @@ val find : t -> name:string -> manifest option
     Re-putting an existing [name] (interval checkpoints at the same
     generation) replaces that manifest.  [sim_bytes] is the modeled
     image size used for delay booking.  [base] records the delta chain:
-    the catalog name of the image this one's payload resolves against.
-    [compacted] marks consolidated full images written by the
-    delta-chain compactor. *)
+    the catalog name of the image this one's payload resolves against. *)
 val put :
   ?base:string ->
-  ?compacted:bool ->
   t ->
   node:int ->
   lineage:string ->

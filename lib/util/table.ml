@@ -8,20 +8,15 @@ let pad align width s =
     | Left -> s ^ String.make (width - n) ' '
     | Right -> String.make (width - n) ' ' ^ s
 
-let render ?aligns ~header rows =
+let render ~header rows =
   let ncols = List.length header in
-  let aligns =
-    match aligns with
-    | Some a -> Array.of_list a
-    | None -> Array.init ncols (fun i -> if i = 0 then Left else Right)
-  in
   let widths = Array.make ncols 0 in
   let measure row = List.iteri (fun i cell -> if i < ncols then widths.(i) <- max widths.(i) (String.length cell)) row in
   measure header;
   List.iter measure rows;
   let line row =
     row
-    |> List.mapi (fun i cell -> pad aligns.(i) widths.(i) cell)
+    |> List.mapi (fun i cell -> pad (if i = 0 then Left else Right) widths.(i) cell)
     |> String.concat "  "
     |> fun s -> String.trim (" " ^ s) |> fun s -> s
   in
@@ -40,7 +35,9 @@ let render ?aligns ~header rows =
 
 type series = { series_name : string; points : (string * float) list }
 
-let bar_chart ?(width = 48) ~title ~unit_label series =
+let bar_width = 48
+
+let bar_chart ~title ~unit_label series =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "== %s ==\n" title);
   let all_values = List.concat_map (fun s -> List.map snd s.points) series in
@@ -61,7 +58,7 @@ let bar_chart ?(width = 48) ~title ~unit_label series =
           match List.assoc_opt label s.points with
           | None -> ()
           | Some v ->
-            let bar_len = int_of_float (Float.round (v /. vmax *. float_of_int width)) in
+            let bar_len = int_of_float (Float.round (v /. vmax *. float_of_int bar_width)) in
             let bar_len = if v > 0. && bar_len = 0 then 1 else bar_len in
             let mark = if si = 0 then '#' else if si = 1 then '=' else '+' in
             Buffer.add_string buf

@@ -5,20 +5,18 @@
     in aligned columns, so the regenerated results can be compared against
     the paper by eye in a terminal. *)
 
-type align = Left | Right
-
 (** [render ~header rows] lays out [rows] under [header] with columns
-    padded to the widest cell. [aligns] defaults to left for the first
-    column and right for the rest. *)
-val render : ?aligns:align list -> header:string list -> string list list -> string
+    padded to the widest cell, the first left-aligned and the rest
+    right-aligned. *)
+val render : header:string list -> string list list -> string
 
 (** A named series of (label, value) measurements for a bar chart. *)
 type series = { series_name : string; points : (string * float) list }
 
 (** [bar_chart ~title ~unit series] renders grouped horizontal bars, one
-    group per label, scaled to the maximum value across all series.
-    [width] is the maximum bar width in characters (default 48). *)
-val bar_chart : ?width:int -> title:string -> unit_label:string -> series list -> string
+    group per label, scaled to the maximum value across all series; the
+    longest bar is 48 characters. *)
+val bar_chart : title:string -> unit_label:string -> series list -> string
 
 (** [xy_chart ~title ~x_label ~y_label series] renders series of numeric
     (x, y) points as aligned columns — the textual analogue of the paper's

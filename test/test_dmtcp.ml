@@ -78,10 +78,10 @@ let test_checkpoint_completes () =
   let info = Dmtcp.Runtime.ckpt_info rt in
   check Alcotest.int "one image written" 1 (List.length info.Dmtcp.Runtime.images);
   Alcotest.(check bool) "checkpoint took time" true (Dmtcp.Api.last_checkpoint_seconds rt > 0.);
-  (* the image file exists on the right node with the declared size *)
+  (* the image file exists on the right node and is not empty *)
   let node, path = List.hd info.Dmtcp.Runtime.images in
   match Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path with
-  | Some f -> Alcotest.(check bool) "image non-empty" true (Simos.Vfs.sim_size f > 0)
+  | Some f -> Alcotest.(check bool) "image non-empty" true (Simos.Vfs.length f > 0)
   | None -> Alcotest.fail "image file missing"
 
 let test_checkpoint_transparent_to_app () =
@@ -187,6 +187,36 @@ let test_restart_migrated_delta_chain () =
   Simos.Cluster.run cl;
   check (Alcotest.option Alcotest.string) "finished on the new host" (Some "done:3000")
     (file_content cl 3 "/tmp/mig-delta")
+
+(* The one delta-chain rule: after 8 links the manager writes a full
+   image again.  Ten incremental checkpoints read chain depths 0 to 8,
+   then 0; a restart from the ninth replays all 8 of its deltas. *)
+let test_delta_chain_resets () =
+  let options = { Dmtcp.Options.default with Dmtcp.Options.incremental = true } in
+  let cl, rt = make ~options () in
+  let _ = Dmtcp.Api.launch rt ~node:1 ~prog:"p:counter" ~argv:[ "3000"; "/tmp/chain8" ] in
+  run_for cl 0.5;
+  let rounds =
+    List.init 10 (fun _ ->
+        Dmtcp.Api.checkpoint_now rt;
+        let node, path = List.hd (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images in
+        let chain = Dmtcp.Image_chain.peek_chain rt path (image_on cl node path) in
+        let script = Dmtcp.Api.restart_script rt in
+        run_for cl 0.05;
+        (Util.Chain.depth chain, script))
+  in
+  check Alcotest.(list int) "chain depths" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 0 ] (List.map fst rounds);
+  Dmtcp.Api.kill_computation rt;
+  let col = Trace.collector () in
+  Trace.with_sink (Trace.collector_sink col) (fun () ->
+      Dmtcp.Api.restart rt (snd (List.nth rounds 8));
+      Dmtcp.Api.await_restart rt);
+  check Alcotest.int "the ninth image replays 8 deltas" 8
+    (List.length
+       (List.filter (fun (e : Trace.event) -> e.Trace.name = "rst/delta-resolve") (Trace.events col)));
+  Simos.Cluster.run cl;
+  check (Alcotest.option Alcotest.string) "finished from the chain" (Some "done:3000")
+    (file_content cl 1 "/tmp/chain8")
 
 (* A ckpt/delta span times the compression it names: it starts when
    the compression starts, at its process's ckpt/delta-base instant,
@@ -572,6 +602,7 @@ let base_suites =
           Alcotest.test_case "stream migrated together" `Quick test_restart_stream_migrated_together;
           Alcotest.test_case "second generation" `Quick test_second_checkpoint_after_restart;
           Alcotest.test_case "migrated delta chain" `Quick test_restart_migrated_delta_chain;
+          Alcotest.test_case "delta chain resets after 8 links" `Quick test_delta_chain_resets;
           Alcotest.test_case "delta span times compression" `Quick
             test_delta_span_times_compression;
           Alcotest.test_case "kill at every restart stage recovers" `Quick
@@ -1351,7 +1382,6 @@ let test_options_env_roundtrip () =
       Dmtcp.Options.store = true;
       store_replicas = 3;
       keep_generations = 4;
-      compact_depth = 6;
       plugins = [ "ext-sock"; "blacklist-ports" ];
     }
   in
@@ -1361,7 +1391,6 @@ let test_options_env_roundtrip () =
        Dmtcp.Options.store = true;
        store_replicas = 3;
        keep_generations = 4;
-       compact_depth = 6;
        plugins = [ "ext-sock"; "blacklist-ports" ];
      }
     = Dmtcp.Options.of_env ~base:cluster env)
@@ -1606,9 +1635,7 @@ let stream_result ?options () =
       let sizes =
         List.map
           (fun (node, path) ->
-            match Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel cl node)) path with
-            | Some f -> Simos.Vfs.sim_size f
-            | None -> Alcotest.failf "%s: image %s missing on node %d" mode path node)
+            (image_on cl node path).Dmtcp.Ckpt_image.sizes.Mtcp.Image.compressed)
           info.Dmtcp.Runtime.images
       in
       check Alcotest.int (mode ^ ": image files of the recorded size")

@@ -297,36 +297,38 @@ let test_preempt_coalesces_with_inflight_ckpt () =
     (Sched.Scheduler.restarts sched)
 
 (* ------------------------------------------------------------------ *)
-(* background compaction: the compact_depth option turns the scheduler's
-   compactor on; squashing delta chains must change neither the job's
-   output nor the store's health.  A drain midway makes the job restart
-   on the other node from a chain the compactor has rewritten. *)
+(* store-backed incremental checkpoints: a drain midway makes the job
+   restart on the other node from its delta chain in the store, and the
+   job must end as a run that is never drained does *)
 
-let run_store_job ~compact_depth =
-  let options =
-    { Dmtcp.Options.default with Dmtcp.Options.store = true; incremental = true; compact_depth }
-  in
+let run_store_job ~drain =
+  let options = { Dmtcp.Options.default with Dmtcp.Options.store = true; incremental = true } in
   let env = Harness.Common.setup ~nodes:2 ~cores_per_node:2 ~options () in
   let cl = env.Harness.Common.cl in
   let sched = Sched.Scheduler.create ~ckpt_interval:0.5 cl env.Harness.Common.rt in
   ignore
     (Sched.Scheduler.submit sched (counter_spec ~name:"long" ~nodes:1 ~priority:1 ~target:5000));
-  ignore
-    (Sim.Engine.schedule (Simos.Cluster.engine cl) ~delay:3.0 (fun () ->
-         Sched.Scheduler.drain sched 0));
+  if drain then
+    ignore
+      (Sim.Engine.schedule (Simos.Cluster.engine cl) ~delay:3.0 (fun () ->
+           Sched.Scheduler.drain sched 0));
   check Alcotest.int "job finished" 0 (Sched.Scheduler.run ~until:600. sched);
-  check Alcotest.int "restarted once, after the drain" 1 (Sched.Scheduler.restarts sched);
   (sched, Option.get (Dmtcp.Runtime.store env.Harness.Common.rt))
 
-let test_compaction_from_options () =
-  let plain, _ = run_store_job ~compact_depth:0 in
-  let compacted, store = run_store_job ~compact_depth:1 in
-  check Alcotest.int "compaction off at depth 0" 0 (Sched.Scheduler.compactions plain);
-  Alcotest.(check bool) "compactor ran at depth 1" true (Sched.Scheduler.compactions compacted > 0);
+let test_drained_store_job () =
+  let plain, _ = run_store_job ~drain:false in
+  let col = Trace.collector () in
+  let drained, store =
+    Trace.with_sink (Trace.collector_sink col) (fun () -> run_store_job ~drain:true)
+  in
+  check Alcotest.int "undrained job never restarts" 0 (Sched.Scheduler.restarts plain);
+  check Alcotest.int "restarted once, after the drain" 1 (Sched.Scheduler.restarts drained);
+  Alcotest.(check bool) "the restart resolved a delta chain" true
+    (List.exists (fun (e : Trace.event) -> e.Trace.name = "rst/delta-resolve") (Trace.events col));
   check
     Alcotest.(list (pair int (list (pair string string))))
-    "same output as with compaction off" (Chaos.Sched_scenario.job_outputs plain)
-    (Chaos.Sched_scenario.job_outputs compacted);
+    "same output as the undrained run" (Chaos.Sched_scenario.job_outputs plain)
+    (Chaos.Sched_scenario.job_outputs drained);
   check Alcotest.(list string) "store verifies clean" [] (Store.verify store)
 
 (* ------------------------------------------------------------------ *)
@@ -438,8 +440,8 @@ let () =
         ] );
       ( "store",
         [
-          Alcotest.test_case "DMTCP_COMPACT_DEPTH drives the compactor" `Quick
-            test_compaction_from_options;
+          Alcotest.test_case "drained job restarts from its delta chain" `Quick
+            test_drained_store_job;
         ] );
       ( "demo",
         [

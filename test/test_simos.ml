@@ -860,8 +860,6 @@ let test_vfs_basics () =
   Simos.Vfs.write_at f ~pos:0 "HELLO";
   check Alcotest.string "overwrite" "HELLO world" (Simos.Vfs.read_all f);
   check Alcotest.int "length" 11 (Simos.Vfs.length f);
-  Simos.Vfs.set_sim_size f 1_000_000;
-  check Alcotest.int "sim size" 1_000_000 (Simos.Vfs.sim_size f);
   Alcotest.(check bool) "exists" true (Simos.Vfs.exists v "/data/file1");
   (match Simos.Vfs.unlink v "/data/file1" with Ok () -> () | Error _ -> Alcotest.fail "unlink");
   Alcotest.(check bool) "gone" false (Simos.Vfs.exists v "/data/file1")

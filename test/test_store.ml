@@ -422,8 +422,7 @@ let test_chain_depth () =
   check Alcotest.int "second delta depth 2" 2 (depth "d2");
   check Alcotest.int "unknown name depth 0" 0 (depth "nope")
 
-(* catalog depth has no limit and stops on a cycle; the compactor lists
-   such chains without raising and leaves what it cannot resolve alone *)
+(* catalog depth has no limit and stops on a cycle *)
 let test_deep_and_cyclic_chains () =
   let _, store = mk () in
   ignore (put ~name:"l0" store [ "base" ]);
@@ -434,13 +433,7 @@ let test_deep_and_cyclic_chains () =
   ignore (put ~base:"ca" ~name:"cb" store [ "b" ]);
   let depth name = Dmtcp.Image_chain.catalog_depth store ~name in
   check Alcotest.int "70-link chain reports its real depth" 70 (depth "l70");
-  check Alcotest.int "cycle stops at the repeated name" 2 (depth "ca");
-  let names = List.map (fun (m : Store.manifest) -> m.Store.m_name) in
-  let deep = names (Dmtcp.Compactor.candidates store ~depth:64) in
-  Alcotest.(check bool) "chains past 64 links are candidates" true
-    (List.mem "l70" deep && List.mem "l65" deep && not (List.mem "l64" deep));
-  Alcotest.(check (list string)) "nothing here resolves, so nothing is compacted" []
-    (Dmtcp.Compactor.run ~max:100 store ~node:0 ~depth:1)
+  check Alcotest.int "cycle stops at the repeated name" 2 (depth "ca")
 
 let test_striped_fetch_speedup () =
   (* eight equal blocks, read back from the writer's node: with two
@@ -553,12 +546,11 @@ let test_e2e_restart_from_replica () =
   | Some f -> check Alcotest.string "computation finished correctly" "hog:400" (Simos.Vfs.read_all f)
   | None -> Alcotest.fail "restarted computation produced no output"
 
-let test_e2e_compaction_pinned_restart () =
-  (* pin x compaction: build a depth-3 delta chain through incremental
-     checkpoints, pin the lineage (as the scheduler does for preempted
-     jobs), let the compactor squash the chain — the pinned lineage
-     must stay restartable through the SAME catalog name and finish
-     bit-identical to an unfaulted run *)
+let test_e2e_pinned_chain_restart () =
+  (* build a depth-3 delta chain through incremental checkpoints and pin
+     the lineage (as the scheduler does for preempted jobs): the catalog
+     and the image walk agree on the depth, and the pinned lineage
+     restarts through its chain and finishes as an unfaulted run does *)
   let cl = Simos.Cluster.create ~nodes:4 () in
   let options =
     {
@@ -585,36 +577,22 @@ let test_e2e_compaction_pinned_restart () =
   let name =
     Filename.basename (snd (List.hd (Dmtcp.Runtime.ckpt_info rt).Dmtcp.Runtime.images))
   in
-  let catalog_depth () = Dmtcp.Image_chain.catalog_depth store ~name in
+  check Alcotest.int "three incremental checkpoints chained" 3
+    (Dmtcp.Image_chain.catalog_depth store ~name);
   (* the image-level walk restart and inspect use agrees with the catalog *)
-  let image_depth () =
-    let img, _ = Option.get (Dmtcp.Image_chain.peek rt name) in
-    Util.Chain.depth (Dmtcp.Image_chain.peek_chain rt name img)
-  in
-  check Alcotest.int "three incremental checkpoints chained" 3 (catalog_depth ());
-  check Alcotest.int "image walk agrees with the catalog" 3 (image_depth ());
+  let img, _ = Option.get (Dmtcp.Image_chain.peek rt name) in
+  check Alcotest.int "image walk agrees with the catalog" 3
+    (Util.Chain.depth (Dmtcp.Image_chain.peek_chain rt name img));
   let m = Option.get (Store.find store ~name) in
   Store.pin store ~lineage:m.Store.m_lineage ~generation:m.Store.m_generation;
-  let compacted = Dmtcp.Compactor.run ~max:10 store ~node:0 ~depth:1 in
-  Alcotest.(check bool) "compactor squashed the over-deep chains" true
-    (List.mem name compacted);
-  check Alcotest.int "newest image now a full frame" 0 (catalog_depth ());
-  check Alcotest.int "image walk ends at the consolidated image" 0 (image_depth ());
-  let m' = Option.get (Store.find store ~name) in
-  Alcotest.(check bool) "manifest marked compacted" true m'.Store.m_compacted;
-  Alcotest.(check bool) "consolidated image is self-contained" true
-    ((Dmtcp.Ckpt_image.decode (Option.get (Store.peek store ~name))).Dmtcp.Ckpt_image.delta_base
-    = None);
-  check Alcotest.(list Alcotest.string) "catalog healthy after compaction" [] (Store.verify store);
-  Alcotest.(check bool) "pinned generation survived the compactor's gc" true
-    (Store.contains store ~name);
+  check Alcotest.(list Alcotest.string) "catalog healthy" [] (Store.verify store);
   Dmtcp.Api.restart rt script;
   Dmtcp.Api.await_restart rt;
   Simos.Cluster.run cl;
   match Simos.Vfs.lookup (Simos.Kernel.vfs (Simos.Cluster.kernel cl 1)) "/tmp/cp1" with
   | Some f ->
     check Alcotest.string "computation finished correctly" "dirty:1000" (Simos.Vfs.read_all f)
-  | None -> Alcotest.fail "restart after compaction produced no output"
+  | None -> Alcotest.fail "restart from the pinned chain produced no output"
 
 let () =
   Alcotest.run "store"
@@ -666,7 +644,6 @@ let () =
           Alcotest.test_case "checkpoint lands in store" `Quick test_e2e_checkpoint_lands_in_store;
           Alcotest.test_case "interval dedup" `Quick test_e2e_interval_checkpoints_dedup;
           Alcotest.test_case "restart from replica" `Quick test_e2e_restart_from_replica;
-          Alcotest.test_case "compaction keeps pinned lineage restartable" `Quick
-            test_e2e_compaction_pinned_restart;
+          Alcotest.test_case "pinned delta chain restarts" `Quick test_e2e_pinned_chain_restart;
         ] );
     ]
