@@ -17,6 +17,9 @@
 #
 # SEED (default 1) is the seed of every run.  Records and run logs go
 # to OUT (default _artifacts/bench_pairs), named SIDE-WORKLOAD-PAIR.
+# The host's core count and CPU model are printed first and kept in
+# OUT/host.txt: checkpoint compression runs on every core, so records
+# compare only between runs on the same host.
 set -eu
 cd "$(dirname "$0")/.."
 if [ $# -lt 3 ]; then
@@ -30,6 +33,9 @@ seed=${SEED:-1}
 out=${OUT:-_artifacts/bench_pairs}
 mkdir -p "$out"
 out=$(cd "$out" && pwd)
+
+cpu=$(sed -n 's/^model name[[:space:]]*: *//p' /proc/cpuinfo | head -n 1)
+printf 'nproc: %s\ncpu: %s\n' "$(nproc)" "${cpu:-unknown}" | tee "$out/host.txt" | sed 's/^/== host: /' >&2
 
 tree=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
 trap 'rm -rf "$tree"' EXIT

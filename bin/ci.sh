@@ -37,6 +37,17 @@ if [ -n "$state" ]; then
   exit 1
 fi
 
+echo "== parallel sections: Domain.spawn only in Util.Par =="
+# Every parallel section goes through Util.Par.init (DESIGN §2.7),
+# whose result order and error rule the tests pin; a Domain.spawn
+# anywhere else in lib/ fails CI.
+spawns=$(grep -rn 'Domain\.spawn' lib | grep -v '^lib/util/par\.ml:' || true)
+if [ -n "$spawns" ]; then
+  echo "$spawns" >&2
+  echo "FAIL: Domain.spawn outside lib/util/par.ml; run parallel work through Util.Par.init." >&2
+  exit 1
+fi
+
 echo "== dune runtest =="
 t0=$(now)
 dune runtest

@@ -70,11 +70,13 @@ let encode_block ~algo block =
   | Algo.Deflate ->
     consider enc_rle (Rle.compress block);
     consider enc_deflate (Deflate.compress block));
-  (match !best_tag with
-  | t when t = enc_stored -> Trace.Metrics.incr m_blocks_stored
-  | t when t = enc_rle -> Trace.Metrics.incr m_blocks_rle
-  | _ -> Trace.Metrics.incr m_blocks_deflate);
   (!best_tag, !best)
+
+let note_block tag =
+  Trace.Metrics.incr
+    (if tag = enc_stored then m_blocks_stored
+     else if tag = enc_rle then m_blocks_rle
+     else m_blocks_deflate)
 
 (* ------------------------------------------------------------------ *)
 (* DMZ2: block-based container.
@@ -82,30 +84,41 @@ let encode_block ~algo block =
    Layout: magic "DMZ2", algo tag, uvarint block_size, uvarint orig_len,
    uvarint nblocks, then per block: u8 encoding tag, uvarint original
    block length, u32 CRC-32 of the original block bytes, length-prefixed
-   payload.  Blocks are independent — corruption is reported with the
-   damaged block's index, and a future encoder can compress them in
-   parallel or stream them. *)
+   payload.  Blocks are independent: corruption is reported with the
+   damaged block's index, and [pack] encodes them on every core
+   ({!Util.Par.init}, DESIGN §2.7).  The bytes do not depend on which
+   domain encodes a block: Deflate's output is a function of its input
+   alone (§2.5). *)
 
 let pack ?(block_size = default_block_size) ~algo s =
   if block_size <= 0 then invalid_arg "Container.pack: block_size must be positive";
   let n = String.length s in
   let nblocks = (n + block_size - 1) / block_size in
+  (* Each block is sliced, encoded and checksummed on whichever domain
+     takes it; the counters and the writer stay on this one, in block
+     order. *)
+  let blocks =
+    Util.Par.init nblocks (fun b ->
+        let off = b * block_size in
+        let len = min block_size (n - off) in
+        let block = String.sub s off len in
+        let tag, payload = encode_block ~algo block in
+        (tag, len, Int32.to_int (Util.Crc32.digest block) land 0xffffffff, payload))
+  in
   let w = Util.Codec.Writer.create ~capacity:(n / 2 + 64) () in
   Util.Codec.Writer.raw w magic;
   Algo.encode w algo;
   Util.Codec.Writer.uvarint w block_size;
   Util.Codec.Writer.uvarint w n;
   Util.Codec.Writer.uvarint w nblocks;
-  for b = 0 to nblocks - 1 do
-    let off = b * block_size in
-    let len = min block_size (n - off) in
-    let block = String.sub s off len in
-    let tag, payload = encode_block ~algo block in
-    Util.Codec.Writer.u8 w tag;
-    Util.Codec.Writer.uvarint w len;
-    Util.Codec.Writer.u32 w (Int32.to_int (Util.Crc32.digest block) land 0xffffffff);
-    Util.Codec.Writer.string w payload
-  done;
+  Array.iter
+    (fun (tag, len, crc, payload) ->
+      note_block tag;
+      Util.Codec.Writer.u8 w tag;
+      Util.Codec.Writer.uvarint w len;
+      Util.Codec.Writer.u32 w crc;
+      Util.Codec.Writer.string w payload)
+    blocks;
   let packed = Util.Codec.Writer.contents w in
   note_pack algo ~bytes_in:n ~bytes_out:(String.length packed);
   packed

@@ -7,11 +7,14 @@
     {!Algo.t} allows.  The stored fallback bounds expansion on
     incompressible data to the per-block framing overhead, a per-block
     CRC-32 names the damaged block on corruption, and block independence
-    is what a streaming or parallel encoder needs. *)
+    lets {!pack} encode the blocks on every core. *)
 
 (** [pack ~algo s] frames and compresses [s] into a DMZ2 container.
     [block_size] is exposed for tests (block-boundary coverage); the
-    default is 256 KiB. *)
+    default is 256 KiB.  The blocks are encoded and checksummed through
+    {!Util.Par.init}; the [compress.*] counters are updated and the
+    container written on the calling domain, in block order, so the
+    bytes and the counts equal a one-domain encoding's. *)
 val pack : ?block_size:int -> algo:Algo.t -> string -> string
 
 (** [unpack s] decompresses and verifies lengths and CRCs.  Raises

@@ -63,12 +63,13 @@ let unsafe_get64 s i =
 let rec first_nonzero_byte v idx =
   if v land 0xff <> 0 then idx else first_nonzero_byte (v lsr 8) (idx + 1)
 
-(* index of the first nonzero byte of a nonzero xor word; the int
-   conversion drops bit 63, so a word whose low 63 bits are zero differs
-   only in its top byte *)
-let first_byte x =
-  let v = Int64.to_int x in
-  if v = 0 then 7 else first_nonzero_byte v 0
+(* index of the first nonzero byte of a nonzero xor word, given as
+   [Int64.to_int] of it: the conversion drops bit 63, so a word whose
+   low 63 bits are zero differs only in its top byte.  The caller
+   converts, because an [int64] argument would be boxed on every call:
+   a minor-heap block per match candidate, and in a parallel section
+   (DESIGN §2.7) every minor collection stops every domain. *)
+let first_byte v = if v = 0 then 7 else first_nonzero_byte v 0
 
 let rec ml_tail s i j limit k =
   if k < limit && String.unsafe_get s (i + k) = String.unsafe_get s (j + k) then
@@ -79,7 +80,7 @@ let rec ml_words s i j limit n8 k =
   if k >= n8 then ml_tail s i j limit k
   else begin
     let x = Int64.logxor (unsafe_get64 s (i + k)) (unsafe_get64 s (j + k)) in
-    if Int64.equal x 0L then ml_words s i j limit n8 (k + 8) else k + first_byte x
+    if Int64.equal x 0L then ml_words s i j limit n8 (k + 8) else k + first_byte (Int64.to_int x)
   end
 
 let match_len s i j limit = ml_words s i j limit (limit - 7) 0

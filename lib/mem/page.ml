@@ -20,18 +20,49 @@ let is_zero = function
   | Zero -> true
   | Materialized _ | Synthetic _ -> false
 
+let sized_for algo = function
+  | Materialized { sized = Some (a, _); _ } -> a = algo
+  | Materialized { sized = None; _ } | Zero | Synthetic _ -> false
+
+(* The one place a page is compressed: each distinct content once,
+   keyed in a table local to the call, on every core; only this domain
+   writes the memos. *)
+let size_all algo iter =
+  let slot = Hashtbl.create 16 and contents = ref [] and todo = ref [] in
+  iter
+    (function
+      | Materialized { data; _ } as p when not (sized_for algo p) ->
+        let i =
+          match Hashtbl.find_opt slot data with
+          | Some i -> i
+          | None ->
+            let i = Hashtbl.length slot in
+            Hashtbl.add slot data i;
+            contents := data :: !contents;
+            i
+        in
+        todo := (p, i) :: !todo
+      | Materialized _ | Zero | Synthetic _ -> ());
+  let contents = Array.of_list (List.rev !contents) in
+  let lens =
+    Util.Par.init (Array.length contents) (fun i ->
+        String.length (Compress.Algo.compress algo contents.(i)))
+  in
+  List.iter
+    (fun (p, i) ->
+      match p with
+      | Materialized m -> m.sized <- Some (algo, lens.(i))
+      | Zero | Synthetic _ -> ())
+    !todo
+
 let compressed_size algo = function
   | Zero ->
     (* A zero page costs a couple of bytes of token stream under any real
        scheme; count 8 to stay conservative. *)
     (match algo with Compress.Algo.Null -> size | _ -> 8)
-  | Materialized m -> (
-    match m.sized with
-    | Some (a, len) when a = algo -> len
-    | Some _ | None ->
-      let len = String.length (Compress.Algo.compress algo m.data) in
-      m.sized <- Some (algo, len);
-      len)
+  | Materialized m as p ->
+    if not (sized_for algo p) then size_all algo (fun visit -> visit p);
+    snd (Option.get m.sized)
   | Synthetic { cls; _ } ->
     int_of_float (ceil (float_of_int size *. Entropy.ratio algo cls))
 

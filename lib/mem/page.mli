@@ -19,8 +19,8 @@ type content =
       mutable sized : (Compress.Algo.t * int) option;
           (** memo of {!compressed_size}: the scheme last priced and the
               length it gave.  [None] until the page is first sized;
-              written only by {!compressed_size}, ignored by {!equal}
-              and {!encode}. *)
+              written only by {!size_all}, on the domain that calls it,
+              and ignored by {!equal} and {!encode}. *)
     }
   | Synthetic of { seed : int64; cls : Entropy.t }   (** generated on demand *)
 
@@ -39,9 +39,17 @@ val is_zero : content -> bool
 (** Bytes this page would occupy after compression with [algo]:
     real compression for [Materialized], ratio-extrapolated for
     [Synthetic], ~0 for [Zero]. Used for simulated image sizing.  A
-    [Materialized] page is compressed at most once per scheme: later
-    calls read its memo. *)
+    [Materialized] page not yet sized under [algo] is sized by
+    {!size_all}; later calls read its memo. *)
 val compressed_size : Compress.Algo.t -> content -> int
+
+(** [size_all algo iter] sets the memo of every [Materialized] page that
+    [iter visit] passes to [visit] and that is not yet sized under
+    [algo], so that {!compressed_size} then reads it.  It is the one
+    function that compresses a page.  Each distinct content is
+    compressed once, through {!Util.Par.init}, however many pages hold
+    it; the memos are written on the calling domain. *)
+val size_all : Compress.Algo.t -> ((content -> unit) -> unit) -> unit
 
 (** Equality of contents: same variant and same bytes or descriptor.  The
     size memo is ignored, so a sized page equals an unsized copy of it

@@ -49,8 +49,16 @@ let metadata_bytes t =
 
 (* Charge every page that [charged region index] selects at its raw and
    compressed size, plus [per_page] bitmap bytes for every page of the
-   image. *)
+   image.  The charged real pages not yet sized are first compressed
+   together, each distinct content once and on every core, so the loop
+   only reads memos. *)
 let price algo t ~per_page ~charged =
+  let regions = Mem.Address_space.regions t.space in
+  Mem.Page.size_all algo (fun visit ->
+      List.iter
+        (fun (r : Mem.Region.t) ->
+          Array.iteri (fun idx page -> if charged r idx then visit page) r.Mem.Region.pages)
+        regions);
   let uncompressed = ref (metadata_bytes t) in
   let compressed = ref (metadata_bytes t / 4) in
   let zero = ref 0 in
@@ -65,7 +73,7 @@ let price algo t ~per_page ~charged =
             compressed := !compressed + Mem.Page.compressed_size algo page
           end)
         r.Mem.Region.pages)
-    (Mem.Address_space.regions t.space);
+    regions;
   { uncompressed = !uncompressed; compressed = !compressed; zero_bytes = !zero }
 
 let sizes algo t = price algo t ~per_page:0 ~charged:(fun _ _ -> true)

@@ -42,7 +42,9 @@ type sizes = {
 
 (** Real pages are priced by {!Mem.Page.compressed_size}, so a page value
     already sized by an earlier image (an unchanged page of the same
-    process) is not compressed again. *)
+    process) is not compressed again.  The pages not yet sized are
+    first compressed together through {!Mem.Page.size_all}: each
+    distinct content once, on every core. *)
 val sizes : Compress.Algo.t -> t -> sizes
 
 (** [delta_sizes algo t] — size accounting for an *incremental*

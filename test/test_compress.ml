@@ -575,6 +575,115 @@ let fuzz_rle =
     (lazy (Compress.Rle.compress (text_sample ^ zero_sample 600)))
     Compress.Rle.decompress
 
+(* Multi-block packs pinned byte for byte, with the [compress.*]
+   counters each moves: the expected md5s and counts were taken when
+   every block was encoded in order on the calling domain, so the
+   bytes and the accounting cannot depend on which domain encodes a
+   block.  The inputs cover stored, RLE and Deflate blocks, ragged
+   tails, and block sizes of 4 KiB, 64 KiB and the default. *)
+let pinned_text = String.concat "" (List.init 64 (fun i -> Printf.sprintf "%d %s" i text_sample))
+
+let pinned_mix =
+  let segment i =
+    match i mod 4 with
+    | 0 -> String.sub pinned_text (i * 997) 70_001
+    | 1 -> random_sample 90_007
+    | 2 -> zero_sample 50_021
+    | _ -> String.init 30_011 (fun j -> Char.chr (Char.code 'a' + (j / 300 mod 26)))
+  in
+  let n = 3 * 512 * 1024 in
+  String.sub (String.concat "" (List.init 28 segment)) 0 n
+
+let compress_counters () =
+  String.split_on_char '\n' (Trace.Metrics.snapshot_text ())
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+         | [ name; v ] when String.starts_with ~prefix:"compress." name -> Some (name, float_of_string v)
+         | _ -> None)
+
+let counter_deltas before after =
+  List.filter_map
+    (fun (name, v) ->
+      let d = v -. Option.value ~default:0. (List.assoc_opt name before) in
+      if d = 0. then None else Some (Printf.sprintf "%s=%.0f" name d))
+    after
+  |> String.concat " "
+
+let pinned_packs =
+  let d = Compress.Algo.Deflate in
+  List.concat_map
+    (fun bs ->
+      [
+        ("text", d, bs, pinned_text);
+        ("random", d, bs, random_sample 600_000);
+        ("zeros", d, bs, zero_sample 600_000);
+        ("mix", d, bs, pinned_mix);
+        ("mix", Compress.Algo.Rle, bs, pinned_mix);
+        ("mix", Compress.Algo.Null, bs, pinned_mix);
+      ])
+    [ Some 4096; Some 65536; None ]
+
+let pinned_expect =
+  [
+    ("text/deflate/4096", "f720a989d0ea82d86c7a881a581d8e12",
+     "compress.blocks.deflate=144 compress.deflate.bytes_in=588918 compress.deflate.bytes_out=34811");
+    ("random/deflate/4096", "0da5fd5ac8167480d4c4c776831068d3",
+     "compress.blocks.stored=147 compress.deflate.bytes_in=600000 compress.deflate.bytes_out=601335");
+    ("zeros/deflate/4096", "b2e9b51e0e8096557db94ad5cfbc5b3f",
+     "compress.blocks.rle=147 compress.deflate.bytes_in=600000 compress.deflate.bytes_out=10564");
+    ("mix/deflate/4096", "8e2046b4ea02a38ccf1f7eb783ef677c",
+     "compress.blocks.deflate=126 compress.blocks.rle=117 compress.blocks.stored=141 compress.deflate.bytes_in=1572864 compress.deflate.bytes_out=643601");
+    ("mix/rle/4096", "c5450c6ac4d46bb6a05b34213a8e948b",
+     "compress.blocks.rle=123 compress.blocks.stored=261 compress.rle.bytes_in=1572864 compress.rle.bytes_out=1104614");
+    ("mix/null/4096", "3dc2c7497a2833d8bf1c32297157d42f",
+     "compress.blocks.stored=384 compress.null.bytes_in=1572864 compress.null.bytes_out=1576332");
+    ("text/deflate/65536", "fb13c53ef34b7a6d51f4df74eb28c859",
+     "compress.blocks.deflate=9 compress.deflate.bytes_in=588918 compress.deflate.bytes_out=5035");
+    ("random/deflate/65536", "212dde8a04fca21f4763d38e3a5fd039",
+     "compress.blocks.stored=10 compress.deflate.bytes_in=600000 compress.deflate.bytes_out=600120");
+    ("zeros/deflate/65536", "32847d83d2e8881337967664627c2fbd",
+     "compress.blocks.deflate=9 compress.blocks.rle=1 compress.deflate.bytes_in=600000 compress.deflate.bytes_out=2341");
+    ("mix/deflate/65536", "2d1f47b6a39ba287e53b3d5f010f4c4e",
+     "compress.blocks.deflate=22 compress.blocks.stored=2 compress.deflate.bytes_in=1572864 compress.deflate.bytes_out=613913");
+    ("mix/rle/65536", "8aaace1681455395b618c92efee63822",
+     "compress.blocks.rle=12 compress.blocks.stored=12 compress.rle.bytes_in=1572864 compress.rle.bytes_out=1104021");
+    ("mix/null/65536", "ad23e116e502415ed10c57fa406ca089",
+     "compress.blocks.stored=24 compress.null.bytes_in=1572864 compress.null.bytes_out=1573140");
+    ("text/deflate/default", "bf9f51234aa0fceb669942216fa6a59c",
+     "compress.blocks.deflate=3 compress.deflate.bytes_in=588918 compress.deflate.bytes_out=3640");
+    ("random/deflate/default", "d31c662a11bd40f33b6a493f4201f056",
+     "compress.blocks.stored=3 compress.deflate.bytes_in=600000 compress.deflate.bytes_out=600045");
+    ("zeros/deflate/default", "76bc86a56a55573da2be45d49e8ef7eb",
+     "compress.blocks.deflate=3 compress.deflate.bytes_in=600000 compress.deflate.bytes_out=1126");
+    ("mix/deflate/default", "aeb035da2b9b41eb20fdb2cf55f93662",
+     "compress.blocks.deflate=6 compress.deflate.bytes_in=1572864 compress.deflate.bytes_out=614506");
+    ("mix/rle/default", "6aa40bcfff6ddac6b3db706d560f41da",
+     "compress.blocks.rle=6 compress.rle.bytes_in=1572864 compress.rle.bytes_out=1110838");
+    ("mix/null/default", "b60f065b235ac61cd89030eaa82d5a87",
+     "compress.blocks.stored=6 compress.null.bytes_in=1572864 compress.null.bytes_out=1572942");
+  ]
+
+let test_container_multi_block_pinned () =
+  let got =
+    List.map
+      (fun (name, algo, bs, s) ->
+        let before = compress_counters () in
+        let packed = Compress.Container.pack ?block_size:bs ~algo s in
+        let deltas = counter_deltas before (compress_counters ()) in
+        let label =
+          Printf.sprintf "%s/%s/%s" name (Compress.Algo.name algo)
+            (match bs with Some b -> string_of_int b | None -> "default")
+        in
+        (label, Digest.to_hex (Digest.string packed), deltas))
+      pinned_packs
+  in
+  List.iter2
+    (fun (l, m, d) (l', m', d') ->
+      check Alcotest.string "case" l' l;
+      check Alcotest.string (l ^ " md5") m' m;
+      check Alcotest.string (l ^ " counter deltas") d' d)
+    got pinned_expect
+
 (* ------------------------------------------------------------------ *)
 (* compression metrics surfaced through the trace registry *)
 
@@ -673,6 +782,7 @@ let () =
           Alcotest.test_case "block boundaries" `Quick test_container_block_boundaries;
           Alcotest.test_case "stored fallback bounds expansion" `Quick test_container_stored_fallback;
           Alcotest.test_case "corruption names block index" `Quick test_container_reports_block_index;
+          Alcotest.test_case "multi-block bytes pinned" `Quick test_container_multi_block_pinned;
           prop_container_roundtrip;
           prop_container_flip_detected;
         ] );

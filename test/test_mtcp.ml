@@ -82,6 +82,73 @@ let test_sizes_memo_shared_across_captures () =
   let s2 = Mtcp.Image.sizes Compress.Algo.Deflate img2 in
   check Alcotest.int "same compressed size" s1.Mtcp.Image.compressed s2.Mtcp.Image.compressed
 
+(* 64 heap pages over 4 contents, each page holding its own copy of the
+   bytes: one [sizes] call prices every page as a fresh Deflate of its
+   bytes and leaves every page's memo set.  The next test shows that
+   each content is Deflated once. *)
+let test_duplicate_content_pages_priced () =
+  let contents =
+    Array.init 4 (fun k ->
+        Bytes.to_string
+          (Mem.Entropy.generate Mem.Entropy.Text ~seed:(Int64.of_int (k + 1)) ~len:Mem.Page.size))
+  in
+  let space = Mem.Address_space.create () in
+  let heap =
+    Mem.Address_space.map space ~kind:Mem.Region.Heap ~perms:Mem.Region.rw
+      ~bytes:(64 * Mem.Page.size)
+      ~content:(fun i -> Mem.Page.of_string (Bytes.to_string (Bytes.of_string contents.(i mod 4))))
+      ()
+  in
+  let img =
+    { Mtcp.Image.cmdline = []; env = []; threads = []; space; sigtable = []; pending_signals = [] }
+  in
+  let fresh =
+    Array.fold_left
+      (fun acc p -> acc + String.length (Compress.Deflate.compress (Mem.Page.materialize p)))
+      0 heap.Mem.Region.pages
+  in
+  Alcotest.(check bool) "unsized before" true (List.for_all not (real_pages img));
+  let s = Mtcp.Image.sizes Compress.Algo.Deflate img in
+  let metadata = (s.Mtcp.Image.uncompressed - (64 * Mem.Page.size)) / 4 in
+  check Alcotest.int "sizes = metadata + fresh Deflate lengths" (metadata + fresh)
+    s.Mtcp.Image.compressed;
+  check Alcotest.int "real pages" 64 (List.length (real_pages img));
+  Alcotest.(check bool) "every memo set after one call" true (List.for_all Fun.id (real_pages img))
+
+(* Words allocated on this domain while [f] runs. *)
+let allocated_words f =
+  let mi0, pr0, ma0 = Gc.counters () in
+  let r = f () in
+  let mi1, pr1, ma1 = Gc.counters () in
+  (r, mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0))
+
+(* 64 heap pages, each its own copy of one content: [sizes] Deflates it
+   once.  One content spawns no helper domain, so every Deflate runs
+   here, and each allocates its token and output buffers on this
+   domain: the call must allocate less than two Deflates' worth. *)
+let test_one_content_deflated_once () =
+  let data =
+    Bytes.to_string (Mem.Entropy.generate Mem.Entropy.Text ~seed:9L ~len:Mem.Page.size)
+  in
+  let space = Mem.Address_space.create () in
+  ignore
+    (Mem.Address_space.map space ~kind:Mem.Region.Heap ~perms:Mem.Region.rw
+       ~bytes:(64 * Mem.Page.size)
+       ~content:(fun _ -> Mem.Page.of_string (Bytes.to_string (Bytes.of_string data)))
+       ());
+  let img =
+    { Mtcp.Image.cmdline = []; env = []; threads = []; space; sigtable = []; pending_signals = [] }
+  in
+  (* the first call on a domain builds its LZ77 tables *)
+  ignore (Compress.Deflate.compress data);
+  let packed, one = allocated_words (fun () -> Compress.Deflate.compress data) in
+  let s, priced = allocated_words (fun () -> Mtcp.Image.sizes Compress.Algo.Deflate img) in
+  let metadata = (s.Mtcp.Image.uncompressed - (64 * Mem.Page.size)) / 4 in
+  check Alcotest.int "every page priced at the one Deflate's length"
+    (metadata + (64 * String.length packed))
+    s.Mtcp.Image.compressed;
+  Alcotest.(check bool) "under two Deflates' allocation" true (priced < 2. *. one)
+
 let test_sizes_keep_round_trip_equal () =
   let _, k, proc = make_proc () in
   Simos.Kernel.suspend_user_threads k proc;
@@ -318,6 +385,9 @@ let () =
           Alcotest.test_case "size accounting" `Quick test_sizes_accounting;
           Alcotest.test_case "size memo shared across captures" `Quick
             test_sizes_memo_shared_across_captures;
+          Alcotest.test_case "duplicate-content pages priced and memoized" `Quick
+            test_duplicate_content_pages_priced;
+          Alcotest.test_case "one content Deflated once" `Quick test_one_content_deflated_once;
           Alcotest.test_case "sizing keeps round trip equal" `Quick
             test_sizes_keep_round_trip_equal;
           Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;

@@ -1,6 +1,6 @@
 (* Tests for the util library: RNG determinism, codec round-trips, CRC-32
-   known-answer values, heap order and release, statistics, table
-   rendering. *)
+   known-answer values, heap order and release, parallel init, statistics,
+   table rendering. *)
 
 open Util
 
@@ -368,6 +368,72 @@ let test_units () =
   check Alcotest.string "seconds" "2.000 s" (Units.pp_seconds 2.0);
   check Alcotest.string "millis" "1.500 ms" (Units.pp_seconds 0.0015)
 
+(* ------------------------------------------------------------------ *)
+(* Par *)
+
+(* A pure [f] whose cost varies with its index, so that on two or more
+   domains indices end out of order: a result stored in the order the
+   calls end would land in the wrong slot. *)
+let uneven i =
+  let h = ref i in
+  for _ = 1 to (i * 7919) mod 13 * 4_000 do
+    h := ((!h * 31) + 17) land 0xffffff
+  done;
+  (i, !h)
+
+let prop_par_init =
+  qtest ~count:100 "init equals Array.init" QCheck.(int_range 0 64) (fun n ->
+      Par.init n uneven = Array.init n uneven)
+
+(* busy-wait until [ready ()] or [cpu_s] of process CPU time have passed *)
+let spin ?(ready = fun () -> false) cpu_s =
+  let deadline = Sys.time () +. cpu_s in
+  while (not (ready ())) && Sys.time () < deadline do
+    Domain.cpu_relax ()
+  done
+
+exception Low
+exception High
+
+(* Index 2 raises at once; index 1 raises only after it, so on two or
+   more domains the higher index fails first in time.  The lower one's
+   exception must still win.  Every call has ended when [init]
+   returns, and none starts afterwards. *)
+let test_par_lowest_failure_wins () =
+  let started = Atomic.make 0 and running = Atomic.make 0 in
+  let high_raised = Atomic.make false in
+  let f i =
+    Atomic.incr started;
+    Atomic.incr running;
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr running)
+      (fun () ->
+        match i with
+        | 1 ->
+          spin ~ready:(fun () -> Atomic.get high_raised) 1.0;
+          spin 0.005;
+          raise Low
+        | 2 ->
+          Atomic.set high_raised true;
+          raise High
+        | _ -> i)
+  in
+  (match Par.init 8 f with
+  | _ -> Alcotest.fail "init returned although two indices raised"
+  | exception Low -> ()
+  | exception High -> Alcotest.fail "the higher index's exception was raised");
+  check Alcotest.int "no call still running" 0 (Atomic.get running);
+  let after = Atomic.get started in
+  spin 0.05;
+  check Alcotest.int "no call starts after init returns" after (Atomic.get started)
+
+let test_par_nested () =
+  let inner i j = uneven ((10 * i) + j) in
+  Alcotest.(check bool) "nested results" true
+    (Par.init 6 (fun i -> Par.init 5 (inner i)) = Array.init 6 (fun i -> Array.init 5 (inner i)));
+  Alcotest.check_raises "an inner exception reaches the caller" Low (fun () ->
+      ignore (Par.init 4 (fun i -> Par.init 4 (fun j -> if i = 2 && j = 3 then raise Low else j))))
+
 let () =
   Alcotest.run "util"
     [
@@ -410,6 +476,12 @@ let () =
           prop_heap_fifo_ties;
           prop_heap_model;
           Alcotest.test_case "popped values are released" `Quick test_heap_releases_popped;
+        ] );
+      ( "par",
+        [
+          prop_par_init;
+          Alcotest.test_case "lowest failing index wins" `Quick test_par_lowest_failure_wins;
+          Alcotest.test_case "nested" `Quick test_par_nested;
         ] );
       ( "stats",
         [
