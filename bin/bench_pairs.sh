@@ -19,7 +19,11 @@
 # to OUT (default _artifacts/bench_pairs), named SIDE-WORKLOAD-PAIR.
 # The host's core count and CPU model are printed first and kept in
 # OUT/host.txt: checkpoint compression runs on every core, so records
-# compare only between runs on the same host.
+# compare only between runs on the same host.  Each run's log ends
+# with the share of the host's CPU time the hypervisor stole while it
+# ran (the "cpu" line of /proc/stat, read before and after), and each
+# pair prints both sides' shares: the benchmark's probe corrects a
+# slowed host only for one-domain work.
 set -eu
 cd "$(dirname "$0")/.."
 if [ $# -lt 3 ]; then
@@ -46,12 +50,23 @@ echo "== build: $parent_rev (parent) and the working tree (change)" >&2
 (cd "$tree" && dune build --display=quiet ./bench_e2e/main.exe)
 dune build --display=quiet ./bench_e2e/main.exe
 
-# run SIDE DIR WORKLOAD PAIR
+# ticks: steal and total jiffies of all CPUs so far (guest time is
+# already inside user time)
+ticks() {
+  awk '/^cpu / { t = 0; for (i = 2; i <= 9; i++) t += $i; print $9, t; exit }' /proc/stat 2>/dev/null || true
+}
+
+# run SIDE DIR WORKLOAD PAIR; sets $steal to the run's steal share
 run() {
   echo "-- $1 $3 pair $4 (seed $seed)" >&2
+  log=$out/$1-$3-$4.log
+  before=$(ticks)
   (cd "$2" && ./_build/default/bench_e2e/main.exe --workload "$3" --seed "$seed" --seconds 25 \
-    --json "$out/$1-$3-$4.json" > "$out/$1-$3-$4.log" 2>&1) \
-    || echo "   $1 run exited non-zero; see $out/$1-$3-$4.log" >&2
+    --json "$out/$1-$3-$4.json" > "$log" 2>&1) \
+    || echo "   $1 run exited non-zero; see $log" >&2
+  steal=$(echo "$before $(ticks)" \
+    | awk 'NF == 4 && $4 > $2 { printf "%.1f %%", 100 * ($3 - $1) / ($4 - $2); exit } { print "n/a" }')
+  echo "steal: $steal" >> "$log"
 }
 
 parents=
@@ -61,11 +76,16 @@ for w in "$@"; do
   while [ "$i" -le "$n" ]; do
     if [ $((i % 2)) -eq 1 ]; then
       run parent "$tree" "$w" "$i"
+      steal_parent=$steal
       run change . "$w" "$i"
+      steal_change=$steal
     else
       run change . "$w" "$i"
+      steal_change=$steal
       run parent "$tree" "$w" "$i"
+      steal_parent=$steal
     fi
+    echo "   $w pair $i steal: parent $steal_parent, change $steal_change" >&2
     parents="$parents $out/parent-$w-$i.json"
     changes="$changes $out/change-$w-$i.json"
     i=$((i + 1))

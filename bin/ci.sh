@@ -48,6 +48,22 @@ if [ -n "$spawns" ]; then
   exit 1
 fi
 
+echo "== process lifecycle: only the kernel writes threads and pstate =="
+# Each kernel keeps the threads of its running processes in an array
+# that a poke walks and the CPU load counts (DESIGN §2.4). The kernel
+# marks it stale at each write to a process's `threads` or `pstate`, so
+# an assignment to either field anywhere but lib/simos/kernel.ml fails
+# CI. The check reads one line at a time: it finds an assignment whose
+# field and `<-` share a line, as every assignment in the repository
+# does.
+writes=$(grep -rnE "\.[[:space:]]*([A-Z][A-Za-z0-9_']*\.)*(threads|pstate)[[:space:]]*<-" \
+  --include='*.ml' lib bin test examples bench_e2e | grep -v '^lib/simos/kernel\.ml:' || true)
+if [ -n "$writes" ]; then
+  echo "$writes" >&2
+  echo "FAIL: a process's threads or pstate written outside lib/simos/kernel.ml; go through the kernel." >&2
+  exit 1
+fi
+
 echo "== dune runtest =="
 t0=$(now)
 dune runtest

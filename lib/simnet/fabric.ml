@@ -164,7 +164,8 @@ let in_flight s = s.in_flight
 let on_activity s f = s.wake <- f
 let wake_cells s = s.cells
 
-(* Every wake-up goes through here and fires the cells armed on [s]. *)
+(* Every wake-up that can make [s] readable goes through here and fires
+   the cells armed on [s]. *)
 let notify s =
   Sim.Wake.fire s.cells;
   s.wake ()
@@ -253,8 +254,12 @@ and pump s =
                    Trace.instant ~node:p.sock_host ~cat:"net" ~name:"seg/deliver"
                      ~args:[ ("src", string_of_int s.sock_host); ("len", string_of_int len) ]
                      ~time:(Sim.Engine.now s.fab.eng) ();
+                 (* the receiver may now read.  The sender's hook
+                    still runs, for its writers (DESIGN §2.4), but a
+                    delivery cannot make the sender readable, so its
+                    cells stay armed *)
                  notify p;
-                 notify s;
+                 s.wake ();
                  pump s;
                  maybe_deliver_fin s))
         end

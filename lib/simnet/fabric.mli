@@ -100,13 +100,16 @@ val send_buffered : socket -> int
 val in_flight : socket -> int
 
 (** Register the kernel wake-up hook, invoked on any state change
-    (data arrival, connect completion, EOF, accept-queue push). One slot;
-    later registrations replace earlier ones. *)
+    (data arrival, connect completion, EOF, accept-queue push, and the
+    delivery of a segment this socket sent). One slot; later
+    registrations replace earlier ones. *)
 val on_activity : socket -> (unit -> unit) -> unit
 
-(** The wake cells armed on the socket ({!Sim.Wake}).  Every call of
-    the {!on_activity} hook fires them first, and every change that can
-    make the socket readable makes one. *)
+(** The wake cells armed on the socket ({!Sim.Wake}).  Every change that
+    can make the socket readable fires them, then calls the
+    {!on_activity} hook.  The delivery of a segment the socket sent
+    calls its hook without firing them: it cannot make the sender
+    readable. *)
 val wake_cells : socket -> Sim.Wake.cells
 
 (** {2 Checkpoint support}

@@ -105,6 +105,10 @@ type t = {
   store : Storage.Target.t;
   kcores : int;
   procs : (int, process) Hashtbl.t;
+  mutable live : thread array;
+      (* the threads of the [Running] processes, in the order a walk of
+         [procs] meets them; see [live_threads] *)
+  mutable live_current : bool;
   mutable next_pid : int;
   krng : Util.Rng.t;
   mutable khooks : hooks;
@@ -149,6 +153,8 @@ let create ~node_id ~engine ~fabric ~storage ~local ~ids ?(cores = 4) ?seed () =
     store = storage;
     kcores = cores;
     procs = Hashtbl.create 32;
+    live = [||];
+    live_current = true;
     next_pid = 100 * (node_id + 1);
     krng = Util.Rng.create seed;
     khooks = default_hooks;
@@ -203,18 +209,47 @@ let trace_proc t ~pid name args =
 (* yield cost between consecutive steps of a runnable thread *)
 let quantum = 2e-6
 
-let runnable_threads t =
+(* The live threads: those of the [Running] processes, in [procs]'s
+   [Hashtbl] order and each process's list order.  A poke walks them in
+   this order, which is observable (it orders same-instant events), and
+   [load_factor] counts the ready ones.  [live_threads] keeps them in an
+   array, rebuilt on first use after [stale].  Only this module writes a
+   process's [threads] or [pstate] (bin/ci.sh checks it), and every
+   change that can move the walk calls [stale]: an insert into [procs]
+   (it may resize the table, which reorders it), a change to a thread
+   list, and a [Running] process leaving (exit, [vanish_process];
+   [refork] inserts its new process right after removing the old).
+   Removing a process that is not [Running] leaves the walk as it was:
+   [Hashtbl.remove] never reorders the other entries. *)
+let walk_live t =
   Hashtbl.fold
-    (fun _ p acc ->
-      match p.pstate with
-      | Running ->
-        List.fold_left
-          (fun n th -> match th.tstate with Ready when not th.suspended -> n + 1 | _ -> n)
-          acc p.threads
-      | Zombie _ | Reaped -> acc)
-    t.procs 0
+    (fun _ p acc -> match p.pstate with Running -> List.rev_append p.threads acc | Zombie _ | Reaped -> acc)
+    t.procs []
+  |> List.rev |> Array.of_list
 
-let load_factor t = Float.max 1.0 (float_of_int (runnable_threads t) /. float_of_int t.kcores)
+let stale t = t.live_current <- false
+
+let live_threads t =
+  if not t.live_current then begin
+    t.live <- walk_live t;
+    t.live_current <- true
+  end;
+  t.live
+
+let add_proc t proc =
+  Hashtbl.replace t.procs proc.pid proc;
+  stale t
+
+let runnable live =
+  let n = ref 0 in
+  for i = 0 to Array.length live - 1 do
+    let th = Array.unsafe_get live i in
+    match th.tstate with Ready when not th.suspended -> incr n | Ready | Blocked _ | Dead -> ()
+  done;
+  !n
+
+let load_of t n = Float.max 1.0 (float_of_int n /. float_of_int t.kcores)
+let load_factor t = load_of t (runnable (live_threads t))
 
 (* ------------------------------------------------------------------ *)
 (* Wait conditions *)
@@ -427,7 +462,7 @@ let new_process t ~pid ~ppid ~env ~hijacked ~cmdline ?(fdtable = Fdtbl.create 8)
       fault_debt = 0.;
     }
   in
-  Hashtbl.replace t.procs pid proc;
+  add_proc t proc;
   write_proc_status t ~pid;
   proc
 
@@ -755,6 +790,8 @@ and make_ctx t th ~wrapped : Program.ctx =
           t.procs;
         match !zombie with
         | Some (p, code) ->
+          (* a zombie is not in the live walk, so reaping it leaves the
+             array current *)
           p.pstate <- Reaped;
           Hashtbl.remove t.procs p.pid;
           `Child (p.pid, code)
@@ -818,22 +855,15 @@ and poke_later t =
   end
 
 and poke t =
-  Hashtbl.iter
-    (fun _ proc ->
-      match proc.pstate with
-      | Running -> poke_threads t proc.threads
-      | Zombie _ | Reaped -> ())
-    t.procs
-
-and poke_threads t = function
-  | [] -> ()
-  | th :: rest ->
-    (match th.tstate with
+  let live = live_threads t in
+  for i = 0 to Array.length live - 1 do
+    let th = Array.unsafe_get live i in
+    match th.tstate with
     | Blocked w when (not th.suspended) && (not (record_current th)) && check_wait t th w ->
       th.tstate <- Ready;
       schedule_step t th ~delay:0.
-    | Ready | Blocked _ | Dead -> ());
-    poke_threads t rest
+    | Ready | Blocked _ | Dead -> ()
+  done
 
 and kill_thread th =
   th.tstate <- Dead;
@@ -889,6 +919,7 @@ and add_thread_internal t proc ~inst ~manager ~blocked =
     }
   in
   proc.threads <- proc.threads @ [ th ];
+  stale t;
   (match blocked with
   | None -> schedule_step t th ~delay:0.
   | Some _ -> ());
@@ -921,6 +952,7 @@ and do_exec t th ~prog ~argv =
     (* exec kills all other threads and replaces the address space *)
     List.iter (fun other -> if other.tid <> th.tid then kill_thread other) proc.threads;
     proc.threads <- [ th ];
+    stale t;
     th.manager <- false;
     proc.space <- Mem.Address_space.create ();
     proc.cmdline <- prog :: argv;
@@ -946,6 +978,7 @@ and do_exit_process t proc code =
       Hashtbl.remove t.procs proc.pid
     end
     else proc.pstate <- Zombie code;
+    stale t;
     poke_later t
   end
 
@@ -978,7 +1011,7 @@ let refork t ~child =
   (* move semantics: the new process takes over the child's fd table and
      address space, so no refcount adjustment is needed *)
   let proc = { child with pid; threads = []; next_tid = 1 } in
-  Hashtbl.replace t.procs pid proc;
+  add_proc t proc;
   write_proc_status t ~pid;
   ignore (add_thread_internal t proc ~inst ~manager:false ~blocked:None);
   proc
@@ -1005,6 +1038,7 @@ let vanish_process t proc =
   let fds = Fdtbl.fold (fun fd _ acc -> fd :: acc) proc.fdtable [] in
   List.iter (fun fd -> remove_fd t proc ~fd) fds;
   proc.pstate <- Reaped;
+  stale t;
   Hashtbl.remove t.procs proc.pid
 
 let suspend_user_threads t proc =
@@ -1044,6 +1078,13 @@ let alloc_fd t proc desc =
   fd
 
 let remove_fd t proc ~fd = remove_fd t proc ~fd
+
+let live_threads_agree t =
+  let fresh = walk_live t in
+  (not t.live_current)
+  || Array.length t.live = Array.length fresh
+     && Array.for_all2 ( == ) t.live fresh
+     && load_factor t = load_of t (runnable fresh)
 
 let skipped_ready t =
   Hashtbl.fold

@@ -218,6 +218,15 @@ val resume_user_threads : t -> process -> unit
     [0]; tests assert it. *)
 val skipped_ready : t -> int
 
+(** Whether the kernel's array of live threads, which a poke walks and
+    the CPU load counts, agrees with a fresh walk of the process table:
+    while the array is marked current, it must hold the threads of the
+    [Running] processes in the table's iteration order, each process's
+    in list order, and the load must count the ready ones among them.
+    Reads only; never rebuilds the array.  Always [true]; tests assert
+    it. *)
+val live_threads_agree : t -> bool
+
 (** Look up an fd's description. *)
 val fd_desc : process -> int -> Fdesc.t option
 

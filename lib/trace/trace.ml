@@ -206,8 +206,11 @@ end
 (* ---------------- metrics registry ---------------- *)
 
 module Metrics = struct
-  type counter = float ref
-  type gauge = float ref
+  (* A record whose only field is a float stores it unboxed, so an
+     update writes the value in place; a [float ref] would box every new
+     value. *)
+  type counter = { mutable v : float }
+  type gauge = counter
   type histogram = { mutable h : Util.Stats.t }
 
   type instrument = C of counter | G of gauge | H of histogram
@@ -223,12 +226,12 @@ module Metrics = struct
       i
 
   let counter name =
-    match find_or name (fun () -> C (ref 0.)) Fun.id with
+    match find_or name (fun () -> C { v = 0. }) Fun.id with
     | C r -> r
     | _ -> invalid_arg ("Trace.Metrics.counter: " ^ name ^ " registered with another type")
 
   let gauge name =
-    match find_or name (fun () -> G (ref 0.)) Fun.id with
+    match find_or name (fun () -> G { v = 0. }) Fun.id with
     | G r -> r
     | _ -> invalid_arg ("Trace.Metrics.gauge: " ^ name ^ " registered with another type")
 
@@ -237,16 +240,16 @@ module Metrics = struct
     | H h -> h
     | _ -> invalid_arg ("Trace.Metrics.histogram: " ^ name ^ " registered with another type")
 
-  let add c v = c := !c +. v
-  let incr c = c := !c +. 1.
-  let set g v = g := v
+  let add c x = c.v <- c.v +. x
+  let incr c = c.v <- c.v +. 1.
+  let set g x = g.v <- x
   let observe h v = Util.Stats.add h.h v
 
   let reset () =
     Hashtbl.iter
       (fun _ i ->
         match i with
-        | C r | G r -> r := 0.
+        | C r | G r -> r.v <- 0.
         | H h -> h.h <- Util.Stats.create ())
       registry
 
@@ -256,7 +259,7 @@ module Metrics = struct
         (fun name i acc ->
           let v =
             match i with
-            | C r | G r -> fval !r
+            | C r | G r -> fval r.v
             | H h ->
               let s = h.h in
               if Util.Stats.count s = 0 then "count=0"

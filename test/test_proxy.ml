@@ -436,10 +436,11 @@ let test_nas_direct_vs_proxy () =
     [ ("nas:cg", "cg", [ "400"; "20" ]); ("nas:mg", "mg", [ "400" ]) ]
 
 (* A poke skips a blocked thread while its wait record is current, so a
-   skip must never hide a ready thread.  Step a direct-backend stencil
-   checkpoint -> kill -> restart cycle one event at a time, ask every
-   node after every event, and judge the result against an
-   uninterrupted run. *)
+   skip must never hide a ready thread; and it walks each kernel's
+   array of live threads, which must agree with the process table.
+   Step a direct-backend stencil checkpoint -> kill -> restart cycle
+   one event at a time, ask every node after every event, and judge
+   the result against an uninterrupted run. *)
 let test_skip_never_hides_ready () =
   let extra = "direct" :: stencil_extra in
   let reference =
@@ -456,10 +457,14 @@ let test_skip_never_hides_ready () =
         Alcotest.failf "the engine drained after %d events" !events;
       incr events;
       for node = 0 to Simos.Cluster.nodes cl - 1 do
-        let skipped = Simos.Kernel.skipped_ready (Simos.Cluster.kernel cl node) in
+        let k = Simos.Cluster.kernel cl node in
+        let skipped = Simos.Kernel.skipped_ready k in
         if skipped > 0 then
           Alcotest.failf "event %d: a poke on node %d would skip %d ready thread(s)" !events node
-            skipped
+            skipped;
+        if not (Simos.Kernel.live_threads_agree k) then
+          Alcotest.failf "event %d: node %d's live threads disagree with its process table" !events
+            node
       done
     done
   in

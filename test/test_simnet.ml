@@ -374,6 +374,29 @@ let prop_armed_cell_means_unreadable =
            ops
          && steps 100_000))
 
+(* A delivery can make only its receiver readable.  A reader's cell on
+   the sending end stays armed while that end's data is delivered, the
+   receiving end's cell fires, and the sender's hook still runs once
+   per delivered segment (it wakes the sender's writers). *)
+let test_delivery_fires_receiver_only () =
+  let eng, _, c, s, _ = connect_pair () in
+  let arm sock =
+    let w = Sim.Wake.wait ~size:1 in
+    ignore (Sim.Wake.arm w (Simnet.Fabric.wake_cells sock) ~slot:0);
+    w
+  in
+  let on_sender = arm c and on_receiver = arm s in
+  let hooks = ref 0 in
+  Simnet.Fabric.on_activity c (fun () -> incr hooks);
+  (* three segments of at most 16 KiB *)
+  let len = 40_000 in
+  check Alcotest.(result int reject) "queued" (Ok len) (Simnet.Fabric.send c (String.make len 'd'));
+  Sim.Engine.run eng;
+  check Alcotest.int "delivered" len (Simnet.Fabric.recv_buffered s);
+  check Alcotest.bool "sender's cell still armed" true (Sim.Wake.quiet on_sender);
+  check Alcotest.bool "receiver's cell fired" false (Sim.Wake.quiet on_receiver);
+  check Alcotest.int "sender's hook once per segment" 3 !hooks
+
 (* ------------------------------------------------------------------ *)
 (* Edge cases the chaos harness leans on *)
 
@@ -610,7 +633,12 @@ let () =
           Alcotest.test_case "NIC serializes transfers" `Quick test_nic_serializes_transfers;
           prop_stream_integrity;
         ] );
-      ("wake cells", [ prop_armed_cell_means_unreadable ]);
+      ( "wake cells",
+        [
+          prop_armed_cell_means_unreadable;
+          Alcotest.test_case "a delivery fires only the receiver's cells" `Quick
+            test_delivery_fires_receiver_only;
+        ] );
       ( "edges",
         [
           Alcotest.test_case "connect to closed listener" `Quick test_connect_closed_listener;

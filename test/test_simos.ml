@@ -506,7 +506,8 @@ module Cell_actor = struct
       next ctx s [| l; c |] 0 0.01
     | Act ("mixed", [| l; c |], 0) ->
       (* the waiter's own writes on [a] land on [c]: each delivery
-         fires [a]'s cells without making [a] readable *)
+         runs [a]'s wake-up hook without making [a] readable, and
+         leaves [a]'s cells armed *)
       let a = Option.get (ctx.accept l) in
       let r, w = ctx.pipe () in
       let m, sl = ctx.open_pty () in
@@ -555,6 +556,56 @@ module Cell_actor = struct
     | Setup _ | Act _ | Idle -> idle
 end
 
+(* A thread that blocks for good. *)
+module Parked = struct
+  type state = unit
+
+  let name = "test:parked"
+  let encode _ () = ()
+  let decode _ = ()
+  let init ~argv:_ = ()
+  let step (_ : Simos.Program.ctx) () = Simos.Program.Block ((), Simos.Program.Stopped)
+end
+
+(* Changes its process's live threads one step at a time, computing for
+   1 ms (which reads the CPU load) before each: adds a parked thread,
+   forks, and waits for the child.  The child adds a parked thread of
+   its own, then execs [test:counter], which exits to a zombie that the
+   parent reaps. *)
+module Churn = struct
+  type state = Begin | Thread | Fork | Reap | Child_begin | Child_thread | Child_exec | Idle
+
+  let name = "test:churn"
+
+  (* never checkpointed *)
+  let encode w _ = Util.Codec.Writer.u8 w 0
+  let decode _ = Idle
+  let init ~argv:_ = Begin
+  let reaped : (int * int) option ref = ref None
+  let compute st = Simos.Program.Compute (st, 1e-3)
+  let park (ctx : Simos.Program.ctx) = ignore (ctx.spawn_thread ~prog:"test:parked" ~argv:[])
+
+  let step (ctx : Simos.Program.ctx) = function
+    | Begin -> compute Thread
+    | Thread ->
+      park ctx;
+      compute Fork
+    | Fork -> Simos.Program.Fork { parent = Reap; child = Child_begin }
+    | Child_begin -> compute Child_thread
+    | Child_thread ->
+      park ctx;
+      compute Child_exec
+    | Child_exec -> Simos.Program.Exec { st = Idle; prog = "test:counter"; argv = [ "2"; "/tmp/churn-exec" ] }
+    | Reap -> (
+      match ctx.wait_child () with
+      | `Child (pid, code) ->
+        reaped := Some (pid, code);
+        Simos.Program.Block (Idle, Simos.Program.Stopped)
+      | `None -> Simos.Program.Block (Reap, Simos.Program.Child)
+      | `No_children -> Simos.Program.Exit 1)
+    | Idle -> Simos.Program.Block (Idle, Simos.Program.Stopped)
+end
+
 let () =
   List.iter Simos.Program.register
     [
@@ -569,6 +620,8 @@ let () =
       (module Edge_actor);
       (module Cell_waiter);
       (module Cell_actor);
+      (module Parked);
+      (module Churn);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -613,7 +666,8 @@ let test_wake_edges () =
 
 
 (* Run one [Cell_actor] scenario to the end, one event at a time,
-   asserting after every event that no poke skipped a ready thread. *)
+   asserting after every event that no poke skipped a ready thread and
+   that the kernel's live-thread array agrees with its process table. *)
 let cell_run scenario =
   let c = make_cluster ~nodes:1 () in
   let k = Simos.Cluster.kernel c 0 in
@@ -626,7 +680,10 @@ let cell_run scenario =
     let skipped = Simos.Kernel.skipped_ready k in
     if skipped <> 0 then
       Alcotest.failf "%s: %d ready thread(s) skipped after event %d at %.9f" scenario skipped !events
-        (Sim.Engine.now eng)
+        (Sim.Engine.now eng);
+    if not (Simos.Kernel.live_threads_agree k) then
+      Alcotest.failf "%s: live threads disagree with the process table after event %d at %.9f"
+        scenario !events (Sim.Engine.now eng)
   done;
   (k, List.rev (Option.value ~default:[] (Hashtbl.find_opt cell_wakes scenario)))
 
@@ -652,6 +709,81 @@ let test_cell_pruning () =
   let proc = Option.get (Simos.Kernel.find_process k ~pid) in
   let cells = Option.get (Simos.Fdesc.wake_cells (Option.get (Simos.Kernel.fd_desc proc fd))) in
   check Alcotest.bool "at most one armed cell on the listener" true (Sim.Wake.armed cells <= 1)
+
+(* Every change to a kernel's live threads, one event or call at a
+   time: spawn, a thread added to a running process, fork, exec of a
+   two-thread process, an exit to a zombie and its reap ([Churn]), a
+   kill, node loss ([vanish_process]), [refork], and an MTCP restore
+   ([create_raw_process], then [add_thread]) whose insert grows the
+   process table past 64 entries, which resizes it and reorders its
+   walk.  A counter computes throughout, reading the CPU load every
+   millisecond, so the array is current again before each change. *)
+let test_live_threads () =
+  let c = make_cluster ~nodes:1 () in
+  let k = Simos.Cluster.kernel c 0 in
+  let eng = Simos.Cluster.engine c in
+  let events = ref 0 in
+  let agree what =
+    if not (Simos.Kernel.live_threads_agree k) then
+      Alcotest.failf "live threads disagree with the process table %s (event %d, %.9f)" what !events
+        (Sim.Engine.now eng);
+    let skipped = Simos.Kernel.skipped_ready k in
+    if skipped <> 0 then
+      Alcotest.failf "%d ready thread(s) skipped %s (event %d)" skipped what !events
+  in
+  let step_to time =
+    while Sim.Engine.now eng < time && Sim.Engine.step eng do
+      incr events;
+      agree "after an event"
+    done
+  in
+  let spawn prog argv =
+    let p = Simos.Kernel.spawn k ~prog ~argv () in
+    agree ("after spawning " ^ prog);
+    p
+  in
+  Churn.reaped := None;
+  ignore (spawn "test:counter" [ "300"; "/tmp/live-count" ]);
+  let killed = spawn "test:sleeper" [ "100" ] in
+  let lost = spawn "test:sleeper" [ "100" ] in
+  ignore (spawn "test:churn" []);
+  step_to 0.05;
+  check Alcotest.(option int) "the exec'd child exited 0 and was reaped" (Some 0)
+    (Option.map snd !Churn.reaped);
+  check Alcotest.(option string) "the exec'd counter ran" (Some "2") (file_content k "/tmp/churn-exec");
+  Simos.Kernel.kill_process k killed;
+  agree "after kill_process";
+  step_to 0.06;
+  Simos.Kernel.vanish_process k lost;
+  agree "after vanish_process";
+  step_to 0.07;
+  let child = spawn "test:sleeper" [ "0.2" ] in
+  let reforked = Simos.Kernel.refork k ~child in
+  agree "after refork";
+  step_to 0.08;
+  for _ = List.length (Simos.Kernel.processes k) + 1 to 64 do
+    ignore (spawn "test:parked" [])
+  done;
+  step_to 0.09;
+  let restored =
+    Simos.Kernel.create_raw_process k ~pid:(Simos.Kernel.fresh_pid k) ~ppid:0 ~env:[] ~hijacked:false
+  in
+  agree "after create_raw_process";
+  let restore prog argv blocked =
+    let inst = Simos.Program.instantiate ~name:prog ~argv in
+    ignore (Simos.Kernel.add_thread k restored ~inst ?blocked ());
+    agree ("after restoring a " ^ prog ^ " thread")
+  in
+  restore "test:parked" [] (Some Simos.Program.Stopped);
+  restore "test:sleeper" [ "0.01" ] None;
+  step_to infinity;
+  let running p = List.exists (fun q -> q == p) (Simos.Kernel.processes k) in
+  check Alcotest.bool "killed" false (running killed);
+  check Alcotest.bool "lost" false (running lost);
+  check Alcotest.bool "reforked sleeper done" false (running reforked);
+  check Alcotest.bool "restored sleeper done" false (running restored);
+  check Alcotest.int "the parked processes and the churn parent remain" 62
+    (List.length (Simos.Kernel.processes k))
 
 (* Fd tables against a generic [Hashtbl] fed the same operations: every
    lookup answers as the hash table does, through the slot array or,
@@ -1105,6 +1237,7 @@ let () =
           Alcotest.test_case "wake times at the edges" `Quick test_wake_edges;
           Alcotest.test_case "wake cells: mixed objects, reuse, dup2" `Quick test_cell_wakes;
           Alcotest.test_case "wake cells: dead cells pruned" `Quick test_cell_pruning;
+          Alcotest.test_case "live threads follow every lifecycle change" `Quick test_live_threads;
         ] );
       ( "environment",
         [

@@ -167,6 +167,69 @@ let test_metrics_registry () =
   Trace.Metrics.incr c';
   Alcotest.(check bool) "reset clears values" true (Trace.Metrics.snapshot_text () <> snap)
 
+(* Words the minor heap gave out while [f] ran 10,000 times. *)
+let minor_words_10k f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+(* A counter or gauge holds its value unboxed, so updating it allocates
+   nothing; one that boxed each new value would allocate 20,000 words
+   here. *)
+let test_metrics_updates_allocate_nothing () =
+  let c = Trace.Metrics.counter "t.alloc.count" in
+  let g = Trace.Metrics.gauge "t.alloc.gauge" in
+  let v = 0.25 in
+  let incr () = Trace.Metrics.incr c in
+  let add () = Trace.Metrics.add c v in
+  let set () = Trace.Metrics.set g v in
+  List.iter
+    (fun (label, f) -> check (Alcotest.float 0.) (label ^ ": minor words") 0. (minor_words_10k f))
+    [ ("incr", incr); ("add", add); ("set", set) ]
+
+(* The snapshot's lines for a fixed sequence of updates, taken before
+   counters stopped boxing their values: integral values print with no
+   decimals below 1e15 and with nine from there, others with nine.
+   Every instrument the sequence does not touch reads zero after the
+   reset. *)
+let test_metrics_snapshot_pinned () =
+  Trace.Metrics.reset ();
+  let c = Trace.Metrics.counter "pin.count" in
+  let f = Trace.Metrics.counter "pin.frac" in
+  let big = Trace.Metrics.counter "pin.big" in
+  let g = Trace.Metrics.gauge "pin.gauge" in
+  let last = Trace.Metrics.gauge "pin.last" in
+  let h = Trace.Metrics.histogram "pin.hist" in
+  for i = 1 to 1000 do
+    Trace.Metrics.incr c;
+    Trace.Metrics.add f (float_of_int i *. 0.001);
+    Trace.Metrics.set last (float_of_int i /. 3.)
+  done;
+  Trace.Metrics.add big 1e15;
+  Trace.Metrics.incr big;
+  Trace.Metrics.set g (-0.125);
+  Trace.Metrics.observe h 2.;
+  Trace.Metrics.observe h 0.5;
+  let lines = String.split_on_char '\n' (Trace.Metrics.snapshot_text ()) in
+  let pinned, rest = List.partition (fun l -> String.starts_with ~prefix:"pin." l) lines in
+  check Alcotest.(list string) "pinned lines"
+    [
+      "pin.big                      1000000000000001.000000000";
+      "pin.count                    1000";
+      "pin.frac                     500.500000000";
+      "pin.gauge                    -0.125000000";
+      "pin.hist                     count=2 mean=1.250000000 min=0.500000000 max=2";
+      "pin.last                     333.333333333";
+    ]
+    pinned;
+  List.iter
+    (fun l ->
+      if l <> "" && not (String.ends_with ~suffix:" 0" l || String.ends_with ~suffix:" count=0" l)
+      then Alcotest.failf "untouched instrument not zero after reset: %S" l)
+    rest
+
 (* same chaos seed, two full runs: the protocol trace must be
    byte-identical — this is what makes `torture --replay` trustworthy *)
 let test_chaos_trace_deterministic () =
@@ -244,7 +307,12 @@ let () =
           Alcotest.test_case "stage stats" `Quick test_query_stage_stats;
           Alcotest.test_case "counter total" `Quick test_query_counter_total;
         ] );
-      ("metrics", [ Alcotest.test_case "registry" `Quick test_metrics_registry ]);
+      ( "metrics",
+        [
+          Alcotest.test_case "registry" `Quick test_metrics_registry;
+          Alcotest.test_case "updates allocate nothing" `Quick test_metrics_updates_allocate_nothing;
+          Alcotest.test_case "snapshot bytes pinned" `Quick test_metrics_snapshot_pinned;
+        ] );
       ( "determinism",
         [ Alcotest.test_case "chaos seed trace stable" `Quick test_chaos_trace_deterministic ] );
       ( "sched",
